@@ -102,6 +102,7 @@ from .linking import (
     closed_polygon,
     higher_central,
     linking_mod2_cone,
+    linking_mod2_sampled,
     open_polyline,
     polylines_disjoint,
     sample_general_apex,

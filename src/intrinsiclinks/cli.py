@@ -21,12 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    InternalParityFailure,
-    IntrinsicLinksError,
-    PolylinesNotDisjoint,
-    ValidationError,
-)
+from .errors import InternalParityFailure, IntrinsicLinksError, ValidationError
 from .geometry import Point2, Point3, gp_points2, gp_points3, rational_str
 from .graphs import (
     PLEmbedding,
@@ -49,7 +44,7 @@ from .invariants import (
     van_kampen_drawing,
     van_kampen_points,
 )
-from .linking import closed_polygon, linking_mod2_cone, polylines_disjoint, sample_general_apex
+from .linking import closed_polygon, linking_mod2_sampled
 from .projection import find_general_projection
 from .rng import SplitMix64
 from .serialization import parse_instance, emit_instance, to_json_bytes
@@ -217,10 +212,8 @@ def _cmd_link(args) -> int:
             raise ValidationError(f"{path}: link needs points3 instances")
     a = closed_polygon(first)
     b = closed_polygon(second)
-    if not polylines_disjoint(a, b):
-        raise PolylinesNotDisjoint("the two polygons share a point")
-    apex = sample_general_apex(a, b, SplitMix64(args.seed))
-    _emit_doc({"linking_mod2": linking_mod2_cone(a, b, apex), "seed": args.seed})
+    value = linking_mod2_sampled(a, b, SplitMix64(args.seed))
+    _emit_doc({"linking_mod2": value, "seed": args.seed})
     return 0
 
 

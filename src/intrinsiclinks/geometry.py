@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ParseError
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -451,13 +449,3 @@ def bounding_box_disjoint3(s: Segment3, t: Segment3) -> bool:
 
 def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
     return is_zero3(cross3(b - a, c - a))
-
-
-def point2_from(values: Iterable[RationalLike]) -> Point2:
-    x, y = values
-    return Point2(_coerce(x), _coerce(y))
-
-
-def point3_from(values: Iterable[RationalLike]) -> Point3:
-    x, y, z = values
-    return Point3(_coerce(x), _coerce(y), _coerce(z))

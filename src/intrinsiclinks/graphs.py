@@ -69,9 +69,6 @@ class Graph:
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
-    def edges_at(self, v: str) -> tuple[EdgeKey, ...]:
-        return tuple(e for e in self.edges if v in e)
-
     def cycle_edges(self, cycle: "Cycle") -> tuple[EdgeKey, ...]:
         seq = cycle.vertices
         return tuple(self.edge_key(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))

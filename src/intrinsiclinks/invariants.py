@@ -52,7 +52,7 @@ from .graphs import (
     smooth,
     validate_embedding,
 )
-from .linking import higher_central, linking_mod2_cone, sample_general_apex
+from .linking import higher_central, linking_mod2_sampled
 from .projection import (
     ProjectedDiagram,
     find_general_projection,
@@ -480,8 +480,7 @@ def oracle_count_linked_pairs(
     for c1, c2 in pairs:
         p1 = cycle_route(sm, c1)
         p2 = cycle_route(sm, c2)
-        apex = sample_general_apex(p1, p2, rng)
-        if linking_mod2_cone(p1, p2, apex) == 1:
+        if linking_mod2_sampled(p1, p2, rng) == 1:
             linked.append((c1, c2))
     return OracleResult(len(linked), tuple(linked), len(pairs))
 
@@ -491,6 +490,5 @@ def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkR
     sm = _validated_smooth(emb)
     p1 = cycle_route(sm, report.cycle1)
     p2 = cycle_route(sm, report.cycle2)
-    apex = sample_general_apex(p1, p2, SplitMix64(seed))
-    value = linking_mod2_cone(p1, p2, apex)
+    value = linking_mod2_sampled(p1, p2, SplitMix64(seed))
     return replace(report, oracle_confirmed=(value == report.lk_value))

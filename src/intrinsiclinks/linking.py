@@ -7,6 +7,11 @@ every crossing is then a transversal pass of a side of `b` through the
 interior of a single cone triangle.  A violated condition is reported, never
 silently absorbed, because the caller can always resample the apex.
 
+An apex is certified exactly once, by `apex_general_position`: inside
+`sample_general_apex` for a drawn apex (`linking_mod2_sampled` counts on
+that certificate), or inside `linking_mod2_cone` for an apex the caller
+supplies.
+
 The module also provides the one-viewpoint comparison `higher_central`:
 seen from a point `o`, segment `a` passes in front of segment `b` when some
 ray from `o` meets `a` strictly before `b`.  Equivalently, `a` crosses the
@@ -297,6 +302,25 @@ def apex_general_position(apex: Point3, a: SpatialPolyline, b: SpatialPolyline) 
     return True
 
 
+def _require_disjoint_closed(a: SpatialPolyline, b: SpatialPolyline):
+    if not a.closed or not b.closed:
+        raise ValueError("linking is defined for closed polygons")
+    if not polylines_disjoint(a, b):
+        raise PolylinesNotDisjoint("the two polygons share a point")
+
+
+def _cone_parity(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
+    total = 0
+    for s in a.sides():
+        tri = Triangle3(apex, s.p, s.q)
+        for t in b.sides():
+            r = seg_hits_solid_triangle(t, tri)
+            if r is NON_GENERIC:  # unreachable for a certified apex
+                raise ApexNotGeneral("degenerate cone-triangle contact")
+            total += r
+    return total & 1
+
+
 def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
     """Mod-2 linking number of disjoint closed polygons via cone counting.
 
@@ -304,22 +328,24 @@ def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> i
     apex over the sides of `a`; under the apex condition every crossing of
     `b` with the cone is such a transversal pass through exactly one
     triangle, so the parity of the total is the linking number mod 2.
+    The caller's apex is certified here with `apex_general_position`.
     """
-    if not a.closed or not b.closed:
-        raise ValueError("linking is defined for closed polygons")
-    if not polylines_disjoint(a, b):
-        raise PolylinesNotDisjoint("the polygons share a point")
+    _require_disjoint_closed(a, b)
     if not apex_general_position(apex, a, b):
         raise ApexNotGeneral("apex fails the cone general-position condition")
-    total = 0
-    for s in a.sides():
-        tri = Triangle3(apex, s.p, s.q)
-        for t in b.sides():
-            r = seg_hits_solid_triangle(t, tri)
-            if r is NON_GENERIC:  # unreachable once the apex check passed
-                raise ApexNotGeneral("degenerate cone-triangle contact")
-            total += r
-    return total & 1
+    return _cone_parity(a, b, apex)
+
+
+def linking_mod2_sampled(a: SpatialPolyline, b: SpatialPolyline, rng: SplitMix64) -> int:
+    """Mod-2 linking number by cone counting from an apex drawn with
+    `sample_general_apex`.
+
+    The sampler certifies the apex, so it is not checked a second time.
+    The draws from `rng` are those of `sample_general_apex`, so the answer
+    equals `linking_mod2_cone(a, b, sample_general_apex(a, b, rng))`.
+    """
+    _require_disjoint_closed(a, b)
+    return _cone_parity(a, b, sample_general_apex(a, b, rng))
 
 
 def sample_general_apex(

@@ -213,6 +213,12 @@ def project_central(
     into it away from the apex.  Raises ApexNotExtremal when the apex is
     not the unique maximizer and ProjectionNotGeneral when three images
     become collinear or two coincide.
+
+    The image coordinates are integers: a fixed positive integer multiple
+    (the least common denominator of the images) of the plane coordinates.
+    A uniform positive scale keeps every orientation, so crossings and
+    general position are those of the plane images, while every predicate
+    on the drawing runs on machine integers.
     """
     pts = list(points)
     if apex not in pts:
@@ -233,6 +239,8 @@ def project_central(
         t = Fraction(plane_val - apex_val, v - apex_val)
         q = apex + (p - apex).scale(t)
         images.append(Point2(dot3(q, e1), dot3(q, e2)))
+    m = lcm(*(c.denominator for im in images for c in im.coords()))
+    images = [im.scale(m) for im in images]
     if not gp_points2(images):
         raise ProjectionNotGeneral("projected points are not in general position")
 

@@ -33,13 +33,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n).  Uses rejection to avoid modulo bias."""
+        """Uniform integer in [0, n).  Uses rejection to avoid modulo bias.
+
+        Draws as many 64-bit words as n needs (one for n <= 2**64), joins
+        them most significant first, and rejects values at or above the
+        largest multiple of n not exceeding 2**(64 * words)."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        # largest multiple of n that fits in 64 bits
-        limit = (1 << 64) - ((1 << 64) % n)
+        words = max(1, ((n - 1).bit_length() + 63) // 64)
+        span = 1 << (64 * words)
+        limit = span - span % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % n
 
@@ -48,8 +55,3 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.randrange(hi - lo + 1)
-
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("empty sequence")
-        return seq[self.randrange(len(seq))]

@@ -1,9 +1,14 @@
 """Tests for instance generation, serialization, SVG export and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import intrinsiclinks
 from intrinsiclinks.cli import main
 from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points2, gp_points3
@@ -318,6 +323,34 @@ class TestCli:
         assert code == 0 and json.loads(out.out)["linking_mod2"] == 0
         code, out = self.run("link", paths["flat"], paths["thread"], capsys=capsys)
         assert code == 0 and json.loads(out.out)["linking_mod2"] == 1
+
+    def test_link_touching_polygons_exits_1(self, tmp_path, capsys):
+        flat = {"kind": "points3",
+                "positions": [["0", "0", "0"], ["4", "0", "0"], ["0", "4", "0"]]}
+        touching = {"kind": "points3",
+                    "positions": [["0", "0", "0"], ["1", "1", "5"], ["2", "-1", "3"]]}
+        paths = []
+        for name, doc in (("flat", flat), ("touching", touching)):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(doc))
+            paths.append(str(p))
+        code, out = self.run("link", *paths, capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == "error: the two polygons share a point\n"
+
+    def test_gen_bound_beyond_64_bits_terminates(self):
+        # coordinates wider than 2**64 need multi-word draws; a subprocess with
+        # a timeout turns a hang into a failure instead of a stalled suite
+        env = dict(os.environ)
+        src = str(Path(intrinsiclinks.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intrinsiclinks.cli", "gen", "--kind", "k6-points",
+             "--bound", "10000000000000000000"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
 
     def test_invalid_instance_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

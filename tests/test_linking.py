@@ -1,5 +1,7 @@
 """Linking-number tests: frozen linked pair, cone counting, viewpoint logic."""
 
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,17 @@ from intrinsiclinks.linking import (
     closed_polygon,
     higher_central,
     linking_mod2_cone,
+    linking_mod2_sampled,
     open_polyline,
     polylines_disjoint,
     sample_general_apex,
     triangle_polygon,
     triangles_linked,
 )
+from intrinsiclinks import linking
+from intrinsiclinks.graphs import complete_graph, make_embedding
+from intrinsiclinks.instances import gen_k6_points
+from intrinsiclinks.invariants import oracle_count_linked_pairs
 from intrinsiclinks.rng import SplitMix64
 
 coord = st.integers(min_value=-20, max_value=20)
@@ -237,6 +244,53 @@ class TestLinkingMod2Cone:
         assert linking_mod2_cone(p1, p2, apex2) == bit1
         apex3 = sample_general_apex(p2, p1, rng)
         assert linking_mod2_cone(p2, p1, apex3) == bit1
+
+
+class TestLinkingMod2Sampled:
+    a = triangle_polygon(LINKED_A)
+    b = triangle_polygon(LINKED_B)
+
+    @given(st.lists(points3, min_size=6, max_size=6, unique=True), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sample_then_cone(self, pts, seed):
+        assume(gp_points3(pts))
+        p1 = triangle_polygon(Triangle3(*pts[:3]))
+        p2 = triangle_polygon(Triangle3(*pts[3:]))
+        rng_sampled, rng_split = SplitMix64(seed), SplitMix64(seed)
+        bit = linking_mod2_sampled(p1, p2, rng_sampled)
+        assert bit == linking_mod2_cone(p1, p2, sample_general_apex(p1, p2, rng_split))
+        # same draws: both generators are left in the same state
+        assert rng_sampled.next_u64() == rng_split.next_u64()
+
+    def test_linked_and_unlinked(self):
+        assert linking_mod2_sampled(self.a, self.b, SplitMix64(0)) == 1
+        assert linking_mod2_sampled(self.a, triangle_polygon(FAR), SplitMix64(0)) == 0
+
+    def test_touching_polygons_raise(self):
+        touching = closed_polygon([Point3(1, 1, 0), Point3(2, 3, 1), Point3(4, 0, -1)])
+        with pytest.raises(PolylinesNotDisjoint):
+            linking_mod2_sampled(self.a, touching, SplitMix64(0))
+
+    def test_open_polyline_rejected(self):
+        arc = open_polyline([Point3(0, 0, 1), Point3(1, 0, 0), Point3(1, 1, 1)])
+        with pytest.raises(ValueError):
+            linking_mod2_sampled(self.a, arc, SplitMix64(0))
+
+    def test_oracle_certifies_each_apex_once(self, monkeypatch):
+        original = linking.apex_general_position
+        callers = []
+
+        def spy(apex, a, b):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(apex, a, b)
+
+        monkeypatch.setattr(linking, "apex_general_position", spy)
+        k6 = make_embedding(
+            complete_graph(6), {f"v{i}": p for i, p in enumerate(gen_k6_points(3), start=1)}
+        )
+        result = oracle_count_linked_pairs(k6, 3, 3, seed=3)
+        assert result.total_pairs == 10
+        assert callers and set(callers) == {"sample_general_apex"}
 
 
 class TestPolylinesDisjoint:

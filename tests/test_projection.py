@@ -26,6 +26,7 @@ from intrinsiclinks.graphs import (
     enumerate_disjoint_cycle_pairs,
     extract_crossings,
     make_cycle,
+    make_drawing,
     make_embedding,
     make_graph,
 )
@@ -213,6 +214,44 @@ class TestProjectCentral:
             crosses = isinstance(seg_intersect2(im1, im2), Point2)
             blocked = higher_central(apex, s1, s2) == 1 or higher_central(apex, s2, s1) == 1
             assert crosses == blocked
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-25, 25), st.integers(-25, 25), st.integers(-25, 25)),
+        min_size=6, max_size=6, unique=True,
+    ))
+    def test_integer_images_cross_like_plane_images(self, coords):
+        """The integer images are a positive multiple of the plane images, so
+        both straight-line drawings have the same crossing edge pairs."""
+        pts = [Point3(*c) for c in coords]
+        assume(gp_points3(pts))
+        normal = Point3(0, 0, 1)
+        assume(len({p.z for p in pts}) == 6)
+        apex = max(pts, key=lambda p: p.z)
+        below = [p for p in pts if p != apex]
+        names = [f"p{i}" for i in range(1, 6)]
+        try:
+            drawing = project_central(pts, apex, normal, names=names)
+        except ProjectionNotGeneral:
+            assume(False)
+        for p in drawing.position.values():
+            assert type(p.x) is int and type(p.y) is int
+
+        # the plane images themselves, with rational coordinates
+        apex_val = dot3(apex, normal)
+        plane_val = Fraction(apex_val + max(dot3(p, normal) for p in below), 2)
+        e1, e2 = plane_basis(canonical_direction(normal))
+        plane_images = {}
+        for name, p in zip(names, below):
+            t = Fraction(plane_val - apex_val, dot3(p, normal) - apex_val)
+            q = apex + (p - apex).scale(t)
+            plane_images[name] = Point2(dot3(q, e1), dot3(q, e2))
+        plane_drawing = make_drawing(drawing.graph, plane_images)
+
+        def pairs(d):
+            return {(c.edge1, c.edge2) for c in extract_crossings(d)}
+
+        assert pairs(drawing) == pairs(plane_drawing)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
