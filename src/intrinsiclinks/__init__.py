@@ -49,6 +49,7 @@ from .graphs import (
     PLEmbedding,
     PlanarDrawing,
     PlanarPolyline,
+    ValidEmbedding,
     Violation,
     complete_bipartite,
     complete_graph,
@@ -62,6 +63,7 @@ from .graphs import (
     make_embedding,
     make_graph,
     planar_polyline,
+    require_valid,
     smooth,
     subdivide,
     validate_drawing,

@@ -30,6 +30,7 @@ from .graphs import (
     is_complete,
     is_complete_bipartite,
     make_embedding,
+    require_valid,
     smooth,
     validate_drawing,
     validate_embedding,
@@ -142,17 +143,18 @@ def _cmd_find_linked(args) -> int:
             )
             report = oracle_confirm(carrier, report, seed=args.seed)
     elif isinstance(obj, PLEmbedding):
-        core = smooth(obj).graph
+        emb = require_valid(obj)
+        core = smooth(emb).graph
         if is_complete(core) and len(core.vertices) == 6:
-            report = find_linked_cycles_k6(obj, seed=args.seed)
+            report = find_linked_cycles_k6(emb, seed=args.seed)
         elif is_complete_bipartite(core, 4, 4):
-            report = find_linked_cycles_k44(obj, seed=args.seed)
+            report = find_linked_cycles_k44(emb, seed=args.seed)
         else:
             raise ValidationError(
                 "no finder for this embedding; need K6 or K4,4 up to subdivision"
             )
         if args.verify:
-            report = oracle_confirm(obj, report, seed=args.seed)
+            report = oracle_confirm(emb, report, seed=args.seed)
     else:
         raise ValidationError("no finder for this instance kind")
     _emit_doc(link_report_doc(report, args.seed))

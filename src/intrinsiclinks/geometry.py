@@ -186,9 +186,6 @@ class Segment2:
         if self.p == self.q:
             raise ValueError("degenerate segment: endpoints coincide")
 
-    def direction(self) -> Point2:
-        return self.q - self.p
-
 
 @dataclass(frozen=True)
 class Segment3:
@@ -198,9 +195,6 @@ class Segment3:
     def __post_init__(self):
         if self.p == self.q:
             raise ValueError("degenerate segment: endpoints coincide")
-
-    def direction(self) -> Point3:
-        return self.q - self.p
 
 
 @dataclass(frozen=True)

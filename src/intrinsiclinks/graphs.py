@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DrawingNotGeneral, GeneralPositionViolation, PointsNotOnRoute
+from .errors import DrawingNotGeneral, EmbeddingInvalid, GeneralPositionViolation, PointsNotOnRoute
 from .geometry import (
     NON_GENERIC,
     OVERLAP,
@@ -29,7 +29,7 @@ from .geometry import (
     point_on_segment3,
     seg_intersect2,
 )
-from .linking import SpatialPolyline, closed_polygon, open_polyline
+from .linking import SpatialPolyline, _check_corners, _drop_straight_corners, closed_polygon, open_polyline
 
 EdgeKey = tuple[str, str]
 
@@ -231,7 +231,7 @@ class Violation:
 # spatial embeddings
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class PLEmbedding:
     """Piecewise-linear embedding: positions plus an open polyline route per
     edge, oriented from the smaller-indexed endpoint.  Treat as immutable."""
@@ -239,6 +239,12 @@ class PLEmbedding:
     graph: Graph
     position: dict[str, Point3]
     route: dict[EdgeKey, SpatialPolyline]
+
+    def __eq__(self, other):
+        # fields only, so an embedding equals its validated copy
+        if not isinstance(other, PLEmbedding):
+            return NotImplemented
+        return (self.graph, self.position, self.route) == (other.graph, other.position, other.route)
 
     def __hash__(self):  # pragma: no cover - embeddings are never dict keys
         raise TypeError("embeddings are not hashable")
@@ -250,22 +256,11 @@ class PLEmbedding:
         return pts if key[0] == u else tuple(reversed(pts))
 
 
-def make_embedding(
-    graph: Graph,
-    positions: Mapping[str, Point3],
-    routes: Mapping[tuple[str, str], Sequence[Point3]] | None = None,
-) -> PLEmbedding:
-    """Build an embedding; unspecified routes are straight segments.
-
-    Route point sequences may be given in either orientation and may either
-    include or omit the endpoint positions; straight-through interior
-    points are dropped.  Structural errors (missing positions, routes whose
-    ends match neither endpoint) raise ValueError; geometric violations are
-    the business of `validate_embedding`.
-    """
-    pos = {v: positions[v] for v in graph.vertices}
-    built: dict[EdgeKey, SpatialPolyline] = {}
-    given: dict[EdgeKey, Sequence[Point3]] = {}
+def _route_chains(graph: Graph, pos: Mapping, routes: Mapping | None) -> Iterator[tuple[EdgeKey, list]]:
+    """Each edge's route points from its first endpoint position to its
+    second, normalized as `make_embedding` describes; shared with
+    `make_drawing`."""
+    given: dict[EdgeKey, Sequence] = {}
     if routes:
         for (u, v), pts in routes.items():
             given[graph.edge_key(u, v)] = tuple(pts)
@@ -283,11 +278,28 @@ def make_embedding(
                 chain = list(reversed(chain))
             if chain[0] != pu or chain[-1] != pv:
                 raise ValueError(f"route for {key} does not join its endpoint positions")
-        built[key] = open_polyline(chain)
+        yield key, chain
+
+
+def make_embedding(
+    graph: Graph,
+    positions: Mapping[str, Point3],
+    routes: Mapping[tuple[str, str], Sequence[Point3]] | None = None,
+) -> PLEmbedding:
+    """Build an embedding; unspecified routes are straight segments.
+
+    Route point sequences may be given in either orientation and may either
+    include or omit the endpoint positions; straight-through interior
+    points are dropped.  Structural errors (missing positions, routes whose
+    ends match neither endpoint) raise ValueError; geometric violations are
+    the business of `validate_embedding`.
+    """
+    pos = {v: positions[v] for v in graph.vertices}
+    built = {key: open_polyline(chain) for key, chain in _route_chains(graph, pos, routes)}
     return PLEmbedding(graph, pos, built)
 
 
-def _terminal_side_at(poly: SpatialPolyline, p: Point3) -> int | None:
+def _terminal_side_at(poly: SpatialPolyline | PlanarPolyline, p) -> int | None:
     """Index of the terminal side of an open polyline ending at p, if any."""
     if poly.vertices[0] == p:
         return 0
@@ -296,14 +308,15 @@ def _terminal_side_at(poly: SpatialPolyline, p: Point3) -> int | None:
     return None
 
 
-def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
-    """Geometric validation: distinct positions, routes meeting only at
-    shared endpoint positions, no route through a foreign vertex."""
+def _check_vertices_and_routes(obj: PLEmbedding | PlanarDrawing) -> tuple[list[Violation], list[EdgeKey]]:
+    """The checks an embedding and a drawing share: distinct vertex
+    positions, and one open route per edge joining its endpoints.  Returns
+    the violations and the edges whose routes the side sweeps can use."""
     out: list[Violation] = []
-    g = emb.graph
-    pos = emb.position
+    g = obj.graph
+    pos = obj.position
 
-    by_point: dict[Point3, list[str]] = {}
+    by_point: dict = {}
     for v in g.vertices:
         by_point.setdefault(pos[v], []).append(v)
     for p, vs in by_point.items():
@@ -312,7 +325,7 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
 
     usable: list[EdgeKey] = []
     for key in g.edges:
-        poly = emb.route.get(key)
+        poly = obj.route.get(key)
         if poly is None:
             out.append(Violation("missing-route", f"edge {key} has no route", (key,)))
             continue
@@ -322,6 +335,15 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
         if poly.vertices[0] != pos[key[0]] or poly.vertices[-1] != pos[key[1]]:
             out.append(Violation("route-endpoint-mismatch", f"route of {key} does not join its endpoints", (key,)))
         usable.append(key)
+    return out, usable
+
+
+def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
+    """Geometric validation: distinct positions, routes meeting only at
+    shared endpoint positions, no route through a foreign vertex."""
+    g = emb.graph
+    pos = emb.position
+    out, usable = _check_vertices_and_routes(emb)
 
     for key in usable:
         poly = emb.route[key]
@@ -361,6 +383,27 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
                         Violation(kind, f"routes of {e1} and {e2} meet away from a shared vertex", (e1, e2, i1, i2))
                     )
     return tuple(out)
+
+
+class ValidEmbedding(PLEmbedding):
+    """An embedding that has passed `validate_embedding`.  Only
+    `require_valid` builds one from raw input, with its own copies of the
+    position and route dicts; `smooth` keeps the type, because smoothing
+    keeps the carrier and absorbs only degree-2 vertices."""
+
+
+def require_valid(emb: PLEmbedding) -> ValidEmbedding:
+    """Validate an embedding once and carry the result as a type.
+
+    Returns a ValidEmbedding argument unchanged; otherwise raises
+    EmbeddingInvalid listing every violation, or returns a validated copy.
+    """
+    if isinstance(emb, ValidEmbedding):
+        return emb
+    violations = validate_embedding(emb)
+    if violations:
+        raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
+    return ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
 
 
 def _locate_on_route(poly: SpatialPolyline, p: Point3) -> tuple[int, Fraction] | None:
@@ -456,7 +499,8 @@ def subdivide(emb: PLEmbedding, edge: tuple[str, str], interior_points: Sequence
 def smooth(emb: PLEmbedding) -> PLEmbedding:
     """Undo subdivisions: repeatedly absorb any degree-2 vertex whose two
     neighbors are not yet adjacent, concatenating the two routes.  Stops
-    when no such vertex remains (e.g. a triangle stays a triangle).
+    when no such vertex remains (e.g. a triangle stays a triangle).  The
+    result has the type of the input, so a ValidEmbedding stays one.
 
     Later-listed vertices are absorbed first.  `subdivide` appends its new
     vertices, so smoothing a subdivision recovers the original vertex set
@@ -474,7 +518,7 @@ def smooth(emb: PLEmbedding) -> PLEmbedding:
                 target = (w, u, x)
                 break
         if target is None:
-            return PLEmbedding(g, pos, routes)
+            return type(emb)(g, pos, routes)
         w, u, x = target
         k1, k2 = g.edge_key(u, w), g.edge_key(w, x)
         chain1 = routes[k1].vertices if k1[0] == u else tuple(reversed(routes[k1].vertices))
@@ -517,21 +561,7 @@ class PlanarPolyline:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        n = len(self.vertices)
-        if n < 2 or (self.closed and n < 3):
-            raise ValueError("polyline needs at least 2 vertices, closed needs 3")
-        for i in range(n - 1):
-            if self.vertices[i] == self.vertices[i + 1]:
-                raise ValueError("consecutive vertices coincide")
-        if self.closed and self.vertices[0] == self.vertices[-1]:
-            raise ValueError("closed polyline must not repeat its first vertex")
-        corner_range = range(n) if self.closed else range(1, n - 1)
-        for i in corner_range:
-            u = self.vertices[(i - 1) % n]
-            v = self.vertices[i]
-            w = self.vertices[(i + 1) % n]
-            if orient2d(u, v, w) == 0:
-                raise ValueError(f"straight-through vertex at index {i}")
+        _check_corners(self.vertices, self.closed, _straight2)
 
     def sides(self) -> tuple[Segment2, ...]:
         v = self.vertices
@@ -541,28 +571,12 @@ class PlanarPolyline:
         return tuple(out)
 
 
-def _drop_straight_corners2(points: list[Point2], closed: bool) -> list[Point2]:
-    out: list[Point2] = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    if closed and len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        n = len(out)
-        rng = range(n) if closed else range(1, n - 1)
-        for i in rng:
-            if orient2d(out[(i - 1) % n], out[i], out[(i + 1) % n]) == 0:
-                del out[i]
-                changed = True
-                break
-    return out
+def _straight2(u: Point2, v: Point2, w: Point2) -> bool:
+    return orient2d(u, v, w) == 0
 
 
 def planar_polyline(points, closed: bool = False) -> PlanarPolyline:
-    return PlanarPolyline(tuple(_drop_straight_corners2(list(points), closed)), closed=closed)
+    return PlanarPolyline(tuple(_drop_straight_corners(points, closed, _straight2)), closed=closed)
 
 
 @dataclass(frozen=True, eq=True)
@@ -577,11 +591,6 @@ class PlanarDrawing:
     def __hash__(self):  # pragma: no cover
         raise TypeError("drawings are not hashable")
 
-    def route_chain(self, u: str, v: str) -> tuple[Point2, ...]:
-        key = self.graph.edge_key(u, v)
-        pts = self.route[key].vertices
-        return pts if key[0] == u else tuple(reversed(pts))
-
 
 def make_drawing(
     graph: Graph,
@@ -590,26 +599,7 @@ def make_drawing(
 ) -> PlanarDrawing:
     """Build a drawing; unspecified routes are straight segments."""
     pos = {v: positions[v] for v in graph.vertices}
-    given: dict[EdgeKey, Sequence[Point2]] = {}
-    if routes:
-        for (u, v), pts in routes.items():
-            given[graph.edge_key(u, v)] = tuple(pts)
-    built: dict[EdgeKey, PlanarPolyline] = {}
-    for key in graph.edges:
-        pu, pv = pos[key[0]], pos[key[1]]
-        pts = list(given.get(key, ()))
-        if not pts:
-            chain = [pu, pv]
-        else:
-            if pts[0] != pu and pts[0] != pv and pts[-1] != pu and pts[-1] != pv:
-                chain = [pu] + pts + [pv]
-            else:
-                chain = pts
-            if chain[0] == pv and chain[-1] == pu:
-                chain = list(reversed(chain))
-            if chain[0] != pu or chain[-1] != pv:
-                raise ValueError(f"route for {key} does not join its endpoint positions")
-        built[key] = planar_polyline(chain)
+    built = {key: planar_polyline(chain) for key, chain in _route_chains(graph, pos, routes)}
     return PlanarDrawing(graph, pos, built)
 
 
@@ -628,39 +618,10 @@ class Crossing:
     upper: EdgeKey | None = None
 
 
-def _terminal_side_at2(poly: PlanarPolyline, p: Point2) -> int | None:
-    if poly.vertices[0] == p:
-        return 0
-    if poly.vertices[-1] == p:
-        return len(poly.vertices) - 2
-    return None
-
-
 def _scan_drawing(d: PlanarDrawing):
     """Shared sweep over all side pairs.  Returns (violations, raw
     transversal crossings as (edge1, i1, edge2, i2, point))."""
-    out: list[Violation] = []
-    g = d.graph
-
-    by_point: dict[Point2, list[str]] = {}
-    for v in g.vertices:
-        by_point.setdefault(d.position[v], []).append(v)
-    for p, vs in by_point.items():
-        if len(vs) > 1:
-            out.append(Violation("coincident-vertices", f"vertices {vs} share a position", tuple(vs)))
-
-    usable: list[EdgeKey] = []
-    for key in g.edges:
-        poly = d.route.get(key)
-        if poly is None:
-            out.append(Violation("missing-route", f"edge {key} has no route", (key,)))
-            continue
-        if poly.closed:
-            out.append(Violation("closed-route", f"edge {key} has a closed route", (key,)))
-            continue
-        if poly.vertices[0] != d.position[key[0]] or poly.vertices[-1] != d.position[key[1]]:
-            out.append(Violation("route-endpoint-mismatch", f"route of {key} does not join its endpoints", (key,)))
-        usable.append(key)
+    out, usable = _check_vertices_and_routes(d)
 
     sides: list[tuple[EdgeKey, int, Segment2]] = []
     for key in usable:
@@ -702,8 +663,8 @@ def _scan_drawing(d: PlanarDrawing):
                 )
                 if (
                     shared_vertex is not None
-                    and _terminal_side_at2(d.route[e1], p) == i1
-                    and _terminal_side_at2(d.route[e2], p) == i2
+                    and _terminal_side_at(d.route[e1], p) == i1
+                    and _terminal_side_at(d.route[e2], p) == i2
                 ):
                     continue  # the legal meeting at a shared graph vertex
                 out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p.coords()}", (e1, e2, i1, i2)))

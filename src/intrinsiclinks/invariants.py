@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .errors import (
     DrawingsNotComparable,
-    EmbeddingInvalid,
     GeneralPositionViolation,
     InternalParityFailure,
     ProjectionNotGeneral,
@@ -49,8 +48,8 @@ from .graphs import (
     is_complete,
     is_complete_bipartite,
     make_cycle,
+    require_valid,
     smooth,
-    validate_embedding,
 )
 from .linking import higher_central, linking_mod2_sampled
 from .projection import (
@@ -89,6 +88,14 @@ class ParityLedger:
         for _, bit in self.entries:
             t ^= bit & 1
         return t
+
+
+def _forced(label: str, entries, expect: int) -> ParityLedger:
+    """A ledger whose total the theorem forces; any other total is a bug."""
+    ledger = ParityLedger(label, tuple(entries))
+    if ledger.total != expect:
+        raise InternalParityFailure(f"parity sum '{label}' is {ledger.total}, expected {expect}")
+    return ledger
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,10 @@ def _point_names(n: int) -> list[str]:
 
 
 def _choose_viewpoint(pts: list[Point3], seed: int, max_tries: int):
-    """A linear functional giving the 6 points distinct values, whose top
-    point projects the rest to a generic plane configuration.  Tries the
-    first-coordinate functional before seeded candidates."""
+    """Index of the top point of a linear functional giving the 6 points
+    distinct values, and the drawing it projects the rest to, which must
+    be generic.  Tries the first-coordinate functional before seeded
+    candidates."""
     rng = SplitMix64(seed)
     bound = 4
     rejections = 0
@@ -188,7 +196,7 @@ def _choose_viewpoint(pts: list[Point3], seed: int, max_tries: int):
             below_names = [names[i] for i in range(6) if i != top]
             try:
                 drawing = project_central(pts, pts[top], cand, names=below_names)
-                return cand, top, drawing
+                return top, drawing
             except ProjectionNotGeneral:
                 pass
         rejections += 1
@@ -207,14 +215,14 @@ def _linear_analysis(points: Sequence[Point3], seed: int, max_tries: int):
         raise ValueError("need exactly 6 points")
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    functional, top, drawing = _choose_viewpoint(pts, seed, max_tries)
+    top, drawing = _choose_viewpoint(pts, seed, max_tries)
     names = _point_names(6)
     apex_name = names[top]
     apex = pts[top]
     by_name = dict(zip(names, pts))
 
     entries = []
-    first_hit = None
+    hits = []  # (far triangle, near triangle) of every odd entry
     below_edges = [e for e in _K6.edges if apex_name not in e]
     for u, v in below_edges:
         rest = [w for w in names if w not in (apex_name, u, v)]
@@ -222,24 +230,15 @@ def _linear_analysis(points: Sequence[Point3], seed: int, max_tries: int):
         cnt = 0
         for x, y in combinations(rest, 2):
             cnt += higher_central(apex, Segment3(by_name[x], by_name[y]), base)
-        lk = cnt % 2
-        entries.append((f"lk({'-'.join(rest)} | {u}-{v})", lk))
-        if lk == 1 and first_hit is None:
-            first_hit = (rest, (u, v))
+        entries.append((f"lk({'-'.join(rest)} | {u}-{v})", cnt % 2))
+        if cnt % 2:
+            hits.append((rest, (apex_name, u, v)))
 
-    ledger = ParityLedger("sight-blocking lk over the 10 base edges", tuple(entries))
-    if ledger.total != 1:
-        raise InternalParityFailure("sum of central lk values is even")
+    ledger = _forced("sight-blocking lk over the 10 base edges", entries, 1)
     if van_kampen_drawing(drawing) != 1:
         raise InternalParityFailure("central image of 5 points has even crossing parity")
-    rest, (u, v) = first_hit
-    report = LinkReport(
-        cycle1=make_cycle(_K6, rest),
-        cycle2=make_cycle(_K6, (apex_name, u, v)),
-        lk_value=1,
-        method="linear-central",
-    )
-    return report, ledger, drawing, apex_name
+    far, near = hits[0]
+    return LinkReport(make_cycle(_K6, far), make_cycle(_K6, near), 1, "linear-central"), ledger
 
 
 def find_linked_triangles_linear(
@@ -254,100 +253,102 @@ def find_linked_triangles_linear(
     choices is odd, so a hit always exists.  Points are named v1..v6 in
     input order and the report's cycles use those names.
     """
-    report, _, _, _ = _linear_analysis(points, seed, max_tries)
-    return report
+    return _linear_analysis(points, seed, max_tries)[0]
 
 
 def linear_parity_ledger(
     points: Sequence[Point3], seed: int = 0, max_tries: int = 1000
 ) -> ParityLedger:
     """The itemized parity sum behind find_linked_triangles_linear."""
-    _, ledger, _, _ = _linear_analysis(points, seed, max_tries)
-    return ledger
+    return _linear_analysis(points, seed, max_tries)[1]
 
 
 # ---------------------------------------------------------------------------
-# projection finder for embeddings of the complete graph on 6 vertices
+# projection finders: the hub-pair script shared by K6 and K4,4
 
 
-def _validated_smooth(emb: PLEmbedding) -> PLEmbedding:
-    violations = validate_embedding(emb)
-    if violations:
-        raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
-    return smooth(emb)
+def _smooth_and_project(emb: PLEmbedding, seed: int, accepts, shape: str) -> ProjectedDiagram:
+    """Validate, smooth and project an embedding whose smoothing must be
+    of the given shape."""
+    sm = smooth(require_valid(emb))
+    if not accepts(sm.graph):
+        raise ValueError(f"embedding does not smooth to {shape}")
+    return find_general_projection(sm, seed)
+
+
+def _cycle_name(c: Cycle) -> str:
+    return "-".join(c.vertices)
+
+
+def _hub_pair_ledger(diag: ProjectedDiagram, pairs, label: str):
+    """Diagram lk over the (far, near) cycle pairs, whose sum the theorem
+    forces odd; returns the report on the first linked pair and the ledger."""
+    entries = [
+        (f"lk({_cycle_name(far)} | {_cycle_name(near)})", lk_from_diagram(diag, far, near))
+        for far, near in pairs
+    ]
+    ledger = _forced(label, entries, 1)
+    far, near = next(pair for pair, (_, lk) in zip(pairs, entries) if lk == 1)
+    return LinkReport(far, near, 1, "pl-orthogonal"), ledger
+
+
+def _front_ledger(diag: ProjectedDiagram, label: str, rows, expect: int) -> ParityLedger:
+    """Front parities of far cycles against single edges, given as
+    (far cycle, (x, y)) rows and labeled in that x-y order; the sum is
+    forced to `expect`."""
+    g = diag.graph
+    entries = [
+        (f"lk({_cycle_name(far)} | {x}-{y})",
+         front_parity(diag, g.cycle_edges(far), {g.edge_key(x, y)}))
+        for far, (x, y) in rows
+    ]
+    return _forced(label, entries, expect)
+
+
+def _check_hub_free_parity(diag: ProjectedDiagram, hubs) -> None:
+    """The subdrawing of the edges missing every hub is a drawing of the
+    complete graph on 5 vertices or of the 3+3 bipartite graph, so its
+    crossing-parity invariant is odd."""
+    sub = {e for e in diag.graph.edges if not set(e) & set(hubs)}
+    if sum(1 for c in diag.crossings if c.disjoint and c.edge1 in sub and c.edge2 in sub) % 2 != 1:
+        raise InternalParityFailure("hub-free subdrawing has even crossing parity")
 
 
 def _k6_analysis(emb: PLEmbedding, seed: int):
-    sm = _validated_smooth(emb)
-    g = sm.graph
-    if len(g.vertices) != 6 or not is_complete(g):
-        raise ValueError("embedding does not smooth to a complete graph on 6 vertices")
-    diag = find_general_projection(sm, seed)
-    hub = g.vertices[0]
-    spoke_free = [e for e in g.edges if hub not in e]  # the 10 edges missing the hub
-
-    entries = []
-    pair_rows = []
-    first_hit = None
-    for e in spoke_free:
-        u, v = e
-        rest = [w for w in g.vertices if w not in (hub, u, v)]
-        far = make_cycle(g, rest)
-        near = make_cycle(g, (hub, u, v))
-        lk = lk_from_diagram(diag, far, near)
-        entries.append((f"lk({'-'.join(far.vertices)} | {'-'.join(near.vertices)})", lk))
-        pair_rows.append((e, far, near))
-        if lk == 1 and first_hit is None:
-            first_hit = (far, near)
-    main = ParityLedger("diagram lk over the 10 hub-triangle pairs", tuple(entries))
-    if main.total != 1:
-        raise InternalParityFailure("hub-triangle lk sum is even")
-    report = LinkReport(first_hit[0], first_hit[1], 1, "pl-orthogonal")
-    return report, main, diag, sm, hub, pair_rows
-
-
-def _k6_aux_ledgers(diag: ProjectedDiagram, g, hub, pair_rows):
-    """The cancellation bookkeeping that reduces hub-triangle lk sums to
-    plain edge-vs-edge sums: contributions of spoke edges cancel in pairs
-    when grouped per far vertex, and the residual flat sum equals the
+    """Report and ledgers: the lk sum over the 10 triangle pairs through
+    the hub, then the cancellation bookkeeping that reduces it to plain
+    edge-vs-edge sums.  Contributions of spoke edges cancel in pairs when
+    grouped per far vertex, and the residual flat sum equals the
     crossing-parity invariant of the hub-free subdrawing."""
-    ledgers = []
-    flat_entries = []
-    for e, far, _ in pair_rows:
-        far_edges = set(g.cycle_edges(far))
-        flat_entries.append(
-            (f"lk({'-'.join(far.vertices)} | {e[0]}-{e[1]})", front_parity(diag, far_edges, {e}))
-        )
-    flat = ParityLedger("diagram lk of far triangles against their base edges", tuple(flat_entries))
-    sub = [e for e in g.edges if hub not in e]
-    sub_set = set(sub)
-    sub_vk = sum(
-        1 for c in diag.crossings if c.disjoint and c.edge1 in sub_set and c.edge2 in sub_set
-    ) % 2
-    if flat.total != sub_vk:
-        raise InternalParityFailure("flat lk sum disagrees with subdrawing crossing parity")
-    if sub_vk != 1:
-        raise InternalParityFailure("hub-free subdrawing has even crossing parity")
-    ledgers.append(flat)
-
+    diag = _smooth_and_project(
+        emb, seed, lambda g: len(g.vertices) == 6 and is_complete(g),
+        "a complete graph on 6 vertices",
+    )
+    g = diag.graph
+    hub = g.vertices[0]
+    rows = []  # (base edge missing the hub, far triangle, near triangle)
+    for e in g.edges:
+        if hub not in e:
+            rest = [w for w in g.vertices if w not in (hub, *e)]
+            rows.append((e, make_cycle(g, rest), make_cycle(g, (hub, *e))))
+    report, main = _hub_pair_ledger(
+        diag, [(far, near) for _, far, near in rows], "diagram lk over the 10 hub-triangle pairs"
+    )
+    flat = _front_ledger(
+        diag, "diagram lk of far triangles against their base edges",
+        [(far, e) for e, far, _ in rows], 1,
+    )
+    _check_hub_free_parity(diag, (hub,))
     # spoke cancellations: fixing a non-hub vertex V, the 4 far triangles
     # of base edges through V cover each edge of the remaining 4 vertices
     # exactly twice, so their lk values against the spoke hub-V cancel
-    for v in g.vertices[1:]:
-        spoke = {g.edge_key(hub, v)}
-        entries = []
-        for e, far, _ in pair_rows:
-            if v not in e:
-                continue
-            far_edges = set(g.cycle_edges(far))
-            entries.append(
-                (f"lk({'-'.join(far.vertices)} | {hub}-{v})", front_parity(diag, far_edges, spoke))
-            )
-        led = ParityLedger(f"spoke cancellation at {v}", tuple(entries))
-        if led.total != 0:
-            raise InternalParityFailure(f"spoke cancellation at {v} is odd")
-        ledgers.append(led)
-    return tuple(ledgers)
+    spokes = tuple(
+        _front_ledger(
+            diag, f"spoke cancellation at {v}", [(far, (hub, v)) for e, far, _ in rows if v in e], 0
+        )
+        for v in g.vertices[1:]
+    )
+    return report, (main, flat) + spokes
 
 
 def find_linked_cycles_k6(emb: PLEmbedding, seed: int = 0) -> LinkReport:
@@ -358,95 +359,57 @@ def find_linked_cycles_k6(emb: PLEmbedding, seed: int = 0) -> LinkReport:
     numbers over the 10 triangle pairs through the first vertex; the sum
     is always odd, so some pair links.
     """
-    report, _, _, _, _, _ = _k6_analysis(emb, seed)
-    return report
+    return _k6_analysis(emb, seed)[0]
 
 
 def k6_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, ...]:
     """Main lk sum plus the cancellation ledgers reducing it to the planar
     crossing-parity invariant; every total is checked on the way out."""
-    _, main, diag, sm, hub, pair_rows = _k6_analysis(emb, seed)
-    return (main,) + _k6_aux_ledgers(diag, sm.graph, hub, pair_rows)
-
-
-# ---------------------------------------------------------------------------
-# projection finder for embeddings of the 4+4 complete bipartite graph
+    return _k6_analysis(emb, seed)[1]
 
 
 def _k44_analysis(emb: PLEmbedding, seed: int):
-    sm = _validated_smooth(emb)
-    g = sm.graph
-    if not is_complete_bipartite(g, 4, 4):
-        raise ValueError("embedding does not smooth to a complete bipartite 4+4 graph")
+    """Report and ledgers: the lk sum over the 9 quadrilateral pairs
+    through both hubs, the cancellations of the hub-to-hub bridge and of
+    the spokes at each hub, and the flat sum equal to the crossing-parity
+    invariant of the hub-free subdrawing."""
+    diag = _smooth_and_project(
+        emb, seed, lambda g: is_complete_bipartite(g, 4, 4), "a complete bipartite 4+4 graph"
+    )
+    g = diag.graph
     part_a, part_b = bipartition(g)
     hub_a, hub_b = part_a[0], part_b[0]
-    diag = find_general_projection(sm, seed)
-    inner = [e for e in g.edges if hub_a not in e and hub_b not in e]  # 9 edges
-
-    entries = []
-    pair_rows = []
-    first_hit = None
-    for e in inner:
-        end_a = e[0] if e[0] in part_a else e[1]
-        end_b = e[1] if e[0] in part_a else e[0]
+    rows = []  # (inner edge, its end in each part, far and near quadrilaterals)
+    for e in g.edges:
+        if hub_a in e or hub_b in e:
+            continue
+        end_a, end_b = e if e[0] in part_a else e[::-1]
         rest_a = [x for x in part_a if x not in (hub_a, end_a)]
         rest_b = [y for y in part_b if y not in (hub_b, end_b)]
         far = make_cycle(g, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
         near = make_cycle(g, (hub_a, hub_b, end_a, end_b))
-        lk = lk_from_diagram(diag, far, near)
-        entries.append((f"lk({'-'.join(far.vertices)} | {'-'.join(near.vertices)})", lk))
-        pair_rows.append((e, end_a, end_b, far, near))
-        if lk == 1 and first_hit is None:
-            first_hit = (far, near)
-    main = ParityLedger("diagram lk over the 9 hub-quadrilateral pairs", tuple(entries))
-    if main.total != 1:
-        raise InternalParityFailure("hub-quadrilateral lk sum is even")
-    report = LinkReport(first_hit[0], first_hit[1], 1, "pl-orthogonal")
-    return report, main, diag, sm, (hub_a, hub_b), pair_rows
-
-
-def _k44_aux_ledgers(diag: ProjectedDiagram, g, hubs, pair_rows):
-    hub_a, hub_b = hubs
-    bridge = {g.edge_key(hub_a, hub_b)}
-    entries_bridge = []
-    entries_a = []
-    entries_b = []
-    flat_entries = []
-    for e, end_a, end_b, far, _ in pair_rows:
-        far_edges = set(g.cycle_edges(far))
-        far_name = "-".join(far.vertices)
-        entries_bridge.append(
-            (f"lk({far_name} | {hub_a}-{hub_b})", front_parity(diag, far_edges, bridge))
-        )
-        entries_a.append(
-            (f"lk({far_name} | {hub_a}-{end_b})",
-             front_parity(diag, far_edges, {g.edge_key(hub_a, end_b)}))
-        )
-        entries_b.append(
-            (f"lk({far_name} | {hub_b}-{end_a})",
-             front_parity(diag, far_edges, {g.edge_key(hub_b, end_a)}))
-        )
-        flat_entries.append(
-            (f"lk({far_name} | {e[0]}-{e[1]})", front_parity(diag, far_edges, {e}))
-        )
-    ledgers = []
-    for label, entries, expect in (
-        ("bridge cancellation (hub-to-hub edge, covered four times)", entries_bridge, 0),
-        (f"spoke cancellation at {hub_a} (hub to far-part ends)", entries_a, 0),
-        (f"spoke cancellation at {hub_b} (hub to near-part ends)", entries_b, 0),
-        ("diagram lk of far quadrilaterals against their base edges", flat_entries, 1),
-    ):
-        led = ParityLedger(label, tuple(entries))
-        if led.total != expect:
-            raise InternalParityFailure(f"parity sum '{label}' is {led.total}, expected {expect}")
-        ledgers.append(led)
-    inner = {e for e in g.edges if hub_a not in e and hub_b not in e}
-    sub_vk = sum(
-        1 for c in diag.crossings if c.disjoint and c.edge1 in inner and c.edge2 in inner
-    ) % 2
-    if sub_vk != 1:
-        raise InternalParityFailure("hub-free bipartite subdrawing has even crossing parity")
-    return tuple(ledgers)
+        rows.append((e, end_a, end_b, far, near))
+    report, main = _hub_pair_ledger(
+        diag, [(far, near) for *_, far, near in rows], "diagram lk over the 9 hub-quadrilateral pairs"
+    )
+    bridge = _front_ledger(
+        diag, "bridge cancellation (hub-to-hub edge, covered four times)",
+        [(far, (hub_a, hub_b)) for *_, far, _ in rows], 0,
+    )
+    spoke_a = _front_ledger(
+        diag, f"spoke cancellation at {hub_a} (hub to far-part ends)",
+        [(far, (hub_a, end_b)) for _, _, end_b, far, _ in rows], 0,
+    )
+    spoke_b = _front_ledger(
+        diag, f"spoke cancellation at {hub_b} (hub to near-part ends)",
+        [(far, (hub_b, end_a)) for _, end_a, _, far, _ in rows], 0,
+    )
+    flat = _front_ledger(
+        diag, "diagram lk of far quadrilaterals against their base edges",
+        [(far, e) for e, _, _, far, _ in rows], 1,
+    )
+    _check_hub_free_parity(diag, (hub_a, hub_b))
+    return report, (main, bridge, spoke_a, spoke_b, flat)
 
 
 def find_linked_cycles_k44(emb: PLEmbedding, seed: int = 0) -> LinkReport:
@@ -454,13 +417,11 @@ def find_linked_cycles_k44(emb: PLEmbedding, seed: int = 0) -> LinkReport:
     complete bipartite graph with two parts of 4 (subdivided inputs are
     smoothed first).  Same projection scheme as the 6-vertex finder, with
     quadrilateral pairs through the first vertex of each part."""
-    report, _, _, _, _, _ = _k44_analysis(emb, seed)
-    return report
+    return _k44_analysis(emb, seed)[0]
 
 
 def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, ...]:
-    _, main, diag, sm, hubs, pair_rows = _k44_analysis(emb, seed)
-    return (main,) + _k44_aux_ledgers(diag, sm.graph, hubs, pair_rows)
+    return _k44_analysis(emb, seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +434,7 @@ def oracle_count_linked_pairs(
     """Independent check of any finder: enumerate every vertex-disjoint
     cycle pair of the given lengths and decide linkedness by cone counting
     with a sampled general-position apex.  No projections involved."""
-    sm = _validated_smooth(emb)
+    sm = smooth(require_valid(emb))
     pairs = enumerate_disjoint_cycle_pairs(sm.graph, len1, len2)
     rng = SplitMix64(seed)
     linked = []
@@ -487,7 +448,7 @@ def oracle_count_linked_pairs(
 
 def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkReport:
     """Re-check one report by cone counting and fill oracle_confirmed."""
-    sm = _validated_smooth(emb)
+    sm = smooth(require_valid(emb))
     p1 = cycle_route(sm, report.cycle1)
     p2 = cycle_route(sm, report.cycle2)
     value = linking_mod2_sampled(p1, p2, SplitMix64(seed))

@@ -22,7 +22,7 @@ to the viewpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -66,21 +66,7 @@ class SpatialPolyline:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        n = len(self.vertices)
-        if n < 2 or (self.closed and n < 3):
-            raise ValueError("polyline needs at least 2 vertices, closed needs 3")
-        for i in range(n - 1):
-            if self.vertices[i] == self.vertices[i + 1]:
-                raise ValueError("consecutive vertices coincide")
-        if self.closed and self.vertices[0] == self.vertices[-1]:
-            raise ValueError("closed polyline must not repeat its first vertex")
-        corner_range = range(n) if self.closed else range(1, n - 1)
-        for i in corner_range:
-            u = self.vertices[(i - 1) % n]
-            v = self.vertices[i]
-            w = self.vertices[(i + 1) % n]
-            if collinear3(u, v, w):
-                raise ValueError(f"straight-through vertex at index {i}")
+        _check_corners(self.vertices, self.closed, collinear3)
         sides = self.sides()
         m = len(sides)
         for i in range(m):
@@ -103,11 +89,30 @@ class SpatialPolyline:
         return tuple(out)
 
 
-def _drop_straight_corners(points: list[Point3], closed: bool) -> list[Point3]:
-    pts = list(points)
+def _check_corners(vertices: tuple, closed: bool, straight) -> None:
+    """Raise ValueError unless the polyline has enough vertices, no two
+    equal consecutive ones and only genuine corners; `straight(u, v, w)`
+    says whether v lies on a straight run from u to w.  Shared by spatial
+    and planar polylines."""
+    n = len(vertices)
+    if n < 2 or (closed and n < 3):
+        raise ValueError("polyline needs at least 2 vertices, closed needs 3")
+    for i in range(n - 1):
+        if vertices[i] == vertices[i + 1]:
+            raise ValueError("consecutive vertices coincide")
+    if closed and vertices[0] == vertices[-1]:
+        raise ValueError("closed polyline must not repeat its first vertex")
+    for i in range(n) if closed else range(1, n - 1):
+        if straight(vertices[(i - 1) % n], vertices[i], vertices[(i + 1) % n]):
+            raise ValueError(f"straight-through vertex at index {i}")
+
+
+def _drop_straight_corners(points, closed: bool, straight) -> list:
+    """The points with repeats collapsed and every straight-through corner
+    removed, `straight` as in `_check_corners`."""
     # collapse exact duplicates first
-    out: list[Point3] = []
-    for p in pts:
+    out = []
+    for p in points:
         if not out or out[-1] != p:
             out.append(p)
     if closed and len(out) > 1 and out[0] == out[-1]:
@@ -118,8 +123,7 @@ def _drop_straight_corners(points: list[Point3], closed: bool) -> list[Point3]:
         n = len(out)
         rng = range(n) if closed else range(1, n - 1)
         for i in rng:
-            u, v, w = out[(i - 1) % n], out[i], out[(i + 1) % n]
-            if collinear3(u, v, w):
+            if straight(out[(i - 1) % n], out[i], out[(i + 1) % n]):
                 del out[i]
                 changed = True
                 break
@@ -128,12 +132,12 @@ def _drop_straight_corners(points: list[Point3], closed: bool) -> list[Point3]:
 
 def open_polyline(points) -> SpatialPolyline:
     """Build an open polyline, dropping repeated and straight-through points."""
-    return SpatialPolyline(tuple(_drop_straight_corners(list(points), closed=False)), closed=False)
+    return SpatialPolyline(tuple(_drop_straight_corners(points, False, collinear3)), closed=False)
 
 
 def closed_polygon(points) -> SpatialPolyline:
     """Build a closed polygon, dropping repeated and straight-through points."""
-    return SpatialPolyline(tuple(_drop_straight_corners(list(points), closed=True)), closed=True)
+    return SpatialPolyline(tuple(_drop_straight_corners(points, True, collinear3)), closed=True)
 
 
 def triangle_polygon(t: Triangle3) -> SpatialPolyline:

@@ -20,7 +20,6 @@ from typing import Sequence
 from .errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
-    EmbeddingInvalid,
     InternalParityFailure,
     ProjectionNotGeneral,
     SearchExhausted,
@@ -36,8 +35,8 @@ from .graphs import (
     extract_crossings,
     make_drawing,
     make_graph,
+    require_valid,
     validate_drawing,
-    validate_embedding,
 )
 
 _EX = Point3(Fraction(1), Fraction(0), Fraction(0))
@@ -98,21 +97,16 @@ def _param_on_side2(seg_p: Point2, seg_q: Point2, p: Point2) -> Fraction:
     return Fraction(p.y - seg_p.y, seg_q.y - seg_p.y)
 
 
-def project_orthogonal(
-    emb: PLEmbedding, direction: Point3, assume_valid: bool = False
-) -> ProjectedDiagram:
+def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     """Flatten an embedding along a direction.
 
-    Raises EmbeddingInvalid when the embedding fails validation (skipped
-    under assume_valid, for callers that validated once before a search),
-    and ProjectionNotGeneral when the direction flattens a corner, makes a
-    side vanish, or yields a drawing with degenerate contacts.
+    Raises EmbeddingInvalid when the embedding fails validation (a
+    ValidEmbedding is not checked again), and ProjectionNotGeneral when the
+    direction flattens a corner, makes a side vanish, or yields a drawing
+    with degenerate contacts.
     """
     d = canonical_direction(direction)
-    if not assume_valid:
-        violations = validate_embedding(emb)
-        if violations:
-            raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
+    emb = require_valid(emb)
     e1, e2 = plane_basis(d)
 
     def shadow(p: Point3) -> Point2:
@@ -173,9 +167,7 @@ def find_general_projection(
     """
     from .rng import SplitMix64
 
-    violations = validate_embedding(emb)
-    if violations:
-        raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
+    emb = require_valid(emb)
     rng = SplitMix64(seed)
     bound = 8
     rejections = 0
@@ -189,7 +181,7 @@ def find_general_projection(
             continue
         seen.add(cand)
         try:
-            return project_orthogonal(emb, cand, assume_valid=True)
+            return project_orthogonal(emb, cand)
         except ProjectionNotGeneral:
             rejections += 1
             if rejections % 16 == 0:

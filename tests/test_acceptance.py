@@ -34,6 +34,7 @@ from intrinsiclinks.invariants import (
     find_linked_cycles_k6,
     find_linked_cycles_k44,
     find_linked_triangles_linear,
+    k6_parity_ledgers,
     k44_parity_ledgers,
     linear_parity_ledger,
     oracle_confirm,
@@ -73,6 +74,28 @@ def _ac1_report_bytes(seed: int) -> bytes:
     points = gen_k6_points(seed)
     report = find_linked_triangles_linear(points, seed=seed)
     return to_json_bytes(link_report_doc(report, seed))
+
+
+def _pl_seed(emb, finder, ledger_fn, seed: int):
+    """Confirmed report, parity ledgers, and the canonical bytes of both."""
+    report = oracle_confirm(emb, finder(emb, seed=seed), seed=seed)
+    ledgers = ledger_fn(emb, seed=seed)
+    doc = {
+        "ledgers": [
+            {"entries": [list(e) for e in led.entries], "label": led.label, "total": led.total}
+            for led in ledgers
+        ],
+        "report": link_report_doc(report, seed),
+    }
+    return report, ledgers, to_json_bytes(doc)
+
+
+def _ac6_seed(seed: int):
+    return _pl_seed(gen_k44_linear(seed), find_linked_cycles_k44, k44_parity_ledgers, seed)
+
+
+def _ac7_seed(seed: int):
+    return _pl_seed(gen_k6_pl_subdivided(seed), find_linked_cycles_k6, k6_parity_ledgers, seed)
 
 
 def test_ac01_linear_linked_pair_thousand_seeds(capsys):
@@ -195,19 +218,31 @@ def test_ac05_five_way_linking_agreement(capsys):
     )
 
 
+# SHA-256 of the canonical bytes of each seed's confirmed report and all of
+# its parity ledgers (labels, entries, totals), 200 AC6 seeds and 100 AC7
+# seeds.  Refactors must leave them as they are.  Recompute from the
+# repository root with:
+#   PYTHONPATH=src python -c "import hashlib; from tests.test_acceptance import
+#   _ac6_seed, _ac7_seed; h = hashlib.sha256(); [h.update(_ac6_seed(s)[2])
+#   for s in range(200)]; print(h.hexdigest()); h = hashlib.sha256();
+#   [h.update(_ac7_seed(s)[2]) for s in range(100)]; print(h.hexdigest())"
+AC6_SHA256 = "bfd420d313429a67b39c890145cf52b37244917995124226ada5446c155cdb4a"
+AC7_SHA256 = "c3f737a88b5c332fd8eac13234025eb413e704aabc9c47dc43824e73b9aa5af4"
+
+
 def test_ac06_bipartite_finder_and_cancellations(capsys):
+    digest = hashlib.sha256()
     for seed in range(200):
-        emb = gen_k44_linear(seed)
-        report = oracle_confirm(
-            emb, find_linked_cycles_k44(emb, seed=seed), seed=seed
-        )
+        report, ledgers, blob = _ac6_seed(seed)
+        digest.update(blob)
         assert report.lk_value == 1
         assert report.oracle_confirmed is True, f"seed {seed}: oracle disagrees"
-        main, bridge, spoke_a, spoke_b, _flat = k44_parity_ledgers(emb, seed=seed)
+        main, bridge, spoke_a, spoke_b, _flat = ledgers
         assert main.total == 1, f"seed {seed}: hub-pair sum even"
         assert bridge.total == 0, f"seed {seed}: hub-hub edge sum odd"
         assert spoke_a.total == 0, f"seed {seed}: first-hub spoke sum odd"
         assert spoke_b.total == 0, f"seed {seed}: second-hub spoke sum odd"
+    assert digest.hexdigest() == AC6_SHA256
     _announce(
         capsys,
         "AC6 PASS: 200 random K4,4 embeddings -> confirmed linked pair, "
@@ -216,13 +251,13 @@ def test_ac06_bipartite_finder_and_cancellations(capsys):
 
 
 def test_ac07_subdivided_robustness(capsys):
+    digest = hashlib.sha256()
     for seed in range(100):
-        emb = gen_k6_pl_subdivided(seed)
-        report = oracle_confirm(
-            emb, find_linked_cycles_k6(emb, seed=seed), seed=seed
-        )
+        report, _ledgers, blob = _ac7_seed(seed)
+        digest.update(blob)
         assert report.lk_value == 1
         assert report.oracle_confirmed is True, f"seed {seed}: oracle disagrees"
+    assert digest.hexdigest() == AC7_SHA256
     _announce(
         capsys,
         "AC7 PASS: 100 subdivided-and-perturbed K6 embeddings -> finder "

@@ -5,10 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intrinsiclinks.errors import DrawingNotGeneral, GeneralPositionViolation, PointsNotOnRoute
+from intrinsiclinks.errors import (
+    DrawingNotGeneral,
+    EmbeddingInvalid,
+    GeneralPositionViolation,
+    PointsNotOnRoute,
+)
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     Cycle,
+    ValidEmbedding,
     bipartition,
     complete_bipartite,
     complete_graph,
@@ -24,11 +30,13 @@ from intrinsiclinks.graphs import (
     make_embedding,
     make_graph,
     planar_polyline,
+    require_valid,
     smooth,
     subdivide,
     validate_drawing,
     validate_embedding,
 )
+from intrinsiclinks.instances import gen_k6_pl_subdivided
 
 
 def P2(x, y):
@@ -291,6 +299,45 @@ class TestSubdivideSmooth:
         back = smooth(sub)
         assert set(back.graph.vertices) == {"v1", "v2", "v3"}
         assert back == emb
+
+
+def midpoint_subdivided_k6(edges):
+    emb = make_embedding(K6, moment_positions(6))
+    for u, v in edges:
+        p, q = emb.position[u], emb.position[v]
+        emb = subdivide(emb, (u, v), [P3((p.x + q.x) / 2, (p.y + q.y) / 2, (p.z + q.z) / 2)])
+    return emb
+
+
+class TestValidEmbedding:
+    def test_smoothing_keeps_validity(self):
+        embeddings = [midpoint_subdivided_k6([e]) for e in K6.edges]
+        embeddings.append(midpoint_subdivided_k6(K6.edges))
+        embeddings += [gen_k6_pl_subdivided(seed) for seed in range(20)]
+        for emb in embeddings:
+            assert validate_embedding(emb) == ()
+            assert validate_embedding(smooth(emb)) == ()
+            assert isinstance(smooth(require_valid(emb)), ValidEmbedding)
+
+    def test_require_valid_copies_and_compares_equal(self):
+        emb = make_embedding(K4, moment_positions(4))
+        valid = require_valid(emb)
+        assert isinstance(valid, ValidEmbedding) and not isinstance(emb, ValidEmbedding)
+        assert valid == emb and emb == valid
+        assert require_valid(valid) is valid
+        emb.position["v1"] = P3(2, 4, 8)  # now coincides with v2
+        del emb.route[("v1", "v2")]
+        assert valid != emb and emb != valid
+        assert valid.position["v1"] == P3(1, 1, 1)
+        assert ("v1", "v2") in valid.route
+        assert validate_embedding(valid) == ()
+
+    def test_require_valid_lists_every_violation(self):
+        pos = {"v1": P3(0, 0, 0), "v2": P3(2, 2, 0), "v3": P3(2, 0, 0), "v4": P3(0, 2, 0)}
+        emb = make_embedding(K4, pos)
+        with pytest.raises(EmbeddingInvalid) as info:
+            require_valid(emb)
+        assert info.value.violations == validate_embedding(emb) != ()
 
 
 class TestCycleRoute:

@@ -1,10 +1,13 @@
 """Tests for the crossing-parity invariant, finders, ledgers and oracle."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import intrinsiclinks
+from intrinsiclinks import cli, graphs, invariants, projection
 from intrinsiclinks.errors import (
     DrawingsNotComparable,
     EmbeddingInvalid,
@@ -14,10 +17,15 @@ from intrinsiclinks.geometry import Point2, Point3, Triangle3, gp_points2, gp_po
 from intrinsiclinks.graphs import (
     complete_bipartite,
     complete_graph,
+    make_cycle,
     make_drawing,
     make_embedding,
+    make_graph,
+    require_valid,
+    smooth,
     subdivide,
     validate_drawing,
+    validate_embedding,
 )
 from intrinsiclinks.invariants import (
     LinkReport,
@@ -35,6 +43,7 @@ from intrinsiclinks.invariants import (
     vk_invariance_probe,
 )
 from intrinsiclinks.linking import triangles_linked
+from intrinsiclinks.projection import find_general_projection, project_orthogonal
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -72,6 +81,13 @@ LINKED_SIX = [
 
 def moment_k6_embedding():
     return make_embedding(K6, {f"v{i}": MOMENT6[i - 1] for i in range(1, 7)})
+
+
+def subdivided_moment_k6_embedding():
+    emb = moment_k6_embedding()
+    p1, p2 = emb.position["v1"], emb.position["v2"]
+    mid = Point3(Fraction(p1.x + p2.x, 2), Fraction(p1.y + p2.y, 2), Fraction(p1.z + p2.z, 2))
+    return subdivide(emb, ("v1", "v2"), [mid])
 
 
 def moment_k44_embedding():
@@ -209,10 +225,7 @@ class TestK6Finder:
         assert len(leds[0].entries) == 10
 
     def test_subdivided_input(self):
-        emb = moment_k6_embedding()
-        p1, p2 = emb.position["v1"], emb.position["v2"]
-        mid = Point3(Fraction(p1.x + p2.x, 2), Fraction(p1.y + p2.y, 2), Fraction(p1.z + p2.z, 2))
-        sub = subdivide(emb, ("v1", "v2"), [mid])
+        sub = subdivided_moment_k6_embedding()
         rep = find_linked_cycles_k6(sub, seed=0)
         assert {rep.cycle1.vertices, rep.cycle2.vertices} == {
             ("v1", "v3", "v5"), ("v2", "v4", "v6")
@@ -224,6 +237,25 @@ class TestK6Finder:
         pos["v6"] = Point3(Fraction(3, 2), Fraction(5, 2), Fraction(9, 2))  # on route v1-v2
         with pytest.raises(EmbeddingInvalid):
             find_linked_cycles_k6(make_embedding(K6, pos), seed=0)
+
+    def test_invalid_subdivided_input_is_rejected_before_smoothing(self):
+        # the subdivided edge v1-v2 folds back over itself, so smoothing it
+        # would build a self-intersecting route
+        w = "v1.v2.1"
+        vertices = [f"v{i}" for i in range(1, 7)] + [w]
+        edges = [e for e in combinations(vertices[:6], 2) if e != ("v1", "v2")]
+        graph = make_graph(vertices, edges + [("v1", w), (w, "v2")])
+        pos = {
+            "v1": Point3(0, 0, 0), "v2": Point3(1, -1, 0), w: Point3(4, 0, 0),
+            "v3": Point3(1, 2, 9), "v4": Point3(-3, 5, -7),
+            "v5": Point3(6, -4, 11), "v6": Point3(-5, -6, -13),
+        }
+        emb = make_embedding(graph, pos, {("v1", w): [Point3(2, 3, 0)], (w, "v2"): [Point3(1, 3, 0)]})
+        with pytest.raises(ValueError):
+            smooth(emb)
+        with pytest.raises(EmbeddingInvalid) as info:
+            find_linked_cycles_k6(emb, seed=0)
+        assert info.value.violations == validate_embedding(emb) != ()
 
     def test_wrong_graph(self):
         emb = make_embedding(K5, {f"v{i}": MOMENT6[i - 1] for i in range(1, 6)})
@@ -342,3 +374,60 @@ class TestInvarianceProbe:
         d2 = make_drawing(K5, PENTAGON, routes)
         with pytest.raises(DrawingsNotComparable):
             vk_invariance_probe(d1, d2)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Every embedding passed to `validate_embedding`, whichever module
+    namespace the call goes through."""
+    calls = []
+    original = graphs.validate_embedding
+
+    def counted(emb):
+        calls.append(emb)
+        return original(emb)
+
+    for module in (intrinsiclinks, graphs, projection, invariants, cli):
+        if hasattr(module, "validate_embedding"):
+            monkeypatch.setattr(module, "validate_embedding", counted)
+    return calls
+
+
+_K6_REPORT = LinkReport(
+    make_cycle(K6, ("v1", "v3", "v5")),
+    make_cycle(K6, ("v2", "v4", "v6")),
+    1, "pl-orthogonal",
+)
+
+_ENTRY_POINTS = {
+    "find_linked_cycles_k6": lambda: find_linked_cycles_k6(subdivided_moment_k6_embedding(), seed=0),
+    "k6_parity_ledgers": lambda: k6_parity_ledgers(subdivided_moment_k6_embedding(), seed=0),
+    "oracle_confirm": lambda: oracle_confirm(subdivided_moment_k6_embedding(), _K6_REPORT),
+    "oracle_count_linked_pairs": lambda: oracle_count_linked_pairs(subdivided_moment_k6_embedding(), 3, 3),
+    "find_linked_cycles_k44": lambda: find_linked_cycles_k44(moment_k44_embedding(), seed=0),
+    "k44_parity_ledgers": lambda: k44_parity_ledgers(moment_k44_embedding(), seed=0),
+    "find_general_projection": lambda: find_general_projection(moment_k6_embedding(), seed=0),
+}
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+    def test_raw_input_is_validated_once(self, name, validations):
+        _ENTRY_POINTS[name]()
+        assert len(validations) == 1
+
+    def test_project_orthogonal_validates_raw_input_once(self, validations):
+        emb = moment_k6_embedding()
+        direction = find_general_projection(require_valid(emb), seed=0).direction
+        validations.clear()
+        project_orthogonal(emb, direction)
+        assert len(validations) == 1
+
+    def test_validated_input_is_not_checked_again(self, validations):
+        valid = require_valid(moment_k6_embedding())
+        validations.clear()
+        diag = find_general_projection(valid, seed=0)
+        project_orthogonal(valid, diag.direction)
+        report = find_linked_cycles_k6(valid, seed=0)
+        oracle_confirm(valid, report)
+        assert validations == []

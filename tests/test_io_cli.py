@@ -17,6 +17,7 @@ from intrinsiclinks.graphs import (
     crossings_between_polylines,
     extract_crossings,
     make_drawing,
+    make_embedding,
     make_graph,
     smooth,
     validate_drawing,
@@ -269,6 +270,20 @@ class TestCli:
         _, out1 = self.run("find-linked", str(path), capsys=capsys)
         _, out2 = self.run("find-linked", str(path), capsys=capsys)
         assert out1.out == out2.out
+
+    def test_find_linked_rejects_invalid_embedding_before_smoothing(self, tmp_path, capsys):
+        # a path u-w-x whose two routes cross; smoothing w away would build
+        # a self-intersecting route, so validation must come first
+        graph = make_graph(["u", "w", "x"], [("u", "w"), ("w", "x")])
+        pos = {"u": Point3(0, 0, 0), "w": Point3(4, 0, 0), "x": Point3(1, -1, 0)}
+        emb = make_embedding(graph, pos, {("u", "w"): [Point3(2, 3, 0)], ("w", "x"): [Point3(1, 3, 0)]})
+        path = tmp_path / "path.json"
+        path.write_bytes(emit_instance(emb))
+        for argv in (["find-linked", str(path)], ["find-linked", str(path), "--verify"]):
+            code, out = self.run(*argv, capsys=capsys)
+            assert code == 1
+            assert out.out == ""
+            assert out.err == "error: 2 embedding violations\n"
 
     def test_vankampen(self, tmp_path, capsys):
         path = tmp_path / "k5.json"
