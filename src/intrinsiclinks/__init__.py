@@ -45,6 +45,7 @@ from .geometry import (
 from .graphs import (
     Crossing,
     Cycle,
+    GenericDrawing,
     Graph,
     PLEmbedding,
     PlanarDrawing,
@@ -63,6 +64,7 @@ from .graphs import (
     make_embedding,
     make_graph,
     planar_polyline,
+    require_generic,
     require_valid,
     smooth,
     subdivide,

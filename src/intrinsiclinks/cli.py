@@ -89,7 +89,7 @@ def _cmd_check(args) -> int:
     elif isinstance(obj, PlanarDrawing):
         kind = "drawing"
         violations = [v.to_dict() for v in validate_drawing(obj)]
-    elif obj and isinstance(obj[0], Point3):
+    elif isinstance(obj[0], Point3):
         kind = "points3"
         violations = (
             []
@@ -124,7 +124,7 @@ def _cmd_vankampen(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, PlanarDrawing):
         value = van_kampen_drawing(obj)
-    elif isinstance(obj, list) and obj and isinstance(obj[0], Point2):
+    elif isinstance(obj, list) and isinstance(obj[0], Point2):
         value = van_kampen_points(obj)
     else:
         raise ValidationError("vankampen needs a drawing or a 5-point points2 file")
@@ -134,7 +134,7 @@ def _cmd_vankampen(args) -> int:
 
 def _cmd_find_linked(args) -> int:
     obj = _load(args.file)
-    if isinstance(obj, list) and obj and isinstance(obj[0], Point3):
+    if isinstance(obj, list) and isinstance(obj[0], Point3):
         report = find_linked_triangles_linear(obj, seed=args.seed)
         if args.verify:
             carrier = make_embedding(
@@ -143,8 +143,8 @@ def _cmd_find_linked(args) -> int:
             )
             report = oracle_confirm(carrier, report, seed=args.seed)
     elif isinstance(obj, PLEmbedding):
-        emb = require_valid(obj)
-        core = smooth(emb).graph
+        emb = smooth(require_valid(obj))
+        core = emb.graph
         if is_complete(core) and len(core.vertices) == 6:
             report = find_linked_cycles_k6(emb, seed=args.seed)
         elif is_complete_bipartite(core, 4, 4):
@@ -210,7 +210,7 @@ def _cmd_link(args) -> int:
     first = _load(args.first)
     second = _load(args.second)
     for obj, path in ((first, args.first), (second, args.second)):
-        if not (isinstance(obj, list) and obj and isinstance(obj[0], Point3)):
+        if not (isinstance(obj, list) and isinstance(obj[0], Point3)):
             raise ValidationError(f"{path}: link needs points3 instances")
     a = closed_polygon(first)
     b = closed_polygon(second)

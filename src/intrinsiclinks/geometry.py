@@ -226,37 +226,14 @@ def _sign(value) -> int:
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:
     """Sign of the doubled signed area of triangle a, b, c."""
-    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
-    if (
-        ax.denominator == 1 and ay.denominator == 1
-        and bx.denominator == 1 and by.denominator == 1
-        and cx.denominator == 1 and cy.denominator == 1
-    ):
-        # pure machine-int path; Fraction arithmetic is ~50x slower
-        det = (bx.numerator - ax.numerator) * (cy.numerator - ay.numerator) - (
-            by.numerator - ay.numerator
-        ) * (cx.numerator - ax.numerator)
-    else:
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return _sign(det)
+    return _sign((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
 
 
 def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     """Sign of det[b-a; c-a; d-a], i.e. the side of plane abc that d is on."""
-    if (
-        a.x.denominator == 1 and a.y.denominator == 1 and a.z.denominator == 1
-        and b.x.denominator == 1 and b.y.denominator == 1 and b.z.denominator == 1
-        and c.x.denominator == 1 and c.y.denominator == 1 and c.z.denominator == 1
-        and d.x.denominator == 1 and d.y.denominator == 1 and d.z.denominator == 1
-    ):
-        ax, ay, az = a.x.numerator, a.y.numerator, a.z.numerator
-        b1, b2, b3 = b.x.numerator - ax, b.y.numerator - ay, b.z.numerator - az
-        c1, c2, c3 = c.x.numerator - ax, c.y.numerator - ay, c.z.numerator - az
-        d1, d2, d3 = d.x.numerator - ax, d.y.numerator - ay, d.z.numerator - az
-    else:
-        b1, b2, b3 = b.x - a.x, b.y - a.y, b.z - a.z
-        c1, c2, c3 = c.x - a.x, c.y - a.y, c.z - a.z
-        d1, d2, d3 = d.x - a.x, d.y - a.y, d.z - a.z
+    b1, b2, b3 = b.x - a.x, b.y - a.y, b.z - a.z
+    c1, c2, c3 = c.x - a.x, c.y - a.y, c.z - a.z
+    d1, d2, d3 = d.x - a.x, d.y - a.y, d.z - a.z
     det = (
         b1 * (c2 * d3 - c3 * d2)
         - b2 * (c1 * d3 - c3 * d1)
@@ -292,6 +269,12 @@ def point_on_segment3(p: Point3, s: Segment3) -> bool:
     d = s.q - s.p
     t = dot3(p - s.p, d)
     return 0 <= t <= dot3(d, d)
+
+
+def segment_param(s: Segment2 | Segment3, p: Point2 | Point3) -> Fraction:
+    """The parameter t with p = s.p + t (s.q - s.p), for p on the line of s."""
+    a, b, c = next(abc for abc in zip(s.p.coords(), s.q.coords(), p.coords()) if abc[0] != abc[1])
+    return Fraction(c - a, b - a)
 
 
 def seg_intersect2(s: Segment2, t: Segment2):

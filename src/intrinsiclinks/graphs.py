@@ -28,6 +28,7 @@ from .geometry import (
     orient2d,
     point_on_segment3,
     seg_intersect2,
+    segment_param,
 )
 from .linking import SpatialPolyline, _check_corners, _drop_straight_corners, closed_polygon, open_polyline
 
@@ -412,18 +413,12 @@ def _locate_on_route(poly: SpatialPolyline, p: Point3) -> tuple[int, Fraction] |
     only when off-route."""
     for i, s in enumerate(poly.sides()):
         if point_on_segment3(p, s):
-            d = s.q - s.p
-            if d.x != 0:
-                t = Fraction(p.x - s.p.x, d.x)
-            elif d.y != 0:
-                t = Fraction(p.y - s.p.y, d.y)
-            else:
-                t = Fraction(p.z - s.p.z, d.z)
+            t = segment_param(s, p)
             if t == 1:
                 if i == len(poly.sides()) - 1:
                     return (i, Fraction(1))
                 return (i + 1, Fraction(0))
-            return (i, Fraction(t))
+            return (i, t)
     return None
 
 
@@ -579,7 +574,7 @@ def planar_polyline(points, closed: bool = False) -> PlanarPolyline:
     return PlanarPolyline(tuple(_drop_straight_corners(points, closed, _straight2)), closed=closed)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class PlanarDrawing:
     """A drawing of a graph: positions in the plane plus a polyline route
     per edge, oriented from the smaller-indexed endpoint."""
@@ -587,6 +582,12 @@ class PlanarDrawing:
     graph: Graph
     position: dict[str, Point2]
     route: dict[EdgeKey, PlanarPolyline]
+
+    def __eq__(self, other):
+        # fields only, so a drawing equals its generic copy
+        if not isinstance(other, PlanarDrawing):
+            return NotImplemented
+        return (self.graph, self.position, self.route) == (other.graph, other.position, other.route)
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("drawings are not hashable")
@@ -695,11 +696,27 @@ def validate_drawing(d: PlanarDrawing) -> tuple[Violation, ...]:
     return _scan_drawing(d)[0]
 
 
-def extract_crossings(d: PlanarDrawing) -> tuple[Crossing, ...]:
-    """Every transversal crossing between sides of distinct edge routes, in
-    a deterministic order.  Crossings of adjacent edges are included and
-    distinguished by the `disjoint` flag; self-crossings of a single route
-    are not listed."""
+@dataclass(frozen=True, eq=False)
+class GenericDrawing(PlanarDrawing):
+    """A drawing that has passed `validate_drawing`, carrying the crossings
+    found by that same sweep.  Only `require_generic` builds one from raw
+    input, with its own copies of the position and route dicts."""
+
+    crossings: tuple[Crossing, ...]
+
+
+def require_generic(d: PlanarDrawing) -> GenericDrawing:
+    """Sweep a drawing once and carry the result as a type.
+
+    Returns a GenericDrawing argument unchanged; otherwise raises
+    DrawingNotGeneral listing every violation, or returns a generic copy
+    holding every transversal crossing between sides of distinct edge
+    routes, in a deterministic order.  Crossings of adjacent edges are
+    included and distinguished by the `disjoint` flag; self-crossings of a
+    single route are not listed.
+    """
+    if isinstance(d, GenericDrawing):
+        return d
     violations, raw = _scan_drawing(d)
     if violations:
         raise DrawingNotGeneral(f"{len(violations)} general-position violations", violations)
@@ -713,7 +730,13 @@ def extract_crossings(d: PlanarDrawing) -> tuple[Crossing, ...]:
         disjoint = not (set(e1) & set(e2))
         out.append(Crossing(e1, e2, i1, i2, p, disjoint))
     out.sort(key=lambda c: (idx[c.edge1[0]], idx[c.edge1[1]], idx[c.edge2[0]], idx[c.edge2[1]], c.side1, c.side2))
-    return tuple(out)
+    return GenericDrawing(d.graph, dict(d.position), dict(d.route), tuple(out))
+
+
+def extract_crossings(d: PlanarDrawing) -> tuple[Crossing, ...]:
+    """The crossings `require_generic` finds; a GenericDrawing is not
+    swept again."""
+    return require_generic(d).crossings
 
 
 def crossings_between_polylines(a: PlanarPolyline, b: PlanarPolyline) -> int:

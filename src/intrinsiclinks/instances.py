@@ -122,7 +122,7 @@ def gen_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000) -> PL
 # Subdivided instances start from the moment curve t -> (t, t^2, t^3), whose
 # first six integer points are in general position.  The factor 24 makes every
 # route-splitting point an integer for 2, 3 and 4 pieces, so the perturbed
-# embedding keeps the all-integer predicate fast path.
+# embedding keeps its coordinates as machine ints.
 _MOMENT_SCALE = 24
 _JITTER = 12  # half a scaled unit in each coordinate
 

@@ -25,17 +25,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import (
-    NON_GENERIC,
-    Point2,
-    Point3,
-    Segment2,
-    Segment3,
-    dot3,
-    gp_points2,
-    gp_points3,
-    seg_intersect2,
-)
+from .geometry import Point2, Point3, Segment3, dot3, gp_points2, gp_points3
 from .graphs import (
     Cycle,
     PlanarDrawing,
@@ -48,6 +38,7 @@ from .graphs import (
     is_complete,
     is_complete_bipartite,
     make_cycle,
+    make_drawing,
     require_valid,
     smooth,
 )
@@ -111,25 +102,15 @@ class OracleResult:
 
 def van_kampen_points(points: Sequence[Point2]) -> int:
     """Parity of the number of crossing pairs among the 15 endpoint-disjoint
-    segment pairs spanned by 5 plane points.  Always 1 in general position;
-    computing it is still worthwhile because that is the testable claim."""
+    segment pairs spanned by 5 plane points, i.e. `van_kampen_drawing` of
+    their straight-line drawing.  Always 1 in general position; computing
+    it is still worthwhile because that is the testable claim."""
     pts = list(points)
     if len(pts) != 5:
         raise ValueError("need exactly 5 points")
     if not gp_points2(pts):
         raise GeneralPositionViolation("three of the points are collinear")
-    n = 0
-    for (i, j), (k, l) in combinations(combinations(range(5), 2), 2):
-        if {i, j} & {k, l}:
-            continue
-        r = seg_intersect2(Segment2(pts[i], pts[j]), Segment2(pts[k], pts[l]))
-        if r is NON_GENERIC:
-            raise InternalParityFailure(
-                "degenerate segment contact despite general-position points"
-            )
-        if isinstance(r, Point2):
-            n += 1
-    return n % 2
+    return van_kampen_drawing(make_drawing(_K5, dict(zip(_point_names(5), pts))))
 
 
 def van_kampen_drawing(d: PlanarDrawing) -> int:
@@ -172,6 +153,7 @@ def vk_invariance_probe(d1: PlanarDrawing, d2: PlanarDrawing) -> bool:
 # linear finder: straight triangles from 6 points, via central projection
 
 
+_K5 = complete_graph(5)
 _K6 = complete_graph(6)
 
 

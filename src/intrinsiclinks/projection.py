@@ -20,23 +20,24 @@ from typing import Sequence
 from .errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
+    DrawingNotGeneral,
     InternalParityFailure,
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, cross3, dot3, gp_points2, is_zero3
+from .geometry import Point2, Point3, cross3, dot3, gp_points2, is_zero3, segment_param
 from .graphs import (
     Crossing,
     Cycle,
     EdgeKey,
+    GenericDrawing,
     PlanarDrawing,
     PlanarPolyline,
     PLEmbedding,
-    extract_crossings,
     make_drawing,
     make_graph,
+    require_generic,
     require_valid,
-    validate_drawing,
 )
 
 _EX = Point3(Fraction(1), Fraction(0), Fraction(0))
@@ -79,7 +80,7 @@ class ProjectedDiagram:
 
     embedding: PLEmbedding
     direction: Point3
-    drawing: PlanarDrawing
+    drawing: GenericDrawing
     crossings: tuple[Crossing, ...]
 
     def __hash__(self):  # pragma: no cover
@@ -88,13 +89,6 @@ class ProjectedDiagram:
     @property
     def graph(self):
         return self.embedding.graph
-
-
-def _param_on_side2(seg_p: Point2, seg_q: Point2, p: Point2) -> Fraction:
-    dx = seg_q.x - seg_p.x
-    if dx != 0:
-        return Fraction(p.x - seg_p.x, dx)
-    return Fraction(p.y - seg_p.y, seg_q.y - seg_p.y)
 
 
 def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
@@ -122,15 +116,13 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
             routes2[key] = PlanarPolyline(pts, closed=False)
         except ValueError as ex:
             raise ProjectionNotGeneral(f"route of {key} degenerates in projection: {ex}")
-    drawing = PlanarDrawing(emb.graph, pos2, routes2)
-    violations = validate_drawing(drawing)
-    if violations:
-        raise ProjectionNotGeneral(
-            f"projected drawing has {len(violations)} degenerate contacts"
-        )
+    try:
+        drawing = require_generic(PlanarDrawing(emb.graph, pos2, routes2))
+    except DrawingNotGeneral as ex:
+        raise ProjectionNotGeneral(f"projected drawing has {len(ex.violations)} degenerate contacts")
 
     labeled = []
-    for c in extract_crossings(drawing):
+    for c in drawing.crossings:
         h1 = _strand_height(emb, drawing, d, c.edge1, c.side1, c.point)
         h2 = _strand_height(emb, drawing, d, c.edge2, c.side2, c.point)
         if h1 == h2:
@@ -149,8 +141,7 @@ def _strand_height(
     side: int,
     p: Point2,
 ) -> Fraction:
-    t2 = drawing.route[edge].sides()[side]
-    u = _param_on_side2(t2.p, t2.q, p)
+    u = segment_param(drawing.route[edge].sides()[side], p)
     s3 = emb.route[edge].sides()[side]
     q3 = s3.p + (s3.q - s3.p).scale(u)
     return dot3(q3, d)
@@ -194,10 +185,10 @@ def project_central(
     apex: Point3,
     normal: Point3,
     names: Sequence[str] | None = None,
-) -> PlanarDrawing:
+) -> GenericDrawing:
     """Project all points except the apex onto a plane below it, from the
     apex, and return the straight-line drawing of the complete graph on the
-    images.
+    images, swept once for its crossings.
 
     The linear functional x -> <x, normal> must attain its strict maximum
     over the points at the apex; the image plane sits halfway between the
@@ -244,13 +235,10 @@ def project_central(
     from itertools import combinations
 
     graph = make_graph(names, combinations(names, 2))
-    drawing = make_drawing(graph, dict(zip(names, images)))
-    violations = validate_drawing(drawing)
-    if violations:
-        raise ProjectionNotGeneral(
-            f"central image drawing has {len(violations)} degenerate contacts"
-        )
-    return drawing
+    try:
+        return require_generic(make_drawing(graph, dict(zip(names, images))))
+    except DrawingNotGeneral as ex:
+        raise ProjectionNotGeneral(f"central image drawing has {len(ex.violations)} degenerate contacts")
 
 
 def _cycle_edge_sets(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle):

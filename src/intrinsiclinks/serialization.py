@@ -135,6 +135,7 @@ def _parse_routes_map(raw, g: Graph, dim: int, where: str) -> dict:
 
 def _parse_point_list(raw, dim: int, where: str) -> list:
     _require(isinstance(raw, list), f"{where}: expected a list")
+    _require(raw, f"{where}: expected at least one point")
     return [_parse_point(p, dim, f"{where}[{i}]") for i, p in enumerate(raw)]
 
 

@@ -1,6 +1,7 @@
 """Exact-predicate tests: frozen examples plus algebraic properties."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from intrinsiclinks.geometry import (
     rational_str,
     seg_hits_solid_triangle,
     seg_intersect2,
+    segment_param,
     segment_piercing_point,
 )
 
@@ -34,6 +36,7 @@ coord = st.integers(min_value=-50, max_value=50)
 frac = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))
 points2 = st.builds(Point2, coord, coord)
 points3 = st.builds(Point3, coord, coord, coord)
+rat_points2 = st.builds(Point2, frac, frac)
 rat_points3 = st.builds(Point3, frac, frac, frac)
 
 
@@ -96,13 +99,29 @@ class TestOrientation:
     def test_orient3d_translation_invariant(self, a, b, c, d, t):
         assert orient3d(a, b, c, d) == orient3d(a + t, b + t, c + t, d + t)
 
+    @given(rat_points2, rat_points2, rat_points2)
+    @settings(max_examples=100)
+    def test_orient2d_rational_matches_scaled_integer(self, a, b, c):
+        # scale invariance: a positive scale that clears every denominator keeps the sign
+        k = lcm(*range(1, 41))
+        scale = lambda p: Point2(p.x * k, p.y * k)
+        assert orient2d(a, b, c) == orient2d(scale(a), scale(b), scale(c))
+
     @given(rat_points3, rat_points3, rat_points3, rat_points3)
     @settings(max_examples=100)
     def test_orient3d_rational_matches_scaled_integer(self, a, b, c, d):
-        # the slow Fraction path and the int fast path must agree
+        # scale invariance: a positive scale keeps the sign
         k = 13 * 8 * 5 * 7 * 9 * 11  # multiple of every denominator in play
         scale = lambda p: Point3(p.x * k, p.y * k, p.z * k)
         assert orient3d(a, b, c, d) == orient3d(scale(a), scale(b), scale(c), scale(d))
+
+
+class TestSegmentParam:
+    def test_planar_and_spatial(self):
+        assert segment_param(Segment2(Point2(1, 1), Point2(5, 3)), Point2(2, Fraction(3, 2))) == Fraction(1, 4)
+        assert segment_param(Segment3(Point3(0, 0, 0), Point3(0, 0, 3)), Point3(0, 0, 3)) == 1
+        # a vertical side reads its parameter from y
+        assert segment_param(Segment2(Point2(2, 0), Point2(2, -4)), Point2(2, -1)) == Fraction(1, 4)
 
 
 class TestGeneralPosition:

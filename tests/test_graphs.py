@@ -14,6 +14,7 @@ from intrinsiclinks.errors import (
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     Cycle,
+    GenericDrawing,
     ValidEmbedding,
     bipartition,
     complete_bipartite,
@@ -30,6 +31,7 @@ from intrinsiclinks.graphs import (
     make_embedding,
     make_graph,
     planar_polyline,
+    require_generic,
     require_valid,
     smooth,
     subdivide,
@@ -417,6 +419,32 @@ class TestValidateDrawing:
         pos = {"a": P2(0, 0), "b": P2(4, 0), "c": P2(2, 0)}
         kinds = {v.kind for v in validate_drawing(make_drawing(g, pos))}
         assert "sides-overlap" in kinds or "degenerate-contact" in kinds
+
+
+class TestGenericDrawing:
+    def test_require_generic_copies_and_compares_equal(self):
+        d = make_drawing(K5, PENTAGON)
+        generic = require_generic(d)
+        assert isinstance(generic, GenericDrawing) and not isinstance(d, GenericDrawing)
+        assert generic == d and d == generic
+        assert require_generic(generic) is generic
+        assert generic.crossings == extract_crossings(d)
+        d.position["v1"] = P2(2, 1)  # now coincides with v2
+        del d.route[("v1", "v2")]
+        assert generic != d and d != generic
+        assert generic.position["v1"] == P2(0, 2)
+        assert ("v1", "v2") in generic.route
+        assert validate_drawing(generic) == ()
+
+    def test_require_generic_lists_every_violation(self):
+        g = make_graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("c", "d"), ("e", "f")])
+        pos = {"a": P2(-1, 0), "b": P2(1, 0), "c": P2(0, -1), "d": P2(0, 1),
+               "e": P2(-1, -1), "f": P2(0, 0)}
+        d = make_drawing(g, pos)
+        with pytest.raises(DrawingNotGeneral) as info:
+            require_generic(d)
+        assert info.value.violations == validate_drawing(d)
+        assert len(info.value.violations) >= 2
 
 
 class TestCrossingsBetweenPolylines:

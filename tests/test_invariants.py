@@ -17,6 +17,7 @@ from intrinsiclinks.geometry import Point2, Point3, Triangle3, gp_points2, gp_po
 from intrinsiclinks.graphs import (
     complete_bipartite,
     complete_graph,
+    extract_crossings,
     make_cycle,
     make_drawing,
     make_embedding,
@@ -43,7 +44,7 @@ from intrinsiclinks.invariants import (
     vk_invariance_probe,
 )
 from intrinsiclinks.linking import triangles_linked
-from intrinsiclinks.projection import find_general_projection, project_orthogonal
+from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -431,3 +432,59 @@ class TestValidateOnce:
         report = find_linked_cycles_k6(valid, seed=0)
         oracle_confirm(valid, report)
         assert validations == []
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every drawing swept by `graphs._scan_drawing`, the one sweep behind
+    `validate_drawing` and `require_generic`."""
+    calls = []
+    original = graphs._scan_drawing
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(graphs, "_scan_drawing", counted)
+    return calls
+
+
+class TestSweepOnce:
+    def test_project_orthogonal_sweeps_once(self, sweeps):
+        valid = require_valid(moment_k6_embedding())
+        direction = find_general_projection(valid, seed=0).direction
+        sweeps.clear()
+        drawing = project_orthogonal(valid, direction).drawing
+        assert len(sweeps) == 1
+        self.assert_carried_crossings_read_without_sweep(drawing, sweeps)
+
+    def test_project_central_sweeps_once(self, sweeps):
+        drawing = project_central(MOMENT6, MOMENT6[-1], Point3(1, 0, 0))
+        assert len(sweeps) == 1
+        self.assert_carried_crossings_read_without_sweep(drawing, sweeps)
+
+    @staticmethod
+    def assert_carried_crossings_read_without_sweep(drawing, sweeps):
+        sweeps.clear()
+        carried = (extract_crossings(drawing), van_kampen_drawing(drawing))
+        assert sweeps == []
+        plain = make_drawing(drawing.graph, drawing.position, {e: r.vertices for e, r in drawing.route.items()})
+        assert carried == (extract_crossings(plain), van_kampen_drawing(plain))
+
+    @pytest.mark.parametrize("points", [
+        MOMENT6,
+        # two x-ties: the first functional is rejected before any projection
+        [Point3(0, 0, 0), Point3(0, 1, 5), Point3(1, 0, 2), Point3(2, 3, 1), Point3(3, 1, 4), Point3(3, 5, 9)],
+    ])
+    def test_linear_analysis_sweeps_once_per_viewpoint(self, points, sweeps, monkeypatch):
+        viewpoints = []
+        original = invariants.project_central
+
+        def counted(*args, **kwargs):
+            viewpoints.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "project_central", counted)
+        invariants._linear_analysis(points, seed=0, max_tries=1000)
+        assert len(viewpoints) >= 1
+        assert len(sweeps) == len(viewpoints)

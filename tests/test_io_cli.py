@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import intrinsiclinks
+from intrinsiclinks import cli
 from intrinsiclinks.cli import main
 from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points2, gp_points3
@@ -19,6 +20,7 @@ from intrinsiclinks.graphs import (
     make_drawing,
     make_embedding,
     make_graph,
+    require_valid,
     smooth,
     validate_drawing,
     validate_embedding,
@@ -285,6 +287,27 @@ class TestCli:
             assert out.out == ""
             assert out.err == "error: 2 embedding violations\n"
 
+    def test_find_linked_smooths_once(self, tmp_path, capsys, monkeypatch):
+        raw = gen_k6_pl_subdivided(1)
+        path = tmp_path / "sub.json"
+        path.write_bytes(emit_instance(raw))
+        received = []
+
+        def spy(fn):
+            def wrapper(emb, *args, **kwargs):
+                received.append(emb)
+                return fn(emb, *args, **kwargs)
+            return wrapper
+
+        for name in ("find_linked_cycles_k6", "oracle_confirm"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        code, _ = self.run("find-linked", str(path), "--verify", capsys=capsys)
+        assert code == 0
+        assert len(received) == 2
+        expected = smooth(require_valid(raw))
+        assert expected.graph == complete_graph(6)
+        assert all(emb == expected for emb in received)
+
     def test_vankampen(self, tmp_path, capsys):
         path = tmp_path / "k5.json"
         self.run("gen", "--kind", "k5-drawing", "--seed", "4", "-o", str(path),
@@ -386,6 +409,14 @@ class TestCli:
         code, out = self.run("check", str(flat), capsys=capsys)
         assert code == 1
         assert json.loads(out.out)["valid"] is False
+
+    def test_empty_points_check_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"kind": "points3", "positions": []}')
+        code, out = self.run("check", str(empty), capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == "error: positions: expected at least one point\n"
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
