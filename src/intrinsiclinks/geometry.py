@@ -105,14 +105,43 @@ def _coerce(value: RationalLike) -> RationalLike:
     raise TypeError(f"coordinate must be an int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: Fraction
-    y: Fraction
+_set = object.__setattr__
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce(self.x))
-        object.__setattr__(self, "y", _coerce(self.y))
+
+class _Point:
+    """Shared behaviour of the immutable points: value equality within one
+    class, the hash of the coordinate tuple, and no attribute assignment.
+
+    The coordinates are plain instance attributes and the only ones, so
+    `vars(p)` is exactly the coordinate mapping.  They are set through
+    `object.__setattr__` rather than by writing `self.__dict__`: touching
+    `__dict__` makes CPython give the instance a separate dict, after which
+    every coordinate read is about twice as slow.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: points are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: points are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords() == other.coords()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coords())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip("xyz", self.coords()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Point2(_Point):
+    def __init__(self, x: RationalLike, y: RationalLike):
+        _set(self, "x", x if type(x) is int else _coerce(x))
+        _set(self, "y", y if type(y) is int else _coerce(y))
 
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
@@ -128,16 +157,11 @@ class Point2:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Point3:
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce(self.x))
-        object.__setattr__(self, "y", _coerce(self.y))
-        object.__setattr__(self, "z", _coerce(self.z))
+class Point3(_Point):
+    def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
+        _set(self, "x", x if type(x) is int else _coerce(x))
+        _set(self, "y", y if type(y) is int else _coerce(y))
+        _set(self, "z", z if type(z) is int else _coerce(z))
 
     def __sub__(self, other: "Point3") -> "Point3":
         return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
@@ -263,12 +287,17 @@ def point_on_segment2(p: Point2, s: Segment2) -> bool:
 
 
 def point_on_segment3(p: Point3, s: Segment3) -> bool:
-    """Closed membership: p lies on segment s, endpoints included."""
-    if not is_zero3(cross3(s.q - s.p, p - s.p)):
+    """Closed membership: p lies on segment s, endpoints included.
+
+    With d = s.q - s.p and e = p - s.p: cross3(d, e) is zero and
+    0 <= dot3(e, d) <= dot3(d, d), written out on the coordinates so that
+    no intermediate point is built."""
+    a, b = s.p, s.q
+    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+    ex, ey, ez = p.x - a.x, p.y - a.y, p.z - a.z
+    if dy * ez != dz * ey or dz * ex != dx * ez or dx * ey != dy * ex:
         return False
-    d = s.q - s.p
-    t = dot3(p - s.p, d)
-    return 0 <= t <= dot3(d, d)
+    return 0 <= ex * dx + ey * dy + ez * dz <= dx * dx + dy * dy + dz * dz
 
 
 def segment_param(s: Segment2 | Segment3, p: Point2 | Point3) -> Fraction:
@@ -425,4 +454,7 @@ def bounding_box_disjoint3(s: Segment3, t: Segment3) -> bool:
 
 
 def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
-    return is_zero3(cross3(b - a, c - a))
+    """cross3(b - a, c - a) is zero, on the coordinates (no point is built)."""
+    ux, uy, uz = b.x - a.x, b.y - a.y, b.z - a.z
+    vx, vy, vz = c.x - a.x, c.y - a.y, c.z - a.z
+    return uy * vz == uz * vy and uz * vx == ux * vz and ux * vy == uy * vx

@@ -30,7 +30,14 @@ from .geometry import (
     seg_intersect2,
     segment_param,
 )
-from .linking import SpatialPolyline, _check_corners, _drop_straight_corners, closed_polygon, open_polyline
+from .linking import (
+    SpatialPolyline,
+    _check_corners,
+    _drop_straight_corners,
+    _polyline_sides,
+    closed_polygon,
+    open_polyline,
+)
 
 EdgeKey = tuple[str, str]
 
@@ -47,8 +54,16 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[EdgeKey, ...]
 
+    def __post_init__(self):
+        # lookup tables built once; not fields, so outside ==, hash and repr
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+
     def index(self, v: str) -> int:
-        return self.vertices.index(v)
+        try:
+            return self._index[v]
+        except KeyError:
+            raise ValueError(f"{v!r} is not a vertex") from None
 
     def edge_key(self, u: str, v: str) -> EdgeKey:
         if u == v:
@@ -56,7 +71,7 @@ class Graph:
         return (u, v) if self.index(u) < self.index(v) else (v, u)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return self.edge_key(u, v) in set(self.edges)
+        return self.edge_key(u, v) in self._edge_set
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         out = []
@@ -557,13 +572,10 @@ class PlanarPolyline:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         _check_corners(self.vertices, self.closed, _straight2)
+        object.__setattr__(self, "_sides", _polyline_sides(self.vertices, self.closed, Segment2))
 
     def sides(self) -> tuple[Segment2, ...]:
-        v = self.vertices
-        out = [Segment2(v[i], v[i + 1]) for i in range(len(v) - 1)]
-        if self.closed:
-            out.append(Segment2(v[-1], v[0]))
-        return tuple(out)
+        return self._sides
 
 
 def _straight2(u: Point2, v: Point2, w: Point2) -> bool:

@@ -67,7 +67,8 @@ class SpatialPolyline:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         _check_corners(self.vertices, self.closed, collinear3)
-        sides = self.sides()
+        sides = _polyline_sides(self.vertices, self.closed, Segment3)
+        object.__setattr__(self, "_sides", sides)
         m = len(sides)
         for i in range(m):
             for j in range(i + 1, m):
@@ -82,11 +83,16 @@ class SpatialPolyline:
         return self.closed and i == 0 and j == m - 1
 
     def sides(self) -> tuple[Segment3, ...]:
-        v = self.vertices
-        out = [Segment3(v[i], v[i + 1]) for i in range(len(v) - 1)]
-        if self.closed:
-            out.append(Segment3(v[-1], v[0]))
-        return tuple(out)
+        return self._sides
+
+
+def _polyline_sides(vertices: tuple, closed: bool, segment) -> tuple:
+    """The sides of a polyline, built once at construction; `segment` is
+    `Segment2` or `Segment3`.  Shared by spatial and planar polylines."""
+    out = [segment(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]
+    if closed:
+        out.append(segment(vertices[-1], vertices[0]))
+    return tuple(out)
 
 
 def _check_corners(vertices: tuple, closed: bool, straight) -> None:

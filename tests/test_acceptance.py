@@ -10,8 +10,7 @@ import hashlib
 import time
 
 from intrinsiclinks.cli import link_report_doc
-from intrinsiclinks.errors import InternalParityFailure
-from intrinsiclinks.geometry import Point3, Triangle3, gp_points3
+from intrinsiclinks.geometry import Triangle3
 from intrinsiclinks.graphs import (
     complete_graph,
     crossings_between_polylines,

@@ -16,8 +16,12 @@ from intrinsiclinks.geometry import (
     Segment2,
     Segment3,
     Triangle3,
+    collinear3,
+    cross3,
+    dot3,
     gp_points2,
     gp_points3,
+    is_zero3,
     meet_segments3,
     orient2d,
     orient3d,
@@ -31,6 +35,8 @@ from intrinsiclinks.geometry import (
     segment_param,
     segment_piercing_point,
 )
+from intrinsiclinks.graphs import planar_polyline
+from intrinsiclinks.linking import closed_polygon, open_polyline
 
 coord = st.integers(min_value=-50, max_value=50)
 frac = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))
@@ -38,10 +44,141 @@ points2 = st.builds(Point2, coord, coord)
 points3 = st.builds(Point3, coord, coord, coord)
 rat_points2 = st.builds(Point2, frac, frac)
 rat_points3 = st.builds(Point3, frac, frac, frac)
+# coordinates near 2^100, whole and rational
+huge = st.builds(lambda k, q: Fraction(2**100 + k, q), st.integers(-60, 60), st.integers(1, 7))
+huge_points3 = st.builds(Point3, huge, huge, huge)
 
 
 def moment_curve(n=6):
     return [Point3(i, i * i, i * i * i) for i in range(1, n + 1)]
+
+
+class TestPointContract:
+    def test_assignment_raises(self):
+        p = Point3(1, 2, 3)
+        with pytest.raises(AttributeError):
+            p.x = 5
+        with pytest.raises(AttributeError):
+            Point2(1, 2).y = 0
+        with pytest.raises(AttributeError):
+            del p.z
+        assert p == Point3(1, 2, 3)
+
+    def test_whole_coordinates_stored_as_int(self):
+        p = Point3(Fraction(4, 2), 0, Fraction(-3))
+        assert type(p.x) is int and p.x == 2
+        assert type(p.z) is int and p.z == -3
+        assert type(Point2(Fraction(1, 2), 7).x) is Fraction
+        with pytest.raises(TypeError):
+            Point3(1.0, 0, 0)
+
+    def test_hash_is_hash_of_coordinates(self):
+        for p in (Point3(1, Fraction(1, 3), -4), Point2(0, 2**100)):
+            assert hash(p) == hash(p.coords())
+        assert Point3(Fraction(6, 3), 0, 0) == Point3(2, 0, 0)
+        assert hash(Point3(Fraction(6, 3), 0, 0)) == hash(Point3(2, 0, 0))
+
+    def test_equality_needs_the_same_class(self):
+        assert Point2(1, 2) != Point3(1, 2, 0)
+        assert Point3(1, 2, 0) != Point2(1, 2)
+        assert Point2(1, 2) != (1, 2)
+        assert Point2(1, 2) == Point2(1, 2)
+
+    def test_repr(self):
+        assert repr(Point3(1, 2, 3)) == "Point3(x=1, y=2, z=3)"
+        assert repr(Point2(Fraction(1, 2), -1)) == "Point2(x=Fraction(1, 2), y=-1)"
+
+    def test_vars_is_the_coordinate_dict(self):
+        # perfbench/tracer.py reads the coordinates through vars(p)
+        assert vars(Point3(1, Fraction(1, 2), 3)) == {"x": 1, "y": Fraction(1, 2), "z": 3}
+        assert vars(Point2(4, 5)) == {"x": 4, "y": 5}
+
+    def test_polyline_sides_built_once(self):
+        a, b, c = Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 1)
+        for poly in (open_polyline([a, b, c]), closed_polygon([a, b, c])):
+            assert poly.sides() is poly.sides()
+            v = poly.vertices
+            fresh = [Segment3(v[i], v[(i + 1) % len(v)]) for i in range(len(poly.sides()))]
+            assert poly.sides() == tuple(fresh)
+        flat = planar_polyline([Point2(0, 0), Point2(2, 0), Point2(2, 2)], closed=True)
+        assert flat.sides() is flat.sides()
+        assert flat.sides() == (
+            Segment2(Point2(0, 0), Point2(2, 0)),
+            Segment2(Point2(2, 0), Point2(2, 2)),
+            Segment2(Point2(2, 2), Point2(0, 0)),
+        )
+
+
+def _on_segment_by_definition(p, s):
+    d, e = s.q - s.p, p - s.p
+    return is_zero3(cross3(d, e)) and 0 <= dot3(e, d) <= dot3(d, d)
+
+
+def _on_line(a, b, t):
+    """The point a + t (b - a); on segment ab exactly when 0 <= t <= 1."""
+    return a + (b - a).scale(t)
+
+
+line_params = st.builds(Fraction, st.integers(-40, 80), st.integers(1, 40))
+
+
+def _check_on_segment(a, b, p, t, on_line):
+    if a == b:
+        return
+    if on_line:
+        p = _on_line(a, b, t)
+    s = Segment3(a, b)
+    assert point_on_segment3(p, s) == _on_segment_by_definition(p, s)
+    if on_line:
+        assert point_on_segment3(p, s) == (0 <= t <= 1)
+
+
+def _check_collinear(a, b, c, t, on_line):
+    if on_line:
+        c = _on_line(a, b, t)
+    assert collinear3(a, b, c) == is_zero3(cross3(b - a, c - a))
+    if on_line:
+        assert collinear3(a, b, c)
+
+
+class TestScalarOnSegment:
+    @given(rat_points3, rat_points3, rat_points3, line_params, st.booleans())
+    @settings(max_examples=150)
+    def test_point_on_segment3_rational(self, a, b, p, t, on_line):
+        _check_on_segment(a, b, p, t, on_line)
+
+    @given(huge_points3, huge_points3, huge_points3, line_params, st.booleans())
+    @settings(max_examples=150)
+    def test_point_on_segment3_near_2_100(self, a, b, p, t, on_line):
+        _check_on_segment(a, b, p, t, on_line)
+
+    @given(rat_points3, rat_points3, rat_points3, line_params, st.booleans())
+    @settings(max_examples=150)
+    def test_collinear3_rational(self, a, b, c, t, on_line):
+        _check_collinear(a, b, c, t, on_line)
+
+    @given(huge_points3, huge_points3, huge_points3, line_params, st.booleans())
+    @settings(max_examples=150)
+    def test_collinear3_near_2_100(self, a, b, c, t, on_line):
+        _check_collinear(a, b, c, t, on_line)
+
+    def test_no_point_is_built(self, monkeypatch):
+        s = Segment3(Point3(0, 0, 0), Point3(4, 2, Fraction(2, 3)))
+        probes = [Point3(2, 1, Fraction(1, 3)), Point3(8, 4, Fraction(4, 3)), Point3(1, 1, 1)]
+        built = []
+        original = Point3.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(Point3, "__init__", counting_init)
+        Point3(0, 0, 0)  # the counter sees a construction
+        assert len(built) == 1
+        built.clear()
+        assert [point_on_segment3(p, s) for p in probes] == [True, False, False]
+        assert [collinear3(s.p, s.q, p) for p in probes] == [True, True, False]
+        assert built == []
 
 
 class TestRationalParsing:
@@ -110,8 +247,8 @@ class TestOrientation:
     @given(rat_points3, rat_points3, rat_points3, rat_points3)
     @settings(max_examples=100)
     def test_orient3d_rational_matches_scaled_integer(self, a, b, c, d):
-        # scale invariance: a positive scale keeps the sign
-        k = 13 * 8 * 5 * 7 * 9 * 11  # multiple of every denominator in play
+        # scale invariance: a positive scale that clears every denominator keeps the sign
+        k = lcm(*range(1, 41))
         scale = lambda p: Point3(p.x * k, p.y * k, p.z * k)
         assert orient3d(a, b, c, d) == orient3d(scale(a), scale(b), scale(c), scale(d))
 

@@ -13,7 +13,6 @@ from intrinsiclinks.errors import (
 )
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
-    Cycle,
     GenericDrawing,
     ValidEmbedding,
     bipartition,
@@ -91,6 +90,16 @@ class TestGraphBasics:
         assert K44.degree("b2") == 4
         assert not K44.has_edge("a1", "a2")
         assert K6.has_edge("v6", "v1")
+
+    def test_index_tables_stay_out_of_value(self):
+        g = make_graph(["x", "y", "z"], [("z", "x"), ("y", "x")])
+        assert [g.index(v) for v in g.vertices] == [0, 1, 2]
+        assert g.has_edge("x", "z") and not g.has_edge("y", "z")
+        with pytest.raises(ValueError, match="'w' is not a vertex"):
+            g.has_edge("x", "w")
+        same = make_graph(["x", "y", "z"], [("x", "y"), ("x", "z")])
+        assert g == same and hash(g) == hash(same)
+        assert repr(g) == "Graph(vertices=('x', 'y', 'z'), edges=(('x', 'y'), ('x', 'z')))"
 
     def test_make_graph_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,10 @@ import intrinsiclinks
 from intrinsiclinks import cli
 from intrinsiclinks.cli import main
 from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
-from intrinsiclinks.geometry import Point2, Point3, gp_points2, gp_points3
+from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     complete_graph,
     crossings_between_polylines,
-    extract_crossings,
     make_drawing,
     make_embedding,
     make_graph,
@@ -44,7 +43,6 @@ from intrinsiclinks.serialization import (
     emit_instance,
     instance_doc,
     parse_instance,
-    to_json_bytes,
 )
 from intrinsiclinks.svg import render_svg
 

@@ -12,7 +12,7 @@ from intrinsiclinks.errors import (
     NonGenericViewpoint,
     PolylinesNotDisjoint,
 )
-from intrinsiclinks.geometry import NON_GENERIC, Point3, Segment3, Triangle3, gp_points3, seg_hits_solid_triangle
+from intrinsiclinks.geometry import Point3, Segment3, Triangle3, gp_points3, seg_hits_solid_triangle
 from intrinsiclinks.linking import (
     SpatialPolyline,
     apex_general_position,
