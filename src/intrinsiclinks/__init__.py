@@ -10,8 +10,6 @@ independent cone-counting oracle confirms it.
 
 from .errors import (
     ApexNotExtremal,
-    ApexNotGeneral,
-    ApexSearchExhausted,
     CyclesNotDisjoint,
     DrawingNotGeneral,
     DrawingsNotComparable,
@@ -39,6 +37,7 @@ from .geometry import (
     gp_points3,
     orient2d,
     orient3d,
+    orient3d_sos,
     parse_rational,
     rational_str,
 )
@@ -109,12 +108,10 @@ from .linking import (
     linking_mod2_sampled,
     open_polyline,
     polylines_disjoint,
-    sample_general_apex,
     triangles_linked,
 )
 from .projection import (
     ProjectedDiagram,
-    check_crossing_parity_identity,
     crossing_parities,
     find_general_projection,
     lk_from_diagram,

@@ -22,10 +22,6 @@ class NonGenericViewpoint(IntrinsicLinksError):
     endpoint, coincident hits, or a collapsed sighting triangle)."""
 
 
-class ApexNotGeneral(IntrinsicLinksError):
-    """A cone apex fails the general-position condition for cone counting."""
-
-
 class ApexNotExtremal(IntrinsicLinksError):
     """A central-projection apex is not strictly extremal for the functional."""
 
@@ -68,10 +64,6 @@ class DrawingsNotComparable(IntrinsicLinksError):
 
 class SearchExhausted(IntrinsicLinksError):
     """A bounded rejection-sampling search ran out of attempts."""
-
-
-class ApexSearchExhausted(SearchExhausted):
-    """Could not find a general-position cone apex within the try budget."""
 
 
 class InternalParityFailure(IntrinsicLinksError):

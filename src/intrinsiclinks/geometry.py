@@ -17,13 +17,15 @@ Orientation conventions:
                        through a, b, c oriented by the right-hand rule; the
                        standard basis ((0,0,0),(1,0,0),(0,1,0),(0,0,1))
                        gives +1.
+  orient3d_sos(points, i, j, k, m) is orient3d of four indexed points with
+                       every tie broken by Simulation of Simplicity; never 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence, Union
 
 from .errors import ParseError
@@ -266,6 +268,76 @@ def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     return _sign(det)
 
 
+def _sos_terms() -> tuple:
+    """The tie-breaking terms of `orient3d_sos`, most significant first.
+
+    Rank the four points 0..3 by index and write them as the rows (x, y, z, 1)
+    of a 4x4 matrix M.  Moving the point of rank r by eps^(2^(3r+c)) in
+    coordinate c turns det M into a polynomial in eps whose monomials have
+    distinct exponents: a set S of moved entries, at most one per row and per
+    coordinate column, gives eps^(sum of 2^(3r+c) over S).  Its coefficient
+    is det M with each row of S replaced by the unit row of its column, that
+    is `sign` times the minor of M on the `rows` and `cols` that S leaves.
+    The term with S empty is det M itself; the other 72 are listed here by
+    increasing exponent.  With three moved entries the minor left is the
+    1x1 minor 1, so some term always decides.
+    """
+    terms = []
+    for k in range(1, 4):
+        for moved_rows in combinations(range(4), k):
+            for moved_cols in permutations(range(3), k):
+                rows = tuple(r for r in range(4) if r not in moved_rows)
+                cols = tuple(c for c in range(4) if c not in moved_cols)
+                column_of = dict(zip(moved_rows + rows, moved_cols + cols))
+                order = [column_of[r] for r in range(4)]
+                inversions = sum(x > y for x, y in combinations(order, 2))
+                exponent = sum(1 << (3 * r + c) for r, c in zip(moved_rows, moved_cols))
+                terms.append((exponent, (-1) ** inversions, rows, cols))
+    terms.sort()
+    return tuple(term[1:] for term in terms)
+
+
+_SOS_TERMS = _sos_terms()
+
+
+def _det(m: list) -> RationalLike:
+    """Determinant of a small square matrix, by cofactors along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def orient3d_sos(points: Sequence[Point3], i: int, j: int, k: int, m: int) -> int:
+    """`orient3d(points[i], points[j], points[k], points[m])` under Simulation
+    of Simplicity (Edelsbrunner and Muecke, ACM TOG 1990); never 0.
+
+    Point n of `points` is moved by eps^(2^(3n+c)) in coordinate c, for an
+    infinitesimal eps > 0.  After the move no four points with distinct
+    indices are coplanar, and every sign taken on one `points` sequence
+    describes the same moved configuration.  A nonzero `orient3d` is
+    returned as it is; a zero one is decided by the first nonzero term of
+    `_SOS_TERMS`, so the result is exact and deterministic.
+    """
+    s = orient3d(points[i], points[j], points[k], points[m])
+    if s:
+        return s
+    idx = (i, j, k, m)
+    if len(set(idx)) < 4:
+        raise ValueError("orient3d_sos needs four distinct indices")
+    matrix = [(*points[n].coords(), 1) for n in sorted(idx)]
+    for sign, rows, cols in _SOS_TERMS:
+        minor = _det([[matrix[r][c] for c in cols] for r in rows])
+        if minor:
+            break
+    # orient3d is minus the sign of det M with the rows in the given order,
+    # and putting them in rank order multiplies det M by the sign of the sort
+    swaps = sum(x > y for x, y in combinations(idx, 2))
+    return -sign * _sign(minor) * (-1) ** swaps
+
+
 def gp_points2(points: Sequence[Point2]) -> bool:
     """No three of the points are collinear (vacuously true below 3)."""
     return all(orient2d(a, b, c) != 0 for a, b, c in combinations(points, 3))
@@ -365,42 +437,6 @@ def seg_hits_solid_triangle(s: Segment3, t: Triangle3):
     if o1 == 0 or o2 == 0 or o3 == 0:
         return NON_GENERIC
     return 1 if o1 == o2 == o3 else 0
-
-
-def segment_piercing_point(s: Segment3, t: Triangle3) -> Point3:
-    """The point where s crosses the plane of t.  Requires a transversal
-    crossing (endpoints strictly on opposite sides)."""
-    n = cross3(t.b - t.a, t.c - t.a)
-    d = s.q - s.p
-    denom = dot3(n, d)
-    if denom == 0:
-        raise ValueError("segment is parallel to the triangle's plane")
-    u = Fraction(dot3(n, t.a - s.p), denom)
-    if not (0 < u < 1):
-        raise ValueError("segment does not cross the plane between its endpoints")
-    return s.p + d.scale(u)
-
-
-def point_in_triangle3(p: Point3, t: Triangle3) -> bool:
-    """Closed membership of p in the flat solid triangle t (boundary counts)."""
-    if orient3d(t.a, t.b, t.c, p) != 0:
-        return False
-    n = cross3(t.b - t.a, t.c - t.a)
-    # drop the coordinate with the largest |normal| component; the projection
-    # restricted to the triangle's plane is then injective
-    candidates = [(abs(n.x), 0), (abs(n.y), 1), (abs(n.z), 2)]
-    _, drop = max(candidates)
-    keep = [i for i in range(3) if i != drop]
-
-    def flat(q: Point3) -> Point2:
-        coords = q.coords()
-        return Point2(coords[keep[0]], coords[keep[1]])
-
-    a2, b2, c2, p2 = flat(t.a), flat(t.b), flat(t.c), flat(p)
-    s1 = orient2d(a2, b2, p2)
-    s2 = orient2d(b2, c2, p2)
-    s3 = orient2d(c2, a2, p2)
-    return (s1 >= 0 and s2 >= 0 and s3 >= 0) or (s1 <= 0 and s2 <= 0 and s3 <= 0)
 
 
 def meet_segments3(s: Segment3, t: Segment3):

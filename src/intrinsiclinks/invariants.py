@@ -415,7 +415,7 @@ def oracle_count_linked_pairs(
 ) -> OracleResult:
     """Independent check of any finder: enumerate every vertex-disjoint
     cycle pair of the given lengths and decide linkedness by cone counting
-    with a sampled general-position apex.  No projections involved."""
+    from an apex drawn from the seed.  No projections involved."""
     sm = smooth(require_valid(emb))
     pairs = enumerate_disjoint_cycle_pairs(sm.graph, len1, len2)
     rng = SplitMix64(seed)

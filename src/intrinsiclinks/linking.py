@@ -1,16 +1,17 @@
 """Mod-2 linking of closed spatial polygons, decided exactly.
 
-Two disjoint closed polygons are linked (mod 2) exactly when the cone from
-a general-position apex over one of them crosses the other an odd number of
-times.  The apex condition makes that count finite and multiplicity-free:
-every crossing is then a transversal pass of a side of `b` through the
-interior of a single cone triangle.  A violated condition is reported, never
-silently absorbed, because the caller can always resample the apex.
-
-An apex is certified exactly once, by `apex_general_position`: inside
-`sample_general_apex` for a drawn apex (`linking_mod2_sampled` counts on
-that certificate), or inside `linking_mod2_cone` for an apex the caller
-supplies.
+Two disjoint closed polygons are linked (mod 2) exactly when `b` passes an
+odd number of times through the cone from an apex over `a`: the cone is a
+singular disk bounded by `a`, and the passes are counted per cone triangle,
+so where two triangles overlap a pass through both counts twice.  The count
+needs every pass to be transversal through the interior of a triangle.
+Any apex gives that once the signs are taken with `orient3d_sos`, which
+moves the apex and every vertex by an infinitesimal amount (Simulation of
+Simplicity): after the move no four of the points are coplanar, so no
+triangle is flat, no vertex of `b` lies in a triangle's plane and no side
+of `b` meets a triangle's boundary.  The polygons are first checked disjoint, exactly, so a small
+enough move keeps them disjoint and embedded, and mod-2 linking does not
+change under it; the count is exact for the input itself.
 
 The module also provides the one-viewpoint comparison `higher_central`:
 seen from a point `o`, segment `a` passes in front of segment `b` when some
@@ -23,28 +24,17 @@ to the viewpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import (
-    ApexNotGeneral,
-    ApexSearchExhausted,
-    GeneralPositionViolation,
-    NonGenericViewpoint,
-    PolylinesNotDisjoint,
-)
+from .errors import GeneralPositionViolation, NonGenericViewpoint, PolylinesNotDisjoint
 from .geometry import (
     NON_GENERIC,
     Point3,
     Segment3,
     Triangle3,
     collinear3,
-    cross3,
-    dot3,
     gp_points3,
-    is_zero3,
     meet_segments3,
-    point_in_triangle3,
-    point_on_segment3,
+    orient3d_sos,
     seg_hits_solid_triangle,
 )
 from .rng import SplitMix64
@@ -197,121 +187,6 @@ def higher_central(o: Point3, a: Segment3, b: Segment3) -> bool:
     return r == 1
 
 
-def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Triangle3) -> bool:
-    """From the vertex of `apex_triangle` opposite side `e`, is exactly one
-    side of `other` in front of `e`?
-
-    An affirmative answer certifies that `apex_triangle` and `other` are
-    linked: the sides of `other` in front of `e` correspond one to one with
-    the points where `other` crosses conv(apex_triangle).
-    """
-    verts = set(apex_triangle.vertices())
-    if e.p not in verts or e.q not in verts:
-        raise ValueError("e must be a side of apex_triangle")
-    rest = [v for v in apex_triangle.vertices() if v not in (e.p, e.q)]
-    if len(rest) != 1:
-        raise ValueError("e must span exactly two vertices of apex_triangle")
-    apex = rest[0]
-    six = list(apex_triangle.vertices()) + list(other.vertices())
-    if not gp_points3(six):
-        raise GeneralPositionViolation("the six vertices are not in general position")
-    count = sum(1 for side in other.sides() if higher_central(apex, side, e))
-    return count == 1
-
-
-def _line_hit_segment_in_plane(apex: Point3, d: Point3, seg: Segment3, normal: Point3):
-    """Hit of the line {apex + t d} with `seg`, all inside the plane through
-    apex with the given normal.  Returns (t, u) parameters or None."""
-    e = seg.q - seg.p
-    den = dot3(cross3(d, e), normal)
-    if den == 0:
-        return None  # line parallel to the segment's line
-    r = seg.p - apex
-    t = Fraction(dot3(cross3(r, e), normal), den)
-    u = Fraction(dot3(cross3(r, d), normal), den)
-    if 0 <= u <= 1:
-        return (t, u)
-    return None
-
-
-def apex_general_position(apex: Point3, a: SpatialPolyline, b: SpatialPolyline) -> bool:
-    """Is `apex` a valid cone apex for counting crossings of cone(apex, a)
-    with `b`?
-
-    The conditions checked, each decided exactly:
-      - apex is off both polylines and off the line of every side of `a`
-        (otherwise some cone triangle collapses);
-      - the segment from apex to each vertex of `a` misses `b` (no crossing
-        may sit over a cone-triangle boundary);
-      - no vertex of `b` lies in any cone triangle;
-      - for every pair of sides of `a` seen along a common ray from apex,
-        the segment from apex to the farther hit misses `b` (no crossing may
-        sit over a doubly covered ray);
-      - every side-of-b versus cone-triangle predicate is decisive (no
-        vertex of `b` even lies in a cone triangle's plane).
-    This is marginally stricter than necessary (a coincidence far outside
-    the cone also rejects), which only costs the caller a resample.
-    """
-    if not a.closed or not b.closed:
-        raise ValueError("cone counting needs closed polygons")
-    a_sides = a.sides()
-    b_sides = b.sides()
-
-    normals = []
-    for s in a_sides:
-        n = cross3(s.p - apex, s.q - apex)
-        if is_zero3(n):
-            return False
-        normals.append(n)
-    for t in b_sides:
-        if point_on_segment3(apex, t):
-            return False
-
-    for v in a.vertices:
-        spoke = Segment3(apex, v)
-        for t in b_sides:
-            if meet_segments3(spoke, t) is not None:
-                return False
-
-    for w in b.vertices:
-        for s in a_sides:
-            if point_in_triangle3(w, Triangle3(apex, s.p, s.q)):
-                return False
-
-    for s in a_sides:
-        tri = Triangle3(apex, s.p, s.q)
-        for t in b_sides:
-            if seg_hits_solid_triangle(t, tri) is NON_GENERIC:
-                return False
-
-    m = len(a_sides)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = cross3(normals[i], normals[j])
-            if is_zero3(d):
-                return False  # cone triangles coplanar: reject conservatively
-            hit1 = _line_hit_segment_in_plane(apex, d, a_sides[i], normals[i])
-            if hit1 is None:
-                continue
-            hit2 = _line_hit_segment_in_plane(apex, d, a_sides[j], normals[j])
-            if hit2 is None:
-                continue
-            t1, t2 = hit1[0], hit2[0]
-            if t1 == 0 or t2 == 0:
-                return False  # apex on a side of a; cannot happen past the checks above
-            if (t1 > 0) != (t2 > 0):
-                continue  # hits on opposite rays, no common ray
-            if t1 == t2:
-                continue  # shared vertex of adjacent sides; spoke check covers it
-            t_far = t1 if abs(t1) > abs(t2) else t2
-            far_point = apex + d.scale(t_far)
-            forbidden = Segment3(apex, far_point)
-            for t_side in b_sides:
-                if meet_segments3(forbidden, t_side) is not None:
-                    return False
-    return True
-
-
 def _require_disjoint_closed(a: SpatialPolyline, b: SpatialPolyline):
     if not a.closed or not b.closed:
         raise ValueError("linking is defined for closed polygons")
@@ -320,63 +195,44 @@ def _require_disjoint_closed(a: SpatialPolyline, b: SpatialPolyline):
 
 
 def _cone_parity(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
+    """Parity of the passes of the sides of `b` through the cone triangles
+    (apex, side of `a`), the signs taken by `orient3d_sos` with the apex as
+    point 0, then the vertices of `a`, then those of `b`.  No sign is 0, so
+    each side-triangle pair is decided by the five signs of
+    `seg_hits_solid_triangle`, and no cone triangle is built: one may be
+    flat before the perturbation."""
+    points = (apex, *a.vertices, *b.vertices)
+    n, m = len(a.vertices), len(b.vertices)
+    a_sides = [(1 + i, 1 + (i + 1) % n) for i in range(n)]
+    b_sides = [(1 + n + j, 1 + n + (j + 1) % m) for j in range(m)]
     total = 0
-    for s in a.sides():
-        tri = Triangle3(apex, s.p, s.q)
-        for t in b.sides():
-            r = seg_hits_solid_triangle(t, tri)
-            if r is NON_GENERIC:  # unreachable for a certified apex
-                raise ApexNotGeneral("degenerate cone-triangle contact")
-            total += r
+    for u, v in a_sides:
+        side_of = {p: orient3d_sos(points, 0, u, v, p) for p, _ in b_sides}
+        for p, q in b_sides:
+            if side_of[p] != side_of[q] and (
+                orient3d_sos(points, p, q, 0, u)
+                == orient3d_sos(points, p, q, u, v)
+                == orient3d_sos(points, p, q, v, 0)
+            ):
+                total += 1
     return total & 1
 
 
 def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
     """Mod-2 linking number of disjoint closed polygons via cone counting.
 
-    Counts the crossings of `b` through the cone triangles spanned by the
-    apex over the sides of `a`; under the apex condition every crossing of
-    `b` with the cone is such a transversal pass through exactly one
-    triangle, so the parity of the total is the linking number mod 2.
-    The caller's apex is certified here with `apex_general_position`.
+    Counts the passes of `b` through the cone triangles spanned by the apex
+    over the sides of `a`, under Simulation of Simplicity (see the module
+    docstring); the parity of the total is the linking number mod 2, for
+    any apex.
     """
     _require_disjoint_closed(a, b)
-    if not apex_general_position(apex, a, b):
-        raise ApexNotGeneral("apex fails the cone general-position condition")
     return _cone_parity(a, b, apex)
 
 
 def linking_mod2_sampled(a: SpatialPolyline, b: SpatialPolyline, rng: SplitMix64) -> int:
-    """Mod-2 linking number by cone counting from an apex drawn with
-    `sample_general_apex`.
-
-    The sampler certifies the apex, so it is not checked a second time.
-    The draws from `rng` are those of `sample_general_apex`, so the answer
-    equals `linking_mod2_cone(a, b, sample_general_apex(a, b, rng))`.
-    """
-    _require_disjoint_closed(a, b)
-    return _cone_parity(a, b, sample_general_apex(a, b, rng))
-
-
-def sample_general_apex(
-    a: SpatialPolyline,
-    b: SpatialPolyline,
-    rng: SplitMix64,
-    max_tries: int = 10000,
-    start_bound: int = 8,
-) -> Point3:
-    """Draw integer points from an expanding cube until one passes
-    `apex_general_position` for the pair.  Valid apexes fill a full-measure
-    open set, so rejection terminates quickly in practice."""
-    bound = start_bound
-    for attempt in range(max_tries):
-        apex = Point3(
-            rng.randint(-bound, bound),
-            rng.randint(-bound, bound),
-            rng.randint(-bound, bound),
-        )
-        if apex_general_position(apex, a, b):
-            return apex
-        if attempt % 16 == 15:
-            bound *= 2
-    raise ApexSearchExhausted(f"no general apex found in {max_tries} tries")
+    """Mod-2 linking number by cone counting from an apex drawn from `rng`:
+    three draws in [-8, 8], one per coordinate.  The answer does not depend
+    on the draw; the draw only picks which count shows it."""
+    apex = Point3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8))
+    return linking_mod2_cone(a, b, apex)

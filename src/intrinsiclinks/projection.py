@@ -302,12 +302,3 @@ def lk_from_diagram(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle) -> int
             "front-strand parity depends on the cycle order; diagram data is inconsistent"
         )
     return over1
-
-
-def check_crossing_parity_identity(
-    diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle
-) -> bool:
-    """True when both front-strand parities agree and the total crossing
-    count between the cycles is even."""
-    over1, over2, total = crossing_parities(diag, cycle1, cycle2)
-    return over1 == over2 and total == 0

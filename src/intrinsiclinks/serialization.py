@@ -124,7 +124,8 @@ def _parse_routes_map(raw, g: Graph, dim: int, where: str) -> dict:
     for name, pts in raw.items():
         u, v = _split_edge_name(name, where)
         _require(
-            g.has_edge(u, v), f"{where}: route for non-edge {name!r}"
+            u in g.vertices and v in g.vertices and g.has_edge(u, v),
+            f"{where}: route for non-edge {name!r}",
         )
         _require(isinstance(pts, list), f"{where}[{name!r}]: expected a point list")
         out[(u, v)] = [

@@ -41,15 +41,12 @@ from intrinsiclinks.invariants import (
     van_kampen_drawing,
     vk_invariance_probe,
 )
-from intrinsiclinks.linking import (
-    closed_polygon,
-    linking_mod2_cone,
-    sample_general_apex,
-    triangles_linked,
-)
+from intrinsiclinks.linking import closed_polygon, linking_mod2_cone, triangles_linked
 from intrinsiclinks.projection import find_general_projection, front_parity, lk_from_diagram
 from intrinsiclinks.rng import SplitMix64
 from intrinsiclinks.serialization import to_json_bytes
+
+from helpers import seeded_apexes
 
 K6 = complete_graph(6)
 
@@ -192,10 +189,7 @@ def test_ac05_five_way_linking_agreement(capsys):
         poly1 = closed_polygon(points[:3])
         poly2 = closed_polygon(points[3:])
         rng = SplitMix64(seed)
-        cone_values = [
-            linking_mod2_cone(poly1, poly2, sample_general_apex(poly1, poly2, rng))
-            for _ in range(3)
-        ]
+        cone_values = [linking_mod2_cone(poly1, poly2, apex) for apex in seeded_apexes(rng)]
 
         emb = make_embedding(TWO_TRIANGLES, dict(zip(TWO_TRIANGLES.vertices, points)))
         c1 = make_cycle(TWO_TRIANGLES, ("t1", "t2", "t3"))

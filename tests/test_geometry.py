@@ -1,6 +1,7 @@
 """Exact-predicate tests: frozen examples plus algebraic properties."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import lcm
 
 import pytest
@@ -25,15 +26,14 @@ from intrinsiclinks.geometry import (
     meet_segments3,
     orient2d,
     orient3d,
+    orient3d_sos,
     parse_rational,
-    point_in_triangle3,
     point_on_segment2,
     point_on_segment3,
     rational_str,
     seg_hits_solid_triangle,
     seg_intersect2,
     segment_param,
-    segment_piercing_point,
 )
 from intrinsiclinks.graphs import planar_polyline
 from intrinsiclinks.linking import closed_polygon, open_polyline
@@ -253,6 +253,88 @@ class TestOrientation:
         assert orient3d(a, b, c, d) == orient3d(scale(a), scale(b), scale(c), scale(d))
 
 
+def sos_by_expansion(points, idx):
+    """orient3d_sos from its definition: expand det[[p + moves, 1]] for the
+    rows in the given order as a polynomial in eps, with point n moved by
+    eps^(2^(3n+c)) in coordinate c, and take minus the sign of the lowest
+    nonzero coefficient."""
+    def times(f, g):
+        out = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return out
+
+    rows = [[{0: points[n].coords()[c], 1 << (3 * n + c): 1} for c in range(3)] + [{0: 1}] for n in idx]
+    det = {}
+    for perm in permutations(range(4)):
+        inversions = sum(x > y for x, y in combinations(perm, 2))
+        term = {0: (-1) ** inversions}
+        for r in range(4):
+            term = times(term, rows[r][perm[r]])
+        for e, c in term.items():
+            det[e] = det.get(e, 0) + c
+    lowest = det[min(e for e, c in det.items() if c)]
+    return -1 if lowest > 0 else 1
+
+
+tiny = st.integers(min_value=-2, max_value=2)
+# a few points on a tiny grid (repeats allowed, so ties are common) and four
+# distinct indices into them, in any order
+indexed_points = st.lists(st.builds(Point3, tiny, tiny, tiny), min_size=4, max_size=7).flatmap(
+    lambda pts: st.tuples(st.just(pts), st.permutations(range(len(pts))).map(lambda p: tuple(p[:4])))
+)
+
+
+class TestOrient3dSoS:
+    @given(indexed_points)
+    @settings(max_examples=400)
+    def test_never_zero_and_exact_when_decided(self, case):
+        pts, idx = case
+        s = orient3d_sos(pts, *idx)
+        assert s in (1, -1)
+        exact = orient3d(*(pts[n] for n in idx))
+        if exact:
+            assert s == exact
+
+    @given(indexed_points)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eps_expansion(self, case):
+        pts, idx = case
+        assert orient3d_sos(pts, *idx) == sos_by_expansion(pts, idx)
+
+    @given(indexed_points)
+    @settings(max_examples=200)
+    def test_swap_flips_sign(self, case):
+        pts, idx = case
+        s = orient3d_sos(pts, *idx)
+        for x, y in combinations(range(4), 2):
+            swapped = list(idx)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            assert orient3d_sos(pts, *swapped) == -s
+
+    @given(indexed_points, st.builds(Point3, coord, coord, coord), frac)
+    @settings(max_examples=200)
+    def test_translation_and_positive_scaling_invariant(self, case, t, k):
+        pts, idx = case
+        s = orient3d_sos(pts, *idx)
+        assert orient3d_sos([p + t for p in pts], *idx) == s
+        scale = abs(k) or 1
+        assert orient3d_sos([p.scale(scale) for p in pts], *idx) == s
+
+    def test_repeated_index_rejected(self):
+        pts = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)]
+        with pytest.raises(ValueError):
+            orient3d_sos(pts, 0, 1, 2, 0)
+
+    def test_coincident_points_are_told_apart(self):
+        # four copies of one point: only the perturbation decides, and the
+        # sign follows the order of the indices
+        pts = [Point3(1, 1, 1)] * 4
+        assert orient3d_sos(pts, 0, 1, 2, 3) == -orient3d_sos(pts, 1, 0, 2, 3)
+        assert orient3d_sos(pts, 0, 1, 2, 3) == sos_by_expansion(pts, (0, 1, 2, 3))
+
+
 class TestSegmentParam:
     def test_planar_and_spatial(self):
         assert segment_param(Segment2(Point2(1, 1), Point2(5, 3)), Point2(2, Fraction(3, 2))) == Fraction(1, 4)
@@ -367,10 +449,6 @@ class TestSegHitsSolidTriangle:
     def test_through_vertex_non_generic(self):
         assert seg_hits_solid_triangle(Segment3(Point3(0, 0, -1), Point3(0, 0, 1)), self.tri) is NON_GENERIC
 
-    def test_piercing_point_of_transversal_hit(self):
-        p = segment_piercing_point(Segment3(Point3(1, 1, -1), Point3(1, 1, 1)), self.tri)
-        assert p == Point3(1, 1, 0)
-
     @given(points3, points3, points3, points3, points3)
     @settings(max_examples=200)
     def test_general_position_is_decisive(self, a, b, c, p, q):
@@ -442,25 +520,3 @@ class TestMeetSegments3:
         r = meet_segments3(s, t)
         if isinstance(r, Point3):
             assert point_on_segment3(r, s) and point_on_segment3(r, t)
-
-
-class TestPointInTriangle3:
-    tri = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
-
-    def test_interior(self):
-        assert point_in_triangle3(Point3(1, 1, 0), self.tri)
-
-    def test_boundary_counts(self):
-        assert point_in_triangle3(Point3(2, 0, 0), self.tri)
-        assert point_in_triangle3(Point3(0, 0, 0), self.tri)
-
-    def test_in_plane_outside(self):
-        assert not point_in_triangle3(Point3(5, 5, 0), self.tri)
-
-    def test_off_plane(self):
-        assert not point_in_triangle3(Point3(1, 1, 1), self.tri)
-
-    def test_tilted_triangle(self):
-        t = Triangle3(Point3(0, 0, 0), Point3(2, 0, 2), Point3(0, 2, 2))
-        assert point_in_triangle3(Point3(Fraction(1, 2), Fraction(1, 2), 1), t)
-        assert not point_in_triangle3(Point3(2, 2, 2), t)

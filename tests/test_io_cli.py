@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,34 @@ class TestCli:
         code, out = self.run("link", paths["flat"], paths["thread"], capsys=capsys)
         assert code == 0 and json.loads(out.out)["linking_mod2"] == 1
 
+    def test_link_collinear_sides(self, tmp_path, capsys):
+        # one side of each triangle on the x-axis: every cone apex sees the
+        # two sides in one plane, and the answer is still exact
+        paths = []
+        for name, positions in (("first", [[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+                                ("second", [[2, 0, 0], [3, 0, 0], [2, 0, 1]])):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps({"kind": "points3", "positions": positions}))
+            paths.append(str(p))
+        start = time.perf_counter()
+        code, out = self.run("link", *paths, capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out.out) == {"linking_mod2": 0, "seed": 0}
+
+    def test_route_naming_undeclared_vertex_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps({
+            "kind": "embedding",
+            "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "positions": {"a": ["0", "0", "0"], "b": ["1", "0", "0"]},
+            "routes": {"a--zz": [["0", "1", "0"]]},
+        }))
+        code, out = self.run("check", str(path), capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == "error: routes: route for non-edge 'a--zz'\n"
+
     def test_link_touching_polygons_exits_1(self, tmp_path, capsys):
         flat = {"kind": "points3",
                 "positions": [["0", "0", "0"], ["4", "0", "0"], ["0", "4", "0"]]}
@@ -427,3 +456,38 @@ class TestCli:
                  capsys=capsys)
         code, _ = self.run("find-linked", str(path), capsys=capsys)
         assert code == 1
+
+
+class TestPublicApi:
+    def test_exported_names(self):
+        # a literal list, so every addition to or removal from the public
+        # API shows up in the diff
+        assert sorted(intrinsiclinks.__all__) == [
+            "ApexNotExtremal", "Crossing", "Cycle", "CyclesNotDisjoint", "DrawingNotGeneral",
+            "DrawingsNotComparable", "EmbeddingInvalid", "GeneralPositionViolation",
+            "GenericDrawing", "Graph", "INSTANCE_KINDS", "InternalParityFailure",
+            "IntrinsicLinksError", "LinkReport", "NON_GENERIC", "NonGenericViewpoint",
+            "OVERLAP", "OracleResult", "PLEmbedding", "ParityLedger", "ParseError",
+            "PlanarDrawing", "PlanarPolyline", "Point2", "Point3", "PointsNotOnRoute",
+            "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral", "RunConfig",
+            "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
+            "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
+            "closed_polygon", "complete_bipartite", "complete_graph", "crossing_parities",
+            "crossings_between_polylines", "cycle_route", "emit_instance", "enumerate_cycles",
+            "enumerate_disjoint_cycle_pairs", "errors", "extract_crossings",
+            "find_general_projection", "find_linked_cycles_k44", "find_linked_cycles_k6",
+            "find_linked_triangles_linear", "gen_k33_drawing", "gen_k44_linear",
+            "gen_k5_drawing", "gen_k6_pl_subdivided", "gen_k6_points",
+            "gen_planar_polygon_pair", "gen_polygon_pair", "generate", "geometry", "gp_points2",
+            "gp_points3", "graphs", "higher_central", "instances", "invariants",
+            "k44_parity_ledgers", "k6_parity_ledgers", "linear_parity_ledger", "linking",
+            "linking_mod2_cone", "linking_mod2_sampled", "lk_from_diagram", "make_cycle",
+            "make_drawing", "make_embedding", "make_graph", "move_vertex_star", "open_polyline",
+            "oracle_confirm", "oracle_count_linked_pairs", "orient2d", "orient3d",
+            "orient3d_sos", "parse_instance", "parse_rational", "planar_polyline",
+            "polylines_disjoint", "project_central", "project_orthogonal", "projection",
+            "rational_str", "render_svg", "require_generic", "require_valid", "rng",
+            "serialization", "smooth", "subdivide", "svg", "to_json_bytes", "triangles_linked",
+            "validate_drawing", "validate_embedding", "van_kampen_drawing", "van_kampen_points",
+            "vk_invariance_probe",
+        ]

@@ -1,37 +1,46 @@
 """Linking-number tests: frozen linked pair, cone counting, viewpoint logic."""
 
-import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intrinsiclinks.errors import (
-    ApexNotGeneral,
     GeneralPositionViolation,
     NonGenericViewpoint,
     PolylinesNotDisjoint,
 )
-from intrinsiclinks.geometry import Point3, Segment3, Triangle3, gp_points3, seg_hits_solid_triangle
+from intrinsiclinks import geometry
+from intrinsiclinks.geometry import (
+    Point3,
+    Segment3,
+    Triangle3,
+    collinear3,
+    gp_points3,
+    orient3d,
+    point_on_segment3,
+    seg_hits_solid_triangle,
+)
 from intrinsiclinks.linking import (
     SpatialPolyline,
-    apex_general_position,
-    check_unique_higher_side,
     closed_polygon,
     higher_central,
     linking_mod2_cone,
     linking_mod2_sampled,
     open_polyline,
     polylines_disjoint,
-    sample_general_apex,
     triangle_polygon,
     triangles_linked,
 )
-from intrinsiclinks import linking
-from intrinsiclinks.graphs import complete_graph, make_embedding
+from intrinsiclinks.graphs import complete_graph, make_cycle, make_embedding, make_graph
 from intrinsiclinks.instances import gen_k6_points
 from intrinsiclinks.invariants import oracle_count_linked_pairs
+from intrinsiclinks.projection import find_general_projection, lk_from_diagram
 from intrinsiclinks.rng import SplitMix64
+
+from helpers import check_unique_higher_side, seeded_apexes
 
 coord = st.integers(min_value=-20, max_value=20)
 points3 = st.builds(Point3, coord, coord, coord)
@@ -168,28 +177,54 @@ class TestUniqueHigherSide:
 
 
 class TestApexGeneralPosition:
+    """Apexes in and out of general position: cone counting is exact from
+    each, including those the pair makes degenerate."""
+
     a = triangle_polygon(LINKED_A)
     b = triangle_polygon(LINKED_B)
+    far = triangle_polygon(FAR)
 
     def test_good_apex(self):
-        assert apex_general_position(Point3(3, 7, 9), self.a, self.b)
+        assert linking_mod2_cone(self.a, self.b, Point3(3, 7, 9)) == 1
 
-    def test_apex_at_polygon_vertex_rejected(self):
-        assert not apex_general_position(Point3(1, 1, 0), self.a, self.b)
+    def test_apex_at_polygon_vertex_counts_exactly(self):
+        assert Point3(1, 1, 0) in self.a.vertices
+        assert linking_mod2_cone(self.a, self.b, Point3(1, 1, 0)) == 1
+        assert linking_mod2_cone(self.b, self.a, Point3(1, 1, 0)) == 1
 
-    def test_apex_collinear_with_side_rejected(self):
-        # on the line through (1,1,0) and (-1,2,0)
-        assert not apex_general_position(Point3(3, 0, 0), self.a, self.b)
+    def test_apex_on_side_line_counts_exactly(self):
+        # on the line through (1,1,0) and (-1,2,0): that cone triangle is flat
+        apex = Point3(3, 0, 0)
+        assert collinear3(apex, Point3(1, 1, 0), Point3(-1, 2, 0))
+        assert linking_mod2_cone(self.a, self.b, apex) == 1
+        assert linking_mod2_cone(self.a, self.far, apex) == 0
 
-    def test_apex_with_spoke_through_b_rejected(self):
-        # apex placed so the spoke to vertex (1,1,0) passes through b's vertical side:
-        # (0,0,0) is on that side, so apex = (-1,-1,0) sees the spoke hit it
-        assert not apex_general_position(Point3(-1, -1, 0), self.a, self.b)
+    def test_apex_with_spoke_through_b_counts_exactly(self):
+        # (0,0,0) is on b's vertical side, so the spoke from (-1,-1,0) to the
+        # vertex (1,1,0) of a passes through b
+        apex = Point3(-1, -1, 0)
+        assert point_on_segment3(Point3(0, 0, 0), Segment3(apex, Point3(1, 1, 0)))
+        assert linking_mod2_cone(self.a, self.b, apex) == 1
+
+    def test_vertex_of_b_on_cone_plane_counts_exactly(self):
+        # the vertex (5,0,1) of b lies in the plane of the cone triangle over
+        # the side (1,1,0)-(-1,2,0): outside the triangle, inside it, and on
+        # its spoke to (1,1,0)
+        side = (Point3(1, 1, 0), Point3(-1, 2, 0))
+        for apex in (Point3(1, 2, 1), Point3(10, Fraction(-3, 2), 2), Point3(9, -1, 2)):
+            assert orient3d(apex, *side, Point3(5, 0, 1)) == 0
+            assert linking_mod2_cone(self.a, self.b, apex) == 1
+
+    def test_apex_on_other_polygon_counts_exactly(self):
+        # the origin is on b's vertical side; (5,0,1) is a vertex of b
+        for apex in (Point3(0, 0, 0), Point3(5, 0, 1)):
+            assert linking_mod2_cone(self.a, self.b, apex) == 1
+            assert linking_mod2_cone(self.a, self.far, apex) == 0
 
     def test_open_polyline_rejected(self):
         arc = open_polyline([Point3(0, 0, 1), Point3(1, 0, 0), Point3(1, 1, 1)])
         with pytest.raises(ValueError):
-            apex_general_position(Point3(5, 5, 5), self.a, arc)
+            linking_mod2_cone(self.a, arc, Point3(5, 5, 5))
 
 
 class TestLinkingMod2Cone:
@@ -201,12 +236,16 @@ class TestLinkingMod2Cone:
         assert linking_mod2_cone(self.a, self.b, Point3(3, 7, 9)) == 1
 
     def test_unlinked_pair_is_even(self):
-        apex = sample_general_apex(self.a, self.far, SplitMix64(7))
-        assert linking_mod2_cone(self.a, self.far, apex) == 0
+        for apex in seeded_apexes(SplitMix64(7)):
+            assert linking_mod2_cone(self.a, self.far, apex) == 0
 
-    def test_bad_apex_raises(self):
-        with pytest.raises(ApexNotGeneral):
-            linking_mod2_cone(self.a, self.b, Point3(3, 0, 0))
+    def test_bad_apex_counts_exactly(self):
+        # (3,0,0) is on the line of a's side (1,1,0)-(-1,2,0); its cone over
+        # either polygon still gives the pair's parity, in both orders
+        apex = Point3(3, 0, 0)
+        assert linking_mod2_cone(self.a, self.b, apex) == 1
+        assert linking_mod2_cone(self.b, self.a, apex) == 1
+        assert linking_mod2_cone(self.far, self.a, apex) == 0
 
     def test_sharing_polygons_raise(self):
         shifted = closed_polygon([Point3(1, 1, 0), Point3(5, 1, 1), Point3(5, -1, -1)])
@@ -214,9 +253,21 @@ class TestLinkingMod2Cone:
             linking_mod2_cone(self.a, shifted, Point3(3, 7, 9))
 
     def test_apex_sampling_deterministic(self):
-        a1 = sample_general_apex(self.a, self.b, SplitMix64(123))
-        a2 = sample_general_apex(self.a, self.b, SplitMix64(123))
-        assert a1 == a2
+        # the drawn apex depends on the seed only, and one apex is drawn
+        r1, r2 = SplitMix64(123), SplitMix64(123)
+        assert linking_mod2_sampled(self.a, self.b, r1) == linking_mod2_sampled(self.a, self.b, r2)
+        reference = SplitMix64(123)
+        seeded_apexes(reference, 1)
+        assert r1.next_u64() == r2.next_u64() == reference.next_u64()
+
+    def test_collinear_sides_counted_exactly(self):
+        # the side (0,0,0)-(1,0,0) of one triangle and (2,0,0)-(3,0,0) of the
+        # other lie on one line, so every apex sees them in one cone plane
+        first = closed_polygon([Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)])
+        second = closed_polygon([Point3(2, 0, 0), Point3(3, 0, 0), Point3(2, 0, 1)])
+        for apex in [Point3(0, 0, 0), Point3(5, 0, 0), Point3(1, 1, 1)] + seeded_apexes(SplitMix64(0)):
+            assert linking_mod2_cone(first, second, apex) == 0
+            assert linking_mod2_cone(second, first, apex) == 0
 
     @given(st.lists(points3, min_size=6, max_size=6, unique=True), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
@@ -226,8 +277,7 @@ class TestLinkingMod2Cone:
         t1 = Triangle3(*pts[:3])
         t2 = Triangle3(*pts[3:])
         p1, p2 = triangle_polygon(t1), triangle_polygon(t2)
-        rng = SplitMix64(seed)
-        apex = sample_general_apex(p1, p2, rng)
+        (apex,) = seeded_apexes(SplitMix64(seed), 1)
         bit = linking_mod2_cone(p1, p2, apex)
         assert bit == int(triangles_linked(t1, t2))
 
@@ -237,13 +287,74 @@ class TestLinkingMod2Cone:
         assume(gp_points3(pts))
         p1 = triangle_polygon(Triangle3(*pts[:3]))
         p2 = triangle_polygon(Triangle3(*pts[3:]))
-        rng = SplitMix64(seed)
-        apex1 = sample_general_apex(p1, p2, rng)
-        apex2 = sample_general_apex(p1, p2, rng)
+        apex1, apex2, apex3 = seeded_apexes(SplitMix64(seed))
         bit1 = linking_mod2_cone(p1, p2, apex1)
         assert linking_mod2_cone(p1, p2, apex2) == bit1
-        apex3 = sample_general_apex(p2, p1, rng)
         assert linking_mod2_cone(p2, p1, apex3) == bit1
+        # apexes the pair itself makes degenerate: its vertices and the
+        # midpoints of its sides
+        for v in p1.vertices + p2.vertices:
+            assert linking_mod2_cone(p1, p2, v) == bit1
+        for s in p1.sides():
+            assert linking_mod2_cone(p1, p2, (s.p + s.q).scale(Fraction(1, 2))) == bit1
+
+
+TWO_TRIANGLES = make_graph(
+    ("t1", "t2", "t3", "u1", "u2", "u3"),
+    (("t1", "t2"), ("t2", "t3"), ("t1", "t3"), ("u1", "u2"), ("u2", "u3"), ("u1", "u3")),
+)
+small = st.integers(min_value=-3, max_value=3)
+grid_points3 = st.builds(Point3, small, small, small)
+rational = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))
+rat_points3 = st.builds(Point3, rational, rational, rational)
+# coordinates near 2^100, whole and rational
+huge = st.builds(lambda k, q: Fraction(2**100 + k, q), st.integers(-60, 60), st.integers(1, 7))
+huge_points3 = st.builds(Point3, huge, huge, huge)
+
+
+def diagram_bit(pts, seed):
+    """The diagram route: mod-2 linking read off a generic projection."""
+    emb = make_embedding(TWO_TRIANGLES, dict(zip(TWO_TRIANGLES.vertices, pts)))
+    diag = find_general_projection(emb, seed=seed)
+    c1 = make_cycle(TWO_TRIANGLES, ("t1", "t2", "t3"))
+    c2 = make_cycle(TWO_TRIANGLES, ("u1", "u2", "u3"))
+    return lk_from_diagram(diag, c1, c2)
+
+
+class TestTwoRouteAgreement:
+    """Cone counting, the direct triangle test and the diagram route give the
+    same bit beyond small integers: on rationals, near 2^100, and on a small
+    grid where the apex and the pair are often degenerate."""
+
+    @staticmethod
+    def check_three_routes(pts, seed):
+        assume(gp_points3(pts))
+        p1, p2 = closed_polygon(pts[:3]), closed_polygon(pts[3:])
+        reference = int(triangles_linked(Triangle3(*pts[:3]), Triangle3(*pts[3:])))
+        for apex in seeded_apexes(SplitMix64(seed)) + [pts[0], pts[3]]:
+            assert linking_mod2_cone(p1, p2, apex) == reference
+        assert diagram_bit(pts, seed) == reference
+
+    @given(st.lists(rat_points3, min_size=6, max_size=6, unique=True), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_rational_coordinates(self, pts, seed):
+        self.check_three_routes(pts, seed)
+
+    @given(st.lists(huge_points3, min_size=6, max_size=6, unique=True), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_coordinates_near_2_100(self, pts, seed):
+        self.check_three_routes(pts, seed)
+
+    @given(st.lists(grid_points3, min_size=6, max_size=6, unique=True), grid_points3)
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_grid_pairs(self, pts, apex):
+        # no general position asked of the pair: only disjoint, non-flat triangles
+        assume(not collinear3(*pts[:3]) and not collinear3(*pts[3:]))
+        p1, p2 = closed_polygon(pts[:3]), closed_polygon(pts[3:])
+        assume(polylines_disjoint(p1, p2))
+        bit = diagram_bit(pts, 0)
+        assert linking_mod2_cone(p1, p2, apex) == bit
+        assert linking_mod2_cone(p2, p1, apex) == bit
 
 
 class TestLinkingMod2Sampled:
@@ -258,7 +369,7 @@ class TestLinkingMod2Sampled:
         p2 = triangle_polygon(Triangle3(*pts[3:]))
         rng_sampled, rng_split = SplitMix64(seed), SplitMix64(seed)
         bit = linking_mod2_sampled(p1, p2, rng_sampled)
-        assert bit == linking_mod2_cone(p1, p2, sample_general_apex(p1, p2, rng_split))
+        assert bit == linking_mod2_cone(p1, p2, seeded_apexes(rng_split, 1)[0])
         # same draws: both generators are left in the same state
         assert rng_sampled.next_u64() == rng_split.next_u64()
 
@@ -276,21 +387,33 @@ class TestLinkingMod2Sampled:
         with pytest.raises(ValueError):
             linking_mod2_sampled(self.a, arc, SplitMix64(0))
 
-    def test_oracle_certifies_each_apex_once(self, monkeypatch):
-        original = linking.apex_general_position
-        callers = []
+    def test_oracle_builds_no_triangle(self, monkeypatch):
+        built = []
+        original = geometry.Triangle3.__post_init__
 
-        def spy(apex, a, b):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return original(apex, a, b)
+        def spy(self):
+            built.append(self)
+            original(self)
 
-        monkeypatch.setattr(linking, "apex_general_position", spy)
+        monkeypatch.setattr(geometry.Triangle3, "__post_init__", spy)
         k6 = make_embedding(
             complete_graph(6), {f"v{i}": p for i, p in enumerate(gen_k6_points(3), start=1)}
         )
         result = oracle_count_linked_pairs(k6, 3, 3, seed=3)
         assert result.total_pairs == 10
-        assert callers and set(callers) == {"sample_general_apex"}
+        assert built == []
+
+    def test_collinear_side_pair_oracle(self):
+        # two triangles with a side each on the x-axis: the old apex search
+        # found no apex for this pair
+        emb = make_embedding(TWO_TRIANGLES, dict(zip(TWO_TRIANGLES.vertices, [
+            Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0),
+            Point3(2, 0, 0), Point3(3, 0, 0), Point3(2, 0, 1),
+        ])))
+        start = time.perf_counter()
+        result = oracle_count_linked_pairs(emb, 3, 3, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert (result.count, result.total_pairs) == (0, 1)
 
 
 class TestPolylinesDisjoint:

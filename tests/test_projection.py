@@ -30,10 +30,9 @@ from intrinsiclinks.graphs import (
     make_embedding,
     make_graph,
 )
-from intrinsiclinks.linking import higher_central, linking_mod2_cone, sample_general_apex
+from intrinsiclinks.linking import higher_central, linking_mod2_cone
 from intrinsiclinks.projection import (
     canonical_direction,
-    check_crossing_parity_identity,
     crossing_parities,
     find_general_projection,
     lk_from_diagram,
@@ -42,6 +41,8 @@ from intrinsiclinks.projection import (
     project_orthogonal,
 )
 from intrinsiclinks.rng import SplitMix64
+
+from helpers import check_crossing_parity_identity, seeded_apexes
 
 K6 = complete_graph(6)
 MOMENT = {f"v{i}": Point3(i, i * i, i ** 3) for i in range(1, 7)}
@@ -145,8 +146,8 @@ class TestDiagramLinking:
         rng = SplitMix64(42)
         for c1, c2 in enumerate_disjoint_cycle_pairs(K6, 3, 3):
             p1, p2 = cycle_route(emb, c1), cycle_route(emb, c2)
-            apex = sample_general_apex(p1, p2, rng)
-            assert lk_from_diagram(diag, c1, c2) == linking_mod2_cone(p1, p2, apex)
+            for apex in seeded_apexes(rng):
+                assert lk_from_diagram(diag, c1, c2) == linking_mod2_cone(p1, p2, apex)
 
     def test_parity_identity(self):
         diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
