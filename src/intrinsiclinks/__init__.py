@@ -8,6 +8,8 @@ vertices always contain a linked pair; the finders here locate one and the
 independent cone-counting oracle confirms it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
@@ -124,4 +126,8 @@ from .svg import render_svg
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

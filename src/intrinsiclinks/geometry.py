@@ -440,30 +440,30 @@ def seg_hits_solid_triangle(s: Segment3, t: Triangle3):
 
 
 def meet_segments3(s: Segment3, t: Segment3):
-    """Intersect two closed segments in space.
+    """Decide whether two closed segments in space meet.
 
-    Returns None when disjoint, the single common Point3 when they meet in
-    exactly one point (any kind of contact: crossing, endpoint touch, T
-    shape), and OVERLAP when they are collinear with a common sub-segment.
+    Returns False when disjoint, True when they meet in exactly one point
+    (any kind of contact: crossing, endpoint touch, T shape), and OVERLAP
+    when they are collinear with a common sub-segment.  Decided by integer
+    or rational signs alone; the common point is never built.
     """
     p1, q1 = s.p, s.q
     p2, q2 = t.p, t.q
     if orient3d(p1, q1, p2, q2) != 0:
-        return None  # skew lines share no point
+        return False  # skew lines share no point
     d1 = q1 - p1
     d2 = q2 - p2
     r = p2 - p1
     w = cross3(d1, d2)
     if not is_zero3(w):
+        # the lines meet at p1 + (u/ww) d1 = p2 + (v/ww) d2
         ww = dot3(w, w)
-        u = Fraction(dot3(cross3(r, d2), w), ww)
-        v = Fraction(dot3(cross3(r, d1), w), ww)
-        if 0 <= u <= 1 and 0 <= v <= 1:
-            return p1 + d1.scale(u)
-        return None
+        u = dot3(cross3(r, d2), w)
+        v = dot3(cross3(r, d1), w)
+        return 0 <= u <= ww and 0 <= v <= ww
     # parallel lines
     if not is_zero3(cross3(r, d1)):
-        return None
+        return False
     # collinear: compare parameter intervals along d1
     length = dot3(d1, d1)
     b0 = dot3(r, d1)
@@ -471,10 +471,8 @@ def meet_segments3(s: Segment3, t: Segment3):
     lo = max(0, min(b0, b1))
     hi = min(length, max(b0, b1))
     if lo > hi:
-        return None
-    if lo == hi:
-        return p1 + d1.scale(Fraction(lo, length))
-    return OVERLAP
+        return False
+    return True if lo == hi else OVERLAP
 
 
 def bounding_box_disjoint3(s: Segment3, t: Segment3) -> bool:

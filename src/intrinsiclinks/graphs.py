@@ -384,14 +384,16 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
                     if bounding_box_disjoint3(s1, s2):
                         continue
                     m = meet_segments3(s1, s2)
-                    if m is None:
+                    if not m:
                         continue
                     if m is OVERLAP:
                         out.append(
                             Violation("routes-overlap", f"routes of {e1} and {e2} overlap", (e1, e2, i1, i2))
                         )
                         continue
-                    if meet_at is not None and m == meet_at:
+                    # both terminal sides at the shared vertex end there, so
+                    # their one common point is that vertex
+                    if meet_at is not None:
                         if _terminal_side_at(r1, meet_at) == i1 and _terminal_side_at(r2, meet_at) == i2:
                             continue  # legitimate meeting at the shared vertex
                     kind = "routes-cross" if not shared else "adjacent-routes-meet-off-vertex"

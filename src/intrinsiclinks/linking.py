@@ -64,7 +64,7 @@ class SpatialPolyline:
             for j in range(i + 1, m):
                 if self._adjacent(i, j, m):
                     continue
-                if meet_segments3(sides[i], sides[j]) is not None:
+                if meet_segments3(sides[i], sides[j]):
                     raise ValueError(f"self-intersection between sides {i} and {j}")
 
     def _adjacent(self, i: int, j: int, m: int) -> bool:
@@ -136,15 +136,11 @@ def closed_polygon(points) -> SpatialPolyline:
     return SpatialPolyline(tuple(_drop_straight_corners(points, True, collinear3)), closed=True)
 
 
-def triangle_polygon(t: Triangle3) -> SpatialPolyline:
-    return SpatialPolyline((t.a, t.b, t.c), closed=True)
-
-
 def polylines_disjoint(a: SpatialPolyline, b: SpatialPolyline) -> bool:
     """True when the two polylines share no point at all."""
     for s in a.sides():
         for t in b.sides():
-            if meet_segments3(s, t) is not None:
+            if meet_segments3(s, t):
                 return False
     return True
 

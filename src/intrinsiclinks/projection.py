@@ -25,7 +25,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, cross3, dot3, gp_points2, is_zero3, segment_param
+from .geometry import Point2, Point3, cross3, dot3, gp_points2, is_zero3, orient2d, orient3d
 from .graphs import (
     Crossing,
     Cycle,
@@ -40,8 +40,8 @@ from .graphs import (
     require_valid,
 )
 
-_EX = Point3(Fraction(1), Fraction(0), Fraction(0))
-_EZ = Point3(Fraction(0), Fraction(0), Fraction(1))
+_EX = Point3(1, 0, 0)
+_EZ = Point3(0, 0, 1)
 
 
 def canonical_direction(p: Point3) -> Point3:
@@ -123,28 +123,23 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
 
     labeled = []
     for c in drawing.crossings:
-        h1 = _strand_height(emb, drawing, d, c.edge1, c.side1, c.point)
-        h2 = _strand_height(emb, drawing, d, c.edge2, c.side2, c.point)
-        if h1 == h2:
+        s1 = emb.route[c.edge1].sides()[c.side1]
+        s2 = emb.route[c.edge2].sides()[c.side2]
+        t1 = drawing.route[c.edge1].sides()[c.side1]
+        t2 = drawing.route[c.edge2].sides()[c.side2]
+        # (e1, e2, d) is positively oriented, so with a, b the spatial side
+        # directions, sign det[a; b; d] = sign cross2(shadow a, shadow b) =
+        # `turn`; and p2 - p1 = t a - u b + lam d at the crossing, with
+        # lam > 0 exactly when strand 2 is higher, so `det` = -sign(lam) turn:
+        # strand 1 is in front exactly when det == turn
+        det = orient3d(s1.p, s1.q, s2.p, s2.q)
+        if det == 0:
             raise InternalParityFailure(
                 "two strands of a valid embedding project to equal heights"
             )
-        labeled.append(replace(c, upper=c.edge1 if h1 > h2 else c.edge2))
+        turn = orient2d(t1.p, t1.q, t1.p + (t2.q - t2.p))
+        labeled.append(replace(c, upper=c.edge1 if det == turn else c.edge2))
     return ProjectedDiagram(emb, d, drawing, tuple(labeled))
-
-
-def _strand_height(
-    emb: PLEmbedding,
-    drawing: PlanarDrawing,
-    d: Point3,
-    edge: EdgeKey,
-    side: int,
-    p: Point2,
-) -> Fraction:
-    u = segment_param(drawing.route[edge].sides()[side], p)
-    s3 = emb.route[edge].sides()[side]
-    q3 = s3.p + (s3.q - s3.p).scale(u)
-    return dot3(q3, d)
 
 
 def find_general_projection(

@@ -1,10 +1,24 @@
-"""Checks that only the tests use: each restates a fact the package proves
-another way, so it lives here rather than in the library."""
+"""Checks and references that only the tests use: each restates a fact the
+package proves another way, so it lives here rather than in the library."""
+
+from fractions import Fraction
 
 from intrinsiclinks.errors import GeneralPositionViolation
-from intrinsiclinks.geometry import Point3, Segment3, Triangle3, gp_points3
-from intrinsiclinks.graphs import Cycle
-from intrinsiclinks.linking import higher_central
+from intrinsiclinks.geometry import (
+    OVERLAP,
+    Point2,
+    Point3,
+    Segment3,
+    Triangle3,
+    cross3,
+    dot3,
+    gp_points3,
+    is_zero3,
+    orient3d,
+    segment_param,
+)
+from intrinsiclinks.graphs import Cycle, EdgeKey, PlanarDrawing, PLEmbedding
+from intrinsiclinks.linking import SpatialPolyline, higher_central
 from intrinsiclinks.projection import ProjectedDiagram, crossing_parities
 from intrinsiclinks.rng import SplitMix64
 
@@ -44,3 +58,58 @@ def seeded_apexes(rng: SplitMix64, count: int = 3) -> list[Point3]:
     """`count` integer apexes drawn from [-8, 8]^3, none of them certified:
     cone counting must give the exact answer from each."""
     return [Point3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(count)]
+
+
+def triangle_polygon(t: Triangle3) -> SpatialPolyline:
+    return SpatialPolyline((t.a, t.b, t.c), closed=True)
+
+
+def strand_height(
+    emb: PLEmbedding,
+    drawing: PlanarDrawing,
+    d: Point3,
+    edge: EdgeKey,
+    side: int,
+    p: Point2,
+) -> Fraction:
+    """Height along `d` of the point of `edge`'s spatial side `side` that
+    projects to the crossing point `p`: the reference for the over/under
+    sign of `project_orthogonal`."""
+    u = segment_param(drawing.route[edge].sides()[side], p)
+    s3 = emb.route[edge].sides()[side]
+    q3 = s3.p + (s3.q - s3.p).scale(u)
+    return dot3(q3, d)
+
+
+def meet_point3(s: Segment3, t: Segment3):
+    """The common point of two closed segments in space: None when
+    disjoint, the single common Point3, or OVERLAP for a common
+    sub-segment.  The reference for `meet_segments3`, which builds no
+    point."""
+    p1, q1 = s.p, s.q
+    p2, q2 = t.p, t.q
+    if orient3d(p1, q1, p2, q2) != 0:
+        return None
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p2 - p1
+    w = cross3(d1, d2)
+    if not is_zero3(w):
+        ww = dot3(w, w)
+        u = Fraction(dot3(cross3(r, d2), w), ww)
+        v = Fraction(dot3(cross3(r, d1), w), ww)
+        if 0 <= u <= 1 and 0 <= v <= 1:
+            return p1 + d1.scale(u)
+        return None
+    if not is_zero3(cross3(r, d1)):
+        return None
+    length = dot3(d1, d1)
+    b0 = dot3(r, d1)
+    b1 = dot3(q2 - p1, d1)
+    lo = max(0, min(b0, b1))
+    hi = min(length, max(b0, b1))
+    if lo > hi:
+        return None
+    if lo == hi:
+        return p1 + d1.scale(Fraction(lo, length))
+    return OVERLAP

@@ -233,6 +233,30 @@ class TestValidateEmbedding:
         assert "vertex-on-route" in kinds
         assert "routes-cross" in kinds
 
+    def test_adjacent_routes_collinear_from_shared_vertex(self):
+        g = make_graph(["u", "v", "w"], [("u", "v"), ("u", "w")])
+        pos = {"u": P3(0, 0, 0), "v": P3(2, 0, 0), "w": P3(4, 0, 0)}
+        kinds = {v.kind for v in validate_embedding(make_embedding(g, pos))}
+        assert "routes-overlap" in kinds
+        assert "vertex-on-route" in kinds
+
+    def test_bent_routes_sharing_a_segment(self):
+        g = make_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        pos = {"a": P3(0, 0, 0), "b": P3(3, 0, 0), "c": P3(0, 2, 0), "d": P3(3, 2, 0)}
+        emb = make_embedding(g, pos, {
+            ("a", "b"): [P3(1, 1, 0), P3(2, 1, 0)],
+            ("c", "d"): [P3(1, 1, 0), P3(2, 1, 0)],
+        })
+        overlaps = [v for v in validate_embedding(emb) if v.kind == "routes-overlap"]
+        assert [v.subjects for v in overlaps] == [(("a", "b"), ("c", "d"), 1, 1)]
+
+    def test_terminal_sides_meeting_only_at_shared_vertex(self):
+        g = make_graph(["u", "v", "w"], [("u", "v"), ("u", "w")])
+        pos = {"u": P3(0, 0, 0), "v": P3(4, 0, 0), "w": P3(0, 4, 0)}
+        # the terminal sides at u are u-(1,1,1) and u-(1,1,-1): one common point, u
+        emb = make_embedding(g, pos, {("u", "v"): [P3(1, 1, 1)], ("u", "w"): [P3(1, 1, -1)]})
+        assert validate_embedding(emb) == ()
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30)),
                     min_size=4, max_size=4, unique=True))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -474,20 +475,27 @@ class TestPublicApi:
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
             "closed_polygon", "complete_bipartite", "complete_graph", "crossing_parities",
             "crossings_between_polylines", "cycle_route", "emit_instance", "enumerate_cycles",
-            "enumerate_disjoint_cycle_pairs", "errors", "extract_crossings",
+            "enumerate_disjoint_cycle_pairs", "extract_crossings",
             "find_general_projection", "find_linked_cycles_k44", "find_linked_cycles_k6",
             "find_linked_triangles_linear", "gen_k33_drawing", "gen_k44_linear",
             "gen_k5_drawing", "gen_k6_pl_subdivided", "gen_k6_points",
-            "gen_planar_polygon_pair", "gen_polygon_pair", "generate", "geometry", "gp_points2",
-            "gp_points3", "graphs", "higher_central", "instances", "invariants",
-            "k44_parity_ledgers", "k6_parity_ledgers", "linear_parity_ledger", "linking",
+            "gen_planar_polygon_pair", "gen_polygon_pair", "generate", "gp_points2",
+            "gp_points3", "higher_central",
+            "k44_parity_ledgers", "k6_parity_ledgers", "linear_parity_ledger",
             "linking_mod2_cone", "linking_mod2_sampled", "lk_from_diagram", "make_cycle",
             "make_drawing", "make_embedding", "make_graph", "move_vertex_star", "open_polyline",
             "oracle_confirm", "oracle_count_linked_pairs", "orient2d", "orient3d",
             "orient3d_sos", "parse_instance", "parse_rational", "planar_polyline",
-            "polylines_disjoint", "project_central", "project_orthogonal", "projection",
-            "rational_str", "render_svg", "require_generic", "require_valid", "rng",
-            "serialization", "smooth", "subdivide", "svg", "to_json_bytes", "triangles_linked",
+            "polylines_disjoint", "project_central", "project_orthogonal",
+            "rational_str", "render_svg", "require_generic", "require_valid",
+            "smooth", "subdivide", "to_json_bytes", "triangles_linked",
             "validate_drawing", "validate_embedding", "van_kampen_drawing", "van_kampen_points",
             "vk_invariance_probe",
         ]
+
+    def test_star_import_binds_no_module(self):
+        namespace: dict = {}
+        exec("from intrinsiclinks import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(intrinsiclinks.__all__)
+        assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]

@@ -31,7 +31,6 @@ from intrinsiclinks.linking import (
     linking_mod2_sampled,
     open_polyline,
     polylines_disjoint,
-    triangle_polygon,
     triangles_linked,
 )
 from intrinsiclinks.graphs import complete_graph, make_cycle, make_embedding, make_graph
@@ -40,7 +39,7 @@ from intrinsiclinks.invariants import oracle_count_linked_pairs
 from intrinsiclinks.projection import find_general_projection, lk_from_diagram
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import check_unique_higher_side, seeded_apexes
+from helpers import check_unique_higher_side, seeded_apexes, triangle_polygon
 
 coord = st.integers(min_value=-20, max_value=20)
 points3 = st.builds(Point3, coord, coord, coord)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from intrinsiclinks.errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
+    EmbeddingInvalid,
     ProjectionNotGeneral,
 )
 from intrinsiclinks.geometry import (
@@ -42,7 +43,7 @@ from intrinsiclinks.projection import (
 )
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import check_crossing_parity_identity, seeded_apexes
+from helpers import check_crossing_parity_identity, seeded_apexes, strand_height
 
 K6 = complete_graph(6)
 MOMENT = {f"v{i}": Point3(i, i * i, i ** 3) for i in range(1, 7)}
@@ -51,6 +52,49 @@ MOMENT_POINTS = [MOMENT[f"v{i}"] for i in range(1, 7)]
 
 def moment_k6():
     return make_embedding(K6, MOMENT)
+
+
+TWO_EDGES = make_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+_NEAR = Point3(2**100, 2**100 - 7, 2**100 + 1)
+_small = st.integers(-3, 3)
+_grid3 = st.builds(Point3, _small, _small, _small)
+_rat = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+# the ends of a-b: a small grid, rationals, and the grid moved to near
+# 2^100 with whole or rational offsets
+_ab = st.one_of(
+    *(
+        st.lists(point, min_size=2, max_size=2, unique=True)
+        for point in (
+            _grid3,
+            st.builds(Point3, _rat, _rat, _rat),
+            _grid3.map(lambda p: _NEAR + p),
+            _grid3.map(lambda p: _NEAR + p.scale(Fraction(1, 5))),
+        )
+    )
+)
+_param = st.integers(1, 8).map(lambda i: Fraction(i, 9))
+
+
+def _crossing_case(ab, v, direction, t, s, k):
+    """Positions of a, b, c, d where c-d passes through the point m at
+    parameter s, and m lies k * direction away from the point of a-b at
+    parameter t: along `direction` the two strands cross, in front or
+    behind by the sign of k, unless v makes the case degenerate."""
+    a, b = ab
+    m = a + (b - a).scale(t) + direction.scale(k)
+    return dict(zip("abcd", (a, b, m - v.scale(s), m + v.scale(1 - s)))), direction
+
+
+_nonzero3 = _grid3.filter(lambda p: p != Point3(0, 0, 0))
+crossing_cases = st.builds(
+    _crossing_case,
+    _ab,
+    _nonzero3,
+    _nonzero3,
+    _param,
+    _param,
+    st.sampled_from([-2, -1, Fraction(-1, 3), Fraction(1, 3), 1, 2]),
+)
 
 
 class TestCanonicalDirection:
@@ -120,6 +164,24 @@ class TestProjectOrthogonal:
         diag = project_orthogonal(emb, Point3(0, 0, 1))
         assert len(diag.crossings) == 1
         assert diag.crossings[0].upper == ("c", "d")
+
+    @given(crossing_cases)
+    @settings(max_examples=2000, deadline=None)
+    def test_upper_matches_reference_heights(self, case):
+        # the over/under sign against the height of each strand above the
+        # crossing point, worked out in Fraction
+        pos, direction = case
+        try:
+            diag = project_orthogonal(make_embedding(TWO_EDGES, pos), direction)
+        except (EmbeddingInvalid, ProjectionNotGeneral):
+            return
+        for c in diag.crossings:
+            h1, h2 = (
+                strand_height(diag.embedding, diag.drawing, diag.direction, edge, side, c.point)
+                for edge, side in ((c.edge1, c.side1), (c.edge2, c.side2))
+            )
+            assert h1 != h2
+            assert c.upper == (c.edge1 if h1 > h2 else c.edge2)
 
     def test_opposite_direction_same_diagram(self):
         a = project_orthogonal(moment_k6(), Point3(0, 0, 1))
