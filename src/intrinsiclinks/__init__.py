@@ -21,7 +21,6 @@ from .errors import (
     IntrinsicLinksError,
     NonGenericViewpoint,
     ParseError,
-    PointsNotOnRoute,
     PolylinesNotDisjoint,
     ProjectionNotGeneral,
     SearchExhausted,
@@ -68,7 +67,6 @@ from .graphs import (
     require_generic,
     require_valid,
     smooth,
-    subdivide,
     validate_drawing,
     validate_embedding,
 )

@@ -34,10 +34,6 @@ class CyclesNotDisjoint(IntrinsicLinksError):
     """Two cycles handed to a linking computation share a vertex."""
 
 
-class PointsNotOnRoute(IntrinsicLinksError):
-    """Proposed subdivision points do not lie on the edge route in order."""
-
-
 class EmbeddingInvalid(IntrinsicLinksError):
     """A spatial embedding failed validation.  Carries the violation list."""
 

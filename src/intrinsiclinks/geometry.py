@@ -372,12 +372,6 @@ def point_on_segment3(p: Point3, s: Segment3) -> bool:
     return 0 <= ex * dx + ey * dy + ez * dz <= dx * dx + dy * dy + dz * dz
 
 
-def segment_param(s: Segment2 | Segment3, p: Point2 | Point3) -> Fraction:
-    """The parameter t with p = s.p + t (s.q - s.p), for p on the line of s."""
-    a, b, c = next(abc for abc in zip(s.p.coords(), s.q.coords(), p.coords()) if abc[0] != abc[1])
-    return Fraction(c - a, b - a)
-
-
 def seg_intersect2(s: Segment2, t: Segment2):
     """Intersect two closed planar segments.
 

@@ -11,11 +11,10 @@ all defects of an instance at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DrawingNotGeneral, EmbeddingInvalid, GeneralPositionViolation, PointsNotOnRoute
+from .errors import DrawingNotGeneral, EmbeddingInvalid, GeneralPositionViolation
 from .geometry import (
     NON_GENERIC,
     OVERLAP,
@@ -28,7 +27,6 @@ from .geometry import (
     orient2d,
     point_on_segment3,
     seg_intersect2,
-    segment_param,
 )
 from .linking import (
     SpatialPolyline,
@@ -424,99 +422,15 @@ def require_valid(emb: PLEmbedding) -> ValidEmbedding:
     return ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
 
 
-def _locate_on_route(poly: SpatialPolyline, p: Point3) -> tuple[int, Fraction] | None:
-    """Position of p along an open polyline as (side index, parameter in
-    [0,1)); the terminal vertex is (last side, 1) normalized to None here
-    only when off-route."""
-    for i, s in enumerate(poly.sides()):
-        if point_on_segment3(p, s):
-            t = segment_param(s, p)
-            if t == 1:
-                if i == len(poly.sides()) - 1:
-                    return (i, Fraction(1))
-                return (i + 1, Fraction(0))
-            return (i, t)
-    return None
-
-
-def subdivide(emb: PLEmbedding, edge: tuple[str, str], interior_points: Sequence[Point3]) -> PLEmbedding:
-    """Replace an edge by a path through new degree-2 vertices placed at the
-    given points, which must lie on the existing route, strictly inside it,
-    in route order.  The carrier (the union of all routes) is unchanged."""
-    g = emb.graph
-    key = g.edge_key(*edge)
-    if key not in set(g.edges):
-        raise ValueError(f"{edge} is not an edge")
-    poly = emb.route[key]
-    pts = list(interior_points)
-    if not pts:
-        raise ValueError("need at least one subdivision point")
-
-    params: list[tuple[int, Fraction]] = []
-    for p in pts:
-        loc = _locate_on_route(poly, p)
-        if loc is None:
-            raise PointsNotOnRoute(f"{p.coords()} is not on the route of {key}")
-        if loc == (0, Fraction(0)) or loc == (len(poly.sides()) - 1, Fraction(1)):
-            raise PointsNotOnRoute(f"{p.coords()} is an endpoint of {key}, not interior")
-        params.append(loc)
-    if any(params[i] >= params[i + 1] for i in range(len(params) - 1)):
-        raise PointsNotOnRoute("subdivision points are not in strict route order")
-
-    # walk the chain, splitting at each cut
-    pieces: list[list[Point3]] = []
-    current: list[Point3] = [poly.vertices[0]]
-    cut_iter = iter(list(zip(params, pts)))
-    next_cut = next(cut_iter, None)
-    for i in range(len(poly.sides())):
-        side_end = poly.vertices[i + 1]
-        while next_cut is not None and next_cut[0][0] == i:
-            cut_point = next_cut[1]
-            if current[-1] != cut_point:
-                current.append(cut_point)
-            pieces.append(current)
-            current = [cut_point]
-            next_cut = next(cut_iter, None)
-        if current[-1] != side_end:
-            current.append(side_end)
-    pieces.append(current)
-
-    u, v = key
-    new_names = []
-    existing = set(g.vertices)
-    for i in range(len(pts)):
-        name = f"{u}.{v}.{i + 1}"
-        if name in existing:
-            raise ValueError(f"subdivision name {name} collides with an existing vertex")
-        new_names.append(name)
-
-    path = [u] + new_names + [v]
-    new_vertices = list(g.vertices) + new_names
-    new_edges = [e for e in g.edges if e != key]
-    new_edges += [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    new_graph = make_graph(new_vertices, new_edges)
-
-    new_positions = dict(emb.position)
-    for name, p in zip(new_names, pts):
-        new_positions[name] = p
-
-    new_routes: dict[tuple[str, str], Sequence[Point3]] = {
-        e: emb.route[e].vertices for e in g.edges if e != key
-    }
-    for i in range(len(path) - 1):
-        new_routes[(path[i], path[i + 1])] = tuple(pieces[i])
-    return make_embedding(new_graph, new_positions, new_routes)
-
-
 def smooth(emb: PLEmbedding) -> PLEmbedding:
     """Undo subdivisions: repeatedly absorb any degree-2 vertex whose two
     neighbors are not yet adjacent, concatenating the two routes.  Stops
     when no such vertex remains (e.g. a triangle stays a triangle).  The
     result has the type of the input, so a ValidEmbedding stays one.
 
-    Later-listed vertices are absorbed first.  `subdivide` appends its new
-    vertices, so smoothing a subdivision recovers the original vertex set
-    even when the whole graph is one cycle."""
+    Later-listed vertices are absorbed first.  A subdivision that lists its
+    new vertices after the original ones is thus smoothed back to the
+    original vertex set, even when the whole graph is one cycle."""
     g = emb.graph
     pos = dict(emb.position)
     routes: dict[EdgeKey, SpatialPolyline] = dict(emb.route)

@@ -10,14 +10,13 @@ continues.  Generators raise SearchExhausted after max_tries failed candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import GeneralPositionViolation, SearchExhausted
+from .errors import EmbeddingInvalid, GeneralPositionViolation, SearchExhausted
 from .geometry import Point2, Point3, gp_points2, gp_points3
 from .graphs import (
-    PLEmbedding,
     PlanarDrawing,
     PlanarPolyline,
+    ValidEmbedding,
     complete_bipartite,
     complete_graph,
     crossings_between_polylines,
@@ -25,9 +24,8 @@ from .graphs import (
     make_embedding,
     make_graph,
     planar_polyline,
-    subdivide,
+    require_valid,
     validate_drawing,
-    validate_embedding,
 )
 from .rng import SplitMix64
 
@@ -86,54 +84,50 @@ def gen_k6_points(seed: int, bound: int = 1000, max_tries: int = 10000) -> list[
     return gen_points3_general(seed, 6, bound, max_tries)
 
 
-def gen_k44_linear(seed: int, bound: int = 1000, max_tries: int = 10000) -> PLEmbedding:
-    """Straight-line embedding of the 4+4 complete bipartite graph.
-
-    General position of the 8 points already rules out route crossings and
-    vertices on routes (either would force four coplanar points), but the
-    validator is consulted anyway; it is cheap and keeps the contract local.
-    """
+def _gen_straight_embedding(graph, what: str, seed: int, bound: int, max_tries: int) -> ValidEmbedding:
+    # general position of the vertices already rules out route crossings and
+    # vertices on routes (either would force four coplanar points), but the
+    # validator has the last word, and the validated copy is what comes back
     rng = SplitMix64(seed)
+    n = len(graph.vertices)
     for _ in range(max_tries):
-        pts = [_point3(rng, bound) for _ in range(8)]
+        pts = [_point3(rng, bound) for _ in range(n)]
         if not gp_points3(pts):
             continue
-        emb = make_embedding(_K44, dict(zip(_K44.vertices, pts)))
-        if validate_embedding(emb):
+        try:
+            return require_valid(make_embedding(graph, dict(zip(graph.vertices, pts))))
+        except EmbeddingInvalid:
             continue
-        return emb
-    raise SearchExhausted(f"no valid K4,4 embedding in {max_tries} tries (seed {seed})")
+    raise SearchExhausted(f"no valid {what} in {max_tries} tries (seed {seed})")
 
 
-def gen_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000) -> PLEmbedding:
-    """Two disjoint straight triangles in space, as one embedding."""
-    rng = SplitMix64(seed)
-    for _ in range(max_tries):
-        pts = [_point3(rng, bound) for _ in range(6)]
-        if not gp_points3(pts):
-            continue
-        emb = make_embedding(_TWO_TRIANGLES, dict(zip(_TWO_TRIANGLES.vertices, pts)))
-        if validate_embedding(emb):
-            continue
-        return emb
-    raise SearchExhausted(f"no valid triangle pair in {max_tries} tries (seed {seed})")
+def gen_k44_linear(seed: int, bound: int = 1000, max_tries: int = 10000) -> ValidEmbedding:
+    """Straight-line embedding of the 4+4 complete bipartite graph, on 8
+    integer points in general position, returned already validated."""
+    return _gen_straight_embedding(_K44, "K4,4 embedding", seed, bound, max_tries)
+
+
+def gen_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000) -> ValidEmbedding:
+    """Two disjoint straight triangles in space, as one validated embedding."""
+    return _gen_straight_embedding(_TWO_TRIANGLES, "triangle pair", seed, bound, max_tries)
 
 
 # Subdivided instances start from the moment curve t -> (t, t^2, t^3), whose
 # first six integer points are in general position.  The factor 24 makes every
-# route-splitting point an integer for 2, 3 and 4 pieces, so the perturbed
-# embedding keeps its coordinates as machine ints.
+# cut point an integer for 2, 3 and 4 pieces, so the floor divisions below are
+# exact and the perturbed embedding keeps its coordinates as machine ints.
 _MOMENT_SCALE = 24
 _JITTER = 12  # half a scaled unit in each coordinate
 
 
-def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> PLEmbedding:
-    """An embedding of a subdivision of K6 with perturbed subdivision vertices.
+def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> ValidEmbedding:
+    """A validated embedding of a subdivision of K6 with perturbed
+    subdivision vertices.
 
-    Each of the 15 edges is cut into 2 to 4 pieces; the new degree-2 vertices
-    are then jittered off the original segments, so smoothing recovers K6 with
-    genuinely bent polyline routes.  The perturbed embedding is re-validated
-    and rejected candidates are resampled.
+    Each edge u-v of K6 is cut into 2 to 4 equal pieces by new degree-2
+    vertices named u.v.1, u.v.2, ...; these are then jittered off the
+    original segment, so smoothing recovers K6 with genuinely bent polyline
+    routes.  Rejected candidates are resampled.
     """
     rng = SplitMix64(seed)
     base = {
@@ -143,25 +137,22 @@ def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> PLEmbedding:
         for i in range(1, 7)
     }
     for _ in range(max_tries):
-        emb = make_embedding(_K6, base)
-        for edge in _K6.edges:
+        cuts: dict[str, Point3] = {}
+        edges = []
+        for u, v in _K6.edges:
             pieces = rng.randint(2, 4)
-            u = emb.position[edge[0]]
-            v = emb.position[edge[1]]
-            cuts = [
-                Point3(
-                    u.x + (v.x - u.x) * Fraction(j, pieces),
-                    u.y + (v.y - u.y) * Fraction(j, pieces),
-                    u.z + (v.z - u.z) * Fraction(j, pieces),
+            a, b = base[u], base[v]
+            names = [f"{u}.{v}.{j}" for j in range(1, pieces)]
+            for j, name in enumerate(names, start=1):
+                cuts[name] = Point3(
+                    a.x + (b.x - a.x) * j // pieces,
+                    a.y + (b.y - a.y) * j // pieces,
+                    a.z + (b.z - a.z) * j // pieces,
                 )
-                for j in range(1, pieces)
-            ]
-            emb = subdivide(emb, edge, cuts)
-        positions = dict(emb.position)
-        for name in emb.graph.vertices:
-            if name in base:
-                continue
-            p = positions[name]
+            path = [u, *names, v]
+            edges += zip(path, path[1:])
+        positions = dict(base)
+        for name, p in cuts.items():
             while True:
                 dx = rng.randint(-_JITTER, _JITTER)
                 dy = rng.randint(-_JITTER, _JITTER)
@@ -169,9 +160,11 @@ def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> PLEmbedding:
                 if (dx, dy, dz) != (0, 0, 0):
                     break
             positions[name] = Point3(p.x + dx, p.y + dy, p.z + dz)
-        jittered = make_embedding(emb.graph, positions)
-        if not validate_embedding(jittered):
-            return jittered
+        graph = make_graph([*base, *cuts], edges)
+        try:
+            return require_valid(make_embedding(graph, positions))
+        except EmbeddingInvalid:
+            continue
     raise SearchExhausted(
         f"no valid subdivided K6 embedding in {max_tries} tries (seed {seed})"
     )

@@ -15,9 +15,8 @@ from intrinsiclinks.geometry import (
     gp_points3,
     is_zero3,
     orient3d,
-    segment_param,
 )
-from intrinsiclinks.graphs import Cycle, EdgeKey, PlanarDrawing, PLEmbedding
+from intrinsiclinks.graphs import Cycle, EdgeKey, PlanarDrawing, PLEmbedding, make_embedding, make_graph
 from intrinsiclinks.linking import SpatialPolyline, higher_central
 from intrinsiclinks.projection import ProjectedDiagram, crossing_parities
 from intrinsiclinks.rng import SplitMix64
@@ -62,6 +61,27 @@ def seeded_apexes(rng: SplitMix64, count: int = 3) -> list[Point3]:
 
 def triangle_polygon(t: Triangle3) -> SpatialPolyline:
     return SpatialPolyline((t.a, t.b, t.c), closed=True)
+
+
+def subdivided(emb: PLEmbedding, edge: EdgeKey, points) -> PLEmbedding:
+    """`emb` with the route of `edge` = (u, v) replaced by a straight path
+    through new degree-2 vertices u.v.1, u.v.2, ... placed at `points` in
+    order and listed after the old vertices: a subdivision that `smooth`
+    undoes.  The carrier stays when the points lie on the route and take
+    in each of its bends."""
+    u, v = edge
+    names = [f"{u}.{v}.{j}" for j in range(1, len(points) + 1)]
+    path = [u, *names, v]
+    kept = [e for e in emb.graph.edges if e != edge]
+    graph = make_graph([*emb.graph.vertices, *names], kept + list(zip(path, path[1:])))
+    positions = {**emb.position, **dict(zip(names, points))}
+    return make_embedding(graph, positions, {e: emb.route[e].vertices for e in kept})
+
+
+def segment_param(s, p) -> Fraction:
+    """The parameter t with p = s.p + t (s.q - s.p), for p on the line of s."""
+    a, b, c = next(abc for abc in zip(s.p.coords(), s.q.coords(), p.coords()) if abc[0] != abc[1])
+    return Fraction(c - a, b - a)
 
 
 def strand_height(

@@ -33,12 +33,11 @@ from intrinsiclinks.geometry import (
     rational_str,
     seg_hits_solid_triangle,
     seg_intersect2,
-    segment_param,
 )
 from intrinsiclinks.graphs import planar_polyline
 from intrinsiclinks.linking import closed_polygon, open_polyline
 
-from helpers import meet_point3
+from helpers import meet_point3, segment_param
 
 coord = st.integers(min_value=-50, max_value=50)
 frac = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))

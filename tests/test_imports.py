@@ -1,7 +1,8 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and every
+public name the package defines is either exported or used by the package.
 
 Names a package `__init__.py` imports are its re-exports, so those files
-are exempt.
+are exempt from the import check.
 """
 
 import ast
@@ -28,7 +29,7 @@ def used_names(tree: ast.Module) -> set[str]:
     """Names read anywhere in the module, quoted annotations included."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -55,10 +56,51 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Public names a module binds at top level by def, class or
+    assignment, with their line numbers."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node.lineno
+    return {name: line for name, line in out.items() if not name.startswith("_")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, bare or as an attribute of something."""
+    return used_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     found = [u for path in files if path.name != "__init__.py" for u in unused_imports(path)]
     assert found == []
+
+
+def test_no_test_only_code_in_the_package():
+    # a public name that only the tests read belongs in tests/helpers.py
+    import intrinsiclinks
+
+    files = sorted((ROOT / "src").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    read = set().union(*map(read_names, trees.values()))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in public_definitions(tree).items()
+        if name not in intrinsiclinks.__all__ and name not in read
+    ]
+    assert found == []
+
+
+def test_scan_reports_an_unused_definition():
+    tree = ast.parse("def f(): pass\ndef g(): f()\nX = 1\n_y = X\nclass C: pass\n")
+    assert set(public_definitions(tree)) - read_names(tree) == {"g", "C"}
 
 
 def test_scan_reports_an_unused_import():

@@ -12,9 +12,12 @@ from intrinsiclinks.errors import (
     DrawingsNotComparable,
     EmbeddingInvalid,
     GeneralPositionViolation,
+    ProjectionNotGeneral,
+    SearchExhausted,
 )
 from intrinsiclinks.geometry import Point2, Point3, Triangle3, gp_points2, gp_points3
 from intrinsiclinks.graphs import (
+    ValidEmbedding,
     complete_bipartite,
     complete_graph,
     extract_crossings,
@@ -24,10 +27,10 @@ from intrinsiclinks.graphs import (
     make_graph,
     require_valid,
     smooth,
-    subdivide,
     validate_drawing,
     validate_embedding,
 )
+from intrinsiclinks.instances import gen_k6_pl_subdivided, gen_k44_linear, gen_polygon_pair
 from intrinsiclinks.invariants import (
     LinkReport,
     ParityLedger,
@@ -45,6 +48,8 @@ from intrinsiclinks.invariants import (
 )
 from intrinsiclinks.linking import triangles_linked
 from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
+
+from helpers import subdivided
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -86,9 +91,8 @@ def moment_k6_embedding():
 
 def subdivided_moment_k6_embedding():
     emb = moment_k6_embedding()
-    p1, p2 = emb.position["v1"], emb.position["v2"]
-    mid = Point3(Fraction(p1.x + p2.x, 2), Fraction(p1.y + p2.y, 2), Fraction(p1.z + p2.z, 2))
-    return subdivide(emb, ("v1", "v2"), [mid])
+    mid = (emb.position["v1"] + emb.position["v2"]).scale(Fraction(1, 2))
+    return subdivided(emb, ("v1", "v2"), [mid])
 
 
 def moment_k44_embedding():
@@ -411,6 +415,35 @@ _ENTRY_POINTS = {
 }
 
 
+class TestBoundedSearchPastMachineWords:
+    """A search whose candidate cube doubles every 16 rejections still ends
+    in SearchExhausted once its coordinates outgrow 64-bit words."""
+
+    def test_projection_direction_search(self, monkeypatch):
+        tried = []
+
+        def reject(emb, direction):
+            tried.append(direction)
+            raise ProjectionNotGeneral("rejected")
+
+        monkeypatch.setattr(projection, "project_orthogonal", reject)
+        with pytest.raises(SearchExhausted):
+            find_general_projection(moment_k6_embedding(), max_tries=2000)
+        assert max(abs(c) for d in tried for c in d.coords()).bit_length() > 63
+
+    def test_viewpoint_search(self, monkeypatch):
+        tried = []
+
+        def reject(points, apex, normal, names=None):
+            tried.append(normal)
+            raise ProjectionNotGeneral("rejected")
+
+        monkeypatch.setattr(invariants, "project_central", reject)
+        with pytest.raises(SearchExhausted):
+            find_linked_triangles_linear(MOMENT6)
+        assert max(abs(c) for n in tried for c in n.coords()).bit_length() > 63
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
     def test_raw_input_is_validated_once(self, name, validations):
@@ -423,6 +456,22 @@ class TestValidateOnce:
         validations.clear()
         project_orthogonal(emb, direction)
         assert len(validations) == 1
+
+    @pytest.mark.parametrize("maker", [gen_k6_pl_subdivided, gen_k44_linear, gen_polygon_pair])
+    def test_generators_return_validated_embeddings(self, maker):
+        emb = maker(0)
+        assert isinstance(emb, ValidEmbedding)
+        assert require_valid(emb) is emb
+
+    def test_generated_embedding_is_not_checked_again(self, validations):
+        emb = gen_k6_pl_subdivided(0)
+        raw = make_embedding(emb.graph, emb.position, {e: r.vertices for e, r in emb.route.items()})
+        for subject, expected in ((emb, 0), (raw, 3)):
+            validations.clear()
+            report = find_linked_cycles_k6(subject, seed=0)
+            oracle_confirm(subject, report, seed=0)
+            k6_parity_ledgers(subject, seed=0)
+            assert len(validations) == expected
 
     def test_validated_input_is_not_checked_again(self, validations):
         valid = require_valid(moment_k6_embedding())

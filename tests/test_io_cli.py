@@ -1,5 +1,6 @@
 """Tests for instance generation, serialization, SVG export and the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from intrinsiclinks.graphs import (
     validate_embedding,
 )
 from intrinsiclinks.instances import (
+    INSTANCE_KINDS,
     RunConfig,
     bend_drawing,
     gen_k5_drawing,
@@ -122,6 +124,23 @@ class TestGenerators:
     def test_exhaustion(self):
         with pytest.raises(SearchExhausted):
             gen_k6_points(0, bound=1, max_tries=3)
+
+    # The emitted bytes of every generator, which the acceptance digests
+    # (reports only) do not pin.  Record a new value only for a change
+    # that is meant to alter the instances.
+    INSTANCES_SHA256 = "c2350a8ad825dfeadf0a283a88ed5c051d6b0cb0c477d04d16c0b5016b246701"
+
+    def test_instance_bytes_golden(self):
+        digest = hashlib.sha256()
+        for kind in INSTANCE_KINDS:
+            for seed in range(50):
+                digest.update(emit_instance(generate(kind, RunConfig(seed=seed))))
+        for seed in range(50):
+            for maker in (gen_k5_drawing, gen_k33_drawing):
+                d = maker(seed)
+                digest.update(emit_instance(bend_drawing(d, seed)))
+                digest.update(emit_instance(move_vertex_star(d, seed)))
+        assert digest.hexdigest() == self.INSTANCES_SHA256
 
 
 class TestSerialization:
@@ -469,7 +488,7 @@ class TestPublicApi:
             "GenericDrawing", "Graph", "INSTANCE_KINDS", "InternalParityFailure",
             "IntrinsicLinksError", "LinkReport", "NON_GENERIC", "NonGenericViewpoint",
             "OVERLAP", "OracleResult", "PLEmbedding", "ParityLedger", "ParseError",
-            "PlanarDrawing", "PlanarPolyline", "Point2", "Point3", "PointsNotOnRoute",
+            "PlanarDrawing", "PlanarPolyline", "Point2", "Point3",
             "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral", "RunConfig",
             "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
@@ -488,7 +507,7 @@ class TestPublicApi:
             "orient3d_sos", "parse_instance", "parse_rational", "planar_polyline",
             "polylines_disjoint", "project_central", "project_orthogonal",
             "rational_str", "render_svg", "require_generic", "require_valid",
-            "smooth", "subdivide", "to_json_bytes", "triangles_linked",
+            "smooth", "to_json_bytes", "triangles_linked",
             "validate_drawing", "validate_embedding", "van_kampen_drawing", "van_kampen_points",
             "vk_invariance_probe",
         ]
