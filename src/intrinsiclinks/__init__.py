@@ -112,7 +112,6 @@ from .linking import (
 )
 from .projection import (
     ProjectedDiagram,
-    crossing_parities,
     find_general_projection,
     lk_from_diagram,
     project_central,

@@ -30,7 +30,6 @@ from .graphs import (
     is_complete,
     is_complete_bipartite,
     make_embedding,
-    require_valid,
     smooth,
     validate_drawing,
     validate_embedding,
@@ -143,7 +142,7 @@ def _cmd_find_linked(args) -> int:
             )
             report = oracle_confirm(carrier, report, seed=args.seed)
     elif isinstance(obj, PLEmbedding):
-        emb = smooth(require_valid(obj))
+        emb = smooth(obj)
         core = emb.graph
         if is_complete(core) and len(core.vertices) == 6:
             report = find_linked_cycles_k6(emb, seed=args.seed)

@@ -59,7 +59,7 @@ class DrawingsNotComparable(IntrinsicLinksError):
 
 
 class SearchExhausted(IntrinsicLinksError):
-    """A bounded rejection-sampling search ran out of attempts."""
+    """A bounded search ran out of attempts or would exceed its budget."""
 
 
 class InternalParityFailure(IntrinsicLinksError):

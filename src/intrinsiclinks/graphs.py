@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import perm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DrawingNotGeneral, EmbeddingInvalid, GeneralPositionViolation
+from .errors import DrawingNotGeneral, EmbeddingInvalid, GeneralPositionViolation, SearchExhausted
 from .geometry import (
     NON_GENERIC,
     OVERLAP,
@@ -79,9 +80,6 @@ class Graph:
             elif b == v:
                 out.append(a)
         return tuple(sorted(out, key=self.index))
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
 
     def cycle_edges(self, cycle: "Cycle") -> tuple[EdgeKey, ...]:
         seq = cycle.vertices
@@ -200,16 +198,31 @@ def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
     return Cycle(canonical_cycle_order(seq))
 
 
+# vertex orders or cycle pairs past which the enumerations below raise
+# SearchExhausted instead of running for hours (10^7 pairs take about 5 s)
+CYCLE_SEARCH_BUDGET = 10**7
+
+
+def _within_budget(candidates: int, what: str) -> None:
+    if candidates > CYCLE_SEARCH_BUDGET:
+        raise SearchExhausted(f"{candidates} {what} exceed the budget of {CYCLE_SEARCH_BUDGET}")
+
+
 def enumerate_cycles(g: Graph, length: int) -> tuple[Cycle, ...]:
     """All cycles of the given length, canonical and sorted.  Exhaustive
-    enumeration; meant for the small graphs this package works with."""
+    enumeration over at most CYCLE_SEARCH_BUDGET vertex orders; meant for
+    the small graphs this package works with."""
     if length < 3:
         raise ValueError("cycle length must be at least 3")
+    if length > len(g.vertices):
+        return ()  # before `combinations`, which allocates `length` indices
+    # C(n, length) vertex sets, each tried in (length - 1)! orders
+    _within_budget(perm(len(g.vertices), length) // length, f"vertex orders for {length}-cycles")
     found: set[Cycle] = set()
     for subset in combinations(g.vertices, length):
         first = subset[0]
-        for perm in permutations(subset[1:]):
-            seq = (first,) + perm
+        for order in permutations(subset[1:]):
+            seq = (first,) + order
             if all(g.has_edge(seq[i], seq[(i + 1) % length]) for i in range(length)):
                 found.add(Cycle(canonical_cycle_order(seq)))
     return tuple(sorted(found, key=lambda c: c.vertices))
@@ -218,9 +231,11 @@ def enumerate_cycles(g: Graph, length: int) -> tuple[Cycle, ...]:
 def enumerate_disjoint_cycle_pairs(
     g: Graph, len1: int, len2: int
 ) -> tuple[tuple[Cycle, Cycle], ...]:
-    """All unordered pairs of vertex-disjoint cycles of the two lengths."""
+    """All unordered pairs of vertex-disjoint cycles of the two lengths,
+    out of at most CYCLE_SEARCH_BUDGET candidate pairs."""
     first = enumerate_cycles(g, len1)
     if len1 == len2:
+        _within_budget(len(first) * (len(first) - 1) // 2, "candidate cycle pairs")
         return tuple(
             (c1, c2)
             for i, c1 in enumerate(first)
@@ -228,6 +243,7 @@ def enumerate_disjoint_cycle_pairs(
             if c1.disjoint_from(c2)
         )
     second = enumerate_cycles(g, len2)
+    _within_budget(len(first) * len(second), "candidate cycle pairs")
     return tuple((c1, c2) for c1 in first for c2 in second if c1.disjoint_from(c2))
 
 
@@ -404,8 +420,7 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
 class ValidEmbedding(PLEmbedding):
     """An embedding that has passed `validate_embedding`.  Only
     `require_valid` builds one from raw input, with its own copies of the
-    position and route dicts; `smooth` keeps the type, because smoothing
-    keeps the carrier and absorbs only degree-2 vertices."""
+    position and route dicts."""
 
 
 def require_valid(emb: PLEmbedding) -> ValidEmbedding:
@@ -422,44 +437,47 @@ def require_valid(emb: PLEmbedding) -> ValidEmbedding:
     return ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
 
 
-def smooth(emb: PLEmbedding) -> PLEmbedding:
-    """Undo subdivisions: repeatedly absorb any degree-2 vertex whose two
-    neighbors are not yet adjacent, concatenating the two routes.  Stops
-    when no such vertex remains (e.g. a triangle stays a triangle).  The
-    result has the type of the input, so a ValidEmbedding stays one.
-
-    Later-listed vertices are absorbed first.  A subdivision that lists its
-    new vertices after the original ones is thus smoothed back to the
-    original vertex set, even when the whole graph is one cycle."""
+def smooth(emb: PLEmbedding) -> ValidEmbedding:
+    """Validate an embedding as `require_valid` does, then undo
+    subdivisions: absorb the last-listed degree-2 vertex whose two
+    neighbors are not adjacent, joining its two routes, until none is left
+    (a triangle stays a triangle).  The carrier stays, so the result is
+    valid.  Absorbing keeps every other degree, so the degree-2 vertices are
+    found once.  A subdivision that lists its new vertices after the
+    original ones smooths back to the original vertices, even when the
+    whole graph is one cycle."""
+    emb = require_valid(emb)
     g = emb.graph
-    pos = dict(emb.position)
-    routes: dict[EdgeKey, SpatialPolyline] = dict(emb.route)
+    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
+    chain: dict[EdgeKey, tuple[Point3, ...]] = {}  # both orientations
+    for u, x in g.edges:
+        adj[u].add(x)
+        adj[x].add(u)
+        chain[u, x] = emb.route[u, x].vertices
+        chain[x, u] = chain[u, x][::-1]
+    candidates = [w for w in reversed(g.vertices) if len(adj[w]) == 2]
     while True:
-        target = None
-        for w in reversed(g.vertices):
-            if g.degree(w) != 2:
-                continue
-            u, x = g.neighbors(w)
-            if u != x and not g.has_edge(u, x):
-                target = (w, u, x)
+        for w in candidates:
+            u, x = adj[w]
+            if x not in adj[u]:
                 break
-        if target is None:
-            return type(emb)(g, pos, routes)
-        w, u, x = target
-        k1, k2 = g.edge_key(u, w), g.edge_key(w, x)
-        chain1 = routes[k1].vertices if k1[0] == u else tuple(reversed(routes[k1].vertices))
-        chain2 = routes[k2].vertices if k2[0] == w else tuple(reversed(routes[k2].vertices))
-        merged = list(chain1) + list(chain2[1:])
-        new_vertices = [v for v in g.vertices if v != w]
-        new_edges = [e for e in g.edges if e not in (k1, k2)] + [(u, x)]
-        g = make_graph(new_vertices, new_edges)
-        del pos[w]
-        del routes[k1]
-        del routes[k2]
-        new_key = g.edge_key(u, x)
-        if new_key[0] != u:
-            merged = list(reversed(merged))
-        routes[new_key] = open_polyline(merged)
+        else:
+            break
+        candidates.remove(w)
+        del adj[w]
+        for a, b in ((u, x), (x, u)):
+            adj[a].remove(w)
+            adj[a].add(b)
+        chain[u, x] = chain.pop((u, w))[:-1] + chain.pop((w, x))
+        chain[x, u] = chain[u, x][::-1]
+        del chain[w, u], chain[x, w]
+    core = make_graph([v for v in g.vertices if v in adj], chain)
+    # an edge of `g` that is still there was never merged
+    route = {
+        key: emb.route[key] if g.has_edge(*key) else open_polyline(chain[key])
+        for key in core.edges
+    }
+    return ValidEmbedding(core, {v: emb.position[v] for v in core.vertices}, route)
 
 
 def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:

@@ -39,7 +39,6 @@ from .graphs import (
     is_complete_bipartite,
     make_cycle,
     make_drawing,
-    require_valid,
     smooth,
 )
 from .linking import higher_central, linking_mod2_sampled
@@ -252,7 +251,7 @@ def linear_parity_ledger(
 def _smooth_and_project(emb: PLEmbedding, seed: int, accepts, shape: str) -> ProjectedDiagram:
     """Validate, smooth and project an embedding whose smoothing must be
     of the given shape."""
-    sm = smooth(require_valid(emb))
+    sm = smooth(emb)
     if not accepts(sm.graph):
         raise ValueError(f"embedding does not smooth to {shape}")
     return find_general_projection(sm, seed)
@@ -416,7 +415,7 @@ def oracle_count_linked_pairs(
     """Independent check of any finder: enumerate every vertex-disjoint
     cycle pair of the given lengths and decide linkedness by cone counting
     from an apex drawn from the seed.  No projections involved."""
-    sm = smooth(require_valid(emb))
+    sm = smooth(emb)
     pairs = enumerate_disjoint_cycle_pairs(sm.graph, len1, len2)
     rng = SplitMix64(seed)
     linked = []
@@ -430,7 +429,7 @@ def oracle_count_linked_pairs(
 
 def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkReport:
     """Re-check one report by cone counting and fill oracle_confirmed."""
-    sm = smooth(require_valid(emb))
+    sm = smooth(emb)
     p1 = cycle_route(sm, report.cycle1)
     p2 = cycle_route(sm, report.cycle2)
     value = linking_mod2_sampled(p1, p2, SplitMix64(seed))

@@ -236,18 +236,6 @@ def project_central(
         raise ProjectionNotGeneral(f"central image drawing has {len(ex.violations)} degenerate contacts")
 
 
-def _cycle_edge_sets(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle):
-    g = diag.graph
-    if set(cycle1.vertices) & set(cycle2.vertices):
-        raise CyclesNotDisjoint(f"{cycle1.vertices} and {cycle2.vertices} share a vertex")
-    edge_set = set(g.edges)
-    e1 = set(g.cycle_edges(cycle1))
-    e2 = set(g.cycle_edges(cycle2))
-    if not e1 <= edge_set or not e2 <= edge_set:
-        raise ValueError("cycle uses edges absent from the diagram's graph")
-    return e1, e2
-
-
 def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:
     """Parity of crossings between two disjoint edge sets at which the
     front strand belongs to the first set.
@@ -269,31 +257,27 @@ def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:
     return n % 2
 
 
-def crossing_parities(
-    diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle
-) -> tuple[int, int, int]:
-    """(parity of crossings with cycle1 in front, same for cycle2, parity
-    of all crossings between the two cycles)."""
-    e1, e2 = _cycle_edge_sets(diag, cycle1, cycle2)
-    over1 = over2 = total = 0
-    for c in diag.crossings:
-        if (c.edge1 in e1 and c.edge2 in e2) or (c.edge1 in e2 and c.edge2 in e1):
-            total += 1
-            if c.upper in e1:
-                over1 += 1
-            else:
-                over2 += 1
-    return over1 % 2, over2 % 2, total % 2
-
-
 def lk_from_diagram(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle) -> int:
     """Mod-2 linking number read off a projected diagram: the parity of
     crossings between the two cycles at which the first passes in front.
     For disjoint closed cycles the choice of 'first' does not matter; that
     equality is enforced, not assumed."""
-    over1, over2, total = crossing_parities(diag, cycle1, cycle2)
-    if over1 != over2 or total != 0:
+    g = diag.graph
+    if set(cycle1.vertices) & set(cycle2.vertices):
+        raise CyclesNotDisjoint(f"{cycle1.vertices} and {cycle2.vertices} share a vertex")
+    e1 = set(g.cycle_edges(cycle1))
+    e2 = set(g.cycle_edges(cycle2))
+    if not e1 | e2 <= set(g.edges):
+        raise ValueError("cycle uses edges absent from the diagram's graph")
+    over1 = over2 = 0
+    for c in diag.crossings:
+        if (c.edge1 in e1 and c.edge2 in e2) or (c.edge1 in e2 and c.edge2 in e1):
+            if c.upper in e1:
+                over1 += 1
+            else:
+                over2 += 1
+    if (over1 - over2) % 2:
         raise InternalParityFailure(
             "front-strand parity depends on the cycle order; diagram data is inconsistent"
         )
-    return over1
+    return over1 % 2

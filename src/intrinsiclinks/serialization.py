@@ -155,7 +155,8 @@ def parse_instance(data):
             raise ParseError(f"not UTF-8: {exc}") from None
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also nesting past the recursion limit and over-long integer literals
         raise ParseError(f"invalid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level: expected an object")
     kind = doc.get("kind")

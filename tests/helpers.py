@@ -17,8 +17,8 @@ from intrinsiclinks.geometry import (
     orient3d,
 )
 from intrinsiclinks.graphs import Cycle, EdgeKey, PlanarDrawing, PLEmbedding, make_embedding, make_graph
-from intrinsiclinks.linking import SpatialPolyline, higher_central
-from intrinsiclinks.projection import ProjectedDiagram, crossing_parities
+from intrinsiclinks.linking import SpatialPolyline, higher_central, open_polyline
+from intrinsiclinks.projection import ProjectedDiagram, front_parity
 from intrinsiclinks.rng import SplitMix64
 
 
@@ -47,10 +47,11 @@ def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Trian
 def check_crossing_parity_identity(
     diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle
 ) -> bool:
-    """True when both front-strand parities agree and the total crossing
-    count between the cycles is even."""
-    over1, over2, total = crossing_parities(diag, cycle1, cycle2)
-    return over1 == over2 and total == 0
+    """True when both front-strand parities agree, so that the total
+    crossing count between the cycles is even."""
+    e1 = diag.graph.cycle_edges(cycle1)
+    e2 = diag.graph.cycle_edges(cycle2)
+    return front_parity(diag, e1, e2) == front_parity(diag, e2, e1)
 
 
 def seeded_apexes(rng: SplitMix64, count: int = 3) -> list[Point3]:
@@ -76,6 +77,42 @@ def subdivided(emb: PLEmbedding, edge: EdgeKey, points) -> PLEmbedding:
     graph = make_graph([*emb.graph.vertices, *names], kept + list(zip(path, path[1:])))
     positions = {**emb.position, **dict(zip(names, points))}
     return make_embedding(graph, positions, {e: emb.route[e].vertices for e in kept})
+
+
+def smooth_reference(emb: PLEmbedding) -> PLEmbedding:
+    """The reference for `smooth`, which absorbs the same vertices in the
+    same order in one pass: rebuild the graph and the merged route after
+    each absorbed vertex.  The result has the type of the input; the input
+    must be valid."""
+    g = emb.graph
+    pos = dict(emb.position)
+    routes: dict[EdgeKey, SpatialPolyline] = dict(emb.route)
+    while True:
+        target = None
+        for w in reversed(g.vertices):
+            if len(g.neighbors(w)) != 2:
+                continue
+            u, x = g.neighbors(w)
+            if u != x and not g.has_edge(u, x):
+                target = (w, u, x)
+                break
+        if target is None:
+            return type(emb)(g, pos, routes)
+        w, u, x = target
+        k1, k2 = g.edge_key(u, w), g.edge_key(w, x)
+        chain1 = routes[k1].vertices if k1[0] == u else tuple(reversed(routes[k1].vertices))
+        chain2 = routes[k2].vertices if k2[0] == w else tuple(reversed(routes[k2].vertices))
+        merged = list(chain1) + list(chain2[1:])
+        new_vertices = [v for v in g.vertices if v != w]
+        new_edges = [e for e in g.edges if e not in (k1, k2)] + [(u, x)]
+        g = make_graph(new_vertices, new_edges)
+        del pos[w]
+        del routes[k1]
+        del routes[k2]
+        new_key = g.edge_key(u, x)
+        if new_key[0] != u:
+            merged = list(reversed(merged))
+        routes[new_key] = open_polyline(merged)
 
 
 def segment_param(s, p) -> Fraction:

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from intrinsiclinks import graphs
 from intrinsiclinks.errors import (
     DrawingNotGeneral,
     EmbeddingInvalid,
     GeneralPositionViolation,
+    SearchExhausted,
 )
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
@@ -37,7 +39,7 @@ from intrinsiclinks.graphs import (
 )
 from intrinsiclinks.instances import gen_k6_pl_subdivided
 
-from helpers import subdivided
+from helpers import smooth_reference, subdivided
 
 
 def P2(x, y):
@@ -87,7 +89,7 @@ class TestGraphBasics:
 
     def test_neighbors_and_degree(self):
         assert K44.neighbors("a1") == ("b1", "b2", "b3", "b4")
-        assert K44.degree("b2") == 4
+        assert len(K44.neighbors("b2")) == 4
         assert not K44.has_edge("a1", "a2")
         assert K6.has_edge("v6", "v1")
 
@@ -157,6 +159,13 @@ class TestCycles:
         assert len(enumerate_disjoint_cycle_pairs(K6, 3, 3)) == 10
         assert len(enumerate_disjoint_cycle_pairs(K44, 4, 4)) == 18
         assert len(enumerate_disjoint_cycle_pairs(K6, 3, 4)) == 0  # needs 7 vertices
+
+    def test_enumeration_over_budget_raises(self):
+        assert enumerate_cycles(K4, 5) == ()
+        with pytest.raises(SearchExhausted):
+            enumerate_cycles(complete_graph(14), 9)  # 80,720,640 vertex orders
+        with pytest.raises(SearchExhausted):
+            enumerate_disjoint_cycle_pairs(complete_graph(12), 6, 5)  # 55,440 x 9,504 pairs
 
     def test_cycle_edges(self):
         c = make_cycle(K44, ("a1", "b1", "a2", "b2"))
@@ -277,7 +286,7 @@ class TestSubdivideSmooth:
         emb = make_embedding(K6, moment_positions(6))
         mid = midpoint(emb.position["v1"], emb.position["v2"])
         sub = subdivided(emb, ("v1", "v2"), [mid])
-        assert sub.graph.degree("v1.v2.1") == 2
+        assert len(sub.graph.neighbors("v1.v2.1")) == 2
         assert validate_embedding(sub) == ()
         back = smooth(sub)
         assert back == emb
@@ -313,6 +322,89 @@ class TestSubdivideSmooth:
         back = smooth(sub)
         assert set(back.graph.vertices) == {"v1", "v2", "v3"}
         assert back == emb
+
+
+SMOOTHING_CORES = (
+    K4,
+    K6,
+    make_graph(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")]),
+    # theta graphs: three s-t paths, one of them the direct edge or not
+    make_graph(["s", "t", "a", "b"], [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "t")]),
+    make_graph(["s", "t", "a", "b", "c"], [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "c"), ("c", "t")]),
+)
+
+
+@st.composite
+def cut_embeddings(draw):
+    """A straight embedding of a small graph with 1 to 3 edges cut by new
+    vertices c0, c1, ...: a cut on the route is straight and smooths away,
+    a cut off it is a bend.  The cut vertices are listed after, before or
+    among the original ones.  Only valid embeddings are kept."""
+    g = draw(st.sampled_from(SMOOTHING_CORES))
+    coord = st.integers(-4, 4)
+    point = st.builds(Point3, coord, coord, coord)
+    positions = dict(zip(g.vertices, draw(st.lists(point, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))))
+    chains = {e: [positions[e[0]], positions[e[1]]] for e in g.edges}
+    cuts = []
+    for n in range(draw(st.integers(1, 3))):
+        u, v = key = draw(st.sampled_from(sorted(chains)))
+        chain = chains.pop(key)
+        i = draw(st.integers(0, len(chain) - 2))
+        if draw(st.booleans()):
+            p = chain[i] + (chain[i + 1] - chain[i]).scale(Fraction(draw(st.integers(1, 3)), 4))
+        else:
+            p = draw(point)
+        w = f"c{n}"
+        positions[w] = p
+        chains[u, w] = chain[: i + 1] + [p]
+        chains[w, v] = [p] + chain[i + 1 :]
+        cuts.append(w)
+    order = draw(st.sampled_from(["after", "before", "among"]))
+    if order == "after":
+        vertices = [*g.vertices, *cuts]
+    elif order == "before":
+        vertices = [*cuts, *g.vertices]
+    else:
+        vertices = list(g.vertices)
+        for w in cuts:
+            vertices.insert(draw(st.integers(0, len(vertices))), w)
+    try:
+        emb = make_embedding(make_graph(vertices, chains), positions, chains)
+    except ValueError:  # a cut on a corner or a route through itself
+        assume(False)
+    assume(validate_embedding(emb) == ())
+    return emb
+
+
+class TestSmoothOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(cut_embeddings())
+    def test_matches_reference(self, emb):
+        sm = smooth(emb)
+        ref = smooth_reference(emb)
+        assert sm == ref
+        assert list(sm.position) == list(ref.position)
+        assert isinstance(sm, ValidEmbedding)
+        assert smooth(sm) == sm
+
+    def test_builds_core_graph_and_each_merged_route_once(self, monkeypatch):
+        counts = {"make_graph": 0, "open_polyline": 0}
+
+        def counted(name):
+            original = getattr(graphs, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        embeddings = [gen_k6_pl_subdivided(seed) for seed in range(5)]
+        for name in counts:
+            monkeypatch.setattr(graphs, name, counted(name))
+        for emb in embeddings:
+            counts.update(make_graph=0, open_polyline=0)
+            assert smooth(emb).graph == K6
+            assert counts == {"make_graph": 1, "open_polyline": 15}
 
 
 def midpoint_subdivided_k6(edges):

@@ -49,7 +49,7 @@ from intrinsiclinks.invariants import (
 from intrinsiclinks.linking import triangles_linked
 from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
 
-from helpers import subdivided
+from helpers import smooth_reference, subdivided
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -257,7 +257,10 @@ class TestK6Finder:
         }
         emb = make_embedding(graph, pos, {("v1", w): [Point3(2, 3, 0)], (w, "v2"): [Point3(1, 3, 0)]})
         with pytest.raises(ValueError):
+            smooth_reference(emb)
+        with pytest.raises(EmbeddingInvalid) as info:
             smooth(emb)
+        assert info.value.violations == validate_embedding(emb) != ()
         with pytest.raises(EmbeddingInvalid) as info:
             find_linked_cycles_k6(emb, seed=0)
         assert info.value.violations == validate_embedding(emb) != ()

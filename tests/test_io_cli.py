@@ -22,7 +22,6 @@ from intrinsiclinks.graphs import (
     make_drawing,
     make_embedding,
     make_graph,
-    require_valid,
     smooth,
     validate_drawing,
     validate_embedding,
@@ -185,6 +184,16 @@ class TestSerialization:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_instance(b"{nope")
 
+    def test_huge_integer_literal(self):
+        with pytest.raises(ParseError, match="invalid JSON: Exceeds the limit"):
+            parse_instance(b'{"kind": "points3", "positions": [[' + b"9" * 5000 + b', 0, 0]]}')
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+
     def test_unknown_kind(self):
         with pytest.raises(ParseError, match="kind"):
             parse_instance(b'{"kind": "widget", "positions": []}')
@@ -323,7 +332,7 @@ class TestCli:
         code, _ = self.run("find-linked", str(path), "--verify", capsys=capsys)
         assert code == 0
         assert len(received) == 2
-        expected = smooth(require_valid(raw))
+        expected = smooth(raw)
         assert expected.graph == complete_graph(6)
         assert all(emb == expected for emb in received)
 
@@ -351,6 +360,17 @@ class TestCli:
                  capsys=capsys)
         code, out = self.run("oracle", str(path), "--cycles", "3", capsys=capsys)
         assert code == 1
+
+    def test_oracle_cycle_pair_budget(self, tmp_path, capsys):
+        k12 = complete_graph(12)
+        emb = make_embedding(k12, {v: Point3(i, i * i, i ** 3) for i, v in enumerate(k12.vertices, 1)})
+        path = tmp_path / "k12.json"
+        path.write_bytes(emit_instance(emb))
+        start = time.perf_counter()
+        code, out = self.run("oracle", str(path), "--cycles", "6,6", capsys=capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out.err == "error: 1536769080 candidate cycle pairs exceed the budget of 10000000\n"
 
     def test_project_with_svg(self, tmp_path, capsys):
         path = tmp_path / "emb.json"
@@ -492,7 +512,7 @@ class TestPublicApi:
             "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral", "RunConfig",
             "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
-            "closed_polygon", "complete_bipartite", "complete_graph", "crossing_parities",
+            "closed_polygon", "complete_bipartite", "complete_graph",
             "crossings_between_polylines", "cycle_route", "emit_instance", "enumerate_cycles",
             "enumerate_disjoint_cycle_pairs", "extract_crossings",
             "find_general_projection", "find_linked_cycles_k44", "find_linked_cycles_k6",

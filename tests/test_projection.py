@@ -34,8 +34,8 @@ from intrinsiclinks.graphs import (
 from intrinsiclinks.linking import higher_central, linking_mod2_cone
 from intrinsiclinks.projection import (
     canonical_direction,
-    crossing_parities,
     find_general_projection,
+    front_parity,
     lk_from_diagram,
     plane_basis,
     project_central,
@@ -215,9 +215,14 @@ class TestDiagramLinking:
         diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
         for c1, c2 in enumerate_disjoint_cycle_pairs(K6, 3, 3):
             assert check_crossing_parity_identity(diag, c1, c2)
-            over1, over2, total = crossing_parities(diag, c1, c2)
-            assert over1 == over2
-            assert total == 0
+            e1, e2 = set(K6.cycle_edges(c1)), set(K6.cycle_edges(c2))
+            over1, over2 = front_parity(diag, e1, e2), front_parity(diag, e2, e1)
+            assert over1 == over2 == lk_from_diagram(diag, c1, c2)
+            total = sum(
+                (c.edge1 in e1 and c.edge2 in e2) or (c.edge1 in e2 and c.edge2 in e1)
+                for c in diag.crossings
+            )
+            assert total % 2 == 0
 
     def test_overlapping_cycles_rejected(self):
         diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
