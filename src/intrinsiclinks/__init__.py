@@ -54,7 +54,6 @@ from .graphs import (
     Violation,
     complete_bipartite,
     complete_graph,
-    crossings_between_polylines,
     cycle_route,
     enumerate_cycles,
     enumerate_disjoint_cycle_pairs,
@@ -63,7 +62,6 @@ from .graphs import (
     make_drawing,
     make_embedding,
     make_graph,
-    planar_polyline,
     require_generic,
     require_valid,
     smooth,
@@ -79,7 +77,6 @@ from .instances import (
     gen_k6_points,
     gen_k33_drawing,
     gen_k44_linear,
-    gen_planar_polygon_pair,
     gen_polygon_pair,
     generate,
     move_vertex_star,

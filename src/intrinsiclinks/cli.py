@@ -198,8 +198,9 @@ def _cmd_project(args) -> int:
         "seed": args.seed,
     }
     if args.svg:
+        svg = render_svg(diag)  # before the file is opened, so a failed render leaves none
         with open(args.svg, "wb") as handle:
-            handle.write(render_svg(diag))
+            handle.write(svg)
         doc["svg"] = args.svg
     _emit_doc(doc)
     return 0

@@ -204,23 +204,24 @@ def is_zero3(u: Point3) -> bool:
 
 
 @dataclass(frozen=True)
-class Segment2:
-    p: Point2
-    q: Point2
+class _Segment:
+    """A segment between two distinct points; equal only to a segment of
+    the same class."""
+
+    p: _Point
+    q: _Point
 
     def __post_init__(self):
         if self.p == self.q:
             raise ValueError("degenerate segment: endpoints coincide")
 
 
-@dataclass(frozen=True)
-class Segment3:
-    p: Point3
-    q: Point3
+class Segment2(_Segment):
+    """A segment in the plane, between two Point2."""
 
-    def __post_init__(self):
-        if self.p == self.q:
-            raise ValueError("degenerate segment: endpoints coincide")
+
+class Segment3(_Segment):
+    """A segment in space, between two Point3."""
 
 
 @dataclass(frozen=True)

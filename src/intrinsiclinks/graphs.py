@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import perm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DrawingNotGeneral, EmbeddingInvalid, GeneralPositionViolation, SearchExhausted
+from .errors import DrawingNotGeneral, EmbeddingInvalid, SearchExhausted
 from .geometry import (
-    NON_GENERIC,
     OVERLAP,
     Point2,
     Point3,
@@ -29,14 +28,7 @@ from .geometry import (
     point_on_segment3,
     seg_intersect2,
 )
-from .linking import (
-    SpatialPolyline,
-    _check_corners,
-    _drop_straight_corners,
-    _polyline_sides,
-    closed_polygon,
-    open_polyline,
-)
+from .linking import SpatialPolyline, _Polyline, closed_polygon, open_polyline
 
 EdgeKey = tuple[str, str]
 
@@ -262,38 +254,42 @@ class Violation:
 
 
 @dataclass(frozen=True, eq=False)
-class PLEmbedding:
-    """Piecewise-linear embedding: positions plus an open polyline route per
-    edge, oriented from the smaller-indexed endpoint.  Treat as immutable."""
+class _Placement:
+    """A graph placed in space or the plane: positions plus an open polyline
+    route per edge, oriented from the smaller-indexed endpoint.  Treat as
+    immutable.  Subclasses name their polyline class."""
 
     graph: Graph
-    position: dict[str, Point3]
-    route: dict[EdgeKey, SpatialPolyline]
+    position: dict
+    route: dict
 
     def __eq__(self, other):
-        # fields only, so an embedding equals its validated copy
-        if not isinstance(other, PLEmbedding):
+        # fields only, so a placement equals its checked copy; an embedding
+        # never equals a drawing, not even of the empty graph
+        if not isinstance(other, _Placement) or other._polyline is not self._polyline:
             return NotImplemented
         return (self.graph, self.position, self.route) == (other.graph, other.position, other.route)
 
-    def __hash__(self):  # pragma: no cover - embeddings are never dict keys
-        raise TypeError("embeddings are not hashable")
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
-    def route_chain(self, u: str, v: str) -> tuple[Point3, ...]:
+    def route_chain(self, u: str, v: str) -> tuple:
         """Route vertices oriented from u to v."""
         key = self.graph.edge_key(u, v)
         pts = self.route[key].vertices
         return pts if key[0] == u else tuple(reversed(pts))
 
 
-def _route_chains(graph: Graph, pos: Mapping, routes: Mapping | None) -> Iterator[tuple[EdgeKey, list]]:
-    """Each edge's route points from its first endpoint position to its
-    second, normalized as `make_embedding` describes; shared with
-    `make_drawing`."""
+def _make(cls, graph: Graph, positions: Mapping, routes: Mapping | None):
+    """A placement of class `cls` (`PLEmbedding` or `PlanarDrawing`), each
+    edge's route normalized as `make_embedding` describes.  A function, not
+    a classmethod, so no checked subclass is ever built unchecked."""
+    pos = {v: positions[v] for v in graph.vertices}
     given: dict[EdgeKey, Sequence] = {}
     if routes:
         for (u, v), pts in routes.items():
             given[graph.edge_key(u, v)] = tuple(pts)
+    built = {}
     for key in graph.edges:
         pu, pv = pos[key[0]], pos[key[1]]
         pts = list(given.get(key, ()))
@@ -308,7 +304,15 @@ def _route_chains(graph: Graph, pos: Mapping, routes: Mapping | None) -> Iterato
                 chain = list(reversed(chain))
             if chain[0] != pu or chain[-1] != pv:
                 raise ValueError(f"route for {key} does not join its endpoint positions")
-        yield key, chain
+        built[key] = cls._polyline.through(chain)
+    return cls(graph, pos, built)
+
+
+class PLEmbedding(_Placement):
+    """Piecewise-linear embedding: positions in space plus a SpatialPolyline
+    route per edge."""
+
+    _polyline = SpatialPolyline
 
 
 def make_embedding(
@@ -324,12 +328,10 @@ def make_embedding(
     ends match neither endpoint) raise ValueError; geometric violations are
     the business of `validate_embedding`.
     """
-    pos = {v: positions[v] for v in graph.vertices}
-    built = {key: open_polyline(chain) for key, chain in _route_chains(graph, pos, routes)}
-    return PLEmbedding(graph, pos, built)
+    return _make(PLEmbedding, graph, positions, routes)
 
 
-def _terminal_side_at(poly: SpatialPolyline | PlanarPolyline, p) -> int | None:
+def _terminal_side_at(poly: _Polyline, p) -> int | None:
     """Index of the terminal side of an open polyline ending at p, if any."""
     if poly.vertices[0] == p:
         return 0
@@ -338,7 +340,7 @@ def _terminal_side_at(poly: SpatialPolyline | PlanarPolyline, p) -> int | None:
     return None
 
 
-def _check_vertices_and_routes(obj: PLEmbedding | PlanarDrawing) -> tuple[list[Violation], list[EdgeKey]]:
+def _check_vertices_and_routes(obj: _Placement) -> tuple[list[Violation], list[EdgeKey]]:
     """The checks an embedding and a drawing share: distinct vertex
     positions, and one open route per edge joining its endpoints.  Returns
     the violations and the edges whose routes the side sweeps can use."""
@@ -494,49 +496,22 @@ def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:
 # planar drawings
 
 
-@dataclass(frozen=True)
-class PlanarPolyline:
+class PlanarPolyline(_Polyline):
     """A broken line in the plane.  Unlike its spatial counterpart it may
-    cross itself: drawings represent maps, not embeddings.  Corners must
-    still be genuine (consecutive sides never continue straight)."""
+    cross itself: drawings represent maps, not embeddings."""
 
-    vertices: tuple[Point2, ...]
-    closed: bool = False
+    _segment = Segment2
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        _check_corners(self.vertices, self.closed, _straight2)
-        object.__setattr__(self, "_sides", _polyline_sides(self.vertices, self.closed, Segment2))
-
-    def sides(self) -> tuple[Segment2, ...]:
-        return self._sides
+    @staticmethod
+    def _straight(u: Point2, v: Point2, w: Point2) -> bool:
+        return orient2d(u, v, w) == 0
 
 
-def _straight2(u: Point2, v: Point2, w: Point2) -> bool:
-    return orient2d(u, v, w) == 0
+class PlanarDrawing(_Placement):
+    """A drawing of a graph: positions in the plane plus a PlanarPolyline
+    route per edge."""
 
-
-def planar_polyline(points, closed: bool = False) -> PlanarPolyline:
-    return PlanarPolyline(tuple(_drop_straight_corners(points, closed, _straight2)), closed=closed)
-
-
-@dataclass(frozen=True, eq=False)
-class PlanarDrawing:
-    """A drawing of a graph: positions in the plane plus a polyline route
-    per edge, oriented from the smaller-indexed endpoint."""
-
-    graph: Graph
-    position: dict[str, Point2]
-    route: dict[EdgeKey, PlanarPolyline]
-
-    def __eq__(self, other):
-        # fields only, so a drawing equals its generic copy
-        if not isinstance(other, PlanarDrawing):
-            return NotImplemented
-        return (self.graph, self.position, self.route) == (other.graph, other.position, other.route)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("drawings are not hashable")
+    _polyline = PlanarPolyline
 
 
 def make_drawing(
@@ -545,9 +520,7 @@ def make_drawing(
     routes: Mapping[tuple[str, str], Sequence[Point2]] | None = None,
 ) -> PlanarDrawing:
     """Build a drawing; unspecified routes are straight segments."""
-    pos = {v: positions[v] for v in graph.vertices}
-    built = {key: planar_polyline(chain) for key, chain in _route_chains(graph, pos, routes)}
-    return PlanarDrawing(graph, pos, built)
+    return _make(PlanarDrawing, graph, positions, routes)
 
 
 @dataclass(frozen=True)
@@ -683,20 +656,3 @@ def extract_crossings(d: PlanarDrawing) -> tuple[Crossing, ...]:
     """The crossings `require_generic` finds; a GenericDrawing is not
     swept again."""
     return require_generic(d).crossings
-
-
-def crossings_between_polylines(a: PlanarPolyline, b: PlanarPolyline) -> int:
-    """Number of transversal crossings between two polylines, requiring
-    every mutual contact to be a simple crossing (multiplicity-free)."""
-    points: list[Point2] = []
-    for s in a.sides():
-        for t in b.sides():
-            r = seg_intersect2(s, t)
-            if r is None:
-                continue
-            if r is NON_GENERIC:
-                raise GeneralPositionViolation("degenerate contact between the polylines")
-            points.append(r)
-    if len(set(points)) != len(points):
-        raise GeneralPositionViolation("two crossings coincide")
-    return len(points)

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmbeddingInvalid, GeneralPositionViolation, SearchExhausted
+from .errors import EmbeddingInvalid, SearchExhausted
 from .geometry import Point2, Point3, gp_points2, gp_points3
 from .graphs import (
     PlanarDrawing,
-    PlanarPolyline,
     ValidEmbedding,
     complete_bipartite,
     complete_graph,
-    crossings_between_polylines,
     make_drawing,
     make_embedding,
     make_graph,
-    planar_polyline,
     require_valid,
     validate_drawing,
 )
@@ -260,33 +257,6 @@ def move_vertex_star(
             continue
         return moved
     raise SearchExhausted(f"no valid star move in {max_tries} tries (seed {seed})")
-
-
-def gen_planar_polygon_pair(
-    seed: int, bound: int = 1000, max_tries: int = 10000
-) -> tuple[PlanarPolyline, PlanarPolyline]:
-    """Two closed planar polylines in mutual general position.
-
-    Sides are 3 to 6 per polygon.  Each polygon may self-intersect; the pair
-    is accepted once the mutual crossing test runs cleanly, i.e. all contacts
-    between the two are transversal interior crossings.
-    """
-    rng = SplitMix64(seed)
-    for _ in range(max_tries):
-        sides1 = rng.randint(3, 6)
-        sides2 = rng.randint(3, 6)
-        try:
-            first = planar_polyline(
-                [_point2(rng, bound) for _ in range(sides1)], closed=True
-            )
-            second = planar_polyline(
-                [_point2(rng, bound) for _ in range(sides2)], closed=True
-            )
-            crossings_between_polylines(first, second)
-        except (ValueError, GeneralPositionViolation):
-            continue
-        return first, second
-    raise SearchExhausted(f"no clean polygon pair in {max_tries} tries (seed {seed})")
 
 
 _GENERATORS = {

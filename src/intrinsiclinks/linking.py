@@ -41,24 +41,77 @@ from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
-class SpatialPolyline:
-    """A broken line in space: open arc or closed polygon.
+class _Polyline:
+    """A broken line: open arc or closed polygon.
 
-    Invariants enforced at construction: consecutive vertices are distinct,
-    every vertex is a genuine corner (no three consecutive vertices are
-    collinear; for closed polylines this wraps around), and the polyline
-    does not intersect itself.  Use `open_polyline` / `closed_polygon` to
-    build one from raw points with straight-through corners dropped.
+    Invariants enforced at construction: at least 2 vertices (3 when
+    closed), consecutive vertices distinct, a closed polyline not repeating
+    its first vertex, and every vertex a genuine corner (no straight run
+    through it; for closed polylines this wraps around).  The sides are
+    built once.  Subclasses name their segment class and their straightness
+    test; `through` builds one from raw points.
     """
 
-    vertices: tuple[Point3, ...]
+    vertices: tuple
     closed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        _check_corners(self.vertices, self.closed, collinear3)
-        sides = _polyline_sides(self.vertices, self.closed, Segment3)
-        object.__setattr__(self, "_sides", sides)
+        vertices = tuple(self.vertices)
+        object.__setattr__(self, "vertices", vertices)
+        n = len(vertices)
+        if n < 2 or (self.closed and n < 3):
+            raise ValueError("polyline needs at least 2 vertices, closed needs 3")
+        for i in range(n - 1):
+            if vertices[i] == vertices[i + 1]:
+                raise ValueError("consecutive vertices coincide")
+        if self.closed and vertices[0] == vertices[-1]:
+            raise ValueError("closed polyline must not repeat its first vertex")
+        for i in range(n) if self.closed else range(1, n - 1):
+            if self._straight(vertices[i - 1], vertices[i], vertices[(i + 1) % n]):
+                raise ValueError(f"straight-through vertex at index {i}")
+        sides = [self._segment(vertices[i], vertices[i + 1]) for i in range(n - 1)]
+        if self.closed:
+            sides.append(self._segment(vertices[-1], vertices[0]))
+        object.__setattr__(self, "_sides", tuple(sides))
+
+    def sides(self) -> tuple:
+        return self._sides
+
+    @classmethod
+    def through(cls, points, closed: bool = False):
+        """The polyline through `points`, with repeats collapsed and every
+        straight-through corner removed."""
+        out = []
+        for p in points:
+            if not out or out[-1] != p:
+                out.append(p)
+        if closed and len(out) > 1 and out[0] == out[-1]:
+            out.pop()
+        changed = True
+        while changed and len(out) >= 3:
+            changed = False
+            n = len(out)
+            for i in range(n) if closed else range(1, n - 1):
+                if cls._straight(out[i - 1], out[i], out[(i + 1) % n]):
+                    del out[i]
+                    changed = True
+                    break
+        return cls(tuple(out), closed)
+
+
+class SpatialPolyline(_Polyline):
+    """A broken line in space, which must not intersect itself.  Use
+    `open_polyline` / `closed_polygon` to build one from raw points."""
+
+    _segment = Segment3
+
+    @staticmethod
+    def _straight(u: Point3, v: Point3, w: Point3) -> bool:
+        return collinear3(u, v, w)
+
+    def __post_init__(self):
+        super().__post_init__()
+        sides = self._sides
         m = len(sides)
         for i in range(m):
             for j in range(i + 1, m):
@@ -72,68 +125,15 @@ class SpatialPolyline:
             return True
         return self.closed and i == 0 and j == m - 1
 
-    def sides(self) -> tuple[Segment3, ...]:
-        return self._sides
-
-
-def _polyline_sides(vertices: tuple, closed: bool, segment) -> tuple:
-    """The sides of a polyline, built once at construction; `segment` is
-    `Segment2` or `Segment3`.  Shared by spatial and planar polylines."""
-    out = [segment(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]
-    if closed:
-        out.append(segment(vertices[-1], vertices[0]))
-    return tuple(out)
-
-
-def _check_corners(vertices: tuple, closed: bool, straight) -> None:
-    """Raise ValueError unless the polyline has enough vertices, no two
-    equal consecutive ones and only genuine corners; `straight(u, v, w)`
-    says whether v lies on a straight run from u to w.  Shared by spatial
-    and planar polylines."""
-    n = len(vertices)
-    if n < 2 or (closed and n < 3):
-        raise ValueError("polyline needs at least 2 vertices, closed needs 3")
-    for i in range(n - 1):
-        if vertices[i] == vertices[i + 1]:
-            raise ValueError("consecutive vertices coincide")
-    if closed and vertices[0] == vertices[-1]:
-        raise ValueError("closed polyline must not repeat its first vertex")
-    for i in range(n) if closed else range(1, n - 1):
-        if straight(vertices[(i - 1) % n], vertices[i], vertices[(i + 1) % n]):
-            raise ValueError(f"straight-through vertex at index {i}")
-
-
-def _drop_straight_corners(points, closed: bool, straight) -> list:
-    """The points with repeats collapsed and every straight-through corner
-    removed, `straight` as in `_check_corners`."""
-    # collapse exact duplicates first
-    out = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    if closed and len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        n = len(out)
-        rng = range(n) if closed else range(1, n - 1)
-        for i in rng:
-            if straight(out[(i - 1) % n], out[i], out[(i + 1) % n]):
-                del out[i]
-                changed = True
-                break
-    return out
-
 
 def open_polyline(points) -> SpatialPolyline:
     """Build an open polyline, dropping repeated and straight-through points."""
-    return SpatialPolyline(tuple(_drop_straight_corners(points, False, collinear3)), closed=False)
+    return SpatialPolyline.through(points)
 
 
 def closed_polygon(points) -> SpatialPolyline:
     """Build a closed polygon, dropping repeated and straight-through points."""
-    return SpatialPolyline(tuple(_drop_straight_corners(points, True, collinear3)), closed=True)
+    return SpatialPolyline.through(points, closed=True)
 
 
 def polylines_disjoint(a: SpatialPolyline, b: SpatialPolyline) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -39,6 +40,7 @@ from .graphs import (
     require_generic,
     require_valid,
 )
+from .rng import SplitMix64
 
 _EX = Point3(1, 0, 0)
 _EZ = Point3(0, 0, 1)
@@ -151,8 +153,6 @@ def find_general_projection(
     rejections; almost every direction works, so the search normally ends
     within a handful of tries.  Deterministic for a fixed embedding + seed.
     """
-    from .rng import SplitMix64
-
     emb = require_valid(emb)
     rng = SplitMix64(seed)
     bound = 8
@@ -227,8 +227,6 @@ def project_central(
     names = list(names)
     if len(names) != len(others):
         raise ValueError("need one name per non-apex point")
-    from itertools import combinations
-
     graph = make_graph(names, combinations(names, 2))
     try:
         return require_generic(make_drawing(graph, dict(zip(names, images))))

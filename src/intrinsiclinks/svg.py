@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import ValidationError
 from .graphs import PlanarDrawing, extract_crossings
 from .projection import ProjectedDiagram
 
@@ -33,11 +34,16 @@ class _Mapper:
     """Affine map from model coordinates to the canvas, y flipped."""
 
     def __init__(self, points):
-        xs = [float(p.x) for p in points] or [0.0]
-        ys = [float(p.y) for p in points] or [0.0]
+        try:
+            xs = [float(p.x) for p in points] or [0.0]
+            ys = [float(p.y) for p in points] or [0.0]
+        except OverflowError:
+            raise ValidationError("cannot render: a coordinate does not fit a float") from None
         self.minx, self.maxy = min(xs), max(ys)
         spanx = max(xs) - min(xs)
         spany = max(ys) - min(ys)
+        if not math.isfinite(spanx + spany):
+            raise ValidationError("cannot render: the drawing's extent does not fit a float")
         self.scale = (_CANVAS - 2 * _MARGIN) / max(spanx, spany, 1e-9)
         self.width = 2 * _MARGIN + spanx * self.scale
         self.height = 2 * _MARGIN + spany * self.scale

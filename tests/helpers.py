@@ -3,7 +3,7 @@ package proves another way, so it lives here rather than in the library."""
 
 from fractions import Fraction
 
-from intrinsiclinks.errors import GeneralPositionViolation
+from intrinsiclinks.errors import DrawingNotGeneral, GeneralPositionViolation, SearchExhausted
 from intrinsiclinks.geometry import (
     OVERLAP,
     Point2,
@@ -16,7 +16,17 @@ from intrinsiclinks.geometry import (
     is_zero3,
     orient3d,
 )
-from intrinsiclinks.graphs import Cycle, EdgeKey, PlanarDrawing, PLEmbedding, make_embedding, make_graph
+from intrinsiclinks.graphs import (
+    Cycle,
+    EdgeKey,
+    GenericDrawing,
+    PlanarDrawing,
+    PLEmbedding,
+    make_drawing,
+    make_embedding,
+    make_graph,
+    require_generic,
+)
 from intrinsiclinks.linking import SpatialPolyline, higher_central, open_polyline
 from intrinsiclinks.projection import ProjectedDiagram, front_parity
 from intrinsiclinks.rng import SplitMix64
@@ -170,3 +180,30 @@ def meet_point3(s: Segment3, t: Segment3):
     if lo == hi:
         return p1 + d1.scale(Fraction(lo, length))
     return OVERLAP
+
+
+def gen_planar_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000) -> GenericDrawing:
+    """A generic drawing of two disjoint cycles, a1 a2 ... and b1 b2 ...,
+    of 3 to 6 straight sides each, with vertices drawn from [-bound, bound]^2.
+    A cycle may cross itself; every contact is a transversal crossing
+    interior to two sides."""
+    rng = SplitMix64(seed)
+    for _ in range(max_tries):
+        sizes = {"a": rng.randint(3, 6), "b": rng.randint(3, 6)}
+        names = {c: [f"{c}{i}" for i in range(1, k + 1)] for c, k in sizes.items()}
+        edges = [(cycle[i - 1], cycle[i]) for cycle in names.values() for i in range(len(cycle))]
+        graph = make_graph(names["a"] + names["b"], edges)
+        positions = {
+            v: Point2(rng.randint(-bound, bound), rng.randint(-bound, bound)) for v in graph.vertices
+        }
+        try:
+            return require_generic(make_drawing(graph, positions))
+        except (ValueError, DrawingNotGeneral):
+            continue
+    raise SearchExhausted(f"no clean polygon pair in {max_tries} tries (seed {seed})")
+
+
+def crossings_between_cycles(d: GenericDrawing) -> int:
+    """The crossings of `d` between an edge of the a-cycle and one of the
+    b-cycle of `gen_planar_polygon_pair`."""
+    return sum(c.edge1[0][0] != c.edge2[0][0] for c in d.crossings)

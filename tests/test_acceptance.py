@@ -13,7 +13,6 @@ from intrinsiclinks.cli import link_report_doc
 from intrinsiclinks.geometry import Triangle3
 from intrinsiclinks.graphs import (
     complete_graph,
-    crossings_between_polylines,
     make_cycle,
     make_embedding,
     make_graph,
@@ -25,7 +24,6 @@ from intrinsiclinks.instances import (
     gen_k6_points,
     gen_k33_drawing,
     gen_k44_linear,
-    gen_planar_polygon_pair,
     gen_points3_general,
     move_vertex_star,
 )
@@ -46,7 +44,7 @@ from intrinsiclinks.projection import find_general_projection, front_parity, lk_
 from intrinsiclinks.rng import SplitMix64
 from intrinsiclinks.serialization import to_json_bytes
 
-from helpers import seeded_apexes
+from helpers import crossings_between_cycles, gen_planar_polygon_pair, seeded_apexes
 
 K6 = complete_graph(6)
 
@@ -169,8 +167,7 @@ def test_ac03_per_pair_crossing_parity_identity(capsys):
 
 def test_ac04_even_crossings_for_closed_pairs(capsys):
     for seed in range(500):
-        first, second = gen_planar_polygon_pair(seed)
-        count = crossings_between_polylines(first, second)
+        count = crossings_between_cycles(gen_planar_polygon_pair(seed))
         assert count % 2 == 0, f"seed {seed}: odd crossing count {count}"
     _announce(
         capsys,

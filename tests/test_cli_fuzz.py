@@ -1,6 +1,7 @@
 """Fuzzing of the command line: small instance documents of all four kinds,
-on the grid [-2, 2] where degenerate geometry is common, some of them
-malformed, run through every subcommand that reads one.  Whatever the
+on the grid [-2, 2] where degenerate geometry is common, now and then with
+a coordinate too large for a float, some of them malformed, run through
+every subcommand that reads one, `project` also with `--svg`.  Whatever the
 input, `main` must return 0 or 1, let no exception escape, and explain an
 exit 1 on stderr."""
 
@@ -14,18 +15,22 @@ from hypothesis import given, settings, strategies as st
 
 from intrinsiclinks.cli import main
 
+SVG = "out.svg"  # rendered into the example's own directory
 COMMANDS = (
     ("check",),
     ("find-linked", "--verify"),
     ("oracle", "--cycles", "3,3"),
     ("project", "--max-tries", "50"),
+    ("project", "--max-tries", "50", "--svg", SVG),
     ("vankampen",),
 )
 
 NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 BAD_VALUES = ("1/0", "1/-2", "x", "", "1.5", 1.5, True, None, [], {}, "a--zz", "a--b--c", "--", "é", "9" * 5000, "1/" + "7" * 4000)
 
-coord = st.integers(-2, 2) | st.integers(-2, 2).map(str) | st.sampled_from(["1/2", "-3/2", "4/2"])
+# a 331-digit coordinate passes every exact check but does not fit a float
+HUGE = 10**330
+coord = st.integers(-2, 2) | st.integers(-2, 2).map(str) | st.sampled_from(["1/2", "-3/2", "4/2", HUGE])
 
 
 def point(dim):
@@ -103,7 +108,8 @@ def documents(draw):
     return blob
 
 
-@settings(max_examples=600, deadline=None)
+# a generous bound per example, so that a hang fails instead of stalling
+@settings(max_examples=600, deadline=5000)
 @given(documents())
 def test_main_exits_0_or_1_with_a_message(blob):
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,10 +117,13 @@ def test_main_exits_0_or_1_with_a_message(blob):
         with open(path, "wb") as handle:
             handle.write(blob)
         for command in COMMANDS:
+            argv = [command[0], path, *(os.path.join(tmp, a) if a == SVG else a for a in command[1:])]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command[0], path, *command[1:]])
+                code = main(argv)
             assert code in (0, 1), (command, err.getvalue())
+            # a failed render leaves no file behind
+            assert code == 0 or SVG not in command or not os.path.exists(argv[-1])
             if code == 1 and not err.getvalue():
                 # `check` reports an invalid instance on stdout
                 assert command == ("check",)

@@ -34,7 +34,7 @@ from intrinsiclinks.geometry import (
     seg_hits_solid_triangle,
     seg_intersect2,
 )
-from intrinsiclinks.graphs import planar_polyline
+from intrinsiclinks.graphs import PlanarPolyline
 from intrinsiclinks.linking import closed_polygon, open_polyline
 
 from helpers import meet_point3, segment_param
@@ -119,13 +119,34 @@ class TestPointContract:
             v = poly.vertices
             fresh = [Segment3(v[i], v[(i + 1) % len(v)]) for i in range(len(poly.sides()))]
             assert poly.sides() == tuple(fresh)
-        flat = planar_polyline([Point2(0, 0), Point2(2, 0), Point2(2, 2)], closed=True)
+        flat = PlanarPolyline.through([Point2(0, 0), Point2(2, 0), Point2(2, 2)], closed=True)
         assert flat.sides() is flat.sides()
         assert flat.sides() == (
             Segment2(Point2(0, 0), Point2(2, 0)),
             Segment2(Point2(2, 0), Point2(2, 2)),
             Segment2(Point2(2, 2), Point2(0, 0)),
         )
+
+
+class TestSegmentContract:
+    def test_segment2_never_equals_segment3(self):
+        # points of different classes never compare equal, so nor do their segments
+        s2 = Segment2(Point2(0, 0), Point2(1, 2))
+        s3 = Segment3(Point3(0, 0, 0), Point3(1, 2, 0))
+        assert s2 != s3 and s3 != s2
+        # the class decides even over the same endpoints
+        assert Segment2(s2.p, s2.q) != Segment3(s2.p, s2.q)
+        assert s2 == Segment2(Point2(0, 0), Point2(1, 2))
+        assert hash(s2) == hash(Segment2(Point2(0, 0), Point2(1, 2)))
+
+    def test_repr_names_the_class(self):
+        assert repr(Segment2(Point2(0, 0), Point2(1, 2))) == "Segment2(p=Point2(x=0, y=0), q=Point2(x=1, y=2))"
+        assert repr(Segment3(Point3(0, 0, 0), Point3(1, 2, 3))).startswith("Segment3(p=Point3(")
+
+    def test_degenerate_rejected(self):
+        for segment, p in ((Segment2, Point2(1, 1)), (Segment3, Point3(1, 1, 1))):
+            with pytest.raises(ValueError, match="endpoints coincide"):
+                segment(p, p)
 
 
 def _on_segment_by_definition(p, s):

@@ -9,7 +9,6 @@ from intrinsiclinks import graphs
 from intrinsiclinks.errors import (
     DrawingNotGeneral,
     EmbeddingInvalid,
-    GeneralPositionViolation,
     SearchExhausted,
 )
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
@@ -19,7 +18,6 @@ from intrinsiclinks.graphs import (
     bipartition,
     complete_bipartite,
     complete_graph,
-    crossings_between_polylines,
     cycle_route,
     enumerate_cycles,
     enumerate_disjoint_cycle_pairs,
@@ -30,7 +28,6 @@ from intrinsiclinks.graphs import (
     make_drawing,
     make_embedding,
     make_graph,
-    planar_polyline,
     require_generic,
     require_valid,
     smooth,
@@ -548,24 +545,44 @@ class TestGenericDrawing:
         assert len(info.value.violations) >= 2
 
 
-class TestCrossingsBetweenPolylines:
-    def test_two_squares(self):
-        a = planar_polyline([P2(0, 0), P2(4, 0), P2(4, 4), P2(0, 4)], closed=True)
-        b = planar_polyline([P2(2, 2), P2(6, 2), P2(6, 6), P2(2, 6)], closed=True)
-        assert crossings_between_polylines(a, b) == 2
+class TestPlacements:
+    """Embeddings and drawings share one base class and one builder."""
 
-    def test_disjoint_squares(self):
-        a = planar_polyline([P2(0, 0), P2(4, 0), P2(4, 4), P2(0, 4)], closed=True)
-        b = planar_polyline([P2(10, 10), P2(14, 10), P2(14, 14), P2(10, 14)], closed=True)
-        assert crossings_between_polylines(a, b) == 0
+    def test_embedding_never_equals_drawing(self):
+        empty = make_graph([], [])
+        pairs = [(make_embedding(empty, {}), make_drawing(empty, {}))]
+        pairs.append((require_valid(pairs[0][0]), require_generic(pairs[0][1])))
+        for emb, d in pairs:
+            assert emb.position == d.position and emb.route == d.route
+            assert emb != d and d != emb
+        assert make_embedding(empty, {}) == require_valid(make_embedding(empty, {}))
+        assert make_drawing(empty, {}) == require_generic(make_drawing(empty, {}))
 
-    def test_corner_contact_rejected(self):
-        a = planar_polyline([P2(0, 0), P2(4, 0), P2(4, 4), P2(0, 4)], closed=True)
-        b = planar_polyline([P2(4, 4), P2(8, 4), P2(8, 8), P2(4, 8)], closed=True)
-        with pytest.raises(GeneralPositionViolation):
-            crossings_between_polylines(a, b)
+    def test_repr_names_the_class(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        emb = make_embedding(g, {"a": P3(0, 0, 0), "b": P3(1, 0, 0)})
+        d = make_drawing(g, {"a": P2(0, 0), "b": P2(1, 0)})
+        cases = (
+            (emb, "PLEmbedding", "SpatialPolyline"),
+            (require_valid(emb), "ValidEmbedding", "SpatialPolyline"),
+            (d, "PlanarDrawing", "PlanarPolyline"),
+            (require_generic(d), "GenericDrawing", "PlanarPolyline"),
+        )
+        for obj, name, polyline in cases:
+            assert repr(obj).startswith(f"{name}(graph=Graph(")
+            assert f"route={{('a', 'b'): {polyline}(vertices=" in repr(obj)
+        assert repr(require_generic(d)).endswith("crossings=())")
 
-    def test_nested_squares(self):
-        a = planar_polyline([P2(0, 0), P2(9, 0), P2(9, 9), P2(0, 9)], closed=True)
-        b = planar_polyline([P2(3, 3), P2(6, 3), P2(6, 6), P2(3, 6)], closed=True)
-        assert crossings_between_polylines(a, b) == 0
+    def test_placements_are_unhashable(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        emb = make_embedding(g, {"a": P3(0, 0, 0), "b": P3(1, 0, 0)})
+        d = make_drawing(g, {"a": P2(0, 0), "b": P2(1, 0)})
+        for obj in (emb, require_valid(emb), d, require_generic(d)):
+            with pytest.raises(TypeError, match=f"{type(obj).__name__} is not hashable"):
+                hash(obj)
+
+    def test_drawing_routes_oriented_like_embedding_routes(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        d = make_drawing(g, {"a": P2(0, 0), "b": P2(2, 0)}, {("b", "a"): [P2(2, 0), P2(1, 1), P2(0, 0)]})
+        assert d.route[("a", "b")].vertices == (P2(0, 0), P2(1, 1), P2(2, 0))
+        assert d.route_chain("b", "a") == (P2(2, 0), P2(1, 1), P2(0, 0))

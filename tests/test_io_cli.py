@@ -17,8 +17,8 @@ from intrinsiclinks.cli import main
 from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
+    GenericDrawing,
     complete_graph,
-    crossings_between_polylines,
     make_drawing,
     make_embedding,
     make_graph,
@@ -35,7 +35,6 @@ from intrinsiclinks.instances import (
     gen_k6_points,
     gen_k33_drawing,
     gen_k44_linear,
-    gen_planar_polygon_pair,
     gen_polygon_pair,
     generate,
     move_vertex_star,
@@ -48,6 +47,8 @@ from intrinsiclinks.serialization import (
     parse_instance,
 )
 from intrinsiclinks.svg import render_svg
+
+from helpers import crossings_between_cycles, gen_planar_polygon_pair
 
 PENTAGON = {
     "v1": Point2(0, 2),
@@ -106,9 +107,10 @@ class TestGenerators:
         assert vk_invariance_probe(d, moved)
 
     def test_planar_polygon_pair(self):
-        a, b = gen_planar_polygon_pair(0)
-        assert a.closed and b.closed
-        count = crossings_between_polylines(a, b)
+        d = gen_planar_polygon_pair(0)
+        assert isinstance(d, GenericDrawing)
+        assert all(len(d.graph.neighbors(v)) == 2 for v in d.graph.vertices)
+        count = crossings_between_cycles(d)
         assert count % 2 == 0
 
     def test_generate_dispatch(self):
@@ -260,6 +262,14 @@ class TestSvg:
         diag = find_general_projection(gen_k6_pl_subdivided(1))
         assert render_svg(diag) == render_svg(diag)
 
+    def test_coordinates_beyond_float_range_are_rejected(self):
+        g = make_graph(("a", "b"), ())
+        with pytest.raises(ValidationError, match="coordinate does not fit a float"):
+            render_svg(make_drawing(g, {"a": Point2(0, 0), "b": Point2(10**330, 1)}))
+        # each coordinate fits, their difference does not
+        with pytest.raises(ValidationError, match="extent does not fit a float"):
+            render_svg(make_drawing(g, {"a": Point2(-10**308, 0), "b": Point2(10**308, 1)}))
+
 
 class TestCli:
     def run(self, *argv, capsys=None):
@@ -335,6 +345,19 @@ class TestCli:
         expected = smooth(raw)
         assert expected.graph == complete_graph(6)
         assert all(emb == expected for emb in received)
+
+    def test_project_svg_beyond_float_range(self, tmp_path, capsys):
+        # exact checking accepts a coordinate of 10^330; rendering cannot
+        pos = {"v1": Point3(0, 0, 0), "v2": Point3(1, 0, 0), "v3": Point3(0, 1, 0), "v4": Point3(0, 0, 10**330)}
+        path = tmp_path / "huge.json"
+        path.write_bytes(emit_instance(make_embedding(complete_graph(4), pos)))
+        assert self.run("check", str(path), capsys=capsys)[0] == 0
+        svg = tmp_path / "out.svg"
+        code, out = self.run("project", str(path), "--svg", str(svg), capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == "error: cannot render: a coordinate does not fit a float\n"
+        assert not svg.exists()
 
     def test_vankampen(self, tmp_path, capsys):
         path = tmp_path / "k5.json"
@@ -513,18 +536,18 @@ class TestPublicApi:
             "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
             "closed_polygon", "complete_bipartite", "complete_graph",
-            "crossings_between_polylines", "cycle_route", "emit_instance", "enumerate_cycles",
+            "cycle_route", "emit_instance", "enumerate_cycles",
             "enumerate_disjoint_cycle_pairs", "extract_crossings",
             "find_general_projection", "find_linked_cycles_k44", "find_linked_cycles_k6",
             "find_linked_triangles_linear", "gen_k33_drawing", "gen_k44_linear",
             "gen_k5_drawing", "gen_k6_pl_subdivided", "gen_k6_points",
-            "gen_planar_polygon_pair", "gen_polygon_pair", "generate", "gp_points2",
+            "gen_polygon_pair", "generate", "gp_points2",
             "gp_points3", "higher_central",
             "k44_parity_ledgers", "k6_parity_ledgers", "linear_parity_ledger",
             "linking_mod2_cone", "linking_mod2_sampled", "lk_from_diagram", "make_cycle",
             "make_drawing", "make_embedding", "make_graph", "move_vertex_star", "open_polyline",
             "oracle_confirm", "oracle_count_linked_pairs", "orient2d", "orient3d",
-            "orient3d_sos", "parse_instance", "parse_rational", "planar_polyline",
+            "orient3d_sos", "parse_instance", "parse_rational",
             "polylines_disjoint", "project_central", "project_orthogonal",
             "rational_str", "render_svg", "require_generic", "require_valid",
             "smooth", "to_json_bytes", "triangles_linked",

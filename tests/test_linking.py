@@ -14,6 +14,7 @@ from intrinsiclinks.errors import (
 )
 from intrinsiclinks import geometry
 from intrinsiclinks.geometry import (
+    Point2,
     Point3,
     Segment3,
     Triangle3,
@@ -33,7 +34,7 @@ from intrinsiclinks.linking import (
     polylines_disjoint,
     triangles_linked,
 )
-from intrinsiclinks.graphs import complete_graph, make_cycle, make_embedding, make_graph
+from intrinsiclinks.graphs import PlanarPolyline, complete_graph, make_cycle, make_embedding, make_graph
 from intrinsiclinks.instances import gen_k6_points
 from intrinsiclinks.invariants import oracle_count_linked_pairs
 from intrinsiclinks.projection import find_general_projection, lk_from_diagram
@@ -88,6 +89,64 @@ class TestPolylineConstruction:
     def test_closed_needs_three(self):
         with pytest.raises(ValueError):
             SpatialPolyline((Point3(0, 0, 0), Point3(1, 0, 0)), closed=True)
+
+
+# each polyline class with its point from plane coordinates
+KINDS = [(SpatialPolyline, lambda x, y: Point3(x, y, 0)), (PlanarPolyline, Point2)]
+
+
+@pytest.mark.parametrize("cls, P", KINDS, ids=["spatial", "planar"])
+class TestPolylineInvariantsBothKinds:
+    def test_too_few_vertices(self, cls, P):
+        with pytest.raises(ValueError, match="at least 2"):
+            cls((P(0, 0),))
+        with pytest.raises(ValueError, match="closed needs 3"):
+            cls((P(0, 0), P(1, 0)), closed=True)
+
+    def test_equal_consecutive_vertices(self, cls, P):
+        with pytest.raises(ValueError, match="coincide"):
+            cls((P(0, 0), P(0, 0), P(1, 1)))
+
+    def test_closed_repeats_first_vertex(self, cls, P):
+        with pytest.raises(ValueError, match="repeat its first"):
+            cls((P(0, 0), P(1, 0), P(0, 1), P(0, 0)), closed=True)
+
+    def test_straight_through_corner(self, cls, P):
+        with pytest.raises(ValueError, match="index 1"):
+            cls((P(0, 0), P(1, 0), P(2, 0), P(2, 1)))
+        # wraps around: the corner at index 0 runs straight from the last vertex
+        with pytest.raises(ValueError, match="index 0"):
+            cls((P(1, 0), P(2, 0), P(2, 2), P(0, 0)), closed=True)
+        assert len(cls((P(1, 0), P(2, 0), P(2, 2), P(0, 0))).vertices) == 4  # open: ends are free
+
+    def test_through_drops_repeats_and_straight_corners(self, cls, P):
+        arc = cls.through([P(0, 0), P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(2, 2)])
+        assert arc == cls((P(0, 0), P(2, 0), P(2, 2)))
+        ring = cls.through([P(1, 0), P(2, 0), P(2, 2), P(0, 0), P(1, 0)], closed=True)
+        assert ring == cls((P(2, 0), P(2, 2), P(0, 0)), closed=True)
+        with pytest.raises(ValueError):
+            cls.through([P(0, 0), P(1, 1), P(2, 2)], closed=True)
+
+    def test_value_and_repr_name_the_kind(self, cls, P):
+        arc = cls((P(0, 0), P(1, 1)))
+        assert arc == cls([P(0, 0), P(1, 1)]) and hash(arc) == hash(cls((P(0, 0), P(1, 1))))
+        assert repr(arc).startswith(f"{cls.__name__}(vertices=(")
+        assert arc.vertices == (P(0, 0), P(1, 1)) and not arc.closed
+
+    def test_self_crossing(self, cls, P):
+        figure_four = (P(0, 0), P(4, 0), P(4, 2), P(2, -1))
+        if cls is SpatialPolyline:
+            with pytest.raises(ValueError, match="self-intersection"):
+                cls(figure_four)
+        else:
+            assert len(cls(figure_four).sides()) == 3  # a drawing's route may cross itself
+
+
+def test_spatial_factories_are_through():
+    pts = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0), Point3(2, 2, 1)]
+    assert open_polyline(pts) == SpatialPolyline.through(pts)
+    assert closed_polygon(pts) == SpatialPolyline.through(pts, closed=True)
+    assert SpatialPolyline((Point3(0, 0, 0), Point3(1, 1, 1))) != PlanarPolyline((Point2(0, 0), Point2(1, 1)))
 
 
 class TestTrianglesLinked:
