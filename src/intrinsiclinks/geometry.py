@@ -429,9 +429,11 @@ def seg_hits_solid_triangle(s: Segment3, t: Triangle3):
     if o1 != 0 and o2 != 0 and o1 != o2:
         return 0
     o3 = orient3d(s.p, s.q, c, a)
+    if 1 in (o1, o2, o3) and -1 in (o1, o2, o3):
+        return 0  # beyond the line of a side, even if on the line of another
     if o1 == 0 or o2 == 0 or o3 == 0:
         return NON_GENERIC
-    return 1 if o1 == o2 == o3 else 0
+    return 1
 
 
 def meet_segments3(s: Segment3, t: Segment3):
@@ -468,18 +470,6 @@ def meet_segments3(s: Segment3, t: Segment3):
     if lo > hi:
         return False
     return True if lo == hi else OVERLAP
-
-
-def bounding_box_disjoint3(s: Segment3, t: Segment3) -> bool:
-    """Cheap reject: True when the closed axis-aligned boxes do not meet."""
-    return (
-        max(s.p.x, s.q.x) < min(t.p.x, t.q.x)
-        or max(t.p.x, t.q.x) < min(s.p.x, s.q.x)
-        or max(s.p.y, s.q.y) < min(t.p.y, t.q.y)
-        or max(t.p.y, t.q.y) < min(s.p.y, s.q.y)
-        or max(s.p.z, s.q.z) < min(t.p.z, t.q.z)
-        or max(t.p.z, t.q.z) < min(s.p.z, s.q.z)
-    )
 
 
 def collinear3(a: Point3, b: Point3, c: Point3) -> bool:

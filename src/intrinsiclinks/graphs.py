@@ -21,8 +21,9 @@ from .geometry import (
     Point2,
     Point3,
     Segment2,
-    bounding_box_disjoint3,
+    collinear3,
     dot2,
+    dot3,
     meet_segments3,
     orient2d,
     point_on_segment3,
@@ -331,15 +332,6 @@ def make_embedding(
     return _make(PLEmbedding, graph, positions, routes)
 
 
-def _terminal_side_at(poly: _Polyline, p) -> int | None:
-    """Index of the terminal side of an open polyline ending at p, if any."""
-    if poly.vertices[0] == p:
-        return 0
-    if poly.vertices[-1] == p:
-        return len(poly.vertices) - 2
-    return None
-
-
 def _check_vertices_and_routes(obj: _Placement) -> tuple[list[Violation], list[EdgeKey]]:
     """The checks an embedding and a drawing share: distinct vertex
     positions, and one open route per edge joining its endpoints.  Returns
@@ -370,6 +362,44 @@ def _check_vertices_and_routes(obj: _Placement) -> tuple[list[Violation], list[E
     return out, usable
 
 
+def _labelled_sides(obj: _Placement, usable: list[EdgeKey]) -> list[tuple]:
+    """Every side of the usable routes as (edge, index, segment, ends), in
+    edge order.  `ends` holds the endpoints of the edge at which this side
+    is the route's terminal side: the route starts at the vertex's position,
+    or ends there without starting there."""
+    out = []
+    for key in usable:
+        verts = obj.route[key].vertices
+        sides = obj.route[key].sides()
+        ends = [frozenset()] * len(sides)
+        ends[0] = frozenset(x for x in key if obj.position[x] == verts[0])
+        ends[-1] |= frozenset(x for x in key if obj.position[x] == verts[-1]) - ends[0]
+        out.extend((key, i, s, ends[i]) for i, s in enumerate(sides))
+    return out
+
+
+def _box_pairs(segments: Sequence) -> list[tuple[int, int]]:
+    """The index pairs (a, b), a < b, of the segments whose closed
+    axis-aligned boxes meet, in lexicographic order.  Sort and prune
+    (Bentley and Ottmann, IEEE TC 1979): with the boxes sorted by least x,
+    each is paired only with those that start before it ends, and kept
+    where the y- and z-ranges meet too (a planar box has the z-range [0, 0])."""
+    boxes = []
+    for a, s in enumerate(segments):
+        ranges = [sorted(c) for c in zip(s.p.coords(), s.q.coords())] + [[0, 0]]
+        boxes.append((*ranges[0], *ranges[1], *ranges[2], a))
+    boxes.sort()
+    pairs = []
+    for k, (_, x1, y0, y1, z0, z1, a) in enumerate(boxes):
+        for x0b, _, y0b, y1b, z0b, z1b, b in boxes[k + 1 :]:
+            if x0b > x1:
+                break
+            if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b:
+                pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    return pairs
+
+
 def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     """Geometric validation: distinct positions, routes meeting only at
     shared endpoint positions, no route through a foreign vertex."""
@@ -388,34 +418,32 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
                         Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w))
                     )
 
-    edges = usable
-    for i, e1 in enumerate(edges):
-        r1 = emb.route[e1]
-        for e2 in edges[i + 1 :]:
-            r2 = emb.route[e2]
-            shared = set(e1) & set(e2)
-            meet_at = pos[next(iter(shared))] if shared else None
-            for i1, s1 in enumerate(r1.sides()):
-                for i2, s2 in enumerate(r2.sides()):
-                    if bounding_box_disjoint3(s1, s2):
-                        continue
-                    m = meet_segments3(s1, s2)
-                    if not m:
-                        continue
-                    if m is OVERLAP:
-                        out.append(
-                            Violation("routes-overlap", f"routes of {e1} and {e2} overlap", (e1, e2, i1, i2))
-                        )
-                        continue
-                    # both terminal sides at the shared vertex end there, so
-                    # their one common point is that vertex
-                    if meet_at is not None:
-                        if _terminal_side_at(r1, meet_at) == i1 and _terminal_side_at(r2, meet_at) == i2:
-                            continue  # legitimate meeting at the shared vertex
-                    kind = "routes-cross" if not shared else "adjacent-routes-meet-off-vertex"
-                    out.append(
-                        Violation(kind, f"routes of {e1} and {e2} meet away from a shared vertex", (e1, e2, i1, i2))
-                    )
+    sides = _labelled_sides(emb, usable)
+    rank = {key: k for k, key in enumerate(usable)}
+    pairs = [(a, b) for a, b in _box_pairs([s[2] for s in sides]) if sides[a][0] != sides[b][0]]
+    # reported route pair by route pair, then side by side
+    pairs.sort(key=lambda ab: (rank[sides[ab[0]][0]], rank[sides[ab[1]][0]], ab))
+    for a, b in pairs:
+        e1, i1, s1, ends1 = sides[a]
+        e2, i2, s2, ends2 = sides[b]
+        if ends1 & ends2:
+            # terminal sides at a shared vertex meet there, and elsewhere
+            # only if they leave it along one ray
+            p = pos[next(iter(ends1 & ends2))]
+            u = s1.q if s1.p == p else s1.p
+            w = s2.q if s2.p == p else s2.p
+            if not (collinear3(p, u, w) and dot3(u - p, w - p) > 0):
+                continue
+            m = OVERLAP
+        else:
+            m = meet_segments3(s1, s2)
+        if not m:
+            continue
+        if m is OVERLAP:
+            out.append(Violation("routes-overlap", f"routes of {e1} and {e2} overlap", (e1, e2, i1, i2)))
+            continue
+        kind = "routes-cross" if set(e1).isdisjoint(e2) else "adjacent-routes-meet-off-vertex"
+        out.append(Violation(kind, f"routes of {e1} and {e2} meet away from a shared vertex", (e1, e2, i1, i2)))
     return tuple(out)
 
 
@@ -539,63 +567,52 @@ class Crossing:
 
 
 def _scan_drawing(d: PlanarDrawing):
-    """Shared sweep over all side pairs.  Returns (violations, raw
-    transversal crossings as (edge1, i1, edge2, i2, point))."""
+    """The sweep behind `validate_drawing` and `require_generic`, over the
+    side pairs whose boxes meet.  Returns (violations, raw transversal
+    crossings as (edge1, i1, edge2, i2, point))."""
     out, usable = _check_vertices_and_routes(d)
-
-    sides: list[tuple[EdgeKey, int, Segment2]] = []
-    for key in usable:
-        for i, s in enumerate(d.route[key].sides()):
-            sides.append((key, i, s))
+    sides = _labelled_sides(d, usable)
 
     crossings: list[tuple[EdgeKey, int, EdgeKey, int, Point2]] = []
-    for a in range(len(sides)):
-        e1, i1, s1 = sides[a]
-        for b in range(a + 1, len(sides)):
-            e2, i2, s2 = sides[b]
-            if e1 == e2 and abs(i1 - i2) == 1:
-                continue  # adjacent sides of one route share their corner
+    for a, b in _box_pairs([s[2] for s in sides]):
+        e1, i1, s1, ends1 = sides[a]
+        e2, i2, s2, ends2 = sides[b]
+        if e1 == e2 and abs(i1 - i2) == 1:
+            continue  # adjacent sides of one route share their corner
+        at_vertex = ends1 & ends2  # empty for two sides of one route
+        if at_vertex:
+            # terminal sides at a shared vertex meet there, and elsewhere
+            # only if they overlap
+            p = d.position[next(iter(at_vertex))]
+        else:
             r = seg_intersect2(s1, s2)
             if r is None:
                 continue
             if isinstance(r, Point2):
                 crossings.append((e1, i1, e2, i2, r))
                 continue
-            # degenerate contact: classify by shared endpoints
-            ends1 = {s1.p, s1.q}
-            ends2 = {s2.p, s2.q}
-            common = ends1 & ends2
-            if len(common) == 2:
-                out.append(Violation("sides-identical", f"{e1}[{i1}] and {e2}[{i2}] coincide", (e1, e2, i1, i2)))
-                continue
-            if len(common) == 1:
-                p = next(iter(common))
-                u = next(iter(ends1 - {p}))
-                w = next(iter(ends2 - {p}))
-                if orient2d(p, u, w) == 0 and dot2(u - p, w - p) > 0:
-                    out.append(Violation("sides-overlap", f"{e1}[{i1}] and {e2}[{i2}] overlap", (e1, e2, i1, i2)))
-                    continue
-                if e1 == e2:
-                    out.append(Violation("route-revisits-point", f"route of {e1} revisits {p.coords()}", (e1, i1, i2)))
-                    continue
-                shared_vertex = next(
-                    (x for x in set(e1) & set(e2) if d.position[x] == p), None
+            common = {s1.p, s1.q} & {s2.p, s2.q}
+            if not common:
+                out.append(
+                    Violation(
+                        "degenerate-contact",
+                        f"{e1}[{i1}] and {e2}[{i2}] meet at an endpoint of one inside the other, or overlap",
+                        (e1, e2, i1, i2),
+                    )
                 )
-                if (
-                    shared_vertex is not None
-                    and _terminal_side_at(d.route[e1], p) == i1
-                    and _terminal_side_at(d.route[e2], p) == i2
-                ):
-                    continue  # the legal meeting at a shared graph vertex
-                out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p.coords()}", (e1, e2, i1, i2)))
                 continue
-            out.append(
-                Violation(
-                    "degenerate-contact",
-                    f"{e1}[{i1}] and {e2}[{i2}] meet at an endpoint of one inside the other, or overlap",
-                    (e1, e2, i1, i2),
-                )
-            )
+            p = common.pop()
+        # a contact at a common end p, classified by the far ends
+        u = s1.q if s1.p == p else s1.p
+        w = s2.q if s2.p == p else s2.p
+        if u == w:
+            out.append(Violation("sides-identical", f"{e1}[{i1}] and {e2}[{i2}] coincide", (e1, e2, i1, i2)))
+        elif orient2d(p, u, w) == 0 and dot2(u - p, w - p) > 0:
+            out.append(Violation("sides-overlap", f"{e1}[{i1}] and {e2}[{i2}] overlap", (e1, e2, i1, i2)))
+        elif e1 == e2:
+            out.append(Violation("route-revisits-point", f"route of {e1} revisits {p.coords()}", (e1, i1, i2)))
+        elif not at_vertex:
+            out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p.coords()}", (e1, e2, i1, i2)))
 
     seen_points: dict[Point2, list[tuple]] = {}
     for rec in crossings:

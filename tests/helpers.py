@@ -11,10 +11,15 @@ from intrinsiclinks.geometry import (
     Segment3,
     Triangle3,
     cross3,
+    dot2,
     dot3,
     gp_points3,
     is_zero3,
+    meet_segments3,
+    orient2d,
     orient3d,
+    point_on_segment3,
+    seg_intersect2,
 )
 from intrinsiclinks.graphs import (
     Cycle,
@@ -22,6 +27,8 @@ from intrinsiclinks.graphs import (
     GenericDrawing,
     PlanarDrawing,
     PLEmbedding,
+    Violation,
+    _check_vertices_and_routes,
     make_drawing,
     make_embedding,
     make_graph,
@@ -207,3 +214,116 @@ def crossings_between_cycles(d: GenericDrawing) -> int:
     """The crossings of `d` between an edge of the a-cycle and one of the
     b-cycle of `gen_planar_polygon_pair`."""
     return sum(c.edge1[0][0] != c.edge2[0][0] for c in d.crossings)
+
+
+def terminal_side_at(poly, p):
+    """Index of the terminal side of an open polyline ending at p, if any."""
+    if poly.vertices[0] == p:
+        return 0
+    if poly.vertices[-1] == p:
+        return len(poly.vertices) - 2
+    return None
+
+
+def validate_embedding_reference(emb: PLEmbedding) -> tuple:
+    """The reference for `validate_embedding`: every side pair of distinct
+    routes goes through `meet_segments3`, and a meeting is legal when both
+    sides are the terminal sides of their routes at the shared vertex."""
+    g = emb.graph
+    pos = emb.position
+    out, usable = _check_vertices_and_routes(emb)
+    for key in usable:
+        poly = emb.route[key]
+        for w in g.vertices:
+            if w in key:
+                continue
+            for s in poly.sides():
+                if point_on_segment3(pos[w], s):
+                    out.append(
+                        Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w))
+                    )
+    for i, e1 in enumerate(usable):
+        r1 = emb.route[e1]
+        for e2 in usable[i + 1 :]:
+            r2 = emb.route[e2]
+            shared = set(e1) & set(e2)
+            meet_at = pos[next(iter(shared))] if shared else None
+            for i1, s1 in enumerate(r1.sides()):
+                for i2, s2 in enumerate(r2.sides()):
+                    m = meet_segments3(s1, s2)
+                    if not m:
+                        continue
+                    if m is OVERLAP:
+                        out.append(
+                            Violation("routes-overlap", f"routes of {e1} and {e2} overlap", (e1, e2, i1, i2))
+                        )
+                        continue
+                    if meet_at is not None:
+                        if terminal_side_at(r1, meet_at) == i1 and terminal_side_at(r2, meet_at) == i2:
+                            continue
+                    kind = "routes-cross" if not shared else "adjacent-routes-meet-off-vertex"
+                    out.append(
+                        Violation(kind, f"routes of {e1} and {e2} meet away from a shared vertex", (e1, e2, i1, i2))
+                    )
+    return tuple(out)
+
+
+def scan_drawing_reference(d: PlanarDrawing):
+    """The reference for `graphs._scan_drawing`: every side pair goes
+    through `seg_intersect2`, and each degenerate contact is classified by
+    the endpoints the two sides share.  Returns (violations, raw crossings)."""
+    out, usable = _check_vertices_and_routes(d)
+    sides = [(key, i, s) for key in usable for i, s in enumerate(d.route[key].sides())]
+    crossings = []
+    for a in range(len(sides)):
+        e1, i1, s1 = sides[a]
+        for b in range(a + 1, len(sides)):
+            e2, i2, s2 = sides[b]
+            if e1 == e2 and abs(i1 - i2) == 1:
+                continue
+            r = seg_intersect2(s1, s2)
+            if r is None:
+                continue
+            if isinstance(r, Point2):
+                crossings.append((e1, i1, e2, i2, r))
+                continue
+            ends1 = {s1.p, s1.q}
+            ends2 = {s2.p, s2.q}
+            common = ends1 & ends2
+            if len(common) == 2:
+                out.append(Violation("sides-identical", f"{e1}[{i1}] and {e2}[{i2}] coincide", (e1, e2, i1, i2)))
+                continue
+            if len(common) == 1:
+                p = next(iter(common))
+                u = next(iter(ends1 - {p}))
+                w = next(iter(ends2 - {p}))
+                if orient2d(p, u, w) == 0 and dot2(u - p, w - p) > 0:
+                    out.append(Violation("sides-overlap", f"{e1}[{i1}] and {e2}[{i2}] overlap", (e1, e2, i1, i2)))
+                    continue
+                if e1 == e2:
+                    out.append(Violation("route-revisits-point", f"route of {e1} revisits {p.coords()}", (e1, i1, i2)))
+                    continue
+                shared_vertex = next((x for x in set(e1) & set(e2) if d.position[x] == p), None)
+                if (
+                    shared_vertex is not None
+                    and terminal_side_at(d.route[e1], p) == i1
+                    and terminal_side_at(d.route[e2], p) == i2
+                ):
+                    continue
+                out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p.coords()}", (e1, e2, i1, i2)))
+                continue
+            out.append(
+                Violation(
+                    "degenerate-contact",
+                    f"{e1}[{i1}] and {e2}[{i2}] meet at an endpoint of one inside the other, or overlap",
+                    (e1, e2, i1, i2),
+                )
+            )
+    seen_points: dict = {}
+    for rec in crossings:
+        seen_points.setdefault(rec[4], []).append(rec)
+    for p, recs in seen_points.items():
+        if len(recs) > 1:
+            involved = tuple(sorted({(r[0], r[1]) for r in recs} | {(r[2], r[3]) for r in recs}))
+            out.append(Violation("triple-point", f"three or more sides pass through {p.coords()}", involved))
+    return tuple(out), tuple(crossings)

@@ -489,6 +489,14 @@ class TestSegHitsSolidTriangle:
     def test_through_vertex_non_generic(self):
         assert seg_hits_solid_triangle(Segment3(Point3(0, 0, -1), Point3(0, 0, 1)), self.tri) is NON_GENERIC
 
+    @pytest.mark.parametrize("x", [-1, 4])
+    def test_through_a_side_line_outside_the_side_misses(self, x):
+        # pierces the plane on the line y = 0 of one side, beyond its ends
+        s = Segment3(Point3(x, 0, -1), Point3(x, 0, 1))
+        assert seg_hits_solid_triangle(s, self.tri) == 0
+        a, b, c = self.tri.vertices()
+        assert seg_hits_solid_triangle(s, Triangle3(a, c, b)) == 0
+
     @given(points3, points3, points3, points3, points3)
     @settings(max_examples=200)
     def test_general_position_is_decisive(self, a, b, c, p, q):

@@ -1,6 +1,7 @@
 """Tests for graphs, cycles, embeddings, drawings and their validators."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,8 @@ from intrinsiclinks.errors import (
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     GenericDrawing,
+    PlanarDrawing,
+    PLEmbedding,
     ValidEmbedding,
     bipartition,
     complete_bipartite,
@@ -34,9 +37,16 @@ from intrinsiclinks.graphs import (
     validate_drawing,
     validate_embedding,
 )
-from intrinsiclinks.instances import gen_k6_pl_subdivided
+from intrinsiclinks.instances import (
+    bend_drawing,
+    gen_k5_drawing,
+    gen_k6_pl_subdivided,
+    gen_k33_drawing,
+    move_vertex_star,
+)
+from intrinsiclinks.projection import find_general_projection, project_orthogonal
 
-from helpers import smooth_reference, subdivided
+from helpers import scan_drawing_reference, smooth_reference, subdivided, validate_embedding_reference
 
 
 def P2(x, y):
@@ -586,3 +596,118 @@ class TestPlacements:
         d = make_drawing(g, {"a": P2(0, 0), "b": P2(2, 0)}, {("b", "a"): [P2(2, 0), P2(1, 1), P2(0, 0)]})
         assert d.route[("a", "b")].vertices == (P2(0, 0), P2(1, 1), P2(2, 0))
         assert d.route_chain("b", "a") == (P2(2, 0), P2(1, 1), P2(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the pruned side sweeps against their all-pairs references
+
+ROUTE_SHAPES = ("straight", "bent", "reversed", "mismatched", "revisit", "copy", "closed")
+
+
+@st.composite
+def raw_placements(draw, cls, point):
+    """A placement of class `cls` of a small graph on a tiny integer grid,
+    built without `make_*`, so that vertices may coincide and routes may be
+    reversed, miss an endpoint, revisit a point, repeat an earlier route or
+    be closed.  The grid makes shared endpoints, collinear overlaps in
+    either direction, identical sides, corners on sides and triple points
+    common.  A route its polyline class refuses is left out."""
+    names = ["a", "b", "c", "d", "e"][: draw(st.integers(2, 5))]
+    edges = draw(st.lists(st.sampled_from(list(combinations(names, 2))), min_size=1, max_size=7, unique=True))
+    graph = make_graph(names, edges)
+    pos = {v: draw(point) for v in names}
+    chains: list[list] = []
+    route = {}
+    for u, v in graph.edges:
+        shape = draw(st.sampled_from(ROUTE_SHAPES))
+        chain = [pos[u], pos[v]]
+        if shape in ("bent", "reversed", "mismatched", "closed"):
+            chain[1:1] = draw(st.lists(point, min_size=1, max_size=3))
+        if shape == "reversed":
+            chain.reverse()
+        elif shape == "mismatched":
+            chain[draw(st.sampled_from([0, -1]))] = draw(point)
+        elif shape == "revisit":
+            p, q, r = draw(point), draw(point), draw(point)
+            chain[1:1] = [p, q, r, p]
+        elif shape == "copy" and chains:
+            chain = list(draw(st.sampled_from(chains)))
+            if draw(st.booleans()):
+                chain.reverse()
+        chains.append(chain)
+        try:
+            route[u, v] = cls._polyline.through(chain, closed=shape == "closed")
+        except ValueError:
+            continue
+    return cls(graph, pos, route)
+
+
+GRID = st.integers(-2, 2)
+RAW_DRAWINGS = raw_placements(PlanarDrawing, st.builds(Point2, GRID, GRID))
+RAW_EMBEDDINGS = raw_placements(PLEmbedding, st.builds(Point3, GRID, GRID, st.integers(0, 1)))
+
+
+def generated_drawings(seed):
+    k5, k33 = gen_k5_drawing(seed, bound=20), gen_k33_drawing(seed, bound=20)
+    return [k5, k33, bend_drawing(k5, seed, bound=20), move_vertex_star(k33, seed, bound=20)]
+
+
+class TestSweepsMatchReference:
+    """The pruned sweeps return what the all-pairs references return,
+    violations and crossings in the same order."""
+
+    @settings(max_examples=400, deadline=2000)
+    @given(RAW_DRAWINGS)
+    def test_drawing_sweep(self, d):
+        assert graphs._scan_drawing(d) == scan_drawing_reference(d)
+
+    @settings(max_examples=300, deadline=2000)
+    @given(RAW_EMBEDDINGS)
+    def test_embedding_sweep(self, emb):
+        assert validate_embedding(emb) == validate_embedding_reference(emb)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_instances(self, seed, monkeypatch):
+        """Every drawing and embedding the generators and a projection
+        search sweep, rejected candidates included."""
+        drawings, embeddings = [], []
+        scan, validate = graphs._scan_drawing, graphs.validate_embedding
+        monkeypatch.setattr(graphs, "_scan_drawing", lambda d: drawings.append(d) or scan(d))
+        monkeypatch.setattr(graphs, "validate_embedding", lambda e: embeddings.append(e) or validate(e))
+        generated_drawings(seed)
+        find_general_projection(smooth(gen_k6_pl_subdivided(seed)), seed=seed)
+        assert drawings and embeddings
+        for d in drawings:
+            assert scan(d) == scan_drawing_reference(d)
+        for emb in embeddings:
+            assert validate(emb) == validate_embedding_reference(emb)
+
+
+class TestSidePruning:
+    """The sweep tests only the side pairs whose boxes meet."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        calls = []
+        original = graphs.seg_intersect2
+
+        def counted(s, t):
+            calls.append((s, t))
+            return original(s, t)
+
+        monkeypatch.setattr(graphs, "seg_intersect2", counted)
+        return calls
+
+    def test_far_apart_triangles_are_never_paired(self, tested):
+        g = make_graph(["a1", "a2", "a3", "b1", "b2", "b3"],
+                       [("a1", "a2"), ("a2", "a3"), ("a1", "a3"), ("b1", "b2"), ("b2", "b3"), ("b1", "b3")])
+        pos = {"a1": P2(0, 0), "a2": P2(4, 0), "a3": P2(0, 4),
+               "b1": P2(100, 100), "b2": P2(104, 100), "b3": P2(100, 104)}
+        assert validate_drawing(make_drawing(g, pos)) == ()
+        # the sides of one triangle meet only at shared vertices
+        assert tested == []
+
+    def test_subdivided_k6_projection_tests_under_half_the_pairs(self, tested):
+        drawing = project_orthogonal(gen_k6_pl_subdivided(1), Point3(4, 4, 1)).drawing
+        n = sum(len(r.sides()) for r in drawing.route.values())
+        assert 0 < len(tested) < n * (n - 1) // 4
