@@ -88,22 +88,13 @@ def _cmd_check(args) -> int:
     elif isinstance(obj, PlanarDrawing):
         kind = "drawing"
         violations = [v.to_dict() for v in validate_drawing(obj)]
-    elif isinstance(obj[0], Point3):
-        kind = "points3"
-        violations = (
-            []
-            if gp_points3(obj)
-            else [{"kind": "general-position",
-                   "message": "four of the points are coplanar"}]
-        )
     else:
-        kind = "points2"
-        violations = (
-            []
-            if gp_points2(obj)
-            else [{"kind": "general-position",
-                   "message": "three of the points are collinear"}]
+        kind, general, why = (
+            ("points3", gp_points3, "four of the points are coplanar")
+            if isinstance(obj[0], Point3)
+            else ("points2", gp_points2, "three of the points are collinear")
         )
+        violations = [] if general(obj) else [{"kind": "general-position", "message": why}]
     _emit_doc({"kind": kind, "valid": not violations, "violations": violations})
     return 0 if not violations else 1
 

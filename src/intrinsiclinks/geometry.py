@@ -23,9 +23,9 @@ Orientation conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import attrgetter
 from typing import Sequence, Union
 
 from .errors import ParseError
@@ -110,37 +110,54 @@ def _coerce(value: RationalLike) -> RationalLike:
 _set = object.__setattr__
 
 
-class _Point:
-    """Shared behaviour of the immutable points: value equality within one
-    class, the hash of the coordinate tuple, and no attribute assignment.
+class _Record:
+    """An immutable record.  Its fields are the parameters of its class's
+    `__init__`, which sets each one once; after that no attribute can be
+    set or deleted.  Equal only to a record of the same class with equal
+    fields, hashed as the tuple of its fields, and shown as
+    `Name(field=value, ...)`, as a frozen dataclass would be.
 
-    The coordinates are plain instance attributes and the only ones, so
-    `vars(p)` is exactly the coordinate mapping.  They are set through
+    The fields are plain instance attributes, set through
     `object.__setattr__` rather than by writing `self.__dict__`: touching
     `__dict__` makes CPython give the instance a separate dict, after which
-    every coordinate read is about twice as slow.
+    every field read is about twice as slow.
     """
 
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        if "_values" not in vars(cls):  # the field tuple behind ==, hash
+            get = attrgetter(*cls._fields)  # a bare value for one field
+            cls._values = (lambda self: (get(self),)) if len(cls._fields) == 1 else (lambda self: get(self))
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: points are immutable")
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: points are immutable")
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.coords() == other.coords()
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords())
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip("xyz", self.coords()))
-        return f"{type(self).__name__}({fields})"
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built by the constructor,
+        so its checks run again."""
+        values = {f: changes.pop(f, getattr(self, f)) for f in self._fields}
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {min(changes)!r}")
+        return type(self)(**values)
 
 
-class Point2(_Point):
+class Point2(_Record):
     def __init__(self, x: RationalLike, y: RationalLike):
         _set(self, "x", x if type(x) is int else _coerce(x))
         _set(self, "y", y if type(y) is int else _coerce(y))
@@ -158,8 +175,10 @@ class Point2(_Point):
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
 
+    _values = coords  # faster than attrgetter on this hot path
 
-class Point3(_Point):
+
+class Point3(_Record):
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
         _set(self, "x", x if type(x) is int else _coerce(x))
         _set(self, "y", y if type(y) is int else _coerce(y))
@@ -177,6 +196,8 @@ class Point3(_Point):
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z)
+
+    _values = coords  # faster than attrgetter on this hot path
 
 
 def cross2(u: Point2, v: Point2) -> Fraction:
@@ -203,17 +224,15 @@ def is_zero3(u: Point3) -> bool:
     return u.x == 0 and u.y == 0 and u.z == 0
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(_Record):
     """A segment between two distinct points; equal only to a segment of
     the same class."""
 
-    p: _Point
-    q: _Point
-
-    def __post_init__(self):
-        if self.p == self.q:
+    def __init__(self, p: _Record, q: _Record):
+        if p == q:
             raise ValueError("degenerate segment: endpoints coincide")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
 class Segment2(_Segment):
@@ -224,17 +243,15 @@ class Segment3(_Segment):
     """A segment in space, between two Point3."""
 
 
-@dataclass(frozen=True)
-class Triangle3:
-    a: Point3
-    b: Point3
-    c: Point3
-
-    def __post_init__(self):
-        if self.a == self.b or self.b == self.c or self.a == self.c:
+class Triangle3(_Record):
+    def __init__(self, a: Point3, b: Point3, c: Point3):
+        if a == b or b == c or a == c:
             raise ValueError("degenerate triangle: repeated vertex")
-        if is_zero3(cross3(self.b - self.a, self.c - self.a)):
+        if collinear3(a, b, c):
             raise ValueError("degenerate triangle: collinear vertices")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def vertices(self) -> tuple[Point3, Point3, Point3]:
         return (self.a, self.b, self.c)

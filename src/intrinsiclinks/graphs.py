@@ -10,7 +10,6 @@ all defects of an instance at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import perm
 from typing import Iterable, Mapping, Sequence
@@ -21,6 +20,8 @@ from .geometry import (
     Point2,
     Point3,
     Segment2,
+    _Record,
+    _set,
     collinear3,
     dot2,
     dot3,
@@ -34,8 +35,7 @@ from .linking import SpatialPolyline, _Polyline, closed_polygon, open_polyline
 EdgeKey = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """A finite simple graph with an explicit vertex order.
 
     The vertex order fixes every downstream canonical choice: edge keys are
@@ -43,13 +43,12 @@ class Graph:
     is well defined.  Build through `make_graph` or the factories below.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[EdgeKey, ...]
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[EdgeKey, ...]):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
         # lookup tables built once; not fields, so outside ==, hash and repr
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+        _set(self, "_index", {v: i for i, v in enumerate(vertices)})
+        _set(self, "_edge_set", frozenset(edges))
 
     def index(self, v: str) -> int:
         try:
@@ -145,8 +144,7 @@ def is_complete_bipartite(g: Graph, m: int, n: int) -> bool:
     return len(g.edges) == len(p0) * len(p1)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Record):
     """A cycle as a canonical vertex sequence.
 
     Canonical form: the lexicographically least vertex comes first and the
@@ -154,19 +152,14 @@ class Cycle:
     exactly one representation regardless of rotation or direction.
     """
 
-    vertices: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, vertices: Sequence[str]):
+        _set(self, "vertices", tuple(vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
     def disjoint_from(self, other: "Cycle") -> bool:
-        return not (self.vertex_set() & other.vertex_set())
+        return set(self.vertices).isdisjoint(other.vertices)
 
 
 def canonical_cycle_order(seq: Sequence[str]) -> tuple[str, ...]:
@@ -240,11 +233,11 @@ def enumerate_disjoint_cycle_pairs(
     return tuple((c1, c2) for c1 in first for c2 in second if c1.disjoint_from(c2))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-    subjects: tuple = ()
+class Violation(_Record):
+    def __init__(self, kind: str, message: str, subjects: tuple = ()):
+        _set(self, "kind", kind)
+        _set(self, "message", message)
+        _set(self, "subjects", subjects)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "message": self.message, "subjects": list(map(str, self.subjects))}
@@ -254,15 +247,15 @@ class Violation:
 # spatial embeddings
 
 
-@dataclass(frozen=True, eq=False)
-class _Placement:
+class _Placement(_Record):
     """A graph placed in space or the plane: positions plus an open polyline
     route per edge, oriented from the smaller-indexed endpoint.  Treat as
     immutable.  Subclasses name their polyline class."""
 
-    graph: Graph
-    position: dict
-    route: dict
+    def __init__(self, graph: Graph, position: dict, route: dict):
+        _set(self, "graph", graph)
+        _set(self, "position", position)
+        _set(self, "route", route)
 
     def __eq__(self, other):
         # fields only, so a placement equals its checked copy; an embedding
@@ -378,15 +371,16 @@ def _labelled_sides(obj: _Placement, usable: list[EdgeKey]) -> list[tuple]:
     return out
 
 
-def _box_pairs(segments: Sequence) -> list[tuple[int, int]]:
-    """The index pairs (a, b), a < b, of the segments whose closed
-    axis-aligned boxes meet, in lexicographic order.  Sort and prune
-    (Bentley and Ottmann, IEEE TC 1979): with the boxes sorted by least x,
-    each is paired only with those that start before it ends, and kept
-    where the y- and z-ranges meet too (a planar box has the z-range [0, 0])."""
+def _box_pairs(ends: Sequence[tuple]) -> list[tuple[int, int]]:
+    """The index pairs (a, b), a < b, of the (p, q) point pairs whose closed
+    axis-aligned boxes meet, in lexicographic order; a segment is given by
+    its endpoints, a point as (p, p).  Sort and prune (Bentley and Ottmann,
+    IEEE TC 1979): with the boxes sorted by least x, each is paired only
+    with those that start before it ends, and kept where the y- and
+    z-ranges meet too (a planar box has the z-range [0, 0])."""
     boxes = []
-    for a, s in enumerate(segments):
-        ranges = [sorted(c) for c in zip(s.p.coords(), s.q.coords())] + [[0, 0]]
+    for a, (p, q) in enumerate(ends):
+        ranges = [sorted(c) for c in zip(p.coords(), q.coords())] + [[0, 0]]
         boxes.append((*ranges[0], *ranges[1], *ranges[2], a))
     boxes.sort()
     pairs = []
@@ -406,21 +400,18 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     g = emb.graph
     pos = emb.position
     out, usable = _check_vertices_and_routes(emb)
-
-    for key in usable:
-        poly = emb.route[key]
-        for w in g.vertices:
-            if w in key:
-                continue
-            for s in poly.sides():
-                if point_on_segment3(pos[w], s):
-                    out.append(
-                        Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w))
-                    )
-
     sides = _labelled_sides(emb, usable)
+    n = len(sides)
+    # the vertices join the sweep as one-point boxes, after the sides
+    boxed = _box_pairs([(s[2].p, s[2].q) for s in sides] + [(pos[w], pos[w]) for w in g.vertices])
     rank = {key: k for k, key in enumerate(usable)}
-    pairs = [(a, b) for a, b in _box_pairs([s[2] for s in sides]) if sides[a][0] != sides[b][0]]
+    # reported route by route, then vertex by vertex, then side by side
+    for _, b, a in sorted((rank[sides[a][0]], b, a) for a, b in boxed if a < n <= b):
+        key, w = sides[a][0], g.vertices[b - n]
+        if w not in key and point_on_segment3(pos[w], sides[a][2]):
+            out.append(Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w)))
+
+    pairs = [(a, b) for a, b in boxed if b < n and sides[a][0] != sides[b][0]]
     # reported route pair by route pair, then side by side
     pairs.sort(key=lambda ab: (rank[sides[ab[0]][0]], rank[sides[ab[1]][0]], ab))
     for a, b in pairs:
@@ -451,6 +442,10 @@ class ValidEmbedding(PLEmbedding):
     """An embedding that has passed `validate_embedding`.  Only
     `require_valid` builds one from raw input, with its own copies of the
     position and route dicts."""
+
+    def replace(self, **changes) -> "ValidEmbedding":
+        """The changed copy, validated again."""
+        return require_valid(PLEmbedding(self.graph, self.position, self.route).replace(**changes))
 
 
 def require_valid(emb: PLEmbedding) -> ValidEmbedding:
@@ -551,19 +546,22 @@ def make_drawing(
     return _make(PlanarDrawing, graph, positions, routes)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(_Record):
     """A transversal crossing between sides of two distinct edge routes.
     `disjoint` records whether the two edges share no graph vertex; `upper`
     names the edge whose strand passes over, when height data exists."""
 
-    edge1: EdgeKey
-    edge2: EdgeKey
-    side1: int
-    side2: int
-    point: Point2
-    disjoint: bool
-    upper: EdgeKey | None = None
+    def __init__(
+        self, edge1: EdgeKey, edge2: EdgeKey, side1: int, side2: int,
+        point: Point2, disjoint: bool, upper: EdgeKey | None = None,
+    ):
+        _set(self, "edge1", edge1)
+        _set(self, "edge2", edge2)
+        _set(self, "side1", side1)
+        _set(self, "side2", side2)
+        _set(self, "point", point)
+        _set(self, "disjoint", disjoint)
+        _set(self, "upper", upper)
 
 
 def _scan_drawing(d: PlanarDrawing):
@@ -574,7 +572,7 @@ def _scan_drawing(d: PlanarDrawing):
     sides = _labelled_sides(d, usable)
 
     crossings: list[tuple[EdgeKey, int, EdgeKey, int, Point2]] = []
-    for a, b in _box_pairs([s[2] for s in sides]):
+    for a, b in _box_pairs([(s[2].p, s[2].q) for s in sides]):
         e1, i1, s1, ends1 = sides[a]
         e2, i2, s2, ends2 = sides[b]
         if e1 == e2 and abs(i1 - i2) == 1:
@@ -632,13 +630,18 @@ def validate_drawing(d: PlanarDrawing) -> tuple[Violation, ...]:
     return _scan_drawing(d)[0]
 
 
-@dataclass(frozen=True, eq=False)
 class GenericDrawing(PlanarDrawing):
     """A drawing that has passed `validate_drawing`, carrying the crossings
     found by that same sweep.  Only `require_generic` builds one from raw
     input, with its own copies of the position and route dicts."""
 
-    crossings: tuple[Crossing, ...]
+    def __init__(self, graph: Graph, position: dict, route: dict, crossings: tuple[Crossing, ...]):
+        super().__init__(graph, position, route)
+        _set(self, "crossings", crossings)
+
+    def replace(self, **changes) -> "GenericDrawing":
+        """The changed copy, swept again: the crossings are the sweep's."""
+        return require_generic(PlanarDrawing(self.graph, self.position, self.route).replace(**changes))
 
 
 def require_generic(d: PlanarDrawing) -> GenericDrawing:

@@ -9,10 +9,8 @@ continues.  Generators raise SearchExhausted after max_tries failed candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmbeddingInvalid, SearchExhausted
-from .geometry import Point2, Point3, gp_points2, gp_points3
+from .geometry import Point2, Point3, _Record, _set, gp_points2, gp_points3
 from .graphs import (
     PlanarDrawing,
     ValidEmbedding,
@@ -38,17 +36,15 @@ _TWO_TRIANGLES = make_graph(
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Knobs shared by all generators and the command-line surface."""
 
-    seed: int = 0
-    max_tries: int = 10000
-    bound: int = 1000
-
-    def __post_init__(self):
-        if self.max_tries <= 0 or self.bound <= 0:
+    def __init__(self, seed: int = 0, max_tries: int = 10000, bound: int = 1000):
+        if max_tries <= 0 or bound <= 0:
             raise ValueError("max_tries and bound must be positive")
+        _set(self, "seed", seed)
+        _set(self, "max_tries", max_tries)
+        _set(self, "bound", bound)
 
 
 def _point2(rng: SplitMix64, bound: int) -> Point2:

@@ -14,7 +14,6 @@ no input can legitimately do that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, Segment3, dot3, gp_points2, gp_points3
+from .geometry import Point2, Point3, Segment3, _Record, _set, dot3, gp_points2, gp_points3
 from .graphs import (
     Cycle,
     PlanarDrawing,
@@ -52,25 +51,27 @@ from .projection import (
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(_Record):
     """A finder's conclusion: two vertex-disjoint cycles with odd mod-2
     linking number.  `oracle_confirmed` stays None until the independent
     cone-counting oracle has re-checked the pair."""
 
-    cycle1: Cycle
-    cycle2: Cycle
-    lk_value: int
-    method: str
-    oracle_confirmed: bool | None = None
+    def __init__(
+        self, cycle1: Cycle, cycle2: Cycle, lk_value: int, method: str, oracle_confirmed: bool | None = None
+    ):
+        _set(self, "cycle1", cycle1)
+        _set(self, "cycle2", cycle2)
+        _set(self, "lk_value", lk_value)
+        _set(self, "method", method)
+        _set(self, "oracle_confirmed", oracle_confirmed)
 
 
-@dataclass(frozen=True)
-class ParityLedger:
+class ParityLedger(_Record):
     """One parity sum from a constructive argument, itemized."""
 
-    label: str
-    entries: tuple[tuple[str, int], ...]
+    def __init__(self, label: str, entries: tuple[tuple[str, int], ...]):
+        _set(self, "label", label)
+        _set(self, "entries", entries)
 
     @property
     def total(self) -> int:
@@ -88,11 +89,11 @@ def _forced(label: str, entries, expect: int) -> ParityLedger:
     return ledger
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    count: int
-    linked_pairs: tuple[tuple[Cycle, Cycle], ...]
-    total_pairs: int
+class OracleResult(_Record):
+    def __init__(self, count: int, linked_pairs: tuple[tuple[Cycle, Cycle], ...], total_pairs: int):
+        _set(self, "count", count)
+        _set(self, "linked_pairs", linked_pairs)
+        _set(self, "total_pairs", total_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -433,4 +434,4 @@ def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkR
     p1 = cycle_route(sm, report.cycle1)
     p2 = cycle_route(sm, report.cycle2)
     value = linking_mod2_sampled(p1, p2, SplitMix64(seed))
-    return replace(report, oracle_confirmed=(value == report.lk_value))
+    return report.replace(oracle_confirmed=(value == report.lk_value))

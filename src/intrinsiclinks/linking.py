@@ -23,14 +23,14 @@ to the viewpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GeneralPositionViolation, NonGenericViewpoint, PolylinesNotDisjoint
 from .geometry import (
     NON_GENERIC,
     Point3,
     Segment3,
     Triangle3,
+    _Record,
+    _set,
     collinear3,
     gp_points3,
     meet_segments3,
@@ -40,8 +40,7 @@ from .geometry import (
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class _Polyline:
+class _Polyline(_Record):
     """A broken line: open arc or closed polygon.
 
     Invariants enforced at construction: at least 2 vertices (3 when
@@ -52,27 +51,25 @@ class _Polyline:
     test; `through` builds one from raw points.
     """
 
-    vertices: tuple
-    closed: bool = False
-
-    def __post_init__(self):
-        vertices = tuple(self.vertices)
-        object.__setattr__(self, "vertices", vertices)
+    def __init__(self, vertices, closed: bool = False):
+        vertices = tuple(vertices)
         n = len(vertices)
-        if n < 2 or (self.closed and n < 3):
+        if n < 2 or (closed and n < 3):
             raise ValueError("polyline needs at least 2 vertices, closed needs 3")
         for i in range(n - 1):
             if vertices[i] == vertices[i + 1]:
                 raise ValueError("consecutive vertices coincide")
-        if self.closed and vertices[0] == vertices[-1]:
+        if closed and vertices[0] == vertices[-1]:
             raise ValueError("closed polyline must not repeat its first vertex")
-        for i in range(n) if self.closed else range(1, n - 1):
+        for i in range(n) if closed else range(1, n - 1):
             if self._straight(vertices[i - 1], vertices[i], vertices[(i + 1) % n]):
                 raise ValueError(f"straight-through vertex at index {i}")
         sides = [self._segment(vertices[i], vertices[i + 1]) for i in range(n - 1)]
-        if self.closed:
+        if closed:
             sides.append(self._segment(vertices[-1], vertices[0]))
-        object.__setattr__(self, "_sides", tuple(sides))
+        _set(self, "vertices", vertices)
+        _set(self, "closed", closed)
+        _set(self, "_sides", tuple(sides))
 
     def sides(self) -> tuple:
         return self._sides
@@ -109,21 +106,16 @@ class SpatialPolyline(_Polyline):
     def _straight(u: Point3, v: Point3, w: Point3) -> bool:
         return collinear3(u, v, w)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, vertices, closed: bool = False):
+        super().__init__(vertices, closed)
         sides = self._sides
         m = len(sides)
         for i in range(m):
-            for j in range(i + 1, m):
-                if self._adjacent(i, j, m):
-                    continue
+            # each side meets the next at their corner, and a closed
+            # polygon's last side meets its first
+            for j in range(i + 2, m - 1 if closed and i == 0 else m):
                 if meet_segments3(sides[i], sides[j]):
                     raise ValueError(f"self-intersection between sides {i} and {j}")
-
-    def _adjacent(self, i: int, j: int, m: int) -> bool:
-        if j == i + 1:
-            return True
-        return self.closed and i == 0 and j == m - 1
 
 
 def open_polyline(points) -> SpatialPolyline:

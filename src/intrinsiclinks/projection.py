@@ -12,7 +12,6 @@ defective diagram; callers that need some direction use the seeded search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -26,7 +25,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, cross3, dot3, gp_points2, is_zero3, orient2d, orient3d
+from .geometry import Point2, Point3, _Record, _set, cross3, dot3, gp_points2, is_zero3, orient2d, orient3d
 from .graphs import (
     Crossing,
     Cycle,
@@ -74,18 +73,21 @@ def plane_basis(d: Point3) -> tuple[Point3, Point3]:
     return e1, e2
 
 
-@dataclass(frozen=True)
-class ProjectedDiagram:
+class ProjectedDiagram(_Record):
     """A drawing obtained by flattening an embedding, with every crossing
     labeled by the edge whose strand passes in front (larger component
     along the projection direction)."""
 
-    embedding: PLEmbedding
-    direction: Point3
-    drawing: GenericDrawing
-    crossings: tuple[Crossing, ...]
+    def __init__(
+        self, embedding: PLEmbedding, direction: Point3,
+        drawing: GenericDrawing, crossings: tuple[Crossing, ...],
+    ):
+        _set(self, "embedding", embedding)
+        _set(self, "direction", direction)
+        _set(self, "drawing", drawing)
+        _set(self, "crossings", crossings)
 
-    def __hash__(self):  # pragma: no cover
+    def __hash__(self):
         raise TypeError("diagrams are not hashable")
 
     @property
@@ -140,7 +142,7 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
                 "two strands of a valid embedding project to equal heights"
             )
         turn = orient2d(t1.p, t1.q, t1.p + (t2.q - t2.p))
-        labeled.append(replace(c, upper=c.edge1 if det == turn else c.edge2))
+        labeled.append(c.replace(upper=c.edge1 if det == turn else c.edge2))
     return ProjectedDiagram(emb, d, drawing, tuple(labeled))
 
 

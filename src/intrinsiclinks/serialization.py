@@ -35,10 +35,6 @@ INSTANCE_FILE_KINDS = ("points3", "points2", "embedding", "drawing")
 _EDGE_SEP = "--"
 
 
-def _coord_str(value) -> str:
-    return rational_str(value)
-
-
 def _parse_coord(raw, where: str):
     try:
         return parse_rational(raw)
@@ -55,7 +51,7 @@ def _parse_point(raw, dim: int, where: str):
 
 
 def _point_doc(p) -> list:
-    return [_coord_str(c) for c in p.coords()]
+    return [rational_str(c) for c in p.coords()]
 
 
 def _require(condition: bool, message: str):

@@ -711,3 +711,14 @@ class TestSidePruning:
         drawing = project_orthogonal(gen_k6_pl_subdivided(1), Point3(4, 4, 1)).drawing
         n = sum(len(r.sides()) for r in drawing.route.values())
         assert 0 < len(tested) < n * (n - 1) // 4
+
+    def test_vertex_on_route_tests_only_vertices_in_a_side_box(self, monkeypatch):
+        emb = gen_k6_pl_subdivided(1)
+        tested = []
+        original = graphs.point_on_segment3
+        monkeypatch.setattr(graphs, "point_on_segment3", lambda p, s: tested.append(p) or original(p, s))
+        assert validate_embedding(emb) == ()
+        # every vertex off an edge against every side of its route: 1,376 tests
+        every = sum(len(r.sides()) * (len(emb.graph.vertices) - 2) for r in emb.route.values())
+        assert every == 1376
+        assert 0 < len(tested) < every // 10

@@ -447,13 +447,17 @@ class TestLinkingMod2Sampled:
 
     def test_oracle_builds_no_triangle(self, monkeypatch):
         built = []
-        original = geometry.Triangle3.__post_init__
+        original = geometry.Triangle3.__init__
 
-        def spy(self):
-            built.append(self)
-            original(self)
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(geometry.Triangle3, "__post_init__", spy)
+        monkeypatch.setattr(geometry.Triangle3, "__init__", spy)
+        # the spy sees every construction
+        geometry.Triangle3(Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0))
+        assert len(built) == 1
+        built.clear()
         k6 = make_embedding(
             complete_graph(6), {f"v{i}": p for i, p in enumerate(gen_k6_points(3), start=1)}
         )
