@@ -5,8 +5,8 @@ rational determinant; nothing is ever rounded.  A single misclassified sign
 would silently flip a crossing parity downstream, so there is no floating
 point anywhere on these paths.
 
-Rational values are `fractions.Fraction`: arbitrary-precision, always in
-lowest terms with a positive denominator, and exact under +-*/.  Degenerate
+Rational values are `fractions.Fraction`, exact under +-*/, and whole values
+are ints, so no predicate builds a `Fraction` on integer input.  Degenerate
 predicate outcomes (tangency, shared endpoints, collinear overlap) are
 returned as the first-class sentinel NON_GENERIC rather than raised, because
 for samplers a degenerate outcome is an ordinary value meaning "resample".
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Sequence, Union
 
@@ -69,28 +70,22 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class _NonGeneric:
-    """Sentinel for predicate outcomes that are not stable under perturbation."""
+class _Sentinel:
+    """A named one-off value, compared by identity."""
 
-    __slots__ = ()
+    __slots__ = ("_name",)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NON_GENERIC"
+    def __init__(self, name: str):
+        self._name = name
 
-
-NON_GENERIC = _NonGeneric()
-
-
-class _Overlap:
-    """Sentinel for two collinear segments sharing more than one point."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "OVERLAP"
+    def __repr__(self) -> str:
+        return self._name
 
 
-OVERLAP = _Overlap()
+# a predicate outcome that is not stable under perturbation
+NON_GENERIC = _Sentinel("NON_GENERIC")
+# two collinear segments sharing more than one point
+OVERLAP = _Sentinel("OVERLAP")
 
 
 def _coerce(value: RationalLike) -> RationalLike:
@@ -126,9 +121,10 @@ class _Record:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        if "_values" not in vars(cls):  # the field tuple behind ==, hash
-            get = attrgetter(*cls._fields)  # a bare value for one field
-            cls._values = (lambda self: (get(self),)) if len(cls._fields) == 1 else (lambda self: get(self))
+        # the fields behind == and hash (one comes bare, so hash wraps it)
+        cls._values = attrgetter(*cls._fields)
+        if len(cls._fields) == 1 and "__hash__" not in vars(cls):
+            cls.__hash__ = lambda self: hash((self._values(self),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
@@ -138,11 +134,11 @@ class _Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -175,7 +171,12 @@ class Point2(_Record):
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
 
-    _values = coords  # faster than attrgetter on this hot path
+    def __eq__(self, other):  # written out: the sweeps compare points the most
+        if other.__class__ is Point2:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
 
 class Point3(_Record):
@@ -197,7 +198,12 @@ class Point3(_Record):
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z)
 
-    _values = coords  # faster than attrgetter on this hot path
+    def __eq__(self, other):
+        if other.__class__ is Point3:
+            return self.x == other.x and self.y == other.y and self.z == other.z
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
 
 def cross2(u: Point2, v: Point2) -> Fraction:
@@ -393,10 +399,11 @@ def point_on_segment3(p: Point3, s: Segment3) -> bool:
 def seg_intersect2(s: Segment2, t: Segment2):
     """Intersect two closed planar segments.
 
-    Returns a Point2 when they cross transversally at a point interior to
-    both, None when they are disjoint, and NON_GENERIC for every degenerate
-    contact: a shared endpoint, an endpoint of one inside the other, or a
-    collinear overlap.
+    Returns the key (X, Y, D) of the crossing point (X/D, Y/D) when they
+    cross transversally at a point interior to both, None when they are
+    disjoint, and NON_GENERIC for every degenerate contact: a shared endpoint,
+    an endpoint of one inside the other, or a collinear overlap.  Keys are
+    `coprime3` with D > 0, so equal points have equal keys.
     """
     a, b = s.p, s.q
     c, d = t.p, t.q
@@ -409,9 +416,10 @@ def seg_intersect2(s: Segment2, t: Segment2):
             e = d - c
             num = cross2(c - a, e)
             den = cross2(b - a, e)
-            # den != 0: opposite orientations rule out parallel lines
-            u = Fraction(num, den)
-            return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+            # den != 0 (the lines are not parallel); the point is (x/den, y/den)
+            x = a.x * den + num * (b.x - a.x)
+            y = a.y * den + num * (b.y - a.y)
+            return coprime3(x, y, den, _sign(den))
         return None
     if d1 == 0 and point_on_segment2(c, s):
         return NON_GENERIC
@@ -422,6 +430,21 @@ def seg_intersect2(s: Segment2, t: Segment2):
     if d4 == 0 and point_on_segment2(b, t):
         return NON_GENERIC
     return None
+
+
+def coprime3(x: RationalLike, y: RationalLike, z: RationalLike, sign: int) -> tuple[int, int, int]:
+    """The coprime integers k(x, y, z) for rationals x, y, z, not all zero, and
+    k of sign `sign`: one name for a line through the origin or a point (x/z, y/z)."""
+    m = lcm(x.denominator, y.denominator, z.denominator)  # 1 on ints
+    x, y, z = (x * m).numerator, (y * m).numerator, (z * m).numerator
+    g = gcd(x, y, z) * sign
+    return (x // g, y // g, z // g)
+
+
+def key_point(key: tuple[int, int, int]) -> Point2:
+    """The point (X/D, Y/D) of a crossing key (X, Y, D)."""
+    x, y, d = key
+    return Point2(Fraction(x, d), Fraction(y, d))
 
 
 def seg_hits_solid_triangle(s: Segment3, t: Triangle3):

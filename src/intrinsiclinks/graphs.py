@@ -25,6 +25,7 @@ from .geometry import (
     collinear3,
     dot2,
     dot3,
+    key_point,
     meet_segments3,
     orient2d,
     point_on_segment3,
@@ -547,19 +548,19 @@ def make_drawing(
 
 
 class Crossing(_Record):
-    """A transversal crossing between sides of two distinct edge routes.
-    `disjoint` records whether the two edges share no graph vertex; `upper`
-    names the edge whose strand passes over, when height data exists."""
+    """A transversal crossing of sides of two distinct edge routes at the point
+    `key_point(key)`.  `disjoint` records whether the two edges share no graph
+    vertex; `upper` names the edge whose strand passes over, when known."""
 
     def __init__(
         self, edge1: EdgeKey, edge2: EdgeKey, side1: int, side2: int,
-        point: Point2, disjoint: bool, upper: EdgeKey | None = None,
+        key: tuple[int, int, int], disjoint: bool, upper: EdgeKey | None = None,
     ):
         _set(self, "edge1", edge1)
         _set(self, "edge2", edge2)
         _set(self, "side1", side1)
         _set(self, "side2", side2)
-        _set(self, "point", point)
+        _set(self, "key", key)
         _set(self, "disjoint", disjoint)
         _set(self, "upper", upper)
 
@@ -567,11 +568,11 @@ class Crossing(_Record):
 def _scan_drawing(d: PlanarDrawing):
     """The sweep behind `validate_drawing` and `require_generic`, over the
     side pairs whose boxes meet.  Returns (violations, raw transversal
-    crossings as (edge1, i1, edge2, i2, point))."""
+    crossings as (edge1, i1, edge2, i2, key of the point))."""
     out, usable = _check_vertices_and_routes(d)
     sides = _labelled_sides(d, usable)
 
-    crossings: list[tuple[EdgeKey, int, EdgeKey, int, Point2]] = []
+    crossings: list[tuple[EdgeKey, int, EdgeKey, int, tuple]] = []
     for a, b in _box_pairs([(s[2].p, s[2].q) for s in sides]):
         e1, i1, s1, ends1 = sides[a]
         e2, i2, s2, ends2 = sides[b]
@@ -586,7 +587,7 @@ def _scan_drawing(d: PlanarDrawing):
             r = seg_intersect2(s1, s2)
             if r is None:
                 continue
-            if isinstance(r, Point2):
+            if isinstance(r, tuple):
                 crossings.append((e1, i1, e2, i2, r))
                 continue
             common = {s1.p, s1.q} & {s2.p, s2.q}
@@ -612,12 +613,13 @@ def _scan_drawing(d: PlanarDrawing):
         elif not at_vertex:
             out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p.coords()}", (e1, e2, i1, i2)))
 
-    seen_points: dict[Point2, list[tuple]] = {}
+    at_key: dict[tuple, list[tuple]] = {}
     for rec in crossings:
-        seen_points.setdefault(rec[4], []).append(rec)
-    for p, recs in seen_points.items():
+        at_key.setdefault(rec[4], []).append(rec)
+    for key, recs in at_key.items():
         if len(recs) > 1:
             involved = tuple(sorted({(r[0], r[1]) for r in recs} | {(r[2], r[3]) for r in recs}))
+            p = key_point(key)
             out.append(Violation("triple-point", f"three or more sides pass through {p.coords()}", involved))
 
     return tuple(out), tuple(crossings)
@@ -661,13 +663,13 @@ def require_generic(d: PlanarDrawing) -> GenericDrawing:
         raise DrawingNotGeneral(f"{len(violations)} general-position violations", violations)
     idx = {v: i for i, v in enumerate(d.graph.vertices)}
     out = []
-    for e1, i1, e2, i2, p in raw:
+    for e1, i1, e2, i2, key in raw:
         if e1 == e2:
             continue
         if (idx[e1[0]], idx[e1[1]]) > (idx[e2[0]], idx[e2[1]]):
             e1, e2, i1, i2 = e2, e1, i2, i1
         disjoint = not (set(e1) & set(e2))
-        out.append(Crossing(e1, e2, i1, i2, p, disjoint))
+        out.append(Crossing(e1, e2, i1, i2, key, disjoint))
     out.sort(key=lambda c: (idx[c.edge1[0]], idx[c.edge1[1]], idx[c.edge2[0]], idx[c.edge2[1]], c.side1, c.side2))
     return GenericDrawing(d.graph, dict(d.position), dict(d.route), tuple(out))
 

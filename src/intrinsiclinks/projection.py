@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, _Record, _set, cross3, dot3, gp_points2, is_zero3, orient2d, orient3d
+from .geometry import Point2, Point3, _Record, _set, coprime3, cross3, dot3, gp_points2, is_zero3, orient2d, orient3d
 from .graphs import (
     Crossing,
     Cycle,
@@ -51,14 +51,8 @@ def canonical_direction(p: Point3) -> Point3:
     fr = (p.x, p.y, p.z)
     if all(f == 0 for f in fr):
         raise ValueError("zero vector has no direction")
-    m = lcm(*(f.denominator for f in fr))
-    ints = [int(f * m) for f in fr]
-    g = gcd(*ints)
-    ints = [i // g for i in ints]
-    first = next(i for i in ints if i != 0)
-    if first < 0:
-        ints = [-i for i in ints]
-    return Point3(*ints)
+    first = next(f for f in fr if f != 0)
+    return Point3(*coprime3(*fr, 1 if first > 0 else -1))
 
 
 def plane_basis(d: Point3) -> tuple[Point3, Point3]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
+from .geometry import key_point
 from .graphs import PlanarDrawing, extract_crossings
 from .projection import ProjectedDiagram
 
@@ -127,7 +128,7 @@ def render_svg(obj) -> bytes:
     if show_depth:
         for c in crossings:
             under, side = (c.edge2, c.side2) if c.upper == c.edge1 else (c.edge1, c.side1)
-            gaps[under].setdefault(side, []).append(mapper.to_canvas(c.point))
+            gaps[under].setdefault(side, []).append(mapper.to_canvas(key_point(c.key)))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -149,7 +150,7 @@ def render_svg(obj) -> bytes:
         )
     if not show_depth:
         for c in crossings:
-            x, y = mapper.to_canvas(c.point)
+            x, y = mapper.to_canvas(key_point(c.key))
             lines.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(_CROSS_R)}" '
                 'fill="white" stroke="grey" stroke-width="1"/>'

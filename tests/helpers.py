@@ -2,6 +2,7 @@
 package proves another way, so it lives here rather than in the library."""
 
 from fractions import Fraction
+from math import gcd
 
 from intrinsiclinks.errors import DrawingNotGeneral, GeneralPositionViolation, SearchExhausted
 from intrinsiclinks.geometry import (
@@ -10,6 +11,8 @@ from intrinsiclinks.geometry import (
     Point3,
     Segment3,
     Triangle3,
+    NON_GENERIC,
+    cross2,
     cross3,
     dot2,
     dot3,
@@ -18,8 +21,8 @@ from intrinsiclinks.geometry import (
     meet_segments3,
     orient2d,
     orient3d,
+    point_on_segment2,
     point_on_segment3,
-    seg_intersect2,
 )
 from intrinsiclinks.graphs import (
     Cycle,
@@ -268,10 +271,45 @@ def validate_embedding_reference(emb: PLEmbedding) -> tuple:
     return tuple(out)
 
 
+def seg_intersect2_reference(s, t):
+    """`geometry.seg_intersect2` with the crossing point built as a Point2
+    through `Fraction` rather than keyed: the reference for its keys."""
+    a, b = s.p, s.q
+    c, d = t.p, t.q
+    d1 = orient2d(a, b, c)
+    d2 = orient2d(a, b, d)
+    d3 = orient2d(c, d, a)
+    d4 = orient2d(c, d, b)
+    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        if d1 != d2 and d3 != d4:
+            e = d - c
+            u = Fraction(cross2(c - a, e), cross2(b - a, e))
+            return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+        return None
+    if d1 == 0 and point_on_segment2(c, s):
+        return NON_GENERIC
+    if d2 == 0 and point_on_segment2(d, s):
+        return NON_GENERIC
+    if d3 == 0 and point_on_segment2(a, t):
+        return NON_GENERIC
+    if d4 == 0 and point_on_segment2(b, t):
+        return NON_GENERIC
+    return None
+
+
+def reference_key(p: Point2) -> tuple[int, int, int]:
+    """The key (X, Y, D) of a point, from its coordinates in lowest terms:
+    D is the lcm of their denominators, which leaves gcd(X, Y, D) = 1."""
+    x, y = Fraction(p.x), Fraction(p.y)
+    d = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return (int(x * d), int(y * d), d)
+
+
 def scan_drawing_reference(d: PlanarDrawing):
     """The reference for `graphs._scan_drawing`: every side pair goes
-    through `seg_intersect2`, and each degenerate contact is classified by
-    the endpoints the two sides share.  Returns (violations, raw crossings)."""
+    through `seg_intersect2_reference`, and each degenerate contact is
+    classified by the endpoints the two sides share.  Returns (violations,
+    raw crossings, each with its Point2)."""
     out, usable = _check_vertices_and_routes(d)
     sides = [(key, i, s) for key in usable for i, s in enumerate(d.route[key].sides())]
     crossings = []
@@ -281,7 +319,7 @@ def scan_drawing_reference(d: PlanarDrawing):
             e2, i2, s2 = sides[b]
             if e1 == e2 and abs(i1 - i2) == 1:
                 continue
-            r = seg_intersect2(s1, s2)
+            r = seg_intersect2_reference(s1, s2)
             if r is None:
                 continue
             if isinstance(r, Point2):

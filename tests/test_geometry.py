@@ -23,6 +23,7 @@ from intrinsiclinks.geometry import (
     gp_points2,
     gp_points3,
     is_zero3,
+    key_point,
     meet_segments3,
     orient2d,
     orient3d,
@@ -416,7 +417,7 @@ class TestSegIntersect2:
     def test_square_diagonals_cross_at_center(self):
         s = Segment2(Point2(0, 0), Point2(2, 2))
         t = Segment2(Point2(0, 2), Point2(2, 0))
-        assert seg_intersect2(s, t) == Point2(1, 1)
+        assert seg_intersect2(s, t) == (1, 1, 1)
 
     def test_parallel_sides_disjoint(self):
         s = Segment2(Point2(0, 0), Point2(1, 0))
@@ -462,7 +463,8 @@ class TestSegIntersect2:
             return
         s, t = Segment2(a, b), Segment2(c, d)
         r = seg_intersect2(s, t)
-        if isinstance(r, Point2):
+        if isinstance(r, tuple):
+            r = key_point(r)
             assert point_on_segment2(r, s) and point_on_segment2(r, t)
             assert r not in (a, b, c, d)
 

@@ -19,6 +19,7 @@ from intrinsiclinks.geometry import (
     Segment3,
     dot3,
     gp_points3,
+    key_point,
     seg_intersect2,
 )
 from intrinsiclinks.graphs import (
@@ -177,7 +178,7 @@ class TestProjectOrthogonal:
             return
         for c in diag.crossings:
             h1, h2 = (
-                strand_height(diag.embedding, diag.drawing, diag.direction, edge, side, c.point)
+                strand_height(diag.embedding, diag.drawing, diag.direction, edge, side, key_point(c.key))
                 for edge, side in ((c.edge1, c.side1), (c.edge2, c.side2))
             )
             assert h1 != h2
@@ -279,7 +280,7 @@ class TestProjectCentral:
             s2 = Segment3(below[k], below[l])
             im1 = Segment2(drawing.position[names[i]], drawing.position[names[j]])
             im2 = Segment2(drawing.position[names[k]], drawing.position[names[l]])
-            crosses = isinstance(seg_intersect2(im1, im2), Point2)
+            crosses = isinstance(seg_intersect2(im1, im2), tuple)
             blocked = higher_central(apex, s1, s2) == 1 or higher_central(apex, s2, s1) == 1
             assert crosses == blocked
 
@@ -346,6 +347,6 @@ class TestProjectCentral:
             s2 = Segment3(below[k], below[l])
             im1 = Segment2(drawing.position[names[i]], drawing.position[names[j]])
             im2 = Segment2(drawing.position[names[k]], drawing.position[names[l]])
-            crosses = isinstance(seg_intersect2(im1, im2), Point2)
+            crosses = isinstance(seg_intersect2(im1, im2), tuple)
             blocked = higher_central(apex, s1, s2) == 1 or higher_central(apex, s2, s1) == 1
             assert crosses == blocked

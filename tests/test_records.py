@@ -68,9 +68,9 @@ CASES = {
         "Violation(kind='missing-route', message=\"edge ('a', 'b') has no route\", subjects=(('a', 'b'),))",
     ),
     "Crossing": (
-        Crossing(("a", "b"), ("c", "d"), 0, 1, P2(1, 2), True),
-        ("edge1", "edge2", "side1", "side2", "point", "disjoint", "upper"), ("upper", ("a", "b")), None,
-        "Crossing(edge1=('a', 'b'), edge2=('c', 'd'), side1=0, side2=1, point=Point2(x=1, y=2), "
+        Crossing(("a", "b"), ("c", "d"), 0, 1, (1, 2, 1), True),
+        ("edge1", "edge2", "side1", "side2", "key", "disjoint", "upper"), ("upper", ("a", "b")), None,
+        "Crossing(edge1=('a', 'b'), edge2=('c', 'd'), side1=0, side2=1, key=(1, 2, 1), "
         "disjoint=True, upper=None)",
     ),
     "SpatialPolyline": (
