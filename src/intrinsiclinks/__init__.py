@@ -19,7 +19,6 @@ from .errors import (
     GeneralPositionViolation,
     InternalParityFailure,
     IntrinsicLinksError,
-    NonGenericViewpoint,
     ParseError,
     PolylinesNotDisjoint,
     ProjectionNotGeneral,
@@ -99,11 +98,8 @@ from .invariants import (
 )
 from .linking import (
     SpatialPolyline,
-    closed_polygon,
-    higher_central,
     linking_mod2_cone,
     linking_mod2_sampled,
-    open_polyline,
     polylines_disjoint,
     triangles_linked,
 )

@@ -44,7 +44,7 @@ from .invariants import (
     van_kampen_drawing,
     van_kampen_points,
 )
-from .linking import closed_polygon, linking_mod2_sampled
+from .linking import SpatialPolyline, linking_mod2_sampled
 from .projection import find_general_projection
 from .rng import SplitMix64
 from .serialization import parse_instance, emit_instance, to_json_bytes
@@ -100,7 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = RunConfig(seed=args.seed, max_tries=args.max_tries, bound=args.bound)
+    cfg = RunConfig(seed=args.seed, bound=args.bound)
     blob = emit_instance(generate(args.kind, cfg))
     if args.output:
         with open(args.output, "wb") as handle:
@@ -182,7 +182,7 @@ def _cmd_project(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, PLEmbedding):
         raise ValidationError("project needs an embedding instance")
-    diag = find_general_projection(obj, seed=args.seed, max_tries=args.max_tries)
+    diag = find_general_projection(obj, seed=args.seed)
     doc = {
         "crossing_count": len(diag.crossings),
         "direction": [rational_str(c) for c in diag.direction.coords()],
@@ -203,8 +203,8 @@ def _cmd_link(args) -> int:
     for obj, path in ((first, args.first), (second, args.second)):
         if not (isinstance(obj, list) and isinstance(obj[0], Point3)):
             raise ValidationError(f"{path}: link needs points3 instances")
-    a = closed_polygon(first)
-    b = closed_polygon(second)
+    a = SpatialPolyline.through(first, closed=True)
+    b = SpatialPolyline.through(second, closed=True)
     value = linking_mod2_sampled(a, b, SplitMix64(args.seed))
     _emit_doc({"linking_mod2": value, "seed": args.seed})
     return 0
@@ -222,7 +222,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=INSTANCE_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=1000)
-    p.add_argument("--max-tries", type=int, default=10000)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
 
@@ -248,7 +247,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("project", help="project an embedding to a diagram")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tries", type=int, default=10000)
     p.add_argument("--svg", metavar="FILE", help="also render the diagram")
     p.set_defaults(func=_cmd_project)
 

@@ -17,11 +17,6 @@ class GeneralPositionViolation(IntrinsicLinksError):
     """A point set required to be in general position is not."""
 
 
-class NonGenericViewpoint(IntrinsicLinksError):
-    """A viewpoint sees two segments in a degenerate way (ray through an
-    endpoint, coincident hits, or a collapsed sighting triangle)."""
-
-
 class ApexNotExtremal(IntrinsicLinksError):
     """A central-projection apex is not strictly extremal for the functional."""
 

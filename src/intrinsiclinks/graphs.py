@@ -31,7 +31,7 @@ from .geometry import (
     point_on_segment3,
     seg_intersect2,
 )
-from .linking import SpatialPolyline, _Polyline, closed_polygon, open_polyline
+from .linking import SpatialPolyline, _Polyline
 
 EdgeKey = tuple[str, str]
 
@@ -96,14 +96,14 @@ def make_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> Gra
     return Graph(verts, ordered)
 
 
-def complete_graph(n: int, prefix: str = "v") -> Graph:
-    verts = [f"{prefix}{i}" for i in range(1, n + 1)]
+def complete_graph(n: int) -> Graph:
+    verts = [f"v{i}" for i in range(1, n + 1)]
     return make_graph(verts, combinations(verts, 2))
 
 
-def complete_bipartite(m: int, n: int, prefixes: tuple[str, str] = ("a", "b")) -> Graph:
-    left = [f"{prefixes[0]}{i}" for i in range(1, m + 1)]
-    right = [f"{prefixes[1]}{i}" for i in range(1, n + 1)]
+def complete_bipartite(m: int, n: int) -> Graph:
+    left = [f"a{i}" for i in range(1, m + 1)]
+    right = [f"b{i}" for i in range(1, n + 1)]
     return make_graph(left + right, ((u, v) for u in left for v in right))
 
 
@@ -186,7 +186,8 @@ def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
 
 
 # vertex orders or cycle pairs past which the enumerations below raise
-# SearchExhausted instead of running for hours (10^7 pairs take about 5 s)
+# SearchExhausted; on 2 CPUs, Python 3.11, an order of a complete graph takes
+# about 12 us and a candidate pair about 1.5 us, so 10^7 take 2 min and 15 s
 CYCLE_SEARCH_BUDGET = 10**7
 
 
@@ -500,7 +501,7 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
     core = make_graph([v for v in g.vertices if v in adj], chain)
     # an edge of `g` that is still there was never merged
     route = {
-        key: emb.route[key] if g.has_edge(*key) else open_polyline(chain[key])
+        key: emb.route[key] if g.has_edge(*key) else SpatialPolyline.through(chain[key])
         for key in core.edges
     }
     return ValidEmbedding(core, {v: emb.position[v] for v in core.vertices}, route)
@@ -513,7 +514,7 @@ def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:
     for i in range(len(seq)):
         chain = emb.route_chain(seq[i], seq[(i + 1) % len(seq)])
         points.extend(chain[:-1])
-    return closed_polygon(points)
+    return SpatialPolyline.through(points, closed=True)
 
 
 # ---------------------------------------------------------------------------

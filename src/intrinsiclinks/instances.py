@@ -4,7 +4,8 @@ Every generator owns a SplitMix64 stream derived from its seed argument, so a
 (kind, seed) pair fully determines the output.  Coordinates are integers drawn
 uniformly from [-bound, bound], one PRNG call per coordinate in x, y(, z)
 order; candidates failing a validity test are discarded and the stream simply
-continues.  Generators raise SearchExhausted after max_tries failed candidates.
+continues.  Generators raise SearchExhausted after CANDIDATE_TRIES failed
+candidates.
 """
 
 from __future__ import annotations
@@ -36,14 +37,16 @@ _TWO_TRIANGLES = make_graph(
 )
 
 
+CANDIDATE_TRIES = 10000
+
+
 class RunConfig(_Record):
     """Knobs shared by all generators and the command-line surface."""
 
-    def __init__(self, seed: int = 0, max_tries: int = 10000, bound: int = 1000):
-        if max_tries <= 0 or bound <= 0:
-            raise ValueError("max_tries and bound must be positive")
+    def __init__(self, seed: int = 0, bound: int = 1000):
+        if bound <= 0:
+            raise ValueError("bound must be positive")
         _set(self, "seed", seed)
-        _set(self, "max_tries", max_tries)
         _set(self, "bound", bound)
 
 
@@ -59,31 +62,25 @@ def _point3(rng: SplitMix64, bound: int) -> Point3:
     )
 
 
-def gen_points3_general(
-    seed: int, count: int, bound: int = 1000, max_tries: int = 10000
-) -> list[Point3]:
-    """Integer points in the cube, no four coplanar."""
+def gen_k6_points(seed: int, bound: int = 1000) -> list[Point3]:
+    """Six integer points in the cube, no four coplanar."""
     rng = SplitMix64(seed)
-    for _ in range(max_tries):
-        pts = [_point3(rng, bound) for _ in range(count)]
+    for _ in range(CANDIDATE_TRIES):
+        pts = [_point3(rng, bound) for _ in range(6)]
         if gp_points3(pts):
             return pts
     raise SearchExhausted(
-        f"no general-position {count}-point set in {max_tries} tries (seed {seed})"
+        f"no general-position 6-point set in {CANDIDATE_TRIES} tries (seed {seed})"
     )
 
 
-def gen_k6_points(seed: int, bound: int = 1000, max_tries: int = 10000) -> list[Point3]:
-    return gen_points3_general(seed, 6, bound, max_tries)
-
-
-def _gen_straight_embedding(graph, what: str, seed: int, bound: int, max_tries: int) -> ValidEmbedding:
+def _gen_straight_embedding(graph, what: str, seed: int, bound: int) -> ValidEmbedding:
     # general position of the vertices already rules out route crossings and
     # vertices on routes (either would force four coplanar points), but the
     # validator has the last word, and the validated copy is what comes back
     rng = SplitMix64(seed)
     n = len(graph.vertices)
-    for _ in range(max_tries):
+    for _ in range(CANDIDATE_TRIES):
         pts = [_point3(rng, bound) for _ in range(n)]
         if not gp_points3(pts):
             continue
@@ -91,18 +88,18 @@ def _gen_straight_embedding(graph, what: str, seed: int, bound: int, max_tries: 
             return require_valid(make_embedding(graph, dict(zip(graph.vertices, pts))))
         except EmbeddingInvalid:
             continue
-    raise SearchExhausted(f"no valid {what} in {max_tries} tries (seed {seed})")
+    raise SearchExhausted(f"no valid {what} in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
-def gen_k44_linear(seed: int, bound: int = 1000, max_tries: int = 10000) -> ValidEmbedding:
+def gen_k44_linear(seed: int, bound: int = 1000) -> ValidEmbedding:
     """Straight-line embedding of the 4+4 complete bipartite graph, on 8
     integer points in general position, returned already validated."""
-    return _gen_straight_embedding(_K44, "K4,4 embedding", seed, bound, max_tries)
+    return _gen_straight_embedding(_K44, "K4,4 embedding", seed, bound)
 
 
-def gen_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000) -> ValidEmbedding:
+def gen_polygon_pair(seed: int, bound: int = 1000) -> ValidEmbedding:
     """Two disjoint straight triangles in space, as one validated embedding."""
-    return _gen_straight_embedding(_TWO_TRIANGLES, "triangle pair", seed, bound, max_tries)
+    return _gen_straight_embedding(_TWO_TRIANGLES, "triangle pair", seed, bound)
 
 
 # Subdivided instances start from the moment curve t -> (t, t^2, t^3), whose
@@ -113,7 +110,7 @@ _MOMENT_SCALE = 24
 _JITTER = 12  # half a scaled unit in each coordinate
 
 
-def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> ValidEmbedding:
+def gen_k6_pl_subdivided(seed: int) -> ValidEmbedding:
     """A validated embedding of a subdivision of K6 with perturbed
     subdivision vertices.
 
@@ -129,7 +126,7 @@ def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> ValidEmbedding:
         )
         for i in range(1, 7)
     }
-    for _ in range(max_tries):
+    for _ in range(CANDIDATE_TRIES):
         cuts: dict[str, Point3] = {}
         edges = []
         for u, v in _K6.edges:
@@ -159,16 +156,16 @@ def gen_k6_pl_subdivided(seed: int, max_tries: int = 10000) -> ValidEmbedding:
         except EmbeddingInvalid:
             continue
     raise SearchExhausted(
-        f"no valid subdivided K6 embedding in {max_tries} tries (seed {seed})"
+        f"no valid subdivided K6 embedding in {CANDIDATE_TRIES} tries (seed {seed})"
     )
 
 
-def _gen_straight_drawing(graph, seed: int, bound: int, max_tries: int) -> PlanarDrawing:
+def _gen_straight_drawing(graph, seed: int, bound: int) -> PlanarDrawing:
     # general position of the vertices does not rule out three edges through
     # one point, so the drawing validator has the last word
     rng = SplitMix64(seed)
     n = len(graph.vertices)
-    for _ in range(max_tries):
+    for _ in range(CANDIDATE_TRIES):
         pts = [_point2(rng, bound) for _ in range(n)]
         if not gp_points2(pts):
             continue
@@ -176,20 +173,18 @@ def _gen_straight_drawing(graph, seed: int, bound: int, max_tries: int) -> Plana
         if validate_drawing(d):
             continue
         return d
-    raise SearchExhausted(f"no valid straight drawing in {max_tries} tries (seed {seed})")
+    raise SearchExhausted(f"no valid straight drawing in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
-def gen_k5_drawing(seed: int, bound: int = 1000, max_tries: int = 10000) -> PlanarDrawing:
-    return _gen_straight_drawing(_K5, seed, bound, max_tries)
+def gen_k5_drawing(seed: int, bound: int = 1000) -> PlanarDrawing:
+    return _gen_straight_drawing(_K5, seed, bound)
 
 
-def gen_k33_drawing(seed: int, bound: int = 1000, max_tries: int = 10000) -> PlanarDrawing:
-    return _gen_straight_drawing(_K33, seed, bound, max_tries)
+def gen_k33_drawing(seed: int, bound: int = 1000) -> PlanarDrawing:
+    return _gen_straight_drawing(_K33, seed, bound)
 
 
-def bend_drawing(
-    drawing: PlanarDrawing, seed: int, bound: int = 1000, max_tries: int = 10000
-) -> PlanarDrawing:
+def bend_drawing(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> PlanarDrawing:
     """Reroute a random subset of edges through one displaced interior point.
 
     Vertex positions are kept; each chosen edge runs through a jittered
@@ -199,7 +194,7 @@ def bend_drawing(
     g = drawing.graph
     rng = SplitMix64(seed)
     jit = max(1, bound // 10)
-    for _ in range(max_tries):
+    for _ in range(CANDIDATE_TRIES):
         routes = {}
         for e in g.edges:
             if rng.randrange(2) == 0:
@@ -220,12 +215,10 @@ def bend_drawing(
         if validate_drawing(bent):
             continue
         return bent
-    raise SearchExhausted(f"no valid bent drawing in {max_tries} tries (seed {seed})")
+    raise SearchExhausted(f"no valid bent drawing in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
-def move_vertex_star(
-    drawing: PlanarDrawing, seed: int, bound: int = 1000, max_tries: int = 10000
-) -> PlanarDrawing:
+def move_vertex_star(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> PlanarDrawing:
     """Move one seeded-choice vertex and re-draw its incident edges straight.
 
     All other routes are kept point-for-point, so the result is comparable to
@@ -239,7 +232,7 @@ def move_vertex_star(
         for e in g.edges
         if center not in e
     }
-    for _ in range(max_tries):
+    for _ in range(CANDIDATE_TRIES):
         p = _point2(rng, bound)
         if p == drawing.position[center]:
             continue
@@ -252,16 +245,16 @@ def move_vertex_star(
         if validate_drawing(moved):
             continue
         return moved
-    raise SearchExhausted(f"no valid star move in {max_tries} tries (seed {seed})")
+    raise SearchExhausted(f"no valid star move in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
 _GENERATORS = {
-    "k6-points": lambda cfg: gen_k6_points(cfg.seed, cfg.bound, cfg.max_tries),
-    "k44-linear": lambda cfg: gen_k44_linear(cfg.seed, cfg.bound, cfg.max_tries),
-    "k6-pl-subdivided": lambda cfg: gen_k6_pl_subdivided(cfg.seed, cfg.max_tries),
-    "k5-drawing": lambda cfg: gen_k5_drawing(cfg.seed, cfg.bound, cfg.max_tries),
-    "k33-drawing": lambda cfg: gen_k33_drawing(cfg.seed, cfg.bound, cfg.max_tries),
-    "polygon-pair": lambda cfg: gen_polygon_pair(cfg.seed, cfg.bound, cfg.max_tries),
+    "k6-points": lambda cfg: gen_k6_points(cfg.seed, cfg.bound),
+    "k44-linear": lambda cfg: gen_k44_linear(cfg.seed, cfg.bound),
+    "k6-pl-subdivided": lambda cfg: gen_k6_pl_subdivided(cfg.seed),
+    "k5-drawing": lambda cfg: gen_k5_drawing(cfg.seed, cfg.bound),
+    "k33-drawing": lambda cfg: gen_k33_drawing(cfg.seed, cfg.bound),
+    "polygon-pair": lambda cfg: gen_polygon_pair(cfg.seed, cfg.bound),
 }
 
 INSTANCE_KINDS = tuple(sorted(_GENERATORS))

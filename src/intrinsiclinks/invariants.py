@@ -24,7 +24,9 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, Segment3, _Record, _set, dot3, gp_points2, gp_points3
+from .geometry import (
+    Point2, Point3, Segment3, Triangle3, _Record, _set, dot3, gp_points2, gp_points3, seg_hits_solid_triangle,
+)
 from .graphs import (
     Cycle,
     PlanarDrawing,
@@ -40,7 +42,7 @@ from .graphs import (
     make_drawing,
     smooth,
 )
-from .linking import higher_central, linking_mod2_sampled
+from .linking import linking_mod2_sampled
 from .projection import (
     ProjectedDiagram,
     find_general_projection,
@@ -161,7 +163,11 @@ def _point_names(n: int) -> list[str]:
     return [f"v{i}" for i in range(1, n + 1)]
 
 
-def _choose_viewpoint(pts: list[Point3], seed: int, max_tries: int):
+# functionals the viewpoint search tries before it raises SearchExhausted
+VIEWPOINT_TRIES = 1000
+
+
+def _choose_viewpoint(pts: list[Point3], seed: int):
     """Index of the top point of a linear functional giving the 6 points
     distinct values, and the drawing it projects the rest to, which must
     be generic.  Tries the first-coordinate functional before seeded
@@ -171,7 +177,7 @@ def _choose_viewpoint(pts: list[Point3], seed: int, max_tries: int):
     rejections = 0
     cand = Point3(1, 0, 0)
     names = _point_names(6)
-    for _ in range(max_tries):
+    for _ in range(VIEWPOINT_TRIES):
         vals = [dot3(p, cand) for p in pts]
         if len(set(vals)) == 6:
             top = max(range(6), key=lambda i: vals[i])
@@ -188,16 +194,16 @@ def _choose_viewpoint(pts: list[Point3], seed: int, max_tries: int):
             cand = Point3(*(rng.randint(-bound, bound) for _ in range(3)))
             if cand.x != 0 or cand.y != 0 or cand.z != 0:
                 break
-    raise SearchExhausted(f"no usable viewpoint functional in {max_tries} tries")
+    raise SearchExhausted(f"no usable viewpoint functional in {VIEWPOINT_TRIES} tries")
 
 
-def _linear_analysis(points: Sequence[Point3], seed: int, max_tries: int):
+def _linear_analysis(points: Sequence[Point3], seed: int):
     pts = list(points)
     if len(pts) != 6:
         raise ValueError("need exactly 6 points")
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    top, drawing = _choose_viewpoint(pts, seed, max_tries)
+    top, drawing = _choose_viewpoint(pts, seed)
     names = _point_names(6)
     apex_name = names[top]
     apex = pts[top]
@@ -208,10 +214,11 @@ def _linear_analysis(points: Sequence[Point3], seed: int, max_tries: int):
     below_edges = [e for e in _K6.edges if apex_name not in e]
     for u, v in below_edges:
         rest = [w for w in names if w not in (apex_name, u, v)]
-        base = Segment3(by_name[u], by_name[v])
-        cnt = 0
-        for x, y in combinations(rest, 2):
-            cnt += higher_central(apex, Segment3(by_name[x], by_name[y]), base)
+        # a far edge blocks sight lines from the apex to u-v exactly when it
+        # crosses their triangle, transversally: the 6 points are in general position
+        sighting = Triangle3(apex, by_name[u], by_name[v])
+        cnt = sum(seg_hits_solid_triangle(Segment3(by_name[x], by_name[y]), sighting) == 1
+                  for x, y in combinations(rest, 2))
         entries.append((f"lk({'-'.join(rest)} | {u}-{v})", cnt % 2))
         if cnt % 2:
             hits.append((rest, (apex_name, u, v)))
@@ -223,9 +230,7 @@ def _linear_analysis(points: Sequence[Point3], seed: int, max_tries: int):
     return LinkReport(make_cycle(_K6, far), make_cycle(_K6, near), 1, "linear-central"), ledger
 
 
-def find_linked_triangles_linear(
-    points: Sequence[Point3], seed: int = 0, max_tries: int = 1000
-) -> LinkReport:
+def find_linked_triangles_linear(points: Sequence[Point3], seed: int = 0) -> LinkReport:
     """Locate two linked triangles among 6 general-position points.
 
     Views the configuration from its extremal point along a generic
@@ -235,14 +240,12 @@ def find_linked_triangles_linear(
     choices is odd, so a hit always exists.  Points are named v1..v6 in
     input order and the report's cycles use those names.
     """
-    return _linear_analysis(points, seed, max_tries)[0]
+    return _linear_analysis(points, seed)[0]
 
 
-def linear_parity_ledger(
-    points: Sequence[Point3], seed: int = 0, max_tries: int = 1000
-) -> ParityLedger:
+def linear_parity_ledger(points: Sequence[Point3], seed: int = 0) -> ParityLedger:
     """The itemized parity sum behind find_linked_triangles_linear."""
-    return _linear_analysis(points, seed, max_tries)[1]
+    return _linear_analysis(points, seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +413,11 @@ def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, .
 # brute-force oracle
 
 
+# disjoint cycle pairs past which the oracle raises SearchExhausted before its
+# first cone count (about 100 us each on 2 CPUs, Python 3.11: 4*10^4 take 4 s)
+CONE_COUNT_BUDGET = 4 * 10**4
+
+
 def oracle_count_linked_pairs(
     emb: PLEmbedding, len1: int, len2: int, seed: int = 0
 ) -> OracleResult:
@@ -418,6 +426,8 @@ def oracle_count_linked_pairs(
     from an apex drawn from the seed.  No projections involved."""
     sm = smooth(emb)
     pairs = enumerate_disjoint_cycle_pairs(sm.graph, len1, len2)
+    if len(pairs) > CONE_COUNT_BUDGET:
+        raise SearchExhausted(f"{len(pairs)} disjoint cycle pairs exceed the budget of {CONE_COUNT_BUDGET}")
     rng = SplitMix64(seed)
     linked = []
     for c1, c2 in pairs:

@@ -12,20 +12,12 @@ triangle is flat, no vertex of `b` lies in a triangle's plane and no side
 of `b` meets a triangle's boundary.  The polygons are first checked disjoint, exactly, so a small
 enough move keeps them disjoint and embedded, and mod-2 linking does not
 change under it; the count is exact for the input itself.
-
-The module also provides the one-viewpoint comparison `higher_central`:
-seen from a point `o`, segment `a` passes in front of segment `b` when some
-ray from `o` meets `a` strictly before `b`.  Equivalently, `a` crosses the
-interior of the sighting triangle spanned by `o` and `b`, which is how it
-is decided here.  Note the geometric reading: "in front of" means nearer
-to the viewpoint.
 """
 
 from __future__ import annotations
 
-from .errors import GeneralPositionViolation, NonGenericViewpoint, PolylinesNotDisjoint
+from .errors import GeneralPositionViolation, PolylinesNotDisjoint
 from .geometry import (
-    NON_GENERIC,
     Point3,
     Segment3,
     Triangle3,
@@ -97,8 +89,8 @@ class _Polyline(_Record):
 
 
 class SpatialPolyline(_Polyline):
-    """A broken line in space, which must not intersect itself.  Use
-    `open_polyline` / `closed_polygon` to build one from raw points."""
+    """A broken line in space, which must not intersect itself;
+    `SpatialPolyline.through(points[, closed=True])` builds one from raw points."""
 
     _segment = Segment3
 
@@ -116,16 +108,6 @@ class SpatialPolyline(_Polyline):
             for j in range(i + 2, m - 1 if closed and i == 0 else m):
                 if meet_segments3(sides[i], sides[j]):
                     raise ValueError(f"self-intersection between sides {i} and {j}")
-
-
-def open_polyline(points) -> SpatialPolyline:
-    """Build an open polyline, dropping repeated and straight-through points."""
-    return SpatialPolyline.through(points)
-
-
-def closed_polygon(points) -> SpatialPolyline:
-    """Build a closed polygon, dropping repeated and straight-through points."""
-    return SpatialPolyline.through(points, closed=True)
 
 
 def polylines_disjoint(a: SpatialPolyline, b: SpatialPolyline) -> bool:
@@ -148,31 +130,8 @@ def triangles_linked(t1: Triangle3, t2: Triangle3) -> bool:
     six = list(t1.vertices()) + list(t2.vertices())
     if not gp_points3(six):
         raise GeneralPositionViolation("the six triangle vertices are not in general position")
-    total = 0
-    for side in t2.sides():
-        r = seg_hits_solid_triangle(side, t1)
-        if r is NON_GENERIC:  # unreachable under general position; belt and braces
-            raise GeneralPositionViolation("degenerate side-triangle contact")
-        total += r
-    return total == 1
-
-
-def higher_central(o: Point3, a: Segment3, b: Segment3) -> bool:
-    """Does segment `a` pass in front of segment `b` as seen from `o`?
-
-    True when some ray from `o` meets `a` at a point strictly between `o`
-    and its meeting point with `b`.  Decided as: `a` crosses the interior
-    of the solid triangle spanned by `o` and `b`.  The five points must be
-    in general position, otherwise the sighting is ambiguous.
-    """
-    pts = [o, a.p, a.q, b.p, b.q]
-    if not gp_points3(pts):
-        raise NonGenericViewpoint("viewpoint and segment endpoints are not in general position")
-    sighting = Triangle3(o, b.p, b.q)
-    r = seg_hits_solid_triangle(a, sighting)
-    if r is NON_GENERIC:  # unreachable under the check above
-        raise NonGenericViewpoint("degenerate sighting of the two segments")
-    return r == 1
+    # general position leaves every count 0 or 1, never NON_GENERIC
+    return sum(seg_hits_solid_triangle(side, t1) for side in t2.sides()) == 1
 
 
 def _require_disjoint_closed(a: SpatialPolyline, b: SpatialPolyline):

@@ -140,9 +140,11 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     return ProjectedDiagram(emb, d, drawing, tuple(labeled))
 
 
-def find_general_projection(
-    emb: PLEmbedding, seed: int = 0, max_tries: int = 10000
-) -> ProjectedDiagram:
+# directions the projection search tries before it raises SearchExhausted
+DIRECTION_TRIES = 10000
+
+
+def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram:
     """Seeded search for a direction whose projection is generic.
 
     Directions are drawn from an integer cube that doubles in size every 16
@@ -154,7 +156,7 @@ def find_general_projection(
     bound = 8
     rejections = 0
     seen: set[Point3] = set()
-    for _ in range(max_tries):
+    for _ in range(DIRECTION_TRIES):
         cand = Point3(*(rng.randint(-bound, bound) for _ in range(3)))
         if cand.x == 0 and cand.y == 0 and cand.z == 0:
             continue
@@ -168,7 +170,7 @@ def find_general_projection(
             rejections += 1
             if rejections % 16 == 0:
                 bound *= 2
-    raise SearchExhausted(f"no generic projection direction in {max_tries} tries")
+    raise SearchExhausted(f"no generic projection direction in {DIRECTION_TRIES} tries")
 
 
 def project_central(

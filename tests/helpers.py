@@ -2,8 +2,10 @@
 package proves another way, so it lives here rather than in the library."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
+from intrinsiclinks import invariants
 from intrinsiclinks.errors import DrawingNotGeneral, GeneralPositionViolation, SearchExhausted
 from intrinsiclinks.geometry import (
     OVERLAP,
@@ -23,6 +25,7 @@ from intrinsiclinks.geometry import (
     orient3d,
     point_on_segment2,
     point_on_segment3,
+    seg_hits_solid_triangle,
 )
 from intrinsiclinks.graphs import (
     Cycle,
@@ -32,14 +35,57 @@ from intrinsiclinks.graphs import (
     PLEmbedding,
     Violation,
     _check_vertices_and_routes,
+    complete_graph,
+    make_cycle,
     make_drawing,
     make_embedding,
     make_graph,
     require_generic,
 )
-from intrinsiclinks.linking import SpatialPolyline, higher_central, open_polyline
+from intrinsiclinks.instances import CANDIDATE_TRIES
+from intrinsiclinks.invariants import LinkReport
+from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import ProjectedDiagram, front_parity
 from intrinsiclinks.rng import SplitMix64
+
+
+def higher_central_reference(o: Point3, a: Segment3, b: Segment3) -> bool:
+    """Does segment `a` pass in front of segment `b` as seen from `o`, that
+    is, does some ray from `o` meet `a` strictly before `b`?  Decided as: `a`
+    crosses the interior of the solid triangle spanned by `o` and `b`, after
+    checking the five points in general position, which makes the sighting
+    unambiguous.  The linear finder counts the same crossings without the
+    check, which it makes once for all six points."""
+    if not gp_points3([o, a.p, a.q, b.p, b.q]):
+        raise GeneralPositionViolation("viewpoint and segment endpoints are not in general position")
+    return seg_hits_solid_triangle(a, Triangle3(o, b.p, b.q)) == 1
+
+
+def linear_analysis_reference(points, seed: int):
+    """The ledger entries and the report of the linear finder, recomputed
+    with `higher_central_reference` from the viewpoint the finder chooses:
+    for each edge u-v missing the apex, the parity of the far edges in front
+    of u-v; the report names the first odd entry's triangles."""
+    pts = list(points)
+    if not gp_points3(pts):
+        raise GeneralPositionViolation("four of the points are coplanar")
+    top, _ = invariants._choose_viewpoint(pts, seed)
+    names = [f"v{i}" for i in range(1, 7)]
+    by_name = dict(zip(names, pts))
+    k6 = complete_graph(6)
+    entries, hits = [], []
+    for u, v in k6.edges:
+        if names[top] in (u, v):
+            continue
+        rest = [w for w in names if w not in (names[top], u, v)]
+        base = Segment3(by_name[u], by_name[v])
+        far = [Segment3(by_name[x], by_name[y]) for x, y in combinations(rest, 2)]
+        bit = sum(higher_central_reference(pts[top], s, base) for s in far) % 2
+        entries.append((f"lk({'-'.join(rest)} | {u}-{v})", bit))
+        if bit:
+            hits.append((rest, (names[top], u, v)))
+    far, near = hits[0]
+    return tuple(entries), LinkReport(make_cycle(k6, far), make_cycle(k6, near), 1, "linear-central")
 
 
 def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Triangle3) -> bool:
@@ -60,7 +106,7 @@ def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Trian
     six = list(apex_triangle.vertices()) + list(other.vertices())
     if not gp_points3(six):
         raise GeneralPositionViolation("the six vertices are not in general position")
-    count = sum(1 for side in other.sides() if higher_central(apex, side, e))
+    count = sum(1 for side in other.sides() if higher_central_reference(apex, side, e))
     return count == 1
 
 
@@ -132,7 +178,7 @@ def smooth_reference(emb: PLEmbedding) -> PLEmbedding:
         new_key = g.edge_key(u, x)
         if new_key[0] != u:
             merged = list(reversed(merged))
-        routes[new_key] = open_polyline(merged)
+        routes[new_key] = SpatialPolyline.through(merged)
 
 
 def segment_param(s, p) -> Fraction:
@@ -192,13 +238,13 @@ def meet_point3(s: Segment3, t: Segment3):
     return OVERLAP
 
 
-def gen_planar_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000) -> GenericDrawing:
+def gen_planar_polygon_pair(seed: int, bound: int = 1000) -> GenericDrawing:
     """A generic drawing of two disjoint cycles, a1 a2 ... and b1 b2 ...,
     of 3 to 6 straight sides each, with vertices drawn from [-bound, bound]^2.
     A cycle may cross itself; every contact is a transversal crossing
     interior to two sides."""
     rng = SplitMix64(seed)
-    for _ in range(max_tries):
+    for _ in range(CANDIDATE_TRIES):
         sizes = {"a": rng.randint(3, 6), "b": rng.randint(3, 6)}
         names = {c: [f"{c}{i}" for i in range(1, k + 1)] for c, k in sizes.items()}
         edges = [(cycle[i - 1], cycle[i]) for cycle in names.values() for i in range(len(cycle))]
@@ -210,7 +256,7 @@ def gen_planar_polygon_pair(seed: int, bound: int = 1000, max_tries: int = 10000
             return require_generic(make_drawing(graph, positions))
         except (ValueError, DrawingNotGeneral):
             continue
-    raise SearchExhausted(f"no clean polygon pair in {max_tries} tries (seed {seed})")
+    raise SearchExhausted(f"no clean polygon pair in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
 def crossings_between_cycles(d: GenericDrawing) -> int:

@@ -24,7 +24,6 @@ from intrinsiclinks.instances import (
     gen_k6_points,
     gen_k33_drawing,
     gen_k44_linear,
-    gen_points3_general,
     move_vertex_star,
 )
 from intrinsiclinks.invariants import (
@@ -39,7 +38,7 @@ from intrinsiclinks.invariants import (
     van_kampen_drawing,
     vk_invariance_probe,
 )
-from intrinsiclinks.linking import closed_polygon, linking_mod2_cone, triangles_linked
+from intrinsiclinks.linking import SpatialPolyline, linking_mod2_cone, triangles_linked
 from intrinsiclinks.projection import find_general_projection, front_parity, lk_from_diagram
 from intrinsiclinks.rng import SplitMix64
 from intrinsiclinks.serialization import to_json_bytes
@@ -178,13 +177,13 @@ def test_ac04_even_crossings_for_closed_pairs(capsys):
 
 def test_ac05_five_way_linking_agreement(capsys):
     for seed in range(200):
-        points = gen_points3_general(seed, 6)
+        points = gen_k6_points(seed)
         t1 = Triangle3(*points[:3])
         t2 = Triangle3(*points[3:])
         reference = 1 if triangles_linked(t1, t2) else 0
 
-        poly1 = closed_polygon(points[:3])
-        poly2 = closed_polygon(points[3:])
+        poly1 = SpatialPolyline.through(points[:3], closed=True)
+        poly2 = SpatialPolyline.through(points[3:], closed=True)
         rng = SplitMix64(seed)
         cone_values = [linking_mod2_cone(poly1, poly2, apex) for apex in seeded_apexes(rng)]
 

@@ -1,9 +1,9 @@
 """Fuzzing of the command line: small instance documents of all four kinds,
 on the grid [-2, 2] where degenerate geometry is common, now and then with
 a coordinate too large for a float, some of them malformed, run through
-every subcommand that reads one, `project` also with `--svg`.  Whatever the
-input, `main` must return 0 or 1, let no exception escape, and explain an
-exit 1 on stderr."""
+every subcommand that reads one, `project` also with `--svg`, and point
+documents in pairs through `link`.  Whatever the input, `main` must return 0
+or 1, let no exception escape, and explain an exit 1 on stderr."""
 
 import contextlib
 import io
@@ -20,8 +20,8 @@ COMMANDS = (
     ("check",),
     ("find-linked", "--verify"),
     ("oracle", "--cycles", "3,3"),
-    ("project", "--max-tries", "50"),
-    ("project", "--max-tries", "50", "--svg", SVG),
+    ("project",),
+    ("project", "--svg", SVG),
     ("vankampen",),
 )
 
@@ -80,11 +80,12 @@ def _slots(node, path=()):
 
 
 @st.composite
-def documents(draw):
-    """The bytes of an instance file.  One in three has a malformed field:
-    some value, anywhere, replaced by a bad one, deleted or put under a bad
-    key; one in eight is cut short, not UTF-8 or nested 100,000 deep."""
-    doc = draw(point_documents() | graph_documents())
+def documents(draw, kinds=point_documents() | graph_documents()):
+    """The bytes of an instance file of the given kinds.  One in three has a
+    malformed field: some value, anywhere, replaced by a bad one, deleted or
+    put under a bad key; one in eight is cut short, not UTF-8 or nested
+    100,000 deep."""
+    doc = draw(kinds)
     if draw(st.sampled_from([True, False, False])):
         *parent, last = draw(st.sampled_from(list(_slots(doc))[1:]))
         node = doc
@@ -108,25 +109,44 @@ def documents(draw):
     return blob
 
 
+def _write(tmp, name, blob):
+    path = os.path.join(tmp, name)
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    return path
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of `main`, which must return 0 or 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv[0], err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
 # a generous bound per example, so that a hang fails instead of stalling
 @settings(max_examples=600, deadline=5000)
 @given(documents())
 def test_main_exits_0_or_1_with_a_message(blob):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "instance.json")
-        with open(path, "wb") as handle:
-            handle.write(blob)
+        path = _write(tmp, "instance.json", blob)
         for command in COMMANDS:
             argv = [command[0], path, *(os.path.join(tmp, a) if a == SVG else a for a in command[1:])]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1), (command, err.getvalue())
+            code, out, err = _run(argv)
             # a failed render leaves no file behind
             assert code == 0 or SVG not in command or not os.path.exists(argv[-1])
-            if code == 1 and not err.getvalue():
+            if code == 1 and not err:
                 # `check` reports an invalid instance on stdout
                 assert command == ("check",)
-                assert json.loads(out.getvalue())["valid"] is False
+                assert json.loads(out)["valid"] is False
             elif code == 1:
-                assert err.getvalue().startswith("error: "), (command, err.getvalue())
+                assert err.startswith("error: "), (command, err)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(documents(point_documents()), documents(point_documents()))
+def test_link_exits_0_or_1_with_a_message(first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = _run(["link", _write(tmp, "first.json", first), _write(tmp, "second.json", second)])
+        assert code == 0 or err.startswith("error: "), err

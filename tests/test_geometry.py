@@ -36,7 +36,7 @@ from intrinsiclinks.geometry import (
     seg_intersect2,
 )
 from intrinsiclinks.graphs import PlanarPolyline
-from intrinsiclinks.linking import closed_polygon, open_polyline
+from intrinsiclinks.linking import SpatialPolyline
 
 from helpers import meet_point3, segment_param
 
@@ -115,7 +115,7 @@ class TestPointContract:
 
     def test_polyline_sides_built_once(self):
         a, b, c = Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 1)
-        for poly in (open_polyline([a, b, c]), closed_polygon([a, b, c])):
+        for poly in (SpatialPolyline.through([a, b, c]), SpatialPolyline.through([a, b, c], closed=True)):
             assert poly.sides() is poly.sides()
             v = poly.vertices
             fresh = [Segment3(v[i], v[(i + 1) % len(v)]) for i in range(len(poly.sides()))]

@@ -44,6 +44,7 @@ from intrinsiclinks.instances import (
     gen_k33_drawing,
     move_vertex_star,
 )
+from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import find_general_projection, project_orthogonal
 
 from helpers import (
@@ -401,23 +402,22 @@ class TestSmoothOnePass:
         assert smooth(sm) == sm
 
     def test_builds_core_graph_and_each_merged_route_once(self, monkeypatch):
-        counts = {"make_graph": 0, "open_polyline": 0}
+        counts = {"make_graph": 0, "through": 0}
 
-        def counted(name):
-            original = getattr(graphs, name)
-
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
         embeddings = [gen_k6_pl_subdivided(seed) for seed in range(5)]
-        for name in counts:
-            monkeypatch.setattr(graphs, name, counted(name))
+        monkeypatch.setattr(graphs, "make_graph", counted("make_graph", graphs.make_graph))
+        through = SpatialPolyline.through.__func__
+        monkeypatch.setattr(SpatialPolyline, "through", classmethod(counted("through", through)))
         for emb in embeddings:
-            counts.update(make_graph=0, open_polyline=0)
+            counts.update(make_graph=0, through=0)
             assert smooth(emb).graph == K6
-            assert counts == {"make_graph": 1, "open_polyline": 15}
+            assert counts == {"make_graph": 1, "through": 15}
 
 
 def midpoint_subdivided_k6(edges):

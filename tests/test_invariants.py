@@ -12,6 +12,7 @@ from intrinsiclinks.errors import (
     DrawingsNotComparable,
     EmbeddingInvalid,
     GeneralPositionViolation,
+    IntrinsicLinksError,
     ProjectionNotGeneral,
     SearchExhausted,
 )
@@ -49,7 +50,7 @@ from intrinsiclinks.invariants import (
 from intrinsiclinks.linking import triangles_linked
 from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
 
-from helpers import smooth_reference, subdivided
+from helpers import linear_analysis_reference, smooth_reference, subdivided
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -207,6 +208,26 @@ class TestLinearFinder:
         t2 = Triangle3(*(by[v] for v in rep.cycle2.vertices))
         assert triangles_linked(t1, t2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=6, max_size=6, unique=True), st.integers(0, 100))
+    def test_matches_sight_line_reference(self, coords, seed):
+        """On a small grid, where coplanar points, tied functionals and
+        rejected viewpoints are common, the ledger and the report are those
+        the general sight-line test gives from the finder's viewpoint, and
+        where one fails the other fails with the same exception class."""
+        pts = [Point3(*c) for c in coords]
+        try:
+            entries, report = linear_analysis_reference(pts, seed)
+        except IntrinsicLinksError as ex:
+            for call in (find_linked_triangles_linear, linear_parity_ledger):
+                with pytest.raises(IntrinsicLinksError) as info:
+                    call(pts, seed)
+                assert type(info.value) is type(ex)
+            return
+        assert linear_parity_ledger(pts, seed).entries == entries
+        assert find_linked_triangles_linear(pts, seed) == report
+
 
 class TestK6Finder:
     def test_moment_curve(self):
@@ -334,6 +355,13 @@ class TestOracle:
             == oracle_count_linked_pairs(emb, 3, 3, seed=99).linked_pairs
         )
 
+    def test_cone_count_budget(self, monkeypatch):
+        monkeypatch.setattr(invariants, "CONE_COUNT_BUDGET", 10)
+        assert oracle_count_linked_pairs(moment_k6_embedding(), 3, 3).total_pairs == 10
+        monkeypatch.setattr(invariants, "CONE_COUNT_BUDGET", 9)
+        with pytest.raises(SearchExhausted, match="10 disjoint cycle pairs exceed the budget of 9"):
+            oracle_count_linked_pairs(moment_k6_embedding(), 3, 3)
+
 
 class TestInvarianceProbe:
     def test_identical(self):
@@ -431,7 +459,7 @@ class TestBoundedSearchPastMachineWords:
 
         monkeypatch.setattr(projection, "project_orthogonal", reject)
         with pytest.raises(SearchExhausted):
-            find_general_projection(moment_k6_embedding(), max_tries=2000)
+            find_general_projection(moment_k6_embedding())
         assert max(abs(c) for d in tried for c in d.coords()).bit_length() > 63
 
     def test_viewpoint_search(self, monkeypatch):
@@ -537,6 +565,6 @@ class TestSweepOnce:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(invariants, "project_central", counted)
-        invariants._linear_analysis(points, seed=0, max_tries=1000)
+        invariants._linear_analysis(points, seed=0)
         assert len(viewpoints) >= 1
         assert len(sweeps) == len(viewpoints)

@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import intrinsiclinks
-from intrinsiclinks import cli
+from intrinsiclinks import cli, instances, invariants
 from intrinsiclinks.cli import main
 from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
@@ -120,11 +120,12 @@ class TestGenerators:
 
     def test_run_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            RunConfig(max_tries=0)
+            RunConfig(bound=0)
 
-    def test_exhaustion(self):
+    def test_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(instances, "CANDIDATE_TRIES", 3)
         with pytest.raises(SearchExhausted):
-            gen_k6_points(0, bound=1, max_tries=3)
+            gen_k6_points(0, bound=1)
 
     # The emitted bytes of every generator, which the acceptance digests
     # (reports only) do not pin.  Record a new value only for a change
@@ -395,6 +396,22 @@ class TestCli:
         assert code == 1
         assert out.err == "error: 1536769080 candidate cycle pairs exceed the budget of 10000000\n"
 
+    def test_oracle_cone_count_budget(self, tmp_path, capsys, monkeypatch):
+        # 387,600 disjoint triangle pairs pass the candidate budget, but
+        # cone-counting them would take about 40 s
+        k20 = complete_graph(20)
+        emb = make_embedding(k20, {v: Point3(i, i * i, i ** 3) for i, v in enumerate(k20.vertices, 1)})
+        path = tmp_path / "k20.json"
+        path.write_bytes(emit_instance(emb))
+        counted = []
+        monkeypatch.setattr(invariants, "linking_mod2_sampled", lambda *args: counted.append(args))
+        start = time.perf_counter()
+        code, out = self.run("oracle", str(path), "--cycles", "3,3", capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out.err == "error: 387600 disjoint cycle pairs exceed the budget of 40000\n"
+        assert counted == []
+
     def test_project_with_svg(self, tmp_path, capsys):
         path = tmp_path / "emb.json"
         svg_path = tmp_path / "diagram.svg"
@@ -529,23 +546,23 @@ class TestPublicApi:
             "ApexNotExtremal", "Crossing", "Cycle", "CyclesNotDisjoint", "DrawingNotGeneral",
             "DrawingsNotComparable", "EmbeddingInvalid", "GeneralPositionViolation",
             "GenericDrawing", "Graph", "INSTANCE_KINDS", "InternalParityFailure",
-            "IntrinsicLinksError", "LinkReport", "NON_GENERIC", "NonGenericViewpoint",
+            "IntrinsicLinksError", "LinkReport", "NON_GENERIC",
             "OVERLAP", "OracleResult", "PLEmbedding", "ParityLedger", "ParseError",
             "PlanarDrawing", "PlanarPolyline", "Point2", "Point3",
             "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral", "RunConfig",
             "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
-            "closed_polygon", "complete_bipartite", "complete_graph",
+            "complete_bipartite", "complete_graph",
             "cycle_route", "emit_instance", "enumerate_cycles",
             "enumerate_disjoint_cycle_pairs", "extract_crossings",
             "find_general_projection", "find_linked_cycles_k44", "find_linked_cycles_k6",
             "find_linked_triangles_linear", "gen_k33_drawing", "gen_k44_linear",
             "gen_k5_drawing", "gen_k6_pl_subdivided", "gen_k6_points",
             "gen_polygon_pair", "generate", "gp_points2",
-            "gp_points3", "higher_central",
+            "gp_points3",
             "k44_parity_ledgers", "k6_parity_ledgers", "linear_parity_ledger",
             "linking_mod2_cone", "linking_mod2_sampled", "lk_from_diagram", "make_cycle",
-            "make_drawing", "make_embedding", "make_graph", "move_vertex_star", "open_polyline",
+            "make_drawing", "make_embedding", "make_graph", "move_vertex_star",
             "oracle_confirm", "oracle_count_linked_pairs", "orient2d", "orient3d",
             "orient3d_sos", "parse_instance", "parse_rational",
             "polylines_disjoint", "project_central", "project_orthogonal",

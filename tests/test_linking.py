@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from intrinsiclinks.errors import (
     GeneralPositionViolation,
-    NonGenericViewpoint,
     PolylinesNotDisjoint,
 )
 from intrinsiclinks import geometry
@@ -26,11 +25,8 @@ from intrinsiclinks.geometry import (
 )
 from intrinsiclinks.linking import (
     SpatialPolyline,
-    closed_polygon,
-    higher_central,
     linking_mod2_cone,
     linking_mod2_sampled,
-    open_polyline,
     polylines_disjoint,
     triangles_linked,
 )
@@ -40,7 +36,7 @@ from intrinsiclinks.invariants import oracle_count_linked_pairs
 from intrinsiclinks.projection import find_general_projection, lk_from_diagram
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import check_unique_higher_side, seeded_apexes, triangle_polygon
+from helpers import check_unique_higher_side, higher_central_reference, seeded_apexes, triangle_polygon
 
 coord = st.integers(min_value=-20, max_value=20)
 points3 = st.builds(Point3, coord, coord, coord)
@@ -77,13 +73,13 @@ class TestPolylineConstruction:
             )
 
     def test_closed_polygon_normalizes_straight_corners(self):
-        square_plus = closed_polygon(
-            [Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0), Point3(2, 2, 0), Point3(0, 2, 0)]
+        square_plus = SpatialPolyline.through(
+            [Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0), Point3(2, 2, 0), Point3(0, 2, 0)], closed=True
         )
         assert len(square_plus.vertices) == 4
 
     def test_open_polyline_drops_duplicates(self):
-        arc = open_polyline([Point3(0, 0, 0), Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0)])
+        arc = SpatialPolyline.through([Point3(0, 0, 0), Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0)])
         assert len(arc.vertices) == 3
 
     def test_closed_needs_three(self):
@@ -142,10 +138,7 @@ class TestPolylineInvariantsBothKinds:
             assert len(cls(figure_four).sides()) == 3  # a drawing's route may cross itself
 
 
-def test_spatial_factories_are_through():
-    pts = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0), Point3(2, 2, 1)]
-    assert open_polyline(pts) == SpatialPolyline.through(pts)
-    assert closed_polygon(pts) == SpatialPolyline.through(pts, closed=True)
+def test_spatial_never_equals_planar():
     assert SpatialPolyline((Point3(0, 0, 0), Point3(1, 1, 1))) != PlanarPolyline((Point2(0, 0), Point2(1, 1)))
 
 
@@ -179,26 +172,29 @@ class TestTrianglesLinked:
 
 
 class TestHigherCentral:
+    """The sight-line test that `linear_analysis_reference` recomputes the
+    linear finder's ledger with."""
+
     def test_front_segment_wins(self):
         o = Point3(0, 0, 10)
         near = Segment3(Point3(-1, 1, 5), Point3(1, -1, 5))
         far = Segment3(Point3(-1, -1, 1), Point3(1, 1, 1))
-        assert higher_central(o, near, far)
-        assert not higher_central(o, far, near)
+        assert higher_central_reference(o, near, far)
+        assert not higher_central_reference(o, far, near)
 
     def test_no_common_ray(self):
         o = Point3(0, 0, 10)
         a = Segment3(Point3(5, 5, 1), Point3(6, 7, 2))
         b = Segment3(Point3(-5, -5, 1), Point3(-6, -7, 3))
-        assert not higher_central(o, a, b)
-        assert not higher_central(o, b, a)
+        assert not higher_central_reference(o, a, b)
+        assert not higher_central_reference(o, b, a)
 
     def test_degenerate_viewpoint_raises(self):
         o = Point3(0, 0, 0)
         a = Segment3(Point3(1, 0, 0), Point3(0, 1, 0))
         b = Segment3(Point3(2, 0, 0), Point3(0, 2, 0))  # coplanar with o and a
-        with pytest.raises(NonGenericViewpoint):
-            higher_central(o, a, b)
+        with pytest.raises(GeneralPositionViolation):
+            higher_central_reference(o, a, b)
 
     @given(st.lists(points3, min_size=5, max_size=5, unique=True))
     @settings(max_examples=150)
@@ -207,7 +203,7 @@ class TestHigherCentral:
         o = pts[0]
         a = Segment3(pts[1], pts[2])
         b = Segment3(pts[3], pts[4])
-        assert not (higher_central(o, a, b) and higher_central(o, b, a))
+        assert not (higher_central_reference(o, a, b) and higher_central_reference(o, b, a))
 
 
 class TestUniqueHigherSide:
@@ -280,7 +276,7 @@ class TestApexGeneralPosition:
             assert linking_mod2_cone(self.a, self.far, apex) == 0
 
     def test_open_polyline_rejected(self):
-        arc = open_polyline([Point3(0, 0, 1), Point3(1, 0, 0), Point3(1, 1, 1)])
+        arc = SpatialPolyline.through([Point3(0, 0, 1), Point3(1, 0, 0), Point3(1, 1, 1)])
         with pytest.raises(ValueError):
             linking_mod2_cone(self.a, arc, Point3(5, 5, 5))
 
@@ -306,7 +302,7 @@ class TestLinkingMod2Cone:
         assert linking_mod2_cone(self.far, self.a, apex) == 0
 
     def test_sharing_polygons_raise(self):
-        shifted = closed_polygon([Point3(1, 1, 0), Point3(5, 1, 1), Point3(5, -1, -1)])
+        shifted = SpatialPolyline.through([Point3(1, 1, 0), Point3(5, 1, 1), Point3(5, -1, -1)], closed=True)
         with pytest.raises(PolylinesNotDisjoint):
             linking_mod2_cone(self.a, shifted, Point3(3, 7, 9))
 
@@ -321,8 +317,8 @@ class TestLinkingMod2Cone:
     def test_collinear_sides_counted_exactly(self):
         # the side (0,0,0)-(1,0,0) of one triangle and (2,0,0)-(3,0,0) of the
         # other lie on one line, so every apex sees them in one cone plane
-        first = closed_polygon([Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)])
-        second = closed_polygon([Point3(2, 0, 0), Point3(3, 0, 0), Point3(2, 0, 1)])
+        first = SpatialPolyline.through([Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)], closed=True)
+        second = SpatialPolyline.through([Point3(2, 0, 0), Point3(3, 0, 0), Point3(2, 0, 1)], closed=True)
         for apex in [Point3(0, 0, 0), Point3(5, 0, 0), Point3(1, 1, 1)] + seeded_apexes(SplitMix64(0)):
             assert linking_mod2_cone(first, second, apex) == 0
             assert linking_mod2_cone(second, first, apex) == 0
@@ -387,7 +383,7 @@ class TestTwoRouteAgreement:
     @staticmethod
     def check_three_routes(pts, seed):
         assume(gp_points3(pts))
-        p1, p2 = closed_polygon(pts[:3]), closed_polygon(pts[3:])
+        p1, p2 = (SpatialPolyline.through(half, closed=True) for half in (pts[:3], pts[3:]))
         reference = int(triangles_linked(Triangle3(*pts[:3]), Triangle3(*pts[3:])))
         for apex in seeded_apexes(SplitMix64(seed)) + [pts[0], pts[3]]:
             assert linking_mod2_cone(p1, p2, apex) == reference
@@ -408,7 +404,7 @@ class TestTwoRouteAgreement:
     def test_degenerate_grid_pairs(self, pts, apex):
         # no general position asked of the pair: only disjoint, non-flat triangles
         assume(not collinear3(*pts[:3]) and not collinear3(*pts[3:]))
-        p1, p2 = closed_polygon(pts[:3]), closed_polygon(pts[3:])
+        p1, p2 = (SpatialPolyline.through(half, closed=True) for half in (pts[:3], pts[3:]))
         assume(polylines_disjoint(p1, p2))
         bit = diagram_bit(pts, 0)
         assert linking_mod2_cone(p1, p2, apex) == bit
@@ -436,12 +432,12 @@ class TestLinkingMod2Sampled:
         assert linking_mod2_sampled(self.a, triangle_polygon(FAR), SplitMix64(0)) == 0
 
     def test_touching_polygons_raise(self):
-        touching = closed_polygon([Point3(1, 1, 0), Point3(2, 3, 1), Point3(4, 0, -1)])
+        touching = SpatialPolyline.through([Point3(1, 1, 0), Point3(2, 3, 1), Point3(4, 0, -1)], closed=True)
         with pytest.raises(PolylinesNotDisjoint):
             linking_mod2_sampled(self.a, touching, SplitMix64(0))
 
     def test_open_polyline_rejected(self):
-        arc = open_polyline([Point3(0, 0, 1), Point3(1, 0, 0), Point3(1, 1, 1)])
+        arc = SpatialPolyline.through([Point3(0, 0, 1), Point3(1, 0, 0), Point3(1, 1, 1)])
         with pytest.raises(ValueError):
             linking_mod2_sampled(self.a, arc, SplitMix64(0))
 
@@ -483,5 +479,5 @@ class TestPolylinesDisjoint:
         assert polylines_disjoint(triangle_polygon(LINKED_A), triangle_polygon(LINKED_B))
 
     def test_touching(self):
-        other = closed_polygon([Point3(1, 1, 0), Point3(2, 3, 1), Point3(4, 0, -1)])
+        other = SpatialPolyline.through([Point3(1, 1, 0), Point3(2, 3, 1), Point3(4, 0, -1)], closed=True)
         assert not polylines_disjoint(triangle_polygon(LINKED_A), other)

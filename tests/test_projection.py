@@ -32,7 +32,7 @@ from intrinsiclinks.graphs import (
     make_embedding,
     make_graph,
 )
-from intrinsiclinks.linking import higher_central, linking_mod2_cone
+from intrinsiclinks.linking import linking_mod2_cone
 from intrinsiclinks.projection import (
     canonical_direction,
     find_general_projection,
@@ -44,7 +44,7 @@ from intrinsiclinks.projection import (
 )
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import check_crossing_parity_identity, seeded_apexes, strand_height
+from helpers import check_crossing_parity_identity, higher_central_reference, seeded_apexes, strand_height
 
 K6 = complete_graph(6)
 MOMENT = {f"v{i}": Point3(i, i * i, i ** 3) for i in range(1, 7)}
@@ -281,7 +281,7 @@ class TestProjectCentral:
             im1 = Segment2(drawing.position[names[i]], drawing.position[names[j]])
             im2 = Segment2(drawing.position[names[k]], drawing.position[names[l]])
             crosses = isinstance(seg_intersect2(im1, im2), tuple)
-            blocked = higher_central(apex, s1, s2) == 1 or higher_central(apex, s2, s1) == 1
+            blocked = higher_central_reference(apex, s1, s2) or higher_central_reference(apex, s2, s1)
             assert crosses == blocked
 
     @settings(max_examples=30, deadline=None)
@@ -348,5 +348,5 @@ class TestProjectCentral:
             im1 = Segment2(drawing.position[names[i]], drawing.position[names[j]])
             im2 = Segment2(drawing.position[names[k]], drawing.position[names[l]])
             crosses = isinstance(seg_intersect2(im1, im2), tuple)
-            blocked = higher_central(apex, s1, s2) == 1 or higher_central(apex, s2, s1) == 1
+            blocked = higher_central_reference(apex, s1, s2) or higher_central_reference(apex, s2, s1)
             assert crosses == blocked

@@ -24,7 +24,7 @@ from intrinsiclinks.graphs import (
 )
 from intrinsiclinks.instances import RunConfig
 from intrinsiclinks.invariants import LinkReport, OracleResult, ParityLedger
-from intrinsiclinks.linking import SpatialPolyline, open_polyline
+from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import ProjectedDiagram
 
 G = make_graph(["a", "b"], [("a", "b")])
@@ -90,7 +90,7 @@ CASES = {
     ),
     "ValidEmbedding": (
         require_valid(EMB), ("graph", "position", "route"),
-        ("route", {("a", "b"): open_polyline([P3(0, 0, 0), P3(0, 1, 0), P3(1, 0, 0)])}),
+        ("route", {("a", "b"): SpatialPolyline.through([P3(0, 0, 0), P3(0, 1, 0), P3(1, 0, 0)])}),
         ("position", {"a": P3(0, 0, 0), "b": P3(2, 0, 0)}, EmbeddingInvalid),
         "ValidEmbedding" + EMB_REPR,
     ),
@@ -105,8 +105,8 @@ CASES = {
         "GenericDrawing" + DRAWING_REPR + ", crossings=())",
     ),
     "RunConfig": (
-        RunConfig(), ("seed", "max_tries", "bound"), ("seed", 7), ("max_tries", 0, ValueError),
-        "RunConfig(seed=0, max_tries=10000, bound=1000)",
+        RunConfig(), ("seed", "bound"), ("seed", 7), ("bound", 0, ValueError),
+        "RunConfig(seed=0, bound=1000)",
     ),
     "LinkReport": (
         LinkReport(C1, C2, 1, "pl-orthogonal"), ("cycle1", "cycle2", "lk_value", "method", "oracle_confirmed"),
