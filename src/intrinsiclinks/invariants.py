@@ -14,7 +14,6 @@ no input can legitimately do that.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .errors import (
@@ -24,9 +23,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import (
-    Point2, Point3, Segment3, Triangle3, _Record, _set, dot3, gp_points2, gp_points3, seg_hits_solid_triangle,
-)
+from .geometry import Point2, Point3, _Record, _set, dot3, gp_points2, gp_points3
 from .graphs import (
     Cycle,
     PlanarDrawing,
@@ -169,9 +166,9 @@ VIEWPOINT_TRIES = 1000
 
 def _choose_viewpoint(pts: list[Point3], seed: int):
     """Index of the top point of a linear functional giving the 6 points
-    distinct values, and the drawing it projects the rest to, which must
-    be generic.  Tries the first-coordinate functional before seeded
-    candidates."""
+    distinct values, and the diagram it projects the rest to, whose
+    drawing must be generic.  Tries the first-coordinate functional before
+    seeded candidates."""
     rng = SplitMix64(seed)
     bound = 4
     rejections = 0
@@ -183,8 +180,7 @@ def _choose_viewpoint(pts: list[Point3], seed: int):
             top = max(range(6), key=lambda i: vals[i])
             below_names = [names[i] for i in range(6) if i != top]
             try:
-                drawing = project_central(pts, pts[top], cand, names=below_names)
-                return top, drawing
+                return top, project_central(pts, pts[top], cand, names=below_names)
             except ProjectionNotGeneral:
                 pass
         rejections += 1
@@ -203,31 +199,15 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
         raise ValueError("need exactly 6 points")
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    top, drawing = _choose_viewpoint(pts, seed)
-    names = _point_names(6)
-    apex_name = names[top]
-    apex = pts[top]
-    by_name = dict(zip(names, pts))
-
-    entries = []
-    hits = []  # (far triangle, near triangle) of every odd entry
-    below_edges = [e for e in _K6.edges if apex_name not in e]
-    for u, v in below_edges:
-        rest = [w for w in names if w not in (apex_name, u, v)]
-        # a far edge blocks sight lines from the apex to u-v exactly when it
-        # crosses their triangle, transversally: the 6 points are in general position
-        sighting = Triangle3(apex, by_name[u], by_name[v])
-        cnt = sum(seg_hits_solid_triangle(Segment3(by_name[x], by_name[y]), sighting) == 1
-                  for x, y in combinations(rest, 2))
-        entries.append((f"lk({'-'.join(rest)} | {u}-{v})", cnt % 2))
-        if cnt % 2:
-            hits.append((rest, (apex_name, u, v)))
-
-    ledger = _forced("sight-blocking lk over the 10 base edges", entries, 1)
-    if van_kampen_drawing(drawing) != 1:
-        raise InternalParityFailure("central image of 5 points has even crossing parity")
-    far, near = hits[0]
-    return LinkReport(make_cycle(_K6, far), make_cycle(_K6, near), 1, "linear-central"), ledger
+    top, diag = _choose_viewpoint(pts, seed)
+    g = diag.graph
+    # a far edge blocks sight lines from the apex to the base edge u-v
+    # exactly when it passes in front of u-v in the central diagram
+    rows = [(make_cycle(g, [w for w in g.vertices if w not in e]), e) for e in g.edges]
+    ledger = _front_ledger(diag, "sight-blocking lk over the 10 base edges", rows, 1)
+    far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
+    near = make_cycle(_K6, (_point_names(6)[top], u, v))
+    return LinkReport(far, near, 1, "linear-central"), ledger
 
 
 def find_linked_triangles_linear(points: Sequence[Point3], seed: int = 0) -> LinkReport:
@@ -290,21 +270,14 @@ def _front_ledger(diag: ProjectedDiagram, label: str, rows, expect: int) -> Pari
     return _forced(label, entries, expect)
 
 
-def _check_hub_free_parity(diag: ProjectedDiagram, hubs) -> None:
-    """The subdrawing of the edges missing every hub is a drawing of the
-    complete graph on 5 vertices or of the 3+3 bipartite graph, so its
-    crossing-parity invariant is odd."""
-    sub = {e for e in diag.graph.edges if not set(e) & set(hubs)}
-    if sum(1 for c in diag.crossings if c.disjoint and c.edge1 in sub and c.edge2 in sub) % 2 != 1:
-        raise InternalParityFailure("hub-free subdrawing has even crossing parity")
-
-
 def _k6_analysis(emb: PLEmbedding, seed: int):
     """Report and ledgers: the lk sum over the 10 triangle pairs through
     the hub, then the cancellation bookkeeping that reduces it to plain
     edge-vs-edge sums.  Contributions of spoke edges cancel in pairs when
-    grouped per far vertex, and the residual flat sum equals the
-    crossing-parity invariant of the hub-free subdrawing."""
+    grouped per far vertex, and the residual flat sum is the
+    crossing-parity invariant of the hub-free subdrawing: the far triangle
+    of a hub-free edge is the set of hub-free edges disjoint from it, so
+    each of their crossings counts once, for the edge behind."""
     diag = _smooth_and_project(
         emb, seed, lambda g: len(g.vertices) == 6 and is_complete(g),
         "a complete graph on 6 vertices",
@@ -323,7 +296,6 @@ def _k6_analysis(emb: PLEmbedding, seed: int):
         diag, "diagram lk of far triangles against their base edges",
         [(far, e) for e, far, _ in rows], 1,
     )
-    _check_hub_free_parity(diag, (hub,))
     # spoke cancellations: fixing a non-hub vertex V, the 4 far triangles
     # of base edges through V cover each edge of the remaining 4 vertices
     # exactly twice, so their lk values against the spoke hub-V cancel
@@ -349,15 +321,16 @@ def find_linked_cycles_k6(emb: PLEmbedding, seed: int = 0) -> LinkReport:
 
 def k6_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, ...]:
     """Main lk sum plus the cancellation ledgers reducing it to the planar
-    crossing-parity invariant; every total is checked on the way out."""
+    crossing-parity invariant; every total is checked on the way out.  The
+    flat sum is that invariant of the subdrawing of the hub-free edges."""
     return _k6_analysis(emb, seed)[1]
 
 
 def _k44_analysis(emb: PLEmbedding, seed: int):
     """Report and ledgers: the lk sum over the 9 quadrilateral pairs
     through both hubs, the cancellations of the hub-to-hub bridge and of
-    the spokes at each hub, and the flat sum equal to the crossing-parity
-    invariant of the hub-free subdrawing."""
+    the spokes at each hub, and the flat sum, which is the crossing-parity
+    invariant of the hub-free subdrawing as in the 6-vertex analysis."""
     diag = _smooth_and_project(
         emb, seed, lambda g: is_complete_bipartite(g, 4, 4), "a complete bipartite 4+4 graph"
     )
@@ -393,7 +366,6 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
         diag, "diagram lk of far quadrilaterals against their base edges",
         [(far, e) for e, _, _, far, _ in rows], 1,
     )
-    _check_hub_free_parity(diag, (hub_a, hub_b))
     return report, (main, bridge, spoke_a, spoke_b, flat)
 
 
@@ -406,6 +378,7 @@ def find_linked_cycles_k44(emb: PLEmbedding, seed: int = 0) -> LinkReport:
 
 
 def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, ...]:
+    """As k6_parity_ledgers, with quadrilaterals and a bridge ledger."""
     return _k44_analysis(emb, seed)[1]
 
 

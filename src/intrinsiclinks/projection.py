@@ -12,7 +12,6 @@ defective diagram; callers that need some direction use the seeded search.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Sequence
@@ -21,6 +20,7 @@ from .errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
     DrawingNotGeneral,
+    GeneralPositionViolation,
     InternalParityFailure,
     ProjectionNotGeneral,
     SearchExhausted,
@@ -35,6 +35,7 @@ from .graphs import (
     PlanarPolyline,
     PLEmbedding,
     make_drawing,
+    make_embedding,
     make_graph,
     require_generic,
     require_valid,
@@ -69,8 +70,9 @@ def plane_basis(d: Point3) -> tuple[Point3, Point3]:
 
 class ProjectedDiagram(_Record):
     """A drawing obtained by flattening an embedding, with every crossing
-    labeled by the edge whose strand passes in front (larger component
-    along the projection direction)."""
+    labeled by the edge whose strand passes in front: the one with the
+    larger component along the projection direction in an orthogonal
+    projection, the one nearer the apex in a central projection."""
 
     def __init__(
         self, embedding: PLEmbedding, direction: Point3,
@@ -178,45 +180,46 @@ def project_central(
     apex: Point3,
     normal: Point3,
     names: Sequence[str] | None = None,
-) -> GenericDrawing:
-    """Project all points except the apex onto a plane below it, from the
-    apex, and return the straight-line drawing of the complete graph on the
-    images, swept once for its crossings.
+) -> ProjectedDiagram:
+    """Project the points other than the apex from the apex, and return the
+    diagram of the straight complete graph on them: their straight
+    embedding, the canonical normal, the drawing of their images swept
+    once, and each crossing labeled with the strand nearer the apex.
 
-    The linear functional x -> <x, normal> must attain its strict maximum
-    over the points at the apex; the image plane sits halfway between the
-    apex level and the next-highest level, so every other point projects
-    into it away from the apex.  Raises ApexNotExtremal when the apex is
-    not the unique maximizer and ProjectionNotGeneral when three images
-    become collinear or two coincide.
+    The functional x -> <x, normal> must take its strict maximum over the
+    points at the apex a.  With (e1, e2) the plane basis of the normal,
+    g_p = <a - p, normal> > 0 and L the lcm of the g_p, the image of p is
+    (<p - a, e1>, <p - a, e2>) * (L // g_p): its central image in a plane
+    below the apex, up to a translation and a positive scale, so the two
+    cross alike.  Rational input is first scaled to integers.
 
-    The image coordinates are integers: a fixed positive integer multiple
-    (the least common denominator of the images) of the plane coordinates.
-    A uniform positive scale keeps every orientation, so crossings and
-    general position are those of the plane images, while every predicate
-    on the drawing runs on machine integers.
+    Raises ApexNotExtremal when the apex is not the unique maximizer,
+    ProjectionNotGeneral when three images become collinear or two
+    coincide, and GeneralPositionViolation when two images cross at equal
+    depth: their segments meet in space.
     """
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
-    others = [p for p in pts if p != apex]
-    if len(others) != len(pts) - 1:
+    below = [p for p in pts if p != apex]
+    if len(below) != len(pts) - 1:
         raise ValueError("apex occurs more than once among the points")
-    apex_val = dot3(apex, normal)
-    vals = [dot3(p, normal) for p in others]
-    if any(v >= apex_val for v in vals):
+    a, n, others = apex, normal, below
+    m = lcm(*(c.denominator for p in (a, n, *others) for c in p.coords()))  # 1 on ints
+    if m > 1:  # a uniform positive scale of space and of the functional moves no sign
+        a, n, *others = (Point3(*(c.numerator * (m // c.denominator) for c in p.coords())) for p in (a, n, *others))
+    apex_val = dot3(a, n)
+    gaps = [apex_val - dot3(p, n) for p in others]
+    if any(g <= 0 for g in gaps):
         raise ApexNotExtremal("apex does not strictly maximize the functional")
-    plane_val = Fraction(apex_val + max(vals), 2)
 
-    d = canonical_direction(normal)
+    d = canonical_direction(n)
     e1, e2 = plane_basis(d)
+    lcm_gap = lcm(*gaps)
     images = []
-    for p, v in zip(others, vals):
-        t = Fraction(plane_val - apex_val, v - apex_val)
-        q = apex + (p - apex).scale(t)
-        images.append(Point2(dot3(q, e1), dot3(q, e2)))
-    m = lcm(*(c.denominator for im in images for c in im.coords()))
-    images = [im.scale(m) for im in images]
+    for p, g in zip(others, gaps):
+        k = lcm_gap // g
+        images.append(Point2(dot3(p - a, e1) * k, dot3(p - a, e2) * k))
     if not gp_points2(images):
         raise ProjectionNotGeneral("projected points are not in general position")
 
@@ -227,9 +230,22 @@ def project_central(
         raise ValueError("need one name per non-apex point")
     graph = make_graph(names, combinations(names, 2))
     try:
-        return require_generic(make_drawing(graph, dict(zip(names, images))))
+        drawing = require_generic(make_drawing(graph, dict(zip(names, images))))
     except DrawingNotGeneral as ex:
         raise ProjectionNotGeneral(f"central image drawing has {len(ex.violations)} degenerate contacts")
+
+    at = dict(zip(names, others))
+    labeled = []
+    for c in drawing.crossings:
+        (p, q), (r, w) = map(at.get, c.edge1), map(at.get, c.edge2)
+        # about the line pq, r and w lie on either side of the plane apq, and
+        # rw passes beyond pq from a (behind it) exactly when the turn from r
+        # to w has the sense of the turn from a to r
+        det = orient3d(p, q, r, w)
+        if det == 0:
+            raise GeneralPositionViolation(f"edges {c.edge1} and {c.edge2} meet in space")
+        labeled.append(c.replace(upper=c.edge1 if det == orient3d(p, q, a, r) else c.edge2))
+    return ProjectedDiagram(make_embedding(graph, dict(zip(names, below))), d, drawing, tuple(labeled))
 
 
 def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from intrinsiclinks import invariants
 from intrinsiclinks.cli import main
 from intrinsiclinks.geometry import NON_GENERIC, Point2, Segment2, cross2, seg_intersect2
 from intrinsiclinks.graphs import (
@@ -23,6 +24,7 @@ from intrinsiclinks.instances import (
     bend_drawing,
     gen_k5_drawing,
     gen_k6_pl_subdivided,
+    gen_k6_points,
     gen_k33_drawing,
     gen_k44_linear,
 )
@@ -202,7 +204,8 @@ class TestSvgGoldens:
 
 
 class TestNoFraction:
-    """On integer input the sweep builds no `Fraction`."""
+    """On integer input the sweep, and the central projection and ledger of
+    the linear finder, build no `Fraction`."""
 
     def built(self, monkeypatch, work):
         calls = []
@@ -237,5 +240,14 @@ class TestNoFraction:
         def work():
             for emb in embeddings:
                 assert find_general_projection(emb).crossings
+
+        assert self.built(monkeypatch, work) == 0
+
+    def test_linear_analysis(self, monkeypatch):
+        point_sets = [gen_k6_points(seed) for seed in range(5)]
+
+        def work():
+            for seed, pts in enumerate(point_sets):
+                assert invariants._linear_analysis(pts, seed)[1].total == 1
 
         assert self.built(monkeypatch, work) == 0

@@ -12,6 +12,7 @@ from intrinsiclinks.errors import (
     DrawingsNotComparable,
     EmbeddingInvalid,
     GeneralPositionViolation,
+    InternalParityFailure,
     IntrinsicLinksError,
     ProjectionNotGeneral,
     SearchExhausted,
@@ -159,6 +160,10 @@ class TestVanKampenDrawing:
         assert van_kampen_drawing(d) == 1
 
 
+# -3..3 over a denominator of 1, 2, 3 or 7
+_small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 7)))
+
+
 class TestLinearFinder:
     def test_moment_curve(self):
         rep = find_linked_triangles_linear(MOMENT6)
@@ -209,13 +214,14 @@ class TestLinearFinder:
         assert triangles_linked(t1, t2)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    @given(st.lists(st.tuples(_small_rational, _small_rational, _small_rational),
                     min_size=6, max_size=6, unique=True), st.integers(0, 100))
     def test_matches_sight_line_reference(self, coords, seed):
-        """On a small grid, where coplanar points, tied functionals and
-        rejected viewpoints are common, the ledger and the report are those
-        the general sight-line test gives from the finder's viewpoint, and
-        where one fails the other fails with the same exception class."""
+        """On a small grid of rationals, where coplanar points, tied
+        functionals and rejected viewpoints are common, the ledger and the
+        report are those the general sight-line test gives from the finder's
+        viewpoint, and where one fails the other fails with the same
+        exception class."""
         pts = [Point3(*c) for c in coords]
         try:
             entries, report = linear_analysis_reference(pts, seed)
@@ -324,6 +330,40 @@ class TestK44Finder:
         emb = make_embedding(K33, dict(zip(K33.vertices, MOMENT8[:6])))
         with pytest.raises(ValueError):
             find_linked_cycles_k44(emb, seed=0)
+
+
+class TestFlatLedger:
+    """A flat ledger counts each crossing of two disjoint hub-free edges
+    once, so its forced odd total is the crossing-parity invariant of the
+    hub-free subdrawing: without one such crossing the total fails."""
+
+    @staticmethod
+    def assert_total_needs_every_crossing(diag, hubs, rows):
+        assert invariants._front_ledger(diag, "flat", rows, 1).total == 1
+        hub_free = {e for e in diag.graph.edges if not set(e) & set(hubs)}
+        dropped = next(c for c in diag.crossings if c.disjoint and {c.edge1, c.edge2} <= hub_free)
+        mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != dropped))
+        with pytest.raises(InternalParityFailure):
+            invariants._front_ledger(mutant, "flat", rows, 1)
+
+    def test_k6(self):
+        diag = find_general_projection(moment_k6_embedding(), seed=0)
+        g = diag.graph
+        rows = [(make_cycle(g, [w for w in g.vertices[1:] if w not in e]), e)
+                for e in g.edges if "v1" not in e]
+        self.assert_total_needs_every_crossing(diag, ("v1",), rows)
+
+    def test_k44(self):
+        diag = find_general_projection(moment_k44_embedding(), seed=0)
+        g = diag.graph
+        rows = []
+        for end_a, end_b in g.edges:
+            if "a1" in (end_a, end_b) or "b1" in (end_a, end_b):
+                continue
+            rest_a = [x for x in ("a2", "a3", "a4") if x != end_a]
+            rest_b = [y for y in ("b2", "b3", "b4") if y != end_b]
+            rows.append((make_cycle(g, (rest_a[0], rest_b[0], rest_a[1], rest_b[1])), (end_a, end_b)))
+        self.assert_total_needs_every_crossing(diag, ("a1", "b1"), rows)
 
 
 class TestOracle:
@@ -539,7 +579,7 @@ class TestSweepOnce:
         self.assert_carried_crossings_read_without_sweep(drawing, sweeps)
 
     def test_project_central_sweeps_once(self, sweeps):
-        drawing = project_central(MOMENT6, MOMENT6[-1], Point3(1, 0, 0))
+        drawing = project_central(MOMENT6, MOMENT6[-1], Point3(1, 0, 0)).drawing
         assert len(sweeps) == 1
         self.assert_carried_crossings_read_without_sweep(drawing, sweeps)
 

@@ -10,6 +10,7 @@ from intrinsiclinks.errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
     EmbeddingInvalid,
+    GeneralPositionViolation,
     ProjectionNotGeneral,
 )
 from intrinsiclinks.geometry import (
@@ -250,11 +251,11 @@ class TestFindGeneralProjection:
 
 class TestProjectCentral:
     def test_moment_curve_from_top(self):
-        drawing = project_central(
+        diag = project_central(
             MOMENT_POINTS, MOMENT_POINTS[5], Point3(0, 0, 1),
             names=[f"v{i}" for i in range(1, 6)],
         )
-        crossings = extract_crossings(drawing)
+        crossings = extract_crossings(diag.drawing)
         assert len(crossings) == 5
         assert all(c.disjoint for c in crossings)
 
@@ -266,23 +267,38 @@ class TestProjectCentral:
         with pytest.raises(ValueError):
             project_central(MOMENT_POINTS, Point3(100, 100, 100), Point3(0, 0, 1))
 
-    def test_sight_line_bridge(self):
+    def test_equal_depth_crossing_raises(self):
+        """The diagonals of a square below the apex meet in space, so their
+        images cross with neither strand in front."""
+        square = [Point3(2, 0, 0), Point3(0, 1, 0), Point3(-2, 0, 0), Point3(0, -1, 0)]
+        with pytest.raises(GeneralPositionViolation):
+            project_central(square + [Point3(1, 1, 5)], Point3(1, 1, 5), Point3(0, 0, 1))
+
+    @staticmethod
+    def assert_sight_lines(pts, apex, normal):
         """An image crossing exists exactly when one segment blocks the
-        other's line of sight from the apex."""
-        apex = MOMENT_POINTS[5]
-        below = MOMENT_POINTS[:5]
-        names = [f"v{i}" for i in range(1, 6)]
-        drawing = project_central(MOMENT_POINTS, apex, Point3(0, 0, 1), names=names)
+        other's line of sight from the apex, and its `upper` edge is the
+        blocking one."""
+        below = [p for p in pts if p != apex]
+        names = [f"p{i}" for i in range(1, 6)]
+        diag = project_central(pts, apex, normal, names=names)
+        upper = {(c.edge1, c.edge2): c.upper for c in diag.crossings}
         for (i, j), (k, l) in combinations(combinations(range(5), 2), 2):
             if {i, j} & {k, l}:
                 continue
             s1 = Segment3(below[i], below[j])
             s2 = Segment3(below[k], below[l])
-            im1 = Segment2(drawing.position[names[i]], drawing.position[names[j]])
-            im2 = Segment2(drawing.position[names[k]], drawing.position[names[l]])
+            im1 = Segment2(diag.drawing.position[names[i]], diag.drawing.position[names[j]])
+            im2 = Segment2(diag.drawing.position[names[k]], diag.drawing.position[names[l]])
             crosses = isinstance(seg_intersect2(im1, im2), tuple)
-            blocked = higher_central_reference(apex, s1, s2) or higher_central_reference(apex, s2, s1)
-            assert crosses == blocked
+            front1 = higher_central_reference(apex, s1, s2)
+            front2 = higher_central_reference(apex, s2, s1)
+            assert crosses == (front1 or front2)
+            e1, e2 = (names[i], names[j]), (names[k], names[l])
+            assert upper.get((e1, e2)) == (e1 if front1 else e2 if front2 else None)
+
+    def test_sight_line_bridge(self):
+        self.assert_sight_lines(MOMENT_POINTS, MOMENT_POINTS[5], Point3(0, 0, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
@@ -290,8 +306,9 @@ class TestProjectCentral:
         min_size=6, max_size=6, unique=True,
     ))
     def test_integer_images_cross_like_plane_images(self, coords):
-        """The integer images are a positive multiple of the plane images, so
-        both straight-line drawings have the same crossing edge pairs."""
+        """The integer images are a translate of a positive multiple of the
+        plane images, so both straight-line drawings have the same crossing
+        edge pairs."""
         pts = [Point3(*c) for c in coords]
         assume(gp_points3(pts))
         normal = Point3(0, 0, 1)
@@ -300,7 +317,7 @@ class TestProjectCentral:
         below = [p for p in pts if p != apex]
         names = [f"p{i}" for i in range(1, 6)]
         try:
-            drawing = project_central(pts, apex, normal, names=names)
+            drawing = project_central(pts, apex, normal, names=names).drawing
         except ProjectionNotGeneral:
             assume(False)
         for p in drawing.position.values():
@@ -332,21 +349,8 @@ class TestProjectCentral:
         assume(gp_points3(pts))
         heights = [p.z for p in pts]
         assume(len(set(heights)) == 6)
-        top = max(range(6), key=lambda i: heights[i])
-        apex = pts[top]
-        below = [p for i, p in enumerate(pts) if i != top]
-        names = [f"p{i}" for i in range(1, 6)]
+        apex = pts[max(range(6), key=lambda i: heights[i])]
         try:
-            drawing = project_central(pts, apex, Point3(0, 0, 1), names=names)
+            self.assert_sight_lines(pts, apex, Point3(0, 0, 1))
         except ProjectionNotGeneral:
             assume(False)
-        for (i, j), (k, l) in combinations(combinations(range(5), 2), 2):
-            if {i, j} & {k, l}:
-                continue
-            s1 = Segment3(below[i], below[j])
-            s2 = Segment3(below[k], below[l])
-            im1 = Segment2(drawing.position[names[i]], drawing.position[names[j]])
-            im2 = Segment2(drawing.position[names[k]], drawing.position[names[l]])
-            crosses = isinstance(seg_intersect2(im1, im2), tuple)
-            blocked = higher_central_reference(apex, s1, s2) or higher_central_reference(apex, s2, s1)
-            assert crosses == blocked
