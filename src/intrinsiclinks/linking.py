@@ -9,12 +9,25 @@ Any apex gives that once the signs are taken with `orient3d_sos`, which
 moves the apex and every vertex by an infinitesimal amount (Simulation of
 Simplicity): after the move no four of the points are coplanar, so no
 triangle is flat, no vertex of `b` lies in a triangle's plane and no side
-of `b` meets a triangle's boundary.  The polygons are first checked disjoint, exactly, so a small
-enough move keeps them disjoint and embedded, and mod-2 linking does not
-change under it; the count is exact for the input itself.
+of `b` meets a triangle's boundary.  The polygons are first checked
+disjoint, exactly, so a small enough move keeps them disjoint and
+embedded, and mod-2 linking does not change under it; the count is exact
+for the input itself.
+
+The count sums over pairs of sides, so on one embedding it is bilinear in
+the edge routes: lk(c1, c2) mod 2 sums the bits (e, f) of `_cone_matrix`,
+the passes of route f through the cone over route e, over the edges e of c1
+and f of c2.  That is exact because every sign is taken on one point
+sequence, the apex and then each distinct corner once, so all describe one
+moved embedding: in it the cone over a cycle is its edges' cones glued along
+the segments from the apex to their shared ends, a corner where a cycle runs
+straight through stays a (moved) corner, and vertex-disjoint cycles, whose
+routes meet nowhere, stay disjoint.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import GeneralPositionViolation, PolylinesNotDisjoint
 from .geometry import (
@@ -134,52 +147,63 @@ def triangles_linked(t1: Triangle3, t2: Triangle3) -> bool:
     return sum(seg_hits_solid_triangle(side, t1) for side in t2.sides()) == 1
 
 
-def _require_disjoint_closed(a: SpatialPolyline, b: SpatialPolyline):
+def _cone_passes(points, u: int, v: int, chain, side_of: dict) -> int:
+    """Parity of the passes of the broken line through the points indexed
+    by `chain` through the cone triangle (points[0], points[u], points[v]):
+    the five signs of `seg_hits_solid_triangle`, taken by `orient3d_sos` on
+    `points`, so none is 0 and no triangle, flat or not, is built.
+    `side_of` keeps the sides of the triangle's plane found so far."""
+    for p in chain:
+        if p not in side_of:
+            side_of[p] = orient3d_sos(points, 0, u, v, p)
+    passes = 0
+    for p, q in zip(chain, chain[1:]):
+        passes ^= side_of[p] != side_of[q] and (
+            orient3d_sos(points, p, q, 0, u) == orient3d_sos(points, p, q, u, v) == orient3d_sos(points, p, q, v, 0)
+        )
+    return passes
+
+
+def _cone_matrix(apex: Point3, chains, disjoint) -> list[int]:
+    """The cone-crossing matrix of the broken lines `chains`, a row per
+    chain: bit f of row e, for f in `disjoint[e]`, is the parity of the
+    passes of chain f through the cone triangles (apex, side of chain e).
+    The apex is point 0, then every distinct corner once, all scaled to
+    integers, which moves no sign."""
+    index = {p: k for k, p in enumerate(dict.fromkeys(p for chain in chains for p in chain), 1)}
+    m = lcm(*(c.denominator for p in index for c in p.coords()))  # 1 on ints
+    points = [p.scale(m) for p in (apex, *index)] if m > 1 else [apex, *index]
+    ids = [[index[p] for p in chain] for chain in chains]
+    rows = [0] * len(chains)
+    for e, chain in enumerate(ids):
+        for u, v in zip(chain, chain[1:]):
+            side_of: dict[int, int] = {}
+            for f in disjoint[e]:
+                rows[e] ^= _cone_passes(points, u, v, ids[f], side_of) << f
+    return rows
+
+
+def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
+    """Mod-2 linking number of disjoint closed polygons: the parity of the
+    passes of `b` through the cone triangles from the apex over the sides
+    of `a`, for any apex (see the module docstring)."""
     if not a.closed or not b.closed:
         raise ValueError("linking is defined for closed polygons")
     if not polylines_disjoint(a, b):
         raise PolylinesNotDisjoint("the two polygons share a point")
-
-
-def _cone_parity(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
-    """Parity of the passes of the sides of `b` through the cone triangles
-    (apex, side of `a`), the signs taken by `orient3d_sos` with the apex as
-    point 0, then the vertices of `a`, then those of `b`.  No sign is 0, so
-    each side-triangle pair is decided by the five signs of
-    `seg_hits_solid_triangle`, and no cone triangle is built: one may be
-    flat before the perturbation."""
     points = (apex, *a.vertices, *b.vertices)
     n, m = len(a.vertices), len(b.vertices)
-    a_sides = [(1 + i, 1 + (i + 1) % n) for i in range(n)]
-    b_sides = [(1 + n + j, 1 + n + (j + 1) % m) for j in range(m)]
-    total = 0
-    for u, v in a_sides:
-        side_of = {p: orient3d_sos(points, 0, u, v, p) for p, _ in b_sides}
-        for p, q in b_sides:
-            if side_of[p] != side_of[q] and (
-                orient3d_sos(points, p, q, 0, u)
-                == orient3d_sos(points, p, q, u, v)
-                == orient3d_sos(points, p, q, v, 0)
-            ):
-                total += 1
-    return total & 1
-
-
-def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
-    """Mod-2 linking number of disjoint closed polygons via cone counting.
-
-    Counts the passes of `b` through the cone triangles spanned by the apex
-    over the sides of `a`, under Simulation of Simplicity (see the module
-    docstring); the parity of the total is the linking number mod 2, for
-    any apex.
-    """
-    _require_disjoint_closed(a, b)
-    return _cone_parity(a, b, apex)
+    ring = [*range(n + 1, n + m + 1), n + 1]
+    return sum(_cone_passes(points, 1 + i, 1 + (i + 1) % n, ring, {}) for i in range(n)) & 1
 
 
 def linking_mod2_sampled(a: SpatialPolyline, b: SpatialPolyline, rng: SplitMix64) -> int:
-    """Mod-2 linking number by cone counting from an apex drawn from `rng`:
-    three draws in [-8, 8], one per coordinate.  The answer does not depend
-    on the draw; the draw only picks which count shows it."""
-    apex = Point3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8))
-    return linking_mod2_cone(a, b, apex)
+    """Mod-2 linking number by cone counting from an apex drawn from `rng`
+    (`_draw_apex`).  The answer does not depend on the draw; the draw only
+    picks which count shows it."""
+    return linking_mod2_cone(a, b, _draw_apex(rng))
+
+
+def _draw_apex(rng: SplitMix64) -> Point3:
+    """Three draws in [-8, 8], one per coordinate."""
+    return Point3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8))

@@ -255,18 +255,11 @@ def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:
     For open strand sets this genuinely depends on the argument order;
     only for a pair of disjoint closed cycles are the two orders forced to
     agree, which is what lk_from_diagram checks and exploits."""
-    first = set(first_edges)
-    second = set(second_edges)
+    first, second = set(first_edges), set(second_edges)
     if first & second:
         raise ValueError("edge sets overlap")
-    n = 0
-    for c in diag.crossings:
-        if (c.edge1 in first and c.edge2 in second) or (
-            c.edge1 in second and c.edge2 in first
-        ):
-            if c.upper in first:
-                n += 1
-    return n % 2
+    # the sets are disjoint: with the front strand in the first, the other is the one in the second
+    return sum(1 for c in diag.crossings if c.upper in first and (c.edge1 in second or c.edge2 in second)) % 2
 
 
 def lk_from_diagram(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle) -> int:
@@ -281,15 +274,9 @@ def lk_from_diagram(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle) -> int
     e2 = set(g.cycle_edges(cycle2))
     if not e1 | e2 <= set(g.edges):
         raise ValueError("cycle uses edges absent from the diagram's graph")
-    over1 = over2 = 0
-    for c in diag.crossings:
-        if (c.edge1 in e1 and c.edge2 in e2) or (c.edge1 in e2 and c.edge2 in e1):
-            if c.upper in e1:
-                over1 += 1
-            else:
-                over2 += 1
-    if (over1 - over2) % 2:
+    over1 = front_parity(diag, e1, e2)
+    if over1 != front_parity(diag, e2, e1):
         raise InternalParityFailure(
             "front-strand parity depends on the cycle order; diagram data is inconsistent"
         )
-    return over1 % 2
+    return over1

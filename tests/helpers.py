@@ -2,7 +2,7 @@
 package proves another way, so it lives here rather than in the library."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from intrinsiclinks import invariants
@@ -35,16 +35,19 @@ from intrinsiclinks.graphs import (
     PLEmbedding,
     Violation,
     _check_vertices_and_routes,
+    canonical_cycle_order,
     complete_graph,
+    cycle_route,
     make_cycle,
     make_drawing,
     make_embedding,
     make_graph,
     require_generic,
+    smooth,
 )
 from intrinsiclinks.instances import CANDIDATE_TRIES
-from intrinsiclinks.invariants import LinkReport
-from intrinsiclinks.linking import SpatialPolyline
+from intrinsiclinks.invariants import LinkReport, OracleResult
+from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled
 from intrinsiclinks.projection import ProjectedDiagram, front_parity
 from intrinsiclinks.rng import SplitMix64
 
@@ -411,3 +414,43 @@ def scan_drawing_reference(d: PlanarDrawing):
             involved = tuple(sorted({(r[0], r[1]) for r in recs} | {(r[2], r[3]) for r in recs}))
             out.append(Violation("triple-point", f"three or more sides pass through {p.coords()}", involved))
     return tuple(out), tuple(crossings)
+
+
+def enumerate_cycles_reference(g, length: int) -> tuple[Cycle, ...]:
+    """`enumerate_cycles` by brute force: every vertex subset of the length,
+    its first vertex fixed and the others tried in every order."""
+    found = set()
+    for subset in combinations(g.vertices, length):
+        first = subset[0]
+        for order in permutations(subset[1:]):
+            seq = (first,) + order
+            if all(g.has_edge(seq[i], seq[(i + 1) % length]) for i in range(length)):
+                found.add(Cycle(canonical_cycle_order(seq)))
+    return tuple(sorted(found, key=lambda c: c.vertices))
+
+
+def disjoint_cycle_pairs_reference(g, len1: int, len2: int) -> tuple[tuple[Cycle, Cycle], ...]:
+    """`enumerate_disjoint_cycle_pairs` by testing every pair of reference
+    cycles, in the same order."""
+    first = enumerate_cycles_reference(g, len1)
+    second = enumerate_cycles_reference(g, len2)
+    return tuple(
+        (c1, c2)
+        for c1 in first
+        for c2 in second
+        if set(c1.vertices).isdisjoint(c2.vertices) and (len1 != len2 or c1.vertices < c2.vertices)
+    )
+
+
+def oracle_reference(emb: PLEmbedding, len1: int, len2: int, seed: int = 0) -> OracleResult:
+    """`oracle_count_linked_pairs` one cycle pair at a time: each pair's two
+    polygons are built with `cycle_route`, checked disjoint, and
+    cone-counted from their own apex, the apexes drawn in turn from one
+    generator seeded with `seed`."""
+    sm = smooth(emb)
+    pairs = disjoint_cycle_pairs_reference(sm.graph, len1, len2)
+    rng = SplitMix64(seed)
+    linked = tuple(
+        (c1, c2) for c1, c2 in pairs if linking_mod2_sampled(cycle_route(sm, c1), cycle_route(sm, c2), rng)
+    )
+    return OracleResult(len(linked), linked, len(pairs))

@@ -48,6 +48,8 @@ from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import find_general_projection, project_orthogonal
 
 from helpers import (
+    disjoint_cycle_pairs_reference,
+    enumerate_cycles_reference,
     reference_key,
     scan_drawing_reference,
     smooth_reference,
@@ -184,6 +186,41 @@ class TestCycles:
     def test_cycle_edges(self):
         c = make_cycle(K44, ("a1", "b1", "a2", "b2"))
         assert set(K44.cycle_edges(c)) == {("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a1", "b2")}
+
+
+class TestEnumerationMatchesReference:
+    """Walks and bitmask pairing against every vertex order of every vertex
+    subset, outputs compared in full, order included."""
+
+    @staticmethod
+    def check(g, lengths, pair_lengths):
+        for length in lengths:
+            assert enumerate_cycles(g, length) == enumerate_cycles_reference(g, length)
+        for len1, len2 in pair_lengths:
+            assert enumerate_disjoint_cycle_pairs(g, len1, len2) == disjoint_cycle_pairs_reference(g, len1, len2)
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(n) for n in range(3, 9)] + [complete_bipartite(m, n) for m, n in ((1, 3), (2, 3), (3, 3), (3, 4), (4, 4))],
+        ids=lambda g: f"{len(g.vertices)}v{len(g.edges)}e",
+    )
+    def test_complete_graphs(self, g):
+        n = len(g.vertices)
+        self.check(g, range(3, n + 2), [(3, 3), (3, 4), (4, 3), (4, 4), (3, max(3, n - 3))])
+
+    def test_names_out_of_lexical_order(self):
+        # "v10" sorts before "v2" and "v9": canonical forms follow the names
+        names = ["v10", "v2", "v9", "v1", "v11", "v3", "v20"]
+        self.check(make_graph(names, combinations(names, 2)), range(3, 8), [(3, 3), (3, 4), (4, 3)])
+
+    @given(st.lists(st.integers(1, 30), min_size=3, max_size=9, unique=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, labels, data):
+        names = [f"v{k}" for k in labels]
+        pairs = list(combinations(names, 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = make_graph(names, [e for e, k in zip(pairs, keep) if k])
+        self.check(g, range(3, min(len(names), 6) + 1), [(3, 3), (3, 4), (4, 3), (4, 4)])
 
 
 class TestEmbeddingConstruction:

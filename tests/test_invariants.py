@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import intrinsiclinks
-from intrinsiclinks import cli, graphs, invariants, projection
+from intrinsiclinks import cli, graphs, invariants, linking, projection
 from intrinsiclinks.errors import (
     DrawingsNotComparable,
     EmbeddingInvalid,
@@ -32,7 +32,7 @@ from intrinsiclinks.graphs import (
     validate_drawing,
     validate_embedding,
 )
-from intrinsiclinks.instances import gen_k6_pl_subdivided, gen_k44_linear, gen_polygon_pair
+from intrinsiclinks.instances import gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear, gen_polygon_pair
 from intrinsiclinks.invariants import (
     LinkReport,
     ParityLedger,
@@ -51,7 +51,9 @@ from intrinsiclinks.invariants import (
 from intrinsiclinks.linking import triangles_linked
 from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
 
-from helpers import linear_analysis_reference, smooth_reference, subdivided
+from intrinsiclinks.rng import SplitMix64
+
+from helpers import linear_analysis_reference, oracle_reference, smooth_reference, subdivided
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -396,11 +398,81 @@ class TestOracle:
         )
 
     def test_cone_count_budget(self, monkeypatch):
-        monkeypatch.setattr(invariants, "CONE_COUNT_BUDGET", 10)
+        # 15 straight edges, each vertex-disjoint from 6: 90 side-pair tests
+        monkeypatch.setattr(invariants, "CONE_TEST_BUDGET", 90)
         assert oracle_count_linked_pairs(moment_k6_embedding(), 3, 3).total_pairs == 10
-        monkeypatch.setattr(invariants, "CONE_COUNT_BUDGET", 9)
-        with pytest.raises(SearchExhausted, match="10 disjoint cycle pairs exceed the budget of 9"):
+        monkeypatch.setattr(invariants, "CONE_TEST_BUDGET", 89)
+        with pytest.raises(SearchExhausted, match="^90 side-pair cone tests exceed the budget of 89$"):
             oracle_count_linked_pairs(moment_k6_embedding(), 3, 3)
+
+    def test_no_cycle_polygons(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(invariants, "cycle_route", lambda *args: called.append("cycle_route"))
+        monkeypatch.setattr(linking, "polylines_disjoint", lambda *args: called.append("polylines_disjoint"))
+        assert oracle_count_linked_pairs(subdivided_moment_k6_embedding(), 3, 3).count == 1
+        assert oracle_count_linked_pairs(moment_k44_embedding(), 4, 4).count == 2
+        assert called == []
+
+    @pytest.mark.parametrize("n, linked, pairs", [(7, 7, 70), (8, 28, 280)])
+    def test_conway_gordon_sachs_count(self, n, linked, pairs):
+        # a straight moment-curve K_n links exactly one triangle pair per
+        # 6-subset of its vertices (Conway-Gordon, Sachs): C(7, 6) and C(8, 6)
+        g = complete_graph(n)
+        emb = make_embedding(g, {v: Point3(i, i * i, i**3) for i, v in enumerate(g.vertices, 1)})
+        first, *others = (oracle_count_linked_pairs(emb, 3, 3, seed=seed) for seed in (0, 1, 2))
+        assert (first.count, first.total_pairs) == (linked, pairs)
+        assert others == [first, first]
+
+
+grid_coord = st.integers(-6, 6).map(lambda k: Fraction(k, 2))  # whole values become ints
+
+
+@st.composite
+def grid_embeddings(draw, centre: Point3):
+    """A valid PL K6 or K4,4 with its cycle length, every vertex and corner
+    on the half-integer grid in `centre` + [-3, 3]^3.  Coplanar quadruples,
+    corners on the lines of other routes' sides, and lines from the centre
+    through a corner that meet other routes are common."""
+    g, length = draw(st.sampled_from([(K6, 3), (K44, 4)]))
+    corners = st.builds(lambda x, y, z: centre + Point3(x, y, z), grid_coord, grid_coord, grid_coord)
+    n = len(g.vertices)
+    pos = dict(zip(g.vertices, draw(st.lists(corners, min_size=n, max_size=n, unique=True))))
+    routes = {(u, v): [pos[u], *draw(st.lists(corners, max_size=1)), pos[v]] for u, v in g.edges}
+    try:
+        emb = make_embedding(g, pos, routes)
+    except ValueError:  # a repeated or straight-through corner
+        assume(False)
+    assume(not validate_embedding(emb))
+    return emb, length
+
+
+class TestOracleMatchesReference:
+    """The cone-crossing matrix against the oracle one pair at a time, which
+    builds each pair's polygons and draws each pair its own apex."""
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_grid_embeddings(self, seed, data):
+        # centred on the oracle's apex, so that the apex often lies on a
+        # corner or in the plane of a side and a corner
+        emb, n = data.draw(grid_embeddings(linking._draw_apex(SplitMix64(seed))))
+        assert oracle_count_linked_pairs(emb, n, n, seed) == oracle_reference(emb, n, n, seed)
+
+    def test_generators(self):
+        for seed in range(30):
+            straight = make_embedding(K6, dict(zip(K6.vertices, gen_k6_points(seed))))
+            for emb, n in ((straight, 3), (gen_k6_pl_subdivided(seed), 3), (gen_k44_linear(seed), 4)):
+                assert oracle_count_linked_pairs(emb, n, n, seed) == oracle_reference(emb, n, n, seed)
+
+    def test_rational_and_mixed_lengths(self):
+        emb = subdivided_moment_k6_embedding()
+        assert oracle_count_linked_pairs(emb, 3, 3, 5) == oracle_reference(emb, 3, 3, 5)
+        k7 = complete_graph(7)
+        emb = make_embedding(k7, {v: Point3(i, i * i, i**3) for i, v in enumerate(k7.vertices, 1)})
+        for lengths in ((3, 4), (4, 3)):
+            result = oracle_count_linked_pairs(emb, *lengths, seed=2)
+            assert result == oracle_reference(emb, *lengths, seed=2)
+            assert result.total_pairs == 105
 
 
 class TestInvarianceProbe:

@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import intrinsiclinks
-from intrinsiclinks import cli, instances, invariants
+from intrinsiclinks import cli, instances, linking
 from intrinsiclinks.cli import main
 from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
@@ -397,19 +397,25 @@ class TestCli:
         assert out.err == "error: 1536769080 candidate cycle pairs exceed the budget of 10000000\n"
 
     def test_oracle_cone_count_budget(self, tmp_path, capsys, monkeypatch):
-        # 387,600 disjoint triangle pairs pass the candidate budget, but
-        # cone-counting them would take about 40 s
-        k20 = complete_graph(20)
-        emb = make_embedding(k20, {v: Point3(i, i * i, i ** 3) for i, v in enumerate(k20.vertices, 1)})
-        path = tmp_path / "k20.json"
-        path.write_bytes(emit_instance(emb))
+        # a moment-curve K6 whose 15 routes zigzag through 110 sides each:
+        # 90 disjoint edge pairs of 110 x 110 side pairs, about 3 s of tests
+        k6 = complete_graph(6)
+        pos = {v: Point3(10**4 * i, 10**4 * i * i, 10**4 * i**3) for i, v in enumerate(k6.vertices, 1)}
+        routes = {}
+        for u, v in k6.edges:
+            p, q = pos[u], pos[v]
+            bend = [Point3(p.x + (q.x - p.x) * t // 110 + (-1) ** t, p.y + (q.y - p.y) * t // 110,
+                           p.z + (q.z - p.z) * t // 110 - (-1) ** t) for t in range(1, 110)]
+            routes[u, v] = [p, *bend, q]
+        path = tmp_path / "k6_zigzag.json"
+        path.write_bytes(emit_instance(make_embedding(k6, pos, routes)))
         counted = []
-        monkeypatch.setattr(invariants, "linking_mod2_sampled", lambda *args: counted.append(args))
+        monkeypatch.setattr(linking, "_cone_passes", lambda *args: counted.append(args))
         start = time.perf_counter()
         code, out = self.run("oracle", str(path), "--cycles", "3,3", capsys=capsys)
         assert time.perf_counter() - start < 5
         assert code == 1
-        assert out.err == "error: 387600 disjoint cycle pairs exceed the budget of 40000\n"
+        assert out.err == "error: 1089000 side-pair cone tests exceed the budget of 1000000\n"
         assert counted == []
 
     def test_project_with_svg(self, tmp_path, capsys):
