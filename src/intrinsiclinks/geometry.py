@@ -409,18 +409,20 @@ def seg_intersect2(s: Segment2, t: Segment2):
     c, d = t.p, t.q
     d1 = orient2d(a, b, c)
     d2 = orient2d(a, b, d)
+    if d1 == d2 != 0:  # c-d strictly on one side of the line ab: no contact, at an end or not
+        return None
     d3 = orient2d(c, d, a)
     d4 = orient2d(c, d, b)
-    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        if d1 != d2 and d3 != d4:
-            e = d - c
-            num = cross2(c - a, e)
-            den = cross2(b - a, e)
-            # den != 0 (the lines are not parallel); the point is (x/den, y/den)
-            x = a.x * den + num * (b.x - a.x)
-            y = a.y * den + num * (b.y - a.y)
-            return coprime3(x, y, den, _sign(den))
+    if d3 == d4 != 0:
         return None
+    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:  # so d1 != d2 and d3 != d4
+        e = d - c
+        num = cross2(c - a, e)
+        den = cross2(b - a, e)
+        # den != 0 (the lines are not parallel); the point is (x/den, y/den)
+        x = a.x * den + num * (b.x - a.x)
+        y = a.y * den + num * (b.y - a.y)
+        return coprime3(x, y, den, _sign(den))
     if d1 == 0 and point_on_segment2(c, s):
         return NON_GENERIC
     if d2 == 0 and point_on_segment2(d, s):

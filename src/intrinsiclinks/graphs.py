@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from math import perm
-from operator import or_
+from operator import or_, xor
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DrawingNotGeneral, EmbeddingInvalid, SearchExhausted
@@ -49,9 +49,9 @@ class Graph(_Record):
     def __init__(self, vertices: tuple[str, ...], edges: tuple[EdgeKey, ...]):
         _set(self, "vertices", vertices)
         _set(self, "edges", edges)
-        # lookup tables built once; not fields, so outside ==, hash and repr
+        # lookup tables built once, bit k for edges[k] both ways; not fields, so outside ==, hash and repr
         _set(self, "_index", {v: i for i, v in enumerate(vertices)})
-        _set(self, "_edge_set", frozenset(edges))
+        _set(self, "_edge_bit", {e: 1 << k for k, (u, v) in enumerate(edges) for e in ((u, v), (v, u))})
 
     def index(self, v: str) -> int:
         try:
@@ -65,7 +65,7 @@ class Graph(_Record):
         return (u, v) if self.index(u) < self.index(v) else (v, u)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return self.edge_key(u, v) in self._edge_set
+        return self.edge_key(u, v) in self._edge_bit
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         out = []
@@ -79,6 +79,16 @@ class Graph(_Record):
     def cycle_edges(self, cycle: "Cycle") -> tuple[EdgeKey, ...]:
         seq = cycle.vertices
         return tuple(self.edge_key(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
+
+    def _edge_mask(self, edges: Iterable[tuple[str, str]]) -> int:
+        """The bitmask of edges given as vertex pairs in either order."""
+        try:
+            return reduce(or_, [self._edge_bit[u, v] for u, v in edges], 0)
+        except KeyError as ex:
+            raise ValueError("({}, {}) is not an edge".format(*ex.args[0])) from None
+
+    def _cycle_mask(self, seq: Sequence[str]) -> int:
+        return self._edge_mask(zip(seq, seq[1:] + seq[:1]))
 
 
 def make_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> Graph:
@@ -164,12 +174,9 @@ class Cycle(_Record):
 
 def canonical_cycle_order(seq: Sequence[str]) -> tuple[str, ...]:
     seq = tuple(seq)
-    n = len(seq)
-    start = min(range(n), key=lambda i: seq[i])
+    start = seq.index(min(seq))
     rotated = seq[start:] + seq[:start]
-    if rotated[1] > rotated[-1]:
-        rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
-    return rotated
+    return rotated if rotated[1] <= rotated[-1] else rotated[:1] + rotated[:0:-1]
 
 
 def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
@@ -178,9 +185,7 @@ def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
         raise ValueError("a cycle needs at least 3 vertices")
     if len(set(seq)) != len(seq):
         raise ValueError("cycle repeats a vertex")
-    for i in range(len(seq)):
-        if not g.has_edge(seq[i], seq[(i + 1) % len(seq)]):
-            raise ValueError(f"({seq[i]}, {seq[(i + 1) % len(seq)]}) is not an edge")
+    g._cycle_mask(seq)  # ValueError at the first pair that is not an edge
     return Cycle(canonical_cycle_order(seq))
 
 
@@ -198,6 +203,11 @@ def _within_budget(candidates: int, what: str) -> None:
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of `mask`, in increasing order."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _xor_rows(rows: Sequence[int], mask: int) -> int:
+    """The XOR of the rows at the set bits of `mask`."""
+    return reduce(xor, [rows[k] for k in _bits(mask)], 0)
 
 
 def enumerate_cycles(g: Graph, length: int) -> tuple[Cycle, ...]:

@@ -14,8 +14,6 @@ no input can legitimately do that.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import xor
 from typing import Sequence
 
 from .errors import (
@@ -32,6 +30,7 @@ from .graphs import (
     PLEmbedding,
     _bits,
     _disjoint_pairs,
+    _xor_rows,
     bipartition,
     complete_graph,
     cycle_route,
@@ -43,13 +42,7 @@ from .graphs import (
     smooth,
 )
 from .linking import _cone_matrix, _draw_apex, linking_mod2_sampled
-from .projection import (
-    ProjectedDiagram,
-    find_general_projection,
-    front_parity,
-    lk_from_diagram,
-    project_central,
-)
+from .projection import ProjectedDiagram, _lk, find_general_projection, project_central
 from .rng import SplitMix64
 
 
@@ -207,7 +200,8 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
     # a far edge blocks sight lines from the apex to the base edge u-v
     # exactly when it passes in front of u-v in the central diagram
     rows = [(make_cycle(g, [w for w in g.vertices if w not in e]), e) for e in g.edges]
-    ledger = _front_ledger(diag, "sight-blocking lk over the 10 base edges", rows, 1)
+    fronts = {far: diag._cycle_front(far) for far, _ in rows}
+    ledger = _front_ledger(diag, fronts, "sight-blocking lk over the 10 base edges", rows, 1)
     far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
     near = make_cycle(_K6, (_point_names(6)[top], u, v))
     return LinkReport(far, near, 1, "linear-central"), ledger
@@ -249,25 +243,26 @@ def _cycle_name(c: Cycle) -> str:
 
 
 def _hub_pair_ledger(diag: ProjectedDiagram, pairs, label: str):
-    """Diagram lk over the (far, near) cycle pairs, whose sum the theorem
-    forces odd; returns the report on the first linked pair and the ledger."""
-    entries = [
-        (f"lk({_cycle_name(far)} | {_cycle_name(near)})", lk_from_diagram(diag, far, near))
-        for far, near in pairs
-    ]
+    """Diagram lk of the (far, near) cycle pairs, whose sum the theorem forces odd: the report on
+    the first linked pair, the ledger, and each cycle's (front row, edge mask) for the edge ledgers."""
+    fronts = {c: diag._cycle_front(c) for pair in pairs for c in pair}
+    entries = []
+    for far, near in pairs:
+        (row1, mask1), (row2, mask2) = fronts[far], fronts[near]
+        lk = _lk((row1 & mask2).bit_count() & 1, (row2 & mask1).bit_count() & 1)
+        entries.append((f"lk({_cycle_name(far)} | {_cycle_name(near)})", lk))
     ledger = _forced(label, entries, 1)
     far, near = next(pair for pair, (_, lk) in zip(pairs, entries) if lk == 1)
-    return LinkReport(far, near, 1, "pl-orthogonal"), ledger
+    return LinkReport(far, near, 1, "pl-orthogonal"), ledger, fronts
 
 
-def _front_ledger(diag: ProjectedDiagram, label: str, rows, expect: int) -> ParityLedger:
+def _front_ledger(diag: ProjectedDiagram, fronts, label: str, rows, expect: int) -> ParityLedger:
     """Front parities of far cycles against single edges, given as
-    (far cycle, (x, y)) rows and labeled in that x-y order; the sum is
-    forced to `expect`."""
-    g = diag.graph
+    (far cycle, (x, y)) rows and labeled in that x-y order, each one bit of
+    the far cycle's row in `fronts`; the sum is forced to `expect`."""
+    bit = diag.graph._edge_bit
     entries = [
-        (f"lk({_cycle_name(far)} | {x}-{y})",
-         front_parity(diag, g.cycle_edges(far), {g.edge_key(x, y)}))
+        (f"lk({_cycle_name(far)} | {x}-{y})", (fronts[far][0] & bit[x, y]).bit_count())
         for far, (x, y) in rows
     ]
     return _forced(label, entries, expect)
@@ -292,11 +287,11 @@ def _k6_analysis(emb: PLEmbedding, seed: int):
         if hub not in e:
             rest = [w for w in g.vertices if w not in (hub, *e)]
             rows.append((e, make_cycle(g, rest), make_cycle(g, (hub, *e))))
-    report, main = _hub_pair_ledger(
+    report, main, fronts = _hub_pair_ledger(
         diag, [(far, near) for _, far, near in rows], "diagram lk over the 10 hub-triangle pairs"
     )
     flat = _front_ledger(
-        diag, "diagram lk of far triangles against their base edges",
+        diag, fronts, "diagram lk of far triangles against their base edges",
         [(far, e) for e, far, _ in rows], 1,
     )
     # spoke cancellations: fixing a non-hub vertex V, the 4 far triangles
@@ -304,7 +299,7 @@ def _k6_analysis(emb: PLEmbedding, seed: int):
     # exactly twice, so their lk values against the spoke hub-V cancel
     spokes = tuple(
         _front_ledger(
-            diag, f"spoke cancellation at {v}", [(far, (hub, v)) for e, far, _ in rows if v in e], 0
+            diag, fronts, f"spoke cancellation at {v}", [(far, (hub, v)) for e, far, _ in rows if v in e], 0
         )
         for v in g.vertices[1:]
     )
@@ -350,23 +345,23 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
         far = make_cycle(g, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
         near = make_cycle(g, (hub_a, hub_b, end_a, end_b))
         rows.append((e, end_a, end_b, far, near))
-    report, main = _hub_pair_ledger(
+    report, main, fronts = _hub_pair_ledger(
         diag, [(far, near) for *_, far, near in rows], "diagram lk over the 9 hub-quadrilateral pairs"
     )
     bridge = _front_ledger(
-        diag, "bridge cancellation (hub-to-hub edge, covered four times)",
+        diag, fronts, "bridge cancellation (hub-to-hub edge, covered four times)",
         [(far, (hub_a, hub_b)) for *_, far, _ in rows], 0,
     )
     spoke_a = _front_ledger(
-        diag, f"spoke cancellation at {hub_a} (hub to far-part ends)",
+        diag, fronts, f"spoke cancellation at {hub_a} (hub to far-part ends)",
         [(far, (hub_a, end_b)) for _, _, end_b, far, _ in rows], 0,
     )
     spoke_b = _front_ledger(
-        diag, f"spoke cancellation at {hub_b} (hub to near-part ends)",
+        diag, fronts, f"spoke cancellation at {hub_b} (hub to near-part ends)",
         [(far, (hub_b, end_a)) for _, end_a, _, far, _ in rows], 0,
     )
     flat = _front_ledger(
-        diag, "diagram lk of far quadrilaterals against their base edges",
+        diag, fronts, "diagram lk of far quadrilaterals against their base edges",
         [(far, e) for e, _, _, far, _ in rows], 1,
     )
     return report, (main, bridge, spoke_a, spoke_b, flat)
@@ -415,9 +410,8 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     if tests > CONE_TEST_BUDGET:
         raise SearchExhausted(f"{tests} side-pair cone tests exceed the budget of {CONE_TEST_BUDGET}")
     rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, disjoint)
-    at = {e: k for k, e in enumerate(g.edges)}
-    cones = [reduce(xor, [rows[at[e]] for e in g.cycle_edges(c)]) for c in first]
-    masks = [sum(1 << at[e] for e in g.cycle_edges(c)) for c in second]
+    cones = [_xor_rows(rows, g._cycle_mask(c.vertices)) for c in first]
+    masks = [g._cycle_mask(c.vertices) for c in second]
     linked = tuple((first[i], second[j]) for i, mask in enumerate(partners) for j in _bits(mask)
                    if (cones[i] & masks[j]).bit_count() & 1)
     return OracleResult(len(linked), linked, total)

@@ -8,6 +8,9 @@ segments cross exactly when one blocks the other's line of sight.
 
 Both projections refuse non-generic directions instead of producing a
 defective diagram; callers that need some direction use the seeded search.
+
+A diagram's front matrix, built once from its labelled crossings, has one
+bitmask row per edge; every linking number is an XOR of rows read at a mask.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .graphs import (
     PlanarDrawing,
     PlanarPolyline,
     PLEmbedding,
+    _xor_rows,
     make_drawing,
     make_embedding,
     make_graph,
@@ -82,6 +86,11 @@ class ProjectedDiagram(_Record):
         _set(self, "direction", direction)
         _set(self, "drawing", drawing)
         _set(self, "crossings", crossings)
+        # the front matrix, not a field: bit f of row k is the parity of edges[k]'s passes over edges[f]
+        bit, front = embedding.graph._edge_bit, [0] * len(embedding.graph.edges)
+        for c in crossings:  # the lower strand's bit is the pair's bits without the upper's
+            front[bit[c.upper].bit_length() - 1] ^= bit[c.edge1] ^ bit[c.edge2] ^ bit[c.upper]
+        _set(self, "_front", tuple(front))
 
     def __hash__(self):
         raise TypeError("diagrams are not hashable")
@@ -89,6 +98,11 @@ class ProjectedDiagram(_Record):
     @property
     def graph(self):
         return self.embedding.graph
+
+    def _cycle_front(self, cycle: Cycle) -> tuple[int, int]:
+        """A cycle's front row, the XOR of its edges' rows, and its edge mask."""
+        mask = self.graph._cycle_mask(cycle.vertices)
+        return _xor_rows(self._front, mask), mask
 
 
 def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
@@ -138,7 +152,8 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
                 "two strands of a valid embedding project to equal heights"
             )
         turn = orient2d(t1.p, t1.q, t1.p + (t2.q - t2.p))
-        labeled.append(c.replace(upper=c.edge1 if det == turn else c.edge2))
+        upper = c.edge1 if det == turn else c.edge2
+        labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
     return ProjectedDiagram(emb, d, drawing, tuple(labeled))
 
 
@@ -244,22 +259,29 @@ def project_central(
         det = orient3d(p, q, r, w)
         if det == 0:
             raise GeneralPositionViolation(f"edges {c.edge1} and {c.edge2} meet in space")
-        labeled.append(c.replace(upper=c.edge1 if det == orient3d(p, q, a, r) else c.edge2))
+        upper = c.edge1 if det == orient3d(p, q, a, r) else c.edge2
+        labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
     return ProjectedDiagram(make_embedding(graph, dict(zip(names, below))), d, drawing, tuple(labeled))
 
 
 def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:
-    """Parity of crossings between two disjoint edge sets at which the
-    front strand belongs to the first set.
+    """Parity of crossings between two disjoint sets of edges, given as
+    vertex pairs in either order, at which the front strand is in the first.
 
     For open strand sets this genuinely depends on the argument order;
     only for a pair of disjoint closed cycles are the two orders forced to
     agree, which is what lk_from_diagram checks and exploits."""
-    first, second = set(first_edges), set(second_edges)
+    first, second = diag.graph._edge_mask(first_edges), diag.graph._edge_mask(second_edges)
     if first & second:
         raise ValueError("edge sets overlap")
-    # the sets are disjoint: with the front strand in the first, the other is the one in the second
-    return sum(1 for c in diag.crossings if c.upper in first and (c.edge1 in second or c.edge2 in second)) % 2
+    return (_xor_rows(diag._front, first) & second).bit_count() & 1
+
+
+def _lk(over1: int, over2: int) -> int:
+    """The lk of two disjoint cycles from the front parity each way, which must agree."""
+    if over1 != over2:
+        raise InternalParityFailure("front-strand parity depends on the cycle order; diagram data is inconsistent")
+    return over1
 
 
 def lk_from_diagram(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle) -> int:
@@ -267,16 +289,7 @@ def lk_from_diagram(diag: ProjectedDiagram, cycle1: Cycle, cycle2: Cycle) -> int
     crossings between the two cycles at which the first passes in front.
     For disjoint closed cycles the choice of 'first' does not matter; that
     equality is enforced, not assumed."""
-    g = diag.graph
     if set(cycle1.vertices) & set(cycle2.vertices):
         raise CyclesNotDisjoint(f"{cycle1.vertices} and {cycle2.vertices} share a vertex")
-    e1 = set(g.cycle_edges(cycle1))
-    e2 = set(g.cycle_edges(cycle2))
-    if not e1 | e2 <= set(g.edges):
-        raise ValueError("cycle uses edges absent from the diagram's graph")
-    over1 = front_parity(diag, e1, e2)
-    if over1 != front_parity(diag, e2, e1):
-        raise InternalParityFailure(
-            "front-strand parity depends on the cycle order; diagram data is inconsistent"
-        )
-    return over1
+    e1, e2 = diag.graph.cycle_edges(cycle1), diag.graph.cycle_edges(cycle2)
+    return _lk(front_parity(diag, e1, e2), front_parity(diag, e2, e1))

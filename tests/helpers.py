@@ -14,6 +14,7 @@ from intrinsiclinks.geometry import (
     Segment3,
     Triangle3,
     NON_GENERIC,
+    coprime3,
     cross2,
     cross3,
     dot2,
@@ -45,10 +46,10 @@ from intrinsiclinks.graphs import (
     require_generic,
     smooth,
 )
-from intrinsiclinks.instances import CANDIDATE_TRIES
+from intrinsiclinks.instances import CANDIDATE_TRIES, gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear
 from intrinsiclinks.invariants import LinkReport, OracleResult
 from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled
-from intrinsiclinks.projection import ProjectedDiagram, front_parity
+from intrinsiclinks.projection import ProjectedDiagram, find_general_projection, front_parity
 from intrinsiclinks.rng import SplitMix64
 
 
@@ -111,6 +112,47 @@ def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Trian
         raise GeneralPositionViolation("the six vertices are not in general position")
     count = sum(1 for side in other.sides() if higher_central_reference(apex, side, e))
     return count == 1
+
+
+def front_parity_reference(diag: ProjectedDiagram, first_edges, second_edges) -> int:
+    """`projection.front_parity` as one scan of the diagram's crossings: the
+    parity of those whose front strand is in the first edge set and whose
+    other strand is in the second.  Edges are canonical keys."""
+    first, second = set(first_edges), set(second_edges)
+    if first & second:
+        raise ValueError("edge sets overlap")
+    return sum(1 for c in diag.crossings if c.upper in first and (c.edge1 in second or c.edge2 in second)) % 2
+
+
+def reference_diagram(source: str, seed: int) -> ProjectedDiagram:
+    """The diagram a finder reads for seed `seed` of a generator: the seeded
+    orthogonal projection of the smoothed `gen_k6_pl_subdivided` ("k6-pl")
+    or `gen_k44_linear` ("k44-linear") embedding, or the central one the
+    linear finder takes of `gen_k6_points` ("k6-points")."""
+    if source == "k6-points":
+        return invariants._choose_viewpoint(gen_k6_points(seed), seed)[1]
+    emb = gen_k6_pl_subdivided(seed) if source == "k6-pl" else gen_k44_linear(seed)
+    return find_general_projection(smooth(emb), seed)
+
+
+def ledger_entries_reference(diag: ProjectedDiagram, ledger) -> tuple:
+    """A ledger's entries recomputed from their labels 'lk(FAR | REST)' with
+    `front_parity_reference`: FAR is a cycle passing in front of REST, a
+    base edge x-y or a near cycle; for a near cycle both orders must agree."""
+    g = diag.graph
+    out = []
+    for label, _ in ledger.entries:
+        far, rest = label[len("lk("):-1].split(" | ")
+        far_edges = g.cycle_edges(Cycle(far.split("-")))
+        names = rest.split("-")
+        if len(names) == 2:
+            value = front_parity_reference(diag, far_edges, {g.edge_key(*names)})
+        else:
+            near_edges = g.cycle_edges(Cycle(names))
+            value = front_parity_reference(diag, far_edges, near_edges)
+            assert value == front_parity_reference(diag, near_edges, far_edges)
+        out.append((label, value))
+    return tuple(out)
 
 
 def check_crossing_parity_identity(
@@ -334,6 +376,35 @@ def seg_intersect2_reference(s, t):
             e = d - c
             u = Fraction(cross2(c - a, e), cross2(b - a, e))
             return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+        return None
+    if d1 == 0 and point_on_segment2(c, s):
+        return NON_GENERIC
+    if d2 == 0 and point_on_segment2(d, s):
+        return NON_GENERIC
+    if d3 == 0 and point_on_segment2(a, t):
+        return NON_GENERIC
+    if d4 == 0 and point_on_segment2(b, t):
+        return NON_GENERIC
+    return None
+
+
+def seg_intersect2_four_signs(s, t):
+    """`geometry.seg_intersect2` with all four orientation signs taken before
+    any is read: the reference for its early outs."""
+    a, b = s.p, s.q
+    c, d = t.p, t.q
+    d1 = orient2d(a, b, c)
+    d2 = orient2d(a, b, d)
+    d3 = orient2d(c, d, a)
+    d4 = orient2d(c, d, b)
+    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        if d1 != d2 and d3 != d4:
+            e = d - c
+            num = cross2(c - a, e)
+            den = cross2(b - a, e)
+            x = a.x * den + num * (b.x - a.x)
+            y = a.y * den + num * (b.y - a.y)
+            return coprime3(x, y, den, 1 if den > 0 else -1)
         return None
     if d1 == 0 and point_on_segment2(c, s):
         return NON_GENERIC

@@ -38,7 +38,7 @@ from intrinsiclinks.geometry import (
 from intrinsiclinks.graphs import PlanarPolyline
 from intrinsiclinks.linking import SpatialPolyline
 
-from helpers import meet_point3, segment_param
+from helpers import meet_point3, seg_intersect2_four_signs, segment_param
 
 coord = st.integers(min_value=-50, max_value=50)
 frac = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))
@@ -467,6 +467,16 @@ class TestSegIntersect2:
             r = key_point(r)
             assert point_on_segment2(r, s) and point_on_segment2(r, t)
             assert r not in (a, b, c, d)
+
+    @given(st.one_of(st.tuples(*[st.builds(Point2, grid, grid)] * 4), st.tuples(*[points2] * 4),
+                     st.tuples(*[rat_points2] * 4)))
+    @settings(max_examples=600)
+    def test_early_outs_match_four_signs(self, ends):
+        a, b, c, d = ends
+        if a == b or c == d:
+            return
+        for s, t in ((Segment2(a, b), Segment2(c, d)), (Segment2(c, d), Segment2(b, a))):
+            assert seg_intersect2(s, t) == seg_intersect2_four_signs(s, t)
 
 
 class TestSegHitsSolidTriangle:

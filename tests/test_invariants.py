@@ -22,6 +22,7 @@ from intrinsiclinks.graphs import (
     ValidEmbedding,
     complete_bipartite,
     complete_graph,
+    enumerate_disjoint_cycle_pairs,
     extract_crossings,
     make_cycle,
     make_drawing,
@@ -53,7 +54,14 @@ from intrinsiclinks.projection import find_general_projection, project_central, 
 
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import linear_analysis_reference, oracle_reference, smooth_reference, subdivided
+from helpers import (
+    ledger_entries_reference,
+    linear_analysis_reference,
+    oracle_reference,
+    reference_diagram,
+    smooth_reference,
+    subdivided,
+)
 
 K6 = complete_graph(6)
 K5 = complete_graph(5)
@@ -341,12 +349,15 @@ class TestFlatLedger:
 
     @staticmethod
     def assert_total_needs_every_crossing(diag, hubs, rows):
-        assert invariants._front_ledger(diag, "flat", rows, 1).total == 1
+        def flat(d):
+            return invariants._front_ledger(d, {far: d._cycle_front(far) for far, _ in rows}, "flat", rows, 1)
+
+        assert flat(diag).total == 1
         hub_free = {e for e in diag.graph.edges if not set(e) & set(hubs)}
         dropped = next(c for c in diag.crossings if c.disjoint and {c.edge1, c.edge2} <= hub_free)
         mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != dropped))
         with pytest.raises(InternalParityFailure):
-            invariants._front_ledger(mutant, "flat", rows, 1)
+            flat(mutant)
 
     def test_k6(self):
         diag = find_general_projection(moment_k6_embedding(), seed=0)
@@ -366,6 +377,66 @@ class TestFlatLedger:
             rest_b = [y for y in ("b2", "b3", "b4") if y != end_b]
             rows.append((make_cycle(g, (rest_a[0], rest_b[0], rest_a[1], rest_b[1])), (end_a, end_b)))
         self.assert_total_needs_every_crossing(diag, ("a1", "b1"), rows)
+
+
+class TestHubPairLedger:
+    def test_both_orders_checked(self):
+        # two closed curves cross an even number of times, so without one of
+        # their crossings the two front parities of a cycle pair differ
+        diag = find_general_projection(moment_k6_embedding(), seed=0)
+        g = diag.graph
+        for far, near in enumerate_disjoint_cycle_pairs(g, 3, 3):
+            e1, e2 = set(g.cycle_edges(far)), set(g.cycle_edges(near))
+            between = [c for c in diag.crossings if {c.edge1, c.edge2} & e1 and {c.edge1, c.edge2} & e2]
+            if between:
+                break
+        mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != between[0]))
+        for pair in ((far, near), (near, far)):
+            with pytest.raises(InternalParityFailure, match="depends on the cycle order"):
+                invariants._hub_pair_ledger(mutant, [pair], "pair")
+
+
+class TestLedgersMatchReference:
+    """Every ledger entry, a bit of a far cycle's front row or a popcount
+    against a near cycle's edge mask, against one scan of the labelled
+    crossings per entry."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("source, ledgers", [
+        ("k6-pl", lambda seed: k6_parity_ledgers(gen_k6_pl_subdivided(seed), seed)),
+        ("k44-linear", lambda seed: k44_parity_ledgers(gen_k44_linear(seed), seed)),
+        ("k6-points", lambda seed: (linear_parity_ledger(gen_k6_points(seed), seed),)),
+    ], ids=["k6-pl", "k44-linear", "k6-points"])
+    def test_entries(self, source, ledgers, seed):
+        diag = reference_diagram(source, seed)
+        for ledger in ledgers(seed):
+            assert ledger.entries == ledger_entries_reference(diag, ledger)
+
+
+class TestFrontMatrixBuiltOnce:
+    @pytest.mark.parametrize("analysis", [
+        lambda: k6_parity_ledgers(subdivided_moment_k6_embedding()),
+        lambda: find_linked_cycles_k44(moment_k44_embedding()),
+        lambda: linear_parity_ledger(MOMENT6),
+    ], ids=["k6", "k44", "linear"])
+    def test_one_scan_of_the_crossings(self, analysis, monkeypatch):
+        # each analysis builds one diagram, whose constructor reads its
+        # crossings once to fill the front matrix; no ledger entry reads them
+        built, scans = [], []
+        init = projection.ProjectedDiagram.__init__
+
+        class Watched(tuple):
+            def __iter__(self):
+                scans.append(1)
+                return super().__iter__()
+
+        def watched_init(self, embedding, direction, drawing, crossings):
+            built.append(1)
+            init(self, embedding, direction, drawing, Watched(crossings))
+
+        monkeypatch.setattr(projection.ProjectedDiagram, "__init__", watched_init)
+        analysis()
+        assert (len(built), len(scans)) == (1, 1)
 
 
 class TestOracle:

@@ -11,6 +11,7 @@ from intrinsiclinks.errors import (
     CyclesNotDisjoint,
     EmbeddingInvalid,
     GeneralPositionViolation,
+    InternalParityFailure,
     ProjectionNotGeneral,
 )
 from intrinsiclinks.geometry import (
@@ -45,7 +46,14 @@ from intrinsiclinks.projection import (
 )
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import check_crossing_parity_identity, higher_central_reference, seeded_apexes, strand_height
+from helpers import (
+    check_crossing_parity_identity,
+    front_parity_reference,
+    higher_central_reference,
+    reference_diagram,
+    seeded_apexes,
+    strand_height,
+)
 
 K6 = complete_graph(6)
 MOMENT = {f"v{i}": Point3(i, i * i, i ** 3) for i in range(1, 7)}
@@ -226,12 +234,70 @@ class TestDiagramLinking:
             )
             assert total % 2 == 0
 
+    def test_mutant_crossings(self):
+        diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
+        c1, c2 = make_cycle(K6, ("v1", "v3", "v5")), make_cycle(K6, ("v2", "v4", "v6"))
+        e1, e2 = set(K6.cycle_edges(c1)), set(K6.cycle_edges(c2))
+        between = next(c for c in diag.crossings if {c.edge1, c.edge2} & e1 and {c.edge1, c.edge2} & e2)
+        # a flipped front strand moves one crossing from one order's count to
+        # the other's: lk flips and the two orders still agree
+        other = between.edge2 if between.upper == between.edge1 else between.edge1
+        flipped = diag.replace(crossings=tuple(
+            c.replace(upper=other) if c == between else c for c in diag.crossings
+        ))
+        assert lk_from_diagram(flipped, c1, c2) == 1 - lk_from_diagram(diag, c1, c2)
+        assert lk_from_diagram(flipped, c2, c1) == lk_from_diagram(flipped, c1, c2)
+        # a dropped crossing leaves the two closed curves an odd number
+        dropped = diag.replace(crossings=tuple(c for c in diag.crossings if c != between))
+        for first, second in ((c1, c2), (c2, c1)):
+            with pytest.raises(InternalParityFailure, match="depends on the cycle order"):
+                lk_from_diagram(dropped, first, second)
+
+    def test_absent_edges_rejected(self):
+        diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
+        c1 = make_cycle(K6, ("v1", "v2", "v3"))
+        with pytest.raises(ValueError, match="is not a vertex"):
+            lk_from_diagram(diag, c1, make_cycle(complete_graph(7), ("v4", "v5", "v7")))
+        with pytest.raises(ValueError, match="is not an edge"):
+            front_parity(diag, K6.cycle_edges(c1), [("v4", "v7")])
+
     def test_overlapping_cycles_rejected(self):
         diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
         c1 = make_cycle(K6, ("v1", "v2", "v3"))
         c2 = make_cycle(K6, ("v3", "v4", "v5"))
         with pytest.raises(CyclesNotDisjoint):
             lk_from_diagram(diag, c1, c2)
+
+
+class TestFrontMatrixMatchesReference:
+    """front_parity and lk_from_diagram, read off the front matrix, against
+    one scan of the labelled crossings per call."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("source", ["k6-pl", "k44-linear", "k6-points"])
+    def test_matches_reference(self, source, seed):
+        diag = reference_diagram(source, seed)
+        g = diag.graph
+        length = 4 if source == "k44-linear" else 3
+        pairs = enumerate_disjoint_cycle_pairs(g, length, length)
+        assert len(pairs) == {"k6-pl": 10, "k44-linear": 18, "k6-points": 0}[source]
+        for c1, c2 in pairs:
+            e1, e2 = g.cycle_edges(c1), g.cycle_edges(c2)
+            ref = front_parity_reference(diag, e1, e2)
+            assert front_parity(diag, e1, e2) == front_parity(diag, e2, e1) == ref
+            assert lk_from_diagram(diag, c1, c2) == lk_from_diagram(diag, c2, c1) == ref
+        # edge sets that share vertices: each edge in the first set, the
+        # second or neither, some given end first
+        rng = SplitMix64(seed)
+        for _ in range(40):
+            sets = ([], [], [])
+            for e in g.edges:
+                sets[rng.randint(0, 2)].append(e)
+            first, second, _ = sets
+            flipped = [e[::-1] if rng.randint(0, 1) else e for e in first]
+            for a, b in ((first, second), (second, first)):
+                assert front_parity(diag, a, b) == front_parity_reference(diag, a, b)
+            assert front_parity(diag, flipped, second) == front_parity_reference(diag, first, second)
 
 
 class TestFindGeneralProjection:
