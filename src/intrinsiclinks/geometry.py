@@ -171,7 +171,7 @@ class Point2(_Record):
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
 
-    def __eq__(self, other):  # written out: the sweeps compare points the most
+    def __eq__(self, other):  # written out: faster than the record comparison
         if other.__class__ is Point2:
             return self.x == other.x and self.y == other.y
         return NotImplemented
@@ -204,14 +204,6 @@ class Point3(_Record):
         return NotImplemented
 
     __hash__ = _Record.__hash__
-
-
-def cross2(u: Point2, v: Point2) -> Fraction:
-    return u.x * v.y - u.y * v.x
-
-
-def dot2(u: Point2, v: Point2) -> Fraction:
-    return u.x * v.x + u.y * v.y
 
 
 def cross3(u: Point3, v: Point3) -> Point3:
@@ -372,16 +364,6 @@ def gp_points3(points: Sequence[Point3]) -> bool:
     return all(orient3d(a, b, c, d) != 0 for a, b, c, d in combinations(points, 4))
 
 
-def point_on_segment2(p: Point2, s: Segment2) -> bool:
-    """Closed membership: p lies on segment s, endpoints included."""
-    if orient2d(s.p, s.q, p) != 0:
-        return False
-    return (
-        min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
-        and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y)
-    )
-
-
 def point_on_segment3(p: Point3, s: Segment3) -> bool:
     """Closed membership: p lies on segment s, endpoints included.
 
@@ -396,40 +378,44 @@ def point_on_segment3(p: Point3, s: Segment3) -> bool:
     return 0 <= ex * dx + ey * dy + ez * dz <= dx * dx + dy * dy + dz * dz
 
 
-def seg_intersect2(s: Segment2, t: Segment2):
-    """Intersect two closed planar segments.
+def _within(lo, hi, v) -> bool:
+    """v lies in the closed range between lo and hi, in either order."""
+    return lo <= v <= hi or hi <= v <= lo
+
+
+def _meet2(ax, ay, bx, by, cx, cy, dx, dy):
+    """Intersect the closed planar segments ab and cd, given by their
+    coordinates.
 
     Returns the key (X, Y, D) of the crossing point (X/D, Y/D) when they
     cross transversally at a point interior to both, None when they are
     disjoint, and NON_GENERIC for every degenerate contact: a shared endpoint,
     an endpoint of one inside the other, or a collinear overlap.  Keys are
-    `coprime3` with D > 0, so equal points have equal keys.
+    `coprime3` with D > 0, so equal points have equal keys.  d1..d4 are
+    orient2d(a, b, c), orient2d(a, b, d), orient2d(c, d, a) and
+    orient2d(c, d, b) before their signs are taken.
     """
-    a, b = s.p, s.q
-    c, d = t.p, t.q
-    d1 = orient2d(a, b, c)
-    d2 = orient2d(a, b, d)
-    if d1 == d2 != 0:  # c-d strictly on one side of the line ab: no contact, at an end or not
+    ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
+    d1 = ux * (cy - ay) - uy * (cx - ax)
+    d2 = ux * (dy - ay) - uy * (dx - ax)
+    if d1 * d2 > 0:  # c-d strictly on one side of the line ab: no contact, at an end or not
         return None
-    d3 = orient2d(c, d, a)
-    d4 = orient2d(c, d, b)
-    if d3 == d4 != 0:
+    d3 = vx * (ay - cy) - vy * (ax - cx)
+    d4 = vx * (by - cy) - vy * (bx - cx)
+    if d3 * d4 > 0:
         return None
-    if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:  # so d1 != d2 and d3 != d4
-        e = d - c
-        num = cross2(c - a, e)
-        den = cross2(b - a, e)
-        # den != 0 (the lines are not parallel); the point is (x/den, y/den)
-        x = a.x * den + num * (b.x - a.x)
-        y = a.y * den + num * (b.y - a.y)
-        return coprime3(x, y, den, _sign(den))
-    if d1 == 0 and point_on_segment2(c, s):
-        return NON_GENERIC
-    if d2 == 0 and point_on_segment2(d, s):
-        return NON_GENERIC
-    if d3 == 0 and point_on_segment2(a, t):
-        return NON_GENERIC
-    if d4 == 0 and point_on_segment2(b, t):
+    if d1 and d2 and d3 and d4:  # so each pair has opposite signs
+        den = ux * vy - uy * vx  # nonzero: the lines are not parallel
+        num = (cx - ax) * vy - (cy - ay) * vx
+        # the point is (x/den, y/den)
+        return coprime3(ax * den + num * ux, ay * den + num * uy, den, _sign(den))
+    # an end on the other's line touches that segment exactly when it is in its box
+    if (
+        d1 == 0 and _within(ax, bx, cx) and _within(ay, by, cy)
+        or d2 == 0 and _within(ax, bx, dx) and _within(ay, by, dy)
+        or d3 == 0 and _within(cx, dx, ax) and _within(cy, dy, ay)
+        or d4 == 0 and _within(cx, dx, bx) and _within(cy, dy, by)
+    ):
         return NON_GENERIC
     return None
 

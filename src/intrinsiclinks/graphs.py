@@ -18,20 +18,20 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DrawingNotGeneral, EmbeddingInvalid, SearchExhausted
 from .geometry import (
+    NON_GENERIC,
     OVERLAP,
     Point2,
     Point3,
     Segment2,
     _Record,
+    _meet2,
     _set,
     collinear3,
-    dot2,
     dot3,
     key_point,
     meet_segments3,
     orient2d,
     point_on_segment3,
-    seg_intersect2,
 )
 from .linking import SpatialPolyline, _Polyline
 
@@ -353,22 +353,39 @@ def make_embedding(
     return _make(PLEmbedding, graph, positions, routes)
 
 
-def _check_vertices_and_routes(obj: _Placement) -> tuple[list[Violation], list[EdgeKey]]:
-    """The checks an embedding and a drawing share: distinct vertex
-    positions, and one open route per edge joining its endpoints.  Returns
-    the violations and the edges whose routes the side sweeps can use."""
+def _box(p: tuple, q: tuple) -> tuple:
+    """The closed box (x0, x1, y0, y1, z0, z1) of two points given by their
+    coordinates; a planar box has the z-range [0, 0]."""
+    box = ()
+    for a, b in zip(p, q):
+        box += (a, b) if a <= b else (b, a)
+    return box if len(box) == 6 else box + (0, 0)
+
+
+def _side_table(obj: _Placement) -> tuple[list[Violation], list[EdgeKey], list[tuple], list[tuple]]:
+    """The checks an embedding and a drawing share, and the table of sides
+    their sweeps read.  Checks that the vertex positions are distinct and
+    that each edge has one open route joining its endpoints.  Returns the
+    violations, the edges whose routes the sweeps can use, every side of
+    those routes as (edge, index, segment, ends, coordinates) in edge order,
+    and the closed box of each side.  `ends` is the bitmask, by vertex
+    index, of the edge's endpoints at which the side is the route's
+    terminal side: the route starts at the vertex's position, or ends there
+    without starting there.  `coordinates` are those of the side's two
+    ends, p's then q's.  Each route point's coordinates are read once, here."""
     out: list[Violation] = []
     g = obj.graph
-    pos = obj.position
+    where = {v: obj.position[v].coords() for v in g.vertices}
 
     by_point: dict = {}
-    for v in g.vertices:
-        by_point.setdefault(pos[v], []).append(v)
-    for p, vs in by_point.items():
+    for v, c in where.items():
+        by_point.setdefault(c, []).append(v)
+    for vs in by_point.values():
         if len(vs) > 1:
             out.append(Violation("coincident-vertices", f"vertices {vs} share a position", tuple(vs)))
 
     usable: list[EdgeKey] = []
+    sides, boxes = [], []
     for key in g.edges:
         poly = obj.route.get(key)
         if poly is None:
@@ -377,43 +394,32 @@ def _check_vertices_and_routes(obj: _Placement) -> tuple[list[Violation], list[E
         if poly.closed:
             out.append(Violation("closed-route", f"edge {key} has a closed route", (key,)))
             continue
-        if poly.vertices[0] != pos[key[0]] or poly.vertices[-1] != pos[key[1]]:
+        at = [p.coords() for p in poly.vertices]
+        (u, v), first, last = key, at[0], at[-1]
+        if first != where[u] or last != where[v]:
             out.append(Violation("route-endpoint-mismatch", f"route of {key} does not join its endpoints", (key,)))
         usable.append(key)
-    return out, usable
+        bu, bv = 1 << g._index[u], 1 << g._index[v]
+        ends = [0] * (len(at) - 1)
+        ends[0] = bu * (where[u] == first) | bv * (where[v] == first)
+        ends[-1] |= (bu * (where[u] == last) | bv * (where[v] == last)) & ~ends[0]
+        for i, s in enumerate(poly.sides()):
+            p, q = at[i], at[i + 1]
+            sides.append((key, i, s, ends[i], p + q))
+            boxes.append(_box(p, q))
+    return out, usable, sides, boxes
 
 
-def _labelled_sides(obj: _Placement, usable: list[EdgeKey]) -> list[tuple]:
-    """Every side of the usable routes as (edge, index, segment, ends), in
-    edge order.  `ends` holds the endpoints of the edge at which this side
-    is the route's terminal side: the route starts at the vertex's position,
-    or ends there without starting there."""
-    out = []
-    for key in usable:
-        verts = obj.route[key].vertices
-        sides = obj.route[key].sides()
-        ends = [frozenset()] * len(sides)
-        ends[0] = frozenset(x for x in key if obj.position[x] == verts[0])
-        ends[-1] |= frozenset(x for x in key if obj.position[x] == verts[-1]) - ends[0]
-        out.extend((key, i, s, ends[i]) for i, s in enumerate(sides))
-    return out
-
-
-def _box_pairs(ends: Sequence[tuple]) -> list[tuple[int, int]]:
-    """The index pairs (a, b), a < b, of the (p, q) point pairs whose closed
-    axis-aligned boxes meet, in lexicographic order; a segment is given by
-    its endpoints, a point as (p, p).  Sort and prune (Bentley and Ottmann,
-    IEEE TC 1979): with the boxes sorted by least x, each is paired only
-    with those that start before it ends, and kept where the y- and
-    z-ranges meet too (a planar box has the z-range [0, 0])."""
-    boxes = []
-    for a, (p, q) in enumerate(ends):
-        ranges = [sorted(c) for c in zip(p.coords(), q.coords())] + [[0, 0]]
-        boxes.append((*ranges[0], *ranges[1], *ranges[2], a))
-    boxes.sort()
+def _box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, int]]:
+    """The index pairs (a, b), a < b, of the closed axis-aligned boxes
+    (x0, x1, y0, y1, z0, z1) that meet, in lexicographic order.  Sort and
+    prune (Bentley and Ottmann, IEEE TC 1979): with the boxes sorted by
+    least x, each is paired only with those that start before it ends, and
+    kept where the y- and z-ranges meet too."""
+    order = sorted((*box, a) for a, box in enumerate(boxes))
     pairs = []
-    for k, (_, x1, y0, y1, z0, z1, a) in enumerate(boxes):
-        for x0b, _, y0b, y1b, z0b, z1b, b in boxes[k + 1 :]:
+    for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order):
+        for x0b, _, y0b, y1b, z0b, z1b, b in order[k + 1 :]:
             if x0b > x1:
                 break
             if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b:
@@ -427,11 +433,10 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     shared endpoint positions, no route through a foreign vertex."""
     g = emb.graph
     pos = emb.position
-    out, usable = _check_vertices_and_routes(emb)
-    sides = _labelled_sides(emb, usable)
+    out, usable, sides, boxes = _side_table(emb)
     n = len(sides)
     # the vertices join the sweep as one-point boxes, after the sides
-    boxed = _box_pairs([(s[2].p, s[2].q) for s in sides] + [(pos[w], pos[w]) for w in g.vertices])
+    boxed = _box_pairs(boxes + [_box(c, c) for c in (pos[w].coords() for w in g.vertices)])
     rank = {key: k for k, key in enumerate(usable)}
     # reported route by route, then vertex by vertex, then side by side
     for _, b, a in sorted((rank[sides[a][0]], b, a) for a, b in boxed if a < n <= b):
@@ -443,12 +448,12 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     # reported route pair by route pair, then side by side
     pairs.sort(key=lambda ab: (rank[sides[ab[0]][0]], rank[sides[ab[1]][0]], ab))
     for a, b in pairs:
-        e1, i1, s1, ends1 = sides[a]
-        e2, i2, s2, ends2 = sides[b]
+        e1, i1, s1, ends1, _ = sides[a]
+        e2, i2, s2, ends2, _ = sides[b]
         if ends1 & ends2:
             # terminal sides at a shared vertex meet there, and elsewhere
             # only if they leave it along one ray
-            p = pos[next(iter(ends1 & ends2))]
+            p = pos[g.vertices[(ends1 & ends2).bit_length() - 1]]
             u = s1.q if s1.p == p else s1.p
             w = s2.q if s2.p == p else s2.p
             if not (collinear3(p, u, w) and dot3(u - p, w - p) > 0):
@@ -594,30 +599,30 @@ class Crossing(_Record):
 
 def _scan_drawing(d: PlanarDrawing):
     """The sweep behind `validate_drawing` and `require_generic`, over the
-    side pairs whose boxes meet.  Returns (violations, raw transversal
-    crossings as (edge1, i1, edge2, i2, key of the point))."""
-    out, usable = _check_vertices_and_routes(d)
-    sides = _labelled_sides(d, usable)
+    side pairs whose boxes meet, read off one side table.  Returns
+    (violations, raw transversal crossings as (edge1, i1, edge2, i2, key of
+    the point))."""
+    out, _, sides, boxes = _side_table(d)
 
     crossings: list[tuple[EdgeKey, int, EdgeKey, int, tuple]] = []
-    for a, b in _box_pairs([(s[2].p, s[2].q) for s in sides]):
-        e1, i1, s1, ends1 = sides[a]
-        e2, i2, s2, ends2 = sides[b]
+    for a, b in _box_pairs(boxes):
+        e1, i1, _, ends1, (ax, ay, bx, by) = sides[a]
+        e2, i2, _, ends2, (cx, cy, dx, dy) = sides[b]
         if e1 == e2 and abs(i1 - i2) == 1:
             continue  # adjacent sides of one route share their corner
         at_vertex = ends1 & ends2  # empty for two sides of one route
         if at_vertex:
             # terminal sides at a shared vertex meet there, and elsewhere
             # only if they overlap
-            p = d.position[next(iter(at_vertex))]
+            p = d.position[d.graph.vertices[at_vertex.bit_length() - 1]].coords()
         else:
-            r = seg_intersect2(s1, s2)
+            r = _meet2(ax, ay, bx, by, cx, cy, dx, dy)
             if r is None:
                 continue
-            if isinstance(r, tuple):
+            if r is not NON_GENERIC:
                 crossings.append((e1, i1, e2, i2, r))
                 continue
-            common = {s1.p, s1.q} & {s2.p, s2.q}
+            common = {(ax, ay), (bx, by)} & {(cx, cy), (dx, dy)}
             if not common:
                 out.append(
                     Violation(
@@ -628,17 +633,18 @@ def _scan_drawing(d: PlanarDrawing):
                 )
                 continue
             p = common.pop()
-        # a contact at a common end p, classified by the far ends
-        u = s1.q if s1.p == p else s1.p
-        w = s2.q if s2.p == p else s2.p
-        if u == w:
+        # a contact at a common end p, classified by the far ends, as vectors u and w from p
+        px, py = p
+        ux, uy = (bx - px, by - py) if (ax, ay) == p else (ax - px, ay - py)
+        wx, wy = (dx - px, dy - py) if (cx, cy) == p else (cx - px, cy - py)
+        if ux == wx and uy == wy:
             out.append(Violation("sides-identical", f"{e1}[{i1}] and {e2}[{i2}] coincide", (e1, e2, i1, i2)))
-        elif orient2d(p, u, w) == 0 and dot2(u - p, w - p) > 0:
+        elif ux * wy == uy * wx and ux * wx + uy * wy > 0:
             out.append(Violation("sides-overlap", f"{e1}[{i1}] and {e2}[{i2}] overlap", (e1, e2, i1, i2)))
         elif e1 == e2:
-            out.append(Violation("route-revisits-point", f"route of {e1} revisits {p.coords()}", (e1, i1, i2)))
+            out.append(Violation("route-revisits-point", f"route of {e1} revisits {p}", (e1, i1, i2)))
         elif not at_vertex:
-            out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p.coords()}", (e1, e2, i1, i2)))
+            out.append(Violation("routes-touch", f"routes of {e1} and {e2} touch at {p}", (e1, e2, i1, i2)))
 
     at_key: dict[tuple, list[tuple]] = {}
     for rec in crossings:

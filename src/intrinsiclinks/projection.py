@@ -89,6 +89,10 @@ class ProjectedDiagram(_Record):
         # the front matrix, not a field: bit f of row k is the parity of edges[k]'s passes over edges[f]
         bit, front = embedding.graph._edge_bit, [0] * len(embedding.graph.edges)
         for c in crossings:  # the lower strand's bit is the pair's bits without the upper's
+            if c.edge1 not in bit or c.edge2 not in bit:
+                raise ValueError(f"crossing of {c.edge1} and {c.edge2} names an edge outside the graph")
+            if c.upper != c.edge1 and c.upper != c.edge2:
+                raise ValueError(f"crossing of {c.edge1} and {c.edge2} has upper {c.upper}, not one of its strands")
             front[bit[c.upper].bit_length() - 1] ^= bit[c.edge1] ^ bit[c.edge2] ^ bit[c.upper]
         _set(self, "_front", tuple(front))
 

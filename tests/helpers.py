@@ -14,17 +14,15 @@ from intrinsiclinks.geometry import (
     Segment3,
     Triangle3,
     NON_GENERIC,
+    _meet2,
     coprime3,
-    cross2,
     cross3,
-    dot2,
     dot3,
     gp_points3,
     is_zero3,
     meet_segments3,
     orient2d,
     orient3d,
-    point_on_segment2,
     point_on_segment3,
     seg_hits_solid_triangle,
 )
@@ -35,7 +33,7 @@ from intrinsiclinks.graphs import (
     PlanarDrawing,
     PLEmbedding,
     Violation,
-    _check_vertices_and_routes,
+    _side_table,
     canonical_cycle_order,
     complete_graph,
     cycle_route,
@@ -51,6 +49,29 @@ from intrinsiclinks.invariants import LinkReport, OracleResult
 from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled
 from intrinsiclinks.projection import ProjectedDiagram, find_general_projection, front_parity
 from intrinsiclinks.rng import SplitMix64
+
+
+def cross2(u: Point2, v: Point2):
+    return u.x * v.y - u.y * v.x
+
+
+def dot2(u: Point2, v: Point2):
+    return u.x * v.x + u.y * v.y
+
+
+def point_on_segment2(p: Point2, s) -> bool:
+    """Closed membership: p lies on segment s, endpoints included."""
+    if orient2d(s.p, s.q, p) != 0:
+        return False
+    return (
+        min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
+        and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y)
+    )
+
+
+def seg_intersect2(s, t):
+    """The package's segment intersection predicate, `geometry._meet2`, on two `Segment2`."""
+    return _meet2(*s.p.coords(), *s.q.coords(), *t.p.coords(), *t.q.coords())
 
 
 def higher_central_reference(o: Point3, a: Segment3, b: Segment3) -> bool:
@@ -325,7 +346,7 @@ def validate_embedding_reference(emb: PLEmbedding) -> tuple:
     sides are the terminal sides of their routes at the shared vertex."""
     g = emb.graph
     pos = emb.position
-    out, usable = _check_vertices_and_routes(emb)
+    out, usable = _side_table(emb)[:2]
     for key in usable:
         poly = emb.route[key]
         for w in g.vertices:
@@ -430,7 +451,7 @@ def scan_drawing_reference(d: PlanarDrawing):
     through `seg_intersect2_reference`, and each degenerate contact is
     classified by the endpoints the two sides share.  Returns (violations,
     raw crossings, each with its Point2)."""
-    out, usable = _check_vertices_and_routes(d)
+    out, usable = _side_table(d)[:2]
     sides = [(key, i, s) for key in usable for i, s in enumerate(d.route[key].sides())]
     crossings = []
     for a in range(len(sides)):

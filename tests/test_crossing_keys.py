@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from intrinsiclinks import invariants
 from intrinsiclinks.cli import main
-from intrinsiclinks.geometry import NON_GENERIC, Point2, Segment2, cross2, seg_intersect2
+from intrinsiclinks.geometry import NON_GENERIC, Point2, Segment2
 from intrinsiclinks.graphs import (
     complete_graph,
     make_drawing,
@@ -32,7 +32,7 @@ from intrinsiclinks.projection import find_general_projection
 from intrinsiclinks.serialization import emit_instance
 from intrinsiclinks.svg import render_svg
 
-from helpers import reference_key, scan_drawing_reference, seg_intersect2_reference
+from helpers import cross2, reference_key, scan_drawing_reference, seg_intersect2, seg_intersect2_reference
 
 
 def segments(coordinate):

@@ -29,16 +29,14 @@ from intrinsiclinks.geometry import (
     orient3d,
     orient3d_sos,
     parse_rational,
-    point_on_segment2,
     point_on_segment3,
     rational_str,
     seg_hits_solid_triangle,
-    seg_intersect2,
 )
 from intrinsiclinks.graphs import PlanarPolyline
 from intrinsiclinks.linking import SpatialPolyline
 
-from helpers import meet_point3, seg_intersect2_four_signs, segment_param
+from helpers import meet_point3, point_on_segment2, seg_intersect2, seg_intersect2_four_signs, segment_param
 
 coord = st.integers(min_value=-50, max_value=50)
 frac = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))
@@ -443,6 +441,17 @@ class TestSegIntersect2:
         s = Segment2(Point2(0, 0), Point2(1, 0))
         t = Segment2(Point2(2, 0), Point2(3, 0))
         assert seg_intersect2(s, t) is None
+
+    @pytest.mark.parametrize("step", [(0, 1), (1, 1), (-2, 1)])
+    def test_collinear_contacts_off_the_x_axis(self, step):
+        # an end on the other's line touches it only inside its box, in
+        # both coordinates: on a vertical line the x-range alone holds every end
+        u = Point2(*step)
+        a, b, c, d, e = (u.scale(k) for k in (0, 1, 2, 3, 4))
+        assert seg_intersect2(Segment2(a, b), Segment2(c, d)) is None
+        assert seg_intersect2(Segment2(d, c), Segment2(b, a)) is None
+        assert seg_intersect2(Segment2(a, c), Segment2(c, e)) is NON_GENERIC
+        assert seg_intersect2(Segment2(a, d), Segment2(c, e)) is NON_GENERIC
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):

@@ -687,6 +687,9 @@ def raw_placements(draw, cls, point):
 
 GRID = st.integers(-2, 2)
 RAW_DRAWINGS = raw_placements(PlanarDrawing, st.builds(Point2, GRID, GRID))
+# the grid of halves and thirds in [-2, 2], so that most coordinates are Fractions
+RATIONAL_GRID = st.sampled_from(sorted({Fraction(k, m) for m in (2, 3) for k in range(-2 * m, 2 * m + 1)}))
+RAW_RATIONAL_DRAWINGS = raw_placements(PlanarDrawing, st.builds(Point2, RATIONAL_GRID, RATIONAL_GRID))
 RAW_EMBEDDINGS = raw_placements(PLEmbedding, st.builds(Point3, GRID, GRID, st.integers(0, 1)))
 
 
@@ -711,6 +714,13 @@ class TestSweepsMatchReference:
     @settings(max_examples=400, deadline=2000)
     @given(RAW_DRAWINGS)
     def test_drawing_sweep(self, d):
+        assert_scan_matches_reference(d)
+
+    @settings(max_examples=400, deadline=2000)
+    @given(RAW_RATIONAL_DRAWINGS)
+    def test_rational_drawing_sweep(self, d):
+        """The same on Fraction coordinates, where the early outs multiply
+        two rational signs and the contact tests compare rationals."""
         assert_scan_matches_reference(d)
 
     @settings(max_examples=300, deadline=2000)
@@ -742,13 +752,13 @@ class TestSidePruning:
     @pytest.fixture
     def tested(self, monkeypatch):
         calls = []
-        original = graphs.seg_intersect2
+        original = graphs._meet2
 
-        def counted(s, t):
-            calls.append((s, t))
-            return original(s, t)
+        def counted(*coordinates):
+            calls.append(coordinates)
+            return original(*coordinates)
 
-        monkeypatch.setattr(graphs, "seg_intersect2", counted)
+        monkeypatch.setattr(graphs, "_meet2", counted)
         return calls
 
     def test_far_apart_triangles_are_never_paired(self, tested):

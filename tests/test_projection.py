@@ -22,7 +22,6 @@ from intrinsiclinks.geometry import (
     dot3,
     gp_points3,
     key_point,
-    seg_intersect2,
 )
 from intrinsiclinks.graphs import (
     complete_graph,
@@ -34,8 +33,10 @@ from intrinsiclinks.graphs import (
     make_embedding,
     make_graph,
 )
+from intrinsiclinks.instances import gen_k6_pl_subdivided
 from intrinsiclinks.linking import linking_mod2_cone
 from intrinsiclinks.projection import (
+    ProjectedDiagram,
     canonical_direction,
     find_general_projection,
     front_parity,
@@ -52,6 +53,7 @@ from helpers import (
     higher_central_reference,
     reference_diagram,
     seeded_apexes,
+    seg_intersect2,
     strand_height,
 )
 
@@ -260,6 +262,23 @@ class TestDiagramLinking:
             lk_from_diagram(diag, c1, make_cycle(complete_graph(7), ("v4", "v5", "v7")))
         with pytest.raises(ValueError, match="is not an edge"):
             front_parity(diag, K6.cycle_edges(c1), [("v4", "v7")])
+
+    def test_unlabelled_crossings_rejected(self):
+        d = find_general_projection(gen_k6_pl_subdivided(0))
+        assert d.drawing.crossings and all(c.upper is None for c in d.drawing.crossings)
+        with pytest.raises(ValueError, match="has upper None, not one of its strands"):
+            ProjectedDiagram(d.embedding, d.direction, d.drawing, d.drawing.crossings)
+        c = d.crossings[0]
+        third = next(e for e in d.graph.edges if e not in (c.edge1, c.edge2))
+        with pytest.raises(ValueError, match="not one of its strands"):
+            d.replace(crossings=(c.replace(upper=third),))
+
+    def test_crossing_outside_the_graph_rejected(self):
+        d = find_general_projection(gen_k6_pl_subdivided(0))
+        c = d.crossings[0]
+        for stray in (c.replace(edge1=("zz", "yy"), upper=("zz", "yy")), c.replace(edge2=("zz", "yy"))):
+            with pytest.raises(ValueError, match=r"names an edge outside the graph"):
+                ProjectedDiagram(d.embedding, d.direction, d.drawing, (stray,))
 
     def test_overlapping_cycles_rejected(self):
         diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
