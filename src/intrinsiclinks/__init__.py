@@ -69,7 +69,6 @@ from .graphs import (
 )
 from .instances import (
     INSTANCE_KINDS,
-    RunConfig,
     bend_drawing,
     gen_k5_drawing,
     gen_k6_pl_subdivided,

@@ -34,7 +34,7 @@ from .graphs import (
     validate_drawing,
     validate_embedding,
 )
-from .instances import INSTANCE_KINDS, RunConfig, generate
+from .instances import INSTANCE_KINDS, generate
 from .invariants import (
     find_linked_cycles_k6,
     find_linked_cycles_k44,
@@ -100,8 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = RunConfig(seed=args.seed, bound=args.bound)
-    blob = emit_instance(generate(args.kind, cfg))
+    blob = emit_instance(generate(args.kind, args.seed, args.bound))
     if args.output:
         with open(args.output, "wb") as handle:
             handle.write(blob)

@@ -694,13 +694,11 @@ def require_generic(d: PlanarDrawing) -> GenericDrawing:
     violations, raw = _scan_drawing(d)
     if violations:
         raise DrawingNotGeneral(f"{len(violations)} general-position violations", violations)
-    idx = {v: i for i, v in enumerate(d.graph.vertices)}
+    idx = d.graph._index
     out = []
-    for e1, i1, e2, i2, key in raw:
+    for e1, i1, e2, i2, key in raw:  # e1 comes no later than e2 in graph.edges
         if e1 == e2:
             continue
-        if (idx[e1[0]], idx[e1[1]]) > (idx[e2[0]], idx[e2[1]]):
-            e1, e2, i1, i2 = e2, e1, i2, i1
         disjoint = not (set(e1) & set(e2))
         out.append(Crossing(e1, e2, i1, i2, key, disjoint))
     out.sort(key=lambda c: (idx[c.edge1[0]], idx[c.edge1[1]], idx[c.edge2[0]], idx[c.edge2[1]], c.side1, c.side2))

@@ -11,7 +11,7 @@ candidates.
 from __future__ import annotations
 
 from .errors import EmbeddingInvalid, SearchExhausted
-from .geometry import Point2, Point3, _Record, _set, gp_points2, gp_points3
+from .geometry import Point2, Point3, gp_points2, gp_points3
 from .graphs import (
     PlanarDrawing,
     ValidEmbedding,
@@ -38,16 +38,6 @@ _TWO_TRIANGLES = make_graph(
 
 
 CANDIDATE_TRIES = 10000
-
-
-class RunConfig(_Record):
-    """Knobs shared by all generators and the command-line surface."""
-
-    def __init__(self, seed: int = 0, bound: int = 1000):
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        _set(self, "seed", seed)
-        _set(self, "bound", bound)
 
 
 def _point2(rng: SplitMix64, bound: int) -> Point2:
@@ -249,23 +239,26 @@ def move_vertex_star(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> Pl
 
 
 _GENERATORS = {
-    "k6-points": lambda cfg: gen_k6_points(cfg.seed, cfg.bound),
-    "k44-linear": lambda cfg: gen_k44_linear(cfg.seed, cfg.bound),
-    "k6-pl-subdivided": lambda cfg: gen_k6_pl_subdivided(cfg.seed),
-    "k5-drawing": lambda cfg: gen_k5_drawing(cfg.seed, cfg.bound),
-    "k33-drawing": lambda cfg: gen_k33_drawing(cfg.seed, cfg.bound),
-    "polygon-pair": lambda cfg: gen_polygon_pair(cfg.seed, cfg.bound),
+    "k6-points": gen_k6_points,
+    "k44-linear": gen_k44_linear,
+    "k6-pl-subdivided": lambda seed, bound: gen_k6_pl_subdivided(seed),
+    "k5-drawing": gen_k5_drawing,
+    "k33-drawing": gen_k33_drawing,
+    "polygon-pair": gen_polygon_pair,
 }
 
 INSTANCE_KINDS = tuple(sorted(_GENERATORS))
 
 
-def generate(kind: str, config: RunConfig = RunConfig()):
-    """Dispatch to the generator for an instance kind."""
+def generate(kind: str, seed: int = 0, bound: int = 1000):
+    """Dispatch to the generator for an instance kind.  The k6-pl-subdivided
+    kind ignores `bound`: its instances sit on a fixed moment-curve frame."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
     try:
         maker = _GENERATORS[kind]
     except KeyError:
         raise ValueError(
             f"unknown instance kind {kind!r}; expected one of {', '.join(INSTANCE_KINDS)}"
         ) from None
-    return maker(config)
+    return maker(seed, bound)

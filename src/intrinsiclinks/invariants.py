@@ -105,7 +105,7 @@ def van_kampen_points(points: Sequence[Point2]) -> int:
         raise ValueError("need exactly 5 points")
     if not gp_points2(pts):
         raise GeneralPositionViolation("three of the points are collinear")
-    return van_kampen_drawing(make_drawing(_K5, dict(zip(_point_names(5), pts))))
+    return van_kampen_drawing(make_drawing(_K5, dict(zip(_K5.vertices, pts))))
 
 
 def van_kampen_drawing(d: PlanarDrawing) -> int:
@@ -152,10 +152,6 @@ _K5 = complete_graph(5)
 _K6 = complete_graph(6)
 
 
-def _point_names(n: int) -> list[str]:
-    return [f"v{i}" for i in range(1, n + 1)]
-
-
 # functionals the viewpoint search tries before it raises SearchExhausted
 VIEWPOINT_TRIES = 1000
 
@@ -169,12 +165,11 @@ def _choose_viewpoint(pts: list[Point3], seed: int):
     bound = 4
     rejections = 0
     cand = Point3(1, 0, 0)
-    names = _point_names(6)
     for _ in range(VIEWPOINT_TRIES):
         vals = [dot3(p, cand) for p in pts]
         if len(set(vals)) == 6:
             top = max(range(6), key=lambda i: vals[i])
-            below_names = [names[i] for i in range(6) if i != top]
+            below_names = [v for i, v in enumerate(_K6.vertices) if i != top]
             try:
                 return top, project_central(pts, pts[top], cand, names=below_names)
             except ProjectionNotGeneral:
@@ -203,7 +198,7 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
     fronts = {far: diag._cycle_front(far) for far, _ in rows}
     ledger = _front_ledger(diag, fronts, "sight-blocking lk over the 10 base edges", rows, 1)
     far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
-    near = make_cycle(_K6, (_point_names(6)[top], u, v))
+    near = make_cycle(_K6, (_K6.vertices[top], u, v))
     return LinkReport(far, near, 1, "linear-central"), ledger
 
 

@@ -39,7 +39,6 @@ from .graphs import (
     PLEmbedding,
     _xor_rows,
     make_drawing,
-    make_embedding,
     make_graph,
     require_generic,
     require_valid,
@@ -78,16 +77,12 @@ class ProjectedDiagram(_Record):
     larger component along the projection direction in an orthogonal
     projection, the one nearer the apex in a central projection."""
 
-    def __init__(
-        self, embedding: PLEmbedding, direction: Point3,
-        drawing: GenericDrawing, crossings: tuple[Crossing, ...],
-    ):
-        _set(self, "embedding", embedding)
+    def __init__(self, direction: Point3, drawing: GenericDrawing, crossings: tuple[Crossing, ...]):
         _set(self, "direction", direction)
         _set(self, "drawing", drawing)
         _set(self, "crossings", crossings)
         # the front matrix, not a field: bit f of row k is the parity of edges[k]'s passes over edges[f]
-        bit, front = embedding.graph._edge_bit, [0] * len(embedding.graph.edges)
+        bit, front = drawing.graph._edge_bit, [0] * len(drawing.graph.edges)
         for c in crossings:  # the lower strand's bit is the pair's bits without the upper's
             if c.edge1 not in bit or c.edge2 not in bit:
                 raise ValueError(f"crossing of {c.edge1} and {c.edge2} names an edge outside the graph")
@@ -101,7 +96,7 @@ class ProjectedDiagram(_Record):
 
     @property
     def graph(self):
-        return self.embedding.graph
+        return self.drawing.graph
 
     def _cycle_front(self, cycle: Cycle) -> tuple[int, int]:
         """A cycle's front row, the XOR of its edges' rows, and its edge mask."""
@@ -158,7 +153,7 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
         turn = orient2d(t1.p, t1.q, t1.p + (t2.q - t2.p))
         upper = c.edge1 if det == turn else c.edge2
         labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
-    return ProjectedDiagram(emb, d, drawing, tuple(labeled))
+    return ProjectedDiagram(d, drawing, tuple(labeled))
 
 
 # directions the projection search tries before it raises SearchExhausted
@@ -201,9 +196,9 @@ def project_central(
     names: Sequence[str] | None = None,
 ) -> ProjectedDiagram:
     """Project the points other than the apex from the apex, and return the
-    diagram of the straight complete graph on them: their straight
-    embedding, the canonical normal, the drawing of their images swept
-    once, and each crossing labeled with the strand nearer the apex.
+    diagram of the straight complete graph on them: the canonical normal,
+    the drawing of their images swept once, and each crossing labeled with
+    the strand nearer the apex.
 
     The functional x -> <x, normal> must take its strict maximum over the
     points at the apex a.  With (e1, e2) the plane basis of the normal,
@@ -220,10 +215,9 @@ def project_central(
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
-    below = [p for p in pts if p != apex]
-    if len(below) != len(pts) - 1:
+    a, n, others = apex, normal, [p for p in pts if p != apex]
+    if len(others) != len(pts) - 1:
         raise ValueError("apex occurs more than once among the points")
-    a, n, others = apex, normal, below
     m = lcm(*(c.denominator for p in (a, n, *others) for c in p.coords()))  # 1 on ints
     if m > 1:  # a uniform positive scale of space and of the functional moves no sign
         a, n, *others = (Point3(*(c.numerator * (m // c.denominator) for c in p.coords())) for p in (a, n, *others))
@@ -265,7 +259,7 @@ def project_central(
             raise GeneralPositionViolation(f"edges {c.edge1} and {c.edge2} meet in space")
         upper = c.edge1 if det == orient3d(p, q, a, r) else c.edge2
         labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
-    return ProjectedDiagram(make_embedding(graph, dict(zip(names, below))), d, drawing, tuple(labeled))
+    return ProjectedDiagram(d, drawing, tuple(labeled))
 
 
 def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:

@@ -192,6 +192,25 @@ def seeded_apexes(rng: SplitMix64, count: int = 3) -> list[Point3]:
     return [Point3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(count)]
 
 
+class ScriptedRng:
+    """A stand-in for the SplitMix64 class: every generator it makes returns
+    the scripted candidates' coordinates from `randint`, in order, and the
+    range of each call is recorded in `ranges`."""
+
+    def __init__(self, candidates):
+        self.values = iter([c for p in candidates for c in p])
+        self.ranges: list[tuple[int, int]] = []
+
+    def __call__(self, seed: int) -> "ScriptedRng":
+        return self
+
+    def randint(self, lo: int, hi: int) -> int:
+        self.ranges.append((lo, hi))
+        value = next(self.values)
+        assert lo <= value <= hi
+        return value
+
+
 def triangle_polygon(t: Triangle3) -> SpatialPolyline:
     return SpatialPolyline((t.a, t.b, t.c), closed=True)
 

@@ -146,7 +146,7 @@ def test_ac03_per_pair_crossing_parity_identity(capsys):
         else:
             emb = _k6_embedding(gen_k6_points(seed))
         diag = find_general_projection(emb, seed=seed)
-        core = diag.embedding.graph
+        core = diag.graph
         for e1, e2 in _disjoint_edge_pairs(core):
             over1 = front_parity(diag, {e1}, {e2})
             over2 = front_parity(diag, {e2}, {e1})

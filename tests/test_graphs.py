@@ -746,6 +746,30 @@ class TestSweepsMatchReference:
             assert validate(emb) == validate_embedding_reference(emb)
 
 
+def assert_raw_crossings_in_edge_order(d):
+    rank = {e: k for k, e in enumerate(d.graph.edges)}
+    for e1, _, e2, _, _ in graphs._scan_drawing(d)[1]:
+        assert rank[e1] <= rank[e2]
+
+
+class TestRawCrossingOrder:
+    """The side table lists sides in `graph.edges` order and the box pairs
+    come as (a, b) with a < b, so every raw crossing names its first edge no
+    later than its second: `require_generic` never has to swap the two."""
+
+    @settings(max_examples=400, deadline=2000)
+    @given(st.one_of(RAW_DRAWINGS, RAW_RATIONAL_DRAWINGS))
+    def test_raw_drawings(self, d):
+        assert_raw_crossings_in_edge_order(d)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_drawings(self, seed):
+        projected = find_general_projection(gen_k6_pl_subdivided(seed), seed=seed).drawing
+        for d in [*generated_drawings(seed), projected]:
+            assert extract_crossings(d)
+            assert_raw_crossings_in_edge_order(d)
+
+
 class TestSidePruning:
     """The sweep tests only the side pairs whose boxes meet."""
 

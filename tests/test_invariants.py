@@ -49,12 +49,13 @@ from intrinsiclinks.invariants import (
     van_kampen_points,
     vk_invariance_probe,
 )
-from intrinsiclinks.linking import triangles_linked
+from intrinsiclinks.linking import SpatialPolyline, triangles_linked
 from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
 
 from intrinsiclinks.rng import SplitMix64
 
 from helpers import (
+    ScriptedRng,
     ledger_entries_reference,
     linear_analysis_reference,
     oracle_reference,
@@ -208,6 +209,14 @@ class TestLinearFinder:
 
     def test_deterministic(self):
         assert find_linked_triangles_linear(MOMENT6, seed=3) == find_linked_triangles_linear(MOMENT6, seed=3)
+
+    def test_builds_no_spatial_polyline(self, monkeypatch):
+        # the central diagram is a drawing and its labels: no embedding of the points is built
+        built = []
+        init = SpatialPolyline.__init__
+        monkeypatch.setattr(SpatialPolyline, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        find_linked_triangles_linear(MOMENT6)
+        assert built == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40)),
@@ -430,9 +439,9 @@ class TestFrontMatrixBuiltOnce:
                 scans.append(1)
                 return super().__iter__()
 
-        def watched_init(self, embedding, direction, drawing, crossings):
+        def watched_init(self, direction, drawing, crossings):
             built.append(1)
-            init(self, embedding, direction, drawing, Watched(crossings))
+            init(self, direction, drawing, Watched(crossings))
 
         monkeypatch.setattr(projection.ProjectedDiagram, "__init__", watched_init)
         analysis()
@@ -656,6 +665,56 @@ class TestBoundedSearchPastMachineWords:
         with pytest.raises(SearchExhausted):
             find_linked_triangles_linear(MOMENT6)
         assert max(abs(c) for n in tried for c in n.coords()).bit_length() > 63
+
+
+class TestDirectionSearchDrawRules:
+    """The draw sequences of the two direction searches, pinned with a
+    scripted generator and a projector that rejects and records every
+    candidate it is given."""
+
+    def test_projection_direction_search(self, monkeypatch):
+        """The zero vector is skipped, a candidate whose canonical direction
+        was tried is skipped, and the cube [-8, 8]^3 doubles after every 16
+        rejections; a skip uses a try but is not a rejection."""
+        tried = []
+
+        def reject(emb, direction):
+            tried.append(direction.coords())
+            raise ProjectionNotGeneral("rejected")
+
+        canonical = [(1, 0, k) for k in range(1, 9)] + [(1, 1, k) for k in range(1, 7)]
+        rng = ScriptedRng([(0, 0, 0), (2, 4, 6), (-1, -2, -3), (0, 0, -5), *canonical, (9, 16, -16), (0, 0, 0)])
+        monkeypatch.setattr(projection, "SplitMix64", rng)
+        monkeypatch.setattr(projection, "project_orthogonal", reject)
+        monkeypatch.setattr(projection, "DIRECTION_TRIES", 20)
+        with pytest.raises(SearchExhausted, match="in 20 tries"):
+            find_general_projection(moment_k6_embedding())
+        assert tried == [(1, 2, 3), (0, 0, 1), *canonical, (9, 16, -16)]
+        assert rng.ranges == [(-8, 8)] * 3 * 18 + [(-16, 16)] * 3 * 2
+
+    def test_viewpoint_search(self, monkeypatch):
+        """The first functional is (1, 0, 0) and takes no draw; a zero
+        vector is drawn again at once; a repeated candidate is tried again;
+        a functional tying two points is rejected unprojected; and the cube
+        [-4, 4]^3 doubles after every 16 rejections."""
+        tried = []
+
+        def reject(points, apex, normal, names=None):
+            tried.append(normal.coords())
+            raise ProjectionNotGeneral("rejected")
+
+        # each of these takes distinct values on the moment curve
+        distinct = [(0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 0, 0),
+                    (0, 2, 0), (0, 0, 2), (1, 2, 0), (1, 0, 2), (2, 1, 0), (0, 1, 2)]
+        tie = (-3, 1, 0)  # v1 and v2 both at -2
+        rng = ScriptedRng([(0, 0, 0), (0, 1, 0), (0, 1, 0), tie, *distinct, (5, 0, 0), (1, 0, 0)])
+        monkeypatch.setattr(invariants, "SplitMix64", rng)
+        monkeypatch.setattr(invariants, "project_central", reject)
+        monkeypatch.setattr(invariants, "VIEWPOINT_TRIES", 17)
+        with pytest.raises(SearchExhausted, match="in 17 tries"):
+            find_linked_triangles_linear(MOMENT6)
+        assert tried == [(1, 0, 0), (0, 1, 0), (0, 1, 0), *distinct, (5, 0, 0)]
+        assert rng.ranges == [(-4, 4)] * 3 * 16 + [(-8, 8)] * 3 * 2
 
 
 class TestValidateOnce:

@@ -14,10 +14,12 @@ import pytest
 import intrinsiclinks
 from intrinsiclinks import cli, instances, linking
 from intrinsiclinks.cli import main
-from intrinsiclinks.errors import ParseError, SearchExhausted, ValidationError
+from intrinsiclinks.errors import EmbeddingInvalid, ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     GenericDrawing,
+    PlanarDrawing,
+    Violation,
     complete_graph,
     make_drawing,
     make_embedding,
@@ -28,7 +30,6 @@ from intrinsiclinks.graphs import (
 )
 from intrinsiclinks.instances import (
     INSTANCE_KINDS,
-    RunConfig,
     bend_drawing,
     gen_k5_drawing,
     gen_k6_pl_subdivided,
@@ -41,6 +42,7 @@ from intrinsiclinks.instances import (
 )
 from intrinsiclinks.invariants import van_kampen_drawing, vk_invariance_probe
 from intrinsiclinks.projection import find_general_projection
+from intrinsiclinks.rng import SplitMix64
 from intrinsiclinks.serialization import (
     emit_instance,
     instance_doc,
@@ -114,13 +116,17 @@ class TestGenerators:
         assert count % 2 == 0
 
     def test_generate_dispatch(self):
-        assert generate("k6-points", RunConfig(seed=5)) == gen_k6_points(5)
+        assert generate("k6-points", seed=5) == gen_k6_points(5)
+        assert generate("k44-linear", 3, 50) == gen_k44_linear(3, 50)
+        # k6-pl-subdivided sits on a fixed frame and ignores the bound
+        assert generate("k6-pl-subdivided", 2, 7) == gen_k6_pl_subdivided(2)
         with pytest.raises(ValueError):
-            generate("nope", RunConfig())
+            generate("nope")
 
     def test_run_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RunConfig(bound=0)
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="bound must be positive"):
+                generate("k6-points", bound=bound)
 
     def test_exhaustion(self, monkeypatch):
         monkeypatch.setattr(instances, "CANDIDATE_TRIES", 3)
@@ -136,13 +142,117 @@ class TestGenerators:
         digest = hashlib.sha256()
         for kind in INSTANCE_KINDS:
             for seed in range(50):
-                digest.update(emit_instance(generate(kind, RunConfig(seed=seed))))
+                digest.update(emit_instance(generate(kind, seed=seed)))
         for seed in range(50):
             for maker in (gen_k5_drawing, gen_k33_drawing):
                 d = maker(seed)
                 digest.update(emit_instance(bend_drawing(d, seed)))
                 digest.update(emit_instance(move_vertex_star(d, seed)))
         assert digest.hexdigest() == self.INSTANCES_SHA256
+
+
+def violations(obj) -> tuple:
+    """What the validators find wrong with a generated object."""
+    return validate_drawing(obj) if isinstance(obj, PlanarDrawing) else validate_embedding(obj)
+
+
+def refuse(*args):
+    raise ValueError("refused")
+
+
+def refuse_embedding(*args):
+    raise EmbeddingInvalid("refused")
+
+
+def refuse_drawing(*args):
+    return (Violation("refused", "refused"),)
+
+
+# a generator call on the drawings (K5, K3,3) and the name in `instances`
+# of the check that refuses its candidates, with a refusal
+REFUSED = {
+    "k44-linear": (lambda d5, d33: gen_k44_linear(3), "require_valid", refuse_embedding),
+    "polygon-pair": (lambda d5, d33: gen_polygon_pair(3), "require_valid", refuse_embedding),
+    "k6-pl-subdivided": (lambda d5, d33: gen_k6_pl_subdivided(3), "require_valid", refuse_embedding),
+    "k5-drawing": (lambda d5, d33: gen_k5_drawing(3), "validate_drawing", refuse_drawing),
+    "k33-drawing": (lambda d5, d33: gen_k33_drawing(3), "validate_drawing", refuse_drawing),
+    "bend-unbuilt": (lambda d5, d33: bend_drawing(d5, 3), "make_drawing", refuse),
+    "bend": (lambda d5, d33: bend_drawing(d5, 3), "validate_drawing", refuse_drawing),
+    "star-unbuilt": (lambda d5, d33: move_vertex_star(d33, 3), "make_drawing", refuse),
+    "star": (lambda d5, d33: move_vertex_star(d33, 3), "validate_drawing", refuse_drawing),
+}
+
+
+class TestGeneratorRejections:
+    """Every generator discards a refused candidate and draws the next one
+    from the same stream, and gives up after CANDIDATE_TRIES."""
+
+    @pytest.fixture
+    def drawings(self):
+        return gen_k5_drawing(0), gen_k33_drawing(0)
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_first_candidate_refused(self, case, drawings, monkeypatch):
+        make, name, refusal = REFUSED[case]
+        plain = make(*drawings)
+        calls, check = [], getattr(instances, name)
+
+        def first_refused(*args):
+            calls.append(args)
+            return (refusal if len(calls) == 1 else check)(*args)
+
+        monkeypatch.setattr(instances, name, first_refused)
+        out = make(*drawings)
+        assert len(calls) >= 2
+        assert violations(out) == ()
+        assert out != plain
+        calls.clear()
+        assert make(*drawings) == out
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_every_candidate_refused(self, case, drawings, monkeypatch):
+        make, name, refusal = REFUSED[case]
+        monkeypatch.setattr(instances, "CANDIDATE_TRIES", 3)
+        monkeypatch.setattr(instances, name, refusal)
+        with pytest.raises(SearchExhausted, match="in 3 tries"):
+            make(*drawings)
+
+    @pytest.mark.parametrize("make", [gen_k44_linear, gen_polygon_pair, gen_k5_drawing, gen_k33_drawing])
+    def test_degenerate_points_redrawn(self, make, monkeypatch):
+        # on the grid [-2, 2] many candidates put four points on a plane, or three on a line
+        checks = []
+        for name in ("gp_points2", "gp_points3"):
+            check = getattr(instances, name)
+            monkeypatch.setattr(instances, name, lambda pts, check=check: checks.append(check(pts)) or checks[-1])
+        out = make(3, bound=2)
+        assert False in checks
+        assert violations(out) == ()
+        assert make(3, bound=2) == out
+
+    def test_bend_redraws_a_candidate_bending_nothing(self):
+        # one edge, and a seed whose first draw leaves it straight
+        d = make_drawing(make_graph(["a", "b"], [("a", "b")]), {"a": Point2(0, 0), "b": Point2(40, 20)})
+        seed = next(s for s in range(20) if SplitMix64(s).randrange(2) == 0)
+        bent = bend_drawing(d, seed, bound=20)
+        assert len(bent.route[("a", "b")].vertices) == 3
+        assert violations(bent) == ()
+        assert bend_drawing(d, seed, bound=20) == bent
+
+    def test_star_redraws_a_candidate_that_stays_put(self):
+        # a seed whose first candidate is the chosen vertex's own position
+        pos = {"a": Point2(0, 0), "b": Point2(1, 1)}
+        d = make_drawing(make_graph(["a", "b"], [("a", "b")]), pos)
+
+        def stays(seed):
+            rng = SplitMix64(seed)
+            center = "ab"[rng.randrange(2)]
+            return Point2(rng.randint(-1, 1), rng.randint(-1, 1)) == pos[center]
+
+        seed = next(s for s in range(100) if stays(s))
+        moved = move_vertex_star(d, seed, bound=1)
+        assert sum(moved.position[v] != pos[v] for v in "ab") == 1
+        assert violations(moved) == ()
+        assert move_vertex_star(d, seed, bound=1) == moved
 
 
 class TestSerialization:
@@ -555,7 +665,7 @@ class TestPublicApi:
             "IntrinsicLinksError", "LinkReport", "NON_GENERIC",
             "OVERLAP", "OracleResult", "PLEmbedding", "ParityLedger", "ParseError",
             "PlanarDrawing", "PlanarPolyline", "Point2", "Point3",
-            "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral", "RunConfig",
+            "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral",
             "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
             "complete_bipartite", "complete_graph",

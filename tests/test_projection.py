@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from intrinsiclinks import projection
 from intrinsiclinks.errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
@@ -20,6 +21,7 @@ from intrinsiclinks.geometry import (
     Segment2,
     Segment3,
     dot3,
+    gp_points2,
     gp_points3,
     key_point,
 )
@@ -183,13 +185,14 @@ class TestProjectOrthogonal:
         # the over/under sign against the height of each strand above the
         # crossing point, worked out in Fraction
         pos, direction = case
+        emb = make_embedding(TWO_EDGES, pos)
         try:
-            diag = project_orthogonal(make_embedding(TWO_EDGES, pos), direction)
+            diag = project_orthogonal(emb, direction)
         except (EmbeddingInvalid, ProjectionNotGeneral):
             return
         for c in diag.crossings:
             h1, h2 = (
-                strand_height(diag.embedding, diag.drawing, diag.direction, edge, side, key_point(c.key))
+                strand_height(emb, diag.drawing, diag.direction, edge, side, key_point(c.key))
                 for edge, side in ((c.edge1, c.side1), (c.edge2, c.side2))
             )
             assert h1 != h2
@@ -267,7 +270,7 @@ class TestDiagramLinking:
         d = find_general_projection(gen_k6_pl_subdivided(0))
         assert d.drawing.crossings and all(c.upper is None for c in d.drawing.crossings)
         with pytest.raises(ValueError, match="has upper None, not one of its strands"):
-            ProjectedDiagram(d.embedding, d.direction, d.drawing, d.drawing.crossings)
+            ProjectedDiagram(d.direction, d.drawing, d.drawing.crossings)
         c = d.crossings[0]
         third = next(e for e in d.graph.edges if e not in (c.edge1, c.edge2))
         with pytest.raises(ValueError, match="not one of its strands"):
@@ -278,7 +281,7 @@ class TestDiagramLinking:
         c = d.crossings[0]
         for stray in (c.replace(edge1=("zz", "yy"), upper=("zz", "yy")), c.replace(edge2=("zz", "yy"))):
             with pytest.raises(ValueError, match=r"names an edge outside the graph"):
-                ProjectedDiagram(d.embedding, d.direction, d.drawing, (stray,))
+                ProjectedDiagram(d.direction, d.drawing, (stray,))
 
     def test_overlapping_cycles_rejected(self):
         diag = project_orthogonal(moment_k6(), Point3(0, 0, 1))
@@ -358,6 +361,31 @@ class TestProjectCentral:
         square = [Point3(2, 0, 0), Point3(0, 1, 0), Point3(-2, 0, 0), Point3(0, -1, 0)]
         with pytest.raises(GeneralPositionViolation):
             project_central(square + [Point3(1, 1, 5)], Point3(1, 1, 5), Point3(0, 0, 1))
+
+    def test_two_points_on_one_ray_rejected_before_the_sweep(self, monkeypatch):
+        """Two points on one ray from the apex share their image.  The
+        general-position check refuses them; without it the drawing's
+        constructor would raise a bare ValueError on the coincident images."""
+        apex = Point3(0, 0, 10)
+        pts = [apex, Point3(1, 0, 0), Point3(2, 0, -10), Point3(0, 3, 1), Point3(-2, -1, 2), Point3(3, -2, -1)]
+        with pytest.raises(ProjectionNotGeneral, match="projected points are not in general position"):
+            project_central(pts, apex, Point3(0, 0, 1))
+        monkeypatch.setattr(projection, "gp_points2", lambda images: True)
+        with pytest.raises(ValueError, match="polyline needs at least 2 vertices"):
+            project_central(pts, apex, Point3(0, 0, 1))
+
+    def test_hexagon_diagonals_rejected_by_the_sweep(self):
+        """Six images on a centrally symmetric hexagon, no three collinear,
+        at different depths: the points are in general position in space,
+        but the three long diagonals of the images meet at one point."""
+        apex = Point3(0, 0, 1)
+        plane = [(3, 0), (-3, 0), (1, 2), (-1, -2), (-1, 3), (1, -3)]
+        assert gp_points2([Point2(x, y) for x, y in plane])
+        # p = apex + t (x, y, -1) has the image of (x, y, 0)
+        below = [Point3(t * x, t * y, 1 - t) for t, (x, y) in zip((1, 1, 1, 2, 2, 2), plane)]
+        assert gp_points3([apex, *below])
+        with pytest.raises(ProjectionNotGeneral, match="central image drawing has 1 degenerate contacts"):
+            project_central([apex, *below], apex, Point3(0, 0, 1))
 
     @staticmethod
     def assert_sight_lines(pts, apex, normal):

@@ -22,7 +22,6 @@ from intrinsiclinks.graphs import (
     require_generic,
     require_valid,
 )
-from intrinsiclinks.instances import RunConfig
 from intrinsiclinks.invariants import LinkReport, OracleResult, ParityLedger
 from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import ProjectedDiagram
@@ -104,10 +103,6 @@ CASES = {
         ("position", {"a": P2(0, 0), "b": P2(2, 0)}, DrawingNotGeneral),
         "GenericDrawing" + DRAWING_REPR + ", crossings=())",
     ),
-    "RunConfig": (
-        RunConfig(), ("seed", "bound"), ("seed", 7), ("bound", 0, ValueError),
-        "RunConfig(seed=0, bound=1000)",
-    ),
     "LinkReport": (
         LinkReport(C1, C2, 1, "pl-orthogonal"), ("cycle1", "cycle2", "lk_value", "method", "oracle_confirmed"),
         ("oracle_confirmed", True), None,
@@ -122,9 +117,9 @@ CASES = {
         f"OracleResult(count=1, linked_pairs=(({C1_REPR}, {C2_REPR}),), total_pairs=1)",
     ),
     "ProjectedDiagram": (
-        ProjectedDiagram(require_valid(EMB), P3(0, 0, 1), require_generic(DRAWING), ()),
-        ("embedding", "direction", "drawing", "crossings"), ("direction", P3(1, 0, 0)), None,
-        f"ProjectedDiagram(embedding=ValidEmbedding{EMB_REPR}, direction=Point3(x=0, y=0, z=1), "
+        ProjectedDiagram(P3(0, 0, 1), require_generic(DRAWING), ()),
+        ("direction", "drawing", "crossings"), ("direction", P3(1, 0, 0)), None,
+        f"ProjectedDiagram(direction=Point3(x=0, y=0, z=1), "
         f"drawing=GenericDrawing{DRAWING_REPR}, crossings=()), crossings=())",
     ),
 }
