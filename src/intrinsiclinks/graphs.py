@@ -10,10 +10,10 @@ all defects of an instance at once.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import perm
-from operator import or_, xor
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DrawingNotGeneral, EmbeddingInvalid, SearchExhausted
@@ -172,13 +172,6 @@ class Cycle(_Record):
         return len(self.vertices)
 
 
-def canonical_cycle_order(seq: Sequence[str]) -> tuple[str, ...]:
-    seq = tuple(seq)
-    start = seq.index(min(seq))
-    rotated = seq[start:] + seq[:start]
-    return rotated if rotated[1] <= rotated[-1] else rotated[:1] + rotated[:0:-1]
-
-
 def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
     seq = tuple(seq)
     if len(seq) < 3:
@@ -186,12 +179,14 @@ def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
     if len(set(seq)) != len(seq):
         raise ValueError("cycle repeats a vertex")
     g._cycle_mask(seq)  # ValueError at the first pair that is not an edge
-    return Cycle(canonical_cycle_order(seq))
+    start = seq.index(min(seq))
+    seq = seq[start:] + seq[:start]
+    return Cycle(seq if seq[1] <= seq[-1] else seq[:1] + seq[:0:-1])
 
 
 # walks or candidate cycle pairs past which the enumerations below raise
-# SearchExhausted; on 2 CPUs, Python 3.11, a walk takes about 4 us and a
-# disjoint pair 1.5 us to build (K11 7-cycles, K24 triangles): 10^7 take 40 s and 15 s
+# SearchExhausted; on 2 CPUs, Python 3.11, a walk takes about 1.4 us and a
+# disjoint pair 0.8 us to build (K11 7-cycles, K24 triangles): 10^7 take 14 s and 8 s
 CYCLE_SEARCH_BUDGET = 10**7
 
 
@@ -202,63 +197,103 @@ def _within_budget(candidates: int, what: str) -> None:
 
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of `mask`, in increasing order."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
     """The XOR of the rows at the set bits of `mask`."""
-    return reduce(xor, [rows[k] for k in _bits(mask)], 0)
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
-def enumerate_cycles(g: Graph, length: int) -> tuple[Cycle, ...]:
-    """All cycles of the given length, canonical and sorted.
+def _cycle_walk(g: Graph, length: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each cycle of the given length once, in the order of `enumerate_cycles`,
+    as (path, edge bitmask), where the path lists ranks of the vertex names.
 
-    Walks from each start vertex through vertices of larger index only, and
-    closes a walk back to its start only past its second vertex, so each
-    cycle is found once.  Refused past CYCLE_SEARCH_BUDGET walks of full
-    length: perm(n, length) // length, the exact number on a complete graph
-    and an upper bound on any other."""
+    Walks from each start rank through larger ranks only, and closes a walk
+    back to its start only past its second vertex, so each path is in the
+    canonical order of `Cycle` and the depth-first walk meets them sorted.
+    Refused past CYCLE_SEARCH_BUDGET walks of full length: perm(n, length)
+    // length, the exact number on a complete graph and an upper bound on
+    any other."""
     if length < 3:
         raise ValueError("cycle length must be at least 3")
     n = len(g.vertices)
     _within_budget(perm(n, length) // length, f"vertex orders for {length}-cycles")  # 0 past n
-    near = [sum(1 << g.index(w) for w in g.neighbors(v)) for v in g.vertices]
+    rank = {v: r for r, v in enumerate(sorted(g.vertices))}
+    bit = {(rank[u], rank[v]): b for (u, v), b in g._edge_bit.items()}  # both orientations
+    near = [0] * n
+    for a, b in bit:
+        near[a] |= 1 << b
     found = []
 
-    def walk(path: list[int], used: int) -> None:
-        ahead = near[path[-1]] & ~used
+    def walk(path: tuple, used: int, edges: int) -> None:
+        last = path[-1]
+        ahead = near[last] & ~used
         if len(path) < length - 1:
             for w in _bits(ahead):
-                walk(path + [w], used | 1 << w)
+                walk(path + (w,), used | 1 << w, edges | bit[last, w])
         else:  # the last vertex: a neighbour of the start, past the second vertex
             for w in _bits(ahead & near[path[0]] & ~((2 << path[1]) - 1)):
-                found.append(Cycle(canonical_cycle_order([g.vertices[i] for i in path + [w]])))
+                found.append((path + (w,), edges | bit[last, w] | bit[w, path[0]]))
 
     for start in range(n - length + 1):
-        walk([start], (2 << start) - 1)  # the start and every smaller index
-    return tuple(sorted(found, key=lambda c: c.vertices))
+        walk((start,), (2 << start) - 1, 0)  # the start and every smaller rank
+    return found
+
+
+def enumerate_cycles(g: Graph, length: int) -> tuple[Cycle, ...]:
+    """All cycles of the given length, canonical and sorted, out of at most
+    CYCLE_SEARCH_BUDGET walks of full length."""
+    names = sorted(g.vertices)
+    return tuple(Cycle([names[r] for r in path]) for path, _ in _cycle_walk(g, length))
 
 
 def _disjoint_pairs(g: Graph, len1: int, len2: int):
-    """The cycles of the two lengths, and for each cycle of the first list
-    the bitmask of the vertex-disjoint cycles of the second; with equal
+    """The walked cycles of the two lengths, and for each cycle of the first
+    list the bitmask of the vertex-disjoint cycles of the second; with equal
     lengths the lists are one, and cycle i pairs only with j > i.  Refused
     past CYCLE_SEARCH_BUDGET candidate pairs."""
     same = len1 == len2
-    first = enumerate_cycles(g, len1)
-    second = first if same else enumerate_cycles(g, len2)
+    first = _cycle_walk(g, len1)
+    second = first if same else _cycle_walk(g, len2)
     _within_budget(len(first) * (len(first) - 1) // 2 if same else len(first) * len(second), "candidate cycle pairs")
-    on = {v: sum(1 << j for j, c in enumerate(second) if v in c.vertices) for v in g.vertices}  # cycles through v
+    on = [0] * len(g.vertices)  # the cycles of the second list through each rank
+    for j, (path, _) in enumerate(second):
+        for r in path:
+            on[r] |= 1 << j
     everything = (1 << len(second)) - 1
-    met = [reduce(or_, (on[v] for v in c.vertices), (2 << i) - 1 if same else 0) for i, c in enumerate(first)]
+    met = [reduce(or_, [on[r] for r in path], (2 << i) - 1 if same else 0) for i, (path, _) in enumerate(first)]
     return first, second, [everything & ~m for m in met]
+
+
+def _cycle_pairs(g: Graph, first, second, masks) -> tuple[tuple[Cycle, Cycle], ...]:
+    """The pairs of walked cycles (first[i], second[j]) for the set bits j
+    of masks[i], as `Cycle` records, each built once, on first use."""
+    names = sorted(g.vertices)
+    record = cache(lambda path: Cycle([names[r] for r in path]))
+    theirs = {j: record(second[j][0]) for j in _bits(reduce(or_, masks, 0))}
+    out = []
+    for (path, _), mask in zip(first, masks):
+        if mask:
+            mine = record(path)
+            out += [(mine, theirs[j]) for j in _bits(mask)]
+    return tuple(out)
 
 
 def enumerate_disjoint_cycle_pairs(g: Graph, len1: int, len2: int) -> tuple[tuple[Cycle, Cycle], ...]:
     """All unordered pairs of vertex-disjoint cycles of the two lengths,
     out of at most CYCLE_SEARCH_BUDGET candidate pairs."""
-    first, second, partners = _disjoint_pairs(g, len1, len2)
-    return tuple((first[i], second[j]) for i, mask in enumerate(partners) for j in _bits(mask))
+    return _cycle_pairs(g, *_disjoint_pairs(g, len1, len2))
 
 
 class Violation(_Record):
@@ -503,7 +538,8 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
     valid.  Absorbing keeps every other degree, so the degree-2 vertices are
     found once.  A subdivision that lists its new vertices after the
     original ones smooths back to the original vertices, even when the
-    whole graph is one cycle."""
+    whole graph is one cycle.  With nothing to absorb the validated input
+    itself is returned."""
     emb = require_valid(emb)
     g = emb.graph
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
@@ -529,6 +565,8 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
         chain[u, x] = chain.pop((u, w))[:-1] + chain.pop((w, x))
         chain[x, u] = chain[u, x][::-1]
         del chain[w, u], chain[x, w]
+    if len(adj) == len(g.vertices):
+        return emb
     core = make_graph([v for v in g.vertices if v in adj], chain)
     # an edge of `g` that is still there was never merged
     route = {

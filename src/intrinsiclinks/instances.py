@@ -179,7 +179,9 @@ def bend_drawing(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> Planar
 
     Vertex positions are kept; each chosen edge runs through a jittered
     near-midpoint of its endpoints, making a polyline drawing of the same
-    graph.  At least one edge is always bent.
+    graph.  At least one edge is always chosen, but a point that lands on
+    its edge's line is no corner and is dropped, so a result can have every
+    route straight.
     """
     g = drawing.graph
     rng = SplitMix64(seed)

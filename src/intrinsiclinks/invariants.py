@@ -29,6 +29,7 @@ from .graphs import (
     PlanarDrawing,
     PLEmbedding,
     _bits,
+    _cycle_pairs,
     _disjoint_pairs,
     _xor_rows,
     bipartition,
@@ -380,7 +381,8 @@ def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, .
 
 
 # side-pair cone tests past which the oracle raises SearchExhausted before the
-# first: 2.6 us each on 2 CPUs, Python 3.11 (3.7 near 2^60), so 10^6 take 3-4 s
+# first: 0.3 us each on 2 CPUs, Python 3.11 (0.6 near 2^60; a zigzag K6 of 100
+# sides per route), so 10^6 take under 1 s
 CONE_TEST_BUDGET = 10**6
 
 
@@ -388,27 +390,30 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     """Independent check of any finder: every vertex-disjoint cycle pair of
     the given lengths, and which are linked, by cone counting without
     projections.  With one apex, drawn from the seed, lk(c1, c2) mod 2 is
-    the XOR of the rows of `linking._cone_matrix` over the edges of c1, read
-    at the edges of c2.  Refused before any cone test past CONE_TEST_BUDGET
-    side pairs: sides(e) * sides(f) over ordered vertex-disjoint edges."""
+    the parity of c1's cone row, the XOR of the rows of
+    `linking._cone_matrix` over the edges of c1, on the edges of c2; so the
+    XOR over that row of the bitmasks of the cycles through each edge holds
+    lk(c1, c2) for every c2 at once.  Refused before any cone test past
+    CONE_TEST_BUDGET side pairs: sides(e) * sides(f) over ordered
+    vertex-disjoint edges."""
     sm = smooth(emb)
     g = sm.graph
     first, second, partners = _disjoint_pairs(g, len1, len2)
     total = sum(mask.bit_count() for mask in partners)
     if not total:
         return OracleResult(0, (), 0)
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-    ends = [bit[u] | bit[v] for u, v in g.edges]
-    disjoint = [[f for f, theirs in enumerate(ends) if not mine & theirs] for mine in ends]
+    disjoint = [[f for f, h in enumerate(g.edges) if u not in h and v not in h] for u, v in g.edges]
     chains = [sm.route[e].vertices for e in g.edges]
     tests = sum((len(chains[e]) - 1) * (len(chains[f]) - 1) for e, fs in enumerate(disjoint) for f in fs)
     if tests > CONE_TEST_BUDGET:
         raise SearchExhausted(f"{tests} side-pair cone tests exceed the budget of {CONE_TEST_BUDGET}")
     rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, disjoint)
-    cones = [_xor_rows(rows, g._cycle_mask(c.vertices)) for c in first]
-    masks = [g._cycle_mask(c.vertices) for c in second]
-    linked = tuple((first[i], second[j]) for i, mask in enumerate(partners) for j in _bits(mask)
-                   if (cones[i] & masks[j]).bit_count() & 1)
+    through = [0] * len(g.edges)  # bit j of through[f]: edge f is on second[j]
+    for j, (_, edges) in enumerate(second):
+        for f in _bits(edges):
+            through[f] |= 1 << j
+    linked = _cycle_pairs(g, first, second, [mask and _xor_rows(through, _xor_rows(rows, edges)) & mask
+                                             for (_, edges), mask in zip(first, partners)])
     return OracleResult(len(linked), linked, total)
 
 

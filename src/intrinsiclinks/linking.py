@@ -3,13 +3,20 @@
 Two disjoint closed polygons are linked (mod 2) exactly when `b` passes an
 odd number of times through the cone from an apex over `a`: the cone is a
 singular disk bounded by `a`, and the passes are counted per cone triangle,
-so where two triangles overlap a pass through both counts twice.  The count
-needs every pass to be transversal through the interior of a triangle.
-Any apex gives that once the signs are taken with `orient3d_sos`, which
-moves the apex and every vertex by an infinitesimal amount (Simulation of
-Simplicity): after the move no four of the points are coplanar, so no
-triangle is flat, no vertex of `b` lies in a triangle's plane and no side
-of `b` meets a triangle's boundary.  The polygons are first checked
+so where two triangles overlap a pass through both counts twice.  A side pq
+of `b` passes the cone triangle (o, u, v) when five signs agree, as in
+`seg_hits_solid_triangle`: p and q lie on opposite sides of the plane ouv,
+and pq passes the edges ou, uv and vo the same way round.  With the apex o
+at the origin each sign is one dot product, with the normal n = u x v taken
+once per cone triangle and the Pluecker line of pq, d = q - p and
+m = p x q, once per side: p lies on side n.p, and the edges are passed on
+sides m.u, d.n + m.(v - u) and -m.v, which are orient3d(p, q, o, u),
+orient3d(p, q, u, v) and orient3d(p, q, v, o).  A sign that is 0 is taken
+again by `orient3d_sos`, which moves the apex and every vertex by an
+infinitesimal amount (Simulation of Simplicity): after the move no four of
+the points are coplanar, so no triangle is flat, no vertex of `b` lies in
+a triangle's plane and no side of `b` meets a triangle's boundary, and any
+apex gives transversal passes only.  The polygons are first checked
 disjoint, exactly, so a small enough move keeps them disjoint and
 embedded, and mod-2 linking does not change under it; the count is exact
 for the input itself.
@@ -27,7 +34,9 @@ routes meet nowhere, stay disjoint.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
+from operator import xor
 
 from .errors import GeneralPositionViolation, PolylinesNotDisjoint
 from .geometry import (
@@ -147,21 +156,29 @@ def triangles_linked(t1: Triangle3, t2: Triangle3) -> bool:
     return sum(seg_hits_solid_triangle(side, t1) for side in t2.sides()) == 1
 
 
-def _cone_passes(points, u: int, v: int, chain, side_of: dict) -> int:
-    """Parity of the passes of the broken line through the points indexed
-    by `chain` through the cone triangle (points[0], points[u], points[v]):
-    the five signs of `seg_hits_solid_triangle`, taken by `orient3d_sos` on
-    `points`, so none is 0 and no triangle, flat or not, is built.
-    `side_of` keeps the sides of the triangle's plane found so far."""
-    for p in chain:
-        if p not in side_of:
-            side_of[p] = orient3d_sos(points, 0, u, v, p)
-    passes = 0
-    for p, q in zip(chain, chain[1:]):
-        passes ^= side_of[p] != side_of[q] and (
-            orient3d_sos(points, p, q, 0, u) == orient3d_sos(points, p, q, u, v) == orient3d_sos(points, p, q, v, 0)
-        )
-    return passes
+def _cone_passes(points, rel, u: int, v: int, sides) -> int:
+    """The XOR of the bits of the sides that pass through the cone triangle
+    (points[0], points[u], points[v]), by the five signs of the module
+    docstring.  `rel` holds the coordinates of `points` relative to the
+    apex points[0], and each side is (bit, p, q, p's and q's coordinates in
+    `rel`, moment p x q); d.n is taken as n.q - n.p."""
+    (ux, uy, uz), (vx, vy, vz) = rel[u], rel[v]
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    wx, wy, wz = vx - ux, vy - uy, vz - uz
+    row = 0
+    for bit, p, q, px, py, pz, qx, qy, qz, mx, my, mz in sides:
+        s, t = nx * px + ny * py + nz * pz, nx * qx + ny * qy + nz * qz
+        if (s > 0 if s else orient3d_sos(points, 0, u, v, p) > 0) == (t > 0 if t else orient3d_sos(points, 0, u, v, q) > 0):
+            continue
+        a = mx * ux + my * uy + mz * uz
+        first = a > 0 if a else orient3d_sos(points, p, q, 0, u) > 0
+        b = t - s + mx * wx + my * wy + mz * wz
+        if first != (b > 0 if b else orient3d_sos(points, p, q, u, v) > 0):
+            continue
+        c = mx * vx + my * vy + mz * vz
+        if first == (c < 0 if c else orient3d_sos(points, p, q, v, 0) > 0):
+            row ^= bit
+    return row
 
 
 def _cone_matrix(apex: Point3, chains, disjoint) -> list[int]:
@@ -170,31 +187,33 @@ def _cone_matrix(apex: Point3, chains, disjoint) -> list[int]:
     passes of chain f through the cone triangles (apex, side of chain e).
     The apex is point 0, then every distinct corner once, all scaled to
     integers, which moves no sign."""
-    index = {p: k for k, p in enumerate(dict.fromkeys(p for chain in chains for p in chain), 1)}
+    index: dict[Point3, int] = {}
+    ids = [[index.setdefault(p, len(index) + 1) for p in chain] for chain in chains]
     m = lcm(*(c.denominator for p in index for c in p.coords()))  # 1 on ints
     points = [p.scale(m) for p in (apex, *index)] if m > 1 else [apex, *index]
-    ids = [[index[p] for p in chain] for chain in chains]
-    rows = [0] * len(chains)
-    for e, chain in enumerate(ids):
-        for u, v in zip(chain, chain[1:]):
-            side_of: dict[int, int] = {}
-            for f in disjoint[e]:
-                rows[e] ^= _cone_passes(points, u, v, ids[f], side_of) << f
+    ax, ay, az = points[0].coords()
+    rel = [(x - ax, y - ay, z - az) for x, y, z in (p.coords() for p in points)]
+    # the sides of chain f as `_cone_passes` reads them, with bit 1 << f
+    lines = [[(1 << f, p, q, px, py, pz, qx, qy, qz, py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
+              for p, q in zip(chain, chain[1:]) for (px, py, pz), (qx, qy, qz) in [(rel[p], rel[q])]]
+             for f, chain in enumerate(ids)]
+    rows = []
+    for chain, fs in zip(ids, disjoint):
+        sides = [side for f in fs for side in lines[f]]
+        rows.append(reduce(xor, [_cone_passes(points, rel, u, v, sides) for u, v in zip(chain, chain[1:])], 0))
     return rows
 
 
 def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
     """Mod-2 linking number of disjoint closed polygons: the parity of the
     passes of `b` through the cone triangles from the apex over the sides
-    of `a`, for any apex (see the module docstring)."""
+    of `a`, for any apex (see the module docstring): bit 1 of row 0 of the
+    cone-crossing matrix of the two rings."""
     if not a.closed or not b.closed:
         raise ValueError("linking is defined for closed polygons")
     if not polylines_disjoint(a, b):
         raise PolylinesNotDisjoint("the two polygons share a point")
-    points = (apex, *a.vertices, *b.vertices)
-    n, m = len(a.vertices), len(b.vertices)
-    ring = [*range(n + 1, n + m + 1), n + 1]
-    return sum(_cone_passes(points, 1 + i, 1 + (i + 1) % n, ring, {}) for i in range(n)) & 1
+    return _cone_matrix(apex, [[*a.vertices, a.vertices[0]], [*b.vertices, b.vertices[0]]], [[1], []])[0] >> 1
 
 
 def linking_mod2_sampled(a: SpatialPolyline, b: SpatialPolyline, rng: SplitMix64) -> int:

@@ -3,7 +3,7 @@ package proves another way, so it lives here rather than in the library."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 from intrinsiclinks import invariants
 from intrinsiclinks.errors import DrawingNotGeneral, GeneralPositionViolation, SearchExhausted
@@ -23,6 +23,7 @@ from intrinsiclinks.geometry import (
     meet_segments3,
     orient2d,
     orient3d,
+    orient3d_sos,
     point_on_segment3,
     seg_hits_solid_triangle,
 )
@@ -34,7 +35,6 @@ from intrinsiclinks.graphs import (
     PLEmbedding,
     Violation,
     _side_table,
-    canonical_cycle_order,
     complete_graph,
     cycle_route,
     make_cycle,
@@ -527,6 +527,15 @@ def scan_drawing_reference(d: PlanarDrawing):
     return tuple(out), tuple(crossings)
 
 
+def canonical_cycle_order(seq) -> tuple[str, ...]:
+    """The canonical order of `Cycle`: the least name first, then the lesser
+    of its two neighbours."""
+    seq = tuple(seq)
+    start = seq.index(min(seq))
+    rotated = seq[start:] + seq[:start]
+    return rotated if rotated[1] <= rotated[-1] else rotated[:1] + rotated[:0:-1]
+
+
 def enumerate_cycles_reference(g, length: int) -> tuple[Cycle, ...]:
     """`enumerate_cycles` by brute force: every vertex subset of the length,
     its first vertex fixed and the others tried in every order."""
@@ -565,3 +574,48 @@ def oracle_reference(emb: PLEmbedding, len1: int, len2: int, seed: int = 0) -> O
         (c1, c2) for c1, c2 in pairs if linking_mod2_sampled(cycle_route(sm, c1), cycle_route(sm, c2), rng)
     )
     return OracleResult(len(linked), linked, len(pairs))
+
+
+def cone_passes_reference(points, u: int, v: int, chain, side_of: dict) -> int:
+    """`linking._cone_passes` by `orient3d_sos` alone: the parity of the
+    passes of the broken line through the points indexed by `chain` through
+    the cone triangle (points[0], points[u], points[v]), by the five signs
+    of `seg_hits_solid_triangle`, each taken by `orient3d_sos` on `points`.
+    `side_of` keeps the sides of the triangle's plane found so far."""
+    for p in chain:
+        if p not in side_of:
+            side_of[p] = orient3d_sos(points, 0, u, v, p)
+    passes = 0
+    for p, q in zip(chain, chain[1:]):
+        passes ^= side_of[p] != side_of[q] and (
+            orient3d_sos(points, p, q, 0, u) == orient3d_sos(points, p, q, u, v) == orient3d_sos(points, p, q, v, 0)
+        )
+    return passes
+
+
+def cone_matrix_reference(apex: Point3, chains, disjoint) -> list[int]:
+    """`linking._cone_matrix` on `cone_passes_reference`: bit f of row e,
+    for f in `disjoint[e]`, is the parity of the passes of chain f through
+    the cone triangles (apex, side of chain e), all signs taken on the apex
+    and then every distinct corner once, scaled to integers."""
+    index = {p: k for k, p in enumerate(dict.fromkeys(p for chain in chains for p in chain), 1)}
+    m = lcm(*(c.denominator for p in index for c in p.coords()))
+    points = [p.scale(m) for p in (apex, *index)] if m > 1 else [apex, *index]
+    ids = [[index[p] for p in chain] for chain in chains]
+    rows = [0] * len(chains)
+    for e, chain in enumerate(ids):
+        for u, v in zip(chain, chain[1:]):
+            side_of: dict[int, int] = {}
+            for f in disjoint[e]:
+                rows[e] ^= cone_passes_reference(points, u, v, ids[f], side_of) << f
+    return rows
+
+
+def linking_mod2_cone_reference(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> int:
+    """`linking.linking_mod2_cone` on `cone_passes_reference`, for closed
+    polygons already known to be disjoint: the signs are taken on the apex,
+    then a's corners, then b's."""
+    points = (apex, *a.vertices, *b.vertices)
+    n, m = len(a.vertices), len(b.vertices)
+    ring = [*range(n + 1, n + m + 1), n + 1]
+    return sum(cone_passes_reference(points, 1 + i, 1 + (i + 1) % n, ring, {}) for i in range(n)) & 1

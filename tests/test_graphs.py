@@ -42,6 +42,8 @@ from intrinsiclinks.instances import (
     gen_k5_drawing,
     gen_k6_pl_subdivided,
     gen_k33_drawing,
+    gen_k44_linear,
+    gen_polygon_pair,
     move_vertex_star,
 )
 from intrinsiclinks.linking import SpatialPolyline
@@ -212,6 +214,13 @@ class TestEnumerationMatchesReference:
         # "v10" sorts before "v2" and "v9": canonical forms follow the names
         names = ["v10", "v2", "v9", "v1", "v11", "v3", "v20"]
         self.check(make_graph(names, combinations(names, 2)), range(3, 8), [(3, 3), (3, 4), (4, 3)])
+
+    def test_names_listed_in_reverse(self):
+        # the walk runs on name ranks, which here reverse the index order
+        names = [f"v{i}" for i in range(12, 5, -1)]
+        self.check(make_graph(names, combinations(names, 2)), range(3, 8), [(3, 3), (3, 4), (4, 3)])
+        left, right = names[:3], names[3:]
+        self.check(make_graph(names, [(u, v) for u in left for v in right]), (4, 6), [(4, 4)])
 
     @given(st.lists(st.integers(1, 30), min_size=3, max_size=9, unique=True), st.data())
     @settings(max_examples=60, deadline=None)
@@ -436,7 +445,16 @@ class TestSmoothOnePass:
         assert sm == ref
         assert list(sm.position) == list(ref.position)
         assert isinstance(sm, ValidEmbedding)
-        assert smooth(sm) == sm
+        assert smooth(sm) is sm
+
+    def test_nothing_to_absorb_returns_the_validated_input(self):
+        # K6 and K4,4 have no degree-2 vertex, and a triangle keeps its three
+        for emb in (require_valid(make_embedding(K6, moment_positions(6))), gen_k44_linear(3), gen_polygon_pair(3)):
+            assert smooth(emb) is emb
+        raw = make_embedding(K6, moment_positions(6))
+        sm = smooth(raw)
+        assert isinstance(sm, ValidEmbedding) and sm == raw and sm is not raw
+        assert sm.position is not raw.position and sm.route is not raw.route
 
     def test_builds_core_graph_and_each_merged_route_once(self, monkeypatch):
         counts = {"make_graph": 0, "through": 0}

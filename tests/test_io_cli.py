@@ -128,6 +128,13 @@ class TestGenerators:
             with pytest.raises(ValueError, match="bound must be positive"):
                 generate("k6-points", bound=bound)
 
+    def test_bend_drawing_can_leave_every_route_straight(self):
+        # the one chosen edge's jittered midpoint lands on the edge's line
+        d = gen_k33_drawing(202, bound=20)
+        bent = bend_drawing(d, 202, bound=20)
+        assert all(len(bent.route[e].vertices) == 2 for e in bent.graph.edges)
+        assert bent == d
+
     def test_exhaustion(self, monkeypatch):
         monkeypatch.setattr(instances, "CANDIDATE_TRIES", 3)
         with pytest.raises(SearchExhausted):
@@ -487,6 +494,24 @@ class TestCli:
         doc = json.loads(out.out)
         assert doc["total_pairs"] == 1
         assert doc["count"] in (0, 1)
+
+    # sha256 of the stdout of `oracle --cycles L1,L2` on straight complete
+    # graphs on the moment curve, with the number of linked pairs
+    ORACLE_GOLDENS = {
+        (20, "3,3"): (38760, "98323f2482ebaa0f296ec2bf55afb1fdd8608802d2c581e9288ff5512c41cf85"),
+        (9, "3,4"): (504, "275bd7f3253f5b5e07b3f5726814afd12b1d8428a4c4203cfb48bd14ff017104"),
+    }
+
+    @pytest.mark.parametrize("n, cycles", sorted(ORACLE_GOLDENS))
+    def test_oracle_report_golden(self, n, cycles, tmp_path, capsys):
+        g = complete_graph(n)
+        path = tmp_path / f"k{n}.json"
+        path.write_bytes(emit_instance(make_embedding(g, {v: Point3(i, i * i, i**3) for i, v in enumerate(g.vertices, 1)})))
+        code, out = self.run("oracle", str(path), "--cycles", cycles, capsys=capsys)
+        assert code == 0
+        count, digest = self.ORACLE_GOLDENS[n, cycles]
+        assert json.loads(out.out)["count"] == count
+        assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
     def test_oracle_bad_cycles_flag(self, tmp_path, capsys):
         path = tmp_path / "pp.json"

@@ -11,7 +11,7 @@ from intrinsiclinks.errors import (
     GeneralPositionViolation,
     PolylinesNotDisjoint,
 )
-from intrinsiclinks import geometry
+from intrinsiclinks import geometry, linking
 from intrinsiclinks.geometry import (
     Point2,
     Point3,
@@ -25,6 +25,7 @@ from intrinsiclinks.geometry import (
 )
 from intrinsiclinks.linking import (
     SpatialPolyline,
+    _cone_matrix,
     linking_mod2_cone,
     linking_mod2_sampled,
     polylines_disjoint,
@@ -36,7 +37,14 @@ from intrinsiclinks.invariants import oracle_count_linked_pairs
 from intrinsiclinks.projection import find_general_projection, lk_from_diagram
 from intrinsiclinks.rng import SplitMix64
 
-from helpers import check_unique_higher_side, higher_central_reference, seeded_apexes, triangle_polygon
+from helpers import (
+    check_unique_higher_side,
+    cone_matrix_reference,
+    higher_central_reference,
+    linking_mod2_cone_reference,
+    seeded_apexes,
+    triangle_polygon,
+)
 
 coord = st.integers(min_value=-20, max_value=20)
 points3 = st.builds(Point3, coord, coord, coord)
@@ -409,6 +417,82 @@ class TestTwoRouteAgreement:
         bit = diagram_bit(pts, 0)
         assert linking_mod2_cone(p1, p2, apex) == bit
         assert linking_mod2_cone(p2, p1, apex) == bit
+
+
+HALF = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def tied_chains(draw, chains=(2, 4), corners=(2, 4)):
+    """An integer apex and broken lines on the half-integer grid centred on
+    it, with one tie forced: the apex on a corner, on the line of a side, or
+    in the plane of a side and a corner of the next line."""
+    apex = draw(grid_points3)
+    offset = st.tuples(HALF, HALF, HALF).map(lambda o: apex + Point3(*o))
+    lines = draw(st.lists(st.lists(offset, min_size=corners[0], max_size=corners[1]),
+                          min_size=chains[0], max_size=chains[1]))
+    e = draw(st.integers(0, len(lines) - 1))
+    k = draw(st.integers(0, len(lines[e]) - 2))
+    p, q = lines[e][k], lines[e][k + 1]
+    tie = draw(st.sampled_from(["corner", "line", "plane"]))
+    if tie == "corner":
+        lines[e][k] = apex
+    elif tie == "line":
+        lines[e][k + 1] = apex + (p - apex).scale(draw(st.sampled_from([-1, Fraction(1, 2), 2])))
+    else:
+        other = lines[(e + 1) % len(lines)]
+        other[draw(st.integers(0, len(other) - 1))] = apex + (p - apex).scale(draw(HALF)) + (q - apex).scale(draw(HALF))
+    assume(all(c[i] != c[i + 1] for c in lines for i in range(len(c) - 1)))
+    return apex, lines
+
+
+class TestConeKernelMatchesReference:
+    """The dot-product cone kernel against the all-`orient3d_sos` reference
+    on tied configurations, where some dot products are 0 and the kernel
+    must fall back to `orient3d_sos` with the same sign."""
+
+    @staticmethod
+    def count_fallbacks(monkeypatch) -> list:
+        calls = []
+        real = linking.orient3d_sos
+        monkeypatch.setattr(linking, "orient3d_sos", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_matrix_matches_reference(self, monkeypatch):
+        calls, fired = self.count_fallbacks(monkeypatch), []
+
+        @settings(max_examples=300, deadline=None)
+        @given(tied_chains())
+        def check(case):
+            apex, chains = case
+            disjoint = [[f for f, theirs in enumerate(chains) if f != e and set(mine).isdisjoint(theirs)]
+                        for e, mine in enumerate(chains)]
+            before = len(calls)
+            assert _cone_matrix(apex, chains, disjoint) == cone_matrix_reference(apex, chains, disjoint)
+            fired.append(len(calls) > before)
+
+        check()
+        assert sum(fired) >= len(fired) // 4
+
+    def test_linking_mod2_cone_matches_reference(self, monkeypatch):
+        calls, fired = self.count_fallbacks(monkeypatch), []
+
+        @settings(max_examples=200, deadline=None)
+        @given(tied_chains(chains=(2, 2), corners=(3, 5)))
+        def check(case):
+            apex, (first, second) = case
+            try:
+                a, b = (SpatialPolyline.through(c, closed=True) for c in (first, second))
+            except ValueError:
+                assume(False)
+            assume(polylines_disjoint(a, b))
+            before = len(calls)
+            assert linking_mod2_cone(a, b, apex) == linking_mod2_cone_reference(a, b, apex)
+            assert linking_mod2_cone(b, a, apex) == linking_mod2_cone_reference(b, a, apex)
+            fired.append(len(calls) > before)
+
+        check()
+        assert sum(fired) >= len(fired) // 4
 
 
 class TestLinkingMod2Sampled:
