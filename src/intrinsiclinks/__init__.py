@@ -30,8 +30,6 @@ from .geometry import (
     OVERLAP,
     Point2,
     Point3,
-    Segment2,
-    Segment3,
     Triangle3,
     gp_points2,
     gp_points3,

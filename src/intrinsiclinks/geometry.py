@@ -222,25 +222,6 @@ def is_zero3(u: Point3) -> bool:
     return u.x == 0 and u.y == 0 and u.z == 0
 
 
-class _Segment(_Record):
-    """A segment between two distinct points; equal only to a segment of
-    the same class."""
-
-    def __init__(self, p: _Record, q: _Record):
-        if p == q:
-            raise ValueError("degenerate segment: endpoints coincide")
-        _set(self, "p", p)
-        _set(self, "q", q)
-
-
-class Segment2(_Segment):
-    """A segment in the plane, between two Point2."""
-
-
-class Segment3(_Segment):
-    """A segment in space, between two Point3."""
-
-
 class Triangle3(_Record):
     def __init__(self, a: Point3, b: Point3, c: Point3):
         if a == b or b == c or a == c:
@@ -254,12 +235,9 @@ class Triangle3(_Record):
     def vertices(self) -> tuple[Point3, Point3, Point3]:
         return (self.a, self.b, self.c)
 
-    def sides(self) -> tuple[Segment3, Segment3, Segment3]:
-        return (
-            Segment3(self.a, self.b),
-            Segment3(self.b, self.c),
-            Segment3(self.c, self.a),
-        )
+    def sides(self) -> tuple[tuple[Point3, Point3], ...]:
+        """The three sides as point pairs (a, b), (b, c), (c, a)."""
+        return ((self.a, self.b), (self.b, self.c), (self.c, self.a))
 
 
 def _sign(value) -> int:
@@ -364,13 +342,13 @@ def gp_points3(points: Sequence[Point3]) -> bool:
     return all(orient3d(a, b, c, d) != 0 for a, b, c, d in combinations(points, 4))
 
 
-def point_on_segment3(p: Point3, s: Segment3) -> bool:
-    """Closed membership: p lies on segment s, endpoints included.
+def point_on_segment3(p: Point3, s: tuple[Point3, Point3]) -> bool:
+    """Closed membership: p lies on the segment s = (a, b), endpoints included.
 
-    With d = s.q - s.p and e = p - s.p: cross3(d, e) is zero and
+    With d = b - a and e = p - a: cross3(d, e) is zero and
     0 <= dot3(e, d) <= dot3(d, d), written out on the coordinates so that
     no intermediate point is built."""
-    a, b = s.p, s.q
+    a, b = s
     dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
     ex, ey, ez = p.x - a.x, p.y - a.y, p.z - a.z
     if dy * ez != dz * ey or dz * ex != dx * ez or dx * ey != dy * ex:
@@ -435,8 +413,8 @@ def key_point(key: tuple[int, int, int]) -> Point2:
     return Point2(Fraction(x, d), Fraction(y, d))
 
 
-def seg_hits_solid_triangle(s: Segment3, t: Triangle3):
-    """Count |s .. conv(t)| for a segment vs a solid (filled, flat) triangle.
+def seg_hits_solid_triangle(s: tuple[Point3, Point3], t: Triangle3):
+    """Count |s .. conv(t)| for a segment s = (p, q) vs a solid (filled, flat) triangle.
 
     Returns 0 or 1 when the intersection is empty or a single transversal
     point interior to both the segment and the triangle.  Returns
@@ -445,18 +423,19 @@ def seg_hits_solid_triangle(s: Segment3, t: Triangle3):
     falls on the triangle's boundary.  When the five points involved are in
     general position the result is always 0 or 1.
     """
+    p, q = s
     a, b, c = t.a, t.b, t.c
-    sp = orient3d(a, b, c, s.p)
-    sq = orient3d(a, b, c, s.q)
+    sp = orient3d(a, b, c, p)
+    sq = orient3d(a, b, c, q)
     if sp == 0 or sq == 0:
         return NON_GENERIC
     if sp == sq:
         return 0
-    o1 = orient3d(s.p, s.q, a, b)
-    o2 = orient3d(s.p, s.q, b, c)
+    o1 = orient3d(p, q, a, b)
+    o2 = orient3d(p, q, b, c)
     if o1 != 0 and o2 != 0 and o1 != o2:
         return 0
-    o3 = orient3d(s.p, s.q, c, a)
+    o3 = orient3d(p, q, c, a)
     if 1 in (o1, o2, o3) and -1 in (o1, o2, o3):
         return 0  # beyond the line of a side, even if on the line of another
     if o1 == 0 or o2 == 0 or o3 == 0:
@@ -464,16 +443,16 @@ def seg_hits_solid_triangle(s: Segment3, t: Triangle3):
     return 1
 
 
-def meet_segments3(s: Segment3, t: Segment3):
-    """Decide whether two closed segments in space meet.
+def meet_segments3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
+    """Decide whether two closed segments in space, each a point pair, meet.
 
     Returns False when disjoint, True when they meet in exactly one point
     (any kind of contact: crossing, endpoint touch, T shape), and OVERLAP
     when they are collinear with a common sub-segment.  Decided by integer
     or rational signs alone; the common point is never built.
     """
-    p1, q1 = s.p, s.q
-    p2, q2 = t.p, t.q
+    p1, q1 = s
+    p2, q2 = t
     if orient3d(p1, q1, p2, q2) != 0:
         return False  # skew lines share no point
     d1 = q1 - p1

@@ -22,7 +22,6 @@ from .geometry import (
     OVERLAP,
     Point2,
     Point3,
-    Segment2,
     _Record,
     _meet2,
     _set,
@@ -402,7 +401,7 @@ def _side_table(obj: _Placement) -> tuple[list[Violation], list[EdgeKey], list[t
     their sweeps read.  Checks that the vertex positions are distinct and
     that each edge has one open route joining its endpoints.  Returns the
     violations, the edges whose routes the sweeps can use, every side of
-    those routes as (edge, index, segment, ends, coordinates) in edge order,
+    those routes as (edge, index, (p, q), ends, coordinates) in edge order,
     and the closed box of each side.  `ends` is the bitmask, by vertex
     index, of the edge's endpoints at which the side is the route's
     terminal side: the route starts at the vertex's position, or ends there
@@ -489,8 +488,8 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
             # terminal sides at a shared vertex meet there, and elsewhere
             # only if they leave it along one ray
             p = pos[g.vertices[(ends1 & ends2).bit_length() - 1]]
-            u = s1.q if s1.p == p else s1.p
-            w = s2.q if s2.p == p else s2.p
+            u = s1[1] if s1[0] == p else s1[0]
+            w = s2[1] if s2[0] == p else s2[0]
             if not (collinear3(p, u, w) and dot3(u - p, w - p) > 0):
                 continue
             m = OVERLAP
@@ -593,8 +592,6 @@ def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:
 class PlanarPolyline(_Polyline):
     """A broken line in the plane.  Unlike its spatial counterpart it may
     cross itself: drawings represent maps, not embeddings."""
-
-    _segment = Segment2
 
     @staticmethod
     def _straight(u: Point2, v: Point2, w: Point2) -> bool:

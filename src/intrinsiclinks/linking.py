@@ -41,7 +41,6 @@ from operator import xor
 from .errors import GeneralPositionViolation, PolylinesNotDisjoint
 from .geometry import (
     Point3,
-    Segment3,
     Triangle3,
     _Record,
     _set,
@@ -60,9 +59,10 @@ class _Polyline(_Record):
     Invariants enforced at construction: at least 2 vertices (3 when
     closed), consecutive vertices distinct, a closed polyline not repeating
     its first vertex, and every vertex a genuine corner (no straight run
-    through it; for closed polylines this wraps around).  The sides are
-    built once.  Subclasses name their segment class and their straightness
-    test; `through` builds one from raw points.
+    through it; for closed polylines this wraps around).  The sides, the
+    pairs (p, q) of consecutive vertices with a closed polyline's last
+    vertex followed by its first, are built once.  Subclasses name their
+    straightness test; `through` builds one from raw points.
     """
 
     def __init__(self, vertices, closed: bool = False):
@@ -78,12 +78,10 @@ class _Polyline(_Record):
         for i in range(n) if closed else range(1, n - 1):
             if self._straight(vertices[i - 1], vertices[i], vertices[(i + 1) % n]):
                 raise ValueError(f"straight-through vertex at index {i}")
-        sides = [self._segment(vertices[i], vertices[i + 1]) for i in range(n - 1)]
-        if closed:
-            sides.append(self._segment(vertices[-1], vertices[0]))
         _set(self, "vertices", vertices)
         _set(self, "closed", closed)
-        _set(self, "_sides", tuple(sides))
+        ends = vertices[1:] + vertices[:1] if closed else vertices[1:]
+        _set(self, "_sides", tuple(zip(vertices, ends)))
 
     def sides(self) -> tuple:
         return self._sides
@@ -113,8 +111,6 @@ class _Polyline(_Record):
 class SpatialPolyline(_Polyline):
     """A broken line in space, which must not intersect itself;
     `SpatialPolyline.through(points[, closed=True])` builds one from raw points."""
-
-    _segment = Segment3
 
     @staticmethod
     def _straight(u: Point3, v: Point3, w: Point3) -> bool:

@@ -136,21 +136,21 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
 
     labeled = []
     for c in drawing.crossings:
-        s1 = emb.route[c.edge1].sides()[c.side1]
-        s2 = emb.route[c.edge2].sides()[c.side2]
-        t1 = drawing.route[c.edge1].sides()[c.side1]
-        t2 = drawing.route[c.edge2].sides()[c.side2]
+        p1, q1 = emb.route[c.edge1].sides()[c.side1]
+        p2, q2 = emb.route[c.edge2].sides()[c.side2]
+        r1, s1 = drawing.route[c.edge1].sides()[c.side1]
+        r2, s2 = drawing.route[c.edge2].sides()[c.side2]
         # (e1, e2, d) is positively oriented, so with a, b the spatial side
         # directions, sign det[a; b; d] = sign cross2(shadow a, shadow b) =
         # `turn`; and p2 - p1 = t a - u b + lam d at the crossing, with
         # lam > 0 exactly when strand 2 is higher, so `det` = -sign(lam) turn:
         # strand 1 is in front exactly when det == turn
-        det = orient3d(s1.p, s1.q, s2.p, s2.q)
+        det = orient3d(p1, q1, p2, q2)
         if det == 0:
             raise InternalParityFailure(
                 "two strands of a valid embedding project to equal heights"
             )
-        turn = orient2d(t1.p, t1.q, t1.p + (t2.q - t2.p))
+        turn = orient2d(r1, s1, r1 + (s2 - r2))
         upper = c.edge1 if det == turn else c.edge2
         labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
     return ProjectedDiagram(d, drawing, tuple(labeled))

@@ -11,7 +11,6 @@ from intrinsiclinks.geometry import (
     OVERLAP,
     Point2,
     Point3,
-    Segment3,
     Triangle3,
     NON_GENERIC,
     _meet2,
@@ -60,30 +59,32 @@ def dot2(u: Point2, v: Point2):
 
 
 def point_on_segment2(p: Point2, s) -> bool:
-    """Closed membership: p lies on segment s, endpoints included."""
-    if orient2d(s.p, s.q, p) != 0:
+    """Closed membership: p lies on the segment s = (a, b), endpoints included."""
+    a, b = s
+    if orient2d(a, b, p) != 0:
         return False
     return (
-        min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
-        and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y)
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
     )
 
 
 def seg_intersect2(s, t):
-    """The package's segment intersection predicate, `geometry._meet2`, on two `Segment2`."""
-    return _meet2(*s.p.coords(), *s.q.coords(), *t.p.coords(), *t.q.coords())
+    """The package's segment intersection predicate, `geometry._meet2`, on two point pairs."""
+    (a, b), (c, d) = s, t
+    return _meet2(*a.coords(), *b.coords(), *c.coords(), *d.coords())
 
 
-def higher_central_reference(o: Point3, a: Segment3, b: Segment3) -> bool:
+def higher_central_reference(o: Point3, a: tuple[Point3, Point3], b: tuple[Point3, Point3]) -> bool:
     """Does segment `a` pass in front of segment `b` as seen from `o`, that
     is, does some ray from `o` meet `a` strictly before `b`?  Decided as: `a`
     crosses the interior of the solid triangle spanned by `o` and `b`, after
     checking the five points in general position, which makes the sighting
     unambiguous.  The linear finder counts the same crossings without the
     check, which it makes once for all six points."""
-    if not gp_points3([o, a.p, a.q, b.p, b.q]):
+    if not gp_points3([o, *a, *b]):
         raise GeneralPositionViolation("viewpoint and segment endpoints are not in general position")
-    return seg_hits_solid_triangle(a, Triangle3(o, b.p, b.q)) == 1
+    return seg_hits_solid_triangle(a, Triangle3(o, *b)) == 1
 
 
 def linear_analysis_reference(points, seed: int):
@@ -103,8 +104,8 @@ def linear_analysis_reference(points, seed: int):
         if names[top] in (u, v):
             continue
         rest = [w for w in names if w not in (names[top], u, v)]
-        base = Segment3(by_name[u], by_name[v])
-        far = [Segment3(by_name[x], by_name[y]) for x, y in combinations(rest, 2)]
+        base = (by_name[u], by_name[v])
+        far = [(by_name[x], by_name[y]) for x, y in combinations(rest, 2)]
         bit = sum(higher_central_reference(pts[top], s, base) for s in far) % 2
         entries.append((f"lk({'-'.join(rest)} | {u}-{v})", bit))
         if bit:
@@ -113,7 +114,7 @@ def linear_analysis_reference(points, seed: int):
     return tuple(entries), LinkReport(make_cycle(k6, far), make_cycle(k6, near), 1, "linear-central")
 
 
-def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Triangle3) -> bool:
+def check_unique_higher_side(apex_triangle: Triangle3, e: tuple[Point3, Point3], other: Triangle3) -> bool:
     """From the vertex of `apex_triangle` opposite side `e`, is exactly one
     side of `other` in front of `e`?
 
@@ -122,9 +123,9 @@ def check_unique_higher_side(apex_triangle: Triangle3, e: Segment3, other: Trian
     the points where `other` crosses conv(apex_triangle).
     """
     verts = set(apex_triangle.vertices())
-    if e.p not in verts or e.q not in verts:
+    if not verts.issuperset(e):
         raise ValueError("e must be a side of apex_triangle")
-    rest = [v for v in apex_triangle.vertices() if v not in (e.p, e.q)]
+    rest = [v for v in apex_triangle.vertices() if v not in e]
     if len(rest) != 1:
         raise ValueError("e must span exactly two vertices of apex_triangle")
     apex = rest[0]
@@ -267,8 +268,8 @@ def smooth_reference(emb: PLEmbedding) -> PLEmbedding:
 
 
 def segment_param(s, p) -> Fraction:
-    """The parameter t with p = s.p + t (s.q - s.p), for p on the line of s."""
-    a, b, c = next(abc for abc in zip(s.p.coords(), s.q.coords(), p.coords()) if abc[0] != abc[1])
+    """The parameter t with p = a + t (b - a), for p on the line of s = (a, b)."""
+    a, b, c = next(abc for abc in zip(s[0].coords(), s[1].coords(), p.coords()) if abc[0] != abc[1])
     return Fraction(c - a, b - a)
 
 
@@ -284,18 +285,18 @@ def strand_height(
     projects to the crossing point `p`: the reference for the over/under
     sign of `project_orthogonal`."""
     u = segment_param(drawing.route[edge].sides()[side], p)
-    s3 = emb.route[edge].sides()[side]
-    q3 = s3.p + (s3.q - s3.p).scale(u)
+    a, b = emb.route[edge].sides()[side]
+    q3 = a + (b - a).scale(u)
     return dot3(q3, d)
 
 
-def meet_point3(s: Segment3, t: Segment3):
+def meet_point3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
     """The common point of two closed segments in space: None when
     disjoint, the single common Point3, or OVERLAP for a common
     sub-segment.  The reference for `meet_segments3`, which builds no
     point."""
-    p1, q1 = s.p, s.q
-    p2, q2 = t.p, t.q
+    p1, q1 = s
+    p2, q2 = t
     if orient3d(p1, q1, p2, q2) != 0:
         return None
     d1 = q1 - p1
@@ -405,8 +406,8 @@ def validate_embedding_reference(emb: PLEmbedding) -> tuple:
 def seg_intersect2_reference(s, t):
     """`geometry.seg_intersect2` with the crossing point built as a Point2
     through `Fraction` rather than keyed: the reference for its keys."""
-    a, b = s.p, s.q
-    c, d = t.p, t.q
+    a, b = s
+    c, d = t
     d1 = orient2d(a, b, c)
     d2 = orient2d(a, b, d)
     d3 = orient2d(c, d, a)
@@ -431,8 +432,8 @@ def seg_intersect2_reference(s, t):
 def seg_intersect2_four_signs(s, t):
     """`geometry.seg_intersect2` with all four orientation signs taken before
     any is read: the reference for its early outs."""
-    a, b = s.p, s.q
-    c, d = t.p, t.q
+    a, b = s
+    c, d = t
     d1 = orient2d(a, b, c)
     d2 = orient2d(a, b, d)
     d3 = orient2d(c, d, a)
@@ -485,8 +486,8 @@ def scan_drawing_reference(d: PlanarDrawing):
             if isinstance(r, Point2):
                 crossings.append((e1, i1, e2, i2, r))
                 continue
-            ends1 = {s1.p, s1.q}
-            ends2 = {s2.p, s2.q}
+            ends1 = set(s1)
+            ends2 = set(s2)
             common = ends1 & ends2
             if len(common) == 2:
                 out.append(Violation("sides-identical", f"{e1}[{i1}] and {e2}[{i2}] coincide", (e1, e2, i1, i2)))

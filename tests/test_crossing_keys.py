@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from intrinsiclinks import invariants
 from intrinsiclinks.cli import main
-from intrinsiclinks.geometry import NON_GENERIC, Point2, Segment2
+from intrinsiclinks.geometry import NON_GENERIC, Point2
 from intrinsiclinks.graphs import (
     complete_graph,
     make_drawing,
@@ -42,7 +42,7 @@ def segments(coordinate):
 
 
 def assert_key_is_reference(a, b, c, d):
-    for s, t in ((Segment2(a, b), Segment2(c, d)), (Segment2(c, d), Segment2(b, a))):
+    for s, t in (((a, b), (c, d)), ((c, d), (b, a))):
         ref = seg_intersect2_reference(s, t)
         r = seg_intersect2(s, t)
         if isinstance(ref, Point2):
@@ -74,22 +74,22 @@ class TestKeyIsReducedPoint:
         assert_key_is_reference(*ps)
 
     def test_square_diagonals(self):
-        s = Segment2(Point2(0, 0), Point2(2, 2))
-        t = Segment2(Point2(0, 2), Point2(2, 0))
+        s = (Point2(0, 0), Point2(2, 2))
+        t = (Point2(0, 2), Point2(2, 0))
         assert seg_intersect2(s, t) == (1, 1, 1)
-        s = Segment2(Point2(0, 0), Point2(1, 1))
-        t = Segment2(Point2(0, 1), Point2(1, 0))
+        s = (Point2(0, 0), Point2(1, 1))
+        t = (Point2(0, 1), Point2(1, 0))
         assert seg_intersect2(s, t) == seg_intersect2(t, s) == (1, 1, 2)
-        assert seg_intersect2(s, Segment2(Point2(0, 0), Point2(1, 0))) is NON_GENERIC
+        assert seg_intersect2(s, (Point2(0, 0), Point2(1, 0))) is NON_GENERIC
 
 
 RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 DIRECTION = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda v: v != (0, 0))
 
 
-def through(p: Point2, v, before: Fraction, after: Fraction) -> Segment2:
+def through(p: Point2, v, before: Fraction, after: Fraction) -> tuple[Point2, Point2]:
     """The segment from p - before*v to p + after*v."""
-    return Segment2(
+    return (
         Point2(p.x - before * v[0], p.y - before * v[1]),
         Point2(p.x + after * v[0], p.y + after * v[1]),
     )
@@ -106,14 +106,14 @@ class TestOnePointOneKey:
         give unreduced triples of both signs of `den` and one key."""
         p = Point2(x, y)
         sides = [through(p, v, b, a) for v, b, a in lines]
-        sides += [Segment2(s.q, s.p) for s in sides]
+        sides += [(end, start) for start, end in sides]
         keys, dens = set(), set()
         for s in sides:
             for t in sides:
-                if cross2(s.q - s.p, t.q - t.p) == 0:
+                if cross2(s[1] - s[0], t[1] - t[0]) == 0:
                     continue  # parallel: the sides overlap or are one line
                 keys.add(seg_intersect2(s, t))
-                dens.add(cross2(s.q - s.p, t.q - t.p) > 0)
+                dens.add(cross2(s[1] - s[0], t[1] - t[0]) > 0)
         assume(keys)
         assert keys == {reference_key(p)}
         assert dens == {True, False}
@@ -121,7 +121,7 @@ class TestOnePointOneKey:
 
 def three_sides_drawing(sides):
     g = make_graph(["a1", "a2", "b1", "b2", "c1", "c2"], [("a1", "a2"), ("b1", "b2"), ("c1", "c2")])
-    ends = [x for s in sides for x in (s.p, s.q)]
+    ends = [x for s in sides for x in s]
     return make_drawing(g, dict(zip(g.vertices, ends)))
 
 
@@ -139,9 +139,9 @@ class TestTriplePoint:
 
     def test_check_output_at_a_half_integer_point(self, tmp_path, capsys):
         sides = [
-            Segment2(Point2(0, 0), Point2(1, 1)),
-            Segment2(Point2(0, 1), Point2(1, 0)),
-            Segment2(Point2(0, -1), Point2(1, 2)),
+            (Point2(0, 0), Point2(1, 1)),
+            (Point2(0, 1), Point2(1, 0)),
+            (Point2(0, -1), Point2(1, 2)),
         ]
         path = tmp_path / "triple.json"
         path.write_bytes(emit_instance(three_sides_drawing(sides)))

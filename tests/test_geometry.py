@@ -14,8 +14,6 @@ from intrinsiclinks.geometry import (
     OVERLAP,
     Point2,
     Point3,
-    Segment2,
-    Segment3,
     Triangle3,
     collinear3,
     cross3,
@@ -57,7 +55,7 @@ _NEAR = Point3(2**100, 2**100 + 3, 2**100 - 5)
 
 def _segment_pairs(point):
     ends = st.lists(point, min_size=2, max_size=2, unique=True)
-    return st.tuples(ends, ends).map(lambda pair: (Segment3(*pair[0]), Segment3(*pair[1])))
+    return st.tuples(ends, ends).map(lambda pair: (tuple(pair[0]), tuple(pair[1])))
 
 
 segment_pairs3 = st.one_of(
@@ -116,40 +114,21 @@ class TestPointContract:
         for poly in (SpatialPolyline.through([a, b, c]), SpatialPolyline.through([a, b, c], closed=True)):
             assert poly.sides() is poly.sides()
             v = poly.vertices
-            fresh = [Segment3(v[i], v[(i + 1) % len(v)]) for i in range(len(poly.sides()))]
+            fresh = [(v[i], v[(i + 1) % len(v)]) for i in range(len(poly.sides()))]
             assert poly.sides() == tuple(fresh)
         flat = PlanarPolyline.through([Point2(0, 0), Point2(2, 0), Point2(2, 2)], closed=True)
         assert flat.sides() is flat.sides()
         assert flat.sides() == (
-            Segment2(Point2(0, 0), Point2(2, 0)),
-            Segment2(Point2(2, 0), Point2(2, 2)),
-            Segment2(Point2(2, 2), Point2(0, 0)),
+            (Point2(0, 0), Point2(2, 0)),
+            (Point2(2, 0), Point2(2, 2)),
+            (Point2(2, 2), Point2(0, 0)),
         )
-
-
-class TestSegmentContract:
-    def test_segment2_never_equals_segment3(self):
-        # points of different classes never compare equal, so nor do their segments
-        s2 = Segment2(Point2(0, 0), Point2(1, 2))
-        s3 = Segment3(Point3(0, 0, 0), Point3(1, 2, 0))
-        assert s2 != s3 and s3 != s2
-        # the class decides even over the same endpoints
-        assert Segment2(s2.p, s2.q) != Segment3(s2.p, s2.q)
-        assert s2 == Segment2(Point2(0, 0), Point2(1, 2))
-        assert hash(s2) == hash(Segment2(Point2(0, 0), Point2(1, 2)))
-
-    def test_repr_names_the_class(self):
-        assert repr(Segment2(Point2(0, 0), Point2(1, 2))) == "Segment2(p=Point2(x=0, y=0), q=Point2(x=1, y=2))"
-        assert repr(Segment3(Point3(0, 0, 0), Point3(1, 2, 3))).startswith("Segment3(p=Point3(")
-
-    def test_degenerate_rejected(self):
-        for segment, p in ((Segment2, Point2(1, 1)), (Segment3, Point3(1, 1, 1))):
-            with pytest.raises(ValueError, match="endpoints coincide"):
-                segment(p, p)
+        assert Triangle3(a, b, c).sides() == ((a, b), (b, c), (c, a))
 
 
 def _on_segment_by_definition(p, s):
-    d, e = s.q - s.p, p - s.p
+    a, b = s
+    d, e = b - a, p - a
     return is_zero3(cross3(d, e)) and 0 <= dot3(e, d) <= dot3(d, d)
 
 
@@ -166,7 +145,7 @@ def _check_on_segment(a, b, p, t, on_line):
         return
     if on_line:
         p = _on_line(a, b, t)
-    s = Segment3(a, b)
+    s = (a, b)
     assert point_on_segment3(p, s) == _on_segment_by_definition(p, s)
     if on_line:
         assert point_on_segment3(p, s) == (0 <= t <= 1)
@@ -202,7 +181,7 @@ class TestScalarOnSegment:
         _check_collinear(a, b, c, t, on_line)
 
     def test_no_point_is_built(self, monkeypatch):
-        s = Segment3(Point3(0, 0, 0), Point3(4, 2, Fraction(2, 3)))
+        s = (Point3(0, 0, 0), Point3(4, 2, Fraction(2, 3)))
         probes = [Point3(2, 1, Fraction(1, 3)), Point3(8, 4, Fraction(4, 3)), Point3(1, 1, 1)]
         built = []
         original = Point3.__init__
@@ -216,7 +195,7 @@ class TestScalarOnSegment:
         assert len(built) == 1
         built.clear()
         assert [point_on_segment3(p, s) for p in probes] == [True, False, False]
-        assert [collinear3(s.p, s.q, p) for p in probes] == [True, True, False]
+        assert [collinear3(*s, p) for p in probes] == [True, True, False]
         assert built == []
 
 
@@ -376,10 +355,10 @@ class TestOrient3dSoS:
 
 class TestSegmentParam:
     def test_planar_and_spatial(self):
-        assert segment_param(Segment2(Point2(1, 1), Point2(5, 3)), Point2(2, Fraction(3, 2))) == Fraction(1, 4)
-        assert segment_param(Segment3(Point3(0, 0, 0), Point3(0, 0, 3)), Point3(0, 0, 3)) == 1
+        assert segment_param((Point2(1, 1), Point2(5, 3)), Point2(2, Fraction(3, 2))) == Fraction(1, 4)
+        assert segment_param((Point3(0, 0, 0), Point3(0, 0, 3)), Point3(0, 0, 3)) == 1
         # a vertical side reads its parameter from y
-        assert segment_param(Segment2(Point2(2, 0), Point2(2, -4)), Point2(2, -1)) == Fraction(1, 4)
+        assert segment_param((Point2(2, 0), Point2(2, -4)), Point2(2, -1)) == Fraction(1, 4)
 
 
 class TestGeneralPosition:
@@ -413,33 +392,33 @@ class TestGeneralPosition:
 
 class TestSegIntersect2:
     def test_square_diagonals_cross_at_center(self):
-        s = Segment2(Point2(0, 0), Point2(2, 2))
-        t = Segment2(Point2(0, 2), Point2(2, 0))
+        s = (Point2(0, 0), Point2(2, 2))
+        t = (Point2(0, 2), Point2(2, 0))
         assert seg_intersect2(s, t) == (1, 1, 1)
 
     def test_parallel_sides_disjoint(self):
-        s = Segment2(Point2(0, 0), Point2(1, 0))
-        t = Segment2(Point2(0, 1), Point2(1, 1))
+        s = (Point2(0, 0), Point2(1, 0))
+        t = (Point2(0, 1), Point2(1, 1))
         assert seg_intersect2(s, t) is None
 
     def test_t_configuration_non_generic(self):
-        s = Segment2(Point2(0, 0), Point2(2, 0))
-        t = Segment2(Point2(1, 0), Point2(1, 1))
+        s = (Point2(0, 0), Point2(2, 0))
+        t = (Point2(1, 0), Point2(1, 1))
         assert seg_intersect2(s, t) is NON_GENERIC
 
     def test_shared_endpoint_non_generic(self):
-        s = Segment2(Point2(0, 0), Point2(1, 0))
-        t = Segment2(Point2(1, 0), Point2(1, 1))
+        s = (Point2(0, 0), Point2(1, 0))
+        t = (Point2(1, 0), Point2(1, 1))
         assert seg_intersect2(s, t) is NON_GENERIC
 
     def test_collinear_overlap_non_generic(self):
-        s = Segment2(Point2(0, 0), Point2(2, 0))
-        t = Segment2(Point2(1, 0), Point2(3, 0))
+        s = (Point2(0, 0), Point2(2, 0))
+        t = (Point2(1, 0), Point2(3, 0))
         assert seg_intersect2(s, t) is NON_GENERIC
 
     def test_collinear_disjoint_is_empty(self):
-        s = Segment2(Point2(0, 0), Point2(1, 0))
-        t = Segment2(Point2(2, 0), Point2(3, 0))
+        s = (Point2(0, 0), Point2(1, 0))
+        t = (Point2(2, 0), Point2(3, 0))
         assert seg_intersect2(s, t) is None
 
     @pytest.mark.parametrize("step", [(0, 1), (1, 1), (-2, 1)])
@@ -448,21 +427,17 @@ class TestSegIntersect2:
         # both coordinates: on a vertical line the x-range alone holds every end
         u = Point2(*step)
         a, b, c, d, e = (u.scale(k) for k in (0, 1, 2, 3, 4))
-        assert seg_intersect2(Segment2(a, b), Segment2(c, d)) is None
-        assert seg_intersect2(Segment2(d, c), Segment2(b, a)) is None
-        assert seg_intersect2(Segment2(a, c), Segment2(c, e)) is NON_GENERIC
-        assert seg_intersect2(Segment2(a, d), Segment2(c, e)) is NON_GENERIC
-
-    def test_degenerate_segment_rejected(self):
-        with pytest.raises(ValueError):
-            Segment2(Point2(1, 1), Point2(1, 1))
+        assert seg_intersect2((a, b), (c, d)) is None
+        assert seg_intersect2((d, c), (b, a)) is None
+        assert seg_intersect2((a, c), (c, e)) is NON_GENERIC
+        assert seg_intersect2((a, d), (c, e)) is NON_GENERIC
 
     @given(points2, points2, points2, points2)
     @settings(max_examples=200)
     def test_symmetry(self, a, b, c, d):
         if a == b or c == d:
             return
-        s, t = Segment2(a, b), Segment2(c, d)
+        s, t = (a, b), (c, d)
         assert seg_intersect2(s, t) == seg_intersect2(t, s)
 
     @given(points2, points2, points2, points2)
@@ -470,7 +445,7 @@ class TestSegIntersect2:
     def test_reported_point_lies_on_both(self, a, b, c, d):
         if a == b or c == d:
             return
-        s, t = Segment2(a, b), Segment2(c, d)
+        s, t = (a, b), (c, d)
         r = seg_intersect2(s, t)
         if isinstance(r, tuple):
             r = key_point(r)
@@ -484,7 +459,7 @@ class TestSegIntersect2:
         a, b, c, d = ends
         if a == b or c == d:
             return
-        for s, t in ((Segment2(a, b), Segment2(c, d)), (Segment2(c, d), Segment2(b, a))):
+        for s, t in (((a, b), (c, d)), ((c, d), (b, a))):
             assert seg_intersect2(s, t) == seg_intersect2_four_signs(s, t)
 
 
@@ -492,28 +467,28 @@ class TestSegHitsSolidTriangle:
     tri = Triangle3(Point3(0, 0, 0), Point3(3, 0, 0), Point3(0, 3, 0))
 
     def test_transversal_hit(self):
-        assert seg_hits_solid_triangle(Segment3(Point3(1, 1, -1), Point3(1, 1, 1)), self.tri) == 1
+        assert seg_hits_solid_triangle((Point3(1, 1, -1), Point3(1, 1, 1)), self.tri) == 1
 
     def test_miss_outside(self):
-        assert seg_hits_solid_triangle(Segment3(Point3(10, 10, -1), Point3(10, 10, 1)), self.tri) == 0
+        assert seg_hits_solid_triangle((Point3(10, 10, -1), Point3(10, 10, 1)), self.tri) == 0
 
     def test_same_side_miss(self):
-        assert seg_hits_solid_triangle(Segment3(Point3(1, 1, 1), Point3(1, 1, 5)), self.tri) == 0
+        assert seg_hits_solid_triangle((Point3(1, 1, 1), Point3(1, 1, 5)), self.tri) == 0
 
     def test_endpoint_in_plane_non_generic(self):
-        assert seg_hits_solid_triangle(Segment3(Point3(0, 0, 0), Point3(1, 1, 1)), self.tri) is NON_GENERIC
+        assert seg_hits_solid_triangle((Point3(0, 0, 0), Point3(1, 1, 1)), self.tri) is NON_GENERIC
 
     def test_through_boundary_non_generic(self):
         # pierces the plane exactly on side y = 0
-        assert seg_hits_solid_triangle(Segment3(Point3(1, 0, -1), Point3(1, 0, 1)), self.tri) is NON_GENERIC
+        assert seg_hits_solid_triangle((Point3(1, 0, -1), Point3(1, 0, 1)), self.tri) is NON_GENERIC
 
     def test_through_vertex_non_generic(self):
-        assert seg_hits_solid_triangle(Segment3(Point3(0, 0, -1), Point3(0, 0, 1)), self.tri) is NON_GENERIC
+        assert seg_hits_solid_triangle((Point3(0, 0, -1), Point3(0, 0, 1)), self.tri) is NON_GENERIC
 
     @pytest.mark.parametrize("x", [-1, 4])
     def test_through_a_side_line_outside_the_side_misses(self, x):
         # pierces the plane on the line y = 0 of one side, beyond its ends
-        s = Segment3(Point3(x, 0, -1), Point3(x, 0, 1))
+        s = (Point3(x, 0, -1), Point3(x, 0, 1))
         assert seg_hits_solid_triangle(s, self.tri) == 0
         a, b, c = self.tri.vertices()
         assert seg_hits_solid_triangle(s, Triangle3(a, c, b)) == 0
@@ -523,7 +498,7 @@ class TestSegHitsSolidTriangle:
     def test_general_position_is_decisive(self, a, b, c, p, q):
         if not gp_points3([a, b, c, p, q]):
             return
-        r = seg_hits_solid_triangle(Segment3(p, q), Triangle3(a, b, c))
+        r = seg_hits_solid_triangle((p, q), Triangle3(a, b, c))
         assert r in (0, 1)
 
     @given(points3, points3, points3, points3, points3)
@@ -536,39 +511,39 @@ class TestSegHitsSolidTriangle:
             t2 = Triangle3(a, c, b)
         except ValueError:
             return
-        s = Segment3(p, q)
+        s = (p, q)
         assert seg_hits_solid_triangle(s, t1) == seg_hits_solid_triangle(s, t2)
 
 
 class TestMeetSegments3:
     def test_skew_disjoint(self):
-        s = Segment3(Point3(0, 0, 0), Point3(1, 0, 0))
-        t = Segment3(Point3(0, 1, 1), Point3(1, 1, 2))
+        s = (Point3(0, 0, 0), Point3(1, 0, 0))
+        t = (Point3(0, 1, 1), Point3(1, 1, 2))
         assert meet_segments3(s, t) is False
 
     def test_coplanar_crossing(self):
-        s = Segment3(Point3(0, 0, 0), Point3(2, 2, 0))
-        t = Segment3(Point3(0, 2, 0), Point3(2, 0, 0))
+        s = (Point3(0, 0, 0), Point3(2, 2, 0))
+        t = (Point3(0, 2, 0), Point3(2, 0, 0))
         assert meet_segments3(s, t) is True
 
     def test_endpoint_touch(self):
-        s = Segment3(Point3(0, 0, 0), Point3(1, 1, 1))
-        t = Segment3(Point3(1, 1, 1), Point3(2, 0, 0))
+        s = (Point3(0, 0, 0), Point3(1, 1, 1))
+        t = (Point3(1, 1, 1), Point3(2, 0, 0))
         assert meet_segments3(s, t) is True
 
     def test_collinear_overlap(self):
-        s = Segment3(Point3(0, 0, 0), Point3(2, 0, 0))
-        t = Segment3(Point3(1, 0, 0), Point3(3, 0, 0))
+        s = (Point3(0, 0, 0), Point3(2, 0, 0))
+        t = (Point3(1, 0, 0), Point3(3, 0, 0))
         assert meet_segments3(s, t) is OVERLAP
 
     def test_collinear_point_touch(self):
-        s = Segment3(Point3(0, 0, 0), Point3(1, 0, 0))
-        t = Segment3(Point3(1, 0, 0), Point3(2, 0, 0))
+        s = (Point3(0, 0, 0), Point3(1, 0, 0))
+        t = (Point3(1, 0, 0), Point3(2, 0, 0))
         assert meet_segments3(s, t) is True
 
     def test_parallel_disjoint(self):
-        s = Segment3(Point3(0, 0, 0), Point3(1, 0, 0))
-        t = Segment3(Point3(0, 1, 0), Point3(1, 1, 0))
+        s = (Point3(0, 0, 0), Point3(1, 0, 0))
+        t = (Point3(0, 1, 0), Point3(1, 1, 0))
         assert meet_segments3(s, t) is False
 
     @given(points3, points3, points3, points3)
@@ -576,7 +551,7 @@ class TestMeetSegments3:
     def test_symmetry(self, a, b, c, d):
         if a == b or c == d:
             return
-        s, t = Segment3(a, b), Segment3(c, d)
+        s, t = (a, b), (c, d)
         r1, r2 = meet_segments3(s, t), meet_segments3(t, s)
         assert r1 == r2 or (r1 is OVERLAP and r2 is OVERLAP)
 

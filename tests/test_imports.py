@@ -6,6 +6,7 @@ are exempt from the import check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +97,60 @@ def test_no_test_only_code_in_the_package():
         if name not in intrinsiclinks.__all__ and name not in read
     ]
     assert found == []
+
+
+def orphan_definitions(src: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the package sources `src`
+    (path to text) that nothing uses outside their own definition.  A use
+    is a read of the name, bare or as an attribute.  A private name counts
+    uses in the package only, `__init__.py` aside; a public one also those
+    in `readers`, the tests and the benchmark (path to text)."""
+    trees = {path: ast.parse(text, filename=path) for path, text in src.items()}
+    # per module, the names each top-level statement reads
+    reads = {path: [read_names(node) for node in tree.body] for path, tree in trees.items()}
+    counted = {path: set().union(*per_node) for path, per_node in reads.items() if not path.endswith("__init__.py")}
+    outside = set().union(*(read_names(ast.parse(text, filename=path)) for path, text in readers.items()))
+    found = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in counted.items() if other != path))
+        statements_reading = Counter(name for names in reads[path] for name in names)
+        for node, names in zip(tree.body, reads[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            read_here = statements_reading[name] > (name in names)
+            read_outside = name in outside and not name.startswith("_")
+            if not (read_here or name in elsewhere or read_outside):
+                found.append(f"{path}:{node.lineno}: {name}")
+    return found
+
+
+def _texts(*dirs: str) -> dict[str, str]:
+    return {str(p.relative_to(ROOT)): p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def test_every_definition_is_used():
+    assert orphan_definitions(_texts("src"), _texts("tests", "perfbench")) == []
+
+
+def test_orphan_scan_reports_a_leftover_base_class():
+    # a segment base class whose subclasses are gone, read only by itself
+    src = _texts("src")
+    geometry = "src/intrinsiclinks/geometry.py"
+    src[geometry] += "\n\nclass _Segment(_Record):\n    def again(self):\n        return _Segment\n"
+    found = orphan_definitions(src, _texts("tests", "perfbench"))
+    assert [line.rpartition(": ")[2] for line in found] == ["_Segment"]
+
+
+def test_orphan_scan_counts_only_reads_outside_the_definition():
+    src = {
+        "pkg/a.py": "def f():\n    return f()\ndef _g(): pass\ndef h(): return _g\nclass C: pass\nclass D: pass\ndef _k(): pass\n",
+        "pkg/b.py": "import a\nx = a.h\n",
+        "pkg/__init__.py": "from .a import C, D\nE = D\n",
+    }
+    # f reads only itself, D is read only by __init__.py, and _k, being
+    # private, only by a test
+    assert orphan_definitions(src, {"tests/t.py": "C()\n_k()\n"}) == ["pkg/a.py:1: f", "pkg/a.py:6: D", "pkg/a.py:7: _k"]
 
 
 def test_scan_reports_an_unused_definition():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -14,7 +15,7 @@ import pytest
 import intrinsiclinks
 from intrinsiclinks import cli, instances, linking
 from intrinsiclinks.cli import main
-from intrinsiclinks.errors import EmbeddingInvalid, ParseError, SearchExhausted, ValidationError
+from intrinsiclinks.errors import EmbeddingInvalid, InternalParityFailure, ParseError, SearchExhausted, ValidationError
 from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     GenericDrawing,
@@ -41,7 +42,7 @@ from intrinsiclinks.instances import (
     move_vertex_star,
 )
 from intrinsiclinks.invariants import van_kampen_drawing, vk_invariance_probe
-from intrinsiclinks.projection import find_general_projection
+from intrinsiclinks.projection import find_general_projection, project_orthogonal
 from intrinsiclinks.rng import SplitMix64
 from intrinsiclinks.serialization import (
     emit_instance,
@@ -388,6 +389,34 @@ class TestSvg:
         with pytest.raises(ValidationError, match="extent does not fit a float"):
             render_svg(make_drawing(g, {"a": Point2(-10**308, 0), "b": Point2(10**308, 1)}))
 
+    # sha256 of the render of a smoothed subdivided K6 projected with seed s:
+    # its routes have several sides, so a strand taken up again after a gap
+    # runs on past a corner
+    MULTI_SIDE_GOLDENS = {
+        1: "a67fde14d491512f52ed82a235eb90ce7865bf470e954bc42ca7803da9276c56",
+        2: "33473835743ff6902293b2a3b040dc9358b112b3d6eb5ab7db002e726cdedc59",
+        3: "9def327cce2589d34f20918ca56de21836406749241847333718a4899fa7aa39",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(MULTI_SIDE_GOLDENS))
+    def test_multi_side_routes_golden(self, seed):
+        svg = render_svg(find_general_projection(smooth(gen_k6_pl_subdivided(seed)), seed))
+        assert hashlib.sha256(svg).hexdigest() == self.MULTI_SIDE_GOLDENS[seed]
+        gapped = [ln for ln in svg.decode().splitlines() if ln.startswith("<path") and ln.count("M ") > 1]
+        # a piece that runs on past a corner adds an L without an M
+        assert any(ln.count("L ") > ln.count("M ") for ln in gapped)
+
+    def test_side_wholly_inside_a_gap(self):
+        # the middle side of a-b, half a unit long, passes under c-d at its
+        # midpoint; the gap covers it, so the path moves past it
+        g = make_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        pos = {"a": Point3(0, 0, 0), "b": Point3(40, half, 0), "c": Point3(10, quarter, 1), "d": Point3(30, quarter, 1)}
+        emb = make_embedding(g, pos, {("a", "b"): [Point3(20, 0, 0), Point3(20, half, 0)]})
+        svg = render_svg(project_orthogonal(emb, Point3(0, 0, 1)))
+        assert '<path d="M 40 40 L 40 320 M 47 320 L 47 600"' in svg.decode()
+        assert hashlib.sha256(svg).hexdigest() == "f981bac38887fc0f99d2d585c4cfb06ee09aec69fc903443c0a97045b41afa45"
+
 
 class TestCli:
     def run(self, *argv, capsys=None):
@@ -512,6 +541,52 @@ class TestCli:
         count, digest = self.ORACLE_GOLDENS[n, cycles]
         assert json.loads(out.out)["count"] == count
         assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+    def test_internal_parity_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k6.json"
+        self.run("gen", "--kind", "k6-points", "--seed", "2", "-o", str(path), capsys=capsys)
+
+        def forced(*args, **kwargs):
+            raise InternalParityFailure("forced")
+
+        # an InternalParityFailure is an IntrinsicLinksError too, and must not exit 1
+        monkeypatch.setattr(cli, "find_linked_triangles_linear", forced)
+        code, out = self.run("find-linked", str(path), capsys=capsys)
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "internal parity failure: forced\n"
+
+    def test_find_linked_verify_on_points(self, tmp_path, capsys):
+        path = tmp_path / "k6.json"
+        self.run("gen", "--kind", "k6-points", "--seed", "2", "-o", str(path), capsys=capsys)
+        code, out = self.run("find-linked", str(path), "--verify", capsys=capsys)
+        assert code == 0
+        assert out.out == (
+            '{\n  "cycle1": [\n    "v4",\n    "v5",\n    "v6"\n  ],\n  "cycle2": [\n    "v1",\n    "v2",\n'
+            '    "v3"\n  ],\n  "lk_value": 1,\n  "method": "linear-central",\n  "oracle_confirmed": true,\n'
+            '  "seed": 0\n}\n'
+        )
+
+    def test_vankampen_points(self, tmp_path, capsys):
+        path = tmp_path / "points.json"
+        path.write_bytes(emit_instance(list(PENTAGON.values())))
+        code, out = self.run("vankampen", str(path), capsys=capsys)
+        assert (code, out.out, out.err) == (0, "1\n", "")
+        path.write_bytes(emit_instance(list(PENTAGON.values())[:4]))
+        code, out = self.run("vankampen", str(path), capsys=capsys)
+        assert (code, out.out, out.err) == (1, "", "error: need exactly 5 points\n")
+
+    def test_oracle_without_disjoint_pairs(self, tmp_path, capsys):
+        # two triangles of K5 always share a vertex
+        g = complete_graph(5)
+        path = tmp_path / "k5.json"
+        path.write_bytes(emit_instance(make_embedding(g, {v: Point3(i, i * i, i**3) for i, v in enumerate(g.vertices, 1)})))
+        code, out = self.run("oracle", str(path), "--cycles", "3,3", capsys=capsys)
+        assert code == 0
+        assert out.out == (
+            '{\n  "count": 0,\n  "cycle_lengths": [\n    3,\n    3\n  ],\n  "linked_pairs": [],\n'
+            '  "seed": 0,\n  "total_pairs": 0\n}\n'
+        )
 
     def test_oracle_bad_cycles_flag(self, tmp_path, capsys):
         path = tmp_path / "pp.json"
@@ -691,7 +766,7 @@ class TestPublicApi:
             "OVERLAP", "OracleResult", "PLEmbedding", "ParityLedger", "ParseError",
             "PlanarDrawing", "PlanarPolyline", "Point2", "Point3",
             "PolylinesNotDisjoint", "ProjectedDiagram", "ProjectionNotGeneral",
-            "SearchExhausted", "Segment2", "Segment3", "SpatialPolyline", "SplitMix64",
+            "SearchExhausted", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
             "complete_bipartite", "complete_graph",
             "cycle_route", "emit_instance", "enumerate_cycles",

@@ -15,7 +15,6 @@ from intrinsiclinks import geometry, linking
 from intrinsiclinks.geometry import (
     Point2,
     Point3,
-    Segment3,
     Triangle3,
     collinear3,
     gp_points3,
@@ -185,22 +184,22 @@ class TestHigherCentral:
 
     def test_front_segment_wins(self):
         o = Point3(0, 0, 10)
-        near = Segment3(Point3(-1, 1, 5), Point3(1, -1, 5))
-        far = Segment3(Point3(-1, -1, 1), Point3(1, 1, 1))
+        near = (Point3(-1, 1, 5), Point3(1, -1, 5))
+        far = (Point3(-1, -1, 1), Point3(1, 1, 1))
         assert higher_central_reference(o, near, far)
         assert not higher_central_reference(o, far, near)
 
     def test_no_common_ray(self):
         o = Point3(0, 0, 10)
-        a = Segment3(Point3(5, 5, 1), Point3(6, 7, 2))
-        b = Segment3(Point3(-5, -5, 1), Point3(-6, -7, 3))
+        a = (Point3(5, 5, 1), Point3(6, 7, 2))
+        b = (Point3(-5, -5, 1), Point3(-6, -7, 3))
         assert not higher_central_reference(o, a, b)
         assert not higher_central_reference(o, b, a)
 
     def test_degenerate_viewpoint_raises(self):
         o = Point3(0, 0, 0)
-        a = Segment3(Point3(1, 0, 0), Point3(0, 1, 0))
-        b = Segment3(Point3(2, 0, 0), Point3(0, 2, 0))  # coplanar with o and a
+        a = (Point3(1, 0, 0), Point3(0, 1, 0))
+        b = (Point3(2, 0, 0), Point3(0, 2, 0))  # coplanar with o and a
         with pytest.raises(GeneralPositionViolation):
             higher_central_reference(o, a, b)
 
@@ -209,8 +208,8 @@ class TestHigherCentral:
     def test_never_both_in_front(self, pts):
         assume(gp_points3(pts))
         o = pts[0]
-        a = Segment3(pts[1], pts[2])
-        b = Segment3(pts[3], pts[4])
+        a = (pts[1], pts[2])
+        b = (pts[3], pts[4])
         assert not (higher_central_reference(o, a, b) and higher_central_reference(o, b, a))
 
 
@@ -223,7 +222,7 @@ class TestUniqueHigherSide:
 
     def test_side_must_belong_to_triangle(self):
         with pytest.raises(ValueError):
-            check_unique_higher_side(LINKED_A, Segment3(Point3(9, 9, 9), Point3(8, 8, 7)), LINKED_B)
+            check_unique_higher_side(LINKED_A, (Point3(9, 9, 9), Point3(8, 8, 7)), LINKED_B)
 
     @given(st.lists(points3, min_size=6, max_size=6, unique=True))
     @settings(max_examples=100)
@@ -265,7 +264,7 @@ class TestApexGeneralPosition:
         # (0,0,0) is on b's vertical side, so the spoke from (-1,-1,0) to the
         # vertex (1,1,0) of a passes through b
         apex = Point3(-1, -1, 0)
-        assert point_on_segment3(Point3(0, 0, 0), Segment3(apex, Point3(1, 1, 0)))
+        assert point_on_segment3(Point3(0, 0, 0), (apex, Point3(1, 1, 0)))
         assert linking_mod2_cone(self.a, self.b, apex) == 1
 
     def test_vertex_of_b_on_cone_plane_counts_exactly(self):
@@ -358,7 +357,7 @@ class TestLinkingMod2Cone:
         for v in p1.vertices + p2.vertices:
             assert linking_mod2_cone(p1, p2, v) == bit1
         for s in p1.sides():
-            assert linking_mod2_cone(p1, p2, (s.p + s.q).scale(Fraction(1, 2))) == bit1
+            assert linking_mod2_cone(p1, p2, (s[0] + s[1]).scale(Fraction(1, 2))) == bit1
 
 
 TWO_TRIANGLES = make_graph(

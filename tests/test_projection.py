@@ -18,8 +18,6 @@ from intrinsiclinks.errors import (
 from intrinsiclinks.geometry import (
     Point2,
     Point3,
-    Segment2,
-    Segment3,
     dot3,
     gp_points2,
     gp_points3,
@@ -399,10 +397,10 @@ class TestProjectCentral:
         for (i, j), (k, l) in combinations(combinations(range(5), 2), 2):
             if {i, j} & {k, l}:
                 continue
-            s1 = Segment3(below[i], below[j])
-            s2 = Segment3(below[k], below[l])
-            im1 = Segment2(diag.drawing.position[names[i]], diag.drawing.position[names[j]])
-            im2 = Segment2(diag.drawing.position[names[k]], diag.drawing.position[names[l]])
+            s1 = (below[i], below[j])
+            s2 = (below[k], below[l])
+            im1 = (diag.drawing.position[names[i]], diag.drawing.position[names[j]])
+            im2 = (diag.drawing.position[names[k]], diag.drawing.position[names[l]])
             crosses = isinstance(seg_intersect2(im1, im2), tuple)
             front1 = higher_central_reference(apex, s1, s2)
             front2 = higher_central_reference(apex, s2, s1)

@@ -10,7 +10,7 @@ import pytest
 
 import intrinsiclinks
 from intrinsiclinks.errors import DrawingNotGeneral, EmbeddingInvalid
-from intrinsiclinks.geometry import Point2 as P2, Point3 as P3, Segment2, Segment3, Triangle3, _Record
+from intrinsiclinks.geometry import Point2 as P2, Point3 as P3, Triangle3, _Record
 from intrinsiclinks.graphs import (
     Crossing,
     Cycle,
@@ -46,14 +46,6 @@ C1_REPR, C2_REPR = "Cycle(vertices=('a', 'b', 'c'))", "Cycle(vertices=('d', 'e',
 #  a change its constructor rejects: (name, value, exception) or None,
 #  the repr the frozen dataclass gave)
 CASES = {
-    "Segment2": (
-        Segment2(P2(0, 0), P2(1, 2)), ("p", "q"), ("q", P2(3, 4)), ("q", P2(0, 0), ValueError),
-        "Segment2(p=Point2(x=0, y=0), q=Point2(x=1, y=2))",
-    ),
-    "Segment3": (
-        Segment3(P3(0, 0, 0), P3(1, 2, 3)), ("p", "q"), ("p", P3(1, 1, 1)), ("p", P3(1, 2, 3), ValueError),
-        "Segment3(p=Point3(x=0, y=0, z=0), q=Point3(x=1, y=2, z=3))",
-    ),
     "Triangle3": (
         Triangle3(P3(0, 0, 0), P3(1, 0, 0), P3(0, 1, 0)), ("a", "b", "c"),
         ("c", P3(0, 0, 1)), ("c", P3(2, 0, 0), ValueError),
@@ -208,7 +200,7 @@ def test_replace_rebuilds_derived_state():
     assert Cycle(("a", "b", "c")).replace(vertices=["c", "b", "a"]).vertices == ("c", "b", "a")
     assert not G.replace(edges=()).has_edge("a", "b")
     assert SpatialPolyline((P3(0, 0, 0), P3(1, 0, 0))).replace(closed=False).sides() == (
-        Segment3(P3(0, 0, 0), P3(1, 0, 0)),
+        (P3(0, 0, 0), P3(1, 0, 0)),
     )
     # a checked placement is checked again: the crossings are the sweep's
     crossed = require_generic(make_drawing(
