@@ -86,9 +86,6 @@ class Graph(_Record):
         except KeyError as ex:
             raise ValueError("({}, {}) is not an edge".format(*ex.args[0])) from None
 
-    def _cycle_mask(self, seq: Sequence[str]) -> int:
-        return self._edge_mask(zip(seq, seq[1:] + seq[:1]))
-
 
 def make_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> Graph:
     verts = tuple(vertices)
@@ -124,11 +121,14 @@ def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     or not connected."""
     if not g.vertices:
         raise ValueError("empty graph")
+    near: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        near[u].append(v)
+        near[v].append(u)
     color: dict[str, int] = {g.vertices[0]: 0}
     queue = [g.vertices[0]]
-    while queue:
-        v = queue.pop(0)
-        for w in g.neighbors(v):
+    for v in queue:  # breadth first: the queue grows behind the loop
+        for w in near[v]:
             if w not in color:
                 color[w] = 1 - color[v]
                 queue.append(w)
@@ -171,16 +171,22 @@ class Cycle(_Record):
         return len(self.vertices)
 
 
-def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
+def _cycle(g: Graph, seq: Sequence[str]) -> tuple[tuple[str, ...], int]:
+    """The cycle through `seq` as its canonical vertex order, that of
+    `Cycle`, and its edge bitmask."""
     seq = tuple(seq)
     if len(seq) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     if len(set(seq)) != len(seq):
         raise ValueError("cycle repeats a vertex")
-    g._cycle_mask(seq)  # ValueError at the first pair that is not an edge
+    mask = g._edge_mask(zip(seq, seq[1:] + seq[:1]))  # ValueError at the first pair that is not an edge
     start = seq.index(min(seq))
     seq = seq[start:] + seq[:start]
-    return Cycle(seq if seq[1] <= seq[-1] else seq[:1] + seq[:0:-1])
+    return (seq if seq[1] <= seq[-1] else seq[:1] + seq[:0:-1]), mask
+
+
+def make_cycle(g: Graph, seq: Sequence[str]) -> Cycle:
+    return Cycle(_cycle(g, seq)[0])
 
 
 # walks or candidate cycle pairs past which the enumerations below raise
@@ -332,6 +338,8 @@ class _Placement(_Record):
     def route_chain(self, u: str, v: str) -> tuple:
         """Route vertices oriented from u to v."""
         key = self.graph.edge_key(u, v)
+        if key not in self.graph._edge_bit:
+            raise ValueError(f"({u}, {v}) is not an edge")
         pts = self.route[key].vertices
         return pts if key[0] == u else tuple(reversed(pts))
 
@@ -561,17 +569,18 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
         for a, b in ((u, x), (x, u)):
             adj[a].remove(w)
             adj[a].add(b)
-        chain[u, x] = chain.pop((u, w))[:-1] + chain.pop((w, x))
+        left, right = chain.pop((u, w)), chain.pop((w, x))
+        # w is the one point that can run straight: every other corner is a
+        # corner of a validated route, and dropping w keeps its neighbours
+        # corners, since the next point of each stays on its line through w
+        chain[u, x] = left[:-1] + (right[1:] if collinear3(left[-2], right[0], right[1]) else right)
         chain[x, u] = chain[u, x][::-1]
         del chain[w, u], chain[x, w]
     if len(adj) == len(g.vertices):
         return emb
     core = make_graph([v for v in g.vertices if v in adj], chain)
     # an edge of `g` that is still there was never merged
-    route = {
-        key: emb.route[key] if g.has_edge(*key) else SpatialPolyline.through(chain[key])
-        for key in core.edges
-    }
+    route = {key: emb.route[key] if g.has_edge(*key) else SpatialPolyline(chain[key]) for key in core.edges}
     return ValidEmbedding(core, {v: emb.position[v] for v in core.vertices}, route)
 
 

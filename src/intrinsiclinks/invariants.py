@@ -29,6 +29,7 @@ from .graphs import (
     PlanarDrawing,
     PLEmbedding,
     _bits,
+    _cycle,
     _cycle_pairs,
     _disjoint_pairs,
     _xor_rows,
@@ -37,7 +38,6 @@ from .graphs import (
     cycle_route,
     extract_crossings,
     is_complete,
-    is_complete_bipartite,
     make_cycle,
     make_drawing,
     smooth,
@@ -195,12 +195,11 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
     g = diag.graph
     # a far edge blocks sight lines from the apex to the base edge u-v
     # exactly when it passes in front of u-v in the central diagram
-    rows = [(make_cycle(g, [w for w in g.vertices if w not in e]), e) for e in g.edges]
-    fronts = {far: diag._cycle_front(far) for far, _ in rows}
-    ledger = _front_ledger(diag, fronts, "sight-blocking lk over the 10 base edges", rows, 1)
+    rows = [(_read_cycle(diag, [w for w in g.vertices if w not in e]), e) for e in g.edges]
+    ledger = _front_ledger(g, "sight-blocking lk over the 10 base edges", rows, 1)
     far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
     near = make_cycle(_K6, (_K6.vertices[top], u, v))
-    return LinkReport(far, near, 1, "linear-central"), ledger
+    return LinkReport(Cycle(far[0]), near, 1, "linear-central"), ledger
 
 
 def find_linked_triangles_linear(points: Sequence[Point3], seed: int = 0) -> LinkReport:
@@ -225,42 +224,31 @@ def linear_parity_ledger(points: Sequence[Point3], seed: int = 0) -> ParityLedge
 # projection finders: the hub-pair script shared by K6 and K4,4
 
 
-def _smooth_and_project(emb: PLEmbedding, seed: int, accepts, shape: str) -> ProjectedDiagram:
-    """Validate, smooth and project an embedding whose smoothing must be
-    of the given shape."""
-    sm = smooth(emb)
-    if not accepts(sm.graph):
-        raise ValueError(f"embedding does not smooth to {shape}")
-    return find_general_projection(sm, seed)
+def _read_cycle(diag: ProjectedDiagram, seq) -> tuple:
+    """The cycle through `seq` as (canonical vertices, edge mask, front
+    row, label): its front row is the XOR of its edges' rows."""
+    vertices, mask = _cycle(diag.graph, seq)
+    return vertices, mask, _xor_rows(diag._front, mask), "-".join(vertices)
 
 
-def _cycle_name(c: Cycle) -> str:
-    return "-".join(c.vertices)
-
-
-def _hub_pair_ledger(diag: ProjectedDiagram, pairs, label: str):
-    """Diagram lk of the (far, near) cycle pairs, whose sum the theorem forces odd: the report on
-    the first linked pair, the ledger, and each cycle's (front row, edge mask) for the edge ledgers."""
-    fronts = {c: diag._cycle_front(c) for pair in pairs for c in pair}
+def _hub_pair_ledger(pairs, label: str):
+    """Diagram lk of the (far, near) pairs of read cycles, whose sum the
+    theorem forces odd: the report on the first linked pair, and the ledger."""
     entries = []
-    for far, near in pairs:
-        (row1, mask1), (row2, mask2) = fronts[far], fronts[near]
+    for (_, mask1, row1, name1), (_, mask2, row2, name2) in pairs:
         lk = _lk((row1 & mask2).bit_count() & 1, (row2 & mask1).bit_count() & 1)
-        entries.append((f"lk({_cycle_name(far)} | {_cycle_name(near)})", lk))
+        entries.append((f"lk({name1} | {name2})", lk))
     ledger = _forced(label, entries, 1)
     far, near = next(pair for pair, (_, lk) in zip(pairs, entries) if lk == 1)
-    return LinkReport(far, near, 1, "pl-orthogonal"), ledger, fronts
+    return LinkReport(Cycle(far[0]), Cycle(near[0]), 1, "pl-orthogonal"), ledger
 
 
-def _front_ledger(diag: ProjectedDiagram, fronts, label: str, rows, expect: int) -> ParityLedger:
-    """Front parities of far cycles against single edges, given as
-    (far cycle, (x, y)) rows and labeled in that x-y order, each one bit of
-    the far cycle's row in `fronts`; the sum is forced to `expect`."""
-    bit = diag.graph._edge_bit
-    entries = [
-        (f"lk({_cycle_name(far)} | {x}-{y})", (fronts[far][0] & bit[x, y]).bit_count())
-        for far, (x, y) in rows
-    ]
+def _front_ledger(g, label: str, rows, expect: int) -> ParityLedger:
+    """Front parities of far cycles against single edges of `g`, given as
+    (read far cycle, (x, y)) rows and labeled in that x-y order, each one
+    bit of the far cycle's front row; the sum is forced to `expect`."""
+    bit = g._edge_bit
+    entries = [(f"lk({name} | {x}-{y})", (row & bit[x, y]).bit_count()) for (_, _, row, name), (x, y) in rows]
     return _forced(label, entries, expect)
 
 
@@ -272,31 +260,26 @@ def _k6_analysis(emb: PLEmbedding, seed: int):
     crossing-parity invariant of the hub-free subdrawing: the far triangle
     of a hub-free edge is the set of hub-free edges disjoint from it, so
     each of their crossings counts once, for the edge behind."""
-    diag = _smooth_and_project(
-        emb, seed, lambda g: len(g.vertices) == 6 and is_complete(g),
-        "a complete graph on 6 vertices",
-    )
+    sm = smooth(emb)
+    if not (len(sm.graph.vertices) == 6 and is_complete(sm.graph)):
+        raise ValueError("embedding does not smooth to a complete graph on 6 vertices")
+    diag = find_general_projection(sm, seed)
     g = diag.graph
     hub = g.vertices[0]
     rows = []  # (base edge missing the hub, far triangle, near triangle)
     for e in g.edges:
         if hub not in e:
             rest = [w for w in g.vertices if w not in (hub, *e)]
-            rows.append((e, make_cycle(g, rest), make_cycle(g, (hub, *e))))
-    report, main, fronts = _hub_pair_ledger(
-        diag, [(far, near) for _, far, near in rows], "diagram lk over the 10 hub-triangle pairs"
-    )
+            rows.append((e, _read_cycle(diag, rest), _read_cycle(diag, (hub, *e))))
+    report, main = _hub_pair_ledger([(far, near) for _, far, near in rows], "diagram lk over the 10 hub-triangle pairs")
     flat = _front_ledger(
-        diag, fronts, "diagram lk of far triangles against their base edges",
-        [(far, e) for e, far, _ in rows], 1,
+        g, "diagram lk of far triangles against their base edges", [(far, e) for e, far, _ in rows], 1,
     )
     # spoke cancellations: fixing a non-hub vertex V, the 4 far triangles
     # of base edges through V cover each edge of the remaining 4 vertices
     # exactly twice, so their lk values against the spoke hub-V cancel
     spokes = tuple(
-        _front_ledger(
-            diag, fronts, f"spoke cancellation at {v}", [(far, (hub, v)) for e, far, _ in rows if v in e], 0
-        )
+        _front_ledger(g, f"spoke cancellation at {v}", [(far, (hub, v)) for e, far, _ in rows if v in e], 0)
         for v in g.vertices[1:]
     )
     return report, (main, flat) + spokes
@@ -325,11 +308,15 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
     through both hubs, the cancellations of the hub-to-hub bridge and of
     the spokes at each hub, and the flat sum, which is the crossing-parity
     invariant of the hub-free subdrawing as in the 6-vertex analysis."""
-    diag = _smooth_and_project(
-        emb, seed, lambda g: is_complete_bipartite(g, 4, 4), "a complete bipartite 4+4 graph"
-    )
+    sm = smooth(emb)
+    try:  # the shape check and the hubs share one bipartition
+        part_a, part_b = bipartition(sm.graph)
+    except ValueError:
+        part_a = part_b = ()
+    if not (len(part_a) == len(part_b) == 4 and len(sm.graph.edges) == 16):
+        raise ValueError("embedding does not smooth to a complete bipartite 4+4 graph")
+    diag = find_general_projection(sm, seed)
     g = diag.graph
-    part_a, part_b = bipartition(g)
     hub_a, hub_b = part_a[0], part_b[0]
     rows = []  # (inner edge, its end in each part, far and near quadrilaterals)
     for e in g.edges:
@@ -338,26 +325,26 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
         end_a, end_b = e if e[0] in part_a else e[::-1]
         rest_a = [x for x in part_a if x not in (hub_a, end_a)]
         rest_b = [y for y in part_b if y not in (hub_b, end_b)]
-        far = make_cycle(g, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
-        near = make_cycle(g, (hub_a, hub_b, end_a, end_b))
+        far = _read_cycle(diag, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
+        near = _read_cycle(diag, (hub_a, hub_b, end_a, end_b))
         rows.append((e, end_a, end_b, far, near))
-    report, main, fronts = _hub_pair_ledger(
-        diag, [(far, near) for *_, far, near in rows], "diagram lk over the 9 hub-quadrilateral pairs"
+    report, main = _hub_pair_ledger(
+        [(far, near) for *_, far, near in rows], "diagram lk over the 9 hub-quadrilateral pairs"
     )
     bridge = _front_ledger(
-        diag, fronts, "bridge cancellation (hub-to-hub edge, covered four times)",
+        g, "bridge cancellation (hub-to-hub edge, covered four times)",
         [(far, (hub_a, hub_b)) for *_, far, _ in rows], 0,
     )
     spoke_a = _front_ledger(
-        diag, fronts, f"spoke cancellation at {hub_a} (hub to far-part ends)",
+        g, f"spoke cancellation at {hub_a} (hub to far-part ends)",
         [(far, (hub_a, end_b)) for _, _, end_b, far, _ in rows], 0,
     )
     spoke_b = _front_ledger(
-        diag, fronts, f"spoke cancellation at {hub_b} (hub to near-part ends)",
+        g, f"spoke cancellation at {hub_b} (hub to near-part ends)",
         [(far, (hub_b, end_a)) for _, end_a, _, far, _ in rows], 0,
     )
     flat = _front_ledger(
-        diag, fronts, "diagram lk of far quadrilaterals against their base edges",
+        g, "diagram lk of far quadrilaterals against their base edges",
         [(far, e) for e, _, _, far, _ in rows], 1,
     )
     return report, (main, bridge, spoke_a, spoke_b, flat)

@@ -28,7 +28,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, _Record, _set, coprime3, cross3, dot3, gp_points2, is_zero3, orient2d, orient3d
+from .geometry import Point2, Point3, _Record, _set, _sign, coprime3, cross3, dot3, gp_points2, is_zero3, orient3d
 from .graphs import (
     Crossing,
     Cycle,
@@ -98,11 +98,6 @@ class ProjectedDiagram(_Record):
     def graph(self):
         return self.drawing.graph
 
-    def _cycle_front(self, cycle: Cycle) -> tuple[int, int]:
-        """A cycle's front row, the XOR of its edges' rows, and its edge mask."""
-        mask = self.graph._cycle_mask(cycle.vertices)
-        return _xor_rows(self._front, mask), mask
-
 
 def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     """Flatten an embedding along a direction.
@@ -114,10 +109,16 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     """
     d = canonical_direction(direction)
     emb = require_valid(emb)
-    e1, e2 = plane_basis(d)
+    (ax, ay, az), (bx, by, bz) = (e.coords() for e in plane_basis(d))
+    shade: dict[tuple, Point2] = {}  # by coordinates: routes share their end points
 
     def shadow(p: Point3) -> Point2:
-        return Point2(dot3(p, e1), dot3(p, e2))
+        c = p.coords()
+        s = shade.get(c)
+        if s is None:
+            x, y, z = c
+            s = shade[c] = Point2(x * ax + y * ay + z * az, x * bx + y * by + z * bz)
+        return s
 
     pos2 = {v: shadow(p) for v, p in emb.position.items()}
     routes2: dict[EdgeKey, PlanarPolyline] = {}
@@ -150,7 +151,7 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
             raise InternalParityFailure(
                 "two strands of a valid embedding project to equal heights"
             )
-        turn = orient2d(r1, s1, r1 + (s2 - r2))
+        turn = _sign((s1.x - r1.x) * (s2.y - r2.y) - (s1.y - r1.y) * (s2.x - r2.x))
         upper = c.edge1 if det == turn else c.edge2
         labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
     return ProjectedDiagram(d, drawing, tuple(labeled))

@@ -30,6 +30,7 @@ from intrinsiclinks.graphs import (
     Cycle,
     EdgeKey,
     GenericDrawing,
+    Graph,
     PlanarDrawing,
     PLEmbedding,
     Violation,
@@ -229,6 +230,28 @@ def subdivided(emb: PLEmbedding, edge: EdgeKey, points) -> PLEmbedding:
     graph = make_graph([*emb.graph.vertices, *names], kept + list(zip(path, path[1:])))
     positions = {**emb.position, **dict(zip(names, points))}
     return make_embedding(graph, positions, {e: emb.route[e].vertices for e in kept})
+
+
+def bipartition_reference(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The reference for `bipartition`: breadth first from the first
+    vertex, reading each dequeued vertex's neighbours off `g.neighbors`."""
+    if not g.vertices:
+        raise ValueError("empty graph")
+    color: dict[str, int] = {g.vertices[0]: 0}
+    queue = [g.vertices[0]]
+    while queue:
+        v = queue.pop(0)
+        for w in g.neighbors(v):
+            if w not in color:
+                color[w] = 1 - color[v]
+                queue.append(w)
+            elif color[w] == color[v]:
+                raise ValueError("graph is not bipartite")
+    if len(color) != len(g.vertices):
+        raise ValueError("graph is not connected")
+    part0 = tuple(v for v in g.vertices if color[v] == 0)
+    part1 = tuple(v for v in g.vertices if color[v] == 1)
+    return part0, part1
 
 
 def smooth_reference(emb: PLEmbedding) -> PLEmbedding:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intrinsiclinks import graphs
 from intrinsiclinks.errors import (
@@ -50,6 +50,7 @@ from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import find_general_projection, project_orthogonal
 
 from helpers import (
+    bipartition_reference,
     disjoint_cycle_pairs_reference,
     enumerate_cycles_reference,
     reference_key,
@@ -133,6 +134,42 @@ class TestGraphBasics:
         assert bipartition(K44) == (("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"))
         with pytest.raises(ValueError):
             bipartition(K6)  # odd cycles
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of at most 8 vertices listed in any order, the empty one
+    included: any edges, or only edges across a random two-colouring, so
+    that bipartite graphs, connected or not, are common."""
+    n = draw(st.integers(0, 8))
+    names = draw(st.permutations([f"x{i}" for i in range(n)]))
+    colour = dict(zip(names, draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    across = draw(st.booleans())
+    pairs = [(u, v) for u, v in combinations(names, 2) if not across or colour[u] != colour[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_graph(names, edges)
+
+
+class TestBipartitionMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(small_graphs())
+    @example(make_graph([], []))
+    @example(make_graph(["x", "y", "z", "w"], [("x", "y"), ("z", "w")]))  # bipartite, not connected
+    @example(make_graph(["x", "y", "z", "w"], [("w", "x"), ("x", "y"), ("y", "w")]))  # odd cycle, not connected
+    def test_same_parts_or_same_message(self, g):
+        try:
+            parts = bipartition_reference(g)
+        except ValueError as ex:
+            with pytest.raises(ValueError) as info:
+                bipartition(g)
+            assert str(info.value) == str(ex)
+            parts = None
+        else:
+            assert bipartition(g) == parts
+        for m in range(len(g.vertices) + 1):
+            n = len(g.vertices) - m
+            expected = parts is not None and {len(parts[0]), len(parts[1])} == {m, n} and len(g.edges) == m * n
+            assert is_complete_bipartite(g, m, n) is expected
 
 
 class TestCycles:
@@ -457,7 +494,9 @@ class TestSmoothOnePass:
         assert sm.position is not raw.position and sm.route is not raw.route
 
     def test_builds_core_graph_and_each_merged_route_once(self, monkeypatch):
-        counts = {"make_graph": 0, "through": 0}
+        # each merged route is built once, by the constructor, which checks
+        # every corner; only its junctions were tested for straightness
+        counts = {"make_graph": 0, "through": 0, "SpatialPolyline": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -469,10 +508,76 @@ class TestSmoothOnePass:
         monkeypatch.setattr(graphs, "make_graph", counted("make_graph", graphs.make_graph))
         through = SpatialPolyline.through.__func__
         monkeypatch.setattr(SpatialPolyline, "through", classmethod(counted("through", through)))
+        monkeypatch.setattr(SpatialPolyline, "__init__", counted("SpatialPolyline", SpatialPolyline.__init__))
         for emb in embeddings:
-            counts.update(make_graph=0, through=0)
+            counts.update(make_graph=0, through=0, SpatialPolyline=0)
             assert smooth(emb).graph == K6
-            assert counts == {"make_graph": 1, "through": 15}
+            assert counts == {"make_graph": 1, "through": 0, "SpatialPolyline": 15}
+
+
+def bent_k6():
+    """A K6 on the moment curve whose route v1-v2 bends once, at B."""
+    emb = make_embedding(K6, moment_positions(6), {("v1", "v2"): [B]})
+    assert validate_embedding(emb) == ()
+    return emb
+
+
+B = P3(1, 3, 5)
+
+
+def along(p, q, t):
+    return p + (q - p).scale(Fraction(t))
+
+
+class TestSmoothStraightJunctions:
+    """An absorbed vertex on the line of its two sides is dropped from the
+    joined route, and one off it stays as a corner, as the reference does."""
+
+    @staticmethod
+    def assert_smooths_to(sub, route):
+        sm = smooth(sub)
+        assert sm == smooth_reference(sub)
+        assert sm.graph == K6
+        assert sm.route["v1", "v2"].vertices == route
+
+    def test_straight_junction_is_dropped(self):
+        emb = bent_k6()
+        p, q = emb.position["v1"], emb.position["v2"]
+        # v1.v2.1 lies on the side p-B, v1.v2.2 is the bend itself
+        sub = subdivided(emb, ("v1", "v2"), [along(p, B, "1/3"), B])
+        self.assert_smooths_to(sub, (p, B, q))
+
+    def test_two_consecutive_straight_junctions_are_dropped(self):
+        emb = bent_k6()
+        p, q = emb.position["v1"], emb.position["v2"]
+        sub = subdivided(emb, ("v1", "v2"), [B, along(B, q, "1/3"), along(B, q, "2/3")])
+        self.assert_smooths_to(sub, (p, B, q))
+        straight = make_embedding(K6, moment_positions(6))
+        sub = subdivided(straight, ("v1", "v2"), [along(p, q, "1/3"), along(p, q, "2/3")])
+        self.assert_smooths_to(sub, (p, q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        """Some edges of a moment-curve K6 cut at 1-3 points each: a bent
+        cut is moved off the edge, a straight one lies on the segment
+        between its neighbouring bent cuts or ends."""
+        emb = make_embedding(K6, {v: p.scale(6) for v, p in moment_positions(6).items()})
+        jitter = st.tuples(*[st.integers(-1, 1)] * 3).filter(any)
+        for u, v in data.draw(st.lists(st.sampled_from(K6.edges), min_size=1, max_size=15, unique=True)):
+            bent = data.draw(st.lists(st.booleans(), min_size=1, max_size=3))
+            p, q = emb.position[u], emb.position[v]
+            points = [along(p, q, Fraction(j, len(bent) + 1)) + P3(*data.draw(jitter)) if b else None
+                      for j, b in enumerate(bent, start=1)]
+            anchors = [(-1, p)] + [(j, x) for j, x in enumerate(points) if x is not None] + [(len(points), q)]
+            for (i, a), (k, b) in zip(anchors, anchors[1:]):
+                for j in range(i + 1, k):
+                    points[j] = along(a, b, Fraction(j - i, k - i))
+            emb = subdivided(emb, (u, v), points)
+        assume(validate_embedding(emb) == ())
+        sm, ref = smooth(emb), smooth_reference(emb)
+        assert sm == ref and sm.graph == K6
+        assert list(sm.position) == list(ref.position)
 
 
 def midpoint_subdivided_k6(edges):

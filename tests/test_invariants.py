@@ -359,7 +359,8 @@ class TestFlatLedger:
     @staticmethod
     def assert_total_needs_every_crossing(diag, hubs, rows):
         def flat(d):
-            return invariants._front_ledger(d, {far: d._cycle_front(far) for far, _ in rows}, "flat", rows, 1)
+            read = [(invariants._read_cycle(d, far.vertices), e) for far, e in rows]
+            return invariants._front_ledger(d.graph, "flat", read, 1)
 
         assert flat(diag).total == 1
         hub_free = {e for e in diag.graph.edges if not set(e) & set(hubs)}
@@ -401,8 +402,45 @@ class TestHubPairLedger:
                 break
         mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != between[0]))
         for pair in ((far, near), (near, far)):
+            read = tuple(invariants._read_cycle(mutant, c.vertices) for c in pair)
             with pytest.raises(InternalParityFailure, match="depends on the cycle order"):
-                invariants._hub_pair_ledger(mutant, [pair], "pair")
+                invariants._hub_pair_ledger([read], "pair")
+
+
+class TestScriptsOnMasks:
+    """The scripts read each cycle as vertices and an edge mask, and build
+    `Cycle` records only for the report."""
+
+    @pytest.mark.parametrize("call, source", [
+        (find_linked_cycles_k6, gen_k6_pl_subdivided), (k6_parity_ledgers, gen_k6_pl_subdivided),
+        (find_linked_cycles_k44, gen_k44_linear), (k44_parity_ledgers, gen_k44_linear),
+        (find_linked_triangles_linear, gen_k6_points), (linear_parity_ledger, gen_k6_points),
+    ], ids=lambda f: f.__name__)
+    def test_two_cycle_records_per_call(self, monkeypatch, call, source):
+        arg = source(4)
+        built = []
+        init = graphs.Cycle.__init__
+        monkeypatch.setattr(graphs.Cycle, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        call(arg, seed=4)
+        assert len(built) == 2
+
+    def test_one_bipartition_per_k44_analysis(self, monkeypatch):
+        emb = gen_k44_linear(5)
+        calls = []
+        bipartition = graphs.bipartition
+        for module in (graphs, invariants):
+            monkeypatch.setattr(module, "bipartition", lambda g: calls.append(g) or bipartition(g))
+        invariants._k44_analysis(emb, 5)
+        assert len(calls) == 1
+
+    def test_non_edge_in_a_report_is_a_value_error(self):
+        emb = gen_k44_linear(1, bound=1000)
+        cycle = graphs.Cycle(("a1", "a2", "b1"))
+        report = find_linked_cycles_k44(emb).replace(cycle1=cycle)
+        for call in (lambda: graphs.cycle_route(emb, cycle), lambda: oracle_confirm(emb, report),
+                     lambda: make_cycle(emb.graph, cycle.vertices)):
+            with pytest.raises(ValueError, match=r"^\(a1, a2\) is not an edge$"):
+                call()
 
 
 class TestLedgersMatchReference:
