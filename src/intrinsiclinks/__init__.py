@@ -51,7 +51,6 @@ from .graphs import (
     Violation,
     complete_bipartite,
     complete_graph,
-    cycle_route,
     enumerate_cycles,
     enumerate_disjoint_cycle_pairs,
     extract_crossings,

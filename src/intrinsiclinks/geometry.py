@@ -24,6 +24,7 @@ Orientation conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import attrgetter
@@ -249,6 +250,12 @@ def orient2d(a: Point2, b: Point2, c: Point2) -> int:
     return _sign((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
 
 
+def _collinear2(a: tuple, b: tuple, c: tuple) -> bool:
+    """orient2d(a, b, c) is 0, for points given by their coordinates."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
+
+
 def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     """Sign of det[b-a; c-a; d-a], i.e. the side of plane abc that d is on."""
     b1, b2, b3 = b.x - a.x, b.y - a.y, b.z - a.z
@@ -262,6 +269,7 @@ def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     return _sign(det)
 
 
+@cache  # built on the first tie: most processes never read them
 def _sos_terms() -> tuple:
     """The tie-breaking terms of `orient3d_sos`, most significant first.
 
@@ -291,9 +299,6 @@ def _sos_terms() -> tuple:
     return tuple(term[1:] for term in terms)
 
 
-_SOS_TERMS = _sos_terms()
-
-
 def _det(m: list) -> RationalLike:
     """Determinant of a small square matrix, by cofactors along the first row."""
     if len(m) == 1:
@@ -313,7 +318,7 @@ def orient3d_sos(points: Sequence[Point3], i: int, j: int, k: int, m: int) -> in
     indices are coplanar, and every sign taken on one `points` sequence
     describes the same moved configuration.  A nonzero `orient3d` is
     returned as it is; a zero one is decided by the first nonzero term of
-    `_SOS_TERMS`, so the result is exact and deterministic.
+    `_sos_terms()`, so the result is exact and deterministic.
     """
     s = orient3d(points[i], points[j], points[k], points[m])
     if s:
@@ -322,7 +327,7 @@ def orient3d_sos(points: Sequence[Point3], i: int, j: int, k: int, m: int) -> in
     if len(set(idx)) < 4:
         raise ValueError("orient3d_sos needs four distinct indices")
     matrix = [(*points[n].coords(), 1) for n in sorted(idx)]
-    for sign, rows, cols in _SOS_TERMS:
+    for sign, rows, cols in _sos_terms():
         minor = _det([[matrix[r][c] for c in cols] for r in rows])
         if minor:
             break

@@ -23,13 +23,13 @@ from .geometry import (
     Point2,
     Point3,
     _Record,
+    _collinear2,
     _meet2,
     _set,
     collinear3,
     dot3,
     key_point,
     meet_segments3,
-    orient2d,
     point_on_segment3,
 )
 from .linking import SpatialPolyline, _Polyline
@@ -404,24 +404,28 @@ def _box(p: tuple, q: tuple) -> tuple:
     return box if len(box) == 6 else box + (0, 0)
 
 
-def _side_table(obj: _Placement) -> tuple[list[Violation], list[EdgeKey], list[tuple], list[tuple]]:
-    """The checks an embedding and a drawing share, and the table of sides
-    their sweeps read.  Checks that the vertex positions are distinct and
-    that each edge has one open route joining its endpoints.  Returns the
-    violations, the edges whose routes the sweeps can use, every side of
-    those routes as (edge, index, (p, q), ends, coordinates) in edge order,
-    and the closed box of each side.  `ends` is the bitmask, by vertex
-    index, of the edge's endpoints at which the side is the route's
-    terminal side: the route starts at the vertex's position, or ends there
-    without starting there.  `coordinates` are those of the side's two
-    ends, p's then q's.  Each route point's coordinates are read once, here."""
-    out: list[Violation] = []
-    g = obj.graph
-    where = {v: obj.position[v].coords() for v in g.vertices}
+def _coordinates(obj: _Placement) -> tuple[dict, dict]:
+    """A placement as its sweep reads it: each vertex's coordinates, and
+    each route as its points' coordinates, or as None when it is closed."""
+    chains = {key: None if r.closed else [p.coords() for p in r.vertices] for key, r in obj.route.items()}
+    return {v: obj.position[v].coords() for v in obj.graph.vertices}, chains
 
+
+def _side_table(g: Graph, where: Mapping, chains: Mapping) -> tuple[list, list[EdgeKey], list[tuple], list[tuple]]:
+    """The checks an embedding and a drawing share, and the table of sides
+    their sweeps read, from a placement of `g` as `_coordinates` reads it.
+    Checks that the vertex positions are distinct and that each edge has one
+    open route joining its endpoints.  Returns the violations, the edges
+    whose routes the sweeps can use, every side of those routes as (edge,
+    index, ends, coordinates) in edge order, and the closed box of each
+    side.  `ends` is the bitmask, by vertex index, of the edge's endpoints
+    at which the side is the route's terminal side: the route starts at the
+    vertex's position, or ends there without starting there.  `coordinates`
+    are those of the side's two ends, p's then q's."""
+    out: list[Violation] = []
     by_point: dict = {}
-    for v, c in where.items():
-        by_point.setdefault(c, []).append(v)
+    for v in g.vertices:
+        by_point.setdefault(where[v], []).append(v)
     for vs in by_point.values():
         if len(vs) > 1:
             out.append(Violation("coincident-vertices", f"vertices {vs} share a position", tuple(vs)))
@@ -429,14 +433,11 @@ def _side_table(obj: _Placement) -> tuple[list[Violation], list[EdgeKey], list[t
     usable: list[EdgeKey] = []
     sides, boxes = [], []
     for key in g.edges:
-        poly = obj.route.get(key)
-        if poly is None:
-            out.append(Violation("missing-route", f"edge {key} has no route", (key,)))
+        at = chains.get(key, ())
+        if not at:
+            kind, what = ("missing-route", "no route") if at == () else ("closed-route", "a closed route")
+            out.append(Violation(kind, f"edge {key} has {what}", (key,)))
             continue
-        if poly.closed:
-            out.append(Violation("closed-route", f"edge {key} has a closed route", (key,)))
-            continue
-        at = [p.coords() for p in poly.vertices]
         (u, v), first, last = key, at[0], at[-1]
         if first != where[u] or last != where[v]:
             out.append(Violation("route-endpoint-mismatch", f"route of {key} does not join its endpoints", (key,)))
@@ -445,9 +446,9 @@ def _side_table(obj: _Placement) -> tuple[list[Violation], list[EdgeKey], list[t
         ends = [0] * (len(at) - 1)
         ends[0] = bu * (where[u] == first) | bv * (where[v] == first)
         ends[-1] |= (bu * (where[u] == last) | bv * (where[v] == last)) & ~ends[0]
-        for i, s in enumerate(poly.sides()):
+        for i in range(len(at) - 1):
             p, q = at[i], at[i + 1]
-            sides.append((key, i, s, ends[i], p + q))
+            sides.append((key, i, ends[i], p + q))
             boxes.append(_box(p, q))
     return out, usable, sides, boxes
 
@@ -475,23 +476,25 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     shared endpoint positions, no route through a foreign vertex."""
     g = emb.graph
     pos = emb.position
-    out, usable, sides, boxes = _side_table(emb)
+    where, chains = _coordinates(emb)
+    out, usable, sides, boxes = _side_table(g, where, chains)
+    segs = [s for key in usable for s in emb.route[key].sides()]  # the table's sides as point pairs
     n = len(sides)
     # the vertices join the sweep as one-point boxes, after the sides
-    boxed = _box_pairs(boxes + [_box(c, c) for c in (pos[w].coords() for w in g.vertices)])
+    boxed = _box_pairs(boxes + [_box(c, c) for c in where.values()])
     rank = {key: k for k, key in enumerate(usable)}
     # reported route by route, then vertex by vertex, then side by side
     for _, b, a in sorted((rank[sides[a][0]], b, a) for a, b in boxed if a < n <= b):
         key, w = sides[a][0], g.vertices[b - n]
-        if w not in key and point_on_segment3(pos[w], sides[a][2]):
+        if w not in key and point_on_segment3(pos[w], segs[a]):
             out.append(Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w)))
 
     pairs = [(a, b) for a, b in boxed if b < n and sides[a][0] != sides[b][0]]
     # reported route pair by route pair, then side by side
     pairs.sort(key=lambda ab: (rank[sides[ab[0]][0]], rank[sides[ab[1]][0]], ab))
     for a, b in pairs:
-        e1, i1, s1, ends1, _ = sides[a]
-        e2, i2, s2, ends2, _ = sides[b]
+        (e1, i1, ends1, _), s1 = sides[a], segs[a]
+        (e2, i2, ends2, _), s2 = sides[b], segs[b]
         if ends1 & ends2:
             # terminal sides at a shared vertex meet there, and elsewhere
             # only if they leave it along one ray
@@ -584,16 +587,6 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
     return ValidEmbedding(core, {v: emb.position[v] for v in core.vertices}, route)
 
 
-def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:
-    """The closed polygon traced by a cycle's edge routes."""
-    points: list[Point3] = []
-    seq = cycle.vertices
-    for i in range(len(seq)):
-        chain = emb.route_chain(seq[i], seq[(i + 1) % len(seq)])
-        points.extend(chain[:-1])
-    return SpatialPolyline.through(points, closed=True)
-
-
 # ---------------------------------------------------------------------------
 # planar drawings
 
@@ -604,7 +597,7 @@ class PlanarPolyline(_Polyline):
 
     @staticmethod
     def _straight(u: Point2, v: Point2, w: Point2) -> bool:
-        return orient2d(u, v, w) == 0
+        return _collinear2(u.coords(), v.coords(), w.coords())
 
 
 class PlanarDrawing(_Placement):
@@ -641,24 +634,24 @@ class Crossing(_Record):
         _set(self, "upper", upper)
 
 
-def _scan_drawing(d: PlanarDrawing):
-    """The sweep behind `validate_drawing` and `require_generic`, over the
-    side pairs whose boxes meet, read off one side table.  Returns
-    (violations, raw transversal crossings as (edge1, i1, edge2, i2, key of
-    the point))."""
-    out, _, sides, boxes = _side_table(d)
+def _scan_drawing(g: Graph, where: Mapping, chains: Mapping):
+    """The sweep behind `validate_drawing`, `require_generic` and the
+    projections, over the side pairs whose boxes meet, read off one side
+    table.  Returns (violations, raw transversal crossings as (edge1, i1,
+    edge2, i2, key of the point))."""
+    out, _, sides, boxes = _side_table(g, where, chains)
 
     crossings: list[tuple[EdgeKey, int, EdgeKey, int, tuple]] = []
     for a, b in _box_pairs(boxes):
-        e1, i1, _, ends1, (ax, ay, bx, by) = sides[a]
-        e2, i2, _, ends2, (cx, cy, dx, dy) = sides[b]
+        e1, i1, ends1, (ax, ay, bx, by) = sides[a]
+        e2, i2, ends2, (cx, cy, dx, dy) = sides[b]
         if e1 == e2 and abs(i1 - i2) == 1:
             continue  # adjacent sides of one route share their corner
         at_vertex = ends1 & ends2  # empty for two sides of one route
         if at_vertex:
             # terminal sides at a shared vertex meet there, and elsewhere
             # only if they overlap
-            p = d.position[d.graph.vertices[at_vertex.bit_length() - 1]].coords()
+            p = where[g.vertices[at_vertex.bit_length() - 1]]
         else:
             r = _meet2(ax, ay, bx, by, cx, cy, dx, dy)
             if r is None:
@@ -706,7 +699,7 @@ def validate_drawing(d: PlanarDrawing) -> tuple[Violation, ...]:
     """General-position validation: every contact between route sides is a
     transversal crossing of exactly two sides, interior to both; routes may
     meet endpoint-to-endpoint only at a shared graph vertex."""
-    return _scan_drawing(d)[0]
+    return _scan_drawing(d.graph, *_coordinates(d))[0]
 
 
 class GenericDrawing(PlanarDrawing):
@@ -735,16 +728,17 @@ def require_generic(d: PlanarDrawing) -> GenericDrawing:
     """
     if isinstance(d, GenericDrawing):
         return d
-    violations, raw = _scan_drawing(d)
+    violations, raw = _scan_drawing(d.graph, *_coordinates(d))
     if violations:
         raise DrawingNotGeneral(f"{len(violations)} general-position violations", violations)
+    return _generic(d, raw)
+
+
+def _generic(d: PlanarDrawing, raw) -> GenericDrawing:
+    """The generic copy of a drawing that its sweep passed, with crossings `raw`."""
     idx = d.graph._index
-    out = []
-    for e1, i1, e2, i2, key in raw:  # e1 comes no later than e2 in graph.edges
-        if e1 == e2:
-            continue
-        disjoint = not (set(e1) & set(e2))
-        out.append(Crossing(e1, e2, i1, i2, key, disjoint))
+    # e1 comes no later than e2 in graph.edges
+    out = [Crossing(e1, e2, i1, i2, key, not (set(e1) & set(e2))) for e1, i1, e2, i2, key in raw if e1 != e2]
     out.sort(key=lambda c: (idx[c.edge1[0]], idx[c.edge1[1]], idx[c.edge2[0]], idx[c.edge2[1]], c.side1, c.side2))
     return GenericDrawing(d.graph, dict(d.position), dict(d.route), tuple(out))
 

@@ -20,6 +20,7 @@ from .errors import (
     DrawingsNotComparable,
     GeneralPositionViolation,
     InternalParityFailure,
+    PolylinesNotDisjoint,
     ProjectionNotGeneral,
     SearchExhausted,
 )
@@ -35,15 +36,14 @@ from .graphs import (
     _xor_rows,
     bipartition,
     complete_graph,
-    cycle_route,
     extract_crossings,
     is_complete,
     make_cycle,
     make_drawing,
     smooth,
 )
-from .linking import _cone_matrix, _draw_apex, linking_mod2_sampled
-from .projection import ProjectedDiagram, _lk, find_general_projection, project_central
+from .linking import _cone_matrix, _draw_apex
+from .projection import _central, _direction_search, _front_rows, _lk, _orthogonal
 from .rng import SplitMix64
 
 
@@ -158,10 +158,9 @@ VIEWPOINT_TRIES = 1000
 
 
 def _choose_viewpoint(pts: list[Point3], seed: int):
-    """Index of the top point of a linear functional giving the 6 points
-    distinct values, and the diagram it projects the rest to, whose
-    drawing must be generic.  Tries the first-coordinate functional before
-    seeded candidates."""
+    """Index of the top point of a linear functional giving the 6 points distinct
+    values, the functional, and `_central` of the rest from the top point, whose
+    drawing must be generic.  Tries the first-coordinate functional first."""
     rng = SplitMix64(seed)
     bound = 4
     rejections = 0
@@ -172,7 +171,7 @@ def _choose_viewpoint(pts: list[Point3], seed: int):
             top = max(range(6), key=lambda i: vals[i])
             below_names = [v for i, v in enumerate(_K6.vertices) if i != top]
             try:
-                return top, project_central(pts, pts[top], cand, names=below_names)
+                return top, cand, _central(pts, pts[top], cand, names=below_names)
             except ProjectionNotGeneral:
                 pass
         rejections += 1
@@ -191,11 +190,11 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
         raise ValueError("need exactly 6 points")
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    top, diag = _choose_viewpoint(pts, seed)
-    g = diag.graph
+    top, _, (_, g, _, _, _, strands) = _choose_viewpoint(pts, seed)
+    front = _front_rows(g, strands)
     # a far edge blocks sight lines from the apex to the base edge u-v
     # exactly when it passes in front of u-v in the central diagram
-    rows = [(_read_cycle(diag, [w for w in g.vertices if w not in e]), e) for e in g.edges]
+    rows = [(_read_cycle(g, front, [w for w in g.vertices if w not in e]), e) for e in g.edges]
     ledger = _front_ledger(g, "sight-blocking lk over the 10 base edges", rows, 1)
     far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
     near = make_cycle(_K6, (_K6.vertices[top], u, v))
@@ -224,11 +223,11 @@ def linear_parity_ledger(points: Sequence[Point3], seed: int = 0) -> ParityLedge
 # projection finders: the hub-pair script shared by K6 and K4,4
 
 
-def _read_cycle(diag: ProjectedDiagram, seq) -> tuple:
-    """The cycle through `seq` as (canonical vertices, edge mask, front
-    row, label): its front row is the XOR of its edges' rows."""
-    vertices, mask = _cycle(diag.graph, seq)
-    return vertices, mask, _xor_rows(diag._front, mask), "-".join(vertices)
+def _read_cycle(g, front, seq) -> tuple:
+    """The cycle of `g` through `seq` as (canonical vertices, edge mask, front
+    row, label): its front row is the XOR of its edges' rows in `front`."""
+    vertices, mask = _cycle(g, seq)
+    return vertices, mask, _xor_rows(front, mask), "-".join(vertices)
 
 
 def _hub_pair_ledger(pairs, label: str):
@@ -263,14 +262,14 @@ def _k6_analysis(emb: PLEmbedding, seed: int):
     sm = smooth(emb)
     if not (len(sm.graph.vertices) == 6 and is_complete(sm.graph)):
         raise ValueError("embedding does not smooth to a complete graph on 6 vertices")
-    diag = find_general_projection(sm, seed)
-    g = diag.graph
+    g = sm.graph
+    front = _front_rows(g, _direction_search(sm, seed, _orthogonal)[5])
     hub = g.vertices[0]
     rows = []  # (base edge missing the hub, far triangle, near triangle)
     for e in g.edges:
         if hub not in e:
             rest = [w for w in g.vertices if w not in (hub, *e)]
-            rows.append((e, _read_cycle(diag, rest), _read_cycle(diag, (hub, *e))))
+            rows.append((e, _read_cycle(g, front, rest), _read_cycle(g, front, (hub, *e))))
     report, main = _hub_pair_ledger([(far, near) for _, far, near in rows], "diagram lk over the 10 hub-triangle pairs")
     flat = _front_ledger(
         g, "diagram lk of far triangles against their base edges", [(far, e) for e, far, _ in rows], 1,
@@ -315,8 +314,8 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
         part_a = part_b = ()
     if not (len(part_a) == len(part_b) == 4 and len(sm.graph.edges) == 16):
         raise ValueError("embedding does not smooth to a complete bipartite 4+4 graph")
-    diag = find_general_projection(sm, seed)
-    g = diag.graph
+    g = sm.graph
+    front = _front_rows(g, _direction_search(sm, seed, _orthogonal)[5])
     hub_a, hub_b = part_a[0], part_b[0]
     rows = []  # (inner edge, its end in each part, far and near quadrilaterals)
     for e in g.edges:
@@ -325,8 +324,8 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
         end_a, end_b = e if e[0] in part_a else e[::-1]
         rest_a = [x for x in part_a if x not in (hub_a, end_a)]
         rest_b = [y for y in part_b if y not in (hub_b, end_b)]
-        far = _read_cycle(diag, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
-        near = _read_cycle(diag, (hub_a, hub_b, end_a, end_b))
+        far = _read_cycle(g, front, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
+        near = _read_cycle(g, front, (hub_a, hub_b, end_a, end_b))
         rows.append((e, end_a, end_b, far, near))
     report, main = _hub_pair_ledger(
         [(far, near) for *_, far, near in rows], "diagram lk over the 9 hub-quadrilateral pairs"
@@ -405,9 +404,14 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
 
 
 def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkReport:
-    """Re-check one report by cone counting and fill oracle_confirmed."""
+    """Re-check one report by cone counting, as `oracle_count_linked_pairs`
+    does from the apex `linking_mod2_sampled` draws, and fill oracle_confirmed."""
     sm = smooth(emb)
-    p1 = cycle_route(sm, report.cycle1)
-    p2 = cycle_route(sm, report.cycle2)
-    value = linking_mod2_sampled(p1, p2, SplitMix64(seed))
+    (vertices1, mask1), (vertices2, mask2) = (_cycle(sm.graph, c.vertices) for c in (report.cycle1, report.cycle2))
+    if set(vertices1) & set(vertices2):
+        raise PolylinesNotDisjoint("the two polygons share a point")
+    chains = [sm.route[sm.graph.edges[e]].vertices for e in _bits(mask1) + _bits(mask2)]
+    k = mask1.bit_count()  # a row for each edge of cycle 1, its bits at cycle 2's
+    rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, [range(k, len(chains))] * k)
+    value = _xor_rows(rows, (1 << k) - 1).bit_count() & 1
     return report.replace(oracle_confirmed=(value == report.lk_value))

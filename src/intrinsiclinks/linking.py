@@ -53,6 +53,21 @@ from .geometry import (
 from .rng import SplitMix64
 
 
+def _check_polyline(vertices, closed: bool, straight) -> None:
+    """The checks of `_Polyline` on the points `vertices`, with `straight` its straightness test."""
+    n = len(vertices)
+    if n < 2 or (closed and n < 3):
+        raise ValueError("polyline needs at least 2 vertices, closed needs 3")
+    for i in range(n - 1):
+        if vertices[i] == vertices[i + 1]:
+            raise ValueError("consecutive vertices coincide")
+    if closed and vertices[0] == vertices[-1]:
+        raise ValueError("closed polyline must not repeat its first vertex")
+    for i in range(n) if closed else range(1, n - 1):
+        if straight(vertices[i - 1], vertices[i], vertices[(i + 1) % n]):
+            raise ValueError(f"straight-through vertex at index {i}")
+
+
 class _Polyline(_Record):
     """A broken line: open arc or closed polygon.
 
@@ -67,17 +82,7 @@ class _Polyline(_Record):
 
     def __init__(self, vertices, closed: bool = False):
         vertices = tuple(vertices)
-        n = len(vertices)
-        if n < 2 or (closed and n < 3):
-            raise ValueError("polyline needs at least 2 vertices, closed needs 3")
-        for i in range(n - 1):
-            if vertices[i] == vertices[i + 1]:
-                raise ValueError("consecutive vertices coincide")
-        if closed and vertices[0] == vertices[-1]:
-            raise ValueError("closed polyline must not repeat its first vertex")
-        for i in range(n) if closed else range(1, n - 1):
-            if self._straight(vertices[i - 1], vertices[i], vertices[(i + 1) % n]):
-                raise ValueError(f"straight-through vertex at index {i}")
+        _check_polyline(vertices, closed, self._straight)
         _set(self, "vertices", vertices)
         _set(self, "closed", closed)
         ends = vertices[1:] + vertices[:1] if closed else vertices[1:]

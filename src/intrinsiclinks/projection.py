@@ -9,8 +9,11 @@ segments cross exactly when one blocks the other's line of sight.
 Both projections refuse non-generic directions instead of producing a
 defective diagram; callers that need some direction use the seeded search.
 
-A diagram's front matrix, built once from its labelled crossings, has one
-bitmask row per edge; every linking number is an XOR of rows read at a mask.
+Each projection has one core on coordinate tuples, which sweeps the
+shadows or images once and names the front strand at each crossing.  The
+finders fold those strands into a front matrix, one bitmask row per edge,
+and build no diagram; the public functions build a `ProjectedDiagram` from
+the core's result.  Every linking number is an XOR of rows read at a mask.
 """
 
 from __future__ import annotations
@@ -22,27 +25,28 @@ from typing import Sequence
 from .errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
-    DrawingNotGeneral,
     GeneralPositionViolation,
     InternalParityFailure,
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, _Record, _set, _sign, coprime3, cross3, dot3, gp_points2, is_zero3, orient3d
+from .geometry import Point2, Point3, _collinear2, _Record, _set, _sign, coprime3, cross3, dot3, is_zero3, orient3d
 from .graphs import (
     Crossing,
     Cycle,
-    EdgeKey,
     GenericDrawing,
+    Graph,
     PlanarDrawing,
     PlanarPolyline,
     PLEmbedding,
+    ValidEmbedding,
+    _generic,
+    _scan_drawing,
     _xor_rows,
-    make_drawing,
     make_graph,
-    require_generic,
     require_valid,
 )
+from .linking import _check_polyline
 from .rng import SplitMix64
 
 _EX = Point3(1, 0, 0)
@@ -81,15 +85,8 @@ class ProjectedDiagram(_Record):
         _set(self, "direction", direction)
         _set(self, "drawing", drawing)
         _set(self, "crossings", crossings)
-        # the front matrix, not a field: bit f of row k is the parity of edges[k]'s passes over edges[f]
-        bit, front = drawing.graph._edge_bit, [0] * len(drawing.graph.edges)
-        for c in crossings:  # the lower strand's bit is the pair's bits without the upper's
-            if c.edge1 not in bit or c.edge2 not in bit:
-                raise ValueError(f"crossing of {c.edge1} and {c.edge2} names an edge outside the graph")
-            if c.upper != c.edge1 and c.upper != c.edge2:
-                raise ValueError(f"crossing of {c.edge1} and {c.edge2} has upper {c.upper}, not one of its strands")
-            front[bit[c.upper].bit_length() - 1] ^= bit[c.edge1] ^ bit[c.edge2] ^ bit[c.upper]
-        _set(self, "_front", tuple(front))
+        # the front matrix, not a field
+        _set(self, "_front", _front_rows(drawing.graph, [(c.edge1, c.edge2, c.upper) for c in crossings]))
 
     def __hash__(self):
         raise TypeError("diagrams are not hashable")
@@ -97,6 +94,71 @@ class ProjectedDiagram(_Record):
     @property
     def graph(self):
         return self.drawing.graph
+
+
+def _front_rows(g: Graph, strands) -> tuple[int, ...]:
+    """The front matrix of `g` from the (edge1, edge2, upper) strands of its
+    crossings: bit f of row k is the parity of edges[k]'s passes over edges[f]."""
+    bit, front = g._edge_bit, [0] * len(g.edges)
+    for e1, e2, upper in strands:  # the lower strand's bit is the pair's bits without the upper's
+        if e1 not in bit or e2 not in bit:
+            raise ValueError(f"crossing of {e1} and {e2} names an edge outside the graph")
+        if upper != e1 and upper != e2:
+            raise ValueError(f"crossing of {e1} and {e2} has upper {upper}, not one of its strands")
+        front[bit[upper].bit_length() - 1] ^= bit[e1] ^ bit[e2] ^ bit[upper]
+    return tuple(front)
+
+
+def _diagram(d: Point3, graph: Graph, where, chains, crossings, strands) -> ProjectedDiagram:
+    """The public diagram of a projection core's result: the generic drawing
+    `require_generic` builds after the core's sweep, labelled by its strands."""
+    drawing = _generic(PlanarDrawing(graph, {v: Point2(*c) for v, c in where.items()}, {
+        key: PlanarPolyline(tuple(Point2(*c) for c in chain)) for key, chain in chains.items()
+    }), crossings)
+    upper = {rec[:4]: up for rec, (_, _, up) in zip(crossings, strands)}
+    labelled = (c.replace(upper=upper[c.edge1, c.side1, c.edge2, c.side2]) for c in drawing.crossings)
+    return ProjectedDiagram(d, drawing, tuple(labelled))
+
+
+def _orthogonal(emb: ValidEmbedding, d: Point3):
+    """`project_orthogonal` on coordinates: the canonical direction, the
+    graph, the shadows of the vertices and route points, the sweep's
+    crossings of distinct edges, and their (edge1, edge2, upper) strands."""
+    (ax, ay, az), (bx, by, bz) = (e.coords() for e in plane_basis(d))
+    points = {p.coords() for p in emb.position.values()} | {p.coords() for r in emb.route.values() for p in r.vertices}
+    shade = {(x, y, z): (x * ax + y * ay + z * az, x * bx + y * by + z * bz) for x, y, z in points}  # once a point
+    where = {v: shade[p.coords()] for v, p in emb.position.items()}
+    chains = {}
+    for key, poly in emb.route.items():
+        chains[key] = chain = [shade[p.coords()] for p in poly.vertices]
+        try:  # sides must stay in bijection with the spatial sides, so a flattened corner is a rejection
+            _check_polyline(chain, False, _collinear2)
+        except ValueError as ex:
+            raise ProjectionNotGeneral(f"route of {key} degenerates in projection: {ex}")
+    violations, raw = _scan_drawing(emb.graph, where, chains)
+    if violations:
+        raise ProjectionNotGeneral(f"projected drawing has {len(violations)} degenerate contacts")
+
+    crossings, strands = [], []
+    for rec in raw:
+        e1, i1, e2, i2, _ = rec
+        if e1 == e2:
+            continue
+        (p1, q1), (p2, q2) = emb.route[e1].sides()[i1], emb.route[e2].sides()[i2]
+        (r1x, r1y), (s1x, s1y) = chains[e1][i1 : i1 + 2]
+        (r2x, r2y), (s2x, s2y) = chains[e2][i2 : i2 + 2]
+        # (e1, e2, d) is positively oriented, so with a, b the spatial side
+        # directions, sign det[a; b; d] = sign cross2(shadow a, shadow b) =
+        # `turn`; and p2 - p1 = t a - u b + lam d at the crossing, with
+        # lam > 0 exactly when strand 2 is higher, so `det` = -sign(lam) turn:
+        # strand 1 is in front exactly when det == turn
+        det = orient3d(p1, q1, p2, q2)
+        if det == 0:
+            raise InternalParityFailure("two strands of a valid embedding project to equal heights")
+        turn = _sign((s1x - r1x) * (s2y - r2y) - (s1y - r1y) * (s2x - r2x))
+        crossings.append(rec)
+        strands.append((e1, e2, e1 if det == turn else e2))
+    return d, emb.graph, where, chains, crossings, strands
 
 
 def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
@@ -108,66 +170,15 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     with degenerate contacts.
     """
     d = canonical_direction(direction)
-    emb = require_valid(emb)
-    (ax, ay, az), (bx, by, bz) = (e.coords() for e in plane_basis(d))
-    shade: dict[tuple, Point2] = {}  # by coordinates: routes share their end points
-
-    def shadow(p: Point3) -> Point2:
-        c = p.coords()
-        s = shade.get(c)
-        if s is None:
-            x, y, z = c
-            s = shade[c] = Point2(x * ax + y * ay + z * az, x * bx + y * by + z * bz)
-        return s
-
-    pos2 = {v: shadow(p) for v, p in emb.position.items()}
-    routes2: dict[EdgeKey, PlanarPolyline] = {}
-    for key, poly in emb.route.items():
-        pts = tuple(shadow(p) for p in poly.vertices)
-        try:
-            # sides must stay in bijection with the spatial sides, so no
-            # normalizing factory here; a flattened corner is a rejection
-            routes2[key] = PlanarPolyline(pts, closed=False)
-        except ValueError as ex:
-            raise ProjectionNotGeneral(f"route of {key} degenerates in projection: {ex}")
-    try:
-        drawing = require_generic(PlanarDrawing(emb.graph, pos2, routes2))
-    except DrawingNotGeneral as ex:
-        raise ProjectionNotGeneral(f"projected drawing has {len(ex.violations)} degenerate contacts")
-
-    labeled = []
-    for c in drawing.crossings:
-        p1, q1 = emb.route[c.edge1].sides()[c.side1]
-        p2, q2 = emb.route[c.edge2].sides()[c.side2]
-        r1, s1 = drawing.route[c.edge1].sides()[c.side1]
-        r2, s2 = drawing.route[c.edge2].sides()[c.side2]
-        # (e1, e2, d) is positively oriented, so with a, b the spatial side
-        # directions, sign det[a; b; d] = sign cross2(shadow a, shadow b) =
-        # `turn`; and p2 - p1 = t a - u b + lam d at the crossing, with
-        # lam > 0 exactly when strand 2 is higher, so `det` = -sign(lam) turn:
-        # strand 1 is in front exactly when det == turn
-        det = orient3d(p1, q1, p2, q2)
-        if det == 0:
-            raise InternalParityFailure(
-                "two strands of a valid embedding project to equal heights"
-            )
-        turn = _sign((s1.x - r1.x) * (s2.y - r2.y) - (s1.y - r1.y) * (s2.x - r2.x))
-        upper = c.edge1 if det == turn else c.edge2
-        labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
-    return ProjectedDiagram(d, drawing, tuple(labeled))
+    return _diagram(*_orthogonal(require_valid(emb), d))
 
 
 # directions the projection search tries before it raises SearchExhausted
 DIRECTION_TRIES = 10000
 
 
-def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram:
-    """Seeded search for a direction whose projection is generic.
-
-    Directions are drawn from an integer cube that doubles in size every 16
-    rejections; almost every direction works, so the search normally ends
-    within a handful of tries.  Deterministic for a fixed embedding + seed.
-    """
+def _direction_search(emb: PLEmbedding, seed: int, project):
+    """The first `project(emb, d)`, d as `find_general_projection` draws it, that is not rejected."""
     emb = require_valid(emb)
     rng = SplitMix64(seed)
     bound = 8
@@ -182,12 +193,71 @@ def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram
             continue
         seen.add(cand)
         try:
-            return project_orthogonal(emb, cand)
+            return project(emb, cand)
         except ProjectionNotGeneral:
             rejections += 1
             if rejections % 16 == 0:
                 bound *= 2
     raise SearchExhausted(f"no generic projection direction in {DIRECTION_TRIES} tries")
+
+
+def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram:
+    """Seeded search for a direction whose projection is generic.
+
+    Directions are drawn from an integer cube that doubles in size every 16
+    rejections; almost every direction works, so the search normally ends
+    within a handful of tries.  Deterministic for a fixed embedding + seed.
+    """
+    return _direction_search(emb, seed, project_orthogonal)
+
+
+def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequence[str] | None = None):
+    """`project_central` on coordinates: the canonical normal, the complete graph on the
+    names, the images of its vertices and edges, the sweep's crossings and their strands."""
+    pts = list(points)
+    if apex not in pts:
+        raise ValueError("apex must be one of the points")
+    a, n, others = apex, normal, [p for p in pts if p != apex]
+    if len(others) != len(pts) - 1:
+        raise ValueError("apex occurs more than once among the points")
+    m = lcm(*(c.denominator for p in (a, n, *others) for c in p.coords()))  # 1 on ints
+    if m > 1:  # a uniform positive scale of space and of the functional moves no sign
+        a, n, *others = (Point3(*(c.numerator * (m // c.denominator) for c in p.coords())) for p in (a, n, *others))
+    gaps = [dot3(a - p, n) for p in others]
+    if any(g <= 0 for g in gaps):
+        raise ApexNotExtremal("apex does not strictly maximize the functional")
+
+    d = canonical_direction(n)
+    e1, e2 = plane_basis(d)
+    lcm_gap = lcm(*gaps)
+    images = [(dot3(p - a, e1) * (lcm_gap // g), dot3(p - a, e2) * (lcm_gap // g)) for p, g in zip(others, gaps)]
+    if any(_collinear2(*abc) for abc in combinations(images, 3)):
+        raise ProjectionNotGeneral("projected points are not in general position")
+
+    names = [f"p{i}" for i in range(1, len(others) + 1)] if names is None else list(names)
+    if len(names) != len(others):
+        raise ValueError("need one name per non-apex point")
+    graph = make_graph(names, combinations(names, 2))
+    where = dict(zip(names, images))
+    if len(set(images)) < len(images):  # two images, past the check above: `make_drawing` refuses the edge
+        raise ValueError("polyline needs at least 2 vertices, closed needs 3")
+    chains = {(u, v): [where[u], where[v]] for u, v in graph.edges}
+    violations, raw = _scan_drawing(graph, where, chains)
+    if violations:
+        raise ProjectionNotGeneral(f"central image drawing has {len(violations)} degenerate contacts")
+
+    at = dict(zip(names, others))
+    strands = []
+    for e1, _, e2, _, _ in raw:  # one side per edge, so in the order of the drawing's crossings
+        (p, q), (r, w) = map(at.get, e1), map(at.get, e2)
+        # about the line pq, r and w lie on either side of the plane apq, and
+        # rw passes beyond pq from a (behind it) exactly when the turn from r
+        # to w has the sense of the turn from a to r
+        det = orient3d(p, q, r, w)
+        if det == 0:
+            raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
+        strands.append((e1, e2, e1 if det == orient3d(p, q, a, r) else e2))
+    return d, graph, where, chains, raw, strands
 
 
 def project_central(
@@ -213,54 +283,7 @@ def project_central(
     coincide, and GeneralPositionViolation when two images cross at equal
     depth: their segments meet in space.
     """
-    pts = list(points)
-    if apex not in pts:
-        raise ValueError("apex must be one of the points")
-    a, n, others = apex, normal, [p for p in pts if p != apex]
-    if len(others) != len(pts) - 1:
-        raise ValueError("apex occurs more than once among the points")
-    m = lcm(*(c.denominator for p in (a, n, *others) for c in p.coords()))  # 1 on ints
-    if m > 1:  # a uniform positive scale of space and of the functional moves no sign
-        a, n, *others = (Point3(*(c.numerator * (m // c.denominator) for c in p.coords())) for p in (a, n, *others))
-    apex_val = dot3(a, n)
-    gaps = [apex_val - dot3(p, n) for p in others]
-    if any(g <= 0 for g in gaps):
-        raise ApexNotExtremal("apex does not strictly maximize the functional")
-
-    d = canonical_direction(n)
-    e1, e2 = plane_basis(d)
-    lcm_gap = lcm(*gaps)
-    images = []
-    for p, g in zip(others, gaps):
-        k = lcm_gap // g
-        images.append(Point2(dot3(p - a, e1) * k, dot3(p - a, e2) * k))
-    if not gp_points2(images):
-        raise ProjectionNotGeneral("projected points are not in general position")
-
-    if names is None:
-        names = [f"p{i}" for i in range(1, len(others) + 1)]
-    names = list(names)
-    if len(names) != len(others):
-        raise ValueError("need one name per non-apex point")
-    graph = make_graph(names, combinations(names, 2))
-    try:
-        drawing = require_generic(make_drawing(graph, dict(zip(names, images))))
-    except DrawingNotGeneral as ex:
-        raise ProjectionNotGeneral(f"central image drawing has {len(ex.violations)} degenerate contacts")
-
-    at = dict(zip(names, others))
-    labeled = []
-    for c in drawing.crossings:
-        (p, q), (r, w) = map(at.get, c.edge1), map(at.get, c.edge2)
-        # about the line pq, r and w lie on either side of the plane apq, and
-        # rw passes beyond pq from a (behind it) exactly when the turn from r
-        # to w has the sense of the turn from a to r
-        det = orient3d(p, q, r, w)
-        if det == 0:
-            raise GeneralPositionViolation(f"edges {c.edge1} and {c.edge2} meet in space")
-        upper = c.edge1 if det == orient3d(p, q, a, r) else c.edge2
-        labeled.append(Crossing(c.edge1, c.edge2, c.side1, c.side2, c.key, c.disjoint, upper))
-    return ProjectedDiagram(d, drawing, tuple(labeled))
+    return _diagram(*_central(points, apex, normal, names))
 
 
 def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:

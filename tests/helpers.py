@@ -6,7 +6,14 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 
 from intrinsiclinks import invariants
-from intrinsiclinks.errors import DrawingNotGeneral, GeneralPositionViolation, SearchExhausted
+from intrinsiclinks.errors import (
+    ApexNotExtremal,
+    DrawingNotGeneral,
+    GeneralPositionViolation,
+    InternalParityFailure,
+    ProjectionNotGeneral,
+    SearchExhausted,
+)
 from intrinsiclinks.geometry import (
     OVERLAP,
     Point2,
@@ -17,8 +24,10 @@ from intrinsiclinks.geometry import (
     coprime3,
     cross3,
     dot3,
+    gp_points2,
     gp_points3,
     is_zero3,
+    key_point,
     meet_segments3,
     orient2d,
     orient3d,
@@ -32,22 +41,31 @@ from intrinsiclinks.graphs import (
     GenericDrawing,
     Graph,
     PlanarDrawing,
+    PlanarPolyline,
     PLEmbedding,
     Violation,
+    _coordinates,
     _side_table,
     complete_graph,
-    cycle_route,
     make_cycle,
     make_drawing,
     make_embedding,
     make_graph,
     require_generic,
+    require_valid,
     smooth,
 )
 from intrinsiclinks.instances import CANDIDATE_TRIES, gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear
 from intrinsiclinks.invariants import LinkReport, OracleResult
 from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled
-from intrinsiclinks.projection import ProjectedDiagram, find_general_projection, front_parity
+from intrinsiclinks.projection import (
+    ProjectedDiagram,
+    canonical_direction,
+    find_general_projection,
+    front_parity,
+    plane_basis,
+    project_central,
+)
 from intrinsiclinks.rng import SplitMix64
 
 
@@ -96,7 +114,7 @@ def linear_analysis_reference(points, seed: int):
     pts = list(points)
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    top, _ = invariants._choose_viewpoint(pts, seed)
+    top = invariants._choose_viewpoint(pts, seed)[0]
     names = [f"v{i}" for i in range(1, 7)]
     by_name = dict(zip(names, pts))
     k6 = complete_graph(6)
@@ -153,7 +171,10 @@ def reference_diagram(source: str, seed: int) -> ProjectedDiagram:
     or `gen_k44_linear` ("k44-linear") embedding, or the central one the
     linear finder takes of `gen_k6_points` ("k6-points")."""
     if source == "k6-points":
-        return invariants._choose_viewpoint(gen_k6_points(seed), seed)[1]
+        pts = gen_k6_points(seed)
+        top, normal, _ = invariants._choose_viewpoint(pts, seed)
+        names = [v for i, v in enumerate(complete_graph(6).vertices) if i != top]
+        return project_central(pts, pts[top], normal, names=names)
     emb = gen_k6_pl_subdivided(seed) if source == "k6-pl" else gen_k44_linear(seed)
     return find_general_projection(smooth(emb), seed)
 
@@ -211,6 +232,17 @@ class ScriptedRng:
         value = next(self.values)
         assert lo <= value <= hi
         return value
+
+
+def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:
+    """The closed polygon traced by a cycle's edge routes: the reference
+    polygons of `oracle_reference` and of `oracle_confirm`."""
+    points: list[Point3] = []
+    seq = cycle.vertices
+    for i in range(len(seq)):
+        chain = emb.route_chain(seq[i], seq[(i + 1) % len(seq)])
+        points.extend(chain[:-1])
+    return SpatialPolyline.through(points, closed=True)
 
 
 def triangle_polygon(t: Triangle3) -> SpatialPolyline:
@@ -313,6 +345,77 @@ def strand_height(
     return dot3(q3, d)
 
 
+def project_orthogonal_reference(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
+    """`project_orthogonal` as records: the shadows as points, a
+    `PlanarPolyline` per route, one `require_generic` sweep, and each
+    crossing labelled with its higher strand by `strand_height`.  Raises
+    what `project_orthogonal` raises, with the same messages."""
+    d = canonical_direction(direction)
+    emb = require_valid(emb)
+    e1, e2 = plane_basis(d)
+
+    def shadow(p: Point3) -> Point2:
+        return Point2(dot3(p, e1), dot3(p, e2))
+
+    routes = {}
+    for key, poly in emb.route.items():
+        try:
+            routes[key] = PlanarPolyline(tuple(map(shadow, poly.vertices)))
+        except ValueError as ex:
+            raise ProjectionNotGeneral(f"route of {key} degenerates in projection: {ex}")
+    try:
+        drawing = require_generic(PlanarDrawing(emb.graph, {v: shadow(p) for v, p in emb.position.items()}, routes))
+    except DrawingNotGeneral as ex:
+        raise ProjectionNotGeneral(f"projected drawing has {len(ex.violations)} degenerate contacts")
+    labeled = []
+    for c in drawing.crossings:
+        h1, h2 = (strand_height(emb, drawing, d, edge, side, key_point(c.key))
+                  for edge, side in ((c.edge1, c.side1), (c.edge2, c.side2)))
+        if h1 == h2:
+            raise InternalParityFailure("two strands of a valid embedding project to equal heights")
+        labeled.append(c.replace(upper=c.edge1 if h1 > h2 else c.edge2))
+    return ProjectedDiagram(d, drawing, tuple(labeled))
+
+
+def project_central_reference(points, apex: Point3, normal: Point3, names=None) -> ProjectedDiagram:
+    """`project_central` as records, on integer points: the images as
+    points, `gp_points2`, `make_drawing` and one `require_generic` sweep,
+    and each crossing labelled with the edge nearer the apex by
+    `higher_central_reference`, after the equal-depth check.  Raises what
+    `project_central` raises, with the same messages."""
+    pts = list(points)
+    if apex not in pts:
+        raise ValueError("apex must be one of the points")
+    others = [p for p in pts if p != apex]
+    if len(others) != len(pts) - 1:
+        raise ValueError("apex occurs more than once among the points")
+    gaps = [dot3(apex - p, normal) for p in others]
+    if any(g <= 0 for g in gaps):
+        raise ApexNotExtremal("apex does not strictly maximize the functional")
+    d = canonical_direction(normal)
+    e1, e2 = plane_basis(d)
+    scale = lcm(*gaps)
+    images = [Point2(dot3(p - apex, e1) * (scale // g), dot3(p - apex, e2) * (scale // g)) for p, g in zip(others, gaps)]
+    if not gp_points2(images):
+        raise ProjectionNotGeneral("projected points are not in general position")
+    names = list(names or [f"p{i}" for i in range(1, len(others) + 1)])
+    if len(names) != len(others):
+        raise ValueError("need one name per non-apex point")
+    graph = make_graph(names, combinations(names, 2))
+    try:
+        drawing = require_generic(make_drawing(graph, dict(zip(names, images))))
+    except DrawingNotGeneral as ex:
+        raise ProjectionNotGeneral(f"central image drawing has {len(ex.violations)} degenerate contacts")
+    at = dict(zip(names, others))
+    labeled = []
+    for c in drawing.crossings:
+        s1, s2 = tuple(map(at.get, c.edge1)), tuple(map(at.get, c.edge2))
+        if orient3d(*s1, *s2) == 0:
+            raise GeneralPositionViolation(f"edges {c.edge1} and {c.edge2} meet in space")
+        labeled.append(c.replace(upper=c.edge1 if higher_central_reference(apex, s1, s2) else c.edge2))
+    return ProjectedDiagram(d, drawing, tuple(labeled))
+
+
 def meet_point3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
     """The common point of two closed segments in space: None when
     disjoint, the single common Point3, or OVERLAP for a common
@@ -389,7 +492,7 @@ def validate_embedding_reference(emb: PLEmbedding) -> tuple:
     sides are the terminal sides of their routes at the shared vertex."""
     g = emb.graph
     pos = emb.position
-    out, usable = _side_table(emb)[:2]
+    out, usable = _side_table(g, *_coordinates(emb))[:2]
     for key in usable:
         poly = emb.route[key]
         for w in g.vertices:
@@ -494,7 +597,7 @@ def scan_drawing_reference(d: PlanarDrawing):
     through `seg_intersect2_reference`, and each degenerate contact is
     classified by the endpoints the two sides share.  Returns (violations,
     raw crossings, each with its Point2)."""
-    out, usable = _side_table(d)[:2]
+    out, usable = _side_table(d.graph, *_coordinates(d))[:2]
     sides = [(key, i, s) for key in usable for i, s in enumerate(d.route[key].sides())]
     crossings = []
     for a in range(len(sides)):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intrinsiclinks import graphs
+from intrinsiclinks import graphs, projection
 from intrinsiclinks.errors import (
     DrawingNotGeneral,
     EmbeddingInvalid,
@@ -16,12 +16,12 @@ from intrinsiclinks.geometry import Point2, Point3, gp_points3
 from intrinsiclinks.graphs import (
     GenericDrawing,
     PlanarDrawing,
+    PlanarPolyline,
     PLEmbedding,
     ValidEmbedding,
     bipartition,
     complete_bipartite,
     complete_graph,
-    cycle_route,
     enumerate_cycles,
     enumerate_disjoint_cycle_pairs,
     extract_crossings,
@@ -51,6 +51,7 @@ from intrinsiclinks.projection import find_general_projection, project_orthogona
 
 from helpers import (
     bipartition_reference,
+    cycle_route,
     disjoint_cycle_pairs_reference,
     enumerate_cycles_reference,
     reference_key,
@@ -821,10 +822,22 @@ def generated_drawings(seed):
     return [k5, k33, bend_drawing(k5, seed, bound=20), move_vertex_star(k33, seed, bound=20)]
 
 
+def scan(d):
+    """`graphs._scan_drawing` of a drawing, read as `require_generic` reads it."""
+    return graphs._scan_drawing(d.graph, *graphs._coordinates(d))
+
+
+def drawing_of(g, where, chains) -> PlanarDrawing:
+    """The drawing whose sweep reads the vertex coordinates `where` and the
+    coordinate chains `chains`."""
+    return PlanarDrawing(g, {v: Point2(*c) for v, c in where.items()},
+                         {key: PlanarPolyline(tuple(Point2(*c) for c in chain)) for key, chain in chains.items()})
+
+
 def assert_scan_matches_reference(d):
     """The same violations, and a crossing for each of the reference's, in
     its order, keyed by the reduced triple of its point."""
-    violations, crossings = graphs._scan_drawing(d)
+    violations, crossings = scan(d)
     ref_violations, ref_crossings = scan_drawing_reference(d)
     assert violations == ref_violations
     assert crossings == tuple((*rec[:4], reference_key(rec[4])) for rec in ref_crossings)
@@ -856,8 +869,9 @@ class TestSweepsMatchReference:
         """Every drawing and embedding the generators and a projection
         search sweep, rejected candidates included."""
         drawings, embeddings = [], []
-        scan, validate = graphs._scan_drawing, graphs.validate_embedding
-        monkeypatch.setattr(graphs, "_scan_drawing", lambda d: drawings.append(d) or scan(d))
+        sweep, validate = graphs._scan_drawing, graphs.validate_embedding
+        monkeypatch.setattr(graphs, "_scan_drawing", lambda *args: drawings.append(drawing_of(*args)) or sweep(*args))
+        monkeypatch.setattr(projection, "_scan_drawing", graphs._scan_drawing)
         monkeypatch.setattr(graphs, "validate_embedding", lambda e: embeddings.append(e) or validate(e))
         generated_drawings(seed)
         find_general_projection(smooth(gen_k6_pl_subdivided(seed)), seed=seed)
@@ -871,7 +885,7 @@ class TestSweepsMatchReference:
 
 def assert_raw_crossings_in_edge_order(d):
     rank = {e: k for k, e in enumerate(d.graph.edges)}
-    for e1, _, e2, _, _ in graphs._scan_drawing(d)[1]:
+    for e1, _, e2, _, _ in scan(d)[1]:
         assert rank[e1] <= rank[e2]
 
 

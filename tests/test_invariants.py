@@ -14,6 +14,7 @@ from intrinsiclinks.errors import (
     GeneralPositionViolation,
     InternalParityFailure,
     IntrinsicLinksError,
+    PolylinesNotDisjoint,
     ProjectionNotGeneral,
     SearchExhausted,
 )
@@ -49,13 +50,14 @@ from intrinsiclinks.invariants import (
     van_kampen_points,
     vk_invariance_probe,
 )
-from intrinsiclinks.linking import SpatialPolyline, triangles_linked
+from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled, triangles_linked
 from intrinsiclinks.projection import find_general_projection, project_central, project_orthogonal
 
 from intrinsiclinks.rng import SplitMix64
 
 from helpers import (
     ScriptedRng,
+    cycle_route,
     ledger_entries_reference,
     linear_analysis_reference,
     oracle_reference,
@@ -359,7 +361,7 @@ class TestFlatLedger:
     @staticmethod
     def assert_total_needs_every_crossing(diag, hubs, rows):
         def flat(d):
-            read = [(invariants._read_cycle(d, far.vertices), e) for far, e in rows]
+            read = [(invariants._read_cycle(d.graph, d._front, far.vertices), e) for far, e in rows]
             return invariants._front_ledger(d.graph, "flat", read, 1)
 
         assert flat(diag).total == 1
@@ -402,7 +404,7 @@ class TestHubPairLedger:
                 break
         mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != between[0]))
         for pair in ((far, near), (near, far)):
-            read = tuple(invariants._read_cycle(mutant, c.vertices) for c in pair)
+            read = tuple(invariants._read_cycle(mutant.graph, mutant._front, c.vertices) for c in pair)
             with pytest.raises(InternalParityFailure, match="depends on the cycle order"):
                 invariants._hub_pair_ledger([read], "pair")
 
@@ -437,7 +439,7 @@ class TestScriptsOnMasks:
         emb = gen_k44_linear(1, bound=1000)
         cycle = graphs.Cycle(("a1", "a2", "b1"))
         report = find_linked_cycles_k44(emb).replace(cycle1=cycle)
-        for call in (lambda: graphs.cycle_route(emb, cycle), lambda: oracle_confirm(emb, report),
+        for call in (lambda: cycle_route(emb, cycle), lambda: oracle_confirm(emb, report),
                      lambda: make_cycle(emb.graph, cycle.vertices)):
             with pytest.raises(ValueError, match=r"^\(a1, a2\) is not an edge$"):
                 call()
@@ -467,23 +469,48 @@ class TestFrontMatrixBuiltOnce:
         lambda: linear_parity_ledger(MOMENT6),
     ], ids=["k6", "k44", "linear"])
     def test_one_scan_of_the_crossings(self, analysis, monkeypatch):
-        # each analysis builds one diagram, whose constructor reads its
-        # crossings once to fill the front matrix; no ledger entry reads them
-        built, scans = [], []
-        init = projection.ProjectedDiagram.__init__
-
-        class Watched(tuple):
-            def __iter__(self):
-                scans.append(1)
-                return super().__iter__()
-
-        def watched_init(self, direction, drawing, crossings):
-            built.append(1)
-            init(self, direction, drawing, Watched(crossings))
-
-        monkeypatch.setattr(projection.ProjectedDiagram, "__init__", watched_init)
+        # each analysis reads its front matrix off the coordinate core of its
+        # projection, folded once from the core's strands, and builds no
+        # diagram, drawing, crossing record or planar point
+        built = {cls: 0 for cls in (projection.ProjectedDiagram, graphs.GenericDrawing, graphs.Crossing, Point2)}
+        for cls in built:
+            def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+                built[cls] += 1
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        folds = []
+        front_rows = invariants._front_rows
+        monkeypatch.setattr(invariants, "_front_rows", lambda g, strands: folds.append(g) or front_rows(g, strands))
         analysis()
-        assert (len(built), len(scans)) == (1, 1)
+        assert list(built.values()) == [0, 0, 0, 0]
+        assert len(folds) == 1
+
+
+class TestConfirmMatchesReference:
+    """`oracle_confirm` reads lk off the cone matrix of the two cycles'
+    edge routes; the reference cones one cycle's closed polygon over the
+    other's, from the same apex."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("source, ledgers, pairs", [
+        (gen_k6_pl_subdivided, k6_parity_ledgers, 10), (gen_k44_linear, k44_parity_ledgers, 9),
+    ], ids=["k6-pl", "k44-linear"])
+    def test_every_hub_pair(self, source, ledgers, pairs, seed):
+        emb = source(seed)
+        sm = smooth(emb)
+        entries = ledgers(emb, seed)[0].entries
+        assert len(entries) == pairs
+        for label, _ in entries:
+            far, near = (make_cycle(sm.graph, names.split("-")) for names in label[len("lk("):-1].split(" | "))
+            lk = linking_mod2_sampled(cycle_route(sm, far), cycle_route(sm, near), SplitMix64(seed))
+            report = LinkReport(far, near, lk, "pl-orthogonal")
+            assert oracle_confirm(emb, report, seed).oracle_confirmed
+            assert oracle_confirm(emb, report.replace(lk_value=1 - lk), seed).oracle_confirmed is False
+
+    def test_cycles_sharing_a_vertex(self):
+        report = _K6_REPORT.replace(cycle2=make_cycle(K6, ("v1", "v2", "v4")))
+        with pytest.raises(PolylinesNotDisjoint, match="^the two polygons share a point$"):
+            oracle_confirm(subdivided_moment_k6_embedding(), report)
 
 
 class TestOracle:
@@ -524,11 +551,21 @@ class TestOracle:
             oracle_count_linked_pairs(moment_k6_embedding(), 3, 3)
 
     def test_no_cycle_polygons(self, monkeypatch):
+        # the oracle and the confirmation read cycles off the cone matrix of
+        # the edge routes: no closed polygon is built, none checked disjoint
         called = []
-        monkeypatch.setattr(invariants, "cycle_route", lambda *args: called.append("cycle_route"))
+        init = SpatialPolyline.__init__
+
+        def counted(self, vertices, closed=False):
+            if closed:
+                called.append("closed polygon")
+            init(self, vertices, closed)
+
+        monkeypatch.setattr(SpatialPolyline, "__init__", counted)
         monkeypatch.setattr(linking, "polylines_disjoint", lambda *args: called.append("polylines_disjoint"))
         assert oracle_count_linked_pairs(subdivided_moment_k6_embedding(), 3, 3).count == 1
         assert oracle_count_linked_pairs(moment_k44_embedding(), 4, 4).count == 2
+        assert oracle_confirm(subdivided_moment_k6_embedding(), _K6_REPORT).oracle_confirmed
         assert called == []
 
     @pytest.mark.parametrize("n, linked, pairs", [(7, 7, 70), (8, 28, 280)])
@@ -699,7 +736,7 @@ class TestBoundedSearchPastMachineWords:
             tried.append(normal)
             raise ProjectionNotGeneral("rejected")
 
-        monkeypatch.setattr(invariants, "project_central", reject)
+        monkeypatch.setattr(invariants, "_central", reject)
         with pytest.raises(SearchExhausted):
             find_linked_triangles_linear(MOMENT6)
         assert max(abs(c) for n in tried for c in n.coords()).bit_length() > 63
@@ -747,7 +784,7 @@ class TestDirectionSearchDrawRules:
         tie = (-3, 1, 0)  # v1 and v2 both at -2
         rng = ScriptedRng([(0, 0, 0), (0, 1, 0), (0, 1, 0), tie, *distinct, (5, 0, 0), (1, 0, 0)])
         monkeypatch.setattr(invariants, "SplitMix64", rng)
-        monkeypatch.setattr(invariants, "project_central", reject)
+        monkeypatch.setattr(invariants, "_central", reject)
         monkeypatch.setattr(invariants, "VIEWPOINT_TRIES", 17)
         with pytest.raises(SearchExhausted, match="in 17 tries"):
             find_linked_triangles_linear(MOMENT6)
@@ -796,16 +833,17 @@ class TestValidateOnce:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Every drawing swept by `graphs._scan_drawing`, the one sweep behind
-    `validate_drawing` and `require_generic`."""
+    """The arguments of every sweep by `graphs._scan_drawing`, the one sweep
+    behind `validate_drawing`, `require_generic` and the projections."""
     calls = []
     original = graphs._scan_drawing
 
-    def counted(d):
-        calls.append(d)
-        return original(d)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(graphs, "_scan_drawing", counted)
+    for module in (graphs, projection):
+        monkeypatch.setattr(module, "_scan_drawing", counted)
     return calls
 
 
@@ -838,13 +876,13 @@ class TestSweepOnce:
     ])
     def test_linear_analysis_sweeps_once_per_viewpoint(self, points, sweeps, monkeypatch):
         viewpoints = []
-        original = invariants.project_central
+        original = invariants._central
 
         def counted(*args, **kwargs):
             viewpoints.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(invariants, "project_central", counted)
+        monkeypatch.setattr(invariants, "_central", counted)
         invariants._linear_analysis(points, seed=0)
         assert len(viewpoints) >= 1
         assert len(sweeps) == len(viewpoints)

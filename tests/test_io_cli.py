@@ -769,7 +769,7 @@ class TestPublicApi:
             "SearchExhausted", "SpatialPolyline", "SplitMix64",
             "Triangle3", "ValidEmbedding", "ValidationError", "Violation", "bend_drawing",
             "complete_bipartite", "complete_graph",
-            "cycle_route", "emit_instance", "enumerate_cycles",
+            "emit_instance", "enumerate_cycles",
             "enumerate_disjoint_cycle_pairs", "extract_crossings",
             "find_general_projection", "find_linked_cycles_k44", "find_linked_cycles_k6",
             "find_linked_triangles_linear", "gen_k33_drawing", "gen_k44_linear",

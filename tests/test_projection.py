@@ -25,15 +25,15 @@ from intrinsiclinks.geometry import (
 )
 from intrinsiclinks.graphs import (
     complete_graph,
-    cycle_route,
     enumerate_disjoint_cycle_pairs,
     extract_crossings,
     make_cycle,
     make_drawing,
     make_embedding,
     make_graph,
+    smooth,
 )
-from intrinsiclinks.instances import gen_k6_pl_subdivided
+from intrinsiclinks.instances import gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear
 from intrinsiclinks.linking import linking_mod2_cone
 from intrinsiclinks.projection import (
     ProjectedDiagram,
@@ -49,8 +49,11 @@ from intrinsiclinks.rng import SplitMix64
 
 from helpers import (
     check_crossing_parity_identity,
+    cycle_route,
     front_parity_reference,
     higher_central_reference,
+    project_central_reference,
+    project_orthogonal_reference,
     reference_diagram,
     seeded_apexes,
     seg_intersect2,
@@ -362,13 +365,13 @@ class TestProjectCentral:
 
     def test_two_points_on_one_ray_rejected_before_the_sweep(self, monkeypatch):
         """Two points on one ray from the apex share their image.  The
-        general-position check refuses them; without it the drawing's
-        constructor would raise a bare ValueError on the coincident images."""
+        general-position check refuses them; without it the coincident
+        images raise the bare ValueError of the drawing's constructor."""
         apex = Point3(0, 0, 10)
         pts = [apex, Point3(1, 0, 0), Point3(2, 0, -10), Point3(0, 3, 1), Point3(-2, -1, 2), Point3(3, -2, -1)]
         with pytest.raises(ProjectionNotGeneral, match="projected points are not in general position"):
             project_central(pts, apex, Point3(0, 0, 1))
-        monkeypatch.setattr(projection, "gp_points2", lambda images: True)
+        monkeypatch.setattr(projection, "_collinear2", lambda a, b, c: False)
         with pytest.raises(ValueError, match="polyline needs at least 2 vertices"):
             project_central(pts, apex, Point3(0, 0, 1))
 
@@ -465,3 +468,130 @@ class TestProjectCentral:
             self.assert_sight_lines(pts, apex, Point3(0, 0, 1))
         except ProjectionNotGeneral:
             assume(False)
+
+
+def outcome(call):
+    """What `call()` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as ex:  # noqa: BLE001 - the class is the result
+        return type(ex), str(ex)
+
+
+def first_candidates(emb, seed: int, count: int) -> list[Point3]:
+    """The first `count` directions the seeded search hands its projector."""
+    tried = []
+
+    def record(emb, d):
+        tried.append(d)
+        if len(tried) < count:
+            raise ProjectionNotGeneral("next")
+
+    projection._direction_search(emb, seed, record)
+    return tried
+
+
+def degenerate_directions(emb) -> list[Point3]:
+    """Directions that drop one vertex's shadow onto another's, or onto the
+    midpoint of a side of a route away from it, and, where a route bends,
+    that make its first side vanish or flatten its first corner."""
+    (u, pu), (w, pw) = list(emb.position.items())[:2]
+    key = next(e for e in emb.graph.edges if u not in e)
+    p, q = emb.route[key].sides()[0]
+    out = [pw - pu, pu.scale(2) - p - q]
+    bent = next((r.vertices for r in emb.route.values() if len(r.vertices) > 2), None)
+    if bent:
+        out += [bent[1] - bent[0], bent[2] - bent[0]]
+    return [canonical_direction(d) for d in out]
+
+
+def orthogonal_rows(emb, d):
+    """The front matrix the finders read off `_orthogonal`."""
+    return projection._front_rows(emb.graph, projection._orthogonal(emb, d)[5])
+
+
+def central_rows(*args):
+    """The front matrix the linear finder reads off `_central`."""
+    _, graph, _, _, _, strands = projection._central(*args)
+    return projection._front_rows(graph, strands)
+
+
+def assert_core_matches(core_rows, public, reference):
+    """The core's front rows are the public diagram's, which equals the
+    reference's; or all three raise the same class with the same message."""
+    if isinstance(public, ProjectedDiagram):
+        assert public == reference
+        assert core_rows == public._front
+    else:
+        assert core_rows == public == reference
+
+
+class TestOrthogonalCoreMatchesPublicPath:
+    """`_orthogonal`, which the finders run, against `project_orthogonal`
+    and against the record-building reference, on the first 20 directions
+    of each seeded search and on hand-made degenerate directions."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("source", [gen_k6_pl_subdivided, gen_k44_linear], ids=lambda f: f.__name__)
+    def test_directions(self, source, seed):
+        emb = smooth(source(seed))
+        rejected = 0
+        for i, d in enumerate(first_candidates(emb, seed, 20) + degenerate_directions(emb)):
+            core = outcome(lambda: orthogonal_rows(emb, d))
+            public = outcome(lambda: project_orthogonal(emb, d))
+            assert_core_matches(core, public, outcome(lambda: project_orthogonal_reference(emb, d)))
+            if i >= 20:
+                assert public[0] is ProjectionNotGeneral
+            rejected += not isinstance(public, ProjectedDiagram)
+        assert rejected >= len(degenerate_directions(emb))
+
+
+class TestCentralCoreMatchesPublicPath:
+    """`_central`, which the linear finder runs, against `project_central`
+    and against the record-building reference."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_apex(self, seed):
+        pts = gen_k6_points(seed)
+        total = sum(pts[1:], pts[0])
+        for apex in pts:
+            outward = apex.scale(6) - total  # from the centroid to the apex
+            for normal in (outward, Point3(0, 0, 0) - outward):  # the second is not extremal
+                core = outcome(lambda: central_rows(pts, apex, normal))
+                public = outcome(lambda: project_central(pts, apex, normal))
+                assert_core_matches(core, public, outcome(lambda: project_central_reference(pts, apex, normal)))
+            assert public == (ApexNotExtremal, "apex does not strictly maximize the functional")
+
+    HEXAGON_APEX = Point3(0, 0, 1)
+    HEXAGON = [HEXAGON_APEX] + [Point3(t * x, t * y, 1 - t) for t, (x, y) in zip(
+        (1, 1, 1, 2, 2, 2), [(3, 0), (-3, 0), (1, 2), (-1, -2), (-1, 3), (1, -3)])]
+    RAY_APEX = Point3(0, 0, 10)
+    RAY = [RAY_APEX, Point3(1, 0, 0), Point3(2, 0, -10), Point3(0, 3, 1), Point3(-2, -1, 2), Point3(3, -2, -1)]
+    SQUARE_APEX = Point3(1, 1, 5)
+    SQUARE = [Point3(2, 0, 0), Point3(0, 1, 0), Point3(-2, 0, 0), Point3(0, -1, 0), SQUARE_APEX]
+
+    @pytest.mark.parametrize("points, apex, names, expected", [
+        (HEXAGON, HEXAGON_APEX, None, (ProjectionNotGeneral, "central image drawing has 1 degenerate contacts")),
+        (RAY, RAY_APEX, None, (ProjectionNotGeneral, "projected points are not in general position")),
+        (SQUARE, SQUARE_APEX, None, (GeneralPositionViolation, "edges ('p1', 'p3') and ('p2', 'p4') meet in space")),
+        (MOMENT_POINTS, Point3(9, 9, 9), None, (ValueError, "apex must be one of the points")),
+        (MOMENT_POINTS + MOMENT_POINTS[-1:], MOMENT_POINTS[-1], None,
+         (ValueError, "apex occurs more than once among the points")),
+        (MOMENT_POINTS, MOMENT_POINTS[-1], ["a", "b"], (ValueError, "need one name per non-apex point")),
+        (MOMENT_POINTS, MOMENT_POINTS[-1], ["a"] * 5, (ValueError, "repeated vertex name")),
+    ], ids=["hexagon-sweep", "ray-general-position", "square-equal-depth", "apex-missing", "apex-repeated",
+            "too-few-names", "repeated-name"])
+    def test_rejections(self, points, apex, names, expected):
+        normal = Point3(0, 0, 1)
+        core = outcome(lambda: projection._central(points, apex, normal, names))
+        public = outcome(lambda: project_central(points, apex, normal, names))
+        assert core == public == outcome(lambda: project_central_reference(points, apex, normal, names)) == expected
+
+    def test_coincident_images_past_the_general_position_check(self, monkeypatch):
+        """Without the general-position check the core raises, as the
+        drawing's constructor does, a bare ValueError on two coincident
+        images; so does the public path, which runs the core."""
+        monkeypatch.setattr(projection, "_collinear2", lambda a, b, c: False)
+        expected = (ValueError, "polyline needs at least 2 vertices, closed needs 3")
+        core = outcome(lambda: projection._central(self.RAY, self.RAY_APEX, Point3(0, 0, 1)))
+        assert core == outcome(lambda: project_central(self.RAY, self.RAY_APEX, Point3(0, 0, 1))) == expected

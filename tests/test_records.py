@@ -131,6 +131,16 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_builds_no_sos_table():
+    # the tie-breaking terms of orient3d_sos are built on the first tie
+    src = str(Path(intrinsiclinks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import intrinsiclinks.cli, intrinsiclinks.geometry as g; print(g._sos_terms.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_every_record_class_is_covered():
     # all but the points, which have a contract test of their own
     found, todo = set(), [_Record]
