@@ -540,26 +540,24 @@ def require_valid(emb: PLEmbedding) -> ValidEmbedding:
     return ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
 
 
-def smooth(emb: PLEmbedding) -> ValidEmbedding:
-    """Validate an embedding as `require_valid` does, then undo
-    subdivisions: absorb the last-listed degree-2 vertex whose two
-    neighbors are not adjacent, joining its two routes, until none is left
-    (a triangle stays a triangle).  The carrier stays, so the result is
-    valid.  Absorbing keeps every other degree, so the degree-2 vertices are
-    found once.  A subdivision that lists its new vertices after the
-    original ones smooths back to the original vertices, even when the
-    whole graph is one cycle.  With nothing to absorb the validated input
-    itself is returned."""
+def _smoothed(emb: PLEmbedding) -> tuple[Graph, dict, list[tuple[Point3, ...]]]:
+    """`smooth` on point chains, validating once and building no record: the
+    core graph (the input's when nothing is absorbed), its positions, and each
+    core edge's route points, in `graph.edges` order from key[0] to key[1].
+    No second check: validated routes u-w and w-x meet only at w, so their join
+    is simple, and w goes only where the join runs straight, so every corner is
+    a validated route's; the carrier stays, so disjoint cycles keep disjoint routes."""
     emb = require_valid(emb)
     g = emb.graph
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    chain: dict[EdgeKey, tuple[Point3, ...]] = {}  # both orientations
     for u, x in g.edges:
         adj[u].add(x)
         adj[x].add(u)
-        chain[u, x] = emb.route[u, x].vertices
-        chain[x, u] = chain[u, x][::-1]
-    candidates = [w for w in reversed(g.vertices) if len(adj[w]) == 2]
+    candidates = [w for w in reversed(g.vertices) if len(adj[w]) == 2]  # absorbing keeps other degrees
+    chain = {key: emb.route[key].vertices for key in g.edges}
+    if not candidates:
+        return g, emb.position, list(chain.values())
+    chain.update([((x, u), c[::-1]) for (u, x), c in chain.items()])  # both orientations
     while True:
         for w in candidates:
             u, x = adj[w]
@@ -569,9 +567,8 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
             break
         candidates.remove(w)
         del adj[w]
-        for a, b in ((u, x), (x, u)):
-            adj[a].remove(w)
-            adj[a].add(b)
+        adj[u] ^= {w, x}  # w out, x in: it was not a neighbour
+        adj[x] ^= {w, u}
         left, right = chain.pop((u, w)), chain.pop((w, x))
         # w is the one point that can run straight: every other corner is a
         # corner of a validated route, and dropping w keeps its neighbours
@@ -580,11 +577,27 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
         chain[x, u] = chain[u, x][::-1]
         del chain[w, u], chain[x, w]
     if len(adj) == len(g.vertices):
+        return g, emb.position, [chain[key] for key in g.edges]
+    at, vertices = g._index, tuple(v for v in g.vertices if v in adj)  # edges ordered as `make_graph` orders them
+    core = Graph(vertices, tuple((u, x) for u in vertices for x in sorted(adj[u], key=at.get) if at[u] < at[x]))
+    return core, {v: emb.position[v] for v in vertices}, [chain[key] for key in core.edges]
+
+
+def smooth(emb: PLEmbedding) -> ValidEmbedding:
+    """Validate an embedding as `require_valid` does, then undo subdivisions:
+    absorb the last-listed degree-2 vertex whose two neighbors are not
+    adjacent, joining its two routes, until none is left (a triangle stays a
+    triangle), so a subdivision listing its new vertices last smooths back to
+    the original vertices, even when the graph is one cycle.  With nothing to
+    absorb the validated input itself is returned.  Each merged route is valid
+    by the carrier argument of `_smoothed`, which the finders and oracles read."""
+    emb = require_valid(emb)
+    core, position, chains = _smoothed(emb)
+    if core is emb.graph:
         return emb
-    core = make_graph([v for v in g.vertices if v in adj], chain)
-    # an edge of `g` that is still there was never merged
-    route = {key: emb.route[key] if g.has_edge(*key) else SpatialPolyline(chain[key]) for key in core.edges}
-    return ValidEmbedding(core, {v: emb.position[v] for v in core.vertices}, route)
+    # an edge of the input that is still there was never merged
+    route = {key: emb.route[key] if key in emb.route else SpatialPolyline(c) for key, c in zip(core.edges, chains)}
+    return ValidEmbedding(core, position, route)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .graphs import (
     _cycle,
     _cycle_pairs,
     _disjoint_pairs,
+    _smoothed,
     _xor_rows,
     bipartition,
     complete_graph,
@@ -40,7 +41,6 @@ from .graphs import (
     is_complete,
     make_cycle,
     make_drawing,
-    smooth,
 )
 from .linking import _cone_matrix, _draw_apex
 from .projection import _central, _direction_search, _front_rows, _lk, _orthogonal
@@ -259,11 +259,10 @@ def _k6_analysis(emb: PLEmbedding, seed: int):
     crossing-parity invariant of the hub-free subdrawing: the far triangle
     of a hub-free edge is the set of hub-free edges disjoint from it, so
     each of their crossings counts once, for the edge behind."""
-    sm = smooth(emb)
-    if not (len(sm.graph.vertices) == 6 and is_complete(sm.graph)):
+    g, position, routes = _smoothed(emb)
+    if not (len(g.vertices) == 6 and is_complete(g)):
         raise ValueError("embedding does not smooth to a complete graph on 6 vertices")
-    g = sm.graph
-    front = _front_rows(g, _direction_search(sm, seed, _orthogonal)[5])
+    front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
     hub = g.vertices[0]
     rows = []  # (base edge missing the hub, far triangle, near triangle)
     for e in g.edges:
@@ -307,15 +306,14 @@ def _k44_analysis(emb: PLEmbedding, seed: int):
     through both hubs, the cancellations of the hub-to-hub bridge and of
     the spokes at each hub, and the flat sum, which is the crossing-parity
     invariant of the hub-free subdrawing as in the 6-vertex analysis."""
-    sm = smooth(emb)
+    g, position, routes = _smoothed(emb)
     try:  # the shape check and the hubs share one bipartition
-        part_a, part_b = bipartition(sm.graph)
+        part_a, part_b = bipartition(g)
     except ValueError:
         part_a = part_b = ()
-    if not (len(part_a) == len(part_b) == 4 and len(sm.graph.edges) == 16):
+    if not (len(part_a) == len(part_b) == 4 and len(g.edges) == 16):
         raise ValueError("embedding does not smooth to a complete bipartite 4+4 graph")
-    g = sm.graph
-    front = _front_rows(g, _direction_search(sm, seed, _orthogonal)[5])
+    front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
     hub_a, hub_b = part_a[0], part_b[0]
     rows = []  # (inner edge, its end in each part, far and near quadrilaterals)
     for e in g.edges:
@@ -382,14 +380,12 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     lk(c1, c2) for every c2 at once.  Refused before any cone test past
     CONE_TEST_BUDGET side pairs: sides(e) * sides(f) over ordered
     vertex-disjoint edges."""
-    sm = smooth(emb)
-    g = sm.graph
+    g, _, chains = _smoothed(emb)
     first, second, partners = _disjoint_pairs(g, len1, len2)
     total = sum(mask.bit_count() for mask in partners)
     if not total:
         return OracleResult(0, (), 0)
     disjoint = [[f for f, h in enumerate(g.edges) if u not in h and v not in h] for u, v in g.edges]
-    chains = [sm.route[e].vertices for e in g.edges]
     tests = sum((len(chains[e]) - 1) * (len(chains[f]) - 1) for e, fs in enumerate(disjoint) for f in fs)
     if tests > CONE_TEST_BUDGET:
         raise SearchExhausted(f"{tests} side-pair cone tests exceed the budget of {CONE_TEST_BUDGET}")
@@ -406,11 +402,11 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
 def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkReport:
     """Re-check one report by cone counting, as `oracle_count_linked_pairs`
     does from the apex `linking_mod2_sampled` draws, and fill oracle_confirmed."""
-    sm = smooth(emb)
-    (vertices1, mask1), (vertices2, mask2) = (_cycle(sm.graph, c.vertices) for c in (report.cycle1, report.cycle2))
+    g, _, routes = _smoothed(emb)
+    (vertices1, mask1), (vertices2, mask2) = (_cycle(g, c.vertices) for c in (report.cycle1, report.cycle2))
     if set(vertices1) & set(vertices2):
         raise PolylinesNotDisjoint("the two polygons share a point")
-    chains = [sm.route[sm.graph.edges[e]].vertices for e in _bits(mask1) + _bits(mask2)]
+    chains = [routes[e] for e in _bits(mask1) + _bits(mask2)]
     k = mask1.bit_count()  # a row for each edge of cycle 1, its bits at cycle 2's
     rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, [range(k, len(chains))] * k)
     value = _xor_rows(rows, (1 << k) - 1).bit_count() & 1

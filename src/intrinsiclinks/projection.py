@@ -11,8 +11,9 @@ defective diagram; callers that need some direction use the seeded search.
 
 Each projection has one core on coordinate tuples, which sweeps the
 shadows or images once and names the front strand at each crossing.  The
-finders fold those strands into a front matrix, one bitmask row per edge,
-and build no diagram; the public functions build a `ProjectedDiagram` from
+analyses hand the orthogonal core the point chains of `graphs._smoothed`
+and fold its strands into a front matrix, one bitmask row per edge,
+building no diagram; the public functions build a `ProjectedDiagram` from
 the core's result.  Every linking number is an XOR of rows read at a mask.
 """
 
@@ -39,7 +40,6 @@ from .graphs import (
     PlanarDrawing,
     PlanarPolyline,
     PLEmbedding,
-    ValidEmbedding,
     _generic,
     _scan_drawing,
     _xor_rows,
@@ -120,22 +120,23 @@ def _diagram(d: Point3, graph: Graph, where, chains, crossings, strands) -> Proj
     return ProjectedDiagram(d, drawing, tuple(labelled))
 
 
-def _orthogonal(emb: ValidEmbedding, d: Point3):
-    """`project_orthogonal` on coordinates: the canonical direction, the
-    graph, the shadows of the vertices and route points, the sweep's
-    crossings of distinct edges, and their (edge1, edge2, upper) strands."""
+def _orthogonal(g: Graph, position, routes, d: Point3):
+    """`project_orthogonal` on coordinates, of a valid embedding as `g`, its positions and
+    each edge's route points in `g.edges` order: the canonical direction, the graph, the
+    vertex and route-point shadows, the crossings of distinct edges and their strands."""
+    route = dict(zip(g.edges, routes))
     (ax, ay, az), (bx, by, bz) = (e.coords() for e in plane_basis(d))
-    points = {p.coords() for p in emb.position.values()} | {p.coords() for r in emb.route.values() for p in r.vertices}
+    points = {p.coords() for p in position.values()} | {p.coords() for r in routes for p in r}
     shade = {(x, y, z): (x * ax + y * ay + z * az, x * bx + y * by + z * bz) for x, y, z in points}  # once a point
-    where = {v: shade[p.coords()] for v, p in emb.position.items()}
+    where = {v: shade[p.coords()] for v, p in position.items()}
     chains = {}
-    for key, poly in emb.route.items():
-        chains[key] = chain = [shade[p.coords()] for p in poly.vertices]
+    for key, r in route.items():
+        chains[key] = chain = [shade[p.coords()] for p in r]
         try:  # sides must stay in bijection with the spatial sides, so a flattened corner is a rejection
             _check_polyline(chain, False, _collinear2)
         except ValueError as ex:
             raise ProjectionNotGeneral(f"route of {key} degenerates in projection: {ex}")
-    violations, raw = _scan_drawing(emb.graph, where, chains)
+    violations, raw = _scan_drawing(g, where, chains)
     if violations:
         raise ProjectionNotGeneral(f"projected drawing has {len(violations)} degenerate contacts")
 
@@ -144,7 +145,7 @@ def _orthogonal(emb: ValidEmbedding, d: Point3):
         e1, i1, e2, i2, _ = rec
         if e1 == e2:
             continue
-        (p1, q1), (p2, q2) = emb.route[e1].sides()[i1], emb.route[e2].sides()[i2]
+        (p1, q1), (p2, q2) = route[e1][i1 : i1 + 2], route[e2][i2 : i2 + 2]
         (r1x, r1y), (s1x, s1y) = chains[e1][i1 : i1 + 2]
         (r2x, r2y), (s2x, s2y) = chains[e2][i2 : i2 + 2]
         # (e1, e2, d) is positively oriented, so with a, b the spatial side
@@ -158,7 +159,7 @@ def _orthogonal(emb: ValidEmbedding, d: Point3):
         turn = _sign((s1x - r1x) * (s2y - r2y) - (s1y - r1y) * (s2x - r2x))
         crossings.append(rec)
         strands.append((e1, e2, e1 if det == turn else e2))
-    return d, emb.graph, where, chains, crossings, strands
+    return d, g, where, chains, crossings, strands
 
 
 def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
@@ -170,16 +171,16 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     with degenerate contacts.
     """
     d = canonical_direction(direction)
-    return _diagram(*_orthogonal(require_valid(emb), d))
+    emb = require_valid(emb)
+    return _diagram(*_orthogonal(emb.graph, emb.position, [emb.route[key].vertices for key in emb.graph.edges], d))
 
 
 # directions the projection search tries before it raises SearchExhausted
 DIRECTION_TRIES = 10000
 
 
-def _direction_search(emb: PLEmbedding, seed: int, project):
-    """The first `project(emb, d)`, d as `find_general_projection` draws it, that is not rejected."""
-    emb = require_valid(emb)
+def _direction_search(seed: int, project, *args):
+    """The first `project(*args, d)`, d as `find_general_projection` draws it, that is not rejected."""
     rng = SplitMix64(seed)
     bound = 8
     rejections = 0
@@ -193,7 +194,7 @@ def _direction_search(emb: PLEmbedding, seed: int, project):
             continue
         seen.add(cand)
         try:
-            return project(emb, cand)
+            return project(*args, cand)
         except ProjectionNotGeneral:
             rejections += 1
             if rejections % 16 == 0:
@@ -208,7 +209,7 @@ def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram
     rejections; almost every direction works, so the search normally ends
     within a handful of tries.  Deterministic for a fixed embedding + seed.
     """
-    return _direction_search(emb, seed, project_orthogonal)
+    return _direction_search(seed, project_orthogonal, require_valid(emb))
 
 
 def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequence[str] | None = None):

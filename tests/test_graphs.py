@@ -19,6 +19,7 @@ from intrinsiclinks.graphs import (
     PlanarPolyline,
     PLEmbedding,
     ValidEmbedding,
+    _smoothed,
     bipartition,
     complete_bipartite,
     complete_graph,
@@ -496,8 +497,10 @@ class TestSmoothOnePass:
 
     def test_builds_core_graph_and_each_merged_route_once(self, monkeypatch):
         # each merged route is built once, by the constructor, which checks
-        # every corner; only its junctions were tested for straightness
-        counts = {"make_graph": 0, "through": 0, "SpatialPolyline": 0}
+        # every corner; only its junctions were tested for straightness.  The
+        # core graph is built once, directly: its vertices are the input's, in
+        # their order, and its edges are ordered as `make_graph` orders them
+        counts = {"make_graph": 0, "Graph": 0, "through": 0, "SpatialPolyline": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -510,10 +513,11 @@ class TestSmoothOnePass:
         through = SpatialPolyline.through.__func__
         monkeypatch.setattr(SpatialPolyline, "through", classmethod(counted("through", through)))
         monkeypatch.setattr(SpatialPolyline, "__init__", counted("SpatialPolyline", SpatialPolyline.__init__))
+        monkeypatch.setattr(graphs.Graph, "__init__", counted("Graph", graphs.Graph.__init__))
         for emb in embeddings:
-            counts.update(make_graph=0, through=0, SpatialPolyline=0)
+            counts.update(make_graph=0, Graph=0, through=0, SpatialPolyline=0)
             assert smooth(emb).graph == K6
-            assert counts == {"make_graph": 1, "through": 0, "SpatialPolyline": 15}
+            assert counts == {"make_graph": 0, "Graph": 1, "through": 0, "SpatialPolyline": 15}
 
 
 def bent_k6():
@@ -528,6 +532,27 @@ B = P3(1, 3, 5)
 
 def along(p, q, t):
     return p + (q - p).scale(Fraction(t))
+
+
+@st.composite
+def cut_k6_embeddings(draw):
+    """Some edges of a moment-curve K6 cut at 1-3 points each: a bent cut is
+    moved off the edge, a straight one lies on the segment between its
+    neighbouring bent cuts or ends.  Only valid embeddings are kept."""
+    emb = make_embedding(K6, {v: p.scale(6) for v, p in moment_positions(6).items()})
+    jitter = st.tuples(*[st.integers(-1, 1)] * 3).filter(any)
+    for u, v in draw(st.lists(st.sampled_from(K6.edges), min_size=1, max_size=15, unique=True)):
+        bent = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+        p, q = emb.position[u], emb.position[v]
+        points = [along(p, q, Fraction(j, len(bent) + 1)) + P3(*draw(jitter)) if b else None
+                  for j, b in enumerate(bent, start=1)]
+        anchors = [(-1, p)] + [(j, x) for j, x in enumerate(points) if x is not None] + [(len(points), q)]
+        for (i, a), (k, b) in zip(anchors, anchors[1:]):
+            for j in range(i + 1, k):
+                points[j] = along(a, b, Fraction(j - i, k - i))
+        emb = subdivided(emb, (u, v), points)
+    assume(validate_embedding(emb) == ())
+    return emb
 
 
 class TestSmoothStraightJunctions:
@@ -558,27 +583,89 @@ class TestSmoothStraightJunctions:
         self.assert_smooths_to(sub, (p, q))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_reference(self, data):
-        """Some edges of a moment-curve K6 cut at 1-3 points each: a bent
-        cut is moved off the edge, a straight one lies on the segment
-        between its neighbouring bent cuts or ends."""
-        emb = make_embedding(K6, {v: p.scale(6) for v, p in moment_positions(6).items()})
-        jitter = st.tuples(*[st.integers(-1, 1)] * 3).filter(any)
-        for u, v in data.draw(st.lists(st.sampled_from(K6.edges), min_size=1, max_size=15, unique=True)):
-            bent = data.draw(st.lists(st.booleans(), min_size=1, max_size=3))
-            p, q = emb.position[u], emb.position[v]
-            points = [along(p, q, Fraction(j, len(bent) + 1)) + P3(*data.draw(jitter)) if b else None
-                      for j, b in enumerate(bent, start=1)]
-            anchors = [(-1, p)] + [(j, x) for j, x in enumerate(points) if x is not None] + [(len(points), q)]
-            for (i, a), (k, b) in zip(anchors, anchors[1:]):
-                for j in range(i + 1, k):
-                    points[j] = along(a, b, Fraction(j - i, k - i))
-            emb = subdivided(emb, (u, v), points)
-        assume(validate_embedding(emb) == ())
+    @given(cut_k6_embeddings())
+    def test_matches_reference(self, emb):
         sm, ref = smooth(emb), smooth_reference(emb)
         assert sm == ref and sm.graph == K6
         assert list(sm.position) == list(ref.position)
+
+
+def cycle_embedding(points, last=()):
+    """The closed polygon through `points` as a graph that is one cycle, with
+    vertices c1, c2, ... in the polygon's order, those at the indices `last`
+    listed after the others."""
+    names = [f"c{i}" for i in range(1, len(points) + 1)]
+    listed = [v for i, v in enumerate(names) if i not in last] + [names[i] for i in last]
+    return make_embedding(make_graph(listed, zip(names, names[1:] + names[:1])), dict(zip(names, points)))
+
+
+def stopped_triangle():
+    g = make_graph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3"), ("v1", "v3")])
+    emb = make_embedding(g, {"v1": P3(0, 0, 0), "v2": P3(4, 0, 0), "v3": P3(0, 4, 0)})
+    return subdivided(emb, ("v1", "v2"), [P3(2, 0, 0)])
+
+
+def straight_junctions():
+    emb = bent_k6()
+    p, q = emb.position["v1"], emb.position["v2"]
+    return subdivided(emb, ("v1", "v2"), [along(p, B, "1/3"), B, along(B, q, "1/3"), along(B, q, "2/3")])
+
+
+def assert_core_matches_reference(emb):
+    """`_smoothed` gives the reference's graph, positions and routes; and,
+    for the carrier argument that lets it skip the check, every chain passes
+    the checked `SpatialPolyline` constructor and the embedding rebuilt from
+    the chains validates.  Returns the core graph and the chains."""
+    g, position, chains = _smoothed(emb)
+    ref = smooth_reference(emb)
+    assert g == ref.graph
+    assert list(position.items()) == list(ref.position.items())
+    assert chains == [ref.route[key].vertices for key in g.edges]
+    rebuilt = PLEmbedding(g, position, {key: SpatialPolyline(chain) for key, chain in zip(g.edges, chains)})
+    assert validate_embedding(rebuilt) == ()
+    return g, chains
+
+
+SQUARE = [P3(0, 0, 0), P3(2, 0, 0), P3(4, 0, 0), P3(4, 4, 0), P3(0, 4, 0)]
+HEXAGON = [P3(0, 0, 0), P3(2, 0, 1), P3(4, 0, 0), P3(4, 4, 1), P3(0, 4, 0), P3(0, 2, 2)]
+
+
+class TestSmoothingCore:
+    """`graphs._smoothed`, which the finders and oracles read, against the
+    record-building reference, on straight junctions, stopped triangles and
+    graphs that are one cycle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_embeddings())
+    def test_cut_small_graphs(self, emb):
+        assert_core_matches_reference(emb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut_k6_embeddings())
+    def test_cut_k6(self, emb):
+        assert assert_core_matches_reference(emb)[0] == K6
+
+    @pytest.mark.parametrize("make, vertices, merged", [
+        (straight_junctions, K6.vertices, [(P3(1, 1, 1), B, P3(2, 4, 8))]),
+        (stopped_triangle, ("v1", "v2", "v3"), [(P3(0, 0, 0), P3(4, 0, 0))]),
+        # c2 is a straight junction listed last, c5 a corner; then every
+        # degree-2 vertex has adjacent neighbours
+        (lambda: cycle_embedding(SQUARE, last=(1,)), ("c1", "c3", "c4"),
+         [(SQUARE[0], SQUARE[2]), (SQUARE[0], SQUARE[4], SQUARE[3])]),
+        (lambda: cycle_embedding(HEXAGON), ("c1", "c2", "c3"), [(HEXAGON[0], *HEXAGON[:1:-1])]),
+    ], ids=["straight-junctions", "stopped-triangle", "square-with-straight-cut", "bent-hexagon"])
+    def test_hand_made(self, make, vertices, merged):
+        emb = make()
+        assert validate_embedding(emb) == ()
+        g, chains = assert_core_matches_reference(emb)
+        assert g.vertices == vertices
+        assert [chain for key, chain in zip(g.edges, chains) if not emb.graph.has_edge(*key)] == merged
+
+    def test_nothing_to_absorb_hands_back_the_input(self):
+        for emb in (gen_k44_linear(3), gen_polygon_pair(3)):
+            g, position, chains = _smoothed(emb)
+            assert g is emb.graph and position is emb.position
+            assert chains == [emb.route[key].vertices for key in g.edges]
 
 
 def midpoint_subdivided_k6(edges):

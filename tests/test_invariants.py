@@ -114,6 +114,28 @@ def moment_k44_embedding():
     return make_embedding(K44, dict(zip(K44.vertices, MOMENT8)))
 
 
+def folded_subdivided_k6():
+    """A subdivided K6 whose edge v1-v2 folds back over itself at v1.v2.1, so
+    smoothing it without validating first would build a self-intersecting route."""
+    w = "v1.v2.1"
+    vertices = [f"v{i}" for i in range(1, 7)] + [w]
+    edges = [e for e in combinations(vertices[:6], 2) if e != ("v1", "v2")]
+    graph = make_graph(vertices, edges + [("v1", w), (w, "v2")])
+    pos = {
+        "v1": Point3(0, 0, 0), "v2": Point3(1, -1, 0), w: Point3(4, 0, 0),
+        "v3": Point3(1, 2, 9), "v4": Point3(-3, 5, -7),
+        "v5": Point3(6, -4, 11), "v6": Point3(-5, -6, -13),
+    }
+    return make_embedding(graph, pos, {("v1", w): [Point3(2, 3, 0)], (w, "v2"): [Point3(1, 3, 0)]})
+
+
+def k44_with_a_vertex_on_a_route():
+    """The moment-curve K4,4 with b4 moved to the midpoint of the route a1-b1."""
+    pos = dict(zip(K44.vertices, MOMENT8))
+    pos["b4"] = (pos["a1"] + pos["b1"]).scale(Fraction(1, 2))
+    return make_embedding(K44, pos)
+
+
 class TestParityLedger:
     def test_total_is_xor(self):
         led = ParityLedger("x", (("a", 1), ("b", 1), ("c", 0), ("d", 1)))
@@ -292,18 +314,7 @@ class TestK6Finder:
             find_linked_cycles_k6(make_embedding(K6, pos), seed=0)
 
     def test_invalid_subdivided_input_is_rejected_before_smoothing(self):
-        # the subdivided edge v1-v2 folds back over itself, so smoothing it
-        # would build a self-intersecting route
-        w = "v1.v2.1"
-        vertices = [f"v{i}" for i in range(1, 7)] + [w]
-        edges = [e for e in combinations(vertices[:6], 2) if e != ("v1", "v2")]
-        graph = make_graph(vertices, edges + [("v1", w), (w, "v2")])
-        pos = {
-            "v1": Point3(0, 0, 0), "v2": Point3(1, -1, 0), w: Point3(4, 0, 0),
-            "v3": Point3(1, 2, 9), "v4": Point3(-3, 5, -7),
-            "v5": Point3(6, -4, 11), "v6": Point3(-5, -6, -13),
-        }
-        emb = make_embedding(graph, pos, {("v1", w): [Point3(2, 3, 0)], (w, "v2"): [Point3(1, 3, 0)]})
+        emb = folded_subdivided_k6()
         with pytest.raises(ValueError):
             smooth_reference(emb)
         with pytest.raises(EmbeddingInvalid) as info:
@@ -484,6 +495,64 @@ class TestFrontMatrixBuiltOnce:
         analysis()
         assert list(built.values()) == [0, 0, 0, 0]
         assert len(folds) == 1
+
+
+class TestReadersBuildNoRecords:
+    """The finders, the ledgers and both oracles read the smoothing core's
+    point chains: none builds a merged `SpatialPolyline` or a smoothed
+    `ValidEmbedding`, where public `smooth` builds one polyline per merged
+    route and one embedding."""
+
+    @pytest.mark.parametrize("make, seed, find, ledgers, smoothing", [
+        *[(gen_k6_pl_subdivided, seed, find_linked_cycles_k6, k6_parity_ledgers, (15, 1)) for seed in range(5)],
+        (lambda seed: require_valid(subdivided_moment_k6_embedding()), 0,
+         find_linked_cycles_k6, k6_parity_ledgers, (1, 1)),
+        (gen_k44_linear, 0, find_linked_cycles_k44, k44_parity_ledgers, (0, 0)),
+    ], ids=[f"k6-pl-{seed}" for seed in range(5)] + ["k6-one-edge-subdivided", "k44-linear-0"])
+    def test_no_polyline_and_no_embedding(self, make, seed, find, ledgers, smoothing, monkeypatch):
+        emb = make(seed)
+        report = find(emb, seed)
+        built = {SpatialPolyline: 0, ValidEmbedding: 0}
+        for cls in built:
+            def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+                built[cls] += 1
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        calls = {
+            "finder": lambda: find(emb, seed),
+            "ledgers": lambda: ledgers(emb, seed),
+            "oracle_confirm": lambda: oracle_confirm(emb, report, seed),
+            "oracle_count_linked_pairs": lambda: oracle_count_linked_pairs(emb, 3, 3, seed),
+            "smooth": lambda: smooth(emb),
+        }
+        counts = {}
+        for name, call in calls.items():
+            built.update({SpatialPolyline: 0, ValidEmbedding: 0})
+            call()
+            counts[name] = tuple(built.values())
+        assert counts == {**{name: (0, 0) for name in calls}, "smooth": smoothing}
+
+
+class TestInvalidInputRefusedFirst:
+    """Each analysis and each oracle refuses an invalid embedding with every
+    violation, before smoothing and before any shape check."""
+
+    @pytest.mark.parametrize("make", [folded_subdivided_k6, k44_with_a_vertex_on_a_route],
+                             ids=["folded-k6", "k44-vertex-on-route"])
+    @pytest.mark.parametrize("entry", [
+        lambda emb: find_linked_cycles_k6(emb, seed=0),
+        lambda emb: k6_parity_ledgers(emb, seed=0),
+        lambda emb: find_linked_cycles_k44(emb, seed=0),
+        lambda emb: k44_parity_ledgers(emb, seed=0),
+        lambda emb: oracle_count_linked_pairs(emb, 3, 3),
+        lambda emb: oracle_confirm(emb, _K6_REPORT),
+    ], ids=["find_linked_cycles_k6", "k6_parity_ledgers", "find_linked_cycles_k44", "k44_parity_ledgers",
+            "oracle_count_linked_pairs", "oracle_confirm"])
+    def test_embedding_invalid(self, make, entry):
+        emb = make()
+        with pytest.raises(EmbeddingInvalid) as info:
+            entry(emb)
+        assert info.value.violations == validate_embedding(emb) != ()
 
 
 class TestConfirmMatchesReference:

@@ -487,7 +487,7 @@ def first_candidates(emb, seed: int, count: int) -> list[Point3]:
         if len(tried) < count:
             raise ProjectionNotGeneral("next")
 
-    projection._direction_search(emb, seed, record)
+    projection._direction_search(seed, record, emb)
     return tried
 
 
@@ -506,8 +506,9 @@ def degenerate_directions(emb) -> list[Point3]:
 
 
 def orthogonal_rows(emb, d):
-    """The front matrix the finders read off `_orthogonal`."""
-    return projection._front_rows(emb.graph, projection._orthogonal(emb, d)[5])
+    """The front matrix the finders read off `_orthogonal`, given the embedding's own routes."""
+    routes = [emb.route[key].vertices for key in emb.graph.edges]
+    return projection._front_rows(emb.graph, projection._orthogonal(emb.graph, emb.position, routes, d)[5])
 
 
 def central_rows(*args):
