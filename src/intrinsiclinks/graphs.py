@@ -10,6 +10,7 @@ all defects of an instance at once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache, reduce
 from itertools import combinations
 from math import perm
@@ -457,14 +458,13 @@ def _box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, int]]:
     """The index pairs (a, b), a < b, of the closed axis-aligned boxes
     (x0, x1, y0, y1, z0, z1) that meet, in lexicographic order.  Sort and
     prune (Bentley and Ottmann, IEEE TC 1979): with the boxes sorted by
-    least x, each is paired only with those that start before it ends, and
-    kept where the y- and z-ranges meet too."""
+    least x, each is paired only with those that start before it ends, found
+    by bisection, and kept where the y- and z-ranges meet too."""
     order = sorted((*box, a) for a, box in enumerate(boxes))
+    starts = [box[0] for box in order]
     pairs = []
     for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order):
-        for x0b, _, y0b, y1b, z0b, z1b, b in order[k + 1 :]:
-            if x0b > x1:
-                break
+        for _, _, y0b, y1b, z0b, z1b, b in order[k + 1 : bisect_right(starts, x1, k + 1)]:
             if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b:
                 pairs.append((a, b) if a < b else (b, a))
     pairs.sort()
@@ -648,10 +648,10 @@ class Crossing(_Record):
 
 
 def _scan_drawing(g: Graph, where: Mapping, chains: Mapping):
-    """The sweep behind `validate_drawing`, `require_generic` and the
-    projections, over the side pairs whose boxes meet, read off one side
-    table.  Returns (violations, raw transversal crossings as (edge1, i1,
-    edge2, i2, key of the point))."""
+    """The sweep behind `validate_drawing`, `require_generic`, the van Kampen
+    parity of a plain drawing and the orthogonal projection, over the side
+    pairs whose boxes meet, read off one side table.  Returns (violations,
+    raw transversal crossings as (edge1, i1, edge2, i2, key of the point))."""
     out, _, sides, boxes = _side_table(g, where, chains)
 
     crossings: list[tuple[EdgeKey, int, EdgeKey, int, tuple]] = []
@@ -741,10 +741,15 @@ def require_generic(d: PlanarDrawing) -> GenericDrawing:
     """
     if isinstance(d, GenericDrawing):
         return d
+    return _generic(d, _swept(d))
+
+
+def _swept(d: PlanarDrawing) -> tuple:
+    """One sweep's raw crossings of `d`, or DrawingNotGeneral listing every violation."""
     violations, raw = _scan_drawing(d.graph, *_coordinates(d))
     if violations:
         raise DrawingNotGeneral(f"{len(violations)} general-position violations", violations)
-    return _generic(d, raw)
+    return raw
 
 
 def _generic(d: PlanarDrawing, raw) -> GenericDrawing:

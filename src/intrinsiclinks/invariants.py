@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import Point2, Point3, _Record, _set, dot3, gp_points2, gp_points3
 from .graphs import (
     Cycle,
+    GenericDrawing,
     PlanarDrawing,
     PLEmbedding,
     _bits,
@@ -34,10 +35,10 @@ from .graphs import (
     _cycle_pairs,
     _disjoint_pairs,
     _smoothed,
+    _swept,
     _xor_rows,
     bipartition,
     complete_graph,
-    extract_crossings,
     is_complete,
     make_cycle,
     make_drawing,
@@ -110,11 +111,13 @@ def van_kampen_points(points: Sequence[Point2]) -> int:
 
 
 def van_kampen_drawing(d: PlanarDrawing) -> int:
-    """Parity of crossings between routes of vertex-disjoint edge pairs.
-    Graph-generic; the classical values (1 for any drawing of the complete
-    graph on 5 vertices or of the 3+3 bipartite graph) are asserted by the
-    test suite, not assumed here."""
-    return sum(1 for c in extract_crossings(d) if c.disjoint) % 2
+    """Parity of crossings between routes of vertex-disjoint edge pairs, read
+    off a GenericDrawing's crossings or off one sweep's raw crossings of any
+    other drawing, building no record.  Graph-generic; the classical values
+    (1 for any drawing of K5 or K3,3) are asserted by the tests, not assumed."""
+    carried = isinstance(d, GenericDrawing)
+    pairs = [(c.edge1, c.edge2) for c in d.crossings] if carried else [(e1, e2) for e1, _, e2, _, _ in _swept(d)]
+    return sum(e1[0] not in e2 and e1[1] not in e2 for e1, e2 in pairs) % 2
 
 
 def vk_invariance_probe(d1: PlanarDrawing, d2: PlanarDrawing) -> bool:
@@ -130,18 +133,11 @@ def vk_invariance_probe(d1: PlanarDrawing, d2: PlanarDrawing) -> bool:
         raise DrawingsNotComparable(f"vertices {moved} all changed position")
     changed = [e for e in g.edges if d1.route[e] != d2.route[e]]
     if moved:
-        center = moved[0]
-        off_star = [e for e in changed if center not in e]
+        off_star = [e for e in changed if moved[0] not in e]
         if off_star:
-            raise DrawingsNotComparable(
-                f"routes {off_star} changed away from the moved vertex {center}"
-            )
-    elif changed:
-        common = set(changed[0])
-        for e in changed[1:]:
-            common &= set(e)
-        if not common:
-            raise DrawingsNotComparable("changed routes share no common vertex")
+            raise DrawingsNotComparable(f"routes {off_star} changed away from the moved vertex {moved[0]}")
+    elif changed and not set(changed[0]).intersection(*changed[1:]):
+        raise DrawingsNotComparable("changed routes share no common vertex")
     return van_kampen_drawing(d1) == van_kampen_drawing(d2)
 
 

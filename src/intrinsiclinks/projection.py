@@ -9,8 +9,8 @@ segments cross exactly when one blocks the other's line of sight.
 Both projections refuse non-generic directions instead of producing a
 defective diagram; callers that need some direction use the seeded search.
 
-Each projection has one core on coordinate tuples, which sweeps the
-shadows or images once and names the front strand at each crossing.  The
+Each projection has one core on coordinate tuples, which finds the
+crossings of the shadows or images once and names each front strand.  The
 analyses hand the orthogonal core the point chains of `graphs._smoothed`
 and fold its strands into a front matrix, one bitmask row per edge,
 building no diagram; the public functions build a `ProjectedDiagram` from
@@ -19,6 +19,7 @@ the core's result.  Every linking number is an XOR of rows read at a mask.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import lcm
 from typing import Sequence
@@ -31,7 +32,8 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, _collinear2, _Record, _set, _sign, coprime3, cross3, dot3, is_zero3, orient3d
+from .geometry import (NON_GENERIC, Point2, Point3, _collinear2, _meet2, _Record, _set, _sign, coprime3, cross3, dot3,
+                       is_zero3, orient3d)
 from .graphs import (
     Crossing,
     Cycle,
@@ -111,7 +113,7 @@ def _front_rows(g: Graph, strands) -> tuple[int, ...]:
 
 def _diagram(d: Point3, graph: Graph, where, chains, crossings, strands) -> ProjectedDiagram:
     """The public diagram of a projection core's result: the generic drawing
-    `require_generic` builds after the core's sweep, labelled by its strands."""
+    `require_generic` builds from the core's crossings, labelled by its strands."""
     drawing = _generic(PlanarDrawing(graph, {v: Point2(*c) for v, c in where.items()}, {
         key: PlanarPolyline(tuple(Point2(*c) for c in chain)) for key, chain in chains.items()
     }), crossings)
@@ -214,7 +216,7 @@ def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram
 
 def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequence[str] | None = None):
     """`project_central` on coordinates: the canonical normal, the complete graph on the
-    names, the images of its vertices and edges, the sweep's crossings and their strands."""
+    names, the images of its vertices and edges, their crossings, found with no sweep, and their strands."""
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
@@ -243,9 +245,16 @@ def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequ
     if len(set(images)) < len(images):  # two images, past the check above: `make_drawing` refuses the edge
         raise ValueError("polyline needs at least 2 vertices, closed needs 3")
     chains = {(u, v): [where[u], where[v]] for u, v in graph.edges}
-    violations, raw = _scan_drawing(graph, where, chains)
-    if violations:
-        raise ProjectionNotGeneral(f"central image drawing has {len(violations)} degenerate contacts")
+    raw = []  # no three images collinear: only disjoint edges meet, and only by crossing
+    for e1, e2 in combinations(graph.edges, 2):  # the order in which a sweep lists one-side routes' crossings
+        key = e1[0] not in e2 and e1[1] not in e2 and _meet2(*where[e1[0]], *where[e1[1]], *where[e2[0]], *where[e2[1]])
+        if key is NON_GENERIC:
+            raise InternalParityFailure(f"images of {e1} and {e2} touch past the general-position check")
+        if key:
+            raw.append((e1, 0, e2, 0, key))
+    repeated = sum(n > 1 for n in Counter(rec[4] for rec in raw).values())  # three or more edges through a point
+    if repeated:
+        raise ProjectionNotGeneral(f"central image drawing has {repeated} degenerate contacts")
 
     at = dict(zip(names, others))
     strands = []
@@ -269,8 +278,8 @@ def project_central(
 ) -> ProjectedDiagram:
     """Project the points other than the apex from the apex, and return the
     diagram of the straight complete graph on them: the canonical normal,
-    the drawing of their images swept once, and each crossing labeled with
-    the strand nearer the apex.
+    the drawing of their images with each pair of disjoint edges tested
+    once, and each crossing labeled with the strand nearer the apex.
 
     The functional x -> <x, normal> must take its strict maximum over the
     points at the apex a.  With (e1, e2) the plane basis of the normal,

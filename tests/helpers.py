@@ -45,6 +45,7 @@ from intrinsiclinks.graphs import (
     PLEmbedding,
     Violation,
     _coordinates,
+    _scan_drawing,
     _side_table,
     complete_graph,
     make_cycle,
@@ -416,6 +417,44 @@ def project_central_reference(points, apex: Point3, normal: Point3, names=None) 
     return ProjectedDiagram(d, drawing, tuple(labeled))
 
 
+def central_sweep_reference(points, apex: Point3, normal: Point3):
+    """`projection._central` with the drawing sweep, on integer points and
+    default names: the same images, graph and one-side chains, then
+    `_scan_drawing` on them for the raw crossings, refusing every violation
+    the sweep finds, and each crossing's strand nearer the apex by
+    `higher_central_reference`, after the equal-depth check."""
+    pts = list(points)
+    if apex not in pts:
+        raise ValueError("apex must be one of the points")
+    others = [p for p in pts if p != apex]
+    if len(others) != len(pts) - 1:
+        raise ValueError("apex occurs more than once among the points")
+    gaps = [dot3(apex - p, normal) for p in others]
+    if any(g <= 0 for g in gaps):
+        raise ApexNotExtremal("apex does not strictly maximize the functional")
+    d = canonical_direction(normal)
+    e1, e2 = plane_basis(d)
+    scale = lcm(*gaps)
+    images = [(dot3(p - apex, e1) * (scale // g), dot3(p - apex, e2) * (scale // g)) for p, g in zip(others, gaps)]
+    if not gp_points2([Point2(*c) for c in images]):  # coincident images too, with three or more
+        raise ProjectionNotGeneral("projected points are not in general position")
+    names = [f"p{i}" for i in range(1, len(others) + 1)]
+    graph = make_graph(names, combinations(names, 2))
+    where = dict(zip(names, images))
+    chains = {(u, v): [where[u], where[v]] for u, v in graph.edges}
+    violations, raw = _scan_drawing(graph, where, chains)
+    if violations:
+        raise ProjectionNotGeneral(f"central image drawing has {len(violations)} degenerate contacts")
+    at = dict(zip(names, others))
+    strands = []
+    for e1, _, e2, _, _ in raw:
+        s1, s2 = tuple(map(at.get, e1)), tuple(map(at.get, e2))
+        if orient3d(*s1, *s2) == 0:
+            raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
+        strands.append((e1, e2, e1 if higher_central_reference(apex, s1, s2) else e2))
+    return d, graph, where, chains, list(raw), strands
+
+
 def meet_point3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
     """The common point of two closed segments in space: None when
     disjoint, the single common Point3, or OVERLAP for a common
@@ -590,6 +629,21 @@ def reference_key(p: Point2) -> tuple[int, int, int]:
     x, y = Fraction(p.x), Fraction(p.y)
     d = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
     return (int(x * d), int(y * d), d)
+
+
+def box_pairs_reference(boxes) -> list[tuple[int, int]]:
+    """`graphs._box_pairs` with a copied tail: each box in x-order scans the
+    boxes sorted after it until one starts past its end."""
+    order = sorted((*box, a) for a, box in enumerate(boxes))
+    pairs = []
+    for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order):
+        for x0b, _, y0b, y1b, z0b, z1b, b in order[k + 1 :]:
+            if x0b > x1:
+                break
+            if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b:
+                pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    return pairs
 
 
 def scan_drawing_reference(d: PlanarDrawing):

@@ -47,11 +47,13 @@ from intrinsiclinks.instances import (
     gen_polygon_pair,
     move_vertex_star,
 )
+from intrinsiclinks.invariants import van_kampen_drawing
 from intrinsiclinks.linking import SpatialPolyline
 from intrinsiclinks.projection import find_general_projection, project_orthogonal
 
 from helpers import (
     bipartition_reference,
+    box_pairs_reference,
     cycle_route,
     disjoint_cycle_pairs_reference,
     enumerate_cycles_reference,
@@ -968,6 +970,80 @@ class TestSweepsMatchReference:
             assert_scan_matches_reference(d)
         for emb in embeddings:
             assert validate(emb) == validate_embedding_reference(emb)
+
+
+SELF_CROSSING_DRAWINGS = [
+    # a route of K5 and one of K3,3 that cross themselves
+    make_drawing(complete_graph(5), {"v1": Point2(0, 0), "v2": Point2(10, 0), "v3": Point2(14, 12),
+                                     "v4": Point2(5, 20), "v5": Point2(-4, 12)},
+                 {("v1", "v2"): [Point2(10, 5), Point2(0, 5)]}),
+    make_drawing(complete_bipartite(3, 3), {"a1": Point2(0, 0), "a2": Point2(1, 10), "a3": Point2(-1, 21),
+                                            "b1": Point2(10, 1), "b2": Point2(11, 12), "b3": Point2(9, 22)},
+                 {("a1", "b3"): [Point2(8, 4), Point2(7, 7), Point2(3, 1)]}),
+]
+
+
+def van_kampen_reference(d) -> int:
+    """The parity of the disjoint crossings of the drawing's generic copy."""
+    return sum(c.disjoint for c in extract_crossings(d)) % 2
+
+
+class TestVanKampenOffRawCrossings:
+    """`van_kampen_drawing` counts the disjoint pairs among a plain drawing's
+    raw crossings: the parity the `Crossing` records give, and the refusal
+    `require_generic` gives."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generated_drawings(self, seed):
+        k5, k33 = gen_k5_drawing(seed), gen_k33_drawing(seed)
+        for d in [k5, k33, bend_drawing(k5, seed), bend_drawing(k33, seed), move_vertex_star(k5, seed),
+                  move_vertex_star(bend_drawing(k33, seed), seed)]:
+            assert van_kampen_drawing(d) == van_kampen_reference(d) == van_kampen_drawing(require_generic(d)) == 1
+
+    @pytest.mark.parametrize("d", SELF_CROSSING_DRAWINGS, ids=["k5", "k33"])
+    def test_routes_that_cross_themselves(self, d):
+        assert any(e1 == e2 for e1, _, e2, _, _ in scan(d)[1])
+        assert van_kampen_drawing(d) == van_kampen_reference(d) == 1
+
+    @settings(max_examples=400, deadline=2000)
+    @given(st.one_of(RAW_DRAWINGS, RAW_RATIONAL_DRAWINGS))
+    def test_raw_drawings(self, d):
+        violations = validate_drawing(d)
+        if not violations:
+            assert van_kampen_drawing(d) == van_kampen_reference(d)
+            return
+        with pytest.raises(DrawingNotGeneral) as refused:
+            van_kampen_drawing(d)
+        assert str(refused.value) == f"{len(violations)} general-position violations"
+        assert refused.value.violations == violations
+
+
+@st.composite
+def box_lists(draw):
+    """Closed boxes as `graphs._box` builds them, all planar (z-range
+    [0, 0]) or all spatial, on a small grid of integers and Fractions, so
+    that equal x-starts and one-point boxes are common."""
+    coordinate = st.one_of(GRID, RATIONAL_GRID)
+    point = st.tuples(*[coordinate] * draw(st.sampled_from([2, 3])))
+    boxes = []
+    for _ in range(draw(st.integers(0, 14))):
+        p = draw(point)
+        boxes.append(graphs._box(p, p if draw(st.booleans()) else draw(point)))
+    return boxes
+
+
+class TestBoxPairs:
+    """The bisected slice of `_box_pairs` pairs what the copied tail paired."""
+
+    @settings(max_examples=500, deadline=2000)
+    @given(box_lists())
+    def test_matches_reference(self, boxes):
+        assert graphs._box_pairs(boxes) == box_pairs_reference(boxes)
+
+    def test_equal_starts_and_points(self):
+        boxes = [graphs._box(p, q) for p, q in [((0, 0), (2, 2)), ((0, 1), (0, 1)), ((0, 3), (1, 0)),
+                                                 ((2, 2), (2, 2)), ((Fraction(5, 2), 0), (3, 1))]]
+        assert graphs._box_pairs(boxes) == box_pairs_reference(boxes) == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
 
 def assert_raw_crossings_in_edge_order(d):

@@ -34,7 +34,16 @@ from intrinsiclinks.graphs import (
     validate_drawing,
     validate_embedding,
 )
-from intrinsiclinks.instances import gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear, gen_polygon_pair
+from intrinsiclinks.instances import (
+    bend_drawing,
+    gen_k5_drawing,
+    gen_k6_pl_subdivided,
+    gen_k6_points,
+    gen_k33_drawing,
+    gen_k44_linear,
+    gen_polygon_pair,
+    move_vertex_star,
+)
 from intrinsiclinks.invariants import (
     LinkReport,
     ParityLedger,
@@ -926,9 +935,28 @@ class TestSweepOnce:
         self.assert_carried_crossings_read_without_sweep(drawing, sweeps)
 
     def test_project_central_sweeps_once(self, sweeps):
+        # the central core tests each pair of disjoint image edges and sweeps nothing
         drawing = project_central(MOMENT6, MOMENT6[-1], Point3(1, 0, 0)).drawing
-        assert len(sweeps) == 1
+        assert sweeps == []
         self.assert_carried_crossings_read_without_sweep(drawing, sweeps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_van_kampen_on_a_plain_drawing_sweeps_once_and_builds_no_record(self, seed, sweeps, monkeypatch):
+        k5, k33 = gen_k5_drawing(seed), gen_k33_drawing(seed)
+        drawings = [k5, k33, bend_drawing(k5, seed), move_vertex_star(k33, seed)]
+        built = {graphs.Crossing: 0, graphs.GenericDrawing: 0}
+        for cls in built:
+            def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+                built[cls] += 1
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        for d in drawings:
+            sweeps.clear()
+            assert van_kampen_drawing(d) == 1
+            assert len(sweeps) == 1
+        assert built == {graphs.Crossing: 0, graphs.GenericDrawing: 0}
+        extract_crossings(k5)  # the counters see the records of a generic copy
+        assert built[graphs.Crossing] > 0 and built[graphs.GenericDrawing] == 1
 
     @staticmethod
     def assert_carried_crossings_read_without_sweep(drawing, sweeps):
@@ -954,4 +982,4 @@ class TestSweepOnce:
         monkeypatch.setattr(invariants, "_central", counted)
         invariants._linear_analysis(points, seed=0)
         assert len(viewpoints) >= 1
-        assert len(sweeps) == len(viewpoints)
+        assert sweeps == []  # each viewpoint's central core tests its image edges pair by pair

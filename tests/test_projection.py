@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intrinsiclinks import projection
 from intrinsiclinks.errors import (
@@ -48,6 +48,7 @@ from intrinsiclinks.projection import (
 from intrinsiclinks.rng import SplitMix64
 
 from helpers import (
+    central_sweep_reference,
     check_crossing_parity_identity,
     cycle_route,
     front_parity_reference,
@@ -596,3 +597,35 @@ class TestCentralCoreMatchesPublicPath:
         expected = (ValueError, "polyline needs at least 2 vertices, closed needs 3")
         core = outcome(lambda: projection._central(self.RAY, self.RAY_APEX, Point3(0, 0, 1)))
         assert core == outcome(lambda: project_central(self.RAY, self.RAY_APEX, Point3(0, 0, 1))) == expected
+
+
+SMALL = st.integers(-3, 3)
+
+
+class TestCentralCoreMatchesSweep:
+    """`_central` tests each pair of disjoint image edges once and sweeps
+    nothing; the drawing sweep run on the same images and one-side chains
+    finds the same raw crossings in the same order, the same strands and
+    the same refusals.  With six or more images three edges can pass
+    through one point, which both refuse with one degenerate contact per
+    point."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.builds(Point3, SMALL, SMALL, SMALL), min_size=6, max_size=8, unique=True),
+           st.builds(Point3, st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(lambda n: n != Point3(0, 0, 0)))
+    @example(TestCentralCoreMatchesPublicPath.HEXAGON, Point3(0, 0, 1))
+    @example(TestCentralCoreMatchesPublicPath.HEXAGON + [Point3(-3, -2, 0)], Point3(0, 0, 1))  # two such points
+    def test_raw_crossings_strands_and_refusals(self, points, normal):
+        apex = max(points, key=lambda p: dot3(p, normal))
+        core = outcome(lambda: projection._central(points, apex, normal))
+        assert core == outcome(lambda: central_sweep_reference(points, apex, normal))
+
+    def test_a_touch_past_the_general_position_check_is_a_bug_signal(self, monkeypatch):
+        """Without the collinearity check the image of p2 lies inside the
+        image edge p1-p3, which p2-p4 touches there: the core never records
+        such a contact, it raises."""
+        apex = Point3(0, 0, 1)
+        points = [apex, Point3(-2, 0, 0), Point3(0, 0, 0), Point3(2, 0, 0), Point3(0, 2, 0), Point3(1, -3, 0)]
+        monkeypatch.setattr(projection, "_collinear2", lambda a, b, c: False)
+        assert outcome(lambda: projection._central(points, apex, Point3(0, 0, 1))) == (
+            InternalParityFailure, "images of ('p1', 'p3') and ('p2', 'p4') touch past the general-position check")
