@@ -600,6 +600,7 @@ class TestCentralCoreMatchesPublicPath:
 
 
 SMALL = st.integers(-3, 3)
+NORMALS = st.builds(Point3, *[st.integers(-2, 2)] * 3).filter(lambda n: n != Point3(0, 0, 0))
 
 
 class TestCentralCoreMatchesSweep:
@@ -611,8 +612,7 @@ class TestCentralCoreMatchesSweep:
     point."""
 
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(st.builds(Point3, SMALL, SMALL, SMALL), min_size=6, max_size=8, unique=True),
-           st.builds(Point3, st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(lambda n: n != Point3(0, 0, 0)))
+    @given(st.lists(st.builds(Point3, SMALL, SMALL, SMALL), min_size=6, max_size=8, unique=True), NORMALS)
     @example(TestCentralCoreMatchesPublicPath.HEXAGON, Point3(0, 0, 1))
     @example(TestCentralCoreMatchesPublicPath.HEXAGON + [Point3(-3, -2, 0)], Point3(0, 0, 1))  # two such points
     def test_raw_crossings_strands_and_refusals(self, points, normal):
