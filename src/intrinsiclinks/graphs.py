@@ -336,14 +336,6 @@ class _Placement(_Record):
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
 
-    def route_chain(self, u: str, v: str) -> tuple:
-        """Route vertices oriented from u to v."""
-        key = self.graph.edge_key(u, v)
-        if key not in self.graph._edge_bit:
-            raise ValueError(f"({u}, {v}) is not an edge")
-        pts = self.route[key].vertices
-        return pts if key[0] == u else tuple(reversed(pts))
-
 
 def _make(cls, graph: Graph, positions: Mapping, routes: Mapping | None):
     """A placement of class `cls` (`PLEmbedding` or `PlanarDrawing`), each
@@ -631,19 +623,17 @@ def make_drawing(
 
 class Crossing(_Record):
     """A transversal crossing of sides of two distinct edge routes at the point
-    `key_point(key)`.  `disjoint` records whether the two edges share no graph
-    vertex; `upper` names the edge whose strand passes over, when known."""
+    `key_point(key)`; `upper` names the edge whose strand passes over, when known."""
 
     def __init__(
         self, edge1: EdgeKey, edge2: EdgeKey, side1: int, side2: int,
-        key: tuple[int, int, int], disjoint: bool, upper: EdgeKey | None = None,
+        key: tuple[int, int, int], upper: EdgeKey | None = None,
     ):
         _set(self, "edge1", edge1)
         _set(self, "edge2", edge2)
         _set(self, "side1", side1)
         _set(self, "side2", side2)
         _set(self, "key", key)
-        _set(self, "disjoint", disjoint)
         _set(self, "upper", upper)
 
 
@@ -736,8 +726,7 @@ def require_generic(d: PlanarDrawing) -> GenericDrawing:
     DrawingNotGeneral listing every violation, or returns a generic copy
     holding every transversal crossing between sides of distinct edge
     routes, in a deterministic order.  Crossings of adjacent edges are
-    included and distinguished by the `disjoint` flag; self-crossings of a
-    single route are not listed.
+    included; self-crossings of a single route are not listed.
     """
     if isinstance(d, GenericDrawing):
         return d
@@ -756,7 +745,7 @@ def _generic(d: PlanarDrawing, raw) -> GenericDrawing:
     """The generic copy of a drawing that its sweep passed, with crossings `raw`."""
     idx = d.graph._index
     # e1 comes no later than e2 in graph.edges
-    out = [Crossing(e1, e2, i1, i2, key, not (set(e1) & set(e2))) for e1, i1, e2, i2, key in raw if e1 != e2]
+    out = [Crossing(e1, e2, i1, i2, key) for e1, i1, e2, i2, key in raw if e1 != e2]
     out.sort(key=lambda c: (idx[c.edge1[0]], idx[c.edge1[1]], idx[c.edge2[0]], idx[c.edge2[1]], c.side1, c.side2))
     return GenericDrawing(d.graph, dict(d.position), dict(d.route), tuple(out))
 

@@ -14,6 +14,7 @@ no input can legitimately do that.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, _Record, _set, dot3, gp_points2, gp_points3
+from .geometry import Point2, Point3, _meet2, _Record, _set, dot3, gp_points2, gp_points3
 from .graphs import (
     Cycle,
     GenericDrawing,
@@ -41,7 +42,6 @@ from .graphs import (
     complete_graph,
     is_complete,
     make_cycle,
-    make_drawing,
 )
 from .linking import _cone_matrix, _draw_apex
 from .projection import _central, _direction_search, _front_rows, _lk, _orthogonal
@@ -101,13 +101,15 @@ def van_kampen_points(points: Sequence[Point2]) -> int:
     """Parity of the number of crossing pairs among the 15 endpoint-disjoint
     segment pairs spanned by 5 plane points, i.e. `van_kampen_drawing` of
     their straight-line drawing.  Always 1 in general position; computing
-    it is still worthwhile because that is the testable claim."""
+    it is still worthwhile because that is the testable claim.  With no
+    three points collinear each pair crosses or misses: one `_meet2` each."""
     pts = list(points)
     if len(pts) != 5:
         raise ValueError("need exactly 5 points")
     if not gp_points2(pts):
         raise GeneralPositionViolation("three of the points are collinear")
-    return van_kampen_drawing(make_drawing(_K5, dict(zip(_K5.vertices, pts))))
+    pairs = combinations(combinations([p.coords() for p in pts], 2), 2)
+    return sum(len({a, b, c, d}) == 4 and _meet2(*a, *b, *c, *d) is not None for (a, b), (c, d) in pairs) % 2
 
 
 def van_kampen_drawing(d: PlanarDrawing) -> int:
@@ -145,7 +147,6 @@ def vk_invariance_probe(d1: PlanarDrawing, d2: PlanarDrawing) -> bool:
 # linear finder: straight triangles from 6 points, via central projection
 
 
-_K5 = complete_graph(5)
 _K6 = complete_graph(6)
 
 
@@ -216,7 +217,14 @@ def linear_parity_ledger(points: Sequence[Point3], seed: int = 0) -> ParityLedge
 
 
 # ---------------------------------------------------------------------------
-# projection finders: the hub-pair script shared by K6 and K4,4
+# projection finders: one hub-pair runner, with a script for K6 and for K4,4
+#
+# Both theorems have one proof.  Sum the diagram lk over the pairs of a far
+# cycle, missing the hubs and a hub-free base edge, and a near cycle through
+# the hubs and that edge.  The terms of the spokes (and of the K4,4 bridge)
+# cancel, which leaves each far cycle against its base edge: a flat sum that
+# counts each crossing of two disjoint hub-free edges once, for the edge
+# behind: the odd crossing-parity invariant of the hub-free K5 or K3,3.
 
 
 def _read_cycle(g, front, seq) -> tuple:
@@ -247,36 +255,59 @@ def _front_ledger(g, label: str, rows, expect: int) -> ParityLedger:
     return _forced(label, entries, expect)
 
 
-def _k6_analysis(emb: PLEmbedding, seed: int):
-    """Report and ledgers: the lk sum over the 10 triangle pairs through
-    the hub, then the cancellation bookkeeping that reduces it to plain
-    edge-vs-edge sums.  Contributions of spoke edges cancel in pairs when
-    grouped per far vertex, and the residual flat sum is the
-    crossing-parity invariant of the hub-free subdrawing: the far triangle
-    of a hub-free edge is the set of hub-free edges disjoint from it, so
-    each of their crossings counts once, for the edge behind."""
+def _hub_analysis(emb: PLEmbedding, seed: int, script):
+    """Report and ledgers of the hub-pair argument, each cycle read once off
+    one generic orthogonal projection of the smoothed core.  `script(g)`
+    raises ValueError on a core of the wrong shape, else gives the main
+    label, a (base edge, far cycle, near cycle) row per hub-free edge, and
+    the (label, forced total, pick) specs of the other ledgers: pick(base
+    edge) is the edge its far cycle is read against, or None to skip it."""
     g, position, routes = _smoothed(emb)
+    label, rows, specs = script(g)
+    front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
+    read = [(e, _read_cycle(g, front, far), _read_cycle(g, front, near)) for e, far, near in rows]
+    report, main = _hub_pair_ledger([(far, near) for _, far, near in read], label)
+    return report, (main,) + tuple(
+        _front_ledger(g, name, [(far, x) for e, far, _ in read if (x := pick(e))], expect)
+        for name, expect, pick in specs
+    )
+
+
+def _k6_script(g):
+    """The hub is g.vertices[0].  The 4 far triangles of the base edges
+    through another vertex w cover each edge that misses the hub and w
+    twice, so their lk values against the spoke hub-w cancel."""
     if not (len(g.vertices) == 6 and is_complete(g)):
         raise ValueError("embedding does not smooth to a complete graph on 6 vertices")
-    front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
     hub = g.vertices[0]
-    rows = []  # (base edge missing the hub, far triangle, near triangle)
-    for e in g.edges:
-        if hub not in e:
-            rest = [w for w in g.vertices if w not in (hub, *e)]
-            rows.append((e, _read_cycle(g, front, rest), _read_cycle(g, front, (hub, *e))))
-    report, main = _hub_pair_ledger([(far, near) for _, far, near in rows], "diagram lk over the 10 hub-triangle pairs")
-    flat = _front_ledger(
-        g, "diagram lk of far triangles against their base edges", [(far, e) for e, far, _ in rows], 1,
-    )
-    # spoke cancellations: fixing a non-hub vertex V, the 4 far triangles
-    # of base edges through V cover each edge of the remaining 4 vertices
-    # exactly twice, so their lk values against the spoke hub-V cancel
-    spokes = tuple(
-        _front_ledger(g, f"spoke cancellation at {v}", [(far, (hub, v)) for e, far, _ in rows if v in e], 0)
-        for v in g.vertices[1:]
-    )
-    return report, (main, flat) + spokes
+    rows = [(e, [w for w in g.vertices if w not in (hub, *e)], (hub, *e)) for e in g.edges if hub not in e]
+    specs = [("diagram lk of far triangles against their base edges", 1, lambda e: e)]
+    specs += [(f"spoke cancellation at {w}", 0, lambda e, w=w: (hub, w) if w in e else None) for w in g.vertices[1:]]
+    return "diagram lk over the 10 hub-triangle pairs", rows, specs
+
+
+def _k44_script(g):
+    """Hubs: the first vertex of each part.  A base edge's ends are named by part."""
+    try:  # the shape check and the hubs share one bipartition
+        part_a, part_b = bipartition(g)
+    except ValueError:
+        part_a = part_b = ()
+    if not (len(part_a) == len(part_b) == 4 and len(g.edges) == 16):
+        raise ValueError("embedding does not smooth to a complete bipartite 4+4 graph")
+    hub_a, hub_b = part_a[0], part_b[0]
+    ends = {e: e if e[0] in part_a else e[::-1] for e in g.edges if hub_a not in e and hub_b not in e}
+    rows = []
+    for e, (end_a, end_b) in ends.items():
+        rest_a = [x for x in part_a if x not in (hub_a, end_a)]
+        rest_b = [y for y in part_b if y not in (hub_b, end_b)]
+        rows.append((e, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]), (hub_a, hub_b, end_a, end_b)))
+    specs = [
+        ("bridge cancellation (hub-to-hub edge, covered four times)", 0, lambda e: (hub_a, hub_b)),
+        (f"spoke cancellation at {hub_a} (hub to far-part ends)", 0, lambda e: (hub_a, ends[e][1])),
+        (f"spoke cancellation at {hub_b} (hub to near-part ends)", 0, lambda e: (hub_b, ends[e][0])),
+        ("diagram lk of far quadrilaterals against their base edges", 1, lambda e: e),
+    ]
+    return "diagram lk over the 9 hub-quadrilateral pairs", rows, specs
 
 
 def find_linked_cycles_k6(emb: PLEmbedding, seed: int = 0) -> LinkReport:
@@ -287,60 +318,14 @@ def find_linked_cycles_k6(emb: PLEmbedding, seed: int = 0) -> LinkReport:
     numbers over the 10 triangle pairs through the first vertex; the sum
     is always odd, so some pair links.
     """
-    return _k6_analysis(emb, seed)[0]
+    return _hub_analysis(emb, seed, _k6_script)[0]
 
 
 def k6_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, ...]:
     """Main lk sum plus the cancellation ledgers reducing it to the planar
     crossing-parity invariant; every total is checked on the way out.  The
     flat sum is that invariant of the subdrawing of the hub-free edges."""
-    return _k6_analysis(emb, seed)[1]
-
-
-def _k44_analysis(emb: PLEmbedding, seed: int):
-    """Report and ledgers: the lk sum over the 9 quadrilateral pairs
-    through both hubs, the cancellations of the hub-to-hub bridge and of
-    the spokes at each hub, and the flat sum, which is the crossing-parity
-    invariant of the hub-free subdrawing as in the 6-vertex analysis."""
-    g, position, routes = _smoothed(emb)
-    try:  # the shape check and the hubs share one bipartition
-        part_a, part_b = bipartition(g)
-    except ValueError:
-        part_a = part_b = ()
-    if not (len(part_a) == len(part_b) == 4 and len(g.edges) == 16):
-        raise ValueError("embedding does not smooth to a complete bipartite 4+4 graph")
-    front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
-    hub_a, hub_b = part_a[0], part_b[0]
-    rows = []  # (inner edge, its end in each part, far and near quadrilaterals)
-    for e in g.edges:
-        if hub_a in e or hub_b in e:
-            continue
-        end_a, end_b = e if e[0] in part_a else e[::-1]
-        rest_a = [x for x in part_a if x not in (hub_a, end_a)]
-        rest_b = [y for y in part_b if y not in (hub_b, end_b)]
-        far = _read_cycle(g, front, (rest_a[0], rest_b[0], rest_a[1], rest_b[1]))
-        near = _read_cycle(g, front, (hub_a, hub_b, end_a, end_b))
-        rows.append((e, end_a, end_b, far, near))
-    report, main = _hub_pair_ledger(
-        [(far, near) for *_, far, near in rows], "diagram lk over the 9 hub-quadrilateral pairs"
-    )
-    bridge = _front_ledger(
-        g, "bridge cancellation (hub-to-hub edge, covered four times)",
-        [(far, (hub_a, hub_b)) for *_, far, _ in rows], 0,
-    )
-    spoke_a = _front_ledger(
-        g, f"spoke cancellation at {hub_a} (hub to far-part ends)",
-        [(far, (hub_a, end_b)) for _, _, end_b, far, _ in rows], 0,
-    )
-    spoke_b = _front_ledger(
-        g, f"spoke cancellation at {hub_b} (hub to near-part ends)",
-        [(far, (hub_b, end_a)) for _, end_a, _, far, _ in rows], 0,
-    )
-    flat = _front_ledger(
-        g, "diagram lk of far quadrilaterals against their base edges",
-        [(far, e) for e, _, _, far, _ in rows], 1,
-    )
-    return report, (main, bridge, spoke_a, spoke_b, flat)
+    return _hub_analysis(emb, seed, _k6_script)[1]
 
 
 def find_linked_cycles_k44(emb: PLEmbedding, seed: int = 0) -> LinkReport:
@@ -348,12 +333,12 @@ def find_linked_cycles_k44(emb: PLEmbedding, seed: int = 0) -> LinkReport:
     complete bipartite graph with two parts of 4 (subdivided inputs are
     smoothed first).  Same projection scheme as the 6-vertex finder, with
     quadrilateral pairs through the first vertex of each part."""
-    return _k44_analysis(emb, seed)[0]
+    return _hub_analysis(emb, seed, _k44_script)[0]
 
 
 def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, ...]:
     """As k6_parity_ledgers, with quadrilaterals and a bridge ledger."""
-    return _k44_analysis(emb, seed)[1]
+    return _hub_analysis(emb, seed, _k44_script)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -240,9 +240,12 @@ def cycle_route(emb: PLEmbedding, cycle: Cycle) -> SpatialPolyline:
     polygons of `oracle_reference` and of `oracle_confirm`."""
     points: list[Point3] = []
     seq = cycle.vertices
-    for i in range(len(seq)):
-        chain = emb.route_chain(seq[i], seq[(i + 1) % len(seq)])
-        points.extend(chain[:-1])
+    for u, v in zip(seq, seq[1:] + seq[:1]):
+        key = emb.graph.edge_key(u, v)
+        if key not in emb.graph._edge_bit:
+            raise ValueError(f"({u}, {v}) is not an edge")
+        chain = emb.route[key].vertices
+        points.extend(chain[:-1] if key[0] == u else chain[:0:-1])
     return SpatialPolyline.through(points, closed=True)
 
 

@@ -1,5 +1,6 @@
 """Tests for the crossing-parity invariant, finders, ledgers and oracle."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -165,13 +166,23 @@ class TestVanKampenPoints:
         with pytest.raises(ValueError):
             van_kampen_points(list(PENTAGON.values())[:4])
 
+    _coordinate = st.one_of(st.integers(-40, 40),
+                            st.builds(Fraction, st.integers(-120, 120), st.sampled_from((2, 3, 7))))
+
     @settings(max_examples=120, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-                    min_size=5, max_size=5, unique=True))
+    @given(st.lists(st.tuples(_coordinate, _coordinate), min_size=5, max_size=5, unique=True))
     def test_always_one(self, coords):
         pts = [Point2(*c) for c in coords]
         assume(gp_points2(pts))
         assert van_kampen_points(pts) == 1
+
+    def test_builds_and_sweeps_no_drawing(self, monkeypatch):
+        built = []
+        init = graphs.PlanarDrawing.__init__
+        monkeypatch.setattr(graphs.PlanarDrawing, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(graphs, "_scan_drawing", lambda *args: pytest.fail("swept a drawing"))
+        assert van_kampen_points(list(PENTAGON.values())) == 1
+        assert built == []
 
 
 class TestVanKampenDrawing:
@@ -386,7 +397,7 @@ class TestFlatLedger:
 
         assert flat(diag).total == 1
         hub_free = {e for e in diag.graph.edges if not set(e) & set(hubs)}
-        dropped = next(c for c in diag.crossings if c.disjoint and {c.edge1, c.edge2} <= hub_free)
+        dropped = next(c for c in diag.crossings if set(c.edge1).isdisjoint(c.edge2) and {c.edge1, c.edge2} <= hub_free)
         mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != dropped))
         with pytest.raises(InternalParityFailure):
             flat(mutant)
@@ -452,7 +463,7 @@ class TestScriptsOnMasks:
         bipartition = graphs.bipartition
         for module in (graphs, invariants):
             monkeypatch.setattr(module, "bipartition", lambda g: calls.append(g) or bipartition(g))
-        invariants._k44_analysis(emb, 5)
+        invariants._hub_analysis(emb, 5, invariants._k44_script)
         assert len(calls) == 1
 
     def test_non_edge_in_a_report_is_a_value_error(self):
@@ -463,6 +474,42 @@ class TestScriptsOnMasks:
                      lambda: make_cycle(emb.graph, cycle.vertices)):
             with pytest.raises(ValueError, match=r"^\(a1, a2\) is not an edge$"):
                 call()
+
+
+def reordered(emb, order):
+    """`emb` with its vertices listed in `order`: the same positions and
+    routes, so edge keys and route orientations follow the new order."""
+    edges = emb.graph.edges
+    return make_embedding(make_graph(order, edges), emb.position, {e: emb.route[e].vertices for e in edges})
+
+
+class TestVertexOrders:
+    """Reports and ledgers on vertex orders no generator lists: an
+    interleaved K4,4, whose hub-free edge keys start in either part, and a
+    K6 whose hub is not v1.  Pinned by the sha256 of their reprs, seeds
+    0-19, recorded before the two analyses became one runner."""
+
+    @staticmethod
+    def digest(analyses):
+        h = hashlib.sha256()
+        for report, ledgers in analyses:
+            h.update(repr((report, ledgers)).encode())
+        return h.hexdigest()
+
+    def test_interleaved_k44(self):
+        order = ("b3", "a2", "b1", "a4", "a1", "b4", "b2", "a3")
+        embs = [reordered(gen_k44_linear(seed), order) for seed in range(20)]
+        assert {u[0] for u, _ in embs[0].graph.edges} == {"a", "b"}  # keys start in either part
+        analyses = [(find_linked_cycles_k44(emb, seed), k44_parity_ledgers(emb, seed)) for seed, emb in enumerate(embs)]
+        assert self.digest(analyses) == "d6bb03cdd31ebbcc2304d5fa4497bcc62eb120f970bb90a8ccf0811aa26bf16a"
+
+    def test_permuted_k6(self):
+        analyses = []
+        for seed in range(20):
+            emb = gen_k6_pl_subdivided(seed)
+            emb = reordered(emb, ("v4", "v2", "v6", "v1", "v5", "v3") + emb.graph.vertices[6:])
+            analyses.append((find_linked_cycles_k6(emb, seed), k6_parity_ledgers(emb, seed)))
+        assert self.digest(analyses) == "f33e723c10e02ee2bf0bece75c7b5100e8ffbce282aa1eb79e726871bf4b6319"
 
 
 class TestLedgersMatchReference:

@@ -347,7 +347,7 @@ class TestProjectCentral:
         )
         crossings = extract_crossings(diag.drawing)
         assert len(crossings) == 5
-        assert all(c.disjoint for c in crossings)
+        assert all(set(c.edge1).isdisjoint(c.edge2) for c in crossings)
 
     def test_apex_must_be_strict_max(self):
         with pytest.raises(ApexNotExtremal):

@@ -59,10 +59,9 @@ CASES = {
         "Violation(kind='missing-route', message=\"edge ('a', 'b') has no route\", subjects=(('a', 'b'),))",
     ),
     "Crossing": (
-        Crossing(("a", "b"), ("c", "d"), 0, 1, (1, 2, 1), True),
-        ("edge1", "edge2", "side1", "side2", "key", "disjoint", "upper"), ("upper", ("a", "b")), None,
-        "Crossing(edge1=('a', 'b'), edge2=('c', 'd'), side1=0, side2=1, key=(1, 2, 1), "
-        "disjoint=True, upper=None)",
+        Crossing(("a", "b"), ("c", "d"), 0, 1, (1, 2, 1)),
+        ("edge1", "edge2", "side1", "side2", "key", "upper"), ("upper", ("a", "b")), None,
+        "Crossing(edge1=('a', 'b'), edge2=('c', 'd'), side1=0, side2=1, key=(1, 2, 1), upper=None)",
     ),
     "SpatialPolyline": (
         SpatialPolyline((P3(0, 0, 0), P3(1, 0, 0)), False), ("vertices", "closed"),
