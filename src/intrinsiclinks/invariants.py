@@ -35,13 +35,13 @@ from .graphs import (
     _cycle,
     _cycle_pairs,
     _disjoint_pairs,
-    _smoothed,
     _swept,
     _xor_rows,
     bipartition,
     complete_graph,
     is_complete,
     make_cycle,
+    require_valid,
 )
 from .linking import _cone_matrix, _draw_apex
 from .projection import _central, _direction_search, _front_rows, _lk, _orthogonal
@@ -262,7 +262,7 @@ def _hub_analysis(emb: PLEmbedding, seed: int, script):
     label, a (base edge, far cycle, near cycle) row per hub-free edge, and
     the (label, forced total, pick) specs of the other ledgers: pick(base
     edge) is the edge its far cycle is read against, or None to skip it."""
-    g, position, routes = _smoothed(emb)
+    g, position, routes = require_valid(emb)._core
     label, rows, specs = script(g)
     front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
     read = [(e, _read_cycle(g, front, far), _read_cycle(g, front, near)) for e, far, near in rows]
@@ -361,7 +361,7 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     lk(c1, c2) for every c2 at once.  Refused before any cone test past
     CONE_TEST_BUDGET side pairs: sides(e) * sides(f) over ordered
     vertex-disjoint edges."""
-    g, _, chains = _smoothed(emb)
+    g, _, chains = require_valid(emb)._core
     first, second, partners = _disjoint_pairs(g, len1, len2)
     total = sum(mask.bit_count() for mask in partners)
     if not total:
@@ -383,7 +383,7 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
 def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkReport:
     """Re-check one report by cone counting, as `oracle_count_linked_pairs`
     does from the apex `linking_mod2_sampled` draws, and fill oracle_confirmed."""
-    g, _, routes = _smoothed(emb)
+    g, _, routes = require_valid(emb)._core
     (vertices1, mask1), (vertices2, mask2) = (_cycle(g, c.vertices) for c in (report.cycle1, report.cycle2))
     if set(vertices1) & set(vertices2):
         raise PolylinesNotDisjoint("the two polygons share a point")

@@ -9,12 +9,12 @@ segments cross exactly when one blocks the other's line of sight.
 Both projections refuse non-generic directions instead of producing a
 defective diagram; callers that need some direction use the seeded search.
 
-Each projection has one core on coordinate tuples, which finds the
-crossings of the shadows or images once and names each front strand.  The
-analyses hand the orthogonal core the point chains of `graphs._smoothed`
-and fold its strands into a front matrix, one bitmask row per edge,
-building no diagram; the public functions build a `ProjectedDiagram` from
-the core's result.  Every linking number is an XOR of rows read at a mask.
+Each projection has one core on coordinate tuples, which finds the crossings
+of the shadows or images once and names each front strand.  The analyses hand
+the orthogonal core the smoothed chains that a `ValidEmbedding` carries, and
+fold its strands into a front matrix, one bitmask row per edge, building no
+diagram; the public functions build a `ProjectedDiagram` from the core's
+result.  Every linking number is an XOR of rows read at a mask.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from intrinsiclinks.graphs import (
     PlanarPolyline,
     PLEmbedding,
     ValidEmbedding,
-    _smoothed,
     bipartition,
     complete_bipartite,
     complete_graph,
@@ -499,8 +498,9 @@ class TestSmoothOnePass:
     def test_builds_core_graph_and_each_merged_route_once(self, monkeypatch):
         # each merged route is built once, by the constructor, which checks
         # every corner; only its junctions were tested for straightness.  The
-        # core graph is built once, directly: its vertices are the input's, in
-        # their order, and its edges are ordered as `make_graph` orders them
+        # core graph is built once, directly, by `require_valid` of the raw
+        # input, and `smooth` reads it: its vertices are the input's, in their
+        # order, and its edges are ordered as `make_graph` orders them
         counts = {"make_graph": 0, "Graph": 0, "through": 0, "SpatialPolyline": 0}
 
         def counted(name, original):
@@ -516,9 +516,10 @@ class TestSmoothOnePass:
         monkeypatch.setattr(SpatialPolyline, "__init__", counted("SpatialPolyline", SpatialPolyline.__init__))
         monkeypatch.setattr(graphs.Graph, "__init__", counted("Graph", graphs.Graph.__init__))
         for emb in embeddings:
-            counts.update(make_graph=0, Graph=0, through=0, SpatialPolyline=0)
-            assert smooth(emb).graph == K6
-            assert counts == {"make_graph": 0, "Graph": 1, "through": 0, "SpatialPolyline": 15}
+            for given, graphs_built in ((PLEmbedding(emb.graph, emb.position, emb.route), 1), (emb, 0)):
+                counts.update(make_graph=0, Graph=0, through=0, SpatialPolyline=0)
+                assert smooth(given).graph == K6
+                assert counts == {"make_graph": 0, "Graph": graphs_built, "through": 0, "SpatialPolyline": 15}
 
 
 def bent_k6():
@@ -613,15 +614,16 @@ def straight_junctions():
 
 
 def assert_core_matches_reference(emb):
-    """`_smoothed` gives the reference's graph, positions and routes; and,
+    """The carried core gives the reference's graph, positions and routes; and,
     for the carrier argument that lets it skip the check, every chain passes
     the checked `SpatialPolyline` constructor and the embedding rebuilt from
     the chains validates.  Returns the core graph and the chains."""
-    g, position, chains = _smoothed(emb)
+    g, position, chains = require_valid(emb)._core
     ref = smooth_reference(emb)
     assert g == ref.graph
     assert list(position.items()) == list(ref.position.items())
-    assert chains == [ref.route[key].vertices for key in g.edges]
+    assert chains == tuple(ref.route[key].vertices for key in g.edges)
+    assert all(type(chain) is tuple for chain in chains)
     rebuilt = PLEmbedding(g, position, {key: SpatialPolyline(chain) for key, chain in zip(g.edges, chains)})
     assert validate_embedding(rebuilt) == ()
     return g, chains
@@ -632,9 +634,9 @@ HEXAGON = [P3(0, 0, 0), P3(2, 0, 1), P3(4, 0, 0), P3(4, 4, 1), P3(0, 4, 0), P3(0
 
 
 class TestSmoothingCore:
-    """`graphs._smoothed`, which the finders and oracles read, against the
-    record-building reference, on straight junctions, stopped triangles and
-    graphs that are one cycle."""
+    """The core a `ValidEmbedding` carries, which the finders and oracles
+    read, against the record-building reference, on straight junctions,
+    stopped triangles and graphs that are one cycle."""
 
     @settings(max_examples=300, deadline=None)
     @given(cut_embeddings())
@@ -664,9 +666,9 @@ class TestSmoothingCore:
 
     def test_nothing_to_absorb_hands_back_the_input(self):
         for emb in (gen_k44_linear(3), gen_polygon_pair(3)):
-            g, position, chains = _smoothed(emb)
+            g, position, chains = emb._core
             assert g is emb.graph and position is emb.position
-            assert chains == [emb.route[key].vertices for key in g.edges]
+            assert chains == tuple(emb.route[key].vertices for key in g.edges)
 
 
 def midpoint_subdivided_k6(edges):

@@ -957,6 +957,73 @@ class TestValidateOnce:
 
 
 @pytest.fixture
+def smoothings(monkeypatch):
+    """The graphs handed to `graphs._core_of`, the smoothing core that every
+    `ValidEmbedding` builds once, in its constructor."""
+    calls = []
+    original = graphs._core_of
+
+    def counted(g, position, route):
+        calls.append(g)
+        return original(g, position, route)
+
+    monkeypatch.setattr(graphs, "_core_of", counted)
+    return calls
+
+
+class TestSmoothOnce:
+    """A validated embedding carries its smoothed core: the finders, ledgers
+    and oracles read it, so they smooth raw input once per call and a
+    `ValidEmbedding` never."""
+
+    @pytest.mark.parametrize("make, find, ledgers, length", [
+        (gen_k6_pl_subdivided, find_linked_cycles_k6, k6_parity_ledgers, 3),
+        (gen_k44_linear, find_linked_cycles_k44, k44_parity_ledgers, 4),
+    ], ids=["k6-pl", "k44-linear"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_readers_smooth_raw_input_once_and_validated_input_never(self, make, find, ledgers, length, seed,
+                                                                      smoothings):
+        valid = make(seed)
+        raw = graphs.PLEmbedding(valid.graph, valid.position, valid.route)
+        report = find(valid, seed)
+        calls = {
+            "finder": lambda emb: find(emb, seed),
+            "ledgers": lambda emb: ledgers(emb, seed),
+            "oracle_confirm": lambda emb: oracle_confirm(emb, report, seed),
+            "oracle_count_linked_pairs": lambda emb: oracle_count_linked_pairs(emb, length, length, seed),
+        }
+        # on the generated input, finder, oracle_confirm and ledgers are a `pl-projection` op
+        for subject, expected in ((valid, []), (raw, [valid.graph])):
+            for name, call in calls.items():
+                smoothings.clear()
+                call(subject)
+                assert (name, smoothings) == (name, expected)
+
+    def test_require_valid_smooths_once_and_smooth_reads_the_core(self, smoothings):
+        valid = gen_k6_pl_subdivided(0)
+        raw = graphs.PLEmbedding(valid.graph, valid.position, valid.route)
+        smoothings.clear()
+        assert require_valid(raw)._core == valid._core
+        assert smoothings == [valid.graph]
+        # `smooth` builds the smoothed copy, which smooths its core graph again
+        # and absorbs nothing; on a ValidEmbedding that is the only call
+        for subject, expected in ((raw, [valid.graph, K6]), (valid, [K6])):
+            smoothings.clear()
+            sm = smooth(subject)
+            assert smoothings == expected
+            assert sm._core[0] is sm.graph and sm._core[2] == valid._core[2]
+
+    def test_replace_smooths_the_changed_copy(self, smoothings):
+        # the straight cut of v1-v2 smooths away until its first half bends
+        valid = require_valid(subdivided_moment_k6_embedding())
+        p, bend, mid = valid.position["v1"], Point3(1, 2, 3), valid.position["v1.v2.1"]
+        smoothings.clear()
+        bent = valid.replace(route={**valid.route, ("v1", "v1.v2.1"): SpatialPolyline.through([p, bend, mid])})
+        assert smoothings == [valid.graph]
+        assert valid._core[2][0] == (p, Point3(2, 4, 8)) and bent._core[2][0] == (p, bend, mid, Point3(2, 4, 8))
+
+
+@pytest.fixture
 def sweeps(monkeypatch):
     """The arguments of every sweep by `graphs._scan_drawing`, the one sweep
     behind `validate_drawing`, `require_generic` and the projections."""

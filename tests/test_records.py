@@ -221,3 +221,17 @@ def test_replace_rebuilds_derived_state():
     assert crossed.replace(route={**crossed.route, ("c", "d"): around}).crossings == ()
     with pytest.raises(TypeError):
         crossed.replace(crossings=())
+
+
+def test_valid_embedding_carries_its_core_outside_the_fields():
+    # built by the constructor as `Graph` builds `_index`: not a field, so
+    # ==, hash, repr and `replace` see the three fields only
+    valid = require_valid(EMB)
+    assert type(valid)._fields == ("graph", "position", "route")
+    g, position, chains = valid._core
+    assert g is valid.graph and position is valid.position
+    assert type(chains) is tuple and all(type(chain) is tuple for chain in chains)
+    assert chains == ((P3(0, 0, 0), P3(1, 0, 0)),)
+    assert "_core" not in repr(valid) and valid == EMB
+    with pytest.raises(AttributeError):
+        valid._core = valid._core
