@@ -268,16 +268,27 @@ def subdivided(emb: PLEmbedding, edge: EdgeKey, points) -> PLEmbedding:
     return make_embedding(graph, positions, {e: emb.route[e].vertices for e in kept})
 
 
+def neighbors(g: Graph, v: str) -> tuple[str, ...]:
+    """The neighbours of v, in vertex order, read off the edge list."""
+    out = []
+    for a, b in g.edges:
+        if a == v:
+            out.append(b)
+        elif b == v:
+            out.append(a)
+    return tuple(sorted(out, key=g.index))
+
+
 def bipartition_reference(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The reference for `bipartition`: breadth first from the first
-    vertex, reading each dequeued vertex's neighbours off `g.neighbors`."""
+    vertex, reading each dequeued vertex's neighbours off `neighbors`."""
     if not g.vertices:
         raise ValueError("empty graph")
     color: dict[str, int] = {g.vertices[0]: 0}
     queue = [g.vertices[0]]
     while queue:
         v = queue.pop(0)
-        for w in g.neighbors(v):
+        for w in neighbors(g, v):
             if w not in color:
                 color[w] = 1 - color[v]
                 queue.append(w)
@@ -301,9 +312,9 @@ def smooth_reference(emb: PLEmbedding) -> PLEmbedding:
     while True:
         target = None
         for w in reversed(g.vertices):
-            if len(g.neighbors(w)) != 2:
+            if len(neighbors(g, w)) != 2:
                 continue
-            u, x = g.neighbors(w)
+            u, x = neighbors(g, w)
             if u != x and not g.has_edge(u, x):
                 target = (w, u, x)
                 break
@@ -635,8 +646,9 @@ def reference_key(p: Point2) -> tuple[int, int, int]:
 
 
 def box_pairs_reference(boxes) -> list[tuple[int, int]]:
-    """`graphs._box_pairs` with a copied tail: each box in x-order scans the
-    boxes sorted after it until one starts past its end."""
+    """The pairs of `graphs._box_pairs` as sorted (min, max) index pairs,
+    found with a copied tail: each box in x-order scans the boxes sorted
+    after it until one starts past its end."""
     order = sorted((*box, a) for a, box in enumerate(boxes))
     pairs = []
     for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order):

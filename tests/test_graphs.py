@@ -56,6 +56,7 @@ from helpers import (
     cycle_route,
     disjoint_cycle_pairs_reference,
     enumerate_cycles_reference,
+    neighbors,
     reference_key,
     scan_drawing_reference,
     smooth_reference,
@@ -110,8 +111,8 @@ class TestGraphBasics:
         assert K44.edge_key("b1", "a3") == ("a3", "b1")
 
     def test_neighbors_and_degree(self):
-        assert K44.neighbors("a1") == ("b1", "b2", "b3", "b4")
-        assert len(K44.neighbors("b2")) == 4
+        assert neighbors(K44, "a1") == ("b1", "b2", "b3", "b4")
+        assert len(neighbors(K44, "b2")) == 4
         assert not K44.has_edge("a1", "a2")
         assert K6.has_edge("v6", "v1")
 
@@ -386,7 +387,7 @@ class TestSubdivideSmooth:
         emb = make_embedding(K6, moment_positions(6))
         mid = midpoint(emb.position["v1"], emb.position["v2"])
         sub = subdivided(emb, ("v1", "v2"), [mid])
-        assert len(sub.graph.neighbors("v1.v2.1")) == 2
+        assert len(neighbors(sub.graph, "v1.v2.1")) == 2
         assert validate_embedding(sub) == ()
         back = smooth(sub)
         assert back == emb
@@ -973,6 +974,73 @@ class TestSweepsMatchReference:
             assert validate(emb) == validate_embedding_reference(emb)
 
 
+# drawings whose side pairs have contacts the sign rejection must pass on to
+# classification: (vertex positions, edge routes with their ends, the kinds reported)
+CONTACTS = {
+    "end-inside-side": ({"a": (0, 0), "b": (4, 0), "c": (0, 3), "d": (4, 3)},
+                        {("a", "b"): [(0, 0), (4, 0)], ("c", "d"): [(0, 3), (2, 0), (4, 3)]},
+                        {"degenerate-contact"}),
+    "collinear-overlap": ({"a": (0, 0), "b": (4, 0), "c": (2, 3), "d": (8, 3)},
+                          {("a", "b"): [(0, 0), (4, 0)], ("c", "d"): [(2, 3), (2, 0), (6, 0), (8, 3)]},
+                          {"degenerate-contact"}),
+    "identical-terminal-sides": ({"u": (0, 0), "v": (4, 4), "w": (4, -4)},
+                                 {("u", "v"): [(0, 0), (2, 0), (4, 4)], ("u", "w"): [(0, 0), (2, 0), (4, -4)]},
+                                 {"sides-identical", "routes-touch"}),
+    "overlapping-terminal-sides": ({"u": (0, 0), "v": (4, 4), "w": (4, -4)},
+                                   {("u", "v"): [(0, 0), (2, 0), (4, 4)], ("u", "w"): [(0, 0), (3, 0), (4, -4)]},
+                                   {"sides-overlap", "degenerate-contact"}),
+    "opposite-terminal-rays": ({"u": (0, 0), "v": (4, 4), "w": (-4, -4)},
+                               {("u", "v"): [(0, 0), (2, 0), (4, 4)], ("u", "w"): [(0, 0), (-2, 0), (-4, -4)]},
+                               set()),
+    "route-revisits-point": ({"u": (0, 0), "v": (4, 4)},
+                             {("u", "v"): [(0, 0), (2, 0), (3, 1), (3, -1), (2, 0), (4, 4)]},
+                             {"route-revisits-point"}),
+    "triple-point": ({"a": (-2, 0), "b": (2, 0), "c": (0, -2), "d": (0, 2), "e": (-2, -2), "f": (2, 2)},
+                     {("a", "b"): [(-2, 0), (2, 0)], ("c", "d"): [(0, -2), (0, 2)], ("e", "f"): [(-2, -2), (2, 2)]},
+                     {"triple-point"}),
+}
+
+
+@pytest.mark.parametrize("scale, shift", [(1, 0), (Fraction(1, 3), Fraction(1, 2))], ids=["int", "Fraction"])
+@pytest.mark.parametrize("name", CONTACTS)
+def test_contacts_pass_the_sign_rejection(name, scale, shift):
+    """Zero signs, parallel terminal sides at a shared vertex, a revisited
+    point and a triple point reach classification and are reported as the
+    all-pairs reference reports them, on integer and Fraction coordinates."""
+    positions, routes, kinds = CONTACTS[name]
+    def pt(c):
+        return Point2(c[0] * scale + shift, c[1] * scale + shift)
+
+    g = make_graph(list(positions), routes)
+    d = make_drawing(g, {v: pt(c) for v, c in positions.items()}, {e: [pt(c) for c in r] for e, r in routes.items()})
+    assert_scan_matches_reference(d)
+    assert {v.kind for v in scan(d)[0]} == kinds
+
+
+class TestSignRejection:
+    """The sweep settles by one sign test in its loop, with no call, the
+    pairs of sides sharing no vertex where one lies strictly on one side of
+    the other's line, so `_meet2` sees fewer pairs than share no vertex."""
+
+    @pytest.mark.parametrize("which, apart_pairs, calls", [("k6-shadow", 167, 27), ("k5", 6, 5)])
+    def test_meet2_calls(self, which, apart_pairs, calls, monkeypatch):
+        if which == "k5":
+            d = gen_k5_drawing(1)
+            args = (d.graph, *graphs._coordinates(d))
+        else:  # the shadow the K6 analysis of seed 1 sweeps
+            args = projection._direction_search(1, projection._orthogonal, *gen_k6_pl_subdivided(1)._core)[1:4]
+        sides, boxes = graphs._side_table(*args)[2:]
+        # the box-meeting pairs of sides that share no vertex and are not adjacent on one route
+        apart = [(a, b) for a, b in box_pairs_reference(boxes) if not sides[a][2] & sides[b][2]
+                 and not (sides[a][0] == sides[b][0] and b - a == 1)]
+        made = []
+        meet = graphs._meet2
+        monkeypatch.setattr(graphs, "_meet2", lambda *c: made.append(c) or meet(*c))
+        graphs._scan_drawing(*args)
+        assert len(apart) == apart_pairs
+        assert len(made) == calls < apart_pairs
+
+
 SELF_CROSSING_DRAWINGS = [
     # a route of K5 and one of K3,3 that cross themselves
     make_drawing(complete_graph(5), {"v1": Point2(0, 0), "v2": Point2(10, 0), "v3": Point2(14, 12),
@@ -1033,18 +1101,30 @@ def box_lists(draw):
     return boxes
 
 
+def flat_box_pairs(boxes) -> list[tuple[int, int]]:
+    """The groups of `graphs._box_pairs` as sorted (min, max) pairs, having
+    checked that they list every box once, in order of least x, and that
+    each `near` holds only boxes later in that order, so no pair comes twice."""
+    groups = graphs._box_pairs(boxes)
+    place = {a: k for k, (a, _) in enumerate(groups)}
+    assert sorted(place) == list(range(len(boxes))) and len(groups) == len(boxes)
+    assert [boxes[a][0] for a, _ in groups] == sorted(box[0] for box in boxes)
+    assert all(place[b] > place[a] for a, near in groups for b in near)
+    return sorted((a, b) if a < b else (b, a) for a, near in groups for b in near)
+
+
 class TestBoxPairs:
     """The bisected slice of `_box_pairs` pairs what the copied tail paired."""
 
     @settings(max_examples=500, deadline=2000)
     @given(box_lists())
     def test_matches_reference(self, boxes):
-        assert graphs._box_pairs(boxes) == box_pairs_reference(boxes)
+        assert flat_box_pairs(boxes) == box_pairs_reference(boxes)
 
     def test_equal_starts_and_points(self):
         boxes = [graphs._box(p, q) for p, q in [((0, 0), (2, 2)), ((0, 1), (0, 1)), ((0, 3), (1, 0)),
                                                  ((2, 2), (2, 2)), ((Fraction(5, 2), 0), (3, 1))]]
-        assert graphs._box_pairs(boxes) == box_pairs_reference(boxes) == [(0, 1), (0, 2), (0, 3), (1, 2)]
+        assert flat_box_pairs(boxes) == box_pairs_reference(boxes) == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
 
 def assert_raw_crossings_in_edge_order(d):

@@ -51,7 +51,7 @@ from intrinsiclinks.serialization import (
 )
 from intrinsiclinks.svg import render_svg
 
-from helpers import crossings_between_cycles, gen_planar_polygon_pair
+from helpers import crossings_between_cycles, gen_planar_polygon_pair, neighbors
 
 PENTAGON = {
     "v1": Point2(0, 2),
@@ -112,7 +112,7 @@ class TestGenerators:
     def test_planar_polygon_pair(self):
         d = gen_planar_polygon_pair(0)
         assert isinstance(d, GenericDrawing)
-        assert all(len(d.graph.neighbors(v)) == 2 for v in d.graph.vertices)
+        assert all(len(neighbors(d.graph, v)) == 2 for v in d.graph.vertices)
         count = crossings_between_cycles(d)
         assert count % 2 == 0
 
