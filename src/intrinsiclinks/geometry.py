@@ -11,6 +11,11 @@ predicate outcomes (tangency, shared endpoints, collinear overlap) are
 returned as the first-class sentinel NON_GENERIC rather than raised, because
 for samplers a degenerate outcome is an ordinary value meaning "resample".
 
+Each predicate the sweeps, projections and cone counts run has one kernel on
+coordinate tuples (`_meet2`, `_collinear2`, `_orient3`, `_orient3_sos`,
+`_collinear3`, `_on_side3`, `_meet3`), a side read as p's coordinates then
+q's; `orient3d`, `orient3d_sos` and `collinear3` adapt them to `Point3`s.
+
 Orientation conventions:
   orient2d(a, b, c)    > 0 iff c lies to the left of the directed line a->b.
   orient3d(a, b, c, d) > 0 iff d lies on the positive side of the plane
@@ -23,6 +28,7 @@ Orientation conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -207,22 +213,6 @@ class Point3(_Record):
     __hash__ = _Record.__hash__
 
 
-def cross3(u: Point3, v: Point3) -> Point3:
-    return Point3(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.x * v.y - u.y * v.x,
-    )
-
-
-def dot3(u: Point3, v: Point3) -> Fraction:
-    return u.x * v.x + u.y * v.y + u.z * v.z
-
-
-def is_zero3(u: Point3) -> bool:
-    return u.x == 0 and u.y == 0 and u.z == 0
-
-
 class Triangle3(_Record):
     def __init__(self, a: Point3, b: Point3, c: Point3):
         if a == b or b == c or a == c:
@@ -256,17 +246,18 @@ def _collinear2(a: tuple, b: tuple, c: tuple) -> bool:
     return (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
 
 
+def _orient3(a: tuple, b: tuple, c: tuple, d: tuple) -> int:
+    """orient3d(a, b, c, d), for points given by their coordinates."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
+    b1, b2, b3 = bx - ax, by - ay, bz - az
+    c1, c2, c3 = cx - ax, cy - ay, cz - az
+    d1, d2, d3 = dx - ax, dy - ay, dz - az
+    return _sign(b1 * (c2 * d3 - c3 * d2) - b2 * (c1 * d3 - c3 * d1) + b3 * (c1 * d2 - c2 * d1))
+
+
 def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
     """Sign of det[b-a; c-a; d-a], i.e. the side of plane abc that d is on."""
-    b1, b2, b3 = b.x - a.x, b.y - a.y, b.z - a.z
-    c1, c2, c3 = c.x - a.x, c.y - a.y, c.z - a.z
-    d1, d2, d3 = d.x - a.x, d.y - a.y, d.z - a.z
-    det = (
-        b1 * (c2 * d3 - c3 * d2)
-        - b2 * (c1 * d3 - c3 * d1)
-        + b3 * (c1 * d2 - c2 * d1)
-    )
-    return _sign(det)
+    return _orient3(a.coords(), b.coords(), c.coords(), d.coords())
 
 
 @cache  # built on the first tie: most processes never read them
@@ -309,6 +300,25 @@ def _det(m: list) -> RationalLike:
     )
 
 
+def _orient3_sos(points: Sequence[tuple], i: int, j: int, k: int, m: int) -> int:
+    """`orient3d_sos` on coordinate tuples; reads only the four indexed points."""
+    s = _orient3(points[i], points[j], points[k], points[m])
+    if s:
+        return s
+    idx = (i, j, k, m)
+    if len(set(idx)) < 4:
+        raise ValueError("orient3d_sos needs four distinct indices")
+    matrix = [(*points[n], 1) for n in sorted(idx)]
+    for sign, rows, cols in _sos_terms():
+        minor = _det([[matrix[r][c] for c in cols] for r in rows])
+        if minor:
+            break
+    # orient3d is minus the sign of det M with the rows in the given order,
+    # and putting them in rank order multiplies det M by the sign of the sort
+    swaps = sum(x > y for x, y in combinations(idx, 2))
+    return -sign * _sign(minor) * (-1) ** swaps
+
+
 def orient3d_sos(points: Sequence[Point3], i: int, j: int, k: int, m: int) -> int:
     """`orient3d(points[i], points[j], points[k], points[m])` under Simulation
     of Simplicity (Edelsbrunner and Muecke, ACM TOG 1990); never 0.
@@ -320,21 +330,7 @@ def orient3d_sos(points: Sequence[Point3], i: int, j: int, k: int, m: int) -> in
     returned as it is; a zero one is decided by the first nonzero term of
     `_sos_terms()`, so the result is exact and deterministic.
     """
-    s = orient3d(points[i], points[j], points[k], points[m])
-    if s:
-        return s
-    idx = (i, j, k, m)
-    if len(set(idx)) < 4:
-        raise ValueError("orient3d_sos needs four distinct indices")
-    matrix = [(*points[n].coords(), 1) for n in sorted(idx)]
-    for sign, rows, cols in _sos_terms():
-        minor = _det([[matrix[r][c] for c in cols] for r in rows])
-        if minor:
-            break
-    # orient3d is minus the sign of det M with the rows in the given order,
-    # and putting them in rank order multiplies det M by the sign of the sort
-    swaps = sum(x > y for x, y in combinations(idx, 2))
-    return -sign * _sign(minor) * (-1) ** swaps
+    return _orient3_sos({n: points[n].coords() for n in (i, j, k, m)}, i, j, k, m)
 
 
 def gp_points2(points: Sequence[Point2]) -> bool:
@@ -344,21 +340,17 @@ def gp_points2(points: Sequence[Point2]) -> bool:
 
 def gp_points3(points: Sequence[Point3]) -> bool:
     """No four of the points are coplanar (vacuously true below 4)."""
-    return all(orient3d(a, b, c, d) != 0 for a, b, c, d in combinations(points, 4))
+    return all(_orient3(a, b, c, d) != 0 for a, b, c, d in combinations([p.coords() for p in points], 4))
 
 
-def point_on_segment3(p: Point3, s: tuple[Point3, Point3]) -> bool:
-    """Closed membership: p lies on the segment s = (a, b), endpoints included.
-
-    With d = b - a and e = p - a: cross3(d, e) is zero and
-    0 <= dot3(e, d) <= dot3(d, d), written out on the coordinates so that
-    no intermediate point is built."""
-    a, b = s
-    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
-    ex, ey, ez = p.x - a.x, p.y - a.y, p.z - a.z
-    if dy * ez != dz * ey or dz * ex != dx * ez or dx * ey != dy * ex:
-        return False
-    return 0 <= ex * dx + ey * dy + ez * dz <= dx * dx + dy * dy + dz * dz
+def _on_side3(p: tuple, side: tuple) -> bool:
+    """The point p lies on the closed side ab: with d = b - a and e = p - a,
+    cross3(d, e) is zero and 0 <= dot3(e, d) <= dot3(d, d)."""
+    (x, y, z), (ax, ay, az, bx, by, bz) = p, side
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    ex, ey, ez = x - ax, y - ay, z - az
+    return (dy * ez == dz * ey and dz * ex == dx * ez and dx * ey == dy * ex
+            and 0 <= ex * dx + ey * dy + ez * dz <= dx * dx + dy * dy + dz * dz)
 
 
 def _within(lo, hi, v) -> bool:
@@ -428,19 +420,18 @@ def seg_hits_solid_triangle(s: tuple[Point3, Point3], t: Triangle3):
     falls on the triangle's boundary.  When the five points involved are in
     general position the result is always 0 or 1.
     """
-    p, q = s
-    a, b, c = t.a, t.b, t.c
-    sp = orient3d(a, b, c, p)
-    sq = orient3d(a, b, c, q)
+    p, q, a, b, c = (x.coords() for x in (*s, *t.vertices()))
+    sp = _orient3(a, b, c, p)
+    sq = _orient3(a, b, c, q)
     if sp == 0 or sq == 0:
         return NON_GENERIC
     if sp == sq:
         return 0
-    o1 = orient3d(p, q, a, b)
-    o2 = orient3d(p, q, b, c)
+    o1 = _orient3(p, q, a, b)
+    o2 = _orient3(p, q, b, c)
     if o1 != 0 and o2 != 0 and o1 != o2:
         return 0
-    o3 = orient3d(p, q, c, a)
+    o3 = _orient3(p, q, c, a)
     if 1 in (o1, o2, o3) and -1 in (o1, o2, o3):
         return 0  # beyond the line of a side, even if on the line of another
     if o1 == 0 or o2 == 0 or o3 == 0:
@@ -448,35 +439,34 @@ def seg_hits_solid_triangle(s: tuple[Point3, Point3], t: Triangle3):
     return 1
 
 
-def meet_segments3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
-    """Decide whether two closed segments in space, each a point pair, meet.
-
-    Returns False when disjoint, True when they meet in exactly one point
-    (any kind of contact: crossing, endpoint touch, T shape), and OVERLAP
-    when they are collinear with a common sub-segment.  Decided by integer
-    or rational signs alone; the common point is never built.
-    """
-    p1, q1 = s
-    p2, q2 = t
-    if orient3d(p1, q1, p2, q2) != 0:
+def _meet3(s: tuple, t: tuple):
+    """Whether the closed sides s = p1q1 and t = p2q2 in space meet: False when
+    disjoint, True in exactly one point (a crossing, an end touching, a T),
+    OVERLAP when collinear with a common sub-segment.  Decided by signs alone,
+    building no point.  With d1 = q1 - p1, d2 = q2 - p2, r = p2 - p1 and
+    w = cross3(d1, d2), orient3d(p1, q1, p2, q2) is the sign of -dot3(r, w)."""
+    ax, ay, az, bx, by, bz = s
+    cx, cy, cz, dx, dy, dz = t
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    vx, vy, vz = dx - cx, dy - cy, dz - cz
+    rx, ry, rz = cx - ax, cy - ay, cz - az
+    wx, wy, wz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    if rx * wx + ry * wy + rz * wz:
         return False  # skew lines share no point
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p2 - p1
-    w = cross3(d1, d2)
-    if not is_zero3(w):
-        # the lines meet at p1 + (u/ww) d1 = p2 + (v/ww) d2
-        ww = dot3(w, w)
-        u = dot3(cross3(r, d2), w)
-        v = dot3(cross3(r, d1), w)
+    if wx or wy or wz:
+        # the lines meet at p1 + (u/ww) d1 = p2 + (v/ww) d2, with u and v
+        # the dot products of cross3(r, d2) and cross3(r, d1) with w
+        ww = wx * wx + wy * wy + wz * wz
+        u = (ry * vz - rz * vy) * wx + (rz * vx - rx * vz) * wy + (rx * vy - ry * vx) * wz
+        v = (ry * uz - rz * uy) * wx + (rz * ux - rx * uz) * wy + (rx * uy - ry * ux) * wz
         return 0 <= u <= ww and 0 <= v <= ww
     # parallel lines
-    if not is_zero3(cross3(r, d1)):
+    if ry * uz != rz * uy or rz * ux != rx * uz or rx * uy != ry * ux:
         return False
     # collinear: compare parameter intervals along d1
-    length = dot3(d1, d1)
-    b0 = dot3(r, d1)
-    b1 = dot3(q2 - p1, d1)
+    length = ux * ux + uy * uy + uz * uz
+    b0 = rx * ux + ry * uy + rz * uz
+    b1 = b0 + vx * ux + vy * uy + vz * uz
     lo = max(0, min(b0, b1))
     hi = min(length, max(b0, b1))
     if lo > hi:
@@ -484,8 +474,43 @@ def meet_segments3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
     return True if lo == hi else OVERLAP
 
 
-def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
-    """cross3(b - a, c - a) is zero, on the coordinates (no point is built)."""
-    ux, uy, uz = b.x - a.x, b.y - a.y, b.z - a.z
-    vx, vy, vz = c.x - a.x, c.y - a.y, c.z - a.z
+def _collinear3(a: tuple, b: tuple, c: tuple) -> bool:
+    """cross3(b - a, c - a) is zero, for points given by their coordinates."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    vx, vy, vz = cx - ax, cy - ay, cz - az
     return uy * vz == uz * vy and uz * vx == ux * vz and ux * vy == uy * vx
+
+
+def collinear3(a: Point3, b: Point3, c: Point3) -> bool:
+    """The three points lie on one line (no point is built)."""
+    return _collinear3(a.coords(), b.coords(), c.coords())
+
+
+def _integer_scaled(points: list[tuple]) -> list[tuple]:
+    """The coordinate tuples `points` scaled to integers by the lcm of their
+    denominators, which moves no sign; integer input itself, after one pass."""
+    m = lcm(*(c.denominator for p in points for c in p))
+    return points if m == 1 else [tuple(c.numerator * (m // c.denominator) for c in p) for p in points]
+
+
+def _box(p: tuple, q: tuple) -> tuple:
+    """The closed box (x0, x1, y0, y1, z0, z1) of two points given by their
+    coordinates; a planar box has the z-range [0, 0]."""
+    box = ()
+    for a, b in zip(p, q):
+        box += (a, b) if a <= b else (b, a)
+    return box if len(box) == 6 else box + (0, 0)
+
+
+def _box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, list[int]]]:
+    """The closed axis-aligned boxes (x0, x1, y0, y1, z0, z1) that meet, as
+    (a, near) for each box a in order of least x, with `near` the later boxes
+    in that order that meet a, so each pair comes once, unsorted.  Sort and
+    prune (Bentley and Ottmann, IEEE TC 1979): each box scans only the boxes
+    that start before it ends, found by bisection, for y- and z-ranges that meet."""
+    order = sorted((*box, a) for a, box in enumerate(boxes))
+    starts = [box[0] for box in order]
+    return [(a, [b for _, _, y0b, y1b, z0b, z1b, b in order[k + 1 : bisect_right(starts, x1, k + 1)]
+                 if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b])
+            for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order)]

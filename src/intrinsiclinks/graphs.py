@@ -10,7 +10,6 @@ all defects of an instance at once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cache, reduce
 from itertools import combinations
 from math import perm
@@ -24,14 +23,16 @@ from .geometry import (
     Point2,
     Point3,
     _Record,
+    _box,
+    _box_pairs,
     _collinear2,
+    _collinear3,
     _meet2,
+    _meet3,
+    _on_side3,
     _set,
     collinear3,
-    dot3,
     key_point,
-    meet_segments3,
-    point_on_segment3,
 )
 from .linking import SpatialPolyline, _Polyline
 
@@ -379,15 +380,6 @@ def make_embedding(
     return _make(PLEmbedding, graph, positions, routes)
 
 
-def _box(p: tuple, q: tuple) -> tuple:
-    """The closed box (x0, x1, y0, y1, z0, z1) of two points given by their
-    coordinates; a planar box has the z-range [0, 0]."""
-    box = ()
-    for a, b in zip(p, q):
-        box += (a, b) if a <= b else (b, a)
-    return box if len(box) == 6 else box + (0, 0)
-
-
 def _coordinates(obj: _Placement) -> tuple[dict, dict]:
     """A placement as its sweep reads it: each vertex's coordinates, and
     each route as its points' coordinates, or as None when it is closed."""
@@ -437,27 +429,12 @@ def _side_table(g: Graph, where: Mapping, chains: Mapping) -> tuple[list, list[E
     return out, usable, sides, boxes
 
 
-def _box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, list[int]]]:
-    """The closed axis-aligned boxes (x0, x1, y0, y1, z0, z1) that meet, as
-    (a, near) for each box a in order of least x, with `near` the later boxes
-    in that order that meet a, so each pair comes once, unsorted.  Sort and
-    prune (Bentley and Ottmann, IEEE TC 1979): each box scans only the boxes
-    that start before it ends, found by bisection, for y- and z-ranges that meet."""
-    order = sorted((*box, a) for a, box in enumerate(boxes))
-    starts = [box[0] for box in order]
-    return [(a, [b for _, _, y0b, y1b, z0b, z1b, b in order[k + 1 : bisect_right(starts, x1, k + 1)]
-                 if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b])
-            for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order)]
-
-
 def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     """Geometric validation: distinct positions, routes meeting only at
     shared endpoint positions, no route through a foreign vertex."""
     g = emb.graph
-    pos = emb.position
     where, chains = _coordinates(emb)
     out, usable, sides, boxes = _side_table(g, where, chains)
-    segs = [s for key in usable for s in emb.route[key].sides()]  # the table's sides as point pairs
     n = len(sides)
     # the vertices join the sweep as one-point boxes, after the sides
     groups = _box_pairs(boxes + [_box(c, c) for c in where.values()])
@@ -466,26 +443,26 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     # reported route by route, then vertex by vertex, then side by side
     for _, b, a in sorted((rank[sides[a][0]], b, a) for a, b in boxed if a < n <= b):
         key, w = sides[a][0], g.vertices[b - n]
-        if w not in key and point_on_segment3(pos[w], segs[a]):
+        if w not in key and _on_side3(where[w], sides[a][3]):
             out.append(Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w)))
 
     pairs = [(a, b) for a, b in boxed if b < n and sides[a][0] != sides[b][0]]
     # reported route pair by route pair, then side by side
     pairs.sort(key=lambda ab: (rank[sides[ab[0]][0]], rank[sides[ab[1]][0]], ab))
     for a, b in pairs:
-        (e1, i1, ends1, _), s1 = sides[a], segs[a]
-        (e2, i2, ends2, _), s2 = sides[b], segs[b]
+        e1, i1, ends1, s1 = sides[a]
+        e2, i2, ends2, s2 = sides[b]
         if ends1 & ends2:
-            # terminal sides at a shared vertex meet there, and elsewhere
-            # only if they leave it along one ray
-            p = pos[g.vertices[(ends1 & ends2).bit_length() - 1]]
-            u = s1[1] if s1[0] == p else s1[0]
-            w = s2[1] if s2[0] == p else s2[0]
-            if not (collinear3(p, u, w) and dot3(u - p, w - p) > 0):
+            # terminal sides at a shared vertex p meet there, and elsewhere
+            # only if their far ends u and w leave p along one ray
+            p = where[g.vertices[(ends1 & ends2).bit_length() - 1]]
+            u = s1[3:] if s1[:3] == p else s1[:3]
+            w = s2[3:] if s2[:3] == p else s2[:3]
+            if not (_collinear3(p, u, w) and sum((x - o) * (y - o) for x, y, o in zip(u, w, p)) > 0):
                 continue
             m = OVERLAP
         else:
-            m = meet_segments3(s1, s2)
+            m = _meet3(s1, s2)
         if not m:
             continue
         if m is OVERLAP:

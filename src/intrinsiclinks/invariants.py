@@ -25,7 +25,7 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import Point2, Point3, _meet2, _Record, _set, dot3, gp_points2, gp_points3
+from .geometry import Point2, Point3, _meet2, _Record, _set, gp_points2, gp_points3
 from .graphs import (
     Cycle,
     GenericDrawing,
@@ -163,7 +163,7 @@ def _choose_viewpoint(pts: list[Point3], seed: int):
     rejections = 0
     cand = Point3(1, 0, 0)
     for _ in range(VIEWPOINT_TRIES):
-        vals = [dot3(p, cand) for p in pts]
+        vals = [x * cand.x + y * cand.y + z * cand.z for x, y, z in map(Point3.coords, pts)]
         if len(set(vals)) == 6:
             top = max(range(6), key=lambda i: vals[i])
             below_names = [v for i, v in enumerate(_K6.vertices) if i != top]

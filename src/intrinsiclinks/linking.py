@@ -35,19 +35,21 @@ routes meet nowhere, stay disjoint.
 from __future__ import annotations
 
 from functools import reduce
-from math import lcm
 from operator import xor
 
 from .errors import GeneralPositionViolation, PolylinesNotDisjoint
 from .geometry import (
     Point3,
     Triangle3,
+    _box,
+    _box_pairs,
+    _integer_scaled,
+    _meet3,
+    _orient3_sos,
     _Record,
     _set,
     collinear3,
     gp_points3,
-    meet_segments3,
-    orient3d_sos,
     seg_hits_solid_triangle,
 )
 from .rng import SplitMix64
@@ -117,29 +119,27 @@ class SpatialPolyline(_Polyline):
     """A broken line in space, which must not intersect itself;
     `SpatialPolyline.through(points[, closed=True])` builds one from raw points."""
 
-    @staticmethod
-    def _straight(u: Point3, v: Point3, w: Point3) -> bool:
-        return collinear3(u, v, w)
+    _straight = staticmethod(collinear3)
 
     def __init__(self, vertices, closed: bool = False):
         super().__init__(vertices, closed)
-        sides = self._sides
-        m = len(sides)
-        for i in range(m):
-            # each side meets the next at their corner, and a closed
-            # polygon's last side meets its first
-            for j in range(i + 2, m - 1 if closed and i == 0 else m):
-                if meet_segments3(sides[i], sides[j]):
-                    raise ValueError(f"self-intersection between sides {i} and {j}")
+        if len(self.vertices) < 4:
+            return  # each side meets its neighbours at corners, and has no other
+        # a closed polygon's last side meets its first; of the other pairs, those
+        # whose boxes meet are tested in order, so the least meeting pair raises
+        at = [p.coords() for p in self.vertices]
+        ends = at[1:] + at[:1] if closed else at[1:]
+        m = len(ends)
+        near = [(a, b) if a < b else (b, a) for a, bs in _box_pairs([_box(p, q) for p, q in zip(at, ends)]) for b in bs]
+        for i, j in sorted(near):
+            if 1 < j - i < (m - 1 if closed else m) and _meet3(at[i] + ends[i], at[j] + ends[j]):
+                raise ValueError(f"self-intersection between sides {i} and {j}")
 
 
 def polylines_disjoint(a: SpatialPolyline, b: SpatialPolyline) -> bool:
     """True when the two polylines share no point at all."""
-    for s in a.sides():
-        for t in b.sides():
-            if meet_segments3(s, t):
-                return False
-    return True
+    mine, theirs = ([p.coords() + q.coords() for p, q in poly.sides()] for poly in (a, b))
+    return not any(_meet3(s, t) for s in mine for t in theirs)
 
 
 def triangles_linked(t1: Triangle3, t2: Triangle3) -> bool:
@@ -169,15 +169,15 @@ def _cone_passes(points, rel, u: int, v: int, sides) -> int:
     row = 0
     for bit, p, q, px, py, pz, qx, qy, qz, mx, my, mz in sides:
         s, t = nx * px + ny * py + nz * pz, nx * qx + ny * qy + nz * qz
-        if (s > 0 if s else orient3d_sos(points, 0, u, v, p) > 0) == (t > 0 if t else orient3d_sos(points, 0, u, v, q) > 0):
+        if (s > 0 if s else _orient3_sos(points, 0, u, v, p) > 0) == (t > 0 if t else _orient3_sos(points, 0, u, v, q) > 0):
             continue
         a = mx * ux + my * uy + mz * uz
-        first = a > 0 if a else orient3d_sos(points, p, q, 0, u) > 0
+        first = a > 0 if a else _orient3_sos(points, p, q, 0, u) > 0
         b = t - s + mx * wx + my * wy + mz * wz
-        if first != (b > 0 if b else orient3d_sos(points, p, q, u, v) > 0):
+        if first != (b > 0 if b else _orient3_sos(points, p, q, u, v) > 0):
             continue
         c = mx * vx + my * vy + mz * vz
-        if first == (c < 0 if c else orient3d_sos(points, p, q, v, 0) > 0):
+        if first == (c < 0 if c else _orient3_sos(points, p, q, v, 0) > 0):
             row ^= bit
     return row
 
@@ -188,12 +188,11 @@ def _cone_matrix(apex: Point3, chains, disjoint) -> list[int]:
     passes of chain f through the cone triangles (apex, side of chain e).
     The apex is point 0, then every distinct corner once, all scaled to
     integers, which moves no sign."""
-    index: dict[Point3, int] = {}
-    ids = [[index.setdefault(p, len(index) + 1) for p in chain] for chain in chains]
-    m = lcm(*(c.denominator for p in index for c in p.coords()))  # 1 on ints
-    points = [p.scale(m) for p in (apex, *index)] if m > 1 else [apex, *index]
-    ax, ay, az = points[0].coords()
-    rel = [(x - ax, y - ay, z - az) for x, y, z in (p.coords() for p in points)]
+    index: dict[tuple, int] = {}
+    ids = [[index.setdefault(p.coords(), len(index) + 1) for p in chain] for chain in chains]
+    points = _integer_scaled([apex.coords(), *index])
+    ax, ay, az = points[0]
+    rel = [(x - ax, y - ay, z - az) for x, y, z in points]
     # the sides of chain f as `_cone_passes` reads them, with bit 1 << f
     lines = [[(1 << f, p, q, px, py, pz, qx, qy, qz, py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
               for p, q in zip(chain, chain[1:]) for (px, py, pz), (qx, qy, qz) in [(rel[p], rel[q])]]

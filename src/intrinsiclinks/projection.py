@@ -32,8 +32,8 @@ from .errors import (
     ProjectionNotGeneral,
     SearchExhausted,
 )
-from .geometry import (NON_GENERIC, Point2, Point3, _collinear2, _meet2, _Record, _set, _sign, coprime3, cross3, dot3,
-                       is_zero3, orient3d)
+from .geometry import (NON_GENERIC, Point2, Point3, _collinear2, _integer_scaled, _meet2, _orient3, _Record, _set, _sign,
+                       coprime3)
 from .graphs import (
     Crossing,
     Cycle,
@@ -51,9 +51,6 @@ from .graphs import (
 from .linking import _check_polyline
 from .rng import SplitMix64
 
-_EX = Point3(1, 0, 0)
-_EZ = Point3(0, 0, 1)
-
 
 def canonical_direction(p: Point3) -> Point3:
     """Scale a nonzero vector to coprime integers with the first nonzero
@@ -70,11 +67,9 @@ def plane_basis(d: Point3) -> tuple[Point3, Point3]:
     (e1, e2, d) positively oriented.  Not normalized: shadow coordinates
     are a fixed invertible linear image of the true orthogonal shadow,
     which preserves incidence, crossings and general position."""
-    e1 = cross3(d, _EZ)
-    if is_zero3(e1):
-        e1 = cross3(d, _EX)
-    e2 = cross3(d, e1)
-    return e1, e2
+    x, y, z = d.coords()
+    a, b, c = (y, -x, 0) if x or y else (0, z, -y)  # d x (0, 0, 1), or d x (1, 0, 0) along the z-axis
+    return Point3(a, b, c), Point3(y * c - z * b, z * a - x * c, x * b - y * a)  # e2 = d x e1
 
 
 class ProjectedDiagram(_Record):
@@ -126,14 +121,15 @@ def _orthogonal(g: Graph, position, routes, d: Point3):
     """`project_orthogonal` on coordinates, of a valid embedding as `g`, its positions and
     each edge's route points in `g.edges` order: the canonical direction, the graph, the
     vertex and route-point shadows, the crossings of distinct edges and their strands."""
-    route = dict(zip(g.edges, routes))
+    route = {key: [p.coords() for p in r] for key, r in zip(g.edges, routes)}
     (ax, ay, az), (bx, by, bz) = (e.coords() for e in plane_basis(d))
-    points = {p.coords() for p in position.values()} | {p.coords() for r in routes for p in r}
+    spots = {v: p.coords() for v, p in position.items()}
+    points = {*spots.values(), *(c for r in route.values() for c in r)}
     shade = {(x, y, z): (x * ax + y * ay + z * az, x * bx + y * by + z * bz) for x, y, z in points}  # once a point
-    where = {v: shade[p.coords()] for v, p in position.items()}
+    where = {v: shade[c] for v, c in spots.items()}
     chains = {}
     for key, r in route.items():
-        chains[key] = chain = [shade[p.coords()] for p in r]
+        chains[key] = chain = [shade[c] for c in r]
         try:  # sides must stay in bijection with the spatial sides, so a flattened corner is a rejection
             _check_polyline(chain, False, _collinear2)
         except ValueError as ex:
@@ -155,7 +151,7 @@ def _orthogonal(g: Graph, position, routes, d: Point3):
         # `turn`; and p2 - p1 = t a - u b + lam d at the crossing, with
         # lam > 0 exactly when strand 2 is higher, so `det` = -sign(lam) turn:
         # strand 1 is in front exactly when det == turn
-        det = orient3d(p1, q1, p2, q2)
+        det = _orient3(p1, q1, p2, q2)
         if det == 0:
             raise InternalParityFailure("two strands of a valid embedding project to equal heights")
         turn = _sign((s1x - r1x) * (s2y - r2y) - (s1y - r1y) * (s2x - r2x))
@@ -220,20 +216,22 @@ def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequ
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
-    a, n, others = apex, normal, [p for p in pts if p != apex]
+    others = [p for p in pts if p != apex]
     if len(others) != len(pts) - 1:
         raise ValueError("apex occurs more than once among the points")
-    m = lcm(*(c.denominator for p in (a, n, *others) for c in p.coords()))  # 1 on ints
-    if m > 1:  # a uniform positive scale of space and of the functional moves no sign
-        a, n, *others = (Point3(*(c.numerator * (m // c.denominator) for c in p.coords())) for p in (a, n, *others))
-    gaps = [dot3(a - p, n) for p in others]
+    # a uniform positive scale of space and of the functional moves no sign
+    a, (nx, ny, nz), *others = _integer_scaled([p.coords() for p in (apex, normal, *others)])
+    ax, ay, az = a
+    rel = [(x - ax, y - ay, z - az) for x, y, z in others]
+    gaps = [-(x * nx + y * ny + z * nz) for x, y, z in rel]
     if any(g <= 0 for g in gaps):
         raise ApexNotExtremal("apex does not strictly maximize the functional")
 
-    d = canonical_direction(n)
-    e1, e2 = plane_basis(d)
+    d = canonical_direction(normal)
+    (bx, by, bz), (cx, cy, cz) = (e.coords() for e in plane_basis(d))
     lcm_gap = lcm(*gaps)
-    images = [(dot3(p - a, e1) * (lcm_gap // g), dot3(p - a, e2) * (lcm_gap // g)) for p, g in zip(others, gaps)]
+    images = [((x * bx + y * by + z * bz) * (lcm_gap // g), (x * cx + y * cy + z * cz) * (lcm_gap // g))
+              for (x, y, z), g in zip(rel, gaps)]
     if any(_collinear2(*abc) for abc in combinations(images, 3)):
         raise ProjectionNotGeneral("projected points are not in general position")
 
@@ -263,10 +261,10 @@ def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequ
         # about the line pq, r and w lie on either side of the plane apq, and
         # rw passes beyond pq from a (behind it) exactly when the turn from r
         # to w has the sense of the turn from a to r
-        det = orient3d(p, q, r, w)
+        det = _orient3(p, q, r, w)
         if det == 0:
             raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
-        strands.append((e1, e2, e1 if det == orient3d(p, q, a, r) else e2))
+        strands.append((e1, e2, e1 if det == _orient3(p, q, a, r) else e2))
     return d, graph, where, chains, raw, strands
 
 

@@ -22,17 +22,12 @@ from intrinsiclinks.geometry import (
     NON_GENERIC,
     _meet2,
     coprime3,
-    cross3,
-    dot3,
     gp_points2,
     gp_points3,
-    is_zero3,
     key_point,
-    meet_segments3,
     orient2d,
     orient3d,
     orient3d_sos,
-    point_on_segment3,
     seg_hits_solid_triangle,
 )
 from intrinsiclinks.graphs import (
@@ -467,6 +462,78 @@ def central_sweep_reference(points, apex: Point3, normal: Point3):
             raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
         strands.append((e1, e2, e1 if higher_central_reference(apex, s1, s2) else e2))
     return d, graph, where, chains, list(raw), strands
+
+
+def cross3(u: Point3, v: Point3) -> Point3:
+    return Point3(
+        u.y * v.z - u.z * v.y,
+        u.z * v.x - u.x * v.z,
+        u.x * v.y - u.y * v.x,
+    )
+
+
+def dot3(u: Point3, v: Point3) -> Fraction:
+    return u.x * v.x + u.y * v.y + u.z * v.z
+
+
+def is_zero3(u: Point3) -> bool:
+    return u.x == 0 and u.y == 0 and u.z == 0
+
+
+def point_on_segment3(p: Point3, s: tuple[Point3, Point3]) -> bool:
+    """Closed membership: p lies on the segment s = (a, b), endpoints
+    included.  The record reference for `geometry._on_side3`."""
+    a, b = s
+    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+    ex, ey, ez = p.x - a.x, p.y - a.y, p.z - a.z
+    if dy * ez != dz * ey or dz * ex != dx * ez or dx * ey != dy * ex:
+        return False
+    return 0 <= ex * dx + ey * dy + ez * dz <= dx * dx + dy * dy + dz * dz
+
+
+def meet_segments3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):
+    """Whether two closed segments in space, each a point pair, meet: False
+    when disjoint, True when in exactly one point, OVERLAP when collinear
+    with a common sub-segment.  The record reference for `geometry._meet3`."""
+    p1, q1 = s
+    p2, q2 = t
+    if orient3d(p1, q1, p2, q2) != 0:
+        return False  # skew lines share no point
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p2 - p1
+    w = cross3(d1, d2)
+    if not is_zero3(w):
+        # the lines meet at p1 + (u/ww) d1 = p2 + (v/ww) d2
+        ww = dot3(w, w)
+        u = dot3(cross3(r, d2), w)
+        v = dot3(cross3(r, d1), w)
+        return 0 <= u <= ww and 0 <= v <= ww
+    # parallel lines
+    if not is_zero3(cross3(r, d1)):
+        return False
+    # collinear: compare parameter intervals along d1
+    length = dot3(d1, d1)
+    b0 = dot3(r, d1)
+    b1 = dot3(q2 - p1, d1)
+    lo = max(0, min(b0, b1))
+    hi = min(length, max(b0, b1))
+    if lo > hi:
+        return False
+    return True if lo == hi else OVERLAP
+
+
+def polyline_self_check_reference(vertices, closed: bool) -> None:
+    """The self-intersection check of `SpatialPolyline` over every pair of
+    non-adjacent sides, a closed polygon's last and first side being
+    adjacent: raises the same ValueError at the least meeting pair."""
+    n = len(vertices)
+    sides = [(vertices[i], vertices[(i + 1) % n]) for i in range(n if closed else n - 1)]
+    m = len(sides)
+    for i in range(m):
+        for j in range(i + 2, m - 1 if closed and i == 0 else m):
+            if meet_segments3(sides[i], sides[j]):
+                raise ValueError(f"self-intersection between sides {i} and {j}")
 
 
 def meet_point3(s: tuple[Point3, Point3], t: tuple[Point3, Point3]):

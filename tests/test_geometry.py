@@ -15,26 +15,37 @@ from intrinsiclinks.geometry import (
     Point2,
     Point3,
     Triangle3,
+    _collinear3,
+    _meet3,
+    _on_side3,
+    _orient3,
+    _orient3_sos,
     collinear3,
-    cross3,
-    dot3,
     gp_points2,
     gp_points3,
-    is_zero3,
     key_point,
-    meet_segments3,
     orient2d,
     orient3d,
     orient3d_sos,
     parse_rational,
-    point_on_segment3,
     rational_str,
     seg_hits_solid_triangle,
 )
 from intrinsiclinks.graphs import PlanarPolyline
 from intrinsiclinks.linking import SpatialPolyline
 
-from helpers import meet_point3, point_on_segment2, seg_intersect2, seg_intersect2_four_signs, segment_param
+from helpers import (
+    cross3,
+    dot3,
+    is_zero3,
+    meet_point3,
+    meet_segments3,
+    point_on_segment2,
+    point_on_segment3,
+    seg_intersect2,
+    seg_intersect2_four_signs,
+    segment_param,
+)
 
 coord = st.integers(min_value=-50, max_value=50)
 frac = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 40))
@@ -58,11 +69,18 @@ def _segment_pairs(point):
     return st.tuples(ends, ends).map(lambda pair: (tuple(pair[0]), tuple(pair[1])))
 
 
-segment_pairs3 = st.one_of(
-    _segment_pairs(grid3),
-    _segment_pairs(grid3.map(lambda p: _NEAR + p)),
-    _segment_pairs(grid3.map(lambda p: _NEAR + p.scale(Fraction(1, 3)))),
-)
+_FAMILIES = (grid3, grid3.map(lambda p: _NEAR + p), grid3.map(lambda p: _NEAR + p.scale(Fraction(1, 3))))
+segment_pairs3 = st.one_of(*map(_segment_pairs, _FAMILIES))
+
+
+def tied_points3(k):
+    """k points of one family of the grid above, where ties are common."""
+    return st.one_of(*(st.lists(family, min_size=k, max_size=k) for family in _FAMILIES))
+
+
+def side(p, q):
+    """The side pq as a kernel reads it: p's coordinates, then q's."""
+    return p.coords() + q.coords()
 
 
 def moment_curve(n=6):
@@ -180,6 +198,14 @@ class TestScalarOnSegment:
     def test_collinear3_near_2_100(self, a, b, c, t, on_line):
         _check_collinear(a, b, c, t, on_line)
 
+    @given(tied_points3(3))
+    @settings(max_examples=400)
+    def test_kernels_match_record_references_on_ties(self, pts):
+        a, b, p = pts
+        assert _collinear3(a.coords(), b.coords(), p.coords()) == collinear3(a, b, p) == is_zero3(cross3(b - a, p - a))
+        if a != b:
+            assert _on_side3(p.coords(), side(a, b)) == point_on_segment3(p, (a, b))
+
     def test_no_point_is_built(self, monkeypatch):
         s = (Point3(0, 0, 0), Point3(4, 2, Fraction(2, 3)))
         probes = [Point3(2, 1, Fraction(1, 3)), Point3(8, 4, Fraction(4, 3)), Point3(1, 1, 1)]
@@ -253,6 +279,13 @@ class TestOrientation:
     @settings(max_examples=200)
     def test_orient3d_translation_invariant(self, a, b, c, d, t):
         assert orient3d(a, b, c, d) == orient3d(a + t, b + t, c + t, d + t)
+
+    @given(tied_points3(4))
+    @settings(max_examples=400)
+    def test_kernel_matches_triple_product_on_ties(self, pts):
+        a, b, c, d = pts
+        triple = dot3(b - a, cross3(c - a, d - a))
+        assert _orient3(*(p.coords() for p in pts)) == orient3d(a, b, c, d) == (triple > 0) - (triple < 0)
 
     @given(rat_points2, rat_points2, rat_points2)
     @settings(max_examples=100)
@@ -339,6 +372,13 @@ class TestOrient3dSoS:
         assert orient3d_sos([p + t for p in pts], *idx) == s
         scale = abs(k) or 1
         assert orient3d_sos([p.scale(scale) for p in pts], *idx) == s
+
+    @given(indexed_points, st.sampled_from([Point3(0, 0, 0), _NEAR]), st.sampled_from([1, Fraction(1, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_eps_expansion_on_fractions_and_near_2_100(self, case, shift, k):
+        pts, idx = case
+        moved = [shift + p.scale(k) for p in pts]
+        assert _orient3_sos([p.coords() for p in moved], *idx) == orient3d_sos(moved, *idx) == sos_by_expansion(moved, idx)
 
     def test_repeated_index_rejected(self):
         pts = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)]
@@ -554,6 +594,12 @@ class TestMeetSegments3:
         s, t = (a, b), (c, d)
         r1, r2 = meet_segments3(s, t), meet_segments3(t, s)
         assert r1 == r2 or (r1 is OVERLAP and r2 is OVERLAP)
+
+    @given(segment_pairs3)
+    @settings(max_examples=1500, deadline=None)
+    def test_kernel_matches_record_reference(self, pair):
+        (p1, q1), (p2, q2) = pair
+        assert _meet3(side(p1, q1), side(p2, q2)) is meet_segments3(*pair)
 
     @given(segment_pairs3)
     @settings(max_examples=1500, deadline=None)

@@ -1183,8 +1183,8 @@ class TestSidePruning:
     def test_vertex_on_route_tests_only_vertices_in_a_side_box(self, monkeypatch):
         emb = gen_k6_pl_subdivided(1)
         tested = []
-        original = graphs.point_on_segment3
-        monkeypatch.setattr(graphs, "point_on_segment3", lambda p, s: tested.append(p) or original(p, s))
+        original = graphs._on_side3
+        monkeypatch.setattr(graphs, "_on_side3", lambda p, side: tested.append(p) or original(p, side))
         assert validate_embedding(emb) == ()
         # every vertex off an edge against every side of its route: 1,376 tests
         every = sum(len(r.sides()) * (len(emb.graph.vertices) - 2) for r in emb.route.values())

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intrinsiclinks.errors import (
@@ -19,11 +19,11 @@ from intrinsiclinks.geometry import (
     collinear3,
     gp_points3,
     orient3d,
-    point_on_segment3,
     seg_hits_solid_triangle,
 )
 from intrinsiclinks.linking import (
     SpatialPolyline,
+    _check_polyline,
     _cone_matrix,
     linking_mod2_cone,
     linking_mod2_sampled,
@@ -41,6 +41,8 @@ from helpers import (
     cone_matrix_reference,
     higher_central_reference,
     linking_mod2_cone_reference,
+    point_on_segment3,
+    polyline_self_check_reference,
     seeded_apexes,
     triangle_polygon,
 )
@@ -55,6 +57,31 @@ FAR = Triangle3(Point3(10, 10, 10), Point3(11, 13, 10), Point3(10, 11, 14))
 
 def six_gp_points(draw_pts):
     return gp_points3(draw_pts)
+
+
+@st.composite
+def grid_polylines(draw):
+    """Vertices on the grid [-2, 2]^3, whole or a third of it moved by 1/2,
+    and whether the polyline is closed, passing every check of a polyline
+    but the self-intersection one; sides often touch, cross or overlap."""
+    grid = st.builds(Point3, *[st.integers(-2, 2)] * 3)
+    k, shift = draw(st.sampled_from([(1, Point3(0, 0, 0)), (Fraction(1, 3), Point3(Fraction(1, 2), 0, 0))]))
+    vertices = tuple(p.scale(k) + shift for p in draw(st.lists(grid, min_size=3, max_size=9)))
+    closed = draw(st.booleans())
+    try:
+        _check_polyline(vertices, closed, collinear3)
+    except ValueError:
+        assume(False)
+    return vertices, closed
+
+
+def raised(build, *args):
+    """The message of the ValueError `build(*args)` raises, or None."""
+    try:
+        build(*args)
+    except ValueError as ex:
+        return str(ex)
+    return None
 
 
 class TestPolylineConstruction:
@@ -78,6 +105,16 @@ class TestPolylineConstruction:
             SpatialPolyline(
                 (Point3(0, 0, 0), Point3(4, 0, 0), Point3(4, 2, 0), Point3(2, -1, 0))
             )
+
+    @given(grid_polylines())
+    @example(((Point3(0, 0, 0), Point3(4, 0, 0), Point3(4, 2, 0), Point3(2, -1, 0)), False))
+    @example(((Point3(0, 0, 0), Point3(2, 0, 0), Point3(2, 1, 0), Point3(1, 0, 0), Point3(1, 1, 1)), False))
+    @example(((Point3(0, 0, 0), Point3(2, 2, 0), Point3(2, 0, 0), Point3(0, 2, 0)), True))
+    @settings(max_examples=400, deadline=None)
+    def test_pruned_self_check_matches_every_pair(self, case):
+        # the box-pruned check raises what a test of every pair raises
+        vertices, closed = case
+        assert raised(SpatialPolyline, vertices, closed) == raised(polyline_self_check_reference, vertices, closed)
 
     def test_closed_polygon_normalizes_straight_corners(self):
         square_plus = SpatialPolyline.through(
@@ -453,8 +490,8 @@ class TestConeKernelMatchesReference:
     @staticmethod
     def count_fallbacks(monkeypatch) -> list:
         calls = []
-        real = linking.orient3d_sos
-        monkeypatch.setattr(linking, "orient3d_sos", lambda *args: calls.append(args) or real(*args))
+        real = linking._orient3_sos
+        monkeypatch.setattr(linking, "_orient3_sos", lambda *args: calls.append(args) or real(*args))
         return calls
 
     def test_matrix_matches_reference(self, monkeypatch):
