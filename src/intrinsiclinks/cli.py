@@ -82,12 +82,9 @@ def link_report_doc(report, seed: int) -> dict:
 
 def _cmd_check(args) -> int:
     obj = _load(args.file)
-    if isinstance(obj, PLEmbedding):
-        kind = "embedding"
-        violations = [v.to_dict() for v in validate_embedding(obj)]
-    elif isinstance(obj, PlanarDrawing):
-        kind = "drawing"
-        violations = [v.to_dict() for v in validate_drawing(obj)]
+    if isinstance(obj, (PLEmbedding, PlanarDrawing)):
+        kind, check = ("embedding", validate_embedding) if isinstance(obj, PLEmbedding) else ("drawing", validate_drawing)
+        violations = [v.to_dict() for v in check(obj)]
     else:
         kind, general, why = (
             ("points3", gp_points3, "four of the points are coplanar")
@@ -197,13 +194,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_link(args) -> int:
-    first = _load(args.first)
-    second = _load(args.second)
-    for obj, path in ((first, args.first), (second, args.second)):
+    objs = [_load(path) for path in (args.first, args.second)]
+    for obj, path in zip(objs, (args.first, args.second)):
         if not (isinstance(obj, list) and isinstance(obj[0], Point3)):
             raise ValidationError(f"{path}: link needs points3 instances")
-    a = SpatialPolyline.through(first, closed=True)
-    b = SpatialPolyline.through(second, closed=True)
+    a, b = (SpatialPolyline.through(obj, closed=True) for obj in objs)
     value = linking_mod2_sampled(a, b, SplitMix64(args.seed))
     _emit_doc({"linking_mod2": value, "seed": args.seed})
     return 0

@@ -497,20 +497,30 @@ def _integer_scaled(points: list[tuple]) -> list[tuple]:
 def _box(p: tuple, q: tuple) -> tuple:
     """The closed box (x0, x1, y0, y1, z0, z1) of two points given by their
     coordinates; a planar box has the z-range [0, 0]."""
-    box = ()
-    for a, b in zip(p, q):
-        box += (a, b) if a <= b else (b, a)
-    return box if len(box) == 6 else box + (0, 0)
+    if len(p) == 2:
+        (px, py), (qx, qy) = p, q
+        pz = qz = 0
+    else:
+        (px, py, pz), (qx, qy, qz) = p, q
+    return (px if px <= qx else qx, qx if px <= qx else px, py if py <= qy else qy,
+            qy if py <= qy else py, pz if pz <= qz else qz, qz if pz <= qz else pz)
 
 
 def _box_pairs(boxes: Sequence[tuple]) -> list[tuple[int, list[int]]]:
     """The closed axis-aligned boxes (x0, x1, y0, y1, z0, z1) that meet, as
-    (a, near) for each box a in order of least x, with `near` the later boxes
-    in that order that meet a, so each pair comes once, unsorted.  Sort and
-    prune (Bentley and Ottmann, IEEE TC 1979): each box scans only the boxes
-    that start before it ends, found by bisection, for y- and z-ranges that meet."""
-    order = sorted((*box, a) for a, box in enumerate(boxes))
-    starts = [box[0] for box in order]
-    return [(a, [b for _, _, y0b, y1b, z0b, z1b, b in order[k + 1 : bisect_right(starts, x1, k + 1)]
-                 if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b])
-            for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order)]
+    (a, near) for each box a in sorted order, equal boxes by index, with `near`
+    the later boxes in that order that meet a, so each pair comes once,
+    unsorted.  Sort and prune (Bentley and Ottmann, IEEE TC 1979): each box
+    scans only those that start before it ends, found by bisection, for y- and z-ranges that meet."""
+    order = sorted(range(len(boxes)), key=boxes.__getitem__)
+    starts = [boxes[a][0] for a in order]
+    groups = []
+    for k, a in enumerate(order):
+        _, x1, y0, y1, z0, z1 = boxes[a]
+        near = []
+        for b in order[k + 1 : bisect_right(starts, x1, k + 1)]:
+            _, _, y0b, y1b, z0b, z1b = boxes[b]
+            if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b:
+                near.append(b)
+        groups.append((a, near))
+    return groups

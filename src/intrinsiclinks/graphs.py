@@ -74,10 +74,13 @@ class Graph(_Record):
 
     def _edge_mask(self, edges: Iterable[tuple[str, str]]) -> int:
         """The bitmask of edges given as vertex pairs in either order."""
+        bit, mask = self._edge_bit, 0
         try:
-            return reduce(or_, [self._edge_bit[u, v] for u, v in edges], 0)
+            for u, v in edges:
+                mask |= bit[u, v]
         except KeyError as ex:
             raise ValueError("({}, {}) is not an edge".format(*ex.args[0])) from None
+        return mask
 
 
 def make_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> Graph:

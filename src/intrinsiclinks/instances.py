@@ -40,23 +40,31 @@ _TWO_TRIANGLES = make_graph(
 CANDIDATE_TRIES = 10000
 
 
-def _point2(rng: SplitMix64, bound: int) -> Point2:
-    return Point2(rng.randint(-bound, bound), rng.randint(-bound, bound))
+def _point(rng: SplitMix64, bound: int, cls=Point3):
+    """A Point3 or Point2 of integers in [-bound, bound], drawn x first."""
+    return cls(*[rng.randint(-bound, bound) for _ in range(3 if cls is Point3 else 2)])
 
 
-def _point3(rng: SplitMix64, bound: int) -> Point3:
-    return Point3(
-        rng.randint(-bound, bound),
-        rng.randint(-bound, bound),
-        rng.randint(-bound, bound),
-    )
+def _valid_embedding(graph, positions) -> ValidEmbedding | None:
+    try:
+        return require_valid(make_embedding(graph, positions))
+    except EmbeddingInvalid:
+        return None
+
+
+def _valid_drawing(graph, positions, routes=None) -> PlanarDrawing | None:
+    try:
+        d = make_drawing(graph, positions, routes)
+    except ValueError:
+        return None
+    return None if validate_drawing(d) else d
 
 
 def gen_k6_points(seed: int, bound: int = 1000) -> list[Point3]:
     """Six integer points in the cube, no four coplanar."""
     rng = SplitMix64(seed)
     for _ in range(CANDIDATE_TRIES):
-        pts = [_point3(rng, bound) for _ in range(6)]
+        pts = [_point(rng, bound) for _ in range(6)]
         if gp_points3(pts):
             return pts
     raise SearchExhausted(
@@ -64,32 +72,28 @@ def gen_k6_points(seed: int, bound: int = 1000) -> list[Point3]:
     )
 
 
-def _gen_straight_embedding(graph, what: str, seed: int, bound: int) -> ValidEmbedding:
-    # general position of the vertices already rules out route crossings and
-    # vertices on routes (either would force four coplanar points), but the
-    # validator has the last word, and the validated copy is what comes back
+def _gen_straight(graph, what: str, seed: int, bound: int, cls=Point3):
+    # vertices in general position rule out crossings and vertices on routes in
+    # space (either forces four coplanar points) but not three edges through one
+    # point in the plane; the validator has the last word and its copy comes back
     rng = SplitMix64(seed)
-    n = len(graph.vertices)
+    gp, valid = (gp_points3, _valid_embedding) if cls is Point3 else (gp_points2, _valid_drawing)
     for _ in range(CANDIDATE_TRIES):
-        pts = [_point3(rng, bound) for _ in range(n)]
-        if not gp_points3(pts):
-            continue
-        try:
-            return require_valid(make_embedding(graph, dict(zip(graph.vertices, pts))))
-        except EmbeddingInvalid:
-            continue
+        pts = [_point(rng, bound, cls) for _ in graph.vertices]
+        if gp(pts) and (found := valid(graph, dict(zip(graph.vertices, pts)))) is not None:
+            return found
     raise SearchExhausted(f"no valid {what} in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
 def gen_k44_linear(seed: int, bound: int = 1000) -> ValidEmbedding:
     """Straight-line embedding of the 4+4 complete bipartite graph, on 8
     integer points in general position, returned already validated."""
-    return _gen_straight_embedding(_K44, "K4,4 embedding", seed, bound)
+    return _gen_straight(_K44, "K4,4 embedding", seed, bound)
 
 
 def gen_polygon_pair(seed: int, bound: int = 1000) -> ValidEmbedding:
     """Two disjoint straight triangles in space, as one validated embedding."""
-    return _gen_straight_embedding(_TWO_TRIANGLES, "triangle pair", seed, bound)
+    return _gen_straight(_TWO_TRIANGLES, "triangle pair", seed, bound)
 
 
 # Subdivided instances start from the moment curve t -> (t, t^2, t^3), whose
@@ -121,57 +125,30 @@ def gen_k6_pl_subdivided(seed: int) -> ValidEmbedding:
         edges = []
         for u, v in _K6.edges:
             pieces = rng.randint(2, 4)
-            a, b = base[u], base[v]
             names = [f"{u}.{v}.{j}" for j in range(1, pieces)]
             for j, name in enumerate(names, start=1):
-                cuts[name] = Point3(
-                    a.x + (b.x - a.x) * j // pieces,
-                    a.y + (b.y - a.y) * j // pieces,
-                    a.z + (b.z - a.z) * j // pieces,
-                )
+                cuts[name] = Point3(*[a + (b - a) * j // pieces for a, b in zip(base[u].coords(), base[v].coords())])
             path = [u, *names, v]
             edges += zip(path, path[1:])
         positions = dict(base)
         for name, p in cuts.items():
-            while True:
-                dx = rng.randint(-_JITTER, _JITTER)
-                dy = rng.randint(-_JITTER, _JITTER)
-                dz = rng.randint(-_JITTER, _JITTER)
-                if (dx, dy, dz) != (0, 0, 0):
-                    break
-            positions[name] = Point3(p.x + dx, p.y + dy, p.z + dz)
-        graph = make_graph([*base, *cuts], edges)
-        try:
-            return require_valid(make_embedding(graph, positions))
-        except EmbeddingInvalid:
-            continue
+            d = _point(rng, _JITTER)
+            while d == Point3(0, 0, 0):
+                d = _point(rng, _JITTER)
+            positions[name] = p + d
+        if (found := _valid_embedding(make_graph([*base, *cuts], edges), positions)) is not None:
+            return found
     raise SearchExhausted(
         f"no valid subdivided K6 embedding in {CANDIDATE_TRIES} tries (seed {seed})"
     )
 
 
-def _gen_straight_drawing(graph, seed: int, bound: int) -> PlanarDrawing:
-    # general position of the vertices does not rule out three edges through
-    # one point, so the drawing validator has the last word
-    rng = SplitMix64(seed)
-    n = len(graph.vertices)
-    for _ in range(CANDIDATE_TRIES):
-        pts = [_point2(rng, bound) for _ in range(n)]
-        if not gp_points2(pts):
-            continue
-        d = make_drawing(graph, dict(zip(graph.vertices, pts)))
-        if validate_drawing(d):
-            continue
-        return d
-    raise SearchExhausted(f"no valid straight drawing in {CANDIDATE_TRIES} tries (seed {seed})")
-
-
 def gen_k5_drawing(seed: int, bound: int = 1000) -> PlanarDrawing:
-    return _gen_straight_drawing(_K5, seed, bound)
+    return _gen_straight(_K5, "straight drawing", seed, bound, Point2)
 
 
 def gen_k33_drawing(seed: int, bound: int = 1000) -> PlanarDrawing:
-    return _gen_straight_drawing(_K33, seed, bound)
+    return _gen_straight(_K33, "straight drawing", seed, bound, Point2)
 
 
 def bend_drawing(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> PlanarDrawing:
@@ -191,22 +168,10 @@ def bend_drawing(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> Planar
         for e in g.edges:
             if rng.randrange(2) == 0:
                 continue
-            u = drawing.position[e[0]]
-            v = drawing.position[e[1]]
-            mid = Point2(
-                (u.x + v.x) // 2 + rng.randint(-jit, jit),
-                (u.y + v.y) // 2 + rng.randint(-jit, jit),
-            )
-            routes[e] = [mid]
-        if not routes:
-            continue
-        try:
-            bent = make_drawing(g, drawing.position, routes)
-        except ValueError:
-            continue
-        if validate_drawing(bent):
-            continue
-        return bent
+            u, v = (drawing.position[w].coords() for w in e)
+            routes[e] = [Point2(*[(a + b) // 2 for a, b in zip(u, v)]) + _point(rng, jit, Point2)]
+        if routes and (bent := _valid_drawing(g, drawing.position, routes)) is not None:
+            return bent
     raise SearchExhausted(f"no valid bent drawing in {CANDIDATE_TRIES} tries (seed {seed})")
 
 
@@ -225,18 +190,9 @@ def move_vertex_star(drawing: PlanarDrawing, seed: int, bound: int = 1000) -> Pl
         if center not in e
     }
     for _ in range(CANDIDATE_TRIES):
-        p = _point2(rng, bound)
-        if p == drawing.position[center]:
-            continue
-        positions = dict(drawing.position)
-        positions[center] = p
-        try:
-            moved = make_drawing(g, positions, kept)
-        except ValueError:
-            continue
-        if validate_drawing(moved):
-            continue
-        return moved
+        p = _point(rng, bound, Point2)
+        if p != drawing.position[center] and (moved := _valid_drawing(g, {**drawing.position, center: p}, kept)) is not None:
+            return moved
     raise SearchExhausted(f"no valid star move in {CANDIDATE_TRIES} tries (seed {seed})")
 
 

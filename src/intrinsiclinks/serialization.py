@@ -18,6 +18,7 @@ newline, so equal objects produce byte-identical files.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _str_json
 
 from .errors import ParseError, ValidationError
 from .geometry import Point2, Point3, parse_rational, rational_str
@@ -160,12 +161,11 @@ def parse_instance(data):
         kind in INSTANCE_FILE_KINDS,
         f"top level: 'kind' must be one of {', '.join(INSTANCE_FILE_KINDS)}",
     )
+    dim = 3 if kind in ("points3", "embedding") else 2
     if kind in ("points3", "points2"):
-        dim = 3 if kind == "points3" else 2
         _require("positions" in doc, "top level: missing 'positions'")
         return _parse_point_list(doc["positions"], dim, "positions")
 
-    dim = 3 if kind == "embedding" else 2
     _require("graph" in doc, "top level: missing 'graph'")
     g = _parse_graph(doc["graph"], "graph")
     _require("positions" in doc, "top level: missing 'positions'")
@@ -214,17 +214,52 @@ def instance_doc(obj) -> dict:
         return _carrier_doc(obj, "drawing")
     if isinstance(obj, (list, tuple)):
         items = list(obj)
-        if items and all(isinstance(p, Point3) for p in items):
-            return {"kind": "points3", "positions": [_point_doc(p) for p in items]}
-        if items and all(isinstance(p, Point2) for p in items):
-            return {"kind": "points2", "positions": [_point_doc(p) for p in items]}
+        for cls, kind in ((Point3, "points3"), (Point2, "points2")):
+            if items and all(isinstance(p, cls) for p in items):
+                return {"kind": kind, "positions": [_point_doc(p) for p in items]}
         raise ValidationError("point lists must be nonempty and of one dimension")
     raise ValidationError(f"cannot serialize {type(obj).__name__} as an instance")
 
 
+def _write(o, pad: str, out: list) -> None:
+    """Append the canonical form of `o`, nested at indent `pad`, to `out`."""
+    t = type(o)
+    if t is str:
+        out.append(_str_json(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif (t is list or t is tuple) and o:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif t is dict and o and all(type(k) is str for k in o):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k in sorted(o):
+            out.append(sep + _str_json(k) + ": ")
+            _write(o[k], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:  # floats, empty containers, other keys and subclasses: json's own form
+        out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
 def to_json_bytes(doc: dict) -> bytes:
-    """Canonical JSON encoding shared by every report and instance file."""
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Canonical JSON shared by every report and instance file: the bytes of
+    json.dumps(doc, indent=2, sort_keys=True) and a newline, built by `_write`."""
+    out: list[str] = []
+    try:
+        _write(doc, "", out)
+    except RecursionError:  # too deep or circular: json's own result or error
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def emit_instance(obj) -> bytes:

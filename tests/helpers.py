@@ -1,6 +1,7 @@
 """Checks and references that only the tests use: each restates a fact the
 package proves another way, so it lives here rather than in the library."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -726,6 +727,26 @@ def box_pairs_reference(boxes) -> list[tuple[int, int]]:
                 pairs.append((a, b) if a < b else (b, a))
     pairs.sort()
     return pairs
+
+
+def box_reference(p: tuple, q: tuple) -> tuple:
+    """The closed box (x0, x1, y0, y1, z0, z1) of `geometry._box`, grown one
+    ordered coordinate pair at a time; a planar box gets the z-range [0, 0]."""
+    box = ()
+    for a, b in zip(p, q):
+        box += (a, b) if a <= b else (b, a)
+    return box if len(box) == 6 else box + (0, 0)
+
+
+def box_groups_reference(boxes) -> list[tuple[int, list[int]]]:
+    """The groups of `geometry._box_pairs`, from a sort of (box, index)
+    7-tuples, so equal boxes come in index order: each box in x-order with
+    the later boxes that start before it ends and meet it in y and z."""
+    order = sorted((*box, a) for a, box in enumerate(boxes))
+    starts = [box[0] for box in order]
+    return [(a, [b for _, _, y0b, y1b, z0b, z1b, b in order[k + 1 : bisect_right(starts, x1, k + 1)]
+                 if y0b <= y1 and y0 <= y1b and z0b <= z1 and z0 <= z1b])
+            for k, (_, x1, y0, y1, z0, z1, a) in enumerate(order)]
 
 
 def scan_drawing_reference(d: PlanarDrawing):

@@ -52,7 +52,9 @@ from intrinsiclinks.projection import find_general_projection, project_orthogona
 
 from helpers import (
     bipartition_reference,
+    box_groups_reference,
     box_pairs_reference,
+    box_reference,
     cycle_route,
     disjoint_cycle_pairs_reference,
     enumerate_cycles_reference,
@@ -1125,6 +1127,29 @@ class TestBoxPairs:
         boxes = [graphs._box(p, q) for p, q in [((0, 0), (2, 2)), ((0, 1), (0, 1)), ((0, 3), (1, 0)),
                                                  ((2, 2), (2, 2)), ((Fraction(5, 2), 0), (3, 1))]]
         assert flat_box_pairs(boxes) == box_pairs_reference(boxes) == [(0, 1), (0, 2), (0, 3), (1, 2)]
+
+    @settings(max_examples=300, deadline=2000)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(*[st.tuples(*[st.one_of(GRID, RATIONAL_GRID)] * n)] * 2)))
+    def test_box_matches_reference(self, ends):
+        box = graphs._box(*ends)
+        assert box == box_reference(*ends)
+        assert [type(c) for c in box] == [type(c) for c in box_reference(*ends)]
+
+    @settings(max_examples=500, deadline=2000)
+    @given(box_lists())
+    def test_groups_match_reference(self, boxes):
+        assert graphs._box_pairs(boxes) == box_groups_reference(boxes)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_duplicate_boxes_and_tied_starts_keep_index_order(self, dim):
+        ends = [((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, 1, 1)), ((0, 2, 0), (0, 2, 0)), ((0, 0, 0), (1, 1, 1)),
+                ((Fraction(0), 1, 1), (1, Fraction(1, 2), 0)), ((1, 1, 1), (1, 1, 1))]
+        boxes = [graphs._box(p[:dim], q[:dim]) for p, q in ends]
+        assert boxes == [box_reference(p[:dim], q[:dim]) for p, q in ends]
+        groups = graphs._box_pairs(boxes)
+        assert groups == box_groups_reference(boxes)
+        assert [a for a, _ in groups] == [2, 0, 1, 3, 4, 5]  # the equal boxes 0, 1 and 3 in index order
+        assert groups[1] == (0, [1, 3, 4, 5])
 
 
 def assert_raw_crossings_in_edge_order(d):

@@ -11,6 +11,7 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import intrinsiclinks
 from intrinsiclinks import cli, instances, linking
@@ -48,6 +49,7 @@ from intrinsiclinks.serialization import (
     emit_instance,
     instance_doc,
     parse_instance,
+    to_json_bytes,
 )
 from intrinsiclinks.svg import render_svg
 
@@ -263,7 +265,49 @@ class TestGeneratorRejections:
         assert move_vertex_star(d, seed, bound=1) == moved
 
 
+# JSON trees of every value the canonical writer meets or hands on to json:
+# non-ASCII and control-character strings, ints past 2**64, floats with NaN
+# and infinities, empty containers, tuples, and dicts keyed by strings or by
+# one other key type each (json cannot sort mixed key types)
+JSON_SCALARS = st.one_of(
+    st.text(), st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)),
+    st.booleans(), st.none(), st.floats(allow_nan=True, allow_infinity=True),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.one_of(st.integers(-3, 3), st.booleans(), st.none()).flatmap(
+            lambda key: st.dictionaries(st.just(key) if key is None else st.from_type(type(key)), children, max_size=3)),
+    ),
+    max_leaves=30,
+)
+
+
+def json_dumps_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 class TestSerialization:
+    @settings(max_examples=400, deadline=2000)
+    @given(JSON_TREES)
+    @example({"é\u2028\x00\n": [[], {}, (), 2**70, -0.0, float("nan"), {1: None, -2: True}]})
+    @example({"a": [{"b": {"c": [1.5, "x"]}}], "": {True: [None], False: "\x1f"}})
+    def test_writer_matches_json_dumps(self, doc):
+        assert to_json_bytes(doc) == json_dumps_bytes(doc)
+
+    @pytest.mark.parametrize("build", [lambda loop: loop.append(loop), lambda loop: loop.append({"k": [loop]})])
+    def test_circular_document_raises_as_json_does(self, build):
+        loop: list = []
+        build(loop)
+        with pytest.raises(ValueError) as expected:
+            json.dumps(loop, indent=2, sort_keys=True)
+        with pytest.raises(ValueError) as got:
+            to_json_bytes({"doc": loop})
+        assert str(got.value) == str(expected.value) == "Circular reference detected"
+
     def test_round_trip_all_kinds(self):
         K5 = complete_graph(5)
         objects = [
