@@ -26,7 +26,6 @@ from .geometry import (
     _box,
     _box_pairs,
     _collinear2,
-    _collinear3,
     _meet2,
     _meet3,
     _on_side3,
@@ -434,45 +433,45 @@ def _side_table(g: Graph, where: Mapping, chains: Mapping) -> tuple[list, list[E
 
 def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     """Geometric validation: distinct positions, routes meeting only at
-    shared endpoint positions, no route through a foreign vertex."""
+    shared endpoint positions, no route through a foreign vertex.  One box
+    sweep, the vertices as points after the sides, settles most side pairs by
+    a sign in its loop; only the contacts it reports are sorted."""
     g = emb.graph
     where, chains = _coordinates(emb)
     out, usable, sides, boxes = _side_table(g, where, chains)
-    n = len(sides)
-    # the vertices join the sweep as one-point boxes, after the sides
-    groups = _box_pairs(boxes + [_box(c, c) for c in where.values()])
-    boxed = [(a, b) if a < b else (b, a) for a, near in groups for b in near]
-    rank = {key: k for k, key in enumerate(usable)}
-    # reported route by route, then vertex by vertex, then side by side
-    for _, b, a in sorted((rank[sides[a][0]], b, a) for a, b in boxed if a < n <= b):
-        key, w = sides[a][0], g.vertices[b - n]
-        if w not in key and _on_side3(where[w], sides[a][3]):
-            out.append(Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w)))
-
-    pairs = [(a, b) for a, b in boxed if b < n and sides[a][0] != sides[b][0]]
-    # reported route pair by route pair, then side by side
-    pairs.sort(key=lambda ab: (rank[sides[ab[0]][0]], rank[sides[ab[1]][0]], ab))
-    for a, b in pairs:
-        e1, i1, ends1, s1 = sides[a]
-        e2, i2, ends2, s2 = sides[b]
-        if ends1 & ends2:
-            # terminal sides at a shared vertex p meet there, and elsewhere
-            # only if their far ends u and w leave p along one ray
-            p = where[g.vertices[(ends1 & ends2).bit_length() - 1]]
-            u = s1[3:] if s1[:3] == p else s1[:3]
-            w = s2[3:] if s2[:3] == p else s2[:3]
-            if not (_collinear3(p, u, w) and sum((x - o) * (y - o) for x, y, o in zip(u, w, p)) > 0):
+    n, rank = len(sides), {key: k for k, key in enumerate(usable)}
+    on, met = [], []  # reported by route, vertex and side, then by route pair and side pair, with `_meet3`'s m
+    for a, near in _box_pairs(boxes + [_box(c, c) for c in where.values()]):
+        if a < n:
+            e1, _, ends1, (ax, ay, az, bx, by, bz) = sides[a]
+            ux, uy, uz = bx - ax, by - ay, bz - az
+        for b in near:
+            if a >= n or b >= n:  # a vertex, against a side unless both are vertices
+                s, v = (a, b) if a < b else (b, a)
+                if s < n and (w := g.vertices[v - n]) not in sides[s][0] and _on_side3(where[w], sides[s][3]):
+                    on.append((rank[sides[s][0]], v, s))
                 continue
-            m = OVERLAP
-        else:
-            m = _meet3(s1, s2)
-        if not m:
-            continue
-        if m is OVERLAP:
-            out.append(Violation("routes-overlap", f"routes of {e1} and {e2} overlap", (e1, e2, i1, i2)))
-            continue
+            e2, _, ends2, (cx, cy, cz, dx, dy, dz) = sides[b]
+            if e1 == e2:
+                continue
+            vx, vy, vz = dx - cx, dy - cy, dz - cz
+            wx, wy, wz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            if ends1 & ends2:
+                if wx or wy or wz:
+                    continue  # terminal sides not parallel meet only at their shared vertex
+            elif (cx - ax) * wx + (cy - ay) * wy + (cz - az) * wz:
+                continue  # skew lines share no point, `_meet3`'s first test
+            m = _meet3(sides[a][3], sides[b][3])
+            if m is OVERLAP or m and not ends1 & ends2:  # parallel terminal sides meet at their vertex
+                met.append((rank[e1], rank[e2], a, b, m) if a < b else (rank[e2], rank[e1], b, a, m))
+    for _, v, s in sorted(on):
+        key, w = sides[s][0], g.vertices[v - n]
+        out.append(Violation("vertex-on-route", f"route of {key} passes through vertex {w}", (key, w)))
+    for _, _, a, b, m in sorted(met):
+        (e1, i1), (e2, i2) = sides[a][:2], sides[b][:2]
         kind = "routes-cross" if set(e1).isdisjoint(e2) else "adjacent-routes-meet-off-vertex"
-        out.append(Violation(kind, f"routes of {e1} and {e2} meet away from a shared vertex", (e1, e2, i1, i2)))
+        kind, what = ("routes-overlap", "overlap") if m is OVERLAP else (kind, "meet away from a shared vertex")
+        out.append(Violation(kind, f"routes of {e1} and {e2} {what}", (e1, e2, i1, i2)))
     return tuple(out)
 
 

@@ -137,9 +137,11 @@ class SpatialPolyline(_Polyline):
 
 
 def polylines_disjoint(a: SpatialPolyline, b: SpatialPolyline) -> bool:
-    """True when the two polylines share no point at all."""
+    """True when the two polylines share no point: `_meet3` tests the box-meeting side pairs across."""
     mine, theirs = ([p.coords() + q.coords() for p, q in poly.sides()] for poly in (a, b))
-    return not any(_meet3(s, t) for s in mine for t in theirs)
+    sides, n = mine + theirs, len(mine)
+    groups = _box_pairs([_box(s[:3], s[3:]) for s in sides])
+    return not any((i < n) != (j < n) and _meet3(sides[i], sides[j]) for i, near in groups for j in near)
 
 
 def triangles_linked(t1: Triangle3, t2: Triangle3) -> bool:

@@ -22,6 +22,7 @@ from intrinsiclinks.geometry import (
     Triangle3,
     NON_GENERIC,
     _meet2,
+    _meet3,
     coprime3,
     gp_points2,
     gp_points3,
@@ -903,3 +904,39 @@ def linking_mod2_cone_reference(a: SpatialPolyline, b: SpatialPolyline, apex: Po
     n, m = len(a.vertices), len(b.vertices)
     ring = [*range(n + 1, n + m + 1), n + 1]
     return sum(cone_passes_reference(points, 1 + i, 1 + (i + 1) % n, ring, {}) for i in range(n)) & 1
+
+
+def polylines_disjoint_reference(a: SpatialPolyline, b: SpatialPolyline) -> bool:
+    """`linking.polylines_disjoint` testing every pair of sides, one from each."""
+    mine, theirs = ([p.coords() + q.coords() for p, q in poly.sides()] for poly in (a, b))
+    return not any(_meet3(s, t) for s in mine for t in theirs)
+
+
+def moment_curve_k6(k: int) -> PLEmbedding:
+    """The straight K6 on the points (i, i^2, i^3) k, i = 1..6, with each edge
+    cut into k sides: its interior points are vertices, listed after the six,
+    and every odd one is raised one unit in z.  A valid embedding with
+    6 + 15 (k - 1) vertices and 15 k straight edges."""
+    corners = {f"v{i}": (i * k, i * i * k, i ** 3 * k) for i in range(1, 7)}
+    positions = {v: Point3(*c) for v, c in corners.items()}
+    edges = []
+    for u, v in complete_graph(6).edges:
+        (x0, y0, z0), (x1, y1, z1) = corners[u], corners[v]
+        path = [u]
+        for j in range(1, k):
+            path.append(f"{u}{v}.{j}")
+            positions[path[-1]] = Point3(x0 + (x1 - x0) // k * j, y0 + (y1 - y0) // k * j, z0 + (z1 - z0) // k * j + j % 2)
+        path.append(v)
+        edges += zip(path, path[1:])
+    return make_embedding(make_graph(list(positions), edges), positions)
+
+
+def zigzag_ring(n: int, lift: int) -> SpatialPolyline:
+    """A closed polygon of n sides (n a multiple of 4, at least 8) round the
+    square [0, n/4]^2, its corners at heights lift and lift + 1 in turn.  The
+    rings at lifts 0 and 1 are disjoint: over each side of one runs a side of
+    the other, one unit higher, so their boxes meet side by side."""
+    m = n // 4
+    walk = [(j, 0) for j in range(m)] + [(m, j) for j in range(m)]
+    walk += [(m - j, m) for j in range(m)] + [(0, m - j) for j in range(m)]
+    return SpatialPolyline([Point3(x, y, lift + k % 2) for k, (x, y) in enumerate(walk)], closed=True)

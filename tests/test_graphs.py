@@ -41,6 +41,7 @@ from intrinsiclinks.instances import (
     bend_drawing,
     gen_k5_drawing,
     gen_k6_pl_subdivided,
+    gen_k6_points,
     gen_k33_drawing,
     gen_k44_linear,
     gen_polygon_pair,
@@ -58,6 +59,7 @@ from helpers import (
     cycle_route,
     disjoint_cycle_pairs_reference,
     enumerate_cycles_reference,
+    moment_curve_k6,
     neighbors,
     reference_key,
     scan_drawing_reference,
@@ -1215,3 +1217,115 @@ class TestSidePruning:
         every = sum(len(r.sides()) * (len(emb.graph.vertices) - 2) for r in emb.route.values())
         assert every == 1376
         assert 0 < len(tested) < every // 10
+
+
+# embeddings whose side pairs have contacts the embedding sweep's sign tests
+# must pass on to `_meet3`: (vertex positions, edge routes with their ends, the kinds reported)
+CONTACTS3 = {
+    "terminal-sides-along-one-ray": ({"u": (0, 0, 0), "v": (4, 4, 4), "w": (4, -4, -4)},
+                                     {("u", "v"): [(0, 0, 0), (2, 0, 0), (4, 4, 4)],
+                                      ("u", "w"): [(0, 0, 0), (3, 0, 0), (4, -4, -4)]},
+                                     {"routes-overlap", "adjacent-routes-meet-off-vertex"}),
+    "terminal-sides-along-opposite-rays": ({"u": (0, 0, 0), "v": (4, 4, 4), "w": (-4, -4, 4)},
+                                           {("u", "v"): [(0, 0, 0), (2, 0, 0), (4, 4, 4)],
+                                            ("u", "w"): [(0, 0, 0), (-2, 0, 0), (-4, -4, 4)]},
+                                           set()),
+    "identical-terminal-sides": ({"u": (0, 0, 0), "v": (4, 4, 4), "w": (4, -4, 4)},
+                                 {("u", "v"): [(0, 0, 0), (2, 0, 0), (4, 4, 4)],
+                                  ("u", "w"): [(0, 0, 0), (2, 0, 0), (4, -4, 4)]},
+                                 {"routes-overlap", "adjacent-routes-meet-off-vertex"}),
+    "coplanar-crossing": ({"a": (0, 0, 0), "b": (4, 4, 4), "c": (0, 4, 0), "d": (4, 0, 4)},
+                          {("a", "b"): [(0, 0, 0), (4, 4, 4)], ("c", "d"): [(0, 4, 0), (4, 0, 4)]},
+                          {"routes-cross"}),
+    "adjacent-routes-off-vertex": ({"u": (0, 0, 0), "v": (4, 0, 4), "w": (2, -2, 2)},
+                                   {("u", "v"): [(0, 0, 0), (4, 0, 4)],
+                                    ("u", "w"): [(0, 0, 0), (2, 2, 2), (2, -2, 2)]},
+                                   {"adjacent-routes-meet-off-vertex"}),
+    "end-inside-side": ({"a": (0, 0, 0), "b": (4, 0, 4), "c": (0, 4, 0), "d": (4, 4, 0)},
+                        {("a", "b"): [(0, 0, 0), (4, 0, 4)], ("c", "d"): [(0, 4, 0), (2, 0, 2), (4, 4, 0)]},
+                        {"routes-cross"}),
+    "collinear-overlap": ({"a": (0, 0, 0), "b": (4, 4, 4), "c": (2, -2, 0), "d": (4, 0, 5)},
+                          {("a", "b"): [(0, 0, 0), (4, 4, 4)],
+                           ("c", "d"): [(2, -2, 0), (1, 1, 1), (3, 3, 3), (4, 0, 5)]},
+                          {"routes-overlap", "routes-cross"}),
+    "vertex-on-foreign-route": ({"a": (0, 0, 0), "b": (4, 4, 4), "w": (2, 2, 2), "x": (2, 5, 0)},
+                                {("a", "b"): [(0, 0, 0), (4, 4, 4)], ("w", "x"): [(2, 2, 2), (2, 5, 0)]},
+                                {"vertex-on-route", "routes-cross"}),
+}
+
+
+@pytest.mark.parametrize("scale, shift", [(1, 0), (Fraction(1, 3), Fraction(1, 2))], ids=["int", "Fraction"])
+@pytest.mark.parametrize("name", CONTACTS3)
+def test_contacts3_pass_the_sign_tests(name, scale, shift):
+    """Parallel terminal sides at a shared vertex, coplanar sides and a vertex
+    on a route reach `_meet3` or `_on_side3` and are reported as the all-pairs
+    reference reports them, on integer and Fraction coordinates."""
+    positions, routes, kinds = CONTACTS3[name]
+    def pt(c):
+        return Point3(*(x * scale + shift for x in c))
+
+    g = make_graph(list(positions), routes)
+    emb = make_embedding(g, {v: pt(c) for v, c in positions.items()}, {e: [pt(c) for c in r] for e, r in routes.items()})
+    assert validate_embedding(emb) == validate_embedding_reference(emb)
+    assert {v.kind for v in validate_embedding(emb)} == kinds
+
+
+def straight_k6(seed):
+    return make_embedding(K6, dict(zip(K6.vertices, gen_k6_points(seed))))
+
+
+class TestEmbeddingSignRejection:
+    """The embedding sweep settles in its loop, with no call, terminal sides at
+    a shared vertex that are not parallel and sides on skew lines, and sorts
+    only the contacts it reports."""
+
+    @pytest.fixture
+    def meet3(self, monkeypatch):
+        calls = []
+        original = graphs._meet3
+        monkeypatch.setattr(graphs, "_meet3", lambda s, t: calls.append((s, t)) or original(s, t))
+        return calls
+
+    @pytest.mark.parametrize("which", ["straight-k6", "subdivided-k6"])
+    def test_valid_seed_1_inputs_make_no_meet3_call(self, which, meet3):
+        # every box-meeting pair of sides of two routes there is skew or a non-parallel terminal pair
+        emb = straight_k6(1) if which == "straight-k6" else gen_k6_pl_subdivided(1)
+        emb = PLEmbedding(emb.graph, dict(emb.position), dict(emb.route))
+        assert validate_embedding(emb) == ()
+        assert meet3 == []
+
+    def test_axis_star_makes_no_meet3_call(self, meet3):
+        """Terminal sides along the axes: each cross product of two of them
+        has two zero components and one that is not, so none is parallel."""
+        g = make_graph(["o", "x", "y", "z", "t"], [("o", "x"), ("o", "y"), ("o", "z"), ("o", "t")])
+        pos = {"o": P3(0, 0, 0), "x": P3(4, 0, 0), "y": P3(0, 4, 0), "z": P3(0, 0, 4), "t": P3(-4, -4, -4)}
+        assert validate_embedding(make_embedding(g, pos)) == ()
+        assert meet3 == []
+
+    def test_report_order_is_not_the_sweep_order(self, meet3):
+        """Two coplanar crossings, the later route pair's at smaller x: the
+        sweep meets it first, and the report still lists route pair by route pair."""
+        pos = {"a": (10, 0, 0), "b": (14, 4, 4), "c": (10, 4, 0), "d": (14, 0, 4),
+               "e": (0, 0, 0), "f": (4, 4, 4), "g": (0, 4, 0), "h": (4, 0, 4)}
+        g = make_graph(list(pos), [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")])
+        emb = make_embedding(g, {v: Point3(*c) for v, c in pos.items()})
+        found = validate_embedding(emb)
+        assert found == validate_embedding_reference(emb)
+        assert [v.subjects for v in found] == [(("a", "b"), ("c", "d"), 0, 0), (("e", "f"), ("g", "h"), 0, 0)]
+        assert [v.message for v in found] == ["routes of ('a', 'b') and ('c', 'd') meet away from a shared vertex",
+                                              "routes of ('e', 'f') and ('g', 'h') meet away from a shared vertex"]
+        assert [s[0] for s, _ in meet3] == [0, 10]  # the sides from e, then from a
+
+    def test_meet3_calls_and_box_pairs_grow_linearly(self, meet3, monkeypatch):
+        """On the moment-curve K6 cut into k and 2k sides per edge."""
+        paired = []
+        original = graphs._box_pairs
+        monkeypatch.setattr(graphs, "_box_pairs", lambda boxes: paired.append(original(boxes)) or paired[-1])
+        counts = []
+        for k in (50, 100):
+            meet3.clear()
+            assert validate_embedding(moment_curve_k6(k)) == ()
+            counts.append((len(meet3), sum(len(near) for _, near in paired.pop())))
+        (calls, pairs), (calls2, pairs2) = counts
+        assert calls2 <= 2 * calls
+        assert 0 < pairs2 <= 2 * pairs

@@ -43,8 +43,10 @@ from helpers import (
     linking_mod2_cone_reference,
     point_on_segment3,
     polyline_self_check_reference,
+    polylines_disjoint_reference,
     seeded_apexes,
     triangle_polygon,
+    zigzag_ring,
 )
 
 coord = st.integers(min_value=-20, max_value=20)
@@ -601,3 +603,31 @@ class TestPolylinesDisjoint:
     def test_touching(self):
         other = SpatialPolyline.through([Point3(1, 1, 0), Point3(2, 3, 1), Point3(4, 0, -1)], closed=True)
         assert not polylines_disjoint(triangle_polygon(LINKED_A), other)
+
+    @given(grid_polylines(), grid_polylines())
+    @example(((Point3(0, 0, 0), Point3(2, 0, 0), Point3(2, 2, 0)), False),
+             ((Point3(1, 0, 0), Point3(1, 1, 1), Point3(3, 1, 1)), False))  # an end inside a side
+    @example(((Point3(0, 0, 0), Point3(2, 0, 0), Point3(2, 2, 0)), True),
+             ((Point3(1, 0, 0), Point3(3, 0, 0), Point3(3, -1, 1)), False))  # a collinear overlap
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_pair(self, first, second):
+        # the box-pruned test answers what a test of every side pair answers
+        assume(raised(SpatialPolyline, *first) is None and raised(SpatialPolyline, *second) is None)
+        a, b = SpatialPolyline(*first), SpatialPolyline(*second)
+        assert polylines_disjoint(a, b) == polylines_disjoint_reference(a, b)
+        assert polylines_disjoint(b, a) == polylines_disjoint(a, b)
+
+    def test_meet3_calls_grow_linearly(self, monkeypatch):
+        """Two disjoint zigzag rings of n and 2n sides: only the pairs across
+        whose boxes meet are tested, about three per side, not n^2."""
+        rings = [(zigzag_ring(n, 0), zigzag_ring(n, 1)) for n in (200, 400)]
+        calls = []
+        original = linking._meet3
+        monkeypatch.setattr(linking, "_meet3", lambda s, t: calls.append(1) or original(s, t))
+        counts = []
+        for a, b in rings:
+            calls.clear()
+            assert polylines_disjoint(a, b)
+            counts.append(len(calls))
+        assert 0 < counts[0] <= 4 * 200
+        assert counts[1] <= 2 * counts[0]
