@@ -14,6 +14,7 @@ no input can legitimately do that.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -40,7 +41,6 @@ from .graphs import (
     bipartition,
     complete_graph,
     is_complete,
-    make_cycle,
     require_valid,
 )
 from .linking import _cone_matrix, _draw_apex
@@ -187,15 +187,16 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
         raise ValueError("need exactly 6 points")
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    top, _, (_, g, _, _, _, strands) = _choose_viewpoint(pts, seed)
-    front = _front_rows(g, strands)
-    # a far edge blocks sight lines from the apex to the base edge u-v
-    # exactly when it passes in front of u-v in the central diagram
-    rows = [(_read_cycle(g, front, [w for w in g.vertices if w not in e]), e) for e in g.edges]
-    ledger = _front_ledger(g, "sight-blocking lk over the 10 base edges", rows, 1)
-    far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
-    near = make_cycle(_K6, (_K6.vertices[top], u, v))
-    return LinkReport(Cycle(far[0]), near, 1, "linear-central"), ledger
+    top, _, (_, _, _, _, _, strands) = _choose_viewpoint(pts, seed)
+    # the K6 plan with the top point as its hub: a far edge blocks sight lines from
+    # the apex to the base edge u-v exactly when it passes in front of u-v in the
+    # central diagram, whose strands name edges of K6 (the top's have no image)
+    _, pairs, ((_, _, plan), *_) = _hub_plan(_K6, _k6_script, _K6.vertices[top])
+    front = _front_rows(_K6, strands)
+    rows = [_xor_rows(front, far[1]) for far, _, _ in pairs]
+    ledger = _front_ledger("sight-blocking lk over the 10 base edges", plan, rows, 1)
+    far, near, _ = next(pair for pair, (_, bit) in zip(pairs, ledger.entries) if bit)
+    return LinkReport(Cycle(far[0]), Cycle(near[0]), 1, "linear-central"), ledger
 
 
 def find_linked_triangles_linear(points: Sequence[Point3], seed: int = 0) -> LinkReport:
@@ -227,62 +228,57 @@ def linear_parity_ledger(points: Sequence[Point3], seed: int = 0) -> ParityLedge
 # behind: the odd crossing-parity invariant of the hub-free K5 or K3,3.
 
 
-def _read_cycle(g, front, seq) -> tuple:
-    """The cycle of `g` through `seq` as (canonical vertices, edge mask, front
-    row, label): its front row is the XOR of its edges' rows in `front`."""
-    vertices, mask = _cycle(g, seq)
-    return vertices, mask, _xor_rows(front, mask), "-".join(vertices)
+def _front_ledger(label: str, plan, rows, expect: int) -> ParityLedger:
+    """A planned ledger of far cycles against single edges: each entry is one
+    bit of the front row rows[i] of its far cycle; the sum is forced to `expect`."""
+    return _forced(label, [(name, (rows[i] & bit).bit_count()) for i, bit, name in plan], expect)
 
 
-def _hub_pair_ledger(pairs, label: str):
-    """Diagram lk of the (far, near) pairs of read cycles, whose sum the
-    theorem forces odd: the report on the first linked pair, and the ledger."""
-    entries = []
-    for (_, mask1, row1, name1), (_, mask2, row2, name2) in pairs:
-        lk = _lk((row1 & mask2).bit_count() & 1, (row2 & mask1).bit_count() & 1)
-        entries.append((f"lk({name1} | {name2})", lk))
-    ledger = _forced(label, entries, 1)
-    far, near = next(pair for pair, (_, lk) in zip(pairs, entries) if lk == 1)
-    return LinkReport(Cycle(far[0]), Cycle(near[0]), 1, "pl-orthogonal"), ledger
-
-
-def _front_ledger(g, label: str, rows, expect: int) -> ParityLedger:
-    """Front parities of far cycles against single edges of `g`, given as
-    (read far cycle, (x, y)) rows and labeled in that x-y order, each one
-    bit of the far cycle's front row; the sum is forced to `expect`."""
-    bit = g._edge_bit
-    entries = [(f"lk({name} | {x}-{y})", (row & bit[x, y]).bit_count()) for (_, _, row, name), (x, y) in rows]
-    return _forced(label, entries, expect)
+@lru_cache(maxsize=8)
+def _hub_plan(g, script, *args) -> tuple:
+    """What `_hub_analysis` reads off the core graph alone, for `script(g, *args)`:
+    the main label; per row, its far and near cycles as (canonical vertices, edge
+    mask, label) and the pair's entry label; per other ledger, its label, forced
+    total and plan, an (i, bit, label) per entry: far cycle i against the picked edge."""
+    label, rows, specs = script(g, *args)
+    fars, nears = ([(v, mask, "-".join(v)) for v, mask in (_cycle(g, row[k]) for row in rows)] for k in (1, 2))
+    return label, [(far, near, f"lk({far[2]} | {near[2]})") for far, near in zip(fars, nears)], [
+        (name, expect, [(i, g._edge_bit[x], f"lk({fars[i][2]} | {x[0]}-{x[1]})")
+                        for i, row in enumerate(rows) if (x := pick(row[0]))]) for name, expect, pick in specs]
 
 
 def _hub_analysis(emb: PLEmbedding, seed: int, script):
-    """Report and ledgers of the hub-pair argument, each cycle read once off
-    one generic orthogonal projection of the smoothed core.  `script(g)`
-    raises ValueError on a core of the wrong shape, else gives the main
-    label, a (base edge, far cycle, near cycle) row per hub-free edge, and
-    the (label, forced total, pick) specs of the other ledgers: pick(base
-    edge) is the edge its far cycle is read against, or None to skip it."""
+    """Report and ledgers of the hub-pair argument on one generic orthogonal
+    projection of the smoothed core.  `_hub_plan` is built once per core graph
+    and script: each cycle's canonical vertices, edge mask and label, and each
+    entry's label.  Per call, each cycle's front row is one XOR of rows of the
+    new front matrix, and each entry a bit count; the lk of a pair is read both
+    ways.  `script(g)` raises ValueError on a core of the wrong shape, else
+    gives the main label, a (base edge, far cycle, near cycle) row per
+    hub-free edge, and the (label, forced total, pick) specs of the other
+    ledgers: pick(base edge) is the edge its far cycle is read against, or
+    None to skip it."""
     g, position, routes = require_valid(emb)._core
-    label, rows, specs = script(g)
+    label, pairs, specs = _hub_plan(g, script)
     front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
-    read = [(e, _read_cycle(g, front, far), _read_cycle(g, front, near)) for e, far, near in rows]
-    report, main = _hub_pair_ledger([(far, near) for _, far, near in read], label)
-    return report, (main,) + tuple(
-        _front_ledger(g, name, [(far, x) for e, far, _ in read if (x := pick(e))], expect)
-        for name, expect, pick in specs
-    )
+    rows = [_xor_rows(front, far[1]) for far, _, _ in pairs]
+    main = _forced(label, [(name, _lk((row & near[1]).bit_count() & 1, (_xor_rows(front, near[1]) & far[1]).bit_count() & 1))
+                           for row, (far, near, name) in zip(rows, pairs)], 1)
+    far, near, _ = next(pair for pair, (_, lk) in zip(pairs, main.entries) if lk)
+    return LinkReport(Cycle(far[0]), Cycle(near[0]), 1, "pl-orthogonal"), (main,) + tuple(
+        _front_ledger(name, plan, rows, expect) for name, expect, plan in specs)
 
 
-def _k6_script(g):
-    """The hub is g.vertices[0].  The 4 far triangles of the base edges
-    through another vertex w cover each edge that misses the hub and w
+def _k6_script(g, hub=None):
+    """The hub is g.vertices[0] unless named.  The 4 far triangles of the base
+    edges through another vertex w cover each edge that misses the hub and w
     twice, so their lk values against the spoke hub-w cancel."""
     if not (len(g.vertices) == 6 and is_complete(g)):
         raise ValueError("embedding does not smooth to a complete graph on 6 vertices")
-    hub = g.vertices[0]
+    hub = g.vertices[0] if hub is None else hub
     rows = [(e, [w for w in g.vertices if w not in (hub, *e)], (hub, *e)) for e in g.edges if hub not in e]
     specs = [("diagram lk of far triangles against their base edges", 1, lambda e: e)]
-    specs += [(f"spoke cancellation at {w}", 0, lambda e, w=w: (hub, w) if w in e else None) for w in g.vertices[1:]]
+    specs += [(f"spoke cancellation at {w}", 0, lambda e, w=w: (hub, w) if w in e else None) for w in g.vertices if w != hub]
     return "diagram lk over the 10 hub-triangle pairs", rows, specs
 
 
@@ -345,10 +341,17 @@ def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, .
 # brute-force oracle
 
 
-# side-pair cone tests past which the oracle raises SearchExhausted before the
-# first: 0.3 us each on 2 CPUs, Python 3.11 (0.6 near 2^60; a zigzag K6 of 100
-# sides per route), so 10^6 take under 1 s
-CONE_TEST_BUDGET = 10**6
+@lru_cache(maxsize=8, typed=True)
+def _oracle_plan(g, len1: int, len2: int) -> tuple:
+    """What `oracle_count_linked_pairs` reads off the core graph alone: `_disjoint_pairs`, the number
+    of pairs, each edge's disjoint edges, and through[f], bit j set when edge f is on second[j]."""
+    first, second, partners = _disjoint_pairs(g, len1, len2)
+    through = [0] * len(g.edges)
+    for j, (_, edges) in enumerate(second):
+        for f in _bits(edges):
+            through[f] |= 1 << j
+    disjoint = [[f for f, h in enumerate(g.edges) if u not in h and v not in h] for u, v in g.edges]
+    return first, second, partners, sum(mask.bit_count() for mask in partners), disjoint, through
 
 
 def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int = 0) -> OracleResult:
@@ -358,23 +361,14 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     the parity of c1's cone row, the XOR of the rows of
     `linking._cone_matrix` over the edges of c1, on the edges of c2; so the
     XOR over that row of the bitmasks of the cycles through each edge holds
-    lk(c1, c2) for every c2 at once.  Refused before any cone test past
-    CONE_TEST_BUDGET side pairs: sides(e) * sides(f) over ordered
-    vertex-disjoint edges."""
+    lk(c1, c2) for every c2 at once.  Its graph-only tables, `_oracle_plan`,
+    are built once per core graph and lengths, and the cone matrix refuses
+    past `linking.CONE_TEST_BUDGET` side pairs."""
     g, _, chains = require_valid(emb)._core
-    first, second, partners = _disjoint_pairs(g, len1, len2)
-    total = sum(mask.bit_count() for mask in partners)
+    first, second, partners, total, disjoint, through = _oracle_plan(g, len1, len2)
     if not total:
         return OracleResult(0, (), 0)
-    disjoint = [[f for f, h in enumerate(g.edges) if u not in h and v not in h] for u, v in g.edges]
-    tests = sum((len(chains[e]) - 1) * (len(chains[f]) - 1) for e, fs in enumerate(disjoint) for f in fs)
-    if tests > CONE_TEST_BUDGET:
-        raise SearchExhausted(f"{tests} side-pair cone tests exceed the budget of {CONE_TEST_BUDGET}")
     rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, disjoint)
-    through = [0] * len(g.edges)  # bit j of through[f]: edge f is on second[j]
-    for j, (_, edges) in enumerate(second):
-        for f in _bits(edges):
-            through[f] |= 1 << j
     linked = _cycle_pairs(g, first, second, [mask and _xor_rows(through, _xor_rows(rows, edges)) & mask
                                              for (_, edges), mask in zip(first, partners)])
     return OracleResult(len(linked), linked, total)
@@ -382,7 +376,8 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
 
 def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkReport:
     """Re-check one report by cone counting, as `oracle_count_linked_pairs`
-    does from the apex `linking_mod2_sampled` draws, and fill oracle_confirmed."""
+    does from the apex `linking_mod2_sampled` draws, and fill oracle_confirmed.
+    Refused past the same `linking.CONE_TEST_BUDGET`: sides(c1) * sides(c2)."""
     g, _, routes = require_valid(emb)._core
     (vertices1, mask1), (vertices2, mask2) = (_cycle(g, c.vertices) for c in (report.cycle1, report.cycle2))
     if set(vertices1) & set(vertices2):

@@ -42,8 +42,10 @@ from intrinsiclinks.graphs import (
     PLEmbedding,
     Violation,
     _coordinates,
+    _cycle,
     _scan_drawing,
     _side_table,
+    _xor_rows,
     complete_graph,
     make_cycle,
     make_drawing,
@@ -58,6 +60,10 @@ from intrinsiclinks.invariants import LinkReport, OracleResult
 from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled
 from intrinsiclinks.projection import (
     ProjectedDiagram,
+    _direction_search,
+    _front_rows,
+    _lk,
+    _orthogonal,
     canonical_direction,
     find_general_projection,
     front_parity,
@@ -940,3 +946,64 @@ def zigzag_ring(n: int, lift: int) -> SpatialPolyline:
     walk = [(j, 0) for j in range(m)] + [(m, j) for j in range(m)]
     walk += [(m - j, m) for j in range(m)] + [(0, m - j) for j in range(m)]
     return SpatialPolyline([Point3(x, y, lift + k % 2) for k, (x, y) in enumerate(walk)], closed=True)
+
+
+def through_reference(cls, points, closed: bool = False):
+    """`_Polyline.through` as a loop that drops the leftmost straight corner
+    and scans again from the first: quadratic on long straight runs."""
+    out = []
+    for p in points:
+        if not out or out[-1] != p:
+            out.append(p)
+    if closed and len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        n = len(out)
+        for i in range(n) if closed else range(1, n - 1):
+            if cls._straight(out[i - 1], out[i], out[(i + 1) % n]):
+                del out[i]
+                changed = True
+                break
+    return cls(tuple(out), closed)
+
+
+def read_cycle_reference(g, front, seq) -> tuple:
+    """A cycle read as the analyses read each one on every call before they
+    kept plans: (canonical vertices, edge mask, front row, label)."""
+    vertices, mask = _cycle(g, seq)
+    return vertices, mask, _xor_rows(front, mask), "-".join(vertices)
+
+
+def front_ledger_reference(g, label: str, rows, expect: int):
+    """A ledger of the front rows of read far cycles against edges (x, y)."""
+    entries = [(f"lk({name} | {x}-{y})", (row & g._edge_bit[x, y]).bit_count()) for (_, _, row, name), (x, y) in rows]
+    return invariants._forced(label, entries, expect)
+
+
+def unplanned_hub_analysis(emb: PLEmbedding, seed: int, script):
+    """`invariants._hub_analysis` with every cycle read by `read_cycle_reference`."""
+    g, position, routes = require_valid(emb)._core
+    label, rows, specs = script(g)
+    front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
+    read = [(e, read_cycle_reference(g, front, far), read_cycle_reference(g, front, near)) for e, far, near in rows]
+    entries = [(f"lk({name1} | {name2})", _lk((row1 & mask2).bit_count() & 1, (row2 & mask1).bit_count() & 1))
+               for _, (_, mask1, row1, name1), (_, mask2, row2, name2) in read]
+    main = invariants._forced(label, entries, 1)
+    far, near = next((far, near) for (_, far, near), (_, lk) in zip(read, entries) if lk)
+    return LinkReport(Cycle(far[0]), Cycle(near[0]), 1, "pl-orthogonal"), (main,) + tuple(
+        front_ledger_reference(g, name, [(far, x) for e, far, _ in read if (x := pick(e))], expect)
+        for name, expect, pick in specs)
+
+
+def unplanned_linear_analysis(points, seed: int):
+    """`invariants._linear_analysis` with every cycle read by `read_cycle_reference`."""
+    pts = list(points)
+    top, _, (_, g, _, _, _, strands) = invariants._choose_viewpoint(pts, seed)
+    front = _front_rows(g, strands)
+    rows = [(read_cycle_reference(g, front, [w for w in g.vertices if w not in e]), e) for e in g.edges]
+    ledger = front_ledger_reference(g, "sight-blocking lk over the 10 base edges", rows, 1)
+    far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
+    k6 = complete_graph(6)
+    return LinkReport(Cycle(far[0]), make_cycle(k6, (k6.vertices[top], u, v)), 1, "linear-central"), ledger

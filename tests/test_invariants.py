@@ -74,6 +74,8 @@ from helpers import (
     reference_diagram,
     smooth_reference,
     subdivided,
+    unplanned_hub_analysis,
+    unplanned_linear_analysis,
 )
 
 K6 = complete_graph(6)
@@ -391,9 +393,10 @@ class TestFlatLedger:
 
     @staticmethod
     def assert_total_needs_every_crossing(diag, hubs, rows):
-        def flat(d):
-            read = [(invariants._read_cycle(d.graph, d._front, far.vertices), e) for far, e in rows]
-            return invariants._front_ledger(d.graph, "flat", read, 1)
+        def flat(d):  # the far cycles of the plan of a script whose one other ledger is flat
+            script = lambda g: ("main", [(e, far.vertices, far.vertices) for far, e in rows], [("flat", 1, lambda e: e)])
+            _, pairs, ((_, _, plan),) = invariants._hub_plan(d.graph, script)
+            return invariants._front_ledger("flat", plan, [graphs._xor_rows(d._front, far[1]) for far, _, _ in pairs], 1)
 
         assert flat(diag).total == 1
         hub_free = {e for e in diag.graph.edges if not set(e) & set(hubs)}
@@ -423,7 +426,7 @@ class TestFlatLedger:
 
 
 class TestHubPairLedger:
-    def test_both_orders_checked(self):
+    def test_both_orders_checked(self, monkeypatch):
         # two closed curves cross an even number of times, so without one of
         # their crossings the two front parities of a cycle pair differ
         diag = find_general_projection(moment_k6_embedding(), seed=0)
@@ -434,10 +437,10 @@ class TestHubPairLedger:
             if between:
                 break
         mutant = diag.replace(crossings=tuple(c for c in diag.crossings if c != between[0]))
-        for pair in ((far, near), (near, far)):
-            read = tuple(invariants._read_cycle(mutant.graph, mutant._front, c.vertices) for c in pair)
+        monkeypatch.setattr(invariants, "_front_rows", lambda g, strands: mutant._front)
+        for c1, c2 in ((far, near), (near, far)):
             with pytest.raises(InternalParityFailure, match="depends on the cycle order"):
-                invariants._hub_pair_ledger([read], "pair")
+                invariants._hub_analysis(moment_k6_embedding(), 0, lambda g: ("pair", [(None, c1.vertices, c2.vertices)], []))
 
 
 class TestScriptsOnMasks:
@@ -463,8 +466,12 @@ class TestScriptsOnMasks:
         bipartition = graphs.bipartition
         for module in (graphs, invariants):
             monkeypatch.setattr(module, "bipartition", lambda g: calls.append(g) or bipartition(g))
+        invariants._hub_plan.cache_clear()
         invariants._hub_analysis(emb, 5, invariants._k44_script)
         assert len(calls) == 1
+        calls.clear()
+        invariants._hub_analysis(emb, 5, invariants._k44_script)
+        assert len(calls) == 0  # the second analysis of an equal core builds no plan
 
     def test_non_edge_in_a_report_is_a_value_error(self):
         emb = gen_k44_linear(1, bound=1000)
@@ -474,6 +481,116 @@ class TestScriptsOnMasks:
                      lambda: make_cycle(emb.graph, cycle.vertices)):
             with pytest.raises(ValueError, match=r"^\(a1, a2\) is not an edge$"):
                 call()
+
+
+def renamed(emb, name):
+    """`emb` with each vertex v named name(v), in the same order."""
+    g = emb.graph
+    return make_embedding(make_graph(list(map(name, g.vertices)), [(name(u), name(v)) for u, v in g.edges]),
+                          {name(v): p for v, p in emb.position.items()},
+                          {(name(u), name(v)): emb.route[u, v].vertices for u, v in g.edges})
+
+
+class TestPlans:
+    """The graph-only tables of the analyses and the oracle are built once per
+    core graph, kept for at most 8 graphs, and hold no answer."""
+
+    @staticmethod
+    def count_cycles(monkeypatch) -> list:
+        calls = []
+        original = graphs._cycle
+        for module in (graphs, invariants):
+            monkeypatch.setattr(module, "_cycle", lambda g, seq: calls.append(seq) or original(g, seq))
+        return calls
+
+    def test_second_hub_analysis_of_an_equal_core_builds_no_plan(self, monkeypatch):
+        first, second = gen_k6_pl_subdivided(3), gen_k6_pl_subdivided(4)
+        assert first.position != second.position
+        assert require_valid(first)._core[0] == require_valid(second)._core[0]
+        scripted = []
+        script = invariants._k6_script
+        monkeypatch.setattr(invariants, "_k6_script", lambda g: scripted.append(g) or script(g))
+        cycles = self.count_cycles(monkeypatch)
+        find_linked_cycles_k6(first, seed=3)
+        assert (len(scripted), len(cycles)) == (1, 20)  # 10 far and 10 near triangles
+        k6_parity_ledgers(second, seed=4)
+        find_linked_cycles_k6(first, seed=5)
+        assert (len(scripted), len(cycles)) == (1, 20)
+
+    def test_second_linear_analysis_builds_no_plan(self, monkeypatch):
+        pts = gen_k6_points(2)
+        invariants._hub_plan.cache_clear()
+        cycles = self.count_cycles(monkeypatch)
+        invariants._linear_analysis(pts, 2)
+        assert len(cycles) == 20  # 10 far triangles of the K5 and 10 near ones of K6
+        invariants._linear_analysis(pts, 2)
+        assert len(cycles) == 20
+
+    def test_second_oracle_count_builds_no_plan(self, monkeypatch):
+        emb = moment_k6_embedding()
+        invariants._oracle_plan.cache_clear()
+        walks = []
+        walk = graphs._cycle_walk
+        monkeypatch.setattr(graphs, "_cycle_walk", lambda g, n: walks.append(n) or walk(g, n))
+        first = oracle_count_linked_pairs(emb, 3, 3)
+        assert walks == [3]
+        assert oracle_count_linked_pairs(emb, 3, 3, seed=5) == first
+        assert walks == [3]
+
+    def test_renamed_and_reordered_cores_are_labelled_with_their_own_names(self):
+        k6, k44 = gen_k6_pl_subdivided(5), gen_k44_linear(5)
+        k6_parity_ledgers(k6, 5), k44_parity_ledgers(k44, 5)  # warm plans for the generators' names
+        cases = [
+            (renamed(k6, lambda v: v.replace("v", "q")), invariants._k6_script),
+            (reordered(moment_k6_embedding(), ("v4", "v2", "v6", "v1", "v5", "v3")), invariants._k6_script),
+            (reordered(k44, ("b2", "a3", "b1", "a1", "b4", "a2", "b3", "a4")), invariants._k44_script),
+        ]
+        for emb, script in cases:
+            names = set(require_valid(emb)._core[0].vertices)
+            report, ledgers = invariants._hub_analysis(emb, 5, script)
+            assert (report, ledgers) == unplanned_hub_analysis(emb, 5, script)
+            for ledger in ledgers:
+                for label, _ in ledger.entries:
+                    assert set(label[len("lk("):-1].replace(" | ", "-").split("-")) <= names
+
+    def test_wrong_shape_raises_on_every_call(self, monkeypatch):
+        k33 = make_embedding(K33, dict(zip(K33.vertices, MOMENT8[:6])))
+        invariants._hub_plan.cache_clear()
+        invariants._oracle_plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^embedding does not smooth to a complete bipartite 4\+4 graph$"):
+                find_linked_cycles_k44(k33)
+            with pytest.raises(ValueError, match="^embedding does not smooth to a complete graph on 6 vertices$"):
+                k6_parity_ledgers(moment_k44_embedding())
+            with pytest.raises(ValueError, match="^cycle length must be at least 3$"):
+                oracle_count_linked_pairs(k33, 2, 4)
+        monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 19)
+        for _ in range(2):
+            with pytest.raises(SearchExhausted, match="^40 vertex orders for 3-cycles exceed the budget of 19$"):
+                oracle_count_linked_pairs(moment_k6_embedding(), 3, 3)
+        assert invariants._hub_plan.cache_info().currsize == invariants._oracle_plan.cache_info().currsize == 0
+
+    def test_caches_keep_at_most_8_graphs(self):
+        plans = (invariants._hub_plan, invariants._oracle_plan)
+        assert [plan.cache_info().maxsize for plan in plans] == [8, 8]
+        emb = moment_k6_embedding()
+        for i in range(10):
+            named = renamed(emb, lambda v: f"{v}_{i}")
+            assert k6_parity_ledgers(named)[0].total == 1
+            assert oracle_count_linked_pairs(named, 3, 3).count == 1
+        assert invariants._hub_plan.cache_info().currsize <= 8
+        assert invariants._oracle_plan.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("source", ["k6-pl", "k44-linear", "k6-points"])
+    def test_equal_to_the_unplanned_reference(self, source):
+        for seed in list(range(20)) * 2:  # cold plans, then warm ones
+            if source == "k6-points":
+                pts = gen_k6_points(seed)
+                assert invariants._linear_analysis(pts, seed) == unplanned_linear_analysis(pts, seed)
+                continue
+            emb, script = ((gen_k6_pl_subdivided(seed), invariants._k6_script) if source == "k6-pl"
+                           else (gen_k44_linear(seed), invariants._k44_script))
+            assert invariants._hub_analysis(emb, seed, script) == unplanned_hub_analysis(emb, seed, script)
 
 
 def reordered(emb, order):
@@ -669,11 +786,19 @@ class TestOracle:
 
     def test_cone_count_budget(self, monkeypatch):
         # 15 straight edges, each vertex-disjoint from 6: 90 side-pair tests
-        monkeypatch.setattr(invariants, "CONE_TEST_BUDGET", 90)
+        monkeypatch.setattr(linking, "CONE_TEST_BUDGET", 90)
         assert oracle_count_linked_pairs(moment_k6_embedding(), 3, 3).total_pairs == 10
-        monkeypatch.setattr(invariants, "CONE_TEST_BUDGET", 89)
+        monkeypatch.setattr(linking, "CONE_TEST_BUDGET", 89)
         with pytest.raises(SearchExhausted, match="^90 side-pair cone tests exceed the budget of 89$"):
             oracle_count_linked_pairs(moment_k6_embedding(), 3, 3)
+
+    def test_confirmation_shares_the_cone_test_budget(self, monkeypatch):
+        # two straight triangles: 3 * 3 side-pair cone tests
+        monkeypatch.setattr(linking, "CONE_TEST_BUDGET", 9)
+        assert oracle_confirm(moment_k6_embedding(), _K6_REPORT).oracle_confirmed
+        monkeypatch.setattr(linking, "CONE_TEST_BUDGET", 8)
+        with pytest.raises(SearchExhausted, match="^9 side-pair cone tests exceed the budget of 8$"):
+            oracle_confirm(moment_k6_embedding(), _K6_REPORT)
 
     def test_no_cycle_polygons(self, monkeypatch):
         # the oracle and the confirmation read cycles off the cone matrix of

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from intrinsiclinks.errors import (
     GeneralPositionViolation,
     PolylinesNotDisjoint,
+    SearchExhausted,
 )
 from intrinsiclinks import geometry, linking
 from intrinsiclinks.geometry import (
@@ -45,6 +46,7 @@ from helpers import (
     polyline_self_check_reference,
     polylines_disjoint_reference,
     seeded_apexes,
+    through_reference,
     triangle_polygon,
     zigzag_ring,
 )
@@ -135,6 +137,49 @@ class TestPolylineConstruction:
 
 # each polyline class with its point from plane coordinates
 KINDS = [(SpatialPolyline, lambda x, y: Point3(x, y, 0)), (PlanarPolyline, Point2)]
+
+
+def built(build):
+    """The polyline `build()` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as ex:  # noqa: BLE001 - both sides must raise alike
+        return type(ex).__name__, str(ex)
+
+
+THROUGH_KINDS = [(SpatialPolyline, Point3), (PlanarPolyline, lambda x, y, z: Point2(x, y))]
+
+
+@pytest.mark.parametrize("cls, P", THROUGH_KINDS, ids=["spatial", "planar"])
+class TestThroughInOnePass:
+    """`through` drops the straight corners in one pass, the ones the loop of
+    `through_reference` drops by scanning again after each one."""
+
+    @given(points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), max_size=12),
+           closed=st.booleans())
+    @example(points=[(0, 0, 0), (2, 0, 0), (1, 0, 0), (1, 1, 0)], closed=False)  # a fold-back
+    @example(points=[(0, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (2, 2, 0)], closed=False)  # repeats
+    @example(points=[(1, 0, 0), (2, 0, 0), (2, 2, 0), (0, 0, 0), (1, 0, 0)], closed=True)  # straight at the seam
+    @example(points=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 0)], closed=True)  # a ring along one line
+    @example(points=[(0, 1, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0)], closed=True)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_rescanning_loop(self, cls, P, points, closed):
+        pts = [P(*c) for c in points]
+        assert built(lambda: cls.through(pts, closed)) == built(lambda: through_reference(cls, pts, closed))
+
+    def test_straightness_calls_grow_linearly(self, cls, P, monkeypatch):
+        # n zigzag corners, then n points along one line: the loop of
+        # `through_reference` scans the zigzag again after each drop
+        calls = []
+        straight = cls._straight
+        monkeypatch.setattr(cls, "_straight", staticmethod(lambda u, v, w: calls.append(1) or straight(u, v, w)))
+        counts = []
+        for n in (200, 400):
+            calls.clear()
+            points = [P(i, i % 2, 0) for i in range(n)] + [P(n + i, (n - 1) % 2, 0) for i in range(n)]
+            assert len(cls.through(points).vertices) == n + 1
+            counts.append(len(calls))
+        assert counts[0] <= 4 * 2 * 200 and counts[1] <= 2.1 * counts[0]
 
 
 @pytest.mark.parametrize("cls, P", KINDS, ids=["spatial", "planar"])
@@ -368,6 +413,25 @@ class TestLinkingMod2Cone:
         for apex in [Point3(0, 0, 0), Point3(5, 0, 0), Point3(1, 1, 1)] + seeded_apexes(SplitMix64(0)):
             assert linking_mod2_cone(first, second, apex) == 0
             assert linking_mod2_cone(second, first, apex) == 0
+
+    def test_cone_test_budget(self, monkeypatch):
+        # two triangles: 3 * 3 side-pair cone tests, refused past the budget before the first
+        tests = []
+        monkeypatch.setattr(linking, "_cone_passes", lambda points, rel, u, v, sides: tests.extend(sides) or 0)
+        monkeypatch.setattr(linking, "CONE_TEST_BUDGET", 9)
+        assert linking_mod2_cone(self.a, self.b, Point3(3, 7, 9)) == 0 and len(tests) == 9
+        monkeypatch.setattr(linking, "CONE_TEST_BUDGET", 8)
+        for count in (lambda: linking_mod2_cone(self.a, self.b, Point3(3, 7, 9)),
+                      lambda: linking_mod2_sampled(self.a, self.b, SplitMix64(0))):
+            with pytest.raises(SearchExhausted, match="^9 side-pair cone tests exceed the budget of 8$"):
+                count()
+        assert len(tests) == 9
+
+    def test_rings_past_the_budget_are_refused(self):
+        # 1,004 * 1,004 side pairs pass the box-pruned disjointness test, then exceed 10^6
+        a, b = zigzag_ring(1004, 0), zigzag_ring(1004, 1)
+        with pytest.raises(SearchExhausted, match="^1008016 side-pair cone tests exceed the budget of 1000000$"):
+            linking_mod2_sampled(a, b, SplitMix64(0))
 
     @given(st.lists(points3, min_size=6, max_size=6, unique=True), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
