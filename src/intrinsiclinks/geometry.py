@@ -53,14 +53,20 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        num_s, slash, den_s = value.strip().partition("/")
+        text = value.strip()
+        if "/" in text:
+            num_s, _, den_s = text.partition("/")
+            try:
+                num, den = int(num_s), int(den_s)
+            except ValueError as exc:
+                raise ParseError(f"malformed rational {value!r}") from exc
+            if den <= 0:
+                raise ParseError(f"denominator must be positive in {value!r}")
+            return Fraction(num, den)
         try:
-            num, den = int(num_s), int(den_s) if slash else 1
+            return Fraction(int(text))
         except ValueError as exc:
             raise ParseError(f"malformed rational {value!r}") from exc
-        if den <= 0:
-            raise ParseError(f"denominator must be positive in {value!r}")
-        return Fraction(num, den)
     raise ParseError(f"not a rational: {value!r}")
 
 

@@ -236,28 +236,36 @@ def _front_ledger(label: str, plan, rows, expect: int) -> ParityLedger:
 
 @lru_cache(maxsize=8)
 def _hub_plan(g, script, *args) -> tuple:
-    """What `_hub_analysis` reads off the core graph alone, for `script(g, *args)`:
-    the main label; per row, its far and near cycles as (canonical vertices, edge
-    mask, label) and the pair's entry label; per other ledger, its label, forced
-    total and plan, an (i, bit, label) per entry: far cycle i against the picked edge."""
+    """What `_hub_analysis` reads off the core graph alone.  `script(g, *args)`
+    raises ValueError on a core of the wrong shape, else gives the main label, a
+    (base edge, far cycle, near cycle) row per hub-free edge, and the (label,
+    forced total, pick) specs of the other ledgers: pick(base edge) is the edge
+    its far cycle is read against, or None to skip it.  The plan holds the main
+    label; per row, its far and near cycles as (canonical vertices, edge mask,
+    label) and the pair's entry label; per other ledger, its label, forced total
+    and an (i, bit, label) per entry: far cycle i against the picked edge."""
     label, rows, specs = script(g, *args)
-    fars, nears = ([(v, mask, "-".join(v)) for v, mask in (_cycle(g, row[k]) for row in rows)] for k in (1, 2))
-    return label, [(far, near, f"lk({far[2]} | {near[2]})") for far, near in zip(fars, nears)], [
-        (name, expect, [(i, g._edge_bit[x], f"lk({fars[i][2]} | {x[0]}-{x[1]})")
-                        for i, row in enumerate(rows) if (x := pick(row[0]))]) for name, expect, pick in specs]
+    pairs = []
+    for _, far_seq, near_seq in rows:
+        far, near = [(v, mask, "-".join(v)) for v, mask in (_cycle(g, far_seq), _cycle(g, near_seq))]
+        pairs.append((far, near, f"lk({far[2]} | {near[2]})"))
+    plans = []
+    for name, expect, pick in specs:
+        entries = []
+        for i, (e, _, _) in enumerate(rows):
+            if x := pick(e):
+                entries.append((i, g._edge_bit[x], f"lk({pairs[i][0][2]} | {x[0]}-{x[1]})"))
+        plans.append((name, expect, entries))
+    return label, pairs, plans
 
 
 def _hub_analysis(emb: PLEmbedding, seed: int, script):
     """Report and ledgers of the hub-pair argument on one generic orthogonal
-    projection of the smoothed core.  `_hub_plan` is built once per core graph
-    and script: each cycle's canonical vertices, edge mask and label, and each
-    entry's label.  Per call, each cycle's front row is one XOR of rows of the
-    new front matrix, and each entry a bit count; the lk of a pair is read both
-    ways.  `script(g)` raises ValueError on a core of the wrong shape, else
-    gives the main label, a (base edge, far cycle, near cycle) row per
-    hub-free edge, and the (label, forced total, pick) specs of the other
-    ledgers: pick(base edge) is the edge its far cycle is read against, or
-    None to skip it."""
+    projection of the smoothed core.  The planned half, `_hub_plan`, is built
+    once per core graph and script: each cycle's canonical vertices, edge mask
+    and label, and each entry's label.  Per call, each cycle's front row is one
+    XOR of rows of the new front matrix, and each entry a bit count; the lk of
+    a pair is read both ways."""
     g, position, routes = require_valid(emb)._core
     label, pairs, specs = _hub_plan(g, script)
     front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
@@ -341,7 +349,7 @@ def k44_parity_ledgers(emb: PLEmbedding, seed: int = 0) -> tuple[ParityLedger, .
 # brute-force oracle
 
 
-@lru_cache(maxsize=8, typed=True)
+@lru_cache(maxsize=8)
 def _oracle_plan(g, len1: int, len2: int) -> tuple:
     """What `oracle_count_linked_pairs` reads off the core graph alone: `_disjoint_pairs`, the number
     of pairs, each edge's disjoint edges, and through[f], bit j set when edge f is on second[j]."""
@@ -365,7 +373,9 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     are built once per core graph and lengths, and the cone matrix refuses
     past `linking.CONE_TEST_BUDGET` side pairs."""
     g, _, chains = require_valid(emb)._core
-    first, second, partners, total, disjoint, through = _oracle_plan(g, len1, len2)
+    # lengths of another type skip the cache and meet the walk's own checks
+    plan = _oracle_plan if type(len1) is type(len2) is int else _oracle_plan.__wrapped__
+    first, second, partners, total, disjoint, through = plan(g, len1, len2)
     if not total:
         return OracleResult(0, (), 0)
     rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, disjoint)

@@ -105,8 +105,7 @@ class _Polyline(_Record):
             out.pop()
         kept, lo = [], 0  # in one pass, the corners a rescan from the first after each drop would keep
         for k, p in enumerate(out):
-            while len(kept) + len(out) - k > 2 and (len(kept) > 1 or closed and kept) and cls._straight(
-                    kept[-2] if len(kept) > 1 else out[-1], kept[-1], p):
+            while len(kept) > 1 and len(kept) + len(out) - k > 2 and cls._straight(kept[-2], kept[-1], p):
                 kept.pop()
             kept.append(p)
         while closed and len(kept) - lo > 2:  # then the seam of a ring, its first corner first

@@ -570,6 +570,24 @@ class TestPlans:
                 oracle_count_linked_pairs(moment_k6_embedding(), 3, 3)
         assert invariants._hub_plan.cache_info().currsize == invariants._oracle_plan.cache_info().currsize == 0
 
+    def test_a_kept_oracle_plan_is_not_checked_against_the_budget_again(self, monkeypatch):
+        emb = moment_k6_embedding()
+        invariants._oracle_plan.cache_clear()
+        count = oracle_count_linked_pairs(emb, 3, 3).count
+        monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 19)
+        assert oracle_count_linked_pairs(emb, 3, 3).count == count  # the budget bounds the walk, not kept
+        with pytest.raises(SearchExhausted, match="^40 vertex orders for 3-cycles exceed the budget of 19$"):
+            oracle_count_linked_pairs(emb, 3, 4)
+
+    def test_lengths_other_than_ints_meet_the_walks_own_checks(self):
+        emb = moment_k6_embedding()
+        with pytest.raises(TypeError, match="^'<' not supported between instances of 'list' and 'int'$"):
+            oracle_count_linked_pairs(emb, [3], 3)
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            oracle_count_linked_pairs(emb, 3.0, 3)
+        with pytest.raises(ValueError, match="^cycle length must be at least 3$"):
+            oracle_count_linked_pairs(emb, True, 3)
+
     def test_caches_keep_at_most_8_graphs(self):
         plans = (invariants._hub_plan, invariants._oracle_plan)
         assert [plan.cache_info().maxsize for plan in plans] == [8, 8]
