@@ -29,20 +29,18 @@ class CyclesNotDisjoint(IntrinsicLinksError):
     """Two cycles handed to a linking computation share a vertex."""
 
 
-class EmbeddingInvalid(IntrinsicLinksError):
+class _Violations(IntrinsicLinksError):
+    def __init__(self, message: str, violations: tuple = ()):
+        super().__init__(message)
+        self.violations = tuple(violations)
+
+
+class EmbeddingInvalid(_Violations):
     """A spatial embedding failed validation.  Carries the violation list."""
 
-    def __init__(self, message: str, violations: tuple = ()):
-        super().__init__(message)
-        self.violations = tuple(violations)
 
-
-class DrawingNotGeneral(IntrinsicLinksError):
-    """A planar drawing failed general-position validation."""
-
-    def __init__(self, message: str, violations: tuple = ()):
-        super().__init__(message)
-        self.violations = tuple(violations)
+class DrawingNotGeneral(_Violations):
+    """A planar drawing failed general-position validation.  Carries the violation list."""
 
 
 class ProjectionNotGeneral(IntrinsicLinksError):

@@ -10,9 +10,10 @@ all defects of an instance at once.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
-from math import perm
+from itertools import chain, combinations
+from math import lcm, perm
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -26,11 +27,11 @@ from .geometry import (
     _box,
     _box_pairs,
     _collinear2,
+    _collinear3,
     _meet2,
     _meet3,
     _on_side3,
     _set,
-    collinear3,
     key_point,
 )
 from .linking import SpatialPolyline, _Polyline
@@ -131,9 +132,7 @@ def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
                 raise ValueError("graph is not bipartite")
     if len(color) != len(g.vertices):
         raise ValueError("graph is not connected")
-    part0 = tuple(v for v in g.vertices if color[v] == 0)
-    part1 = tuple(v for v in g.vertices if color[v] == 1)
-    return part0, part1
+    return tuple(v for v in g.vertices if color[v] == 0), tuple(v for v in g.vertices if color[v] == 1)
 
 
 def is_complete(g: Graph) -> bool:
@@ -146,9 +145,7 @@ def is_complete_bipartite(g: Graph, m: int, n: int) -> bool:
         p0, p1 = bipartition(g)
     except ValueError:
         return False
-    if sorted((len(p0), len(p1))) != sorted((m, n)):
-        return False
-    return len(g.edges) == len(p0) * len(p1)
+    return sorted((len(p0), len(p1))) == sorted((m, n)) and len(g.edges) == len(p0) * len(p1)
 
 
 class Cycle(_Record):
@@ -196,13 +193,8 @@ def _within_budget(candidates: int, what: str) -> None:
 
 
 def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of `mask`, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The indices of the set bits of `mask`, in increasing order, in one pass over its binary digits."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
@@ -344,18 +336,13 @@ def _make(cls, graph: Graph, positions: Mapping, routes: Mapping | None):
     for key in graph.edges:
         pu, pv = pos[key[0]], pos[key[1]]
         pts = list(given.get(key, ()))
-        if not pts:
-            chain = [pu, pv]
-        else:
-            if pts[0] != pu and pts[0] != pv and pts[-1] != pu and pts[-1] != pv:
-                chain = [pu] + pts + [pv]  # interior points only
-            else:
-                chain = pts
-            if chain[0] == pv and chain[-1] == pu:
-                chain = list(reversed(chain))
-            if chain[0] != pu or chain[-1] != pv:
-                raise ValueError(f"route for {key} does not join its endpoint positions")
-        built[key] = cls._polyline.through(chain)
+        if not pts or pts[0] != pu and pts[0] != pv and pts[-1] != pu and pts[-1] != pv:
+            pts = [pu, *pts, pv]  # none given, or interior points only
+        if pts[0] == pv and pts[-1] == pu:
+            pts.reverse()
+        if pts[0] != pu or pts[-1] != pv:
+            raise ValueError(f"route for {key} does not join its endpoint positions")
+        built[key] = cls._polyline.through(pts)
     return cls(graph, pos, built)
 
 
@@ -384,8 +371,8 @@ def make_embedding(
 
 def _coordinates(obj: _Placement) -> tuple[dict, dict]:
     """A placement as its sweep reads it: each vertex's coordinates, and
-    each route as its points' coordinates, or as None when it is closed."""
-    chains = {key: None if r.closed else [p.coords() for p in r.vertices] for key, r in obj.route.items()}
+    each route as a tuple of its points' coordinates, or as None when it is closed."""
+    chains = {key: None if r.closed else tuple([p.coords() for p in r.vertices]) for key, r in obj.route.items()}
     return {v: obj.position[v].coords() for v in obj.graph.vertices}, chains
 
 
@@ -436,8 +423,23 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
     shared endpoint positions, no route through a foreign vertex.  One box
     sweep, the vertices as points after the sides, settles most side pairs by
     a sign in its loop; only the contacts it reports are sorted."""
+    return _validation(emb)[0]
+
+
+def _validation(emb: PLEmbedding) -> tuple[tuple[Violation, ...], dict, dict, int]:
+    """`validate_embedding`'s violations, the `_coordinates` its sweep read, each point once, scaled to integers
+    by the lcm of their denominators (no message names a coordinate; integer input is not rescaled), and that lcm."""
     g = emb.graph
     where, chains = _coordinates(emb)
+    routes, scale = [r for r in chains.values() if r], 1
+    # a sum of ints is an int, and any Fraction among them makes it one: a pass in C on integer input
+    if type(sum(chain.from_iterable(chain(where.values(), *routes)))) is not int:
+        scale = lcm(*{c.denominator for p in chain(where.values(), *routes) for c in p})
+
+        def scaled(p):  # a uniform positive scale moves no sign
+            return tuple([c.numerator * (scale // c.denominator) for c in p])
+
+        where, chains = {v: scaled(p) for v, p in where.items()}, {k: r and tuple(map(scaled, r)) for k, r in chains.items()}
     out, usable, sides, boxes = _side_table(g, where, chains)
     n, rank = len(sides), {key: k for k, key in enumerate(usable)}
     on, met = [], []  # reported by route, vertex and side, then by route pair and side pair, with `_meet3`'s m
@@ -472,18 +474,13 @@ def validate_embedding(emb: PLEmbedding) -> tuple[Violation, ...]:
         kind = "routes-cross" if set(e1).isdisjoint(e2) else "adjacent-routes-meet-off-vertex"
         kind, what = ("routes-overlap", "overlap") if m is OVERLAP else (kind, "meet away from a shared vertex")
         out.append(Violation(kind, f"routes of {e1} and {e2} {what}", (e1, e2, i1, i2)))
-    return tuple(out)
+    return tuple(out), where, chains, scale
 
 
 class ValidEmbedding(PLEmbedding):
-    """An embedding that has passed `validate_embedding`.  Only
-    `require_valid` builds one from raw input, with its own copies of the
-    position and route dicts.  The constructor smooths once: `_core` is
-    `_core_of` the fields, not a field, so outside ==, hash and repr."""
-
-    def __init__(self, graph: Graph, position: dict, route: dict):
-        super().__init__(graph, position, route)
-        _set(self, "_core", _core_of(graph, position, route))
+    """An embedding that has passed `validate_embedding`, built only by `require_valid`, with its own copies of
+    the position and route dicts, and by `smooth`.  Both set `_core`, not a field, so outside ==, hash and repr:
+    the core graph, its vertices' and routes' coordinates (from key[0], in `graph.edges` order) times m, and m."""
 
     def replace(self, **changes) -> "ValidEmbedding":
         """The changed copy, validated again, with a core of its own."""
@@ -495,25 +492,26 @@ def require_valid(emb: PLEmbedding) -> ValidEmbedding:
 
     Returns a ValidEmbedding argument unchanged; otherwise raises
     EmbeddingInvalid listing every violation, or returns a validated copy,
-    which smooths once as it is built (about 0.15 ms on a subdivided K6).
+    which smooths once, on the coordinates the sweep read, as it is built.
     """
     if isinstance(emb, ValidEmbedding):
         return emb
-    violations = validate_embedding(emb)
+    violations, where, chains, m = _validation(emb)
     if violations:
         raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
-    return ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
+    valid = ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
+    _set(valid, "_core", (*_core_of(emb.graph, where, chains), m))
+    return valid
 
 
-def _core_of(g: Graph, position: dict, route: dict) -> tuple[Graph, dict, tuple[tuple[Point3, ...], ...]]:
-    """`smooth` of a valid embedding on point chains, building no record but
-    the core graph: that graph (`g` itself when nothing is absorbed), its
-    positions and each core edge's route points, in `graph.edges` order from
-    key[0].  Absorbing keeps degrees and a blocked vertex blocked, so one pass
-    absorbs; one walk per core edge then drops each junction where it runs
-    straight.  No second check: validated routes u-w and w-x meet only at w, so
-    their join is simple, and only w can run straight there, so every corner
-    is a validated route's; the carrier stays, so disjoint cycles keep disjoint routes."""
+def _core_of(g: Graph, where: dict, route: dict) -> tuple[Graph, dict, tuple[tuple[tuple, ...], ...]]:
+    """`smooth` of a valid embedding on the coordinates `_validation` read, building no record but
+    the core graph: that graph (`g` itself when nothing is absorbed), its vertices' coordinates and
+    each core edge's route points, in `graph.edges` order from key[0].  Absorbing keeps degrees and a
+    blocked vertex blocked, so one pass absorbs; one walk per core edge then drops each junction where
+    it runs straight.  No second check: validated routes u-w and w-x meet only at w, so their join is
+    simple, and only w can run straight there, so every corner is a validated route's; the carrier
+    stays, so disjoint cycles keep disjoint routes."""
     near: dict[str, list[str]] = {v: [] for v in g.vertices}
     for u, x in g.edges:
         near[u].append(x)
@@ -527,7 +525,7 @@ def _core_of(g: Graph, position: dict, route: dict) -> tuple[Graph, dict, tuple[
                 adj[u] ^= {w, x}  # w out, x in: it was not a neighbour
                 adj[x] ^= {w, u}
     if len(adj) == len(g.vertices):
-        return g, position, tuple(route[key].vertices for key in g.edges)
+        return g, where, tuple(route[key] for key in g.edges)
     at, chains = g._index, {}
     for u in adj:
         for w in near[u]:
@@ -538,13 +536,13 @@ def _core_of(g: Graph, position: dict, route: dict) -> tuple[Graph, dict, tuple[
                 continue  # the walk from the other end joins this edge
             points = []
             for a, b in zip(path, path[1:]):
-                more = route[a, b].vertices if (a, b) in route else route[b, a].vertices[::-1]
-                if points and collinear3(points[-2], points[-1], more[1]):
+                more = route[a, b] if (a, b) in route else route[b, a][::-1]
+                if points and _collinear3(points[-2], points[-1], more[1]):
                     points.pop()  # the junction a, where the walk runs straight
                 points += more[1:] if points else more
             chains[u, path[-1]] = tuple(points)
     core = Graph(tuple(adj), tuple(sorted(chains, key=lambda e: (at[e[0]], at[e[1]]))))  # as `make_graph` orders
-    return core, {v: position[v] for v in core.vertices}, tuple(chains[key] for key in core.edges)
+    return core, {v: where[v] for v in core.vertices}, tuple(chains[key] for key in core.edges)
 
 
 def smooth(emb: PLEmbedding) -> ValidEmbedding:
@@ -553,15 +551,19 @@ def smooth(emb: PLEmbedding) -> ValidEmbedding:
     adjacent, joining its two routes, until none is left (a triangle stays a
     triangle), so a subdivision listing its new vertices last smooths back to
     the original vertices, even when the graph is one cycle.  With nothing to
-    absorb the validated input itself is returned; else the records are built
-    from its carried core, each merged route valid as `_core_of` argues."""
+    absorb the validated input itself is returned; else a copy built from it and
+    its core, which it carries: each merged route is valid as `_core_of` argues."""
     emb = require_valid(emb)
-    core, position, chains = emb._core
+    core, _, chains, m = emb._core
     if core is emb.graph:
         return emb
-    # an edge of the input that is still there was never merged
-    route = {key: emb.route[key] if key in emb.route else SpatialPolyline(c) for key, c in zip(core.edges, chains)}
-    return ValidEmbedding(core, position, route)
+    # an edge of the input that is still there was never merged; a merged route's points are the core's over m
+    route = {key: emb.route[key] if key in emb.route else SpatialPolyline(
+        [Point3(*p) if m == 1 else Point3(*(Fraction(c, m) for c in p)) for p in points])
+        for key, points in zip(core.edges, chains)}
+    valid = ValidEmbedding(core, {v: emb.position[v] for v in core.vertices}, route)
+    _set(valid, "_core", emb._core)
+    return valid
 
 
 # ---------------------------------------------------------------------------

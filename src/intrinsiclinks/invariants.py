@@ -266,7 +266,7 @@ def _hub_analysis(emb: PLEmbedding, seed: int, script):
     and label, and each entry's label.  Per call, each cycle's front row is one
     XOR of rows of the new front matrix, and each entry a bit count; the lk of
     a pair is read both ways."""
-    g, position, routes = require_valid(emb)._core
+    g, position, routes, _ = require_valid(emb)._core
     label, pairs, specs = _hub_plan(g, script)
     front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
     rows = [_xor_rows(front, far[1]) for far, _, _ in pairs]
@@ -371,14 +371,15 @@ def oracle_count_linked_pairs(emb: PLEmbedding, len1: int, len2: int, seed: int 
     XOR over that row of the bitmasks of the cycles through each edge holds
     lk(c1, c2) for every c2 at once.  Its graph-only tables, `_oracle_plan`,
     are built once per core graph and lengths, and the cone matrix refuses
-    past `linking.CONE_TEST_BUDGET` side pairs."""
-    g, _, chains = require_valid(emb)._core
+    past `linking.CONE_TEST_BUDGET` side pairs.  The core is scaled by m,
+    so the drawn apex is too."""
+    g, _, chains, m = require_valid(emb)._core
     # lengths of another type skip the cache and meet the walk's own checks
     plan = _oracle_plan if type(len1) is type(len2) is int else _oracle_plan.__wrapped__
     first, second, partners, total, disjoint, through = plan(g, len1, len2)
     if not total:
         return OracleResult(0, (), 0)
-    rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, disjoint)
+    rows = _cone_matrix(tuple(c * m for c in _draw_apex(SplitMix64(seed))), chains, disjoint)
     linked = _cycle_pairs(g, first, second, [mask and _xor_rows(through, _xor_rows(rows, edges)) & mask
                                              for (_, edges), mask in zip(first, partners)])
     return OracleResult(len(linked), linked, total)
@@ -388,12 +389,12 @@ def oracle_confirm(emb: PLEmbedding, report: LinkReport, seed: int = 0) -> LinkR
     """Re-check one report by cone counting, as `oracle_count_linked_pairs`
     does from the apex `linking_mod2_sampled` draws, and fill oracle_confirmed.
     Refused past the same `linking.CONE_TEST_BUDGET`: sides(c1) * sides(c2)."""
-    g, _, routes = require_valid(emb)._core
+    g, _, routes, m = require_valid(emb)._core
     (vertices1, mask1), (vertices2, mask2) = (_cycle(g, c.vertices) for c in (report.cycle1, report.cycle2))
     if set(vertices1) & set(vertices2):
         raise PolylinesNotDisjoint("the two polygons share a point")
     chains = [routes[e] for e in _bits(mask1) + _bits(mask2)]
     k = mask1.bit_count()  # a row for each edge of cycle 1, its bits at cycle 2's
-    rows = _cone_matrix(_draw_apex(SplitMix64(seed)), chains, [range(k, len(chains))] * k)
+    rows = _cone_matrix(tuple(c * m for c in _draw_apex(SplitMix64(seed))), chains, [range(k, len(chains))] * k)
     value = _xor_rows(rows, (1 << k) - 1).bit_count() & 1
     return report.replace(oracle_confirmed=(value == report.lk_value))

@@ -193,20 +193,21 @@ def _cone_passes(points, rel, u: int, v: int, sides) -> int:
 CONE_TEST_BUDGET = 10**6
 
 
-def _cone_matrix(apex: Point3, chains, disjoint) -> list[int]:
+def _cone_matrix(apex: tuple, chains, disjoint) -> list[int]:
     """The cone-crossing matrix of the broken lines `chains`, a row per
     chain: bit f of row e, for f in `disjoint[e]`, is the parity of the
     passes of chain f through the cone triangles (apex, side of chain e).
-    The apex is point 0, then every distinct corner once, all scaled to
-    integers, which moves no sign.  Refused before any cone test past
+    The apex and the chains' points are integer coordinates; callers scale
+    them at their boundary, which moves no sign.  The apex is point 0, then
+    every distinct corner once.  Refused before any cone test past
     CONE_TEST_BUDGET side pairs: sides(e) * sides(f) over f in disjoint[e]."""
     tests = sum((len(chains[e]) - 1) * sum(len(chains[f]) - 1 for f in fs) for e, fs in enumerate(disjoint))
     if tests > CONE_TEST_BUDGET:
         raise SearchExhausted(f"{tests} side-pair cone tests exceed the budget of {CONE_TEST_BUDGET}")
     index: dict[tuple, int] = {}
-    ids = [[index.setdefault(p.coords(), len(index) + 1) for p in chain] for chain in chains]
-    points = _integer_scaled([apex.coords(), *index])
-    ax, ay, az = points[0]
+    ids = [[index.setdefault(p, len(index) + 1) for p in chain] for chain in chains]
+    points = [apex, *index]
+    ax, ay, az = apex
     rel = [(x - ax, y - ay, z - az) for x, y, z in points]
     # the sides of chain f as `_cone_passes` reads them, with bit 1 << f
     lines = [[(1 << f, p, q, px, py, pz, qx, qy, qz, py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
@@ -228,16 +229,18 @@ def linking_mod2_cone(a: SpatialPolyline, b: SpatialPolyline, apex: Point3) -> i
         raise ValueError("linking is defined for closed polygons")
     if not polylines_disjoint(a, b):
         raise PolylinesNotDisjoint("the two polygons share a point")
-    return _cone_matrix(apex, [[*a.vertices, a.vertices[0]], [*b.vertices, b.vertices[0]]], [[1], []])[0] >> 1
+    o, *points = _integer_scaled([p.coords() for p in (apex, *a.vertices, *b.vertices)])
+    ring_a, ring_b = points[: len(a.vertices)], points[len(a.vertices) :]
+    return _cone_matrix(o, [[*ring_a, ring_a[0]], [*ring_b, ring_b[0]]], [[1], []])[0] >> 1
 
 
 def linking_mod2_sampled(a: SpatialPolyline, b: SpatialPolyline, rng: SplitMix64) -> int:
     """Mod-2 linking number by cone counting from an apex drawn from `rng`
     (`_draw_apex`).  The answer does not depend on the draw; the draw only
     picks which count shows it."""
-    return linking_mod2_cone(a, b, _draw_apex(rng))
+    return linking_mod2_cone(a, b, Point3(*_draw_apex(rng)))
 
 
-def _draw_apex(rng: SplitMix64) -> Point3:
-    """Three draws in [-8, 8], one per coordinate."""
-    return Point3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8))
+def _draw_apex(rng: SplitMix64) -> tuple[int, int, int]:
+    """The coordinates of an apex: three draws in [-8, 8], one per coordinate."""
+    return (rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8))

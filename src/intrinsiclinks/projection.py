@@ -20,7 +20,8 @@ result.  Every linking number is an XOR of rows read at a mask.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from math import lcm
 from typing import Sequence
 
@@ -42,6 +43,7 @@ from .graphs import (
     PlanarDrawing,
     PlanarPolyline,
     PLEmbedding,
+    _coordinates,
     _generic,
     _scan_drawing,
     _xor_rows,
@@ -55,11 +57,15 @@ from .rng import SplitMix64
 def canonical_direction(p: Point3) -> Point3:
     """Scale a nonzero vector to coprime integers with the first nonzero
     coordinate positive, so each line through the origin has one name."""
-    fr = (p.x, p.y, p.z)
-    if all(f == 0 for f in fr):
+    return Point3(*_canonical(p.coords()))
+
+
+def _canonical(v: tuple) -> tuple[int, int, int]:
+    """`canonical_direction` on coordinates."""
+    first = next((c for c in v if c), 0)
+    if not first:
         raise ValueError("zero vector has no direction")
-    first = next(f for f in fr if f != 0)
-    return Point3(*coprime3(*fr, 1 if first > 0 else -1))
+    return coprime3(*v, 1 if first > 0 else -1)
 
 
 def plane_basis(d: Point3) -> tuple[Point3, Point3]:
@@ -67,9 +73,15 @@ def plane_basis(d: Point3) -> tuple[Point3, Point3]:
     (e1, e2, d) positively oriented.  Not normalized: shadow coordinates
     are a fixed invertible linear image of the true orthogonal shadow,
     which preserves incidence, crossings and general position."""
-    x, y, z = d.coords()
+    e1, e2 = _plane_basis(d.coords())
+    return Point3(*e1), Point3(*e2)
+
+
+def _plane_basis(d: tuple) -> tuple[tuple, tuple]:
+    """`plane_basis` on coordinates."""
+    x, y, z = d
     a, b, c = (y, -x, 0) if x or y else (0, z, -y)  # d x (0, 0, 1), or d x (1, 0, 0) along the z-axis
-    return Point3(a, b, c), Point3(y * c - z * b, z * a - x * c, x * b - y * a)  # e2 = d x e1
+    return (a, b, c), (y * c - z * b, z * a - x * c, x * b - y * a)  # e2 = d x e1
 
 
 class ProjectedDiagram(_Record):
@@ -106,7 +118,7 @@ def _front_rows(g: Graph, strands) -> tuple[int, ...]:
     return tuple(front)
 
 
-def _diagram(d: Point3, graph: Graph, where, chains, crossings, strands) -> ProjectedDiagram:
+def _diagram(d: tuple, graph: Graph, where, chains, crossings, strands) -> ProjectedDiagram:
     """The public diagram of a projection core's result: the generic drawing
     `require_generic` builds from the core's crossings, labelled by its strands."""
     drawing = _generic(PlanarDrawing(graph, {v: Point2(*c) for v, c in where.items()}, {
@@ -114,24 +126,23 @@ def _diagram(d: Point3, graph: Graph, where, chains, crossings, strands) -> Proj
     }), crossings)
     upper = {rec[:4]: up for rec, (_, _, up) in zip(crossings, strands)}
     labelled = (c.replace(upper=upper[c.edge1, c.side1, c.edge2, c.side2]) for c in drawing.crossings)
-    return ProjectedDiagram(d, drawing, tuple(labelled))
+    return ProjectedDiagram(Point3(*d), drawing, tuple(labelled))
 
 
-def _orthogonal(g: Graph, position, routes, d: Point3):
-    """`project_orthogonal` on coordinates, of a valid embedding as `g`, its positions and
-    each edge's route points in `g.edges` order: the canonical direction, the graph, the
+def _orthogonal(g: Graph, position, routes, d: tuple):
+    """`project_orthogonal` on coordinates, of a valid embedding as `g`, its vertices' and each edge's
+    route points' coordinates in `g.edges` order, along the canonical direction d: d, the graph, the
     vertex and route-point shadows, the crossings of distinct edges and their strands."""
-    route = {key: [p.coords() for p in r] for key, r in zip(g.edges, routes)}
-    (ax, ay, az), (bx, by, bz) = (e.coords() for e in plane_basis(d))
-    spots = {v: p.coords() for v, p in position.items()}
-    points = {*spots.values(), *(c for r in route.values() for c in r)}
+    route = dict(zip(g.edges, routes))
+    (ax, ay, az), (bx, by, bz) = _plane_basis(d)
+    points = {*position.values(), *chain.from_iterable(routes)}
     shade = {(x, y, z): (x * ax + y * ay + z * az, x * bx + y * by + z * bz) for x, y, z in points}  # once a point
-    where = {v: shade[c] for v, c in spots.items()}
+    where = {v: shade[c] for v, c in position.items()}
     chains = {}
     for key, r in route.items():
-        chains[key] = chain = [shade[c] for c in r]
+        chains[key] = shadow = [shade[c] for c in r]
         try:  # sides must stay in bijection with the spatial sides, so a flattened corner is a rejection
-            _check_polyline(chain, False, _collinear2)
+            _check_polyline(shadow, False, _collinear2)
         except ValueError as ex:
             raise ProjectionNotGeneral(f"route of {key} degenerates in projection: {ex}")
     violations, raw = _scan_drawing(g, where, chains)
@@ -168,9 +179,10 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     direction flattens a corner, makes a side vanish, or yields a drawing
     with degenerate contacts.
     """
-    d = canonical_direction(direction)
+    d = canonical_direction(direction).coords()
     emb = require_valid(emb)
-    return _diagram(*_orthogonal(emb.graph, emb.position, [emb.route[key].vertices for key in emb.graph.edges], d))
+    where, chains = _coordinates(emb)  # the input's own numbers
+    return _diagram(*_orthogonal(emb.graph, where, [chains[key] for key in emb.graph.edges], d))
 
 
 # directions the projection search tries before it raises SearchExhausted
@@ -178,16 +190,14 @@ DIRECTION_TRIES = 10000
 
 
 def _direction_search(seed: int, project, *args):
-    """The first `project(*args, d)`, d as `find_general_projection` draws it, that is not rejected."""
-    rng = SplitMix64(seed)
-    bound = 8
-    rejections = 0
-    seen: set[Point3] = set()
+    """The first `project(*args, d)` not rejected, d a canonical direction's coordinates as
+    `find_general_projection` draws it."""
+    rng, bound, rejections, seen = SplitMix64(seed), 8, 0, set()
     for _ in range(DIRECTION_TRIES):
-        cand = Point3(*(rng.randint(-bound, bound) for _ in range(3)))
-        if cand.x == 0 and cand.y == 0 and cand.z == 0:
+        cand = (rng.randint(-bound, bound), rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if not any(cand):
             continue
-        cand = canonical_direction(cand)
+        cand = _canonical(cand)
         if cand in seen:
             continue
         seen.add(cand)
@@ -207,12 +217,19 @@ def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram
     rejections; almost every direction works, so the search normally ends
     within a handful of tries.  Deterministic for a fixed embedding + seed.
     """
-    return _direction_search(seed, project_orthogonal, require_valid(emb))
+    return _direction_search(seed, lambda valid, d: project_orthogonal(valid, Point3(*d)), require_valid(emb))
+
+
+@lru_cache(maxsize=8)
+def _central_plan(names: tuple) -> tuple:
+    """The complete graph on `names` and its disjoint edge pairs, in the order a sweep lists their crossings."""
+    graph = make_graph(names, combinations(names, 2))
+    return graph, [(e1, e2) for e1, e2 in combinations(graph.edges, 2) if e1[0] not in e2 and e1[1] not in e2]
 
 
 def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequence[str] | None = None):
-    """`project_central` on coordinates: the canonical normal, the complete graph on the
-    names, the images of its vertices and edges, their crossings, found with no sweep, and their strands."""
+    """`project_central` on coordinates: the canonical normal, the complete graph on the names
+    (`_central_plan`), the images of its vertices and edges, their crossings, found with no sweep, and their strands."""
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
@@ -238,14 +255,14 @@ def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequ
     names = [f"p{i}" for i in range(1, len(others) + 1)] if names is None else list(names)
     if len(names) != len(others):
         raise ValueError("need one name per non-apex point")
-    graph = make_graph(names, combinations(names, 2))
+    graph, pairs = _central_plan(tuple(names))
     where = dict(zip(names, images))
     if len(set(images)) < len(images):  # two images, past the check above: `make_drawing` refuses the edge
         raise ValueError("polyline needs at least 2 vertices, closed needs 3")
     chains = {(u, v): [where[u], where[v]] for u, v in graph.edges}
     raw = []  # no three images collinear: only disjoint edges meet, and only by crossing
-    for e1, e2 in combinations(graph.edges, 2):  # the order in which a sweep lists one-side routes' crossings
-        key = e1[0] not in e2 and e1[1] not in e2 and _meet2(*where[e1[0]], *where[e1[1]], *where[e2[0]], *where[e2[1]])
+    for e1, e2 in pairs:
+        key = _meet2(*where[e1[0]], *where[e1[1]], *where[e2[0]], *where[e2[1]])
         if key is NON_GENERIC:
             raise InternalParityFailure(f"images of {e1} and {e2} touch past the general-position check")
         if key:
@@ -265,7 +282,7 @@ def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequ
         if det == 0:
             raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
         strands.append((e1, e2, e1 if det == _orient3(p, q, a, r) else e2))
-    return d, graph, where, chains, raw, strands
+    return d.coords(), graph, where, chains, raw, strands
 
 
 def project_central(

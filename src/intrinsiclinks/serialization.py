@@ -44,11 +44,8 @@ def _parse_coord(raw, where: str):
 
 
 def _parse_point(raw, dim: int, where: str):
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ParseError(f"{where}: expected a {dim}-coordinate array")
-    coords = [_parse_coord(c, f"{where}[{i}]") for i, c in enumerate(raw)]
-    cls = Point3 if dim == 3 else Point2
-    return cls(*coords)
+    _require(isinstance(raw, list) and len(raw) == dim, f"{where}: expected a {dim}-coordinate array")
+    return (Point3 if dim == 3 else Point2)(*[_parse_coord(c, f"{where}[{i}]") for i, c in enumerate(raw)])
 
 
 def _point_doc(p) -> list:
@@ -58,24 +55,6 @@ def _point_doc(p) -> list:
 def _require(condition: bool, message: str):
     if not condition:
         raise ParseError(message)
-
-
-def _edge_name(edge: tuple[str, str]) -> str:
-    return edge[0] + _EDGE_SEP + edge[1]
-
-
-def _split_edge_name(name: str, where: str) -> tuple[str, str]:
-    parts = name.split(_EDGE_SEP)
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ParseError(f"{where}: route key {name!r} is not of the form 'u--v'")
-    return parts[0], parts[1]
-
-
-def _graph_doc(g: Graph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [list(e) for e in g.edges],
-    }
 
 
 def _parse_graph(raw, where: str) -> Graph:
@@ -119,7 +98,9 @@ def _parse_routes_map(raw, g: Graph, dim: int, where: str) -> dict:
     _require(isinstance(raw, dict), f"{where}: expected an object")
     out = {}
     for name, pts in raw.items():
-        u, v = _split_edge_name(name, where)
+        ends = name.split(_EDGE_SEP)
+        _require(len(ends) == 2 and all(ends), f"{where}: route key {name!r} is not of the form 'u--v'")
+        u, v = ends
         _require(
             u in g.vertices and v in g.vertices and g.has_edge(u, v),
             f"{where}: route for non-edge {name!r}",
@@ -129,12 +110,6 @@ def _parse_routes_map(raw, g: Graph, dim: int, where: str) -> dict:
             _parse_point(p, dim, f"{where}[{name!r}][{i}]") for i, p in enumerate(pts)
         ]
     return out
-
-
-def _parse_point_list(raw, dim: int, where: str) -> list:
-    _require(isinstance(raw, list), f"{where}: expected a list")
-    _require(raw, f"{where}: expected at least one point")
-    return [_parse_point(p, dim, f"{where}[{i}]") for i, p in enumerate(raw)]
 
 
 def parse_instance(data):
@@ -164,7 +139,10 @@ def parse_instance(data):
     dim = 3 if kind in ("points3", "embedding") else 2
     if kind in ("points3", "points2"):
         _require("positions" in doc, "top level: missing 'positions'")
-        return _parse_point_list(doc["positions"], dim, "positions")
+        raw = doc["positions"]
+        _require(isinstance(raw, list), "positions: expected a list")
+        _require(raw, "positions: expected at least one point")
+        return [_parse_point(p, dim, f"positions[{i}]") for i, p in enumerate(raw)]
 
     _require("graph" in doc, "top level: missing 'graph'")
     g = _parse_graph(doc["graph"], "graph")
@@ -185,7 +163,7 @@ def _routes_doc(obj) -> dict:
     for e in obj.graph.edges:
         interior = obj.route[e].vertices[1:-1]
         if interior:
-            out[_edge_name(e)] = [_point_doc(p) for p in interior]
+            out[e[0] + _EDGE_SEP + e[1]] = [_point_doc(p) for p in interior]
     return out
 
 
@@ -197,7 +175,7 @@ def _carrier_doc(obj, kind: str) -> dict:
             )
     doc = {
         "kind": kind,
-        "graph": _graph_doc(obj.graph),
+        "graph": {"vertices": list(obj.graph.vertices), "edges": [list(e) for e in obj.graph.edges]},
         "positions": {v: _point_doc(obj.position[v]) for v in obj.graph.vertices},
     }
     routes = _routes_doc(obj)

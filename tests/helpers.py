@@ -5,6 +5,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
+from time import perf_counter
 
 from intrinsiclinks import invariants
 from intrinsiclinks.errors import (
@@ -54,9 +55,10 @@ from intrinsiclinks.graphs import (
     require_generic,
     require_valid,
     smooth,
+    validate_embedding,
 )
 from intrinsiclinks.instances import CANDIDATE_TRIES, gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear
-from intrinsiclinks.invariants import LinkReport, OracleResult
+from intrinsiclinks.invariants import LinkReport, OracleResult, find_linked_cycles_k6, oracle_confirm
 from intrinsiclinks.linking import SpatialPolyline, linking_mod2_sampled
 from intrinsiclinks.projection import (
     ProjectedDiagram,
@@ -469,7 +471,7 @@ def central_sweep_reference(points, apex: Point3, normal: Point3):
         if orient3d(*s1, *s2) == 0:
             raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
         strands.append((e1, e2, e1 if higher_central_reference(apex, s1, s2) else e2))
-    return d, graph, where, chains, list(raw), strands
+    return d.coords(), graph, where, chains, list(raw), strands
 
 
 def cross3(u: Point3, v: Point3) -> Point3:
@@ -984,7 +986,7 @@ def front_ledger_reference(g, label: str, rows, expect: int):
 
 def unplanned_hub_analysis(emb: PLEmbedding, seed: int, script):
     """`invariants._hub_analysis` with every cycle read by `read_cycle_reference`."""
-    g, position, routes = require_valid(emb)._core
+    g, position, routes, _ = require_valid(emb)._core
     label, rows, specs = script(g)
     front = _front_rows(g, _direction_search(seed, _orthogonal, g, position, routes)[5])
     read = [(e, read_cycle_reference(g, front, far), read_cycle_reference(g, front, near)) for e, far, near in rows]
@@ -1007,3 +1009,56 @@ def unplanned_linear_analysis(points, seed: int):
     far, (u, v) = next(row for row, (_, bit) in zip(rows, ledger.entries) if bit)
     k6 = complete_graph(6)
     return LinkReport(Cycle(far[0]), make_cycle(k6, (k6.vertices[top], u, v)), 1, "linear-central"), ledger
+
+
+def bits_reference(mask: int) -> list[int]:
+    """`graphs._bits` as a loop that clears the lowest set bit of the whole
+    mask each time: quadratic on long dense masks."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def divided(obj, k: int):
+    """An embedding, drawing or point list with every coordinate divided by k,
+    built anew by `make_embedding`, `make_drawing` or the point class."""
+    if isinstance(obj, list):
+        return [type(p)(*(Fraction(c, k) for c in p.coords())) for p in obj]
+    spatial = isinstance(next(iter(obj.position.values())), Point3)
+    cls, make = (Point3, make_embedding) if spatial else (Point2, make_drawing)
+
+    def cut(p):
+        return cls(*(Fraction(c, k) for c in p.coords()))
+
+    return make(obj.graph, {v: cut(p) for v, p in obj.position.items()},
+                {key: [cut(p) for p in r.vertices] for key, r in obj.route.items()})
+
+
+def rational_probe(divisor: int, seeds=range(20), rounds: int = 3) -> dict[str, float]:
+    """Milliseconds per embedding, the least of `rounds` rounds in this
+    process, of the K6 pipeline on `gen_k6_pl_subdivided` seeds with every
+    coordinate divided by `divisor`; divisor 1 is the integer twin.  "raw":
+    `find_linked_cycles_k6` plus `oracle_confirm` on raw `PLEmbedding`s, so
+    each call validates and smooths; "validated": the same on the
+    `require_valid` copies; "validate": `validate_embedding` alone.  Run it
+    from the repository root as
+    `PYTHONPATH=src:tests python -c "from helpers import rational_probe; print(rational_probe(7), rational_probe(1))"`."""
+    raw = [divided(gen_k6_pl_subdivided(seed), divisor) for seed in seeds]
+    valid = [require_valid(emb) for emb in raw]
+
+    def pipeline(subjects):
+        for seed, emb in zip(seeds, subjects):
+            oracle_confirm(emb, find_linked_cycles_k6(emb, seed=seed), seed=seed)
+
+    steps = {"raw": lambda: pipeline(raw), "validated": lambda: pipeline(valid),
+             "validate": lambda: [validate_embedding(emb) for emb in raw]}
+    best = dict.fromkeys(steps, float("inf"))
+    for _ in range(rounds):
+        for name, step in steps.items():
+            start = perf_counter()
+            step()
+            best[name] = min(best[name], (perf_counter() - start) * 1000 / len(raw))
+    return {name: round(ms, 3) for name, ms in best.items()}

@@ -53,6 +53,7 @@ from intrinsiclinks.projection import find_general_projection, project_orthogona
 
 from helpers import (
     bipartition_reference,
+    bits_reference,
     box_groups_reference,
     box_pairs_reference,
     box_reference,
@@ -233,6 +234,27 @@ class TestCycles:
     def test_cycle_edges(self):
         c = make_cycle(K44, ("a1", "b1", "a2", "b2"))
         assert set(K44.cycle_edges(c)) == {("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a1", "b2")}
+
+
+class TestBitsMatchReference:
+    """`_bits` reads a mask in one pass over its digits; the reference clears
+    one bit of the whole mask at a time.  Short, long, sparse and dense."""
+
+    MASKS = st.one_of(
+        st.integers(0, 2**70),
+        st.integers(0, 2**2100),
+        st.sets(st.integers(0, 2100), max_size=8).map(lambda bits: sum(1 << b for b in bits)),
+        st.integers(0, 2**2100).map(lambda m: ~m & (2**2100 - 1)),
+    )
+
+    @settings(max_examples=300)
+    @given(MASKS)
+    def test_equal(self, mask):
+        assert graphs._bits(mask) == bits_reference(mask)
+
+    def test_edges(self):
+        assert graphs._bits(0) == [] and graphs._bits(1) == [0] and graphs._bits(0b1011) == [0, 1, 3]
+        assert graphs._bits(1 << 2000 | 1) == [0, 2000]
 
 
 class TestEnumerationMatchesReference:
@@ -622,16 +644,19 @@ def assert_core_matches_reference(emb):
     """The carried core gives the reference's graph, positions and routes; and,
     for the carrier argument that lets it skip the check, every chain passes
     the checked `SpatialPolyline` constructor and the embedding rebuilt from
-    the chains validates.  Returns the core graph and the chains."""
-    g, position, chains = require_valid(emb)._core
+    the chains validates.  The core's coordinates are the reference's, scaled
+    by the core's m to integers.  Returns the core graph and the chains as points."""
+    g, position, chains, m = require_valid(emb)._core
     ref = smooth_reference(emb)
     assert g == ref.graph
-    assert list(position.items()) == list(ref.position.items())
-    assert chains == tuple(ref.route[key].vertices for key in g.edges)
+    assert list(position.items()) == [(v, p.scale(m).coords()) for v, p in ref.position.items()]
+    assert chains == tuple(tuple(p.scale(m).coords() for p in ref.route[key].vertices) for key in g.edges)
     assert all(type(chain) is tuple for chain in chains)
-    rebuilt = PLEmbedding(g, position, {key: SpatialPolyline(chain) for key, chain in zip(g.edges, chains)})
+    assert all(type(c) is int for chain in chains for p in chain for c in p)
+    points = tuple(tuple(Point3(*p).scale(Fraction(1, m)) for p in chain) for chain in chains)
+    rebuilt = PLEmbedding(g, ref.position, {key: SpatialPolyline(chain) for key, chain in zip(g.edges, points)})
     assert validate_embedding(rebuilt) == ()
-    return g, chains
+    return g, points
 
 
 SQUARE = [P3(0, 0, 0), P3(2, 0, 0), P3(4, 0, 0), P3(4, 4, 0), P3(0, 4, 0)]
@@ -671,9 +696,9 @@ class TestSmoothingCore:
 
     def test_nothing_to_absorb_hands_back_the_input(self):
         for emb in (gen_k44_linear(3), gen_polygon_pair(3)):
-            g, position, chains = emb._core
-            assert g is emb.graph and position is emb.position
-            assert chains == tuple(emb.route[key].vertices for key in g.edges)
+            g, position, chains, m = emb._core
+            assert g is emb.graph and position == {v: p.coords() for v, p in emb.position.items()} and m == 1
+            assert chains == tuple(tuple(p.coords() for p in emb.route[key].vertices) for key in g.edges)
 
 
 def midpoint_subdivided_k6(edges):
@@ -964,10 +989,10 @@ class TestSweepsMatchReference:
         """Every drawing and embedding the generators and a projection
         search sweep, rejected candidates included."""
         drawings, embeddings = [], []
-        sweep, validate = graphs._scan_drawing, graphs.validate_embedding
+        sweep, validate, validation = graphs._scan_drawing, graphs.validate_embedding, graphs._validation
         monkeypatch.setattr(graphs, "_scan_drawing", lambda *args: drawings.append(drawing_of(*args)) or sweep(*args))
         monkeypatch.setattr(projection, "_scan_drawing", graphs._scan_drawing)
-        monkeypatch.setattr(graphs, "validate_embedding", lambda e: embeddings.append(e) or validate(e))
+        monkeypatch.setattr(graphs, "_validation", lambda e: embeddings.append(e) or validation(e))
         generated_drawings(seed)
         find_general_projection(smooth(gen_k6_pl_subdivided(seed)), seed=seed)
         assert drawings and embeddings
@@ -1032,7 +1057,7 @@ class TestSignRejection:
             d = gen_k5_drawing(1)
             args = (d.graph, *graphs._coordinates(d))
         else:  # the shadow the K6 analysis of seed 1 sweeps
-            args = projection._direction_search(1, projection._orthogonal, *gen_k6_pl_subdivided(1)._core)[1:4]
+            args = projection._direction_search(1, projection._orthogonal, *gen_k6_pl_subdivided(1)._core[:3])[1:4]
         sides, boxes = graphs._side_table(*args)[2:]
         # the box-meeting pairs of sides that share no vertex and are not adjacent on one route
         apart = [(a, b) for a, b in box_pairs_reference(boxes) if not sides[a][2] & sides[b][2]

@@ -1,14 +1,14 @@
 """Tests for the crossing-parity invariant, finders, ledgers and oracle."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import intrinsiclinks
-from intrinsiclinks import cli, graphs, invariants, linking, projection
+from intrinsiclinks import geometry, graphs, invariants, linking, projection
 from intrinsiclinks.errors import (
     DrawingsNotComparable,
     EmbeddingInvalid,
@@ -67,7 +67,9 @@ from intrinsiclinks.rng import SplitMix64
 
 from helpers import (
     ScriptedRng,
+    cone_matrix_reference,
     cycle_route,
+    divided,
     ledger_entries_reference,
     linear_analysis_reference,
     oracle_reference,
@@ -878,7 +880,7 @@ class TestOracleMatchesReference:
     def test_grid_embeddings(self, seed, data):
         # centred on the oracle's apex, so that the apex often lies on a
         # corner or in the plane of a side and a corner
-        emb, n = data.draw(grid_embeddings(linking._draw_apex(SplitMix64(seed))))
+        emb, n = data.draw(grid_embeddings(Point3(*linking._draw_apex(SplitMix64(seed)))))
         assert oracle_count_linked_pairs(emb, n, n, seed) == oracle_reference(emb, n, n, seed)
 
     def test_generators(self):
@@ -949,18 +951,16 @@ class TestInvarianceProbe:
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Every embedding passed to `validate_embedding`, whichever module
-    namespace the call goes through."""
+    """Every embedding passed to `graphs._validation`, the sweep behind both
+    `validate_embedding` and `require_valid`, which reads the coordinates."""
     calls = []
-    original = graphs.validate_embedding
+    original = graphs._validation
 
     def counted(emb):
         calls.append(emb)
         return original(emb)
 
-    for module in (intrinsiclinks, graphs, projection, invariants, cli):
-        if hasattr(module, "validate_embedding"):
-            monkeypatch.setattr(module, "validate_embedding", counted)
+    monkeypatch.setattr(graphs, "_validation", counted)
     return calls
 
 
@@ -1148,9 +1148,9 @@ class TestSmoothOnce:
         smoothings.clear()
         assert require_valid(raw)._core == valid._core
         assert smoothings == [valid.graph]
-        # `smooth` builds the smoothed copy, which smooths its core graph again
-        # and absorbs nothing; on a ValidEmbedding that is the only call
-        for subject, expected in ((raw, [valid.graph, K6]), (valid, [K6])):
+        # `smooth` builds the smoothed copy, which carries the core it was
+        # built from: that core smooths to itself, so nothing is smoothed again
+        for subject, expected in ((raw, [valid.graph]), (valid, [])):
             smoothings.clear()
             sm = smooth(subject)
             assert smoothings == expected
@@ -1163,7 +1163,87 @@ class TestSmoothOnce:
         smoothings.clear()
         bent = valid.replace(route={**valid.route, ("v1", "v1.v2.1"): SpatialPolyline.through([p, bend, mid])})
         assert smoothings == [valid.graph]
-        assert valid._core[2][0] == (p, Point3(2, 4, 8)) and bent._core[2][0] == (p, bend, mid, Point3(2, 4, 8))
+        assert valid._core[2][0] == tuple(q.scale(valid._core[3]).coords() for q in (p, Point3(2, 4, 8)))
+        assert bent._core[2][0] == tuple(q.scale(bent._core[3]).coords() for q in (p, bend, mid, Point3(2, 4, 8)))
+
+
+class TestIntegerCore:
+    """A validated embedding carries its core scaled once to integers: the
+    analyses and both oracles read it as coordinate tuples, building no
+    record, and a rational embedding answers as its integer multiple does."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Each point whose coordinates are read, and the names of the other
+        calls counted: every `Point3` built and every `_integer_scaled`."""
+        calls = {"coords": [], "other": []}
+        coords, init = Point3.coords, Point3.__init__
+
+        def counted_coords(p):
+            calls["coords"].append(p)
+            return coords(p)
+
+        def counted_init(p, *args):
+            calls["other"].append("Point3")
+            init(p, *args)
+
+        monkeypatch.setattr(Point3, "coords", counted_coords)
+        monkeypatch.setattr(Point3, "__init__", counted_init)
+        for module in (geometry, graphs, linking, projection, invariants):
+            if hasattr(module, "_integer_scaled"):
+                scaled = module._integer_scaled
+                monkeypatch.setattr(module, "_integer_scaled", lambda points, f=scaled: calls["other"].append(
+                    "_integer_scaled") or f(points))
+        return calls
+
+    @pytest.mark.parametrize("make, script, length", [
+        (gen_k6_pl_subdivided, invariants._k6_script, 3),
+        (gen_k44_linear, invariants._k44_script, 4),
+    ], ids=["k6-pl", "k44"])
+    @pytest.mark.parametrize("divisor", [1, 7])
+    def test_analyses_and_oracles_read_no_record(self, make, script, length, divisor, reads):
+        valid = require_valid(divided(make(1), divisor))
+        report = invariants._hub_analysis(valid, 1, script)[0]
+        reads["coords"].clear(), reads["other"].clear()
+        invariants._hub_analysis(valid, 1, script)
+        oracle_confirm(valid, report, 1)
+        oracle_count_linked_pairs(valid, length, length, 1)
+        assert reads == {"coords": [], "other": []}
+
+    @pytest.mark.parametrize("divisor", [1, 7, 1001])
+    def test_require_valid_reads_each_input_point_once(self, divisor, reads):
+        raw = divided(gen_k6_pl_subdivided(2), divisor)
+        inputs = [*raw.position.values(), *(p for r in raw.route.values() for p in r.vertices)]
+        reads["coords"].clear()
+        require_valid(raw)
+        assert Counter(map(id, reads["coords"])) == Counter(map(id, inputs))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_oracles_agree_on_an_embedding_and_its_seventh(self, seed, monkeypatch):
+        """Equal answers.  Those hold from any apex, but each cone matrix row
+        does not: on the seventh, scaled by its m = 7, every matrix is the
+        reference's from the drawn apex over the seventh's own points, so
+        the drawn apex is scaled with the core."""
+        matrices = []
+        cone_matrix = invariants._cone_matrix
+        monkeypatch.setattr(invariants, "_cone_matrix", lambda *args: matrices.append((args, cone_matrix(*args))) or
+                            matrices[-1][1])
+        apex = Point3(*linking._draw_apex(SplitMix64(seed)))
+        for make, find, length in ((gen_k6_pl_subdivided, find_linked_cycles_k6, 3),
+                                   (gen_k44_linear, find_linked_cycles_k44, 4)):
+            emb = make(seed)
+            report = find(emb, seed)
+            seventh = require_valid(divided(emb, 7))
+            assert seventh._core[3] == 7
+            assert (oracle_count_linked_pairs(emb, length, length, seed), oracle_confirm(emb, report, seed)) == (
+                oracle_count_linked_pairs(seventh, length, length, seed), oracle_confirm(seventh, report, seed))
+            assert len(matrices) == 4
+            for (_, chains, disjoint), rows in matrices[2:]:  # `oracle_confirm` has rows for cycle 1 only
+                own = [[Point3(*(Fraction(c, 7) for c in p)) for p in chain] for chain in chains]
+                padded = [*disjoint, *[[]] * (len(chains) - len(disjoint))]
+                assert rows == cone_matrix_reference(apex, own, padded)[: len(rows)]
+            matrices.clear()
+            assert smooth(seventh) == divided(smooth(emb), 7)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from intrinsiclinks.geometry import (
     Point2,
     Point3,
     Triangle3,
+    _integer_scaled,
     collinear3,
     gp_points3,
     orient3d,
@@ -548,6 +549,17 @@ def tied_chains(draw, chains=(2, 4), corners=(2, 4)):
     return apex, lines
 
 
+def integer_scaled(apex: Point3, chains) -> tuple:
+    """The apex and the chains as the coordinates `_cone_matrix` reads: all
+    scaled to integers by one lcm, as its callers scale them."""
+    points = _integer_scaled([p.coords() for p in (apex, *(p for chain in chains for p in chain))])
+    out, k = [], 1
+    for chain in chains:
+        out.append(points[k : k + len(chain)])
+        k += len(chain)
+    return points[0], out
+
+
 class TestConeKernelMatchesReference:
     """The dot-product cone kernel against the all-`orient3d_sos` reference
     on tied configurations, where some dot products are 0 and the kernel
@@ -570,7 +582,7 @@ class TestConeKernelMatchesReference:
             disjoint = [[f for f, theirs in enumerate(chains) if f != e and set(mine).isdisjoint(theirs)]
                         for e, mine in enumerate(chains)]
             before = len(calls)
-            assert _cone_matrix(apex, chains, disjoint) == cone_matrix_reference(apex, chains, disjoint)
+            assert _cone_matrix(*integer_scaled(apex, chains), disjoint) == cone_matrix_reference(apex, chains, disjoint)
             fired.append(len(calls) > before)
 
         check()

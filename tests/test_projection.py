@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intrinsiclinks import projection
+from intrinsiclinks import graphs, projection
 from intrinsiclinks.errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
@@ -339,6 +339,34 @@ class TestFindGeneralProjection:
         assert total % 2 == 1
 
 
+class TestCentralPlan:
+    """`_central` reads the complete graph on its names and the graph's
+    disjoint edge pairs from a plan kept per names tuple."""
+
+    ARGS = (MOMENT_POINTS, MOMENT_POINTS[5], Point3(0, 0, 1))
+
+    def test_second_call_builds_no_plan_and_repeated_names_raise_on_every_call(self, monkeypatch):
+        projection._central_plan.cache_clear()
+        built = []
+        make = projection.make_graph
+        monkeypatch.setattr(projection, "make_graph", lambda names, edges: built.append(names) or make(names, edges))
+        names = [f"v{i}" for i in range(1, 6)]
+        first = projection._central(*self.ARGS, names)
+        assert built == [tuple(names)]
+        assert projection._central(*self.ARGS, names) == first
+        assert built == [tuple(names)]
+        for calls in (2, 3):
+            with pytest.raises(ValueError, match="repeated vertex name"):
+                projection._central(*self.ARGS, ["a"] * 5)
+            assert len(built) == calls
+
+    def test_planned_pairs_are_the_disjoint_edge_pairs_in_sweep_order(self):
+        graph, pairs = projection._central_plan(("p1", "p2", "p3", "p4", "p5"))
+        assert graph == make_graph(graph.vertices, combinations(graph.vertices, 2))
+        assert pairs == [(e1, e2) for e1, e2 in combinations(graph.edges, 2) if not set(e1) & set(e2)]
+        assert len(pairs) == 15
+
+
 class TestProjectCentral:
     def test_moment_curve_from_top(self):
         diag = project_central(
@@ -480,11 +508,11 @@ def outcome(call):
 
 
 def first_candidates(emb, seed: int, count: int) -> list[Point3]:
-    """The first `count` directions the seeded search hands its projector."""
+    """The first `count` directions the seeded search hands its projector, as points."""
     tried = []
 
     def record(emb, d):
-        tried.append(d)
+        tried.append(Point3(*d))
         if len(tried) < count:
             raise ProjectionNotGeneral("next")
 
@@ -507,9 +535,10 @@ def degenerate_directions(emb) -> list[Point3]:
 
 
 def orthogonal_rows(emb, d):
-    """The front matrix the finders read off `_orthogonal`, given the embedding's own routes."""
-    routes = [emb.route[key].vertices for key in emb.graph.edges]
-    return projection._front_rows(emb.graph, projection._orthogonal(emb.graph, emb.position, routes, d)[5])
+    """The front matrix the finders read off `_orthogonal`, given the embedding's own coordinates."""
+    where, chains = graphs._coordinates(emb)
+    routes = [chains[key] for key in emb.graph.edges]
+    return projection._front_rows(emb.graph, projection._orthogonal(emb.graph, where, routes, d.coords())[5])
 
 
 def central_rows(*args):

@@ -7,31 +7,18 @@ stderr and any SVG of `check`, `find-linked --verify`, `oracle --cycles 3,3`,
 any change in the rational path that shows in an output shows here."""
 
 import hashlib
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from intrinsiclinks.cli import main
-from intrinsiclinks.geometry import Point2, Point3
-from intrinsiclinks.graphs import complete_graph, make_drawing, make_embedding, make_graph, validate_embedding
+from intrinsiclinks.geometry import Point3
+from intrinsiclinks.graphs import complete_graph, make_embedding, make_graph, validate_embedding
 from intrinsiclinks.instances import gen_k5_drawing, gen_k6_pl_subdivided, gen_k6_points, gen_k44_linear
 from intrinsiclinks.rng import SplitMix64
 from intrinsiclinks.serialization import emit_instance
 
-
-def divided(obj, k: int):
-    """An embedding, drawing or point list with every coordinate divided by k."""
-    if isinstance(obj, list):
-        return [type(p)(*(Fraction(c, k) for c in p.coords())) for p in obj]
-    spatial = isinstance(next(iter(obj.position.values())), Point3)
-    cls, make = (Point3, make_embedding) if spatial else (Point2, make_drawing)
-
-    def cut(p):
-        return cls(*(Fraction(c, k) for c in p.coords()))
-
-    return make(obj.graph, {v: cut(p) for v, p in obj.position.items()},
-                {key: [cut(p) for p in r.vertices] for key, r in obj.route.items()})
+from helpers import divided
 
 
 def grid_k4_with_violations(count: int) -> list:

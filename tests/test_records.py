@@ -228,10 +228,10 @@ def test_valid_embedding_carries_its_core_outside_the_fields():
     # ==, hash, repr and `replace` see the three fields only
     valid = require_valid(EMB)
     assert type(valid)._fields == ("graph", "position", "route")
-    g, position, chains = valid._core
-    assert g is valid.graph and position is valid.position
+    g, position, chains, m = valid._core
+    assert g is valid.graph and position == {v: p.coords() for v, p in valid.position.items()} and m == 1
     assert type(chains) is tuple and all(type(chain) is tuple for chain in chains)
-    assert chains == ((P3(0, 0, 0), P3(1, 0, 0)),)
+    assert chains == (((0, 0, 0), (1, 0, 0)),)
     assert "_core" not in repr(valid) and valid == EMB
     with pytest.raises(AttributeError):
         valid._core = valid._core
