@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import lcm, perm
 from operator import or_
 from typing import Iterable, Mapping, Sequence
@@ -432,8 +432,8 @@ def _validation(emb: PLEmbedding) -> tuple[tuple[Violation, ...], dict, dict, in
     g = emb.graph
     where, chains = _coordinates(emb)
     routes, scale = [r for r in chains.values() if r], 1
-    # a sum of ints is an int, and any Fraction among them makes it one: a pass in C on integer input
-    if type(sum(chain.from_iterable(chain(where.values(), *routes)))) is not int:
+    # one pass in C over integer input, which is not rescaled; it stops at the first Fraction
+    if not all(map(isinstance, chain.from_iterable(chain(where.values(), *routes)), repeat(int))):
         scale = lcm(*{c.denominator for p in chain(where.values(), *routes) for c in p})
 
         def scaled(p):  # a uniform positive scale moves no sign
