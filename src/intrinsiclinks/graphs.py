@@ -496,12 +496,18 @@ def require_valid(emb: PLEmbedding) -> ValidEmbedding:
     """
     if isinstance(emb, ValidEmbedding):
         return emb
-    violations, where, chains, m = _validation(emb)
-    if violations:
-        raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
+    where, chains, m = _validated(emb)
     valid = ValidEmbedding(emb.graph, dict(emb.position), dict(emb.route))
     _set(valid, "_core", (*_core_of(emb.graph, where, chains), m))
     return valid
+
+
+def _validated(emb: PLEmbedding) -> tuple[dict, dict, int]:
+    """`_validation`'s coordinates and scale of an embedding that passes it; else EmbeddingInvalid listing each violation."""
+    violations, where, chains, m = _validation(emb)
+    if violations:
+        raise EmbeddingInvalid(f"{len(violations)} embedding violations", violations)
+    return where, chains, m
 
 
 def _core_of(g: Graph, where: dict, route: dict) -> tuple[Graph, dict, tuple[tuple[tuple, ...], ...]]:

@@ -187,7 +187,7 @@ def _linear_analysis(points: Sequence[Point3], seed: int):
         raise ValueError("need exactly 6 points")
     if not gp_points3(pts):
         raise GeneralPositionViolation("four of the points are coplanar")
-    top, _, (_, _, _, _, _, strands) = _choose_viewpoint(pts, seed)
+    top, _, (*_, strands) = _choose_viewpoint(pts, seed)
     # the K6 plan with the top point as its hub: a far edge blocks sight lines from
     # the apex to the base edge u-v exactly when it passes in front of u-v in the
     # central diagram, whose strands name edges of K6 (the top's have no image)

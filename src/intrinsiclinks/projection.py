@@ -10,11 +10,14 @@ Both projections refuse non-generic directions instead of producing a
 defective diagram; callers that need some direction use the seeded search.
 
 Each projection has one core on coordinate tuples, which finds the crossings
-of the shadows or images once and names each front strand.  The analyses hand
-the orthogonal core the smoothed chains that a `ValidEmbedding` carries, and
-fold its strands into a front matrix, one bitmask row per edge, building no
-diagram; the public functions build a `ProjectedDiagram` from the core's
-result.  Every linking number is an XOR of rows read at a mask.
+once and names each front strand: the orthogonal core on the shadows, the
+central core on the signs of volumes about the apex, which images of points
+below it keep, so it builds no image.  The analyses hand the orthogonal core
+the smoothed chains that a `ValidEmbedding` carries, and fold a core's strands
+into a front matrix, one bitmask row per edge, building no diagram; the public
+functions build a `ProjectedDiagram` from the core's result, `project_central`
+its images and a key for each crossing the core found.  Every linking number
+is an XOR of rows read at a mask.
 """
 
 from __future__ import annotations
@@ -43,12 +46,13 @@ from .graphs import (
     PlanarDrawing,
     PlanarPolyline,
     PLEmbedding,
+    ValidEmbedding,
     _coordinates,
     _generic,
     _scan_drawing,
+    _validated,
     _xor_rows,
     make_graph,
-    require_valid,
 )
 from .linking import _check_polyline
 from .rng import SplitMix64
@@ -68,20 +72,19 @@ def _canonical(v: tuple) -> tuple[int, int, int]:
     return coprime3(*v, 1 if first > 0 else -1)
 
 
-def plane_basis(d: Point3) -> tuple[Point3, Point3]:
-    """Two independent vectors spanning the plane normal to d, with
-    (e1, e2, d) positively oriented.  Not normalized: shadow coordinates
-    are a fixed invertible linear image of the true orthogonal shadow,
-    which preserves incidence, crossings and general position."""
-    e1, e2 = _plane_basis(d.coords())
-    return Point3(*e1), Point3(*e2)
+def _cross(u: tuple, v: tuple) -> tuple:
+    """The cross product u x v of two coordinate triples."""
+    (ux, uy, uz), (vx, vy, vz) = u, v
+    return uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
 
 
 def _plane_basis(d: tuple) -> tuple[tuple, tuple]:
-    """`plane_basis` on coordinates."""
-    x, y, z = d
-    a, b, c = (y, -x, 0) if x or y else (0, z, -y)  # d x (0, 0, 1), or d x (1, 0, 0) along the z-axis
-    return (a, b, c), (y * c - z * b, z * a - x * c, x * b - y * a)  # e2 = d x e1
+    """Two independent vectors spanning the plane normal to the coordinates d,
+    with (e1, e2, d) positively oriented.  Not normalized: shadow coordinates
+    are a fixed invertible linear image of the true orthogonal shadow,
+    which preserves incidence, crossings and general position."""
+    e1 = _cross(d, (0, 0, 1) if d[0] or d[1] else (1, 0, 0))  # d x (1, 0, 0) along the z-axis
+    return e1, _cross(d, e1)
 
 
 class ProjectedDiagram(_Record):
@@ -96,9 +99,6 @@ class ProjectedDiagram(_Record):
         _set(self, "crossings", crossings)
         # the front matrix, not a field
         _set(self, "_front", _front_rows(drawing.graph, [(c.edge1, c.edge2, c.upper) for c in crossings]))
-
-    def __hash__(self):
-        raise TypeError("diagrams are not hashable")
 
     @property
     def graph(self):
@@ -179,10 +179,16 @@ def project_orthogonal(emb: PLEmbedding, direction: Point3) -> ProjectedDiagram:
     direction flattens a corner, makes a side vanish, or yields a drawing
     with degenerate contacts.
     """
-    d = canonical_direction(direction).coords()
-    emb = require_valid(emb)
-    where, chains = _coordinates(emb)  # the input's own numbers
-    return _diagram(*_orthogonal(emb.graph, where, [chains[key] for key in emb.graph.edges], d))
+    return _diagram(*_orthogonal(*_own(emb), canonical_direction(direction).coords()))
+
+
+def _own(emb: PLEmbedding) -> tuple:
+    """The graph of an embedding that must be valid, and its vertices' and each edge's route points' own
+    coordinates, in `graph.edges` order.  A `ValidEmbedding` is not validated again, any other once, building no core."""
+    if not isinstance(emb, ValidEmbedding):
+        _validated(emb)
+    where, chains = _coordinates(emb)
+    return emb.graph, where, [chains[key] for key in emb.graph.edges]
 
 
 # directions the projection search tries before it raises SearchExhausted
@@ -217,7 +223,7 @@ def find_general_projection(emb: PLEmbedding, seed: int = 0) -> ProjectedDiagram
     rejections; almost every direction works, so the search normally ends
     within a handful of tries.  Deterministic for a fixed embedding + seed.
     """
-    return _direction_search(seed, lambda valid, d: project_orthogonal(valid, Point3(*d)), require_valid(emb))
+    return _diagram(*_direction_search(seed, _orthogonal, *_own(emb)))
 
 
 @lru_cache(maxsize=8)
@@ -227,9 +233,17 @@ def _central_plan(names: tuple) -> tuple:
     return graph, [(e1, e2) for e1, e2 in combinations(graph.edges, 2) if e1[0] not in e2 and e1[1] not in e2]
 
 
+def _collinear_images(rows) -> bool:
+    """Some image lies on the line of two others: a row of volumes about the apex vanishes off its own pair."""
+    return any(row.count(0) > 2 for row in rows)
+
+
 def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequence[str] | None = None):
-    """`project_central` on coordinates: the canonical normal, the complete graph on the names
-    (`_central_plan`), the images of its vertices and edges, their crossings, found with no sweep, and their strands."""
+    """`project_central` decided on volumes about the apex a, on the input's coordinates scaled to integers,
+    building no image: the normal, the complete graph on the names (`_central_plan`), the points' coordinates
+    about a, their gaps below it, and the (edge1, edge2, upper) strand of each crossing.  Images of points
+    strictly below a keep the orientation of their volumes about it: the image of p is a + t_p (p - a) with
+    t_p > 0, and a volume about a is linear in each of its three points."""
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
@@ -237,78 +251,86 @@ def _central(points: Sequence[Point3], apex: Point3, normal: Point3, names: Sequ
     if len(others) != len(pts) - 1:
         raise ValueError("apex occurs more than once among the points")
     # a uniform positive scale of space and of the functional moves no sign
-    a, (nx, ny, nz), *others = _integer_scaled([p.coords() for p in (apex, normal, *others)])
-    ax, ay, az = a
-    rel = [(x - ax, y - ay, z - az) for x, y, z in others]
-    gaps = [-(x * nx + y * ny + z * nz) for x, y, z in rel]
+    (ax, ay, az), n, *rel = _integer_scaled([p.coords() for p in (apex, normal, *others)])
+    rel = [(x - ax, y - ay, z - az) for x, y, z in rel]
+    gaps = [-(x * n[0] + y * n[1] + z * n[2]) for x, y, z in rel]
     if any(g <= 0 for g in gaps):
         raise ApexNotExtremal("apex does not strictly maximize the functional")
 
-    d = canonical_direction(normal)
-    (bx, by, bz), (cx, cy, cz) = (e.coords() for e in plane_basis(d))
-    lcm_gap = lcm(*gaps)
-    images = [((x * bx + y * by + z * bz) * (lcm_gap // g), (x * cx + y * cy + z * cz) * (lcm_gap // g))
-              for (x, y, z), g in zip(rel, gaps)]
-    if any(_collinear2(*abc) for abc in combinations(images, 3)):
+    # the normal of each pair's plane through a, in the graph's edge order, and the sign of its volume with
+    # every point: orient3d(a, p, q, r), the orientation of the images of p, q and r
+    normals = [_cross(p, q) for p, q in combinations(rel, 2)]
+    rows = [[_sign(x * cx + y * cy + z * cz) for x, y, z in rel] for cx, cy, cz in normals]
+    if _collinear_images(rows):
         raise ProjectionNotGeneral("projected points are not in general position")
 
     names = [f"p{i}" for i in range(1, len(others) + 1)] if names is None else list(names)
     if len(names) != len(others):
         raise ValueError("need one name per non-apex point")
     graph, pairs = _central_plan(tuple(names))
-    where = dict(zip(names, images))
-    if len(set(images)) < len(images):  # two images, past the check above: `make_drawing` refuses the edge
+    if not all(map(any, normals)):  # two points on one ray, past the check above: `make_drawing` refuses the edge
         raise ValueError("polyline needs at least 2 vertices, closed needs 3")
-    chains = {(u, v): [where[u], where[v]] for u, v in graph.edges}
-    raw = []  # no three images collinear: only disjoint edges meet, and only by crossing
-    for e1, e2 in pairs:
-        key = _meet2(*where[e1[0]], *where[e1[1]], *where[e2[0]], *where[e2[1]])
-        if key is NON_GENERIC:
-            raise InternalParityFailure(f"images of {e1} and {e2} touch past the general-position check")
-        if key:
-            raw.append((e1, 0, e2, 0, key))
-    repeated = sum(n > 1 for n in Counter(rec[4] for rec in raw).values())  # three or more edges through a point
-    if repeated:
-        raise ProjectionNotGeneral(f"central image drawing has {repeated} degenerate contacts")
+    side, at = dict(zip(graph.edges, rows)), graph._index
+    # no three images collinear: only disjoint edges meet, and they cross when each parts the other's ends
+    crossing = [(e1, e2) for e1, e2 in pairs
+                if (s := side[e1])[at[e2[0]]] != s[at[e2[1]]] and (s := side[e2])[at[e1[0]]] != s[at[e1[1]]]]
+    if len(rel) > 5:  # three edges through one point are pairwise disjoint: fewer than six images have none
+        # a crossing is the image of the ray from the apex along the cross product of its two planes' normals
+        plane = dict(zip(graph.edges, normals))
+        rays = Counter(_canonical(_cross(plane[e1], plane[e2])) for e1, e2 in crossing)
+        repeated = sum(k > 1 for k in rays.values())
+        if repeated:
+            raise ProjectionNotGeneral(f"central image drawing has {repeated} degenerate contacts")
 
-    at = dict(zip(names, others))
     strands = []
-    for e1, _, e2, _, _ in raw:  # one side per edge, so in the order of the drawing's crossings
-        (p, q), (r, w) = map(at.get, e1), map(at.get, e2)
+    for e1, e2 in crossing:
+        (p, q), (r, w) = ([rel[at[v]] for v in e] for e in (e1, e2))
         # about the line pq, r and w lie on either side of the plane apq, and
-        # rw passes beyond pq from a (behind it) exactly when the turn from r
-        # to w has the sense of the turn from a to r
+        # rw passes beyond pq from the apex a (behind it) exactly when the turn
+        # from r to w has the sense of the turn from a to r: orient3d(p, q, a, r),
+        # an even permutation of orient3d(a, p, q, r), the volume side[pq][r]
         det = _orient3(p, q, r, w)
         if det == 0:
             raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
-        strands.append((e1, e2, e1 if det == _orient3(p, q, a, r) else e2))
-    return d.coords(), graph, where, chains, raw, strands
+        strands.append((e1, e2, e1 if det == side[e1][at[e2[0]]] else e2))
+    return n, graph, rel, gaps, strands
 
 
-def project_central(
-    points: Sequence[Point3],
-    apex: Point3,
-    normal: Point3,
-    names: Sequence[str] | None = None,
-) -> ProjectedDiagram:
+def project_central(points: Sequence[Point3], apex: Point3, normal: Point3,
+                    names: Sequence[str] | None = None) -> ProjectedDiagram:
     """Project the points other than the apex from the apex, and return the
     diagram of the straight complete graph on them: the canonical normal,
-    the drawing of their images with each pair of disjoint edges tested
-    once, and each crossing labeled with the strand nearer the apex.
+    the drawing of their images, and each crossing labeled with the strand
+    nearer the apex.
 
     The functional x -> <x, normal> must take its strict maximum over the
-    points at the apex a.  With (e1, e2) the plane basis of the normal,
-    g_p = <a - p, normal> > 0 and L the lcm of the g_p, the image of p is
-    (<p - a, e1>, <p - a, e2>) * (L // g_p): its central image in a plane
-    below the apex, up to a translation and a positive scale, so the two
-    cross alike.  Rational input is first scaled to integers.
+    points at the apex a.  `_central` decides the diagram on volumes about
+    a; only then are the images built, here, and a key for each crossing it
+    found.  With (e1, e2) the plane basis of the normal, g_p = <a - p,
+    normal> > 0 and L the lcm of the g_p, the image of p is (<p - a, e1>,
+    <p - a, e2>) * (L // g_p): its central image in a plane below the apex,
+    up to a translation and a positive scale, so the two cross alike.
+    Rational input is first scaled to integers.
 
     Raises ApexNotExtremal when the apex is not the unique maximizer,
     ProjectionNotGeneral when three images become collinear or two
-    coincide, and GeneralPositionViolation when two images cross at equal
-    depth: their segments meet in space.
+    coincide, or three image edges meet at a point, and
+    GeneralPositionViolation when two images cross at equal depth: their
+    segments meet in space.
     """
-    return _diagram(*_central(points, apex, normal, names))
+    n, graph, rel, gaps, strands = _central(points, apex, normal, names)
+    d = _canonical(n)
+    (bx, by, bz), (cx, cy, cz) = _plane_basis(d)
+    m = lcm(*gaps)
+    where = {v: ((x * bx + y * by + z * bz) * (m // g), (x * cx + y * cy + z * cz) * (m // g))
+             for v, (x, y, z), g in zip(graph.vertices, rel, gaps)}
+    crossings = []
+    for e1, e2, _ in strands:
+        key = _meet2(*where[e1[0]], *where[e1[1]], *where[e2[0]], *where[e2[1]])
+        if key is None or key is NON_GENERIC:
+            raise InternalParityFailure(f"images of {e1} and {e2} cross by their volumes but not transversally")
+        crossings.append((e1, 0, e2, 0, key))
+    return _diagram(d, graph, where, {(u, v): [where[u], where[v]] for u, v in graph.edges}, crossings, strands)
 
 
 def front_parity(diag: ProjectedDiagram, first_edges, second_edges) -> int:

@@ -66,13 +66,20 @@ from intrinsiclinks.projection import (
     _front_rows,
     _lk,
     _orthogonal,
+    _plane_basis,
     canonical_direction,
     find_general_projection,
     front_parity,
-    plane_basis,
     project_central,
 )
 from intrinsiclinks.rng import SplitMix64
+
+
+def plane_basis(d: Point3) -> tuple[Point3, Point3]:
+    """`projection._plane_basis` on records: two independent vectors spanning
+    the plane normal to d, with (e1, e2, d) positively oriented."""
+    e1, e2 = _plane_basis(d.coords())
+    return Point3(*e1), Point3(*e2)
 
 
 def cross2(u: Point2, v: Point2):
@@ -438,10 +445,12 @@ def project_central_reference(points, apex: Point3, normal: Point3, names=None) 
 
 def central_sweep_reference(points, apex: Point3, normal: Point3):
     """`projection._central` with the drawing sweep, on integer points and
-    default names: the same images, graph and one-side chains, then
-    `_scan_drawing` on them for the raw crossings, refusing every violation
-    the sweep finds, and each crossing's strand nearer the apex by
-    `higher_central_reference`, after the equal-depth check."""
+    default names: the images `project_central` builds, the graph and
+    one-side chains, then `_scan_drawing` on them for the raw crossings,
+    refusing every violation the sweep finds, and each crossing's strand
+    nearer the apex by `higher_central_reference`, after the equal-depth
+    check.  Returns what the core returns: the normal, the graph, the points
+    about the apex, their gaps below it and the strands."""
     pts = list(points)
     if apex not in pts:
         raise ValueError("apex must be one of the points")
@@ -460,6 +469,8 @@ def central_sweep_reference(points, apex: Point3, normal: Point3):
     names = [f"p{i}" for i in range(1, len(others) + 1)]
     graph = make_graph(names, combinations(names, 2))
     where = dict(zip(names, images))
+    if len(set(images)) < len(images):  # two images: the drawing's constructor refuses their edge
+        raise ValueError("polyline needs at least 2 vertices, closed needs 3")
     chains = {(u, v): [where[u], where[v]] for u, v in graph.edges}
     violations, raw = _scan_drawing(graph, where, chains)
     if violations:
@@ -471,7 +482,7 @@ def central_sweep_reference(points, apex: Point3, normal: Point3):
         if orient3d(*s1, *s2) == 0:
             raise GeneralPositionViolation(f"edges {e1} and {e2} meet in space")
         strands.append((e1, e2, e1 if higher_central_reference(apex, s1, s2) else e2))
-    return d.coords(), graph, where, chains, list(raw), strands
+    return normal.coords(), graph, [(p - apex).coords() for p in others], gaps, strands
 
 
 def cross3(u: Point3, v: Point3) -> Point3:
@@ -1002,7 +1013,7 @@ def unplanned_hub_analysis(emb: PLEmbedding, seed: int, script):
 def unplanned_linear_analysis(points, seed: int):
     """`invariants._linear_analysis` with every cycle read by `read_cycle_reference`."""
     pts = list(points)
-    top, _, (_, g, _, _, _, strands) = invariants._choose_viewpoint(pts, seed)
+    top, _, (_, g, _, _, strands) = invariants._choose_viewpoint(pts, seed)
     front = _front_rows(g, strands)
     rows = [(read_cycle_reference(g, front, [w for w in g.vertices if w not in e]), e) for e in g.edges]
     ledger = front_ledger_reference(g, "sight-blocking lk over the 10 base edges", rows, 1)

@@ -988,11 +988,11 @@ class TestBoundedSearchPastMachineWords:
     def test_projection_direction_search(self, monkeypatch):
         tried = []
 
-        def reject(emb, direction):
-            tried.append(direction)
+        def reject(g, where, routes, d):
+            tried.append(Point3(*d))
             raise ProjectionNotGeneral("rejected")
 
-        monkeypatch.setattr(projection, "project_orthogonal", reject)
+        monkeypatch.setattr(projection, "_orthogonal", reject)
         with pytest.raises(SearchExhausted):
             find_general_projection(moment_k6_embedding())
         assert max(abs(c) for d in tried for c in d.coords()).bit_length() > 63
@@ -1021,14 +1021,14 @@ class TestDirectionSearchDrawRules:
         rejections; a skip uses a try but is not a rejection."""
         tried = []
 
-        def reject(emb, direction):
-            tried.append(direction.coords())
+        def reject(g, where, routes, d):
+            tried.append(d)
             raise ProjectionNotGeneral("rejected")
 
         canonical = [(1, 0, k) for k in range(1, 9)] + [(1, 1, k) for k in range(1, 7)]
         rng = ScriptedRng([(0, 0, 0), (2, 4, 6), (-1, -2, -3), (0, 0, -5), *canonical, (9, 16, -16), (0, 0, 0)])
         monkeypatch.setattr(projection, "SplitMix64", rng)
-        monkeypatch.setattr(projection, "project_orthogonal", reject)
+        monkeypatch.setattr(projection, "_orthogonal", reject)
         monkeypatch.setattr(projection, "DIRECTION_TRIES", 20)
         with pytest.raises(SearchExhausted, match="in 20 tries"):
             find_general_projection(moment_k6_embedding())
@@ -1165,6 +1165,37 @@ class TestSmoothOnce:
         assert smoothings == [valid.graph]
         assert valid._core[2][0] == tuple(q.scale(valid._core[3]).coords() for q in (p, Point3(2, 4, 8)))
         assert bent._core[2][0] == tuple(q.scale(bent._core[3]).coords() for q in (p, bend, mid, Point3(2, 4, 8)))
+
+
+class TestOrthogonalPathsBuildNoCore:
+    """`project_orthogonal` and `find_general_projection` read the input's
+    own routes: raw input is validated once per call and its smoothed core
+    is never built, and a `ValidEmbedding` is not validated again."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raw_subdivided_k6(self, seed, smoothings, validations):
+        valid = gen_k6_pl_subdivided(seed)
+        raw = graphs.PLEmbedding(valid.graph, valid.position, valid.route)
+        smoothings.clear()
+        validations.clear()
+        diag = find_general_projection(raw, seed)
+        assert project_orthogonal(raw, diag.direction) == diag
+        assert validations == [raw, raw]
+        assert smoothings == []
+        validations.clear()
+        assert find_general_projection(valid, seed) == diag == project_orthogonal(valid, diag.direction)
+        assert validations == smoothings == []
+
+    def test_invalid_input_raises_the_validation_error(self):
+        pos = {f"v{i}": MOMENT6[i - 1] for i in range(1, 7)}
+        pos["v6"] = Point3(Fraction(3, 2), Fraction(5, 2), Fraction(9, 2))  # on route v1-v2
+        emb = make_embedding(K6, pos)
+        with pytest.raises(EmbeddingInvalid) as expected:
+            require_valid(emb)
+        for call in (lambda: find_general_projection(emb), lambda: project_orthogonal(emb, Point3(0, 0, 1))):
+            with pytest.raises(EmbeddingInvalid) as info:
+                call()
+            assert (str(info.value), info.value.violations) == (str(expected.value), expected.value.violations)
 
 
 class TestIntegerCore:

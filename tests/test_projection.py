@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intrinsiclinks import graphs, projection
+from intrinsiclinks import graphs, invariants, projection
 from intrinsiclinks.errors import (
     ApexNotExtremal,
     CyclesNotDisjoint,
@@ -40,7 +40,6 @@ from intrinsiclinks.projection import (
     find_general_projection,
     front_parity,
     lk_from_diagram,
-    plane_basis,
     project_central,
     project_orthogonal,
 )
@@ -53,6 +52,7 @@ from helpers import (
     dot3,
     front_parity_reference,
     higher_central_reference,
+    plane_basis,
     project_central_reference,
     project_orthogonal_reference,
     reference_diagram,
@@ -400,7 +400,7 @@ class TestProjectCentral:
         pts = [apex, Point3(1, 0, 0), Point3(2, 0, -10), Point3(0, 3, 1), Point3(-2, -1, 2), Point3(3, -2, -1)]
         with pytest.raises(ProjectionNotGeneral, match="projected points are not in general position"):
             project_central(pts, apex, Point3(0, 0, 1))
-        monkeypatch.setattr(projection, "_collinear2", lambda a, b, c: False)
+        monkeypatch.setattr(projection, "_collinear_images", lambda rows: False)
         with pytest.raises(ValueError, match="polyline needs at least 2 vertices"):
             project_central(pts, apex, Point3(0, 0, 1))
 
@@ -543,7 +543,7 @@ def orthogonal_rows(emb, d):
 
 def central_rows(*args):
     """The front matrix the linear finder reads off `_central`."""
-    _, graph, _, _, _, strands = projection._central(*args)
+    _, graph, _, _, strands = projection._central(*args)
     return projection._front_rows(graph, strands)
 
 
@@ -622,7 +622,7 @@ class TestCentralCoreMatchesPublicPath:
         """Without the general-position check the core raises, as the
         drawing's constructor does, a bare ValueError on two coincident
         images; so does the public path, which runs the core."""
-        monkeypatch.setattr(projection, "_collinear2", lambda a, b, c: False)
+        monkeypatch.setattr(projection, "_collinear_images", lambda rows: False)
         expected = (ValueError, "polyline needs at least 2 vertices, closed needs 3")
         core = outcome(lambda: projection._central(self.RAY, self.RAY_APEX, Point3(0, 0, 1)))
         assert core == outcome(lambda: project_central(self.RAY, self.RAY_APEX, Point3(0, 0, 1))) == expected
@@ -633,12 +633,11 @@ NORMALS = st.builds(Point3, *[st.integers(-2, 2)] * 3).filter(lambda n: n != Poi
 
 
 class TestCentralCoreMatchesSweep:
-    """`_central` tests each pair of disjoint image edges once and sweeps
-    nothing; the drawing sweep run on the same images and one-side chains
-    finds the same raw crossings in the same order, the same strands and
-    the same refusals.  With six or more images three edges can pass
-    through one point, which both refuse with one degenerate contact per
-    point."""
+    """`_central` decides the crossings on volumes about the apex and sweeps
+    nothing; the drawing sweep run on the images and one-side chains
+    finds the same crossings in the same order, the same strands and the
+    same refusals.  With six or more images three edges can pass through
+    one point, which both refuse with one degenerate contact per point."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.builds(Point3, SMALL, SMALL, SMALL), min_size=6, max_size=8, unique=True), NORMALS)
@@ -650,11 +649,62 @@ class TestCentralCoreMatchesSweep:
         assert core == outcome(lambda: central_sweep_reference(points, apex, normal))
 
     def test_a_touch_past_the_general_position_check_is_a_bug_signal(self, monkeypatch):
-        """Without the collinearity check the image of p2 lies inside the
-        image edge p1-p3, which p2-p4 touches there: the core never records
-        such a contact, it raises."""
+        """Without the volume check the image of p2 lies inside the image
+        edge p1-p3, which p2-p4 touches there: a zero volume differs from a
+        nonzero one, so the core takes the touch for a crossing, and
+        `project_central` never records such a contact, it raises."""
         apex = Point3(0, 0, 1)
-        points = [apex, Point3(-2, 0, 0), Point3(0, 0, 0), Point3(2, 0, 0), Point3(0, 2, 0), Point3(1, -3, 0)]
-        monkeypatch.setattr(projection, "_collinear2", lambda a, b, c: False)
-        assert outcome(lambda: projection._central(points, apex, Point3(0, 0, 1))) == (
-            InternalParityFailure, "images of ('p1', 'p3') and ('p2', 'p4') touch past the general-position check")
+        points = [apex, Point3(-2, 0, 0), Point3(0, 0, -1), Point3(2, 0, 0), Point3(0, 2, 0), Point3(1, -3, -1)]
+        monkeypatch.setattr(projection, "_collinear_images", lambda rows: False)
+        assert outcome(lambda: project_central(points, apex, Point3(0, 0, 1))) == (
+            InternalParityFailure, "images of ('p1', 'p3') and ('p2', 'p4') cross by their volumes but not transversally")
+
+
+TINY = st.integers(-4, 4)
+
+
+class TestCentralOnVolumes:
+    """`_central` decides on volumes about the apex and builds no image;
+    `project_central` builds the images, and a key for each crossing the
+    core found.  Small integer point sets give apex-coplanar triples, two
+    points on one ray, equal-depth crossings and concurrent image edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Point3, TINY, TINY, TINY), min_size=3, max_size=8, unique=True), NORMALS)
+    @example(TestCentralCoreMatchesPublicPath.HEXAGON, Point3(0, 0, 1))
+    @example(TestCentralCoreMatchesPublicPath.HEXAGON + [Point3(-3, -2, 0)], Point3(0, 0, 1))
+    @example(TestCentralCoreMatchesPublicPath.SQUARE, Point3(0, 0, 1))
+    @example([Point3(0, 0, 1), Point3(1, 0, 0), Point3(2, 0, -1)], Point3(0, 0, 1))  # one ray, two points
+    def test_core_and_builder_match_the_sweep_references(self, points, normal):
+        apex = max(points, key=lambda p: dot3(p, normal))
+        core = outcome(lambda: projection._central(points, apex, normal))
+        assert core == outcome(lambda: central_sweep_reference(points, apex, normal))
+        public = outcome(lambda: project_central(points, apex, normal))
+        assert public == outcome(lambda: project_central_reference(points, apex, normal))
+        if len(points) <= 6 and core[0] is ProjectionNotGeneral:  # no three disjoint edges among five images
+            assert core[1] == "projected points are not in general position"
+
+
+@pytest.fixture
+def meets(monkeypatch):
+    """The image edge pairs handed to `projection._meet2`."""
+    calls = []
+    original = projection._meet2
+    monkeypatch.setattr(projection, "_meet2", lambda *c: calls.append(c) or original(*c))
+    return calls
+
+
+class TestCentralWork:
+    """The linear finder's central core tests no image edge pair, and
+    `project_central` keys only the crossings the core found."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_linear_analysis_meets_no_image_edges(self, seed, meets):
+        _, ledger = invariants._linear_analysis(gen_k6_points(seed), seed)
+        assert ledger.total % 2 == 1
+        assert meets == []
+
+    def test_project_central_keys_each_crossing_once(self, meets):
+        diag = project_central(MOMENT_POINTS, MOMENT_POINTS[5], Point3(0, 0, 1))
+        assert len(projection._central_plan(("p1", "p2", "p3", "p4", "p5"))[1]) == 15
+        assert len(meets) == len(diag.crossings) == 5
